@@ -214,9 +214,4 @@ bool resolve_bcc_eager() {
   return util::env_int_or("EMC_BCC_EAGER", 0, 0, 1) != 0;
 }
 
-std::size_t resolve_bcc_min_device_batch() {
-  return static_cast<std::size_t>(util::env_int_or(
-      "EMC_BCC_MIN_DEVICE_BATCH", 0, 0, std::int64_t{1} << 30));
-}
-
 }  // namespace emc::bcc

@@ -131,9 +131,4 @@ class BccCell {
 /// instead of on first query. Strict parse on the shared env grammar.
 bool resolve_bcc_eager();
 
-/// EMC_BCC_MIN_DEVICE_BATCH ∈ [0, 2^30] (default 0 = let the Policy cost
-/// model decide): batches at least this large take the bulk-kernel route in
-/// the BCC answer paths regardless of the model.
-std::size_t resolve_bcc_min_device_batch();
-
 }  // namespace emc::bcc

@@ -21,223 +21,70 @@ namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
-/// Machine-only inputs for the batch-size routing decision (Figure 6);
-/// shared by Session (cache-side) and View (snapshot-side) answering.
-PlanInputs query_inputs(const Engine& engine, NodeId n, std::size_t m) {
+}  // namespace
+
+PlanInputs machine_inputs(const Engine& engine) {
   PlanInputs inputs;
-  inputs.n = n;
-  inputs.m = m;
   inputs.device_workers = engine.device().workers();
   inputs.multicore_workers = engine.multicore().workers();
   inputs.launch_overhead = engine.device().launch_overhead();
   return inputs;
 }
 
-// The four query-answer routines below are the single implementation both
-// Session::run (lazy cache) and View::run (frozen snapshot) delegate to.
-// The host route reads the index with no synchronization at all — the
-// index is immutable while the caller holds it — and the device route
-// serializes its one bulk kernel on the context's driver lock, so any
-// number of threads can answer concurrently. With
-// Policy::host_fallback_when_busy set, a device-routed batch that finds the
-// driver lock held degrades to the (identical-answer) host loop instead of
-// queueing behind whoever holds it.
-
-/// Device-route attempt shared by the helpers: returns a lock owning the
-/// driver mutex, or an unowned lock when the policy chose to fall back.
-std::unique_lock<std::recursive_mutex> lock_device_for_batch(
-    const Engine& engine, const Policy& policy) {
-  if (!policy.host_fallback_when_busy) return engine.device().exclusive();
-  auto lock = engine.device().try_exclusive();
-  if (!lock.owns_lock()) {
-    engine.counters().host_fallbacks.fetch_add(1, kRelaxed);
+std::unique_lock<std::recursive_mutex> route_batch(const Engine& engine,
+                                                   const Policy& policy,
+                                                   std::size_t size) {
+  std::unique_lock<std::recursive_mutex> lock;
+  if (policy.use_device_batch(size, machine_inputs(engine))) {
+    if (!policy.host_fallback_when_busy) {
+      lock = engine.device().exclusive();
+    } else {
+      lock = engine.device().try_exclusive();
+      if (!lock.owns_lock()) {
+        engine.counters().host_fallbacks.fetch_add(1, kRelaxed);
+      }
+    }
   }
+  (lock.owns_lock() ? engine.counters().device_query_batches
+                    : engine.counters().host_query_batches)
+      .fetch_add(1, kRelaxed);
   return lock;
 }
 
-std::vector<std::uint8_t> answer_same2ecc(
-    const Engine& engine, const dynamic::ConnectivityOracle& oracle,
-    const Policy& policy, const PlanInputs& inputs, const Same2Ecc& request) {
-  std::vector<std::uint8_t> answers;
-  if (policy.use_device_batch(request.pairs.size(), inputs)) {
-    const auto lock = lock_device_for_batch(engine, policy);
-    if (lock.owns_lock()) {
-      engine.counters().device_query_batches.fetch_add(1, kRelaxed);
-      oracle.same_2ecc_batch(engine.device(), request.pairs, answers);
-      return answers;
-    }
-  }
-  engine.counters().host_query_batches.fetch_add(1, kRelaxed);
-  answers.resize(request.pairs.size());
+namespace {
+
+/// BfsLevels pairs grouped by distinct source: query indexes per source.
+std::unordered_map<NodeId, std::vector<std::size_t>> by_source(
+    const BfsLevels& request) {
+  std::unordered_map<NodeId, std::vector<std::size_t>> groups;
   for (std::size_t q = 0; q < request.pairs.size(); ++q) {
-    answers[q] = static_cast<std::uint8_t>(
-        oracle.same_2ecc(request.pairs[q].first, request.pairs[q].second));
+    groups[request.pairs[q].first].push_back(q);
+  }
+  return groups;
+}
+
+}  // namespace
+
+Answer<BfsLevels> Family<BfsLevels>::device(const device::Context& ctx,
+                                            const graph::Csr& csr,
+                                            const BfsLevels& request) {
+  std::vector<NodeId> answers(request.pairs.size(), kNoNode);
+  for (const auto& [source, queries] : by_source(request)) {
+    const bridges::BfsTree tree = bridges::bfs(ctx, csr, source);
+    for (const std::size_t q : queries) {
+      answers[q] = tree.level[request.pairs[q].second];
+    }
   }
   return answers;
 }
 
-std::vector<NodeId> answer_bridges_on_path(
-    const Engine& engine, const dynamic::ConnectivityOracle& oracle,
-    const Policy& policy, const PlanInputs& inputs,
-    const BridgesOnPath& request) {
-  std::vector<NodeId> answers;
-  if (policy.use_device_batch(request.pairs.size(), inputs)) {
-    const auto lock = lock_device_for_batch(engine, policy);
-    if (lock.owns_lock()) {
-      engine.counters().device_query_batches.fetch_add(1, kRelaxed);
-      oracle.bridges_on_path_batch(engine.device(), request.pairs, answers);
-      return answers;
-    }
-  }
-  engine.counters().host_query_batches.fetch_add(1, kRelaxed);
-  answers.resize(request.pairs.size());
-  for (std::size_t q = 0; q < request.pairs.size(); ++q) {
-    answers[q] = oracle.bridges_on_path(request.pairs[q].first,
-                                        request.pairs[q].second);
-  }
-  return answers;
-}
-
-std::vector<NodeId> answer_component_size(
-    const Engine& engine, const dynamic::ConnectivityOracle& oracle,
-    const Policy& policy, const PlanInputs& inputs,
-    const ComponentSize& request) {
-  std::vector<NodeId> answers;
-  if (policy.use_device_batch(request.nodes.size(), inputs)) {
-    const auto lock = lock_device_for_batch(engine, policy);
-    if (lock.owns_lock()) {
-      engine.counters().device_query_batches.fetch_add(1, kRelaxed);
-      oracle.component_size_batch(engine.device(), request.nodes, answers);
-      return answers;
-    }
-  }
-  engine.counters().host_query_batches.fetch_add(1, kRelaxed);
-  answers.resize(request.nodes.size());
-  for (std::size_t q = 0; q < request.nodes.size(); ++q) {
-    answers[q] = oracle.component_size(request.nodes[q]);
-  }
-  return answers;
-}
-
-std::vector<NodeId> answer_lca(const Engine& engine, const lca::InlabelLca& lca,
-                               NodeId virtual_root, const Policy& policy,
-                               const PlanInputs& inputs,
-                               const LcaBatch& request) {
-  std::vector<NodeId> answers;
-  bool answered = false;
-  if (policy.use_device_batch(request.pairs.size(), inputs)) {
-    const auto lock = lock_device_for_batch(engine, policy);
-    if (lock.owns_lock()) {
-      engine.counters().device_query_batches.fetch_add(1, kRelaxed);
-      lca.query_batch(engine.device(), request.pairs, answers);
-      answered = true;
-    }
-  }
-  if (!answered) {
-    engine.counters().host_query_batches.fetch_add(1, kRelaxed);
-    answers.resize(request.pairs.size());
-    for (std::size_t q = 0; q < request.pairs.size(); ++q) {
-      answers[q] = lca.query(request.pairs[q].first, request.pairs[q].second);
-    }
-  }
-  // Meeting at the virtual root means "different components".
-  for (NodeId& a : answers) {
-    if (a == virtual_root) a = kNoNode;
-  }
-  return answers;
-}
-
-/// The new-family batch routing: the Policy cost model, with the strict
-/// EMC_BCC_MIN_DEVICE_BATCH floor as an operator override (0 = model only).
-bool use_device_for_family(const Policy& policy, std::size_t size,
-                           const PlanInputs& inputs) {
-  const std::size_t floor = bcc::resolve_bcc_min_device_batch();
-  if (floor != 0 && size >= floor) return true;
-  return policy.use_device_batch(size, inputs);
-}
-
-std::vector<std::uint8_t> answer_same_bcc(const Engine& engine,
-                                          const bcc::BccIndex& index,
-                                          const Policy& policy,
-                                          const PlanInputs& inputs,
-                                          const SameBcc& request) {
-  std::vector<std::uint8_t> answers(request.pairs.size());
-  const auto answer = [&](std::size_t q) -> std::uint8_t {
-    return index.same_bcc(request.pairs[q].first, request.pairs[q].second)
-               ? 1
-               : 0;
-  };
-  if (use_device_for_family(policy, request.pairs.size(), inputs)) {
-    const auto lock = lock_device_for_batch(engine, policy);
-    if (lock.owns_lock()) {
-      engine.counters().device_query_batches.fetch_add(1, kRelaxed);
-      device::transform(engine.device(), request.pairs.size(), answers.data(),
-                        answer);
-      return answers;
-    }
-  }
-  engine.counters().host_query_batches.fetch_add(1, kRelaxed);
-  for (std::size_t q = 0; q < request.pairs.size(); ++q) answers[q] = answer(q);
-  return answers;
-}
-
-std::vector<NodeId> answer_cc_membership(const Engine& engine,
-                                         const bridges::SpanningForest& forest,
-                                         const Policy& policy,
-                                         const PlanInputs& inputs,
-                                         const CcMembership& request) {
-  std::vector<NodeId> answers(request.nodes.size());
-  if (use_device_for_family(policy, request.nodes.size(), inputs)) {
-    const auto lock = lock_device_for_batch(engine, policy);
-    if (lock.owns_lock()) {
-      engine.counters().device_query_batches.fetch_add(1, kRelaxed);
-      device::gather(engine.device(), forest.component.data(),
-                     request.nodes.data(), request.nodes.size(),
-                     answers.data());
-      return answers;
-    }
-  }
-  engine.counters().host_query_batches.fetch_add(1, kRelaxed);
-  for (std::size_t q = 0; q < request.nodes.size(); ++q) {
-    answers[q] = forest.component[request.nodes[q]];
-  }
-  return answers;
-}
-
-std::vector<NodeId> answer_bfs_levels(const Engine& engine,
-                                      const graph::Csr& csr,
-                                      const Policy& policy,
-                                      const PlanInputs& inputs,
-                                      const BfsLevels& request) {
+Answer<BfsLevels> Family<BfsLevels>::host(const graph::Csr& csr,
+                                          const BfsLevels& request) {
   std::vector<NodeId> answers(request.pairs.size(), kNoNode);
   if (request.pairs.empty()) return answers;
-  // Group by distinct source: pairs sharing one share one traversal (the
-  // launch-count pin — K same-source queries cost ONE device BFS). Both
-  // routes are O(n + m) per distinct source; the policy's batch decision
-  // separates the level-synchronous device kernels from a cache-friendly
-  // sequential frontier walk, exactly the Figure 6 trade-off.
-  std::unordered_map<NodeId, std::vector<std::size_t>> by_source;
-  for (std::size_t q = 0; q < request.pairs.size(); ++q) {
-    by_source[request.pairs[q].first].push_back(q);
-  }
-  if (use_device_for_family(policy, request.pairs.size(), inputs)) {
-    const auto lock = lock_device_for_batch(engine, policy);
-    if (lock.owns_lock()) {
-      engine.counters().device_query_batches.fetch_add(1, kRelaxed);
-      for (const auto& [source, queries] : by_source) {
-        const bridges::BfsTree tree =
-            bridges::bfs(engine.device(), csr, source);
-        for (const std::size_t q : queries) {
-          answers[q] = tree.level[request.pairs[q].second];
-        }
-      }
-      return answers;
-    }
-  }
-  engine.counters().host_query_batches.fetch_add(1, kRelaxed);
   std::vector<NodeId> level(static_cast<std::size_t>(csr.num_nodes));
   std::vector<NodeId> frontier, next;
-  for (const auto& [source, queries] : by_source) {
+  for (const auto& [source, queries] : by_source(request)) {
     std::fill(level.begin(), level.end(), kNoNode);
     level[source] = 0;
     frontier.assign(1, source);
@@ -262,8 +109,6 @@ std::vector<NodeId> answer_bfs_levels(const Engine& engine,
   }
   return answers;
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------- Engine
 
@@ -457,12 +302,10 @@ NodeId Session::diameter_estimate() {
   return diameter_artifact();
 }
 
-PlanInputs Session::machine_inputs() const {
-  return query_inputs(*engine_, graph_.num_nodes(), graph_.num_edges());
-}
-
 PlanInputs Session::plan_inputs() {
-  PlanInputs inputs = machine_inputs();
+  PlanInputs inputs = machine_inputs(*engine_);
+  inputs.n = graph_.num_nodes();
+  inputs.m = graph_.num_edges();
   inputs.diameter = diameter_artifact();
   return inputs;
 }
@@ -629,42 +472,6 @@ const lca::InlabelLca& Session::forest_lca_artifact() {
 
 // --------------------------------------------------------------- requests
 
-const bridges::BridgeMask& Session::run(const Bridges& request) {
-  return run(request, engine_->default_policy());
-}
-
-const bridges::BridgeMask& Session::run(const Bridges& request,
-                                        const Policy& policy) {
-  engine_->counters_.requests.fetch_add(1, kRelaxed);
-  const auto lock = engine_->device_.exclusive();
-  return mask_artifact(policy, request.phases);
-}
-
-TwoEccView Session::run(const TwoEcc& request) {
-  return run(request, engine_->default_policy());
-}
-
-TwoEccView Session::run(const TwoEcc&, const Policy& policy) {
-  engine_->counters_.requests.fetch_add(1, kRelaxed);
-  const auto lock = engine_->device_.exclusive();
-  const dynamic::ConnectivityOracle& oracle = oracle_artifact(policy);
-  return {&oracle.block_labels(), &oracle.block_sizes(), oracle.num_blocks(),
-          oracle.num_bridges()};
-}
-
-const dynamic::ConnectivityOracle& Session::locked_oracle(
-    const Policy& policy) {
-  engine_->counters_.requests.fetch_add(1, kRelaxed);
-  const auto lock = engine_->device_.exclusive();
-  return oracle_artifact(policy);
-}
-
-const lca::InlabelLca& Session::locked_forest_lca() {
-  engine_->counters_.requests.fetch_add(1, kRelaxed);
-  const auto lock = engine_->device_.exclusive();
-  return forest_lca_artifact();
-}
-
 std::shared_ptr<const bcc::BccIndex> Session::bcc_artifact() {
   sync_epoch();
   track(cache_.bcc->peek() == nullptr);
@@ -674,96 +481,24 @@ std::shared_ptr<const bcc::BccIndex> Session::bcc_artifact() {
                                   *cache_.forest);
 }
 
-std::shared_ptr<const bcc::BccIndex> Session::locked_bcc() {
-  engine_->counters_.requests.fetch_add(1, kRelaxed);
+template <typename A>
+const A& Session::locked_artifact(const Policy& policy,
+                                  util::PhaseTimer* phases) {
   const auto lock = engine_->device_.exclusive();
-  return bcc_artifact();
-}
-
-const bridges::SpanningForest& Session::locked_forest() {
-  engine_->counters_.requests.fetch_add(1, kRelaxed);
-  const auto lock = engine_->device_.exclusive();
-  return forest();
-}
-
-std::vector<std::uint8_t> Session::run(const Same2Ecc& request) {
-  return run(request, engine_->default_policy());
-}
-
-std::vector<std::uint8_t> Session::run(const Same2Ecc& request,
-                                       const Policy& policy) {
-  return answer_same2ecc(*engine_, locked_oracle(policy), policy,
-                         machine_inputs(), request);
-}
-
-std::vector<NodeId> Session::run(const BridgesOnPath& request) {
-  return run(request, engine_->default_policy());
-}
-
-std::vector<NodeId> Session::run(const BridgesOnPath& request,
-                                 const Policy& policy) {
-  return answer_bridges_on_path(*engine_, locked_oracle(policy), policy,
-                                machine_inputs(), request);
-}
-
-std::vector<NodeId> Session::run(const ComponentSize& request) {
-  return run(request, engine_->default_policy());
-}
-
-std::vector<NodeId> Session::run(const ComponentSize& request,
-                                 const Policy& policy) {
-  return answer_component_size(*engine_, locked_oracle(policy), policy,
-                               machine_inputs(), request);
-}
-
-std::vector<NodeId> Session::run(const LcaBatch& request) {
-  return run(request, engine_->default_policy());
-}
-
-std::vector<NodeId> Session::run(const LcaBatch& request,
-                                 const Policy& policy) {
-  return answer_lca(*engine_, locked_forest_lca(),
-                    static_cast<NodeId>(graph_.num_nodes()), policy,
-                    machine_inputs(), request);
-}
-
-std::vector<std::uint8_t> Session::run(const Articulations&) {
-  return locked_bcc()->is_articulation;
-}
-
-std::vector<std::uint8_t> Session::run(const SameBcc& request) {
-  return run(request, engine_->default_policy());
-}
-
-std::vector<std::uint8_t> Session::run(const SameBcc& request,
-                                       const Policy& policy) {
-  return answer_same_bcc(*engine_, *locked_bcc(), policy, machine_inputs(),
-                         request);
-}
-
-std::vector<NodeId> Session::run(const BfsLevels& request) {
-  return run(request, engine_->default_policy());
-}
-
-std::vector<NodeId> Session::run(const BfsLevels& request,
-                                 const Policy& policy) {
-  engine_->counters_.requests.fetch_add(1, kRelaxed);
-  const graph::Csr* csr = nullptr;
-  {
-    const auto lock = engine_->device_.exclusive();
-    csr = &csr_artifact();
+  if constexpr (std::is_same_v<A, bridges::BridgeMask>) {
+    return mask_artifact(policy, phases);
+  } else if constexpr (std::is_same_v<A, dynamic::ConnectivityOracle>) {
+    return oracle_artifact(policy);
+  } else if constexpr (std::is_same_v<A, lca::InlabelLca>) {
+    return forest_lca_artifact();
+  } else if constexpr (std::is_same_v<A, bcc::BccIndex>) {
+    return *bcc_artifact();  // the epoch's cell keeps the index alive
+  } else if constexpr (std::is_same_v<A, graph::Csr>) {
+    return csr_artifact();
+  } else {
+    static_assert(std::is_same_v<A, bridges::SpanningForest>);
+    return forest();
   }
-  return answer_bfs_levels(*engine_, *csr, policy, machine_inputs(), request);
-}
-
-std::vector<NodeId> Session::run(const CcMembership& request) {
-  return run(request, engine_->default_policy());
-}
-
-std::vector<NodeId> Session::run(const CcMembership& request,
-                                 const Policy& policy) {
-  return answer_cc_membership(*engine_, locked_forest(), policy,
-                              machine_inputs(), request);
 }
 
 Plan Session::plan(const Bridges& request) {
@@ -1108,46 +843,7 @@ const graph::EdgeList& View::edges() const { return *state_->edges; }
 const graph::Csr& View::csr() const { return *state_->csr; }
 const bridges::SpanningForest& View::forest() const { return *state_->forest; }
 
-const bridges::BridgeMask& View::run(const Bridges&) const {
-  state_->engine->counters().requests.fetch_add(1, kRelaxed);
-  return *state_->mask;  // prebuilt and frozen; phases would have nothing
-                         // to time
-}
-
-TwoEccView View::run(const TwoEcc&) const {
-  state_->engine->counters().requests.fetch_add(1, kRelaxed);
-  return {&state_->oracle->block_labels(), &state_->oracle->block_sizes(),
-          state_->oracle->num_blocks(), state_->oracle->num_bridges()};
-}
-
-std::vector<std::uint8_t> View::run(const Same2Ecc& request) const {
-  state_->engine->counters().requests.fetch_add(1, kRelaxed);
-  return answer_same2ecc(*state_->engine, *state_->oracle, state_->policy,
-                         query_inputs(*state_->engine, state_->n, state_->m),
-                         request);
-}
-
-std::vector<NodeId> View::run(const BridgesOnPath& request) const {
-  state_->engine->counters().requests.fetch_add(1, kRelaxed);
-  return answer_bridges_on_path(
-      *state_->engine, *state_->oracle, state_->policy,
-      query_inputs(*state_->engine, state_->n, state_->m), request);
-}
-
-std::vector<NodeId> View::run(const ComponentSize& request) const {
-  state_->engine->counters().requests.fetch_add(1, kRelaxed);
-  return answer_component_size(
-      *state_->engine, *state_->oracle, state_->policy,
-      query_inputs(*state_->engine, state_->n, state_->m), request);
-}
-
-std::vector<NodeId> View::run(const LcaBatch& request) const {
-  state_->engine->counters().requests.fetch_add(1, kRelaxed);
-  return answer_lca(*state_->engine, *state_->forest_lca, state_->n,
-                    state_->policy,
-                    query_inputs(*state_->engine, state_->n, state_->m),
-                    request);
-}
+const Engine& View::engine() const { return *state_->engine; }
 
 std::shared_ptr<const bcc::BccIndex> View::bcc_index() const {
   // Fast path: someone (this View, a sibling, or the Session) already built
@@ -1165,31 +861,37 @@ std::shared_ptr<const bcc::BccIndex> View::bcc_index() const {
                                    *state_->forest);
 }
 
-std::vector<std::uint8_t> View::run(const Articulations&) const {
-  state_->engine->counters().requests.fetch_add(1, kRelaxed);
-  return bcc_index()->is_articulation;
+template <typename A>
+const A& View::artifact() const {
+  if constexpr (std::is_same_v<A, bridges::BridgeMask>) {
+    return *state_->mask;
+  } else if constexpr (std::is_same_v<A, dynamic::ConnectivityOracle>) {
+    return *state_->oracle;
+  } else if constexpr (std::is_same_v<A, lca::InlabelLca>) {
+    return *state_->forest_lca;
+  } else if constexpr (std::is_same_v<A, bcc::BccIndex>) {
+    return *bcc_index();  // the View's cell keeps the index alive
+  } else if constexpr (std::is_same_v<A, graph::Csr>) {
+    return *state_->csr;
+  } else {
+    static_assert(std::is_same_v<A, bridges::SpanningForest>);
+    return *state_->forest;
+  }
 }
 
-std::vector<std::uint8_t> View::run(const SameBcc& request) const {
-  state_->engine->counters().requests.fetch_add(1, kRelaxed);
-  return answer_same_bcc(*state_->engine, *bcc_index(), state_->policy,
-                         query_inputs(*state_->engine, state_->n, state_->m),
-                         request);
-}
-
-std::vector<NodeId> View::run(const BfsLevels& request) const {
-  state_->engine->counters().requests.fetch_add(1, kRelaxed);
-  return answer_bfs_levels(*state_->engine, *state_->csr, state_->policy,
-                           query_inputs(*state_->engine, state_->n, state_->m),
-                           request);
-}
-
-std::vector<NodeId> View::run(const CcMembership& request) const {
-  state_->engine->counters().requests.fetch_add(1, kRelaxed);
-  return answer_cc_membership(
-      *state_->engine, *state_->forest, state_->policy,
-      query_inputs(*state_->engine, state_->n, state_->m), request);
-}
+// The artifact kinds a family may read; run<Req>() instantiates the fetch
+// through these.
+#define EMC_ARTIFACT(A)                                                    \
+  template const A& Session::locked_artifact<A>(const Policy&,            \
+                                                util::PhaseTimer*);       \
+  template const A& View::artifact<A>() const;
+EMC_ARTIFACT(bridges::BridgeMask)
+EMC_ARTIFACT(dynamic::ConnectivityOracle)
+EMC_ARTIFACT(lca::InlabelLca)
+EMC_ARTIFACT(bcc::BccIndex)
+EMC_ARTIFACT(graph::Csr)
+EMC_ARTIFACT(bridges::SpanningForest)
+#undef EMC_ARTIFACT
 
 // ------------------------------------------------------------ calibration
 
@@ -1238,7 +940,9 @@ void Policy::calibrate(Engine& engine) {
                {}}};
   for (Instance& inst : instances) {
     inst.csr = graph::build_csr(device, inst.g);
-    inst.inputs = query_inputs(engine, inst.g.num_nodes, inst.g.num_edges());
+    inst.inputs = machine_inputs(engine);
+    inst.inputs.n = inst.g.num_nodes;
+    inst.inputs.m = inst.g.num_edges();
     inst.inputs.diameter = graph::estimate_diameter(inst.csr, /*sweeps=*/2);
   }
 

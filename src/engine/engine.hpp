@@ -19,16 +19,15 @@
 //             advances it per effective update batch, a static graph is
 //             forever at epoch 0).
 //   Session — a GraphRef plus an epoch-keyed artifact cache. Requests are
-//             typed batches (Bridges, TwoEcc, Same2Ecc, BridgesOnPath,
-//             ComponentSize, LcaBatch, Articulations, SameBcc, BfsLevels,
-//             CcMembership); each is answered with the existing bulk
-//             kernels, a Policy picks the backend per request
-//             (explicit override or the calibrated cost model —
-//             policy.hpp), and every derived artifact (Csr, spanning
-//             forest, stitched augmentation, bridge mask, 2-ecc index,
-//             forest LCA, BCC index) is cached under the graph epoch so
-//             repeated and mixed request batches pay only the marginal
-//             work.
+//             typed batches, one family each, declared once in the
+//             registry (families.hpp); run() is one template over it. Each
+//             request is answered with the existing bulk kernels, a Policy
+//             picks the backend per request (explicit override or the
+//             calibrated cost model — policy.hpp), and every derived
+//             artifact (Csr, spanning forest, stitched augmentation, bridge
+//             mask, 2-ecc index, forest LCA, BCC index) is cached under the
+//             graph epoch so repeated and mixed request batches pay only
+//             the marginal work.
 //   View    — an immutable, refcounted snapshot of ONE epoch's artifacts,
 //             acquired with Session::view(). A View answers every request
 //             type concurrently from any number of threads (snapshot
@@ -77,6 +76,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -84,8 +84,10 @@
 #include "bridges/bridges.hpp"
 #include "bridges/cc_spanning.hpp"
 #include "device/context.hpp"
+#include "device/primitives.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/oracle.hpp"
+#include "engine/families.hpp"
 #include "engine/policy.hpp"
 #include "graph/graph.hpp"
 #include "lca/inlabel.hpp"
@@ -97,91 +99,6 @@ namespace emc::engine {
 class Engine;
 class Session;
 class View;
-
-// ------------------------------------------------------------- requests
-//
-// A request is a plain struct naming the question plus its batch payload;
-// Session::run / View::run overload on the request type and return the
-// typed answer. Batched requests are answered by ONE bulk kernel (or a
-// host loop when the policy says the batch is too small to pay a launch —
-// Figure 6).
-
-/// Per-edge bridge verdict for the whole graph, EdgeList order. The answer
-/// is cached per epoch: a second run on an unchanged epoch is free — and
-/// `phases` is then left untouched (nothing ran, nothing to time); call
-/// drop_results() first when timing the computation itself. Views ignore
-/// `phases` entirely (their mask is prebuilt).
-struct Bridges {
-  util::PhaseTimer* phases = nullptr;  // optional per-phase breakdown
-};
-
-/// 2-edge-connected components of the whole graph.
-struct TwoEcc {};
-
-/// For each pair: do two edge-disjoint paths connect them?
-struct Same2Ecc {
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-};
-
-/// For each pair: number of bridges on the connecting path (kNoNode if in
-/// different components).
-struct BridgesOnPath {
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-};
-
-/// For each node: size of its 2-edge-connected component.
-struct ComponentSize {
-  std::vector<NodeId> nodes;
-};
-
-/// For each pair: lowest common ancestor on the session's cached rooted
-/// spanning forest (each component rooted at its representative; kNoNode
-/// for pairs in different components). The forest and its inlabel index
-/// are artifacts — built once per epoch via the Euler tour technique.
-struct LcaBatch {
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-};
-
-/// Whole-graph articulation-point mask: per node, 1 iff removing the node
-/// increases the component count. Served from the epoch's cached BCC index
-/// (built on first demand, or at publish under EMC_BCC_EAGER).
-struct Articulations {};
-
-/// For each pair: does some biconnected component (block) contain both
-/// endpoints? Equivalently, are they connected by two vertex-disjoint
-/// paths — or adjacent, or equal. The vertex analogue of Same2Ecc.
-struct SameBcc {
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-};
-
-/// For each (source, target) pair: target's BFS level from source, kNoNode
-/// when unreachable. Pairs sharing a source share ONE traversal (the batch
-/// is grouped by distinct source), so K same-source queries cost one BFS.
-struct BfsLevels {
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-};
-
-/// For each node: its connected-component label — the spanning forest's
-/// flat representative, so two nodes are connected iff labels match.
-/// Labels are representatives, not compacted; compare, don't index.
-struct CcMembership {
-  std::vector<NodeId> nodes;
-};
-
-/// Answer view for TwoEcc: compact per-node block ids served straight from
-/// the cached 2-ecc index. From Session::run it is valid until the
-/// session's next refresh/drop; from View::run it is valid as long as that
-/// View (or any copy) lives.
-struct TwoEccView {
-  const std::vector<NodeId>* labels = nullptr;  // block id per node
-  /// Vertex count per block id (indexable by (*labels)[v]) — the weight a
-  /// composite index needs when its nodes are CONTRACTED blocks rather
-  /// than vertices (shard::ShardedView accumulates these per summary
-  /// block to answer global ComponentSize).
-  const std::vector<NodeId>* sizes = nullptr;
-  std::size_t num_blocks = 0;
-  std::size_t num_bridges = 0;
-};
 
 // ------------------------------------------------------------- GraphRef
 
@@ -311,12 +228,66 @@ class Engine {
   mutable Counters counters_;
 };
 
+// ------------------------------------------------------- batch routing
+
+/// Machine-only inputs (workers, launch overhead) — all the batch-size
+/// routing decision reads.
+PlanInputs machine_inputs(const Engine& engine);
+
+/// The one host/device routing rule for query batches (Figure 6): a batch
+/// of `size` runs as ONE bulk kernel when Policy::use_device_batch says it
+/// pays the launch, as a host loop otherwise. Returns a lock owning the
+/// device driver when the batch should take the device route; an unowned
+/// lock means the host loop — including a device-routed batch that found
+/// the driver busy under Policy::host_fallback_when_busy. Counts the route
+/// in the engine's stats. The host route needs no lock at all: artifacts
+/// are immutable while the caller holds them.
+std::unique_lock<std::recursive_mutex> route_batch(const Engine& engine,
+                                                   const Policy& policy,
+                                                   std::size_t size);
+
+/// answers[q] = at(items[q]), as one device::transform or a host loop per
+/// route_batch. Shared by every per-element family, sharded or not.
+template <typename Items, typename At>
+auto answer_each(const Engine& engine, const Policy& policy,
+                 const Items& items, const At& at) {
+  std::vector<std::decay_t<decltype(at(items[0]))>> answers(items.size());
+  const auto one = [&](std::size_t q) { return at(items[q]); };
+  if (const auto lock = route_batch(engine, policy, items.size());
+      lock.owns_lock()) {
+    device::transform(engine.device(), items.size(), answers.data(), one);
+  } else {
+    for (std::size_t q = 0; q < items.size(); ++q) answers[q] = one(q);
+  }
+  return answers;
+}
+
+/// The single answer path behind Session::run and View::run: a whole-graph
+/// family reads its artifact, a batch family routes per route_batch.
+template <Request Req>
+Answer<Req> answer(const Engine& engine, const Policy& policy,
+                   const typename Family<Req>::Artifact& artifact,
+                   const Req& request) {
+  using F = Family<Req>;
+  if constexpr (!Coalesced<Req>) {
+    return F::whole(artifact);
+  } else if constexpr (requires { &F::one; }) {
+    return answer_each(engine, policy, request.*F::payload,
+                       [&](const auto& q) { return F::one(artifact, q); });
+  } else {
+    const auto lock =
+        route_batch(engine, policy, (request.*F::payload).size());
+    return lock.owns_lock() ? F::device(engine.device(), artifact, request)
+                            : F::host(artifact, request);
+  }
+}
+
 // ---------------------------------------------------------------- View
 
 /// An immutable snapshot of one epoch's artifacts — the concurrent request
 /// surface. Copyable (copies share the refcounted state); a default-
-/// constructed View is empty and must not be queried. All run() overloads
-/// are safe to call from any number of threads simultaneously; answers are
+/// constructed View is empty and must not be queried. run() is safe to
+/// call from any number of threads simultaneously; answers are
 /// always computed against the acquisition epoch, no matter how far the
 /// graph has advanced since. The policy captured at acquisition decides
 /// host-loop vs bulk-device routing for query batches.
@@ -341,19 +312,15 @@ class View {
   const graph::Csr& csr() const;
   const bridges::SpanningForest& forest() const;
 
-  // Typed requests, mirroring Session::run. The Bridges answer references
-  // the view's frozen mask (valid while any copy of the View lives);
-  // request.phases is ignored — nothing runs at answer time.
-  const bridges::BridgeMask& run(const Bridges& request) const;
-  TwoEccView run(const TwoEcc& request) const;
-  std::vector<std::uint8_t> run(const Same2Ecc& request) const;
-  std::vector<NodeId> run(const BridgesOnPath& request) const;
-  std::vector<NodeId> run(const ComponentSize& request) const;
-  std::vector<NodeId> run(const LcaBatch& request) const;
-  std::vector<std::uint8_t> run(const Articulations& request) const;
-  std::vector<std::uint8_t> run(const SameBcc& request) const;
-  std::vector<NodeId> run(const BfsLevels& request) const;
-  std::vector<NodeId> run(const CcMembership& request) const;
+  /// Any registered family, mirroring Session::run. The Bridges answer
+  /// references the view's frozen mask (valid while any copy of the View
+  /// lives); request.phases is ignored — nothing runs at answer time.
+  template <Request Req>
+  Answer<Req> run(const Req& request) const {
+    engine().counters().requests.fetch_add(1, std::memory_order_relaxed);
+    return answer(engine(), policy(),
+                  artifact<typename Family<Req>::Artifact>(), request);
+  }
 
   /// The epoch's vertex-biconnectivity artifact, building it on first call
   /// (the build serializes on the device driver lock; afterwards the index
@@ -362,6 +329,13 @@ class View {
   /// Composite indexes (shard::ShardedView's skeleton stitch) read the
   /// per-shard tables through this.
   std::shared_ptr<const bcc::BccIndex> bcc_index() const;
+
+  /// The pinned artifact of type A — one of the artifacts a family reads
+  /// (bridges::BridgeMask, dynamic::ConnectivityOracle, lca::InlabelLca,
+  /// bcc::BccIndex, graph::Csr, bridges::SpanningForest; the BCC index
+  /// builds on first call). Composite indexes read shard tables through it.
+  template <typename A>
+  const A& artifact() const;
 
   /// A copy of this View answering under a different routing policy (e.g.
   /// host_fallback_when_busy for degraded serving). Cheap: the copy shares
@@ -372,6 +346,7 @@ class View {
   friend class Session;
   struct State;
   explicit View(std::shared_ptr<const State> state) : state_(std::move(state)) {}
+  const Engine& engine() const;
   std::shared_ptr<const State> state_;
 };
 
@@ -382,33 +357,27 @@ class Session {
   Session(Session&&) = default;
   Session& operator=(Session&&) = default;
 
-  // --- typed request batches (overload per request; the second form
-  //     overrides the engine's default policy for this request only)
+  // --- typed request batches, any registered family (the second form
+  //     overrides the engine's default policy for this request only).
+  //     The artifact is built (or hit) under the device driver lock and
+  //     released; answering then routes host/device per policy.
   //
   // run(Bridges) returns a reference into the artifact cache: it stays
   // valid until the next request that recomputes the mask (an epoch
   // change, drop_results/drop_artifacts, or a forced backend different
   // from the one that produced it). Copy the mask to keep it across such
   // calls — or hold a View, whose mask is frozen.
-  const bridges::BridgeMask& run(const Bridges& request);
-  const bridges::BridgeMask& run(const Bridges& request, const Policy& policy);
-  TwoEccView run(const TwoEcc& request);
-  TwoEccView run(const TwoEcc& request, const Policy& policy);
-  std::vector<std::uint8_t> run(const Same2Ecc& request);
-  std::vector<std::uint8_t> run(const Same2Ecc& request, const Policy& policy);
-  std::vector<NodeId> run(const BridgesOnPath& request);
-  std::vector<NodeId> run(const BridgesOnPath& request, const Policy& policy);
-  std::vector<NodeId> run(const ComponentSize& request);
-  std::vector<NodeId> run(const ComponentSize& request, const Policy& policy);
-  std::vector<NodeId> run(const LcaBatch& request);
-  std::vector<NodeId> run(const LcaBatch& request, const Policy& policy);
-  std::vector<std::uint8_t> run(const Articulations& request);
-  std::vector<std::uint8_t> run(const SameBcc& request);
-  std::vector<std::uint8_t> run(const SameBcc& request, const Policy& policy);
-  std::vector<NodeId> run(const BfsLevels& request);
-  std::vector<NodeId> run(const BfsLevels& request, const Policy& policy);
-  std::vector<NodeId> run(const CcMembership& request);
-  std::vector<NodeId> run(const CcMembership& request, const Policy& policy);
+  template <Request Req>
+  Answer<Req> run(const Req& request) {
+    return run(request, engine_->default_policy());
+  }
+  template <Request Req>
+  Answer<Req> run(const Req& request, const Policy& policy) {
+    engine_->counters_.requests.fetch_add(1, std::memory_order_relaxed);
+    const auto& built = locked_artifact<typename Family<Req>::Artifact>(
+        policy, phases_of(request));
+    return answer(*engine_, policy, built, request);
+  }
 
   // --- snapshot serving
   //
@@ -550,15 +519,13 @@ class Session {
   /// way reusing this epoch's cached mask when present.
   const dynamic::ConnectivityOracle& oracle_artifact(const Policy& policy);
   const lca::InlabelLca& forest_lca_artifact();
-  /// The artifact fetch shared by the query-type run() overloads: bump the
-  /// request counter, build (or hit) the artifact under the device driver
-  /// lock, release it — answering then routes host/device per policy.
-  const dynamic::ConnectivityOracle& locked_oracle(const Policy& policy);
-  const lca::InlabelLca& locked_forest_lca();
   /// The BCC index artifact (expects the device driver lock held).
   std::shared_ptr<const bcc::BccIndex> bcc_artifact();
-  std::shared_ptr<const bcc::BccIndex> locked_bcc();
-  const bridges::SpanningForest& locked_forest();
+  /// The run() artifact fetch: builds (or hits) the artifact of type A
+  /// under the device driver lock and releases it. `phases` reaches the
+  /// bridge-mask build only.
+  template <typename A>
+  const A& locked_artifact(const Policy& policy, util::PhaseTimer* phases);
   /// Mutable access to the 2-ecc index: clones it first if a View shares
   /// the object (copy-on-write — cumulative stats and the (uid, epoch)
   /// binding travel with the clone, so incremental replay still applies).
@@ -582,9 +549,6 @@ class Session {
   void ensure_bridge_edges();
   /// ensure_all_artifacts + assemble and register the shared snapshot.
   std::shared_ptr<const View::State> make_state(const Policy& policy);
-  /// Machine-only inputs (workers, launch overhead, n, m) — enough for the
-  /// batch-size decision without touching the diameter artifact.
-  PlanInputs machine_inputs() const;
   PlanInputs plan_inputs();
   bool track(bool built);  // stats helper: count a build or a hit
 

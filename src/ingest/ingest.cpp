@@ -99,14 +99,16 @@ void Batcher::cut(Batch& out, std::size_t take) {
 }
 
 Batcher::Poll Batcher::next(Batch& out, Clock::time_point deadline,
-                            bool force) {
+                            bool force,
+                            std::optional<std::uint64_t> kick_mark) {
+  const std::uint64_t kicks = kick_mark.value_or(queue_.kicks());
   const std::size_t room = 2 * options_.max_batch;
   for (;;) {
     // Opportunistic top-up with whatever is already queued.
     if (pending_.size() < room) {
       scratch_.clear();
       queue_.pop_wait(scratch_, room - pending_.size(),
-                      Clock::time_point::min());
+                      Clock::time_point::min(), kicks);
       for (UpdateQueue::Queued& q : scratch_) pending_.push_back(std::move(q));
     }
     const std::size_t run = prefix_run();
@@ -140,8 +142,9 @@ Batcher::Poll Batcher::next(Batch& out, Clock::time_point deadline,
       }
       if (now >= deadline) return Poll::kTimeout;
       scratch_.clear();
-      const std::size_t got = queue_.pop_wait(
-          scratch_, room - pending_.size(), std::min(deadline, flush_at));
+      const std::size_t got =
+          queue_.pop_wait(scratch_, room - pending_.size(),
+                          std::min(deadline, flush_at), kicks);
       for (UpdateQueue::Queued& q : scratch_) pending_.push_back(std::move(q));
       if (got == 0 && Clock::now() < flush_at && Clock::now() < deadline) {
         return Poll::kTimeout;  // a kick(): let the caller re-read its flags
@@ -151,7 +154,7 @@ Batcher::Poll Batcher::next(Batch& out, Clock::time_point deadline,
     // Nothing pending: sleep for arrivals until the caller's deadline.
     if (now >= deadline) return Poll::kTimeout;
     scratch_.clear();
-    const std::size_t got = queue_.pop_wait(scratch_, room, deadline);
+    const std::size_t got = queue_.pop_wait(scratch_, room, deadline, kicks);
     if (got == 0) {
       if (queue_.closed() && queue_.depth() == 0) return Poll::kClosed;
       return Poll::kTimeout;  // deadline or kick
@@ -432,12 +435,16 @@ void Ingestor::run() {
   }
   Batch batch;
   for (;;) {
+    // Read the kick count BEFORE the flags a drain()/flush() kick signals:
+    // a kick landing after the flag read then still wakes the wait below.
+    const std::uint64_t kicks = queue_.kicks();
     bool force_cut;
     {
       const std::lock_guard<std::mutex> lk(state_);
       force_cut = cut_now_ || publish_now_;
     }
-    const Batcher::Poll poll = batcher_.next(batch, next_deadline(), force_cut);
+    const Batcher::Poll poll =
+        batcher_.next(batch, next_deadline(), force_cut, kicks);
     if (poll == Batcher::Poll::kBatch) {
       apply(batch);
       maybe_publish(/*force=*/false);

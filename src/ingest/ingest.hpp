@@ -78,6 +78,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -141,8 +142,10 @@ class Batcher {
   /// Blocks until a batch is due (either threshold, a kind switch, or end
   /// of stream), the caller's `deadline` passes, or the queue is kicked.
   /// `force` cuts whatever is pending immediately, ignoring the linger
-  /// (the flush/stop path). Consumer thread only.
-  Poll next(Batch& out, Clock::time_point deadline, bool force = false);
+  /// (the flush/stop path). A kick newer than `kick_mark` (default: the
+  /// count at entry) counts. Consumer thread only.
+  Poll next(Batch& out, Clock::time_point deadline, bool force = false,
+            std::optional<std::uint64_t> kick_mark = {});
 
   /// Updates drained from the queue but not yet cut into a batch.
   std::size_t carried() const { return pending_.size(); }

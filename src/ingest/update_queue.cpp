@@ -60,11 +60,12 @@ std::size_t UpdateQueue::push(const std::vector<Update>& updates) {
 }
 
 std::size_t UpdateQueue::pop_wait(std::vector<Queued>& out, std::size_t max,
-                                  Clock::time_point deadline) {
+                                  Clock::time_point deadline,
+                                  std::optional<std::uint64_t> kick_mark) {
   std::unique_lock<std::mutex> lk(mutex_);
-  const std::uint64_t kick_mark = kicks_;
+  const std::uint64_t mark = kick_mark.value_or(kicks_);
   not_empty_.wait_until(lk, deadline, [&] {
-    return size_ > 0 || closed_ || kicks_ != kick_mark;
+    return size_ > 0 || closed_ || kicks_ != mark;
   });
   const std::size_t take = std::min(max, size_);
   for (std::size_t i = 0; i < take; ++i) {
@@ -84,6 +85,11 @@ void UpdateQueue::kick() {
     ++kicks_;
   }
   not_empty_.notify_all();
+}
+
+std::uint64_t UpdateQueue::kicks() const {
+  const std::lock_guard<std::mutex> lk(mutex_);
+  return kicks_;
 }
 
 void UpdateQueue::close() {

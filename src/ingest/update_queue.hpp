@@ -37,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -99,14 +100,20 @@ class UpdateQueue {
 
   /// Single-consumer pop: appends up to `max` queued updates to `out`,
   /// oldest first, blocking until at least one is available, the queue is
-  /// closed, a kick() arrives, or `deadline` passes. Returns the number
-  /// popped (0 on timeout/kick/closed-and-empty).
+  /// closed, a kick() newer than `kick_mark` (default: the count at entry)
+  /// arrives, or `deadline` passes. Returns the number popped (0 on
+  /// timeout/kick/closed-and-empty).
   std::size_t pop_wait(std::vector<Queued>& out, std::size_t max,
-                       Clock::time_point deadline);
+                       Clock::time_point deadline,
+                       std::optional<std::uint64_t> kick_mark = {});
 
   /// Wakes a pop_wait()ing consumer without enqueueing (it returns 0 and
   /// re-evaluates its control flags).
   void kick();
+  /// kick() calls so far. A consumer reads it BEFORE the control flags a
+  /// kick signals and waits with it as `kick_mark`, so a kick landing
+  /// between that read and the wait is never lost.
+  std::uint64_t kicks() const;
 
   /// Ends admission: subsequent pushes are cancelled, blocked pushes wake
   /// cancelled, and a draining consumer sees closed()+empty as the end of

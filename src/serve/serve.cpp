@@ -4,7 +4,7 @@
 #include <cmath>
 #include <exception>
 #include <iterator>
-#include <optional>
+#include <tuple>
 #include <unordered_map>
 
 #include "ingest/ingest.hpp"
@@ -27,6 +27,8 @@ std::string_view to_string(Status status) {
       return "faulted";
     case Status::kUnsupported:
       return "unsupported";
+    case Status::kInvalidArgument:
+      return "invalid_argument";
   }
   return "?";
 }
@@ -45,13 +47,6 @@ std::chrono::microseconds resolve_default_ttl(
 }
 
 namespace {
-
-/// A reply that carries no answer: the non-Ok resolutions.
-template <typename Ans>
-Reply<Ans> empty_reply(Status status, std::uint64_t epoch,
-                       std::uint64_t staleness) {
-  return Reply<Ans>{Ans{}, epoch, status, staleness};
-}
 
 /// Per-round dedup keys: both payload element shapes pack into 64 bits.
 /// Order-sensitive for pairs — (u,v) and (v,u) stay distinct, so the
@@ -75,6 +70,7 @@ Dispatcher::Dispatcher(engine::View view, const DispatcherOptions& options)
   options_.default_ttl = resolve_default_ttl(options_.default_ttl);
   options_.publish_attempts = std::max(1u, options_.publish_attempts);
   latest_epoch_ = view.epoch();
+  num_nodes_ = view.num_nodes();
   view_ = adapt(std::move(view));
   threads_.reserve(options_.workers);
   for (unsigned t = 0; t < options_.workers; ++t) {
@@ -151,8 +147,8 @@ bool Dispatcher::publish_impl(engine::Session& session,
 
 // LOCKING AUDIT (satellite of the incremental-publish PR): every call site
 // reads latest_epoch_/ingestor_ under mutex_ — stats(), the two enqueue
-// resolution points, and the drain_queries/drain_broadcast Snapshot
-// captures (both compute their Snapshot BEFORE lk.unlock()). Keep it that
+// resolution points, and the drain Snapshot capture (computed BEFORE
+// lk.unlock()). Keep it that
 // way: an unlocked call would race publish()/attach_ingestor(). The TSan
 // CI job runs test_serve (ctest -R "test_(serve|engine|ingest)") over
 // exactly these paths.
@@ -212,153 +208,23 @@ DispatcherStats Dispatcher::stats() const {
   return s;
 }
 
-template <typename Req, typename Ans>
-std::future<Reply<Ans>> Dispatcher::enqueue(Lane<Req, Ans>& lane,
-                                            Req&& request,
-                                            const Ticket& ticket) {
-  std::unique_lock<std::mutex> lk(mutex_);
-  ++stats_.submitted;
-  // The answer-free resolutions below report the CURRENT serving epoch —
-  // the client learns what it would have been answered against.
-  const auto resolve_now = [&](Status status) {
-    ++(status == Status::kCancelled ? stats_.cancelled : stats_.rejected);
-    const std::uint64_t epoch = view_.epoch();
-    const std::uint64_t staleness = saturating_sub(latest_known_epoch(), epoch);
-    lk.unlock();
-    std::promise<Reply<Ans>> promise;
-    promise.set_value(empty_reply<Ans>(status, epoch, staleness));
-    return promise.get_future();
-  };
-  // Shutdown race: a submit() after stop() began is REFUSED, not silently
-  // worked on the caller thread after teardown started.
-  if (stop_) return resolve_now(Status::kCancelled);
-
-  std::optional<Item<Req, Ans>> victim;
-  if (options_.queue_bound > 0 && lane.total >= options_.queue_bound) {
-    switch (options_.admission) {
-      case Admission::kBlock:
-        cv_.wait(lk, [&] {
-          return stop_ || lane.total < options_.queue_bound;
-        });
-        if (stop_) return resolve_now(Status::kCancelled);
-        break;
-      case Admission::kReject:
-        return resolve_now(Status::kOverloaded);
-      case Admission::kShedOldest: {
-        // Shed from the FATTEST client (queued / weight) so a flood pays
-        // for its own shedding and light tenants ride through untouched.
-        auto fattest = lane.subs.end();
-        double worst = -1.0;
-        for (auto it = lane.subs.begin(); it != lane.subs.end(); ++it) {
-          if (it->second.queue.empty()) continue;
-          const double load =
-              static_cast<double>(it->second.queue.size()) /
-              static_cast<double>(std::max<std::uint32_t>(1, it->second.weight));
-          if (load > worst) {
-            worst = load;
-            fattest = it;
-          }
-        }
-        victim.emplace(std::move(fattest->second.queue.front()));
-        fattest->second.queue.pop_front();
-        --lane.total;
-        ++stats_.shed;
-        break;
-      }
-    }
-  }
-
-  const auto ttl =
-      ticket.ttl.count() > 0 ? ticket.ttl : options_.default_ttl;
-  auto& sub = lane.subs[ticket.client];
-  sub.weight = std::max<std::uint32_t>(1, ticket.weight);
-  sub.queue.push_back(Item<Req, Ans>{
-      next_seq_++, std::move(request), {},
-      ttl.count() > 0 ? Clock::now() + ttl : Clock::time_point::max()});
-  ++lane.total;
-  stats_.max_queue_depth = std::max(stats_.max_queue_depth, lane.total);
-  std::future<Reply<Ans>> future = sub.queue.back().promise.get_future();
-  const std::uint64_t epoch = view_.epoch();
-  const std::uint64_t staleness = saturating_sub(latest_known_epoch(), epoch);
-  lk.unlock();
-  cv_.notify_all();
-  if (victim) {
-    victim->promise.set_value(
-        empty_reply<Ans>(Status::kOverloaded, epoch, staleness));
-  }
-  return future;
-}
-
-std::future<Reply<std::vector<std::uint8_t>>> Dispatcher::submit(
-    engine::Same2Ecc request, Ticket ticket) {
-  return enqueue(same_, std::move(request), ticket);
-}
-
-std::future<Reply<std::vector<NodeId>>> Dispatcher::submit(
-    engine::BridgesOnPath request, Ticket ticket) {
-  return enqueue(paths_, std::move(request), ticket);
-}
-
-std::future<Reply<std::vector<NodeId>>> Dispatcher::submit(
-    engine::ComponentSize request, Ticket ticket) {
-  return enqueue(sizes_, std::move(request), ticket);
-}
-
-std::future<Reply<std::vector<NodeId>>> Dispatcher::submit(
-    engine::LcaBatch request, Ticket ticket) {
-  return enqueue(lcas_, std::move(request), ticket);
-}
-
-std::future<Reply<bridges::BridgeMask>> Dispatcher::submit(
-    engine::Bridges request, Ticket ticket) {
-  return enqueue(bridges_, std::move(request), ticket);
-}
-
-std::future<Reply<TwoEccSummary>> Dispatcher::submit(engine::TwoEcc request,
-                                                     Ticket ticket) {
-  return enqueue(twoecc_, std::move(request), ticket);
-}
-
-std::future<Reply<std::vector<std::uint8_t>>> Dispatcher::submit(
-    engine::Articulations request, Ticket ticket) {
-  return enqueue(articulations_, std::move(request), ticket);
-}
-
-std::future<Reply<std::vector<std::uint8_t>>> Dispatcher::submit(
-    engine::SameBcc request, Ticket ticket) {
-  return enqueue(samebcc_, std::move(request), ticket);
-}
-
-std::future<Reply<std::vector<NodeId>>> Dispatcher::submit(
-    engine::BfsLevels request, Ticket ticket) {
-  return enqueue(bfslevels_, std::move(request), ticket);
-}
-
-std::future<Reply<std::vector<NodeId>>> Dispatcher::submit(
-    engine::CcMembership request, Ticket ticket) {
-  return enqueue(ccmember_, std::move(request), ticket);
-}
-
 bool Dispatcher::pending_unclaimed() const {
-  const auto ready = [](const auto& lane) {
-    return !lane.claimed && lane.total > 0;
-  };
-  return ready(same_) || ready(paths_) || ready(sizes_) || ready(lcas_) ||
-         ready(bridges_) || ready(twoecc_) || ready(articulations_) ||
-         ready(samebcc_) || ready(bfslevels_) || ready(ccmember_);
+  return std::apply(
+      [](const auto&... lane) {
+        return ((!lane.claimed && lane.total > 0) || ...);
+      },
+      lanes_);
 }
 
 bool Dispatcher::pending_none() const {
-  return same_.total == 0 && paths_.total == 0 && sizes_.total == 0 &&
-         lcas_.total == 0 && bridges_.total == 0 && twoecc_.total == 0 &&
-         articulations_.total == 0 && samebcc_.total == 0 &&
-         bfslevels_.total == 0 && ccmember_.total == 0;
+  return std::apply(
+      [](const auto&... lane) { return ((lane.total == 0) && ...); }, lanes_);
 }
 
-template <typename Req, typename Ans>
-void Dispatcher::take_round(Lane<Req, Ans>& lane, std::size_t max_take,
-                            std::vector<Item<Req, Ans>>& live,
-                            std::vector<Item<Req, Ans>>& expired) {
+template <typename Req>
+void Dispatcher::take_round(Lane<Req>& lane, std::size_t max_take,
+                            std::vector<Item<Req>>& live,
+                            std::vector<Item<Req>>& expired) {
   const auto now = Clock::now();
   while (live.size() < max_take && lane.total > 0) {
     bool took = false;
@@ -372,7 +238,7 @@ void Dispatcher::take_round(Lane<Req, Ans>& lane, std::size_t max_take,
       // neither quota nor round capacity.
       std::uint32_t quota = sub.weight;
       while (!sub.queue.empty() && quota > 0 && live.size() < max_take) {
-        Item<Req, Ans> item = std::move(sub.queue.front());
+        Item<Req> item = std::move(sub.queue.front());
         sub.queue.pop_front();
         --lane.total;
         took = true;
@@ -393,9 +259,9 @@ void Dispatcher::take_round(Lane<Req, Ans>& lane, std::size_t max_take,
   }
 }
 
-template <typename Req, typename Ans>
+template <typename Req>
 void Dispatcher::wait_for_round(std::unique_lock<std::mutex>& lk,
-                                Lane<Req, Ans>& lane) {
+                                Lane<Req>& lane) {
   if (options_.coalesce_window.count() <= 0 || options_.max_coalesce <= 1 ||
       stop_) {
     return;
@@ -439,13 +305,17 @@ void Dispatcher::wait_for_round(std::unique_lock<std::mutex>& lk,
   });
 }
 
-template <typename Req, typename Ans, typename Payload>
-void Dispatcher::drain_queries(std::unique_lock<std::mutex>& lk,
-                               Lane<Req, Ans>& lane, Payload Req::* payload) {
-  lane.claimed = true;
-  wait_for_round(lk, lane);
-  std::vector<Item<Req, Ans>> items;
-  std::vector<Item<Req, Ans>> expired;
+template <typename Req>
+void Dispatcher::drain(std::unique_lock<std::mutex>& lk, Lane<Req>& lane) {
+  using Ans = engine::Served<Req>;
+  using Family = engine::Family<Req>;
+  constexpr bool kCoalesce = engine::Coalesced<Req>;
+  if constexpr (kCoalesce) {
+    lane.claimed = true;
+    wait_for_round(lk, lane);
+  }
+  std::vector<Item<Req>> items;
+  std::vector<Item<Req>> expired;
   take_round(lane, options_.max_coalesce, items, expired);
   lane.claimed = false;
   const std::size_t take = items.size();
@@ -460,66 +330,74 @@ void Dispatcher::drain_queries(std::unique_lock<std::mutex>& lk,
   const auto round_start = Clock::now();
   lk.unlock();
 
-  for (Item<Req, Ans>& item : expired) {
+  for (Item<Req>& item : expired) {
     item.promise.set_value(
         empty_reply<Ans>(Status::kTimeout, snap.view.epoch(), snap.staleness));
   }
 
-  // One merged payload -> one View::run -> scatter the slices back. A
-  // throwing round (injected fault, bad_alloc on a merged payload) fails
+  // A throwing round (injected fault, bad_alloc on a merged payload) fails
   // exactly its own requests — each resolves kFaulted with a definite
   // Reply; nothing escapes the worker thread, no future is abandoned.
   bool faulted = false;
   std::size_t cache_hits = 0;
   if (take > 0) {
     try {
-      Req merged;
-      auto& all = merged.*payload;
-      std::vector<std::size_t> cuts;
-      cuts.reserve(items.size());
-      for (Item<Req, Ans>& item : items) {
-        const auto& part = item.request.*payload;
-        all.insert(all.end(), part.begin(), part.end());
-        cuts.push_back(all.size());
-      }
-      // Per-round answer cache: Zipf-hot payload elements repeat within a
-      // coalesced round, so the round computes each DISTINCT element once
-      // and scatters the shared answer to every duplicate — the kernel
-      // batch shrinks to the distinct count. Everything answered in this
-      // round still comes from the same View::run, so an element repeated
-      // across requests cannot observe two epochs.
-      auto& uniq = merged.*payload;  // compacted in place below
-      std::vector<std::size_t> uniq_of(all.size());
-      {
-        std::unordered_map<std::uint64_t, std::size_t> index;
-        index.reserve(all.size());
-        std::size_t distinct = 0;
-        for (std::size_t i = 0; i < all.size(); ++i) {
-          const auto [it, inserted] =
-              index.emplace(dedup_key(all[i]), distinct);
-          if (inserted) uniq[distinct++] = all[i];
-          uniq_of[i] = it->second;
+      if constexpr (kCoalesce) {
+        // One merged payload -> one View::run -> scatter the slices back.
+        Req merged;
+        auto& all = merged.*Family::payload;
+        std::vector<std::size_t> cuts;
+        cuts.reserve(items.size());
+        for (Item<Req>& item : items) {
+          const auto& part = item.request.*Family::payload;
+          all.insert(all.end(), part.begin(), part.end());
+          cuts.push_back(all.size());
         }
-        cache_hits = all.size() - distinct;
-        uniq.resize(distinct);
-      }
-      const Ans uniq_answers = snap.view.run(merged);
-      Ans full(uniq_of.size());
-      for (std::size_t i = 0; i < uniq_of.size(); ++i) {
-        full[i] = uniq_answers[uniq_of[i]];
-      }
-      std::size_t begin = 0;
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        Ans slice(full.begin() + static_cast<std::ptrdiff_t>(begin),
-                  full.begin() + static_cast<std::ptrdiff_t>(cuts[i]));
-        begin = cuts[i];
-        items[i].promise.set_value(Reply<Ans>{std::move(slice),
-                                              snap.view.epoch(), Status::kOk,
-                                              snap.staleness});
+        // Per-round answer cache: Zipf-hot payload elements repeat within
+        // a coalesced round, so the round computes each DISTINCT element
+        // once and scatters the shared answer to every duplicate — the
+        // kernel batch shrinks to the distinct count. Everything answered
+        // in this round still comes from the same View::run, so an element
+        // repeated across requests cannot observe two epochs.
+        auto& uniq = merged.*Family::payload;  // compacted in place below
+        std::vector<std::size_t> uniq_of(all.size());
+        {
+          std::unordered_map<std::uint64_t, std::size_t> index;
+          index.reserve(all.size());
+          std::size_t distinct = 0;
+          for (std::size_t i = 0; i < all.size(); ++i) {
+            const auto [it, inserted] =
+                index.emplace(dedup_key(all[i]), distinct);
+            if (inserted) uniq[distinct++] = all[i];
+            uniq_of[i] = it->second;
+          }
+          cache_hits = all.size() - distinct;
+          uniq.resize(distinct);
+        }
+        const Ans uniq_answers = snap.view.run(merged);
+        Ans full(uniq_of.size());
+        for (std::size_t i = 0; i < uniq_of.size(); ++i) {
+          full[i] = uniq_answers[uniq_of[i]];
+        }
+        std::size_t begin = 0;
+        for (std::size_t i = 0; i < items.size(); ++i) {
+          Ans slice(full.begin() + static_cast<std::ptrdiff_t>(begin),
+                    full.begin() + static_cast<std::ptrdiff_t>(cuts[i]));
+          begin = cuts[i];
+          items[i].promise.set_value(Reply<Ans>{std::move(slice),
+                                                snap.view.epoch(), Status::kOk,
+                                                snap.staleness});
+        }
+      } else {
+        const Ans full = Family::broadcast(snap.view.run(Req{}));
+        for (Item<Req>& item : items) {
+          item.promise.set_value(
+              Reply<Ans>{full, snap.view.epoch(), Status::kOk, snap.staleness});
+        }
       }
     } catch (...) {
       faulted = true;
-      for (Item<Req, Ans>& item : items) {
+      for (Item<Req>& item : items) {
         item.promise.set_value(empty_reply<Ans>(
             Status::kFaulted, snap.view.epoch(), snap.staleness));
       }
@@ -528,12 +406,14 @@ void Dispatcher::drain_queries(std::unique_lock<std::mutex>& lk,
 
   lk.lock();
   if (take > 0) {
-    const double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             round_start)
-            .count());
-    round_ewma_ns_ =
-        round_ewma_ns_ <= 0.0 ? ns : 0.8 * round_ewma_ns_ + 0.2 * ns;
+    if constexpr (kCoalesce) {
+      const double ns = static_cast<double>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                               round_start)
+              .count());
+      round_ewma_ns_ =
+          round_ewma_ns_ <= 0.0 ? ns : 0.8 * round_ewma_ns_ + 0.2 * ns;
+    }
     if (faulted) {
       stats_.answered -= take;
       stats_.faulted += take;
@@ -545,118 +425,28 @@ void Dispatcher::drain_queries(std::unique_lock<std::mutex>& lk,
                      // submitters wait for lane space
 }
 
-template <typename Req, typename Ans, typename AnswerFn>
-void Dispatcher::drain_broadcast(std::unique_lock<std::mutex>& lk,
-                                 Lane<Req, Ans>& lane, AnswerFn&& answer) {
-  std::vector<Item<Req, Ans>> items;
-  std::vector<Item<Req, Ans>> expired;
-  take_round(lane, options_.max_coalesce, items, expired);
-  const std::size_t take = items.size();
-  const Snapshot snap{view_,
-                      saturating_sub(latest_known_epoch(), view_.epoch())};
-  if (take > 0) ++stats_.rounds;
-  stats_.answered += take;
-  stats_.expired += expired.size();
-  if (take > 1) stats_.coalesced_requests += take;
-  stats_.max_round = std::max(stats_.max_round, take);
-  if (snap.staleness > 0) stats_.stale_served += take;
-  lk.unlock();
-
-  for (Item<Req, Ans>& item : expired) {
-    item.promise.set_value(
-        empty_reply<Ans>(Status::kTimeout, snap.view.epoch(), snap.staleness));
-  }
-
-  bool faulted = false;
-  if (take > 0) {
-    try {
-      const Ans full = answer(snap.view);
-      for (Item<Req, Ans>& item : items) {
-        item.promise.set_value(
-            Reply<Ans>{full, snap.view.epoch(), Status::kOk, snap.staleness});
-      }
-    } catch (...) {
-      faulted = true;
-      for (Item<Req, Ans>& item : items) {
-        item.promise.set_value(empty_reply<Ans>(
-            Status::kFaulted, snap.view.epoch(), snap.staleness));
-      }
-    }
-  }
-
-  lk.lock();
-  if (faulted) {
-    stats_.answered -= take;
-    stats_.faulted += take;
-  }
-  cv_.notify_all();
-}
-
 void Dispatcher::serve_next(std::unique_lock<std::mutex>& lk) {
   // FIFO across lanes: the unclaimed lane holding the oldest request wins
   // (each lane's head is the oldest front across its client sub-queues).
-  std::uint64_t best = ~std::uint64_t{0};
-  int which = -1;
-  const auto consider = [&](const auto& lane, int id) {
-    if (lane.claimed || lane.total == 0) return;
-    for (const auto& [client, sub] : lane.subs) {
-      if (!sub.queue.empty() && sub.queue.front().seq < best) {
-        best = sub.queue.front().seq;
-        which = id;
-      }
+  constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  std::uint64_t best = kNone;
+  std::size_t which = 0;
+  std::size_t index = 0;
+  const auto consider = [&](const auto& lane) {
+    const std::uint64_t head = lane.claimed ? kNone : lane.head();
+    if (head < best) {
+      best = head;
+      which = index;
     }
+    ++index;
   };
-  consider(same_, 0);
-  consider(paths_, 1);
-  consider(sizes_, 2);
-  consider(lcas_, 3);
-  consider(bridges_, 4);
-  consider(twoecc_, 5);
-  consider(articulations_, 6);
-  consider(samebcc_, 7);
-  consider(bfslevels_, 8);
-  consider(ccmember_, 9);
-  switch (which) {
-    case 0:
-      drain_queries(lk, same_, &engine::Same2Ecc::pairs);
-      break;
-    case 1:
-      drain_queries(lk, paths_, &engine::BridgesOnPath::pairs);
-      break;
-    case 2:
-      drain_queries(lk, sizes_, &engine::ComponentSize::nodes);
-      break;
-    case 3:
-      drain_queries(lk, lcas_, &engine::LcaBatch::pairs);
-      break;
-    case 4:
-      drain_broadcast(lk, bridges_, [](const engine::View& view) {
-        return bridges::BridgeMask(view.run(engine::Bridges{}));
-      });
-      break;
-    case 5:
-      drain_broadcast(lk, twoecc_, [](const engine::View& view) {
-        const engine::TwoEccView answer = view.run(engine::TwoEcc{});
-        return TwoEccSummary{answer.num_blocks, answer.num_bridges};
-      });
-      break;
-    case 6:
-      drain_broadcast(lk, articulations_, [](const engine::View& view) {
-        return view.run(engine::Articulations{});
-      });
-      break;
-    case 7:
-      drain_queries(lk, samebcc_, &engine::SameBcc::pairs);
-      break;
-    case 8:
-      drain_queries(lk, bfslevels_, &engine::BfsLevels::pairs);
-      break;
-    case 9:
-      drain_queries(lk, ccmember_, &engine::CcMembership::nodes);
-      break;
-    default:
-      break;
-  }
+  std::apply([&](const auto&... lane) { (consider(lane), ...); }, lanes_);
+  if (best == kNone) return;
+  index = 0;
+  const auto serve = [&](auto& lane) {
+    if (index++ == which) drain(lk, lane);
+  };
+  std::apply([&](auto&... lane) { (serve(lane), ...); }, lanes_);
 }
 
 void Dispatcher::worker_loop() {

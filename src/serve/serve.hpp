@@ -11,14 +11,17 @@
 // arrives as many small batches (often single pairs); answered one by one
 // on the device, each batch pays a full kernel launch — the exact
 // left-edge-of-Figure-6 regime the paper shows is launch-bound. The
-// dispatcher instead merges every queued request of the same type (up to
-// `max_coalesce`, optionally waiting `coalesce_window` for stragglers)
+// dispatcher instead merges every queued request of the same family (up
+// to `max_coalesce`, optionally waiting `coalesce_window` for stragglers)
 // into ONE payload, answers it with one View::run — one bulk kernel, or
 // one host loop — and scatters the answer slices back to the individual
 // futures. K coalesced requests thus cost one launch instead of K, which
 // is precisely the amortization the paper's batched-query figures predict;
-// whole-graph requests (Bridges, TwoEcc) coalesce even harder, one answer
-// broadcast to every waiter.
+// whole-graph families coalesce even harder, one answer broadcast to every
+// waiter. Which families exist, which member a batch lane coalesces on and
+// what a broadcast lane replies with are read off the engine's family
+// registry (engine/families.hpp): the Dispatcher keeps one lane per
+// registered family and names none of them.
 //
 // OVERLOAD AND FAILURE are first-class, not exceptional: every future
 // resolves with a definite Reply whose Status says what happened —
@@ -30,8 +33,12 @@
 //   kFaulted     the answering round threw (injected fault, real OOM);
 //                the round fails exactly its own requests
 //   kUnsupported the deployment cannot answer this family at all (e.g.
-//                BfsLevels against a sharded graph — see shard.hpp);
+//                BFS levels against a sharded graph — see shard.hpp);
 //                resolved immediately, never queued
+//   kInvalidArgument the payload names a vertex id outside [0, num_nodes)
+//                (negative ids included); checked once at submit, resolved
+//                immediately, never queued — so one client's bad id can
+//                never reach the kernels of a round it would have shared
 // Lanes are BOUNDED (`queue_bound`, or EMC_SERVE_QUEUE_BOUND) with an
 // explicit admission policy, and drained FAIRLY: each lane keeps one
 // sub-queue per client (Ticket::client), and rounds take items by
@@ -55,9 +62,9 @@
 // Ordering/consistency: answers are computed against the View current at
 // DRAIN time, whose epoch is reported in the Reply envelope — a client
 // that must not see an epoch older than X checks reply.epoch. Requests of
-// the same type AND client are answered FIFO; across clients the weighted
-// round-robin decides; across types the oldest pending request picks
-// which lane drains next.
+// the same family AND client are answered FIFO; across clients the
+// weighted round-robin decides; across families the oldest pending request
+// picks which lane drains next.
 //
 // Threading: submit(), publish(), current_view() and stats() are safe from
 // any thread. stop() (also run by the destructor) answers everything still
@@ -65,6 +72,7 @@
 // racing stop() resolves immediately with Status::kCancelled.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -73,12 +81,13 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
-#include "bridges/bridges.hpp"
 #include "engine/engine.hpp"
 #include "util/types.hpp"
 
@@ -96,6 +105,7 @@ enum class Status : std::uint8_t {
   kCancelled,
   kFaulted,
   kUnsupported,
+  kInvalidArgument,
 };
 
 std::string_view to_string(Status status);
@@ -112,13 +122,6 @@ struct Reply {
   std::uint64_t staleness = 0;
 
   bool ok() const { return status == Status::kOk; }
-};
-
-/// Value-type answer for TwoEcc requests (the engine's TwoEccView points
-/// into a live index — a future outliving the View needs a copy).
-struct TwoEccSummary {
-  std::size_t num_blocks = 0;
-  std::size_t num_bridges = 0;
 };
 
 /// What a full lane does to an incoming submit().
@@ -205,8 +208,8 @@ struct DispatcherStats {
   std::size_t views_published = 0;
 
   // --- overload / failure outcomes (submitted == answered + shed +
-  //     rejected + expired + cancelled + faulted + unsupported once
-  //     drained) ---
+  //     rejected + expired + cancelled + faulted + unsupported + invalid
+  //     once drained) ---
   std::size_t shed = 0;       // ShedOldest victims (kOverloaded)
   std::size_t rejected = 0;   // Reject admissions (kOverloaded)
   std::size_t expired = 0;    // deadline passed before a round (kTimeout)
@@ -214,8 +217,11 @@ struct DispatcherStats {
   std::size_t faulted = 0;    // round threw (kFaulted)
   /// Families the deployment cannot answer (kUnsupported). Always 0 for
   /// this Dispatcher — every engine family is served unsharded; the
-  /// sharded façade folds its BfsLevels resolutions in here.
+  /// sharded façade folds its kUnsupported resolutions in here.
   std::size_t unsupported = 0;
+  /// Requests whose payload named an out-of-range vertex id
+  /// (kInvalidArgument); they never entered a lane.
+  std::size_t invalid = 0;
   /// Requests answered while the serving View lagged the graph.
   std::size_t stale_served = 0;
   /// publish(Session&) attempts beyond each call's first, and calls that
@@ -290,33 +296,19 @@ class Dispatcher {
 
   engine::View current_view() const;
 
-  // submit(): enqueue and return the future. Coalescable query types merge
-  // with same-type neighbors; Bridges/TwoEcc answer once per round and
-  // broadcast. The Bridges reply owns a COPY of the mask. The Ticket
-  // carries the request's deadline and fairness identity.
-  std::future<Reply<std::vector<std::uint8_t>>> submit(
-      engine::Same2Ecc request, Ticket ticket = {});
-  std::future<Reply<std::vector<NodeId>>> submit(engine::BridgesOnPath request,
-                                                 Ticket ticket = {});
-  std::future<Reply<std::vector<NodeId>>> submit(engine::ComponentSize request,
-                                                 Ticket ticket = {});
-  std::future<Reply<std::vector<NodeId>>> submit(engine::LcaBatch request,
-                                                 Ticket ticket = {});
-  std::future<Reply<bridges::BridgeMask>> submit(engine::Bridges request,
-                                                 Ticket ticket = {});
-  std::future<Reply<TwoEccSummary>> submit(engine::TwoEcc request,
-                                           Ticket ticket = {});
-  // The vertex-biconnectivity families. Articulations is whole-graph
-  // (answered once per round, mask broadcast like Bridges); the other
-  // three coalesce like their edge-connectivity namesakes.
-  std::future<Reply<std::vector<std::uint8_t>>> submit(
-      engine::Articulations request, Ticket ticket = {});
-  std::future<Reply<std::vector<std::uint8_t>>> submit(engine::SameBcc request,
-                                                       Ticket ticket = {});
-  std::future<Reply<std::vector<NodeId>>> submit(engine::BfsLevels request,
-                                                 Ticket ticket = {});
-  std::future<Reply<std::vector<NodeId>>> submit(engine::CcMembership request,
-                                                 Ticket ticket = {});
+  /// Enqueues a request of any registered family and returns the future.
+  /// Batch families merge with same-family neighbours; whole-graph families
+  /// answer once per round and broadcast (the Bridges reply owns a COPY of
+  /// the mask). The Ticket carries the request's deadline and fairness
+  /// identity. Payload ids are checked against the graph's num_nodes
+  /// first: a bad one resolves kInvalidArgument and never enters a lane.
+  template <engine::Request Req>
+  std::future<Reply<engine::Served<Req>>> submit(Req request,
+                                                 Ticket ticket = {}) {
+    const bool valid = engine::ids_in_range(request, num_nodes_);
+    return enqueue(std::get<Lane<Req>>(lanes_), std::move(request), ticket,
+                   valid);
+  }
 
   /// Releases start_paused workers.
   void resume();
@@ -330,25 +322,37 @@ class Dispatcher {
  private:
   using Clock = std::chrono::steady_clock;
 
-  template <typename Req, typename Ans>
+  template <typename Req>
   struct Item {
     std::uint64_t seq = 0;
     Req request;
-    std::promise<Reply<Ans>> promise;
+    std::promise<Reply<engine::Served<Req>>> promise;
     Clock::time_point deadline = Clock::time_point::max();
   };
 
-  template <typename Req, typename Ans>
+  /// One lane per registered family.
+  template <typename Req>
   struct Lane {
     /// One FIFO per client; rounds take weighted round-robin across them.
     struct Sub {
-      std::deque<Item<Req, Ans>> queue;
+      std::deque<Item<Req>> queue;
       std::uint32_t weight = 1;
     };
     std::map<std::uint64_t, Sub> subs;
     std::size_t total = 0;      // queued items across subs
     std::uint64_t cursor = 0;   // client the next fairness turn starts at
     bool claimed = false;  // a worker is waiting out the window on it
+
+    /// Sequence number of the oldest queued item (~0 when empty).
+    std::uint64_t head() const {
+      std::uint64_t oldest = ~std::uint64_t{0};
+      for (const auto& [client, sub] : subs) {
+        if (!sub.queue.empty()) {
+          oldest = std::min(oldest, sub.queue.front().seq);
+        }
+      }
+      return oldest;
+    }
   };
 
   /// Epoch/staleness pair captured under the lock when a round (or an
@@ -358,34 +362,34 @@ class Dispatcher {
     std::uint64_t staleness = 0;
   };
 
-  template <typename Req, typename Ans>
-  std::future<Reply<Ans>> enqueue(Lane<Req, Ans>& lane, Req&& request,
-                                  const Ticket& ticket);
+  /// Admission: resolves the request immediately (invalid ids, stop,
+  /// Reject) or queues it, shedding per the admission policy.
+  template <typename Req>
+  std::future<Reply<engine::Served<Req>>> enqueue(Lane<Req>& lane,
+                                                  Req&& request,
+                                                  const Ticket& ticket,
+                                                  bool valid);
 
   /// Pops up to `max_take` live items by weighted round-robin across the
   /// lane's clients (FIFO within one), routing already-expired items to
   /// `expired` instead (they do not consume fairness quota or round
   /// capacity). Lock held.
-  template <typename Req, typename Ans>
-  void take_round(Lane<Req, Ans>& lane, std::size_t max_take,
-                  std::vector<Item<Req, Ans>>& live,
-                  std::vector<Item<Req, Ans>>& expired);
+  template <typename Req>
+  void take_round(Lane<Req>& lane, std::size_t max_take,
+                  std::vector<Item<Req>>& live,
+                  std::vector<Item<Req>>& expired);
 
   /// The deadline-aware coalescing wait (lock held; see header comment).
-  template <typename Req, typename Ans>
-  void wait_for_round(std::unique_lock<std::mutex>& lk, Lane<Req, Ans>& lane);
+  template <typename Req>
+  void wait_for_round(std::unique_lock<std::mutex>& lk, Lane<Req>& lane);
 
-  /// Claims `lane`, optionally waits the coalescing window, merges up to
+  /// One answer round on `lane`; `lk` is held on entry and exit. A batch
+  /// lane is claimed, optionally waits the coalescing window, merges up to
   /// max_coalesce payloads, answers them with ONE View::run outside the
-  /// lock, and scatters the slices. `lk` is held on entry and exit.
-  template <typename Req, typename Ans, typename Payload>
-  void drain_queries(std::unique_lock<std::mutex>& lk, Lane<Req, Ans>& lane,
-                     Payload Req::* payload);
-
-  /// Takes every queued whole-graph request, answers ONCE, broadcasts.
-  template <typename Req, typename Ans, typename AnswerFn>
-  void drain_broadcast(std::unique_lock<std::mutex>& lk, Lane<Req, Ans>& lane,
-                       AnswerFn&& answer);
+  /// lock, and scatters the slices; a whole-graph lane takes its queued
+  /// requests, answers ONCE, and broadcasts.
+  template <typename Req>
+  void drain(std::unique_lock<std::mutex>& lk, Lane<Req>& lane);
 
   /// Applies degrade_to_host to a freshly published view.
   engine::View adapt(engine::View view) const;
@@ -397,10 +401,18 @@ class Dispatcher {
   bool pending_none() const;
   /// Serves the unclaimed lane whose head is the oldest pending request.
   void serve_next(std::unique_lock<std::mutex>& lk);
+  /// A reply that carries no answer: the non-Ok resolutions.
+  template <typename Value>
+  static Reply<Value> empty_reply(Status status, std::uint64_t epoch,
+                                  std::uint64_t staleness) {
+    return Reply<Value>{Value{}, epoch, status, staleness};
+  }
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   engine::View view_;
+  /// The graph's vertex count, fixed for its lifetime: submit()'s id bound.
+  NodeId num_nodes_ = 0;
   DispatcherOptions options_;
   DispatcherStats stats_;
   std::uint64_t next_seq_ = 0;
@@ -418,18 +430,87 @@ class Dispatcher {
   bool paused_ = false;
   bool stop_ = false;
 
-  Lane<engine::Same2Ecc, std::vector<std::uint8_t>> same_;
-  Lane<engine::BridgesOnPath, std::vector<NodeId>> paths_;
-  Lane<engine::ComponentSize, std::vector<NodeId>> sizes_;
-  Lane<engine::LcaBatch, std::vector<NodeId>> lcas_;
-  Lane<engine::Bridges, bridges::BridgeMask> bridges_;
-  Lane<engine::TwoEcc, TwoEccSummary> twoecc_;
-  Lane<engine::Articulations, std::vector<std::uint8_t>> articulations_;
-  Lane<engine::SameBcc, std::vector<std::uint8_t>> samebcc_;
-  Lane<engine::BfsLevels, std::vector<NodeId>> bfslevels_;
-  Lane<engine::CcMembership, std::vector<NodeId>> ccmember_;
+  engine::Families::Tuple<Lane> lanes_;
 
   std::vector<std::thread> threads_;
 };
+
+template <typename Req>
+std::future<Reply<engine::Served<Req>>> Dispatcher::enqueue(
+    Lane<Req>& lane, Req&& request, const Ticket& ticket, bool valid) {
+  using Value = engine::Served<Req>;
+  std::unique_lock<std::mutex> lk(mutex_);
+  ++stats_.submitted;
+  // The answer-free resolutions below report the CURRENT serving epoch —
+  // the client learns what it would have been answered against.
+  const auto resolve_now = [&](Status status, std::size_t& outcome) {
+    ++outcome;
+    const std::uint64_t epoch = view_.epoch();
+    const std::uint64_t staleness = saturating_sub(latest_known_epoch(), epoch);
+    lk.unlock();
+    std::promise<Reply<Value>> promise;
+    promise.set_value(empty_reply<Value>(status, epoch, staleness));
+    return promise.get_future();
+  };
+  if (!valid) return resolve_now(Status::kInvalidArgument, stats_.invalid);
+  // Shutdown race: a submit() after stop() began is REFUSED, not silently
+  // worked on the caller thread after teardown started.
+  if (stop_) return resolve_now(Status::kCancelled, stats_.cancelled);
+
+  std::optional<Item<Req>> victim;
+  if (options_.queue_bound > 0 && lane.total >= options_.queue_bound) {
+    switch (options_.admission) {
+      case Admission::kBlock:
+        cv_.wait(lk, [&] {
+          return stop_ || lane.total < options_.queue_bound;
+        });
+        if (stop_) return resolve_now(Status::kCancelled, stats_.cancelled);
+        break;
+      case Admission::kReject:
+        return resolve_now(Status::kOverloaded, stats_.rejected);
+      case Admission::kShedOldest: {
+        // Shed from the FATTEST client (queued / weight) so a flood pays
+        // for its own shedding and light tenants ride through untouched.
+        auto fattest = lane.subs.end();
+        double worst = -1.0;
+        for (auto it = lane.subs.begin(); it != lane.subs.end(); ++it) {
+          if (it->second.queue.empty()) continue;
+          const double load = static_cast<double>(it->second.queue.size()) /
+                              static_cast<double>(std::max<std::uint32_t>(
+                                  1, it->second.weight));
+          if (load > worst) {
+            worst = load;
+            fattest = it;
+          }
+        }
+        victim.emplace(std::move(fattest->second.queue.front()));
+        fattest->second.queue.pop_front();
+        --lane.total;
+        ++stats_.shed;
+        break;
+      }
+    }
+  }
+
+  const auto ttl =
+      ticket.ttl.count() > 0 ? ticket.ttl : options_.default_ttl;
+  auto& sub = lane.subs[ticket.client];
+  sub.weight = std::max<std::uint32_t>(1, ticket.weight);
+  sub.queue.push_back(Item<Req>{
+      next_seq_++, std::move(request), {},
+      ttl.count() > 0 ? Clock::now() + ttl : Clock::time_point::max()});
+  ++lane.total;
+  stats_.max_queue_depth = std::max(stats_.max_queue_depth, lane.total);
+  std::future<Reply<Value>> future = sub.queue.back().promise.get_future();
+  const std::uint64_t epoch = view_.epoch();
+  const std::uint64_t staleness = saturating_sub(latest_known_epoch(), epoch);
+  lk.unlock();
+  cv_.notify_all();
+  if (victim) {
+    victim->promise.set_value(
+        empty_reply<Value>(Status::kOverloaded, epoch, staleness));
+  }
+  return future;
+}
 
 }  // namespace emc::serve

@@ -1,32 +1,14 @@
 #include "shard/shard.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <tuple>
 
 #include "bcc/bcc.hpp"
-#include "device/primitives.hpp"
-#include "engine/policy.hpp"
 #include "util/env.hpp"
 
 namespace emc::shard {
-
-namespace {
-
-/// Batch routing mirrors engine::Policy::use_device_batch: one bulk launch
-/// pays the launch latency but divides the per-query work across device
-/// workers, while the host loop pays the undivided work latency-free. The
-/// façade reads only machine parameters from the pinned context — on a
-/// single-worker device the host loop always wins, exactly like the
-/// unsharded engine's answer path, so sharding adds no routing skew.
-bool use_device_batch(const device::Context& ctx, std::size_t size) {
-  engine::PlanInputs inputs;
-  inputs.device_workers = ctx.workers();
-  inputs.launch_overhead = ctx.launch_overhead();
-  return engine::Policy{}.use_device_batch(size, inputs);
-}
-
-}  // namespace
 
 std::size_t resolve_shard_count(std::size_t from_options) {
   if (from_options != 0) return from_options;
@@ -122,7 +104,7 @@ struct BccStitch {
 };
 
 struct ShardedView::State {
-  const device::Context* ctx = nullptr;  // façade device (summary kernels)
+  const engine::Engine* facade = nullptr;  // summary kernels, batch routing
   EpochVector epochs;
   std::uint64_t version = 0;
   std::size_t shards = 0;
@@ -137,13 +119,13 @@ struct ShardedView::State {
   graph::EdgeList summary_graph;  // shard bridges + boundary (multigraph)
   dynamic::ConnectivityOracle summary;
   /// Vertex count per summary 2-ecc block: shard-block weights accumulated
-  /// under the summary's labels — the global ComponentSize answer.
+  /// under the summary's labels — the global component-size answer.
   std::vector<NodeId> weight;
   /// Per-vertex composed lookups, built once per stitch: hnode[v] is the
   /// summary node of v's shard-local block, glabel[v] that node's global
   /// 2-ecc label. They collapse every query to the same flat label reads
   /// the unsharded oracle does — no per-query modulo or double hop (the
-  /// arithmetic form cost >10x on large Same2Ecc batches).
+  /// arithmetic form cost >10x on large same-2ecc batches).
   std::vector<NodeId> hnode;
   std::vector<NodeId> glabel;
   std::size_t num_edges = 0;
@@ -151,13 +133,18 @@ struct ShardedView::State {
   /// Vertex-biconnectivity stitch, built by the FIRST BCC-family query on
   /// this snapshot (snapshots that never see one pay nothing — the 2-ecc
   /// stitch above stays exactly as cheap as before this family existed).
-  /// Double-checked under bcc_mu; immutable once set.
+  /// Built under bcc_mu; immutable once set, and from then on read
+  /// lock-free through bcc_ready (per-element queries hit it).
   mutable std::mutex bcc_mu;
   mutable std::shared_ptr<const BccStitch> bcc;
+  mutable std::atomic<const BccStitch*> bcc_ready{nullptr};
   const BccStitch& ensure_bcc() const;
 };
 
 const BccStitch& ShardedView::State::ensure_bcc() const {
+  if (const BccStitch* ready = bcc_ready.load(std::memory_order_acquire)) {
+    return *ready;
+  }
   std::lock_guard<std::mutex> lock(bcc_mu);
   if (bcc != nullptr) return *bcc;
   auto out = std::make_shared<BccStitch>();
@@ -234,10 +221,11 @@ const BccStitch& ShardedView::State::ensure_bcc() const {
   }
 
   {
-    const auto device_lock = ctx->exclusive();
+    const device::Context& ctx = facade->device();
+    const auto device_lock = ctx.exclusive();
     const bridges::SpanningForest forest =
-        bridges::cc_spanning_forest(*ctx, skel);
-    out->skeleton = bcc::BccIndex::build(*ctx, skel, forest);
+        bridges::cc_spanning_forest(ctx, skel);
+    out->skeleton = bcc::BccIndex::build(ctx, skel, forest);
   }
 
   // Non-preserved vertices map to their unique local block (if any) via
@@ -270,6 +258,7 @@ const BccStitch& ShardedView::State::ensure_bcc() const {
     }
   }
   bcc = std::move(out);
+  bcc_ready.store(bcc.get(), std::memory_order_release);
   return *bcc;
 }
 
@@ -332,102 +321,19 @@ bool ShardedView::is_articulation(NodeId v) const {
   return state_->ensure_bcc().is_articulation[v] != 0;
 }
 
-std::vector<std::uint8_t> ShardedView::run(
-    const engine::Same2Ecc& request) const {
-  const State& s = *state_;
-  std::vector<std::uint8_t> answers(request.pairs.size());
-  const auto answer = [&](std::size_t q) {
-    const auto& [u, v] = request.pairs[q];
-    return static_cast<std::uint8_t>(s.glabel[u] == s.glabel[v]);
-  };
-  if (use_device_batch(*s.ctx, request.pairs.size())) {
-    const auto lock = s.ctx->exclusive();
-    device::transform(*s.ctx, request.pairs.size(), answers.data(), answer);
-  } else {
-    for (std::size_t q = 0; q < request.pairs.size(); ++q) {
-      answers[q] = answer(q);
-    }
-  }
-  return answers;
+NodeId ShardedView::component_label(NodeId v) const {
+  // Shard bridges and boundary edges connect blocks WITHIN a component,
+  // so summary components are exactly global components.
+  return state_->summary.component_labels()[state_->hnode[v]];
 }
 
-std::vector<NodeId> ShardedView::run(
-    const engine::BridgesOnPath& request) const {
-  const State& s = *state_;
-  std::vector<NodeId> answers(request.pairs.size());
-  const auto answer = [&](std::size_t q) {
-    const auto& [u, v] = request.pairs[q];
-    return s.summary.bridges_on_path(s.hnode[u], s.hnode[v]);
-  };
-  if (use_device_batch(*s.ctx, request.pairs.size())) {
-    const auto lock = s.ctx->exclusive();
-    device::transform(*s.ctx, request.pairs.size(), answers.data(), answer);
-  } else {
-    for (std::size_t q = 0; q < request.pairs.size(); ++q) {
-      answers[q] = answer(q);
-    }
-  }
-  return answers;
-}
-
-std::vector<NodeId> ShardedView::run(
-    const engine::ComponentSize& request) const {
-  // Weighted lookups are O(1) host reads — a launch could never win.
-  std::vector<NodeId> answers;
-  answers.reserve(request.nodes.size());
-  for (const NodeId v : request.nodes) answers.push_back(component_size(v));
-  return answers;
-}
-
-std::vector<std::uint8_t> ShardedView::run(
-    const engine::SameBcc& request) const {
-  const State& s = *state_;
-  const BccStitch& bcc = s.ensure_bcc();  // once, outside the batch
-  std::vector<std::uint8_t> answers(request.pairs.size());
-  const auto answer = [&](std::size_t q) -> std::uint8_t {
-    const auto& [u, v] = request.pairs[q];
-    if (u == v) return 1;
-    const NodeId nu = bcc.bcc_node[u];
-    const NodeId nv = bcc.bcc_node[v];
-    if (nu == kNoNode || nv == kNoNode) return 0;
-    return nu == nv || bcc.skeleton.same_bcc(nu, nv) ? 1 : 0;
-  };
-  if (use_device_batch(*s.ctx, request.pairs.size())) {
-    const auto lock = s.ctx->exclusive();
-    device::transform(*s.ctx, request.pairs.size(), answers.data(), answer);
-  } else {
-    for (std::size_t q = 0; q < request.pairs.size(); ++q) {
-      answers[q] = answer(q);
-    }
-  }
-  return answers;
-}
-
-std::vector<std::uint8_t> ShardedView::run(const engine::Articulations&) const {
+const std::vector<std::uint8_t>& ShardedView::articulations() const {
   return state_->ensure_bcc().is_articulation;
 }
 
-std::vector<NodeId> ShardedView::run(
-    const engine::CcMembership& request) const {
-  const State& s = *state_;
-  const std::vector<NodeId>& cc = s.summary.component_labels();
-  std::vector<NodeId> answers(request.nodes.size());
-  // Shard bridges and boundary edges connect blocks WITHIN a component,
-  // so summary components are exactly global components; the label is the
-  // summary representative of v's block — a partition id, not a vertex.
-  const auto answer = [&](std::size_t q) {
-    return cc[s.hnode[request.nodes[q]]];
-  };
-  if (use_device_batch(*s.ctx, request.nodes.size())) {
-    const auto lock = s.ctx->exclusive();
-    device::transform(*s.ctx, request.nodes.size(), answers.data(), answer);
-  } else {
-    for (std::size_t q = 0; q < request.nodes.size(); ++q) {
-      answers[q] = answer(q);
-    }
-  }
-  return answers;
-}
+const engine::Engine& ShardedView::facade() const { return *state_->facade; }
+
+void ShardedView::ensure_bcc() const { state_->ensure_bcc(); }
 
 // ---------------------------------------------------------- ShardedGraph
 
@@ -626,7 +532,7 @@ std::shared_ptr<const ShardedView::State> ShardedGraph::stitch() {
   ++stitch_builds_;
 
   auto state = std::make_shared<ShardedView::State>();
-  state->ctx = &facade_->device();
+  state->facade = facade_.get();
   state->epochs = std::move(vec);
   state->version = ++stitch_version_;
   state->shards = k;
@@ -634,16 +540,16 @@ std::shared_ptr<const ShardedView::State> ShardedGraph::stitch() {
   state->views = std::move(views);
   state->boundary = std::move(boundary);
 
-  // Contract each shard to its 2-ecc blocks. These run on FROZEN views —
-  // inside the engine they are artifact-cache hits, not kernel work.
-  std::vector<engine::TwoEccView> blocks(k);
+  // Contract each shard to its 2-ecc blocks: reads of the FROZEN views'
+  // 2-ecc indexes, not kernel work.
+  std::vector<const dynamic::ConnectivityOracle*> blocks(k);
   state->offsets.assign(k + 1, 0);
   state->labels.resize(k);
   for (std::size_t s = 0; s < k; ++s) {
-    blocks[s] = state->views[s].run(engine::TwoEcc{});
-    state->labels[s] = blocks[s].labels;
+    blocks[s] = &state->views[s].artifact<dynamic::ConnectivityOracle>();
+    state->labels[s] = &blocks[s]->block_labels();
     state->offsets[s + 1] =
-        state->offsets[s] + static_cast<NodeId>(blocks[s].num_blocks);
+        state->offsets[s] + static_cast<NodeId>(blocks[s]->num_blocks());
   }
 
   // Summary graph: each shard's bridge edges block-to-block, plus every
@@ -656,7 +562,7 @@ std::shared_ptr<const ShardedView::State> ShardedGraph::stitch() {
   std::size_t intra_edges = 0;
   for (std::size_t s = 0; s < k; ++s) {
     const bridges::BridgeMask& mask =
-        state->views[s].run(engine::Bridges{});
+        state->views[s].artifact<bridges::BridgeMask>();
     const std::vector<graph::Edge>& edges = state->views[s].edges().edges;
     const std::vector<NodeId>& labels = *state->labels[s];
     const NodeId off = state->offsets[s];
@@ -679,20 +585,20 @@ std::shared_ptr<const ShardedView::State> ShardedGraph::stitch() {
   state->summary_graph = std::move(summary);
 
   if (state->summary_graph.num_nodes > 0) {
-    const auto device_lock = state->ctx->exclusive();
-    state->summary.build(*state->ctx, state->summary_graph);
+    const device::Context& ctx = facade_->device();
+    const auto device_lock = ctx.exclusive();
+    state->summary.build(ctx, state->summary_graph);
   }
 
   // Weights: a summary block's vertex count is the sum of its shard
-  // blocks' vertex counts (TwoEccView::sizes — the engine plumbing this
-  // module added). O(total shard blocks), not O(n).
+  // blocks' vertex counts. O(total shard blocks), not O(n).
   const std::vector<NodeId>& slabels = state->summary.block_labels();
   state->weight.assign(state->summary.num_blocks(), 0);
   for (std::size_t s = 0; s < k; ++s) {
     const NodeId off = state->offsets[s];
-    for (std::size_t b = 0; b < blocks[s].num_blocks; ++b) {
+    for (std::size_t b = 0; b < blocks[s]->num_blocks(); ++b) {
       state->weight[slabels[off + static_cast<NodeId>(b)]] +=
-          (*blocks[s].sizes)[b];
+          blocks[s]->block_sizes()[b];
     }
   }
   const std::vector<NodeId>& cc = state->summary.component_labels();
@@ -742,6 +648,7 @@ ShardedStats ShardedGraph::stats() const {
     out.dispatch.cancelled += d.cancelled;
     out.dispatch.faulted += d.faulted;
     out.dispatch.unsupported += d.unsupported;
+    out.dispatch.invalid += d.invalid;
     out.dispatch.coalesce_cache_hits += d.coalesce_cache_hits;
     out.dispatch.stale_served += d.stale_served;
     out.dispatch.publish_retries += d.publish_retries;
@@ -833,123 +740,6 @@ ShardedDispatcher::ShardedDispatcher(ShardedGraph& graph,
 
 ShardedDispatcher::~ShardedDispatcher() { stop(); }
 
-template <typename Value, typename Fn>
-std::future<serve::Reply<Value>> ShardedDispatcher::enqueue(Fn&& answer) {
-  auto promise = std::make_shared<std::promise<serve::Reply<Value>>>();
-  std::future<serve::Reply<Value>> future = promise->get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++submitted_;
-    if (stopping_) {
-      ++cancelled_;
-      serve::Reply<Value> reply;
-      reply.status = serve::Status::kCancelled;
-      promise->set_value(std::move(reply));
-      return future;
-    }
-    jobs_.push_back(
-        [this, promise, answer = std::forward<Fn>(answer)]() mutable {
-          serve::Reply<Value> reply;
-          try {
-            // One pinned view per request: the map and the answer read the
-            // same epoch vector, no matter how the shards move meanwhile.
-            const ShardedView view = graph_.view();
-            reply.value = answer(view);
-            reply.epoch = view.version();
-            reply.status = serve::Status::kOk;
-            std::lock_guard<std::mutex> counter_lock(mu_);
-            ++answered_;
-          } catch (...) {
-            reply.status = serve::Status::kFaulted;
-            std::lock_guard<std::mutex> counter_lock(mu_);
-            ++faulted_;
-          }
-          promise->set_value(std::move(reply));
-        });
-  }
-  cv_.notify_one();
-  return future;
-}
-
-std::future<serve::Reply<std::vector<std::uint8_t>>> ShardedDispatcher::submit(
-    engine::Same2Ecc request) {
-  return enqueue<std::vector<std::uint8_t>>(
-      [request = std::move(request)](const ShardedView& view) {
-        return view.run(request);
-      });
-}
-
-std::future<serve::Reply<std::vector<NodeId>>> ShardedDispatcher::submit(
-    engine::BridgesOnPath request) {
-  return enqueue<std::vector<NodeId>>(
-      [request = std::move(request)](const ShardedView& view) {
-        return view.run(request);
-      });
-}
-
-std::future<serve::Reply<std::vector<NodeId>>> ShardedDispatcher::submit(
-    engine::ComponentSize request) {
-  return enqueue<std::vector<NodeId>>(
-      [request = std::move(request)](const ShardedView& view) {
-        return view.run(request);
-      });
-}
-
-std::future<serve::Reply<serve::TwoEccSummary>> ShardedDispatcher::submit(
-    engine::TwoEcc) {
-  return enqueue<serve::TwoEccSummary>([](const ShardedView& view) {
-    return serve::TwoEccSummary{view.num_blocks(), view.num_bridges()};
-  });
-}
-
-std::future<serve::Reply<std::size_t>> ShardedDispatcher::submit(
-    engine::Bridges) {
-  return enqueue<std::size_t>(
-      [](const ShardedView& view) { return view.num_bridges(); });
-}
-
-std::future<serve::Reply<std::vector<std::uint8_t>>> ShardedDispatcher::submit(
-    engine::SameBcc request) {
-  return enqueue<std::vector<std::uint8_t>>(
-      [request = std::move(request)](const ShardedView& view) {
-        return view.run(request);
-      });
-}
-
-std::future<serve::Reply<std::vector<std::uint8_t>>> ShardedDispatcher::submit(
-    engine::Articulations request) {
-  return enqueue<std::vector<std::uint8_t>>(
-      [request = std::move(request)](const ShardedView& view) {
-        return view.run(request);
-      });
-}
-
-std::future<serve::Reply<std::vector<NodeId>>> ShardedDispatcher::submit(
-    engine::CcMembership request) {
-  return enqueue<std::vector<NodeId>>(
-      [request = std::move(request)](const ShardedView& view) {
-        return view.run(request);
-      });
-}
-
-std::future<serve::Reply<std::vector<NodeId>>> ShardedDispatcher::submit(
-    engine::BfsLevels) {
-  // The honest refusal (see shard.hpp): resolved inline, never queued, so
-  // no worker burns a pinned view on a family the façade cannot answer.
-  // Ledger-balanced: counts as submitted AND unsupported.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++submitted_;
-    ++unsupported_;
-  }
-  std::promise<serve::Reply<std::vector<NodeId>>> promise;
-  std::future<serve::Reply<std::vector<NodeId>>> future = promise.get_future();
-  serve::Reply<std::vector<NodeId>> reply;
-  reply.status = serve::Status::kUnsupported;
-  promise.set_value(std::move(reply));
-  return future;
-}
-
 void ShardedDispatcher::run() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
@@ -988,6 +778,7 @@ ShardedStats ShardedDispatcher::stats() const {
   out.dispatch.cancelled += cancelled_;
   out.dispatch.faulted += faulted_;
   out.dispatch.unsupported += unsupported_;
+  out.dispatch.invalid += invalid_;
   return out;
 }
 

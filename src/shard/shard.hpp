@@ -26,8 +26,8 @@
 //     engine::View per shard plus one boundary-set snapshot, identified by
 //     the EPOCH VECTOR (K per-shard epochs, boundary version). Cross-shard
 //     connectivity is answered by STITCHING: contract each shard to its
-//     2-ecc block graph (per-shard bulk TwoEcc/Bridges on the pinned
-//     Views), then build a small top-level SUMMARY graph whose nodes are
+//     2-ecc block graph (the pinned Views' 2-ecc labels and bridge
+//     masks), then build a small top-level SUMMARY graph whose nodes are
 //     shard blocks and whose edges are (a) each shard's bridge edges and
 //     (b) the boundary edges mapped through the owning shards' block
 //     labels — kept as a MULTIGRAPH: two boundary edges landing on the
@@ -63,35 +63,39 @@
 //     edges on the terminal nodes) has EXACTLY the global block structure
 //     restricted to terminals. Global answers compose through bcc_node(v)
 //     = v's terminal node when preserved, else its unique block's gadget
-//     node; the skeleton's BccIndex answers SameBcc, and a preserved
-//     vertex is a global articulation iff its terminal node is one in the
-//     skeleton (a non-preserved vertex sits in <= 1 local = <= 1 global
-//     block, never an articulation). CcMembership composes the summary's
-//     connected-component labels through h(v) — labels are
-//     REPRESENTATIVES (summary node ids), equal iff same global
+//     node; the skeleton's BccIndex answers same-block queries, and a
+//     preserved vertex is a global articulation iff its terminal node is
+//     one in the skeleton (a non-preserved vertex sits in <= 1 local =
+//     <= 1 global block, never an articulation). Component membership
+//     composes the summary's connected-component labels through h(v) —
+//     labels are REPRESENTATIVES (summary node ids), equal iff same global
 //     component; compare, don't index.
 //
-//     BfsLevels is NOT served sharded: exact cross-shard BFS needs
+//     Each family's composition over these global scalar queries is
+//     declared with the family in the engine registry
+//     (engine/families.hpp, `sharded`); this module names no family.
+//     BFS levels are NOT served sharded: exact cross-shard BFS needs
 //     iterative boundary-edge relaxation between per-shard traversals (a
 //     distributed delta-stepping round trip per level), which is a
-//     different cost class from every other composed answer here. The
-//     façade resolves BfsLevels with an honest Status::kUnsupported
-//     instead of a silently-wrong per-shard answer; the relaxation loop
-//     is a recorded ROADMAP follow-up.
+//     different cost class from every other composed answer here. Nor is
+//     the forest LCA: its answer is specific to one rooted spanning
+//     forest, and the façade holds per-shard forests. The façade resolves
+//     such families with an honest Status::kUnsupported instead of a
+//     silently-wrong per-shard answer; the relaxation loop is a recorded
+//     ROADMAP follow-up.
 //
 //   ShardedDispatcher — the serving façade: a small worker pool that
-//     answers typed requests (Same2Ecc / BridgesOnPath / ComponentSize /
-//     TwoEcc / Bridges) against the freshest ShardedView, each request
-//     mapped and answered atomically against ONE pinned view (no
-//     torn-epoch answers). stats() folds the façade ledger into the
+//     answers every composable family against the freshest ShardedView,
+//     each request mapped and answered atomically against ONE pinned view
+//     (no torn-epoch answers). stats() folds the façade ledger into the
 //     per-shard Dispatcher/Ingestor ledgers as one coherent snapshot.
 //
 // Stitch caching: ShardedGraph::view() memoizes the summary per epoch
 // vector — while no shard publishes and the boundary set is unchanged,
 // repeated view() calls are one comparison (stitch_hits vs stitch_builds in
 // ShardedStats). Any single shard advancing invalidates only the cache, not
-// the per-shard artifacts: the rebuild re-runs per-shard TwoEcc/Bridges on
-// ALREADY-FROZEN views (cache hits inside the engine) plus the summary
+// the per-shard artifacts: the rebuild re-reads per-shard 2-ecc labels and
+// bridge masks from ALREADY-FROZEN views plus the summary
 // build, whose size is the number of shard blocks + bridges + boundary
 // edges, not n.
 //
@@ -116,6 +120,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -233,7 +238,7 @@ struct EpochVector {
 /// One coherent cross-shard snapshot. The aggregate `dispatch` ledger obeys
 /// the same identity each per-shard Dispatcher pins once quiesced:
 ///   submitted == answered + shed + rejected + expired + cancelled
-///                + faulted + unsupported
+///                + faulted + unsupported + invalid
 /// (sums preserve it). Epoch gauges that are not meaningfully summable
 /// (graph_epoch, published_epoch, staleness, latency EWMA) aggregate as the
 /// MAXIMUM over shards — "how far behind is the worst shard" — and every
@@ -278,6 +283,14 @@ struct ShardedStats {
 
 // ----------------------------------------------------------- ShardedView
 
+class ShardedView;
+
+/// A family the façade can compose: its registry entry declares `sharded`.
+template <typename Req>
+concept Composable = engine::Request<Req> && requires {
+  &engine::Family<Req>::template sharded<ShardedView>;
+};
+
 /// An immutable cross-shard snapshot: K epoch-pinned engine::Views, the
 /// boundary edges, and the stitched summary index, all at one EpochVector.
 /// Copyable (copies share the refcounted state); answers every query
@@ -303,28 +316,40 @@ class ShardedView {
   bool same_2ecc(NodeId u, NodeId v) const;
   NodeId bridges_on_path(NodeId u, NodeId v) const;
   NodeId component_size(NodeId u) const;
+  /// Global connected-component label: the summary-node representative
+  /// of v's block — equal iff same component (compare, don't index; it is
+  /// not a vertex id).
+  NodeId component_label(NodeId v) const;
   /// Vertex biconnectivity on global ids (see the gadget-skeleton note in
   /// the header comment). First call per snapshot builds the skeleton
   /// lazily — per-shard BCC indexes plus one small skeleton BccIndex —
   /// so views that never see a BCC family pay nothing.
   bool same_bcc(NodeId u, NodeId v) const;
   bool is_articulation(NodeId v) const;
-
-  /// Batch forms, mirroring engine::View::run — pairs/nodes are global
-  /// ids, answered from the per-vertex composed tables the stitch
-  /// precomputes. Batches route exactly like the unsharded engine:
-  /// engine::Policy's cost model picks one bulk device transform or a
-  /// plain host loop (ComponentSize is always O(1) weight lookups).
-  std::vector<std::uint8_t> run(const engine::Same2Ecc& request) const;
-  std::vector<NodeId> run(const engine::BridgesOnPath& request) const;
-  std::vector<NodeId> run(const engine::ComponentSize& request) const;
-  std::vector<std::uint8_t> run(const engine::SameBcc& request) const;
   /// Global articulation-point mask over all n vertices.
-  std::vector<std::uint8_t> run(const engine::Articulations& request) const;
-  /// Global connected-component labels for the queried nodes. Labels are
-  /// summary-node representatives: equal iff same component (compare,
-  /// don't index — they are not vertex ids).
-  std::vector<NodeId> run(const engine::CcMembership& request) const;
+  const std::vector<std::uint8_t>& articulations() const;
+
+  /// Any composable family, mirroring engine::View::run — pairs/nodes are
+  /// global ids, answered by the family's `sharded` composition over the
+  /// scalar queries above. Batches route exactly like the unsharded
+  /// engine (engine::route_batch on the façade engine): one bulk device
+  /// transform or a plain host loop.
+  template <Composable Req>
+  auto run(const Req& request) const {
+    using Family = engine::Family<Req>;
+    // The vertex-biconnectivity stitch builds here, on the calling thread,
+    // never inside a bulk kernel's workers.
+    if constexpr (std::is_same_v<typename Family::Artifact, bcc::BccIndex>) {
+      ensure_bcc();
+    }
+    if constexpr (engine::Coalesced<Req>) {
+      return engine::answer_each(
+          facade(), engine::Policy{}, request.*Family::payload,
+          [this](const auto& q) { return Family::sharded(*this, q); });
+    } else {
+      return Family::sharded(*this);
+    }
+  }
 
   /// Plumbing accessors (tests/benches).
   const engine::View& shard_view(std::size_t shard) const;
@@ -339,6 +364,9 @@ class ShardedView {
       : state_(std::move(state)) {}
   /// h(v): the summary node of v's shard-local 2-ecc block.
   NodeId summary_node(NodeId v) const;
+  /// The façade engine: summary kernels and batch routing.
+  const engine::Engine& facade() const;
+  void ensure_bcc() const;
 
   std::shared_ptr<const State> state_;
 };
@@ -449,32 +477,29 @@ class ShardedDispatcher {
   ShardedDispatcher(const ShardedDispatcher&) = delete;
   ShardedDispatcher& operator=(const ShardedDispatcher&) = delete;
 
-  std::future<serve::Reply<std::vector<std::uint8_t>>> submit(
-      engine::Same2Ecc request);
-  std::future<serve::Reply<std::vector<NodeId>>> submit(
-      engine::BridgesOnPath request);
-  std::future<serve::Reply<std::vector<NodeId>>> submit(
-      engine::ComponentSize request);
-  /// Global block/bridge counts (serve's value-type TwoEcc answer).
-  std::future<serve::Reply<serve::TwoEccSummary>> submit(
-      engine::TwoEcc request);
-  /// Global bridge COUNT — a cross-shard bridge mask has no single edge
-  /// order to index, so the façade serves the scalar the stitch proves.
-  std::future<serve::Reply<std::size_t>> submit(engine::Bridges request);
-  // Vertex-biconnectivity families, answered through the gadget-skeleton
-  // stitch (see the header comment).
-  std::future<serve::Reply<std::vector<std::uint8_t>>> submit(
-      engine::SameBcc request);
-  std::future<serve::Reply<std::vector<std::uint8_t>>> submit(
-      engine::Articulations request);
-  std::future<serve::Reply<std::vector<NodeId>>> submit(
-      engine::CcMembership request);
-  /// Resolves IMMEDIATELY with Status::kUnsupported — exact cross-shard
-  /// BFS needs boundary relaxation rounds this façade does not implement
-  /// (documented choice; see the header comment). The request still
-  /// enters the ledger: submitted and unsupported both count.
-  std::future<serve::Reply<std::vector<NodeId>>> submit(
-      engine::BfsLevels request);
+  /// Enqueues a request of any registered family; a worker answers it
+  /// with ShardedView::run, and the reply carries that answer. Resolves
+  /// IMMEDIATELY, never queued, with Status::kInvalidArgument for a
+  /// payload id outside [0, num_nodes), and with Status::kUnsupported
+  /// (and an engine::Served<Req> value type) for a family without a
+  /// shard composition — see the header comment. Either way the request
+  /// enters the ledger.
+  template <engine::Request Req>
+  auto submit(Req request) {
+    if constexpr (!Composable<Req>) {
+      return resolve<engine::Served<Req>>(serve::Status::kUnsupported,
+                                          unsupported_);
+    } else {
+      using Value = decltype(std::declval<const ShardedView&>().run(request));
+      if (!engine::ids_in_range(request, graph_.num_nodes())) {
+        return resolve<Value>(serve::Status::kInvalidArgument, invalid_);
+      }
+      return enqueue<Value>(
+          [request = std::move(request)](const ShardedView& view) {
+            return view.run(request);
+          });
+    }
+  }
 
   void stop();
 
@@ -486,6 +511,21 @@ class ShardedDispatcher {
  private:
   template <typename Value, typename Fn>
   std::future<serve::Reply<Value>> enqueue(Fn&& answer);
+  /// Counts a request into `outcome` and resolves it without queueing.
+  template <typename Value>
+  std::future<serve::Reply<Value>> resolve(serve::Status status,
+                                           std::size_t& outcome) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++submitted_;
+      ++outcome;
+    }
+    std::promise<serve::Reply<Value>> promise;
+    serve::Reply<Value> reply;
+    reply.status = status;
+    promise.set_value(std::move(reply));
+    return promise.get_future();
+  }
   void run();
 
   ShardedGraph& graph_;
@@ -499,7 +539,46 @@ class ShardedDispatcher {
   std::size_t cancelled_ = 0;
   std::size_t faulted_ = 0;
   std::size_t unsupported_ = 0;
+  std::size_t invalid_ = 0;
   std::vector<std::thread> workers_;
 };
+
+template <typename Value, typename Fn>
+std::future<serve::Reply<Value>> ShardedDispatcher::enqueue(Fn&& answer) {
+  auto promise = std::make_shared<std::promise<serve::Reply<Value>>>();
+  std::future<serve::Reply<Value>> future = promise->get_future();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++submitted_;
+    if (stopping_) {
+      ++cancelled_;
+      serve::Reply<Value> reply;
+      reply.status = serve::Status::kCancelled;
+      promise->set_value(std::move(reply));
+      return future;
+    }
+    jobs_.push_back(
+        [this, promise, answer = std::forward<Fn>(answer)]() mutable {
+          serve::Reply<Value> reply;
+          try {
+            // One pinned view per request: the map and the answer read the
+            // same epoch vector, no matter how the shards move meanwhile.
+            const ShardedView view = graph_.view();
+            reply.value = answer(view);
+            reply.epoch = view.version();
+            reply.status = serve::Status::kOk;
+            std::lock_guard<std::mutex> counter_lock(mu_);
+            ++answered_;
+          } catch (...) {
+            reply.status = serve::Status::kFaulted;
+            std::lock_guard<std::mutex> counter_lock(mu_);
+            ++faulted_;
+          }
+          promise->set_value(std::move(reply));
+        });
+  }
+  cv_.notify_one();
+  return future;
+}
 
 }  // namespace emc::shard

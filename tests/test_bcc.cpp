@@ -386,18 +386,18 @@ TEST(BccPins, BfsLevelsPairsSharingASourceShareOneTraversal) {
   EXPECT_EQ(engine.device_launches() - before_many, one);
 }
 
-TEST(BccPins, EnvFloorForcesTheDeviceRoute) {
+TEST(BccPins, PolicyFloorForcesTheDeviceRoute) {
   Engine engine({.device_workers = 2});
   const EdgeList g = gen::road_graph(16, 16, 0.72, 0.04, 14);
   Session session = engine.session(g);
   session.run(engine::Articulations{});
 
-  ASSERT_EQ(setenv("EMC_BCC_MIN_DEVICE_BATCH", "1", 1), 0);
+  Policy device_route;
+  device_route.min_device_batch = 1;
   const std::uint64_t before = engine.device_launches();
-  // Default policy would host-route a 2-pair batch; the env floor wins.
-  session.run(engine::SameBcc{{{0, 1}, {2, 3}}});
+  // Default policy would host-route a 2-pair batch; the policy floor wins.
+  session.run(engine::SameBcc{{{0, 1}, {2, 3}}}, device_route);
   EXPECT_EQ(engine.device_launches(), before + 1);
-  unsetenv("EMC_BCC_MIN_DEVICE_BATCH");
 
   const std::uint64_t after = engine.device_launches();
   session.run(engine::SameBcc{{{0, 1}, {2, 3}}});

@@ -171,25 +171,17 @@ TEST(ServeEnv, InvalidValuesFallBackToUnset) {
   unsetenv("EMC_SERVE_DEADLINE_US");
 }
 
-// The EMC_BCC_* knobs share the strict grammar: EMC_BCC_EAGER is a 0/1
-// switch (build the BCC index at publish instead of on first demand),
-// EMC_BCC_MIN_DEVICE_BATCH a routing floor in [0, 2^30] (0 = the Policy
-// cost model decides). A typo must leave lazy builds and model routing —
-// never silently flip eagerness or force a route.
+// EMC_BCC_EAGER shares the strict grammar: a 0/1 switch (build the BCC
+// index at publish instead of on first demand). A typo must leave lazy
+// builds — never silently flip eagerness.
 
-TEST(BccEnv, EagerAndRoutingFloorOverridesAreHonored) {
+TEST(BccEnv, EagerOverrideIsHonored) {
   ASSERT_EQ(setenv("EMC_BCC_EAGER", "1", 1), 0);
-  ASSERT_EQ(setenv("EMC_BCC_MIN_DEVICE_BATCH", "64", 1), 0);
   EXPECT_TRUE(bcc::resolve_bcc_eager());
-  EXPECT_EQ(bcc::resolve_bcc_min_device_batch(), 64u);
   ASSERT_EQ(setenv("EMC_BCC_EAGER", "0", 1), 0);  // explicit off is valid
-  ASSERT_EQ(setenv("EMC_BCC_MIN_DEVICE_BATCH", "0", 1), 0);
   EXPECT_FALSE(bcc::resolve_bcc_eager());
-  EXPECT_EQ(bcc::resolve_bcc_min_device_batch(), 0u);
   unsetenv("EMC_BCC_EAGER");
-  unsetenv("EMC_BCC_MIN_DEVICE_BATCH");
   EXPECT_FALSE(bcc::resolve_bcc_eager());
-  EXPECT_EQ(bcc::resolve_bcc_min_device_batch(), 0u);
 }
 
 TEST(BccEnv, InvalidValuesFallBackToDefaults) {
@@ -199,15 +191,7 @@ TEST(BccEnv, InvalidValuesFallBackToDefaults) {
     EXPECT_FALSE(bcc::resolve_bcc_eager()) << "EMC_BCC_EAGER=\"" << bad
                                            << "\"";
   }
-  for (const char* bad : {"-1", "abc", "", "64k", "1e3",
-                          "1073741825",  // in-type but over the 2^30 cap
-                          "99999999999999999999"}) {
-    ASSERT_EQ(setenv("EMC_BCC_MIN_DEVICE_BATCH", bad, 1), 0);
-    EXPECT_EQ(bcc::resolve_bcc_min_device_batch(), 0u)
-        << "EMC_BCC_MIN_DEVICE_BATCH=\"" << bad << "\"";
-  }
   unsetenv("EMC_BCC_EAGER");
-  unsetenv("EMC_BCC_MIN_DEVICE_BATCH");
 }
 
 // The EMC_INGEST_* knobs share the strict policy, with per-knob ranges:

@@ -28,6 +28,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -36,6 +37,7 @@
 #include "gen/graphs.hpp"
 #include "graph/graph.hpp"
 #include "serve/serve.hpp"
+#include "shard/shard.hpp"
 #include "support/fuzz_env.hpp"
 #include "support/reference.hpp"
 #include "util/failpoint.hpp"
@@ -1039,6 +1041,169 @@ TEST(ServeFailpoints, EveryFutureResolvesUnderRandomizedFaults) {
     // Rotating every catalog site at p=0.3 over the whole run must have
     // actually fired — otherwise this fuzz tested nothing.
     EXPECT_GT(stats.faults_injected, 0u);
+  }
+}
+
+// ------------------------------------------------------------ id checks
+
+// A payload id outside [0, n) — past the end or negative — must resolve
+// kInvalidArgument at submit and never reach the round it would have been
+// coalesced into: the other client's valid pairs in that round come back
+// Ok and correct, and the ledger still balances.
+TEST(ServeQoS, OutOfRangeIdsResolveInvalidWithoutPoisoningTheRound) {
+  Engine engine({.device_workers = 2});
+  const EdgeList g = gen::road_graph(8, 8, 0.8, 0.05, 5);
+  const NodeId n = g.num_nodes;
+  Session session = engine.session(g);
+  const ReferenceOracle ref(device::Context::sequential(), g);
+
+  DispatcherOptions options;
+  options.workers = 1;
+  options.start_paused = true;  // everything below shares one round
+  Dispatcher dispatcher(session.view(), options);
+
+  Ticket bad_client;
+  bad_client.client = 1;
+  Ticket good_client;
+  good_client.client = 2;
+  auto past_end = dispatcher.submit(engine::Same2Ecc{{{n, 0}}}, bad_client);
+  auto negative = dispatcher.submit(engine::Same2Ecc{{{-1, 0}}}, bad_client);
+  auto bad_node = dispatcher.submit(engine::ComponentSize{{n}}, bad_client);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId u = 0; u < n; u += 3) pairs.push_back({u, n - 1 - u});
+  auto good = dispatcher.submit(engine::Same2Ecc{pairs}, good_client);
+  dispatcher.resume();
+
+  for (auto* bad : {&past_end, &negative}) {
+    const auto reply = bad->get();
+    EXPECT_EQ(reply.status, Status::kInvalidArgument);
+    EXPECT_TRUE(reply.value.empty());
+  }
+  EXPECT_EQ(bad_node.get().status, Status::kInvalidArgument);
+  const auto answered = good.get();
+  ASSERT_EQ(answered.status, Status::kOk);
+  ASSERT_EQ(answered.value.size(), pairs.size());
+  for (std::size_t q = 0; q < pairs.size(); ++q) {
+    const auto [u, v] = pairs[q];
+    EXPECT_EQ(answered.value[q] != 0, ref.comp[u] == ref.comp[v]);
+  }
+  EXPECT_EQ(to_string(Status::kInvalidArgument), "invalid_argument");
+
+  dispatcher.stop();
+  const DispatcherStats stats = dispatcher.stats();
+  EXPECT_EQ(stats.invalid, 3u);
+  EXPECT_EQ(stats.answered, 1u);
+  EXPECT_EQ(stats.submitted, outcomes(stats) + stats.invalid);
+
+  shard::ShardedGraph sharded(n, g, {.shards = 2});
+  shard::ShardedDispatcher facade(sharded);
+  EXPECT_EQ(facade.submit(engine::SameBcc{{{0, n}}}).get().status,
+            Status::kInvalidArgument);
+  EXPECT_EQ(facade.submit(engine::Same2Ecc{pairs}).get().status, Status::kOk);
+  facade.stop();
+  EXPECT_EQ(facade.stats().dispatch.invalid, 1u);
+}
+
+// ------------------------------------------------------------ family parity
+
+template <typename List>
+struct GTestTypes;
+template <typename... Reqs>
+struct GTestTypes<engine::FamilyList<Reqs...>> {
+  using type = ::testing::Types<Reqs...>;
+};
+
+/// Every registered family must answer identically on every surface:
+/// Session::run, View::run, Dispatcher::submit, and the K=2 sharded
+/// façade (or refuse there with kUnsupported). The suite folds over the
+/// registry, so a new family is checked here without a line of test code.
+template <typename Req>
+class FamilyParity : public ::testing::Test {};
+TYPED_TEST_SUITE(FamilyParity, GTestTypes<engine::Families>::type);
+
+/// A batch request over every vertex (or every ordered vertex pair); the
+/// plain request for whole-graph families.
+template <typename Req>
+Req every_vertex(NodeId n) {
+  Req request;
+  if constexpr (engine::Coalesced<Req>) {
+    auto& payload = request.*engine::Family<Req>::payload;
+    for (NodeId u = 0; u < n; ++u) {
+      if constexpr (std::is_same_v<typename std::decay_t<
+                                       decltype(payload)>::value_type,
+                                   NodeId>) {
+        payload.push_back(u);
+      } else {
+        for (NodeId v = 0; v < n; ++v) payload.push_back({u, v});
+      }
+    }
+  }
+  return request;
+}
+
+/// The serving layers' value for an engine answer.
+template <typename Req>
+engine::Served<Req> served(engine::Answer<Req> answer) {
+  if constexpr (engine::Coalesced<Req>) {
+    return answer;
+  } else {
+    return engine::Family<Req>::broadcast(answer);
+  }
+}
+
+TYPED_TEST(FamilyParity, EverySurfaceAgrees) {
+  using Req = TypeParam;
+  // Two components with parallel edges, bridges, articulation points and
+  // an isolated vertex.
+  const EdgeList g{11,
+                   {{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 3}, {4, 5},
+                    {6, 7}, {7, 8}, {8, 6}, {8, 9}, {9, 8}, {5, 3}}};
+  Engine engine({.device_workers = 2});
+  Session session = engine.session(g);
+  Policy device_route;
+  device_route.min_device_batch = 1;
+  const Req request = every_vertex<Req>(g.num_nodes);
+
+  const engine::Served<Req> want = served<Req>(session.run(request));
+  EXPECT_EQ(served<Req>(session.run(request, device_route)), want);
+  const View view = session.view();
+  EXPECT_EQ(served<Req>(view.run(request)), want);
+  EXPECT_EQ(served<Req>(session.view(device_route).run(request)), want);
+
+  Dispatcher dispatcher(view);
+  const auto reply = dispatcher.submit(request).get();
+  ASSERT_EQ(reply.status, Status::kOk);
+  EXPECT_EQ(reply.value, want);
+  dispatcher.stop();
+
+  // The shards hold SIMPLE graphs (DynamicGraph drops parallel edges, the
+  // boundary set is a set), so the façade agrees with a simple session.
+  const dynamic::DynamicGraph simple(engine.device(), g);
+  Session simple_session = engine.session(simple);
+  const engine::Served<Req> want_simple =
+      served<Req>(simple_session.run(request));
+  shard::ShardedGraph sharded(g.num_nodes, g, {.shards = 2});
+  shard::ShardedDispatcher facade(sharded);
+  const auto composed = facade.submit(request).get();
+  if constexpr (!shard::Composable<Req>) {
+    EXPECT_TRUE((std::is_same_v<Req, engine::BfsLevels> ||
+                 std::is_same_v<Req, engine::LcaBatch>));
+    EXPECT_EQ(composed.status, Status::kUnsupported);
+  } else {
+    ASSERT_EQ(composed.status, Status::kOk);
+    if constexpr (std::is_same_v<Req, engine::Bridges>) {
+      EXPECT_EQ(composed.value, bridges::count_bridges(want_simple));
+    } else if constexpr (std::is_same_v<Req, engine::CcMembership>) {
+      // Representative labels: compare the partition, not the values.
+      for (std::size_t a = 0; a < want_simple.size(); ++a) {
+        for (std::size_t b = 0; b < want_simple.size(); ++b) {
+          EXPECT_EQ(composed.value[a] == composed.value[b],
+                    want_simple[a] == want_simple[b]);
+        }
+      }
+    } else {
+      EXPECT_EQ(composed.value, want_simple);
+    }
   }
 }
 
