@@ -9,12 +9,15 @@
 //
 // Pipeline (paper §4.2-§4.3): simplify → largest connected component →
 // statistics → bridges (policy-picked backend, cross-checked against the
-// forced DFS baseline) → biconnectivity (blocks + articulation points) →
-// 2-edge-connected components from the session's cached index.
+// forced DFS baseline) → biconnectivity (blocks + articulation points from
+// the session's BccIndex) → 2-edge-connected components from the session's
+// cached index.
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
-#include "bridges/biconnectivity.hpp"
+#include "bcc/bcc.hpp"
 #include "engine/engine.hpp"
 #include "gen/graphs.hpp"
 #include "graph/graph.hpp"
@@ -67,11 +70,12 @@ int main(int argc, char** argv) {
               dfs_time * 1e3);
 
   timer.reset();
-  const auto bic = bridges::biconnectivity_tv(eng.device(), g);
+  const std::vector<std::uint8_t> arts = session.run(engine::Articulations{});
   std::size_t articulations = 0;
-  for (const auto a : bic.is_articulation) articulations += a;
+  for (const auto a : arts) articulations += a;
   std::printf("blocks: %zu, articulation points: %zu  (%.1f ms)\n",
-              bic.num_blocks, articulations, timer.seconds() * 1e3);
+              session.view().bcc_index()->num_blocks, articulations,
+              timer.seconds() * 1e3);
 
   const engine::TwoEccView tecc = session.run(engine::TwoEcc{});
   std::printf("2-edge-connected components: %zu\n", tecc.num_blocks);

@@ -1,12 +1,23 @@
 // Vertex biconnectivity on the engine's cached artifacts.
 //
-// bridges/biconnectivity.hpp completes the Tarjan-Vishkin framework for
-// CONNECTED inputs; this module is the serving-shaped version: it computes
-// blocks (2-vertex-connected components) and articulation points for ANY
-// snapshot — disconnected, multigraph, edgeless — directly from the spanning
-// forest the engine already caches per epoch, and packages the result as an
-// immutable epoch-keyed artifact (`BccIndex`) behind a once-per-epoch cell
+// The paper evaluates only the bridge slice of the Tarjan-Vishkin framework;
+// this module completes it: it computes blocks (2-vertex-connected
+// components) and articulation points for ANY snapshot — disconnected,
+// multigraph, edgeless — directly from the spanning forest the engine
+// already caches per epoch, and packages the result as an immutable
+// epoch-keyed artifact (`BccIndex`) behind a once-per-epoch cell
 // (`BccCell`) that Session and View share.
+//
+// Tarjan & Vishkin (1985): identify nodes with preorder numbers of a
+// spanning tree T and build an auxiliary graph G'' whose vertices are the
+// tree edges (each non-root node w stands for its parent edge), adding
+//   (a) for every non-tree edge {v, w} with endpoints unrelated in T: the
+//       aux edge {edge(v), edge(w)};
+//   (b) for every tree edge (v, w), v = parent(w), v not the root: the aux
+//       edge {edge(v), edge(w)} iff low(w) < pre(v) or
+//       high(w) >= pre(v) + size(v) (a non-tree edge escapes w's subtree
+//       past v).
+// Connected components of G'' are exactly the blocks of G.
 //
 // Construction = Tarjan-Vishkin over the same virtual-root stitched tree the
 // forest-LCA artifact uses (one virtual root adjacent to every component
@@ -21,8 +32,7 @@
 //     parent — or grandparent — is the virtual root, which is exactly the
 //     "v is not the root" side condition of per-component Tarjan-Vishkin
 //     rooted at the representative;
-//   * block labels compacted to [0, num_blocks) (the bridge-module variant
-//     keeps raw representatives; the serving layer wants dense ids for the
+//   * block labels compacted to [0, num_blocks) (dense ids for the
 //     O(num_blocks) head/articulation passes and for cross-shard offsets).
 //
 // Two derived tables make every point query O(1):
@@ -33,8 +43,7 @@
 //   * head[b] — that top vertex (the minimum-preorder vertex of block b).
 // Then v's blocks are {vertex_block[v]} ∪ {b : head[b] == v} with no double
 // count, giving both same_bcc() and the articulation mask ("belongs to >= 2
-// blocks") without the counting-sorted incidence pass biconnectivity_tv
-// needs.
+// blocks") without a counting-sorted edge-incidence pass.
 #pragma once
 
 #include <cstdint>

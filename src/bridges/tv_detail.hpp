@@ -1,4 +1,4 @@
-// Shared internals of the Tarjan-Vishkin family (bridges + biconnectivity).
+// Shared internals of the Tarjan-Vishkin family (bridges + bcc::BccIndex).
 #pragma once
 
 #include <cstdint>

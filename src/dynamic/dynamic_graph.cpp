@@ -71,6 +71,34 @@ std::size_t expand_directed_runs(const device::Context& ctx,
 
 }  // namespace
 
+std::optional<InsertPartition> partition_insertions(
+    const std::vector<NodeId>& labels,
+    const std::vector<graph::Edge>& inserted) {
+  InsertPartition part;
+  std::unordered_map<NodeId, NodeId> parent;  // label -> parent label
+  auto find = [&](NodeId c) {
+    for (auto it = parent.find(c); it != parent.end(); it = parent.find(c)) {
+      c = it->second;
+    }
+    return c;
+  };
+  for (std::size_t i = 0; i < inserted.size(); ++i) {
+    const NodeId cu = labels[inserted[i].u];
+    const NodeId cv = labels[inserted[i].v];
+    if (cu == cv) {
+      part.intra.push_back(i);
+      continue;
+    }
+    const NodeId a = find(cu);
+    const NodeId b = find(cv);
+    if (a == b) return std::nullopt;  // cycle across this batch's merges
+    parent[std::max(a, b)] = std::min(a, b);
+    part.cross.push_back(i);
+  }
+  for (const auto& entry : parent) part.merged[entry.first] = find(entry.first);
+  return part;
+}
+
 DynamicGraph::DynamicGraph(NodeId num_nodes)
     : num_nodes_(num_nodes),
       uid_(uid_counter.fetch_add(1, std::memory_order_relaxed) + 1),

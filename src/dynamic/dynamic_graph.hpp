@@ -34,6 +34,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "device/context.hpp"
@@ -58,6 +60,28 @@ struct UpdateDelta {
   static constexpr std::uint64_t kNoDelta = ~std::uint64_t{0};
   bool insert_only() const { return erased.empty(); }
 };
+
+/// An insert delta split by the connected components of the snapshot it
+/// applies to: intra-component edges can only merge 2-edge-connected
+/// blocks, cross-component edges each become a bridge linking two trees.
+struct InsertPartition {
+  std::vector<std::size_t> intra;  // delta indexes, endpoints in one component
+  std::vector<std::size_t> cross;  // delta indexes, endpoints in two components
+  /// Loser label -> final winner label of the components the cross edges
+  /// join. The min label wins, so relabeling yields exactly what a fresh CC
+  /// labeling of the new snapshot assigns (component[rep] == rep holds).
+  std::unordered_map<NodeId, NodeId> merged;
+};
+
+/// Classifies `inserted` by `labels` (per-node component label of the
+/// snapshot BEFORE the insert), merging the touched labels with a host
+/// union-find as it goes. Returns nullopt for the one shape neither
+/// incremental replay can express: a cross edge closing a cycle through
+/// components merged earlier in the same batch (it is not a bridge, yet
+/// not intra-component on the old snapshot either).
+std::optional<InsertPartition> partition_insertions(
+    const std::vector<NodeId>& labels,
+    const std::vector<graph::Edge>& inserted);
 
 class DynamicGraph {
  public:

@@ -1,6 +1,7 @@
 #include "dynamic/oracle.hpp"
 
 #include <atomic>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -24,67 +25,31 @@ bool ConnectivityOracle::refresh(const device::Context& ctx,
   }
   // Incremental path: the index must be exactly the one effective batch
   // whose delta the graph still holds behind the current epoch, and the
-  // delta must pass the size rule.
-  const UpdateDelta& delta = graph.last_delta();
-  bool incremental = incremental_candidate(graph);
-  // Partition the delta by the indexed components — on the host, since the
-  // size rule bounds it. Intra-component edges merge blocks (contraction);
+  // delta must pass the size rule. The delta is then split by the indexed
+  // components — intra-component edges merge blocks (contraction),
   // cross-component edges become bridges linking block trees (tree-link).
-  // A union-find over the touched component labels catches the one shape
-  // neither path can express: a SET of cross-component edges that closes a
-  // cycle through components merged earlier in the same batch (the second
-  // edge between two merged components is not a bridge, but it is also not
-  // intra-component on the indexed snapshot, so neither replay applies).
-  std::vector<graph::Edge> intra, cross;
-  std::unordered_map<NodeId, NodeId> merged;  // loser label -> winner label
-  if (incremental) {
-    std::unordered_map<NodeId, NodeId> comp_uf;  // label -> parent label
-    auto find = [&](NodeId c) {
-      auto it = comp_uf.find(c);
-      while (it != comp_uf.end()) {
-        c = it->second;
-        it = comp_uf.find(c);
-      }
-      return c;
-    };
-    for (const graph::Edge& e : delta.inserted) {
-      const NodeId cu = cc_label_[e.u];
-      const NodeId cv = cc_label_[e.v];
-      if (cu == cv) {
-        intra.push_back(e);
-        continue;
-      }
-      // Min label wins, so the merged labels stay exactly what a fresh CC
-      // labeling of the new snapshot would assign.
-      const NodeId a = find(cu);
-      const NodeId b = find(cv);
-      if (a == b) {
-        incremental = false;  // cycle across components merged this batch
-        break;
-      }
-      comp_uf[std::max(a, b)] = std::min(a, b);
-      cross.push_back(e);
-    }
-    // Fully resolve loser -> final winner once; link_components consumes
-    // this instead of re-deriving the merge partition.
-    if (incremental) {
-      for (const auto& entry : comp_uf) merged[entry.first] = find(entry.first);
-    }
+  const UpdateDelta& delta = graph.last_delta();
+  std::optional<InsertPartition> part;
+  if (incremental_candidate(graph)) {
+    part = partition_insertions(cc_label_, delta.inserted);
   }
+  bool incremental = part.has_value();
   // A mixed batch pipelines the two replays through ONE block-tree reindex:
   // the contraction hands its un-indexed tree to the tree-link, which
   // splices in the new bridges before the shared index_block_tree tail.
   graph::EdgeList contracted;
   bool have_contracted = false;
-  if (incremental && !intra.empty()) {
-    incremental = apply_insertions(ctx, intra, phases,
-                                   cross.empty() ? nullptr : &contracted);
-    have_contracted = incremental && !cross.empty();
+  if (incremental && !part->intra.empty()) {
+    incremental =
+        apply_insertions(ctx, delta.inserted, part->intra, phases,
+                         part->cross.empty() ? nullptr : &contracted);
+    have_contracted = incremental && !part->cross.empty();
   }
   if (incremental) {
-    if (!cross.empty()) {
+    if (!part->cross.empty()) {
       if (!have_contracted) contracted = current_block_tree(ctx);
-      link_components(ctx, cross, merged, contracted, phases);
+      link_components(ctx, delta.inserted, part->cross, part->merged,
+                      contracted, phases);
       ++tree_links_;
     }
     ++incremental_refreshes_;
@@ -228,9 +193,10 @@ void ConnectivityOracle::index_block_tree(const device::Context& ctx,
 
 bool ConnectivityOracle::apply_insertions(
     const device::Context& ctx, const std::vector<graph::Edge>& inserted,
-    util::PhaseTimer* phases, graph::EdgeList* deferred_tree) {
+    const std::vector<std::size_t>& ids, util::PhaseTimer* phases,
+    graph::EdgeList* deferred_tree) {
   const std::size_t n = block_of_.size();
-  const std::size_t d = inserted.size();
+  const std::size_t d = ids.size();
   const auto old_blocks = static_cast<NodeId>(num_blocks_);
   const NodeId old_super_root = old_blocks;
   const std::vector<NodeId>& parent = block_lca_->parents();
@@ -242,8 +208,8 @@ bool ConnectivityOracle::apply_insertions(
   // virtual super-root.
   std::vector<std::pair<NodeId, NodeId>> pairs(d);
   device::transform(ctx, d, pairs.data(), [&](std::size_t i) {
-    return std::pair<NodeId, NodeId>{block_of_[inserted[i].u],
-                                     block_of_[inserted[i].v]};
+    const graph::Edge e = inserted[ids[i]];
+    return std::pair<NodeId, NodeId>{block_of_[e.u], block_of_[e.v]};
   });
   std::vector<NodeId> meet;
   {
@@ -379,7 +345,8 @@ graph::EdgeList ConnectivityOracle::current_block_tree(
 }
 
 void ConnectivityOracle::link_components(
-    const device::Context& ctx, const std::vector<graph::Edge>& cross,
+    const device::Context& ctx, const std::vector<graph::Edge>& inserted,
+    const std::vector<std::size_t>& cross,
     const std::unordered_map<NodeId, NodeId>& merged,
     const graph::EdgeList& tree, util::PhaseTimer* phases) {
   util::ScopedPhase phase(phases, "tree_link");
@@ -420,7 +387,8 @@ void ConnectivityOracle::link_components(
   device::transform(ctx, k, new_tree.edges.data(),
                     [&](std::size_t i) { return tree.edges[kept[i]]; });
   for (std::size_t i = 0; i < cross.size(); ++i) {
-    new_tree.edges[k + i] = {block_of_[cross[i].u], block_of_[cross[i].v]};
+    const graph::Edge e = inserted[cross[i]];
+    new_tree.edges[k + i] = {block_of_[e.u], block_of_[e.v]};
   }
 
   // Relabel the merged components with one n-sized pass (read-only host map
@@ -446,35 +414,6 @@ NodeId ConnectivityOracle::bridges_on_path(NodeId u, NodeId v) const {
   const NodeId z = block_lca_->query(bu, bv);
   const auto& depth = block_lca_->levels();
   return depth[bu] + depth[bv] - 2 * depth[z];
-}
-
-void ConnectivityOracle::same_2ecc_batch(
-    const device::Context& ctx,
-    const std::vector<std::pair<NodeId, NodeId>>& queries,
-    std::vector<std::uint8_t>& answers) const {
-  answers.resize(queries.size());
-  device::transform(ctx, queries.size(), answers.data(), [&](std::size_t q) {
-    return static_cast<std::uint8_t>(
-        same_2ecc(queries[q].first, queries[q].second));
-  });
-}
-
-void ConnectivityOracle::bridges_on_path_batch(
-    const device::Context& ctx,
-    const std::vector<std::pair<NodeId, NodeId>>& queries,
-    std::vector<NodeId>& answers) const {
-  answers.resize(queries.size());
-  device::transform(ctx, queries.size(), answers.data(), [&](std::size_t q) {
-    return bridges_on_path(queries[q].first, queries[q].second);
-  });
-}
-
-void ConnectivityOracle::component_size_batch(
-    const device::Context& ctx, const std::vector<NodeId>& nodes,
-    std::vector<NodeId>& answers) const {
-  answers.resize(nodes.size());
-  device::transform(ctx, nodes.size(), answers.data(),
-                    [&](std::size_t q) { return component_size(nodes[q]); });
 }
 
 }  // namespace emc::dynamic

@@ -17,10 +17,11 @@
 //                          virtual super-root and preprocessed with the
 //                          Schieber-Vishkin inlabel LCA.
 //
-// Queries then arrive in *batches* and are answered by ONE bulk kernel per
-// batch (each answer is O(1) arithmetic on the index — the inlabel query on
-// the block tree), so there are no per-query kernel launches, exactly the
-// regime the paper's Figure 6 shows the device needs.
+// Each query is O(1) arithmetic on the index (the inlabel query on the
+// block tree). The engine answers request batches through these scalar
+// queries with ONE bulk kernel per batch (engine::answer_each), so there
+// are no per-query kernel launches, exactly the regime the paper's
+// Figure 6 shows the device needs.
 //
 // Epoch versioning: refresh() compares its build epoch against the graph's
 // and skips the rebuild entirely when nothing changed — in particular after
@@ -48,9 +49,10 @@
 // complementary fast path: it cannot merge any 2-edge-connected components
 // (every cycle through it would need a second connecting edge), it IS a new
 // bridge, and its only structural effect is linking two trees of the block
-// forest. refresh() therefore splits an insert-only delta into the
-// intra-component part (contracted as above) and the cross-component part,
-// which link_components() replays without touching the n-sized 2-ecc state:
+// forest. refresh() therefore splits an insert-only delta
+// (partition_insertions) into the intra-component part (contracted as
+// above) and the cross-component part, which link_components() replays
+// without touching the n-sized 2-ecc state:
 // merge the affected component labels (one n-sized relabel pass), append
 // one block-tree edge per inserted bridge, drop the merged-away components'
 // virtual-root edges, and rebuild only the block tree + inlabel LCA.
@@ -183,7 +185,7 @@ class ConnectivityOracle {
   /// Per-node connected-component representative of the indexed snapshot.
   const std::vector<NodeId>& component_labels() const { return cc_label_; }
 
-  // Query precondition (all forms below): refresh() must have run against
+  // Query precondition (all queries below): refresh() must have run against
   // the queried graph, and node ids must be < that snapshot's num_nodes —
   // checked by assert in Debug builds, unchecked on the Release hot path.
 
@@ -202,18 +204,6 @@ class ConnectivityOracle {
     assert(in_range(u));
     return block_size_[block_of_[u]];
   }
-
-  /// Batch forms: one bulk kernel per call, one virtual thread per query.
-  void same_2ecc_batch(const device::Context& ctx,
-                       const std::vector<std::pair<NodeId, NodeId>>& queries,
-                       std::vector<std::uint8_t>& answers) const;
-  void bridges_on_path_batch(
-      const device::Context& ctx,
-      const std::vector<std::pair<NodeId, NodeId>>& queries,
-      std::vector<NodeId>& answers) const;
-  void component_size_batch(const device::Context& ctx,
-                            const std::vector<NodeId>& nodes,
-                            std::vector<NodeId>& answers) const;
 
  private:
   /// The stateful half of the incremental decision rule (shared by
@@ -234,9 +224,10 @@ class ConnectivityOracle {
                const bridges::BridgeMask* bridge_mask = nullptr,
                const bridges::SpanningForest* cc = nullptr);
 
-  /// Replays an insert-only, intra-component delta onto the current index.
-  /// Precondition: incremental_applies() held and every edge's endpoints
-  /// share a connected component (checked by refresh()). Returns false —
+  /// Replays the intra-component insertions `inserted[ids]` onto the
+  /// current index. Precondition: incremental_applies() held and every
+  /// such edge's endpoints share a connected component (checked by
+  /// refresh() through partition_insertions). Returns false —
   /// leaving the index UNCHANGED — when the covered-length rule fires: the
   /// summed block-tree path length of the delta exceeds
   /// max(kIncrementalFloor, num_blocks / kIncrementalRatio), in which case
@@ -247,20 +238,21 @@ class ConnectivityOracle {
   /// share one reindex.
   bool apply_insertions(const device::Context& ctx,
                         const std::vector<graph::Edge>& inserted,
+                        const std::vector<std::size_t>& ids,
                         util::PhaseTimer* phases,
                         graph::EdgeList* deferred_tree = nullptr);
 
-  /// Replays cross-component insertions onto the current index: each edge
-  /// becomes a new bridge linking two trees of the block forest, so no
-  /// 2-ecc state changes — apply `merged` (refresh's fully resolved
-  /// loser-label -> winner-label partition of the cross edges, min label
-  /// winning so the result matches a fresh CC labeling) to the component
-  /// labels in one n-sized pass, splice the new bridges into `tree` (the
-  /// current block forest, either current_block_tree() or
+  /// Replays the cross-component insertions `inserted[cross]` onto the
+  /// current index: each edge becomes a new bridge linking two trees of the
+  /// block forest, so no 2-ecc state changes — apply `merged`
+  /// (partition_insertions' resolved loser -> winner labels) to the
+  /// component labels in one n-sized pass, splice the new bridges into
+  /// `tree` (the current block forest, either current_block_tree() or
   /// apply_insertions' deferred output) in place of the merged-away
   /// components' virtual-root edges, and reindex once.
   void link_components(const device::Context& ctx,
-                       const std::vector<graph::Edge>& cross,
+                       const std::vector<graph::Edge>& inserted,
+                       const std::vector<std::size_t>& cross,
                        const std::unordered_map<NodeId, NodeId>& merged,
                        const graph::EdgeList& tree, util::PhaseTimer* phases);
 

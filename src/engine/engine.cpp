@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
 #include <unordered_map>
 
 #include "bridges/bfs.hpp"
@@ -585,39 +586,14 @@ bool Session::try_replay_publish(const Policy& policy) {
     return false;  // oversized batch: patching would not beat rebuilding
   }
 
-  // Partition the delta by the indexed components, mirroring the oracle's
-  // refresh(): intra-component edges merge 2-ecc blocks (the forest and its
-  // LCA keep their shape), cross-component edges each become a bridge
-  // linking two forest trees. A union-find over the touched labels catches
-  // the one shape neither patch can express — a set of cross edges closing
-  // a cycle through components merged earlier in the same batch.
-  const std::vector<NodeId>& comp = cache_.forest->component;
-  std::vector<std::size_t> cross;  // delta indexes of cross-component edges
-  std::unordered_map<NodeId, NodeId> comp_uf;  // label -> parent label
-  auto find = [&](NodeId c) {
-    auto it = comp_uf.find(c);
-    while (it != comp_uf.end()) {
-      c = it->second;
-      it = comp_uf.find(c);
-    }
-    return c;
-  };
-  for (std::size_t i = 0; i < d; ++i) {
-    const graph::Edge& e = delta.inserted[i];
-    const NodeId cu = comp[e.u];
-    const NodeId cv = comp[e.v];
-    if (cu == cv) continue;
-    const NodeId a = find(cu);
-    const NodeId b = find(cv);
-    if (a == b) return false;  // cycle across components merged this batch
-    // Min label wins, so the surviving label stays self-representative
-    // (component[rep] == rep), the invariant component_representatives and
-    // the stitched augmentation rely on.
-    comp_uf[std::max(a, b)] = std::min(a, b);
-    cross.push_back(i);
-  }
-  std::unordered_map<NodeId, NodeId> merged;  // loser -> final winner
-  for (const auto& entry : comp_uf) merged[entry.first] = find(entry.first);
+  // Partition the delta by the indexed components, exactly as the oracle's
+  // refresh() does: intra-component edges merge 2-ecc blocks (the forest
+  // and its LCA keep their shape), cross-component edges each become a
+  // bridge linking two forest trees.
+  const std::optional<dynamic::InsertPartition> part =
+      dynamic::partition_insertions(cache_.forest->component, delta.inserted);
+  if (!part) return false;  // cycle across components merged this batch
+  const std::vector<std::size_t>& cross = part->cross;
 
   // --- the replay. Failure past this point (a thrown injected fault or
   //     real OOM) leaves cache_.epoch at the PREVIOUS epoch while the graph
@@ -703,8 +679,8 @@ bool Session::try_replay_publish(const Policy& policy) {
             : std::const_pointer_cast<bridges::SpanningForest>(cache_.forest);
     std::vector<NodeId>& labels = forest->component;
     device::launch(ctx, labels.size(), [&](std::size_t v) {
-      const auto it = merged.find(labels[v]);
-      if (it != merged.end()) labels[v] = it->second;
+      const auto it = part->merged.find(labels[v]);
+      if (it != part->merged.end()) labels[v] = it->second;
     });
     forest->tree_edges.reserve(forest->tree_edges.size() + cross.size());
     for (const std::size_t i : cross) {

@@ -15,11 +15,13 @@ namespace {
 
 enum class Mode : std::uint8_t { kOff, kProbability, kOneShot, kPersistent };
 
+// mode/probability/nth are written under g_config_mutex but read lock-free
+// by should_fail_slow; each is read independently, so relaxed suffices.
 struct Site {
   const char* name;
-  Mode mode = Mode::kOff;
-  double probability = 0.0;
-  std::uint64_t nth = 0;
+  std::atomic<Mode> mode{Mode::kOff};
+  std::atomic<double> probability{0.0};
+  std::atomic<std::uint64_t> nth{0};
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::uint64_t> fired{0};
 };
@@ -28,7 +30,7 @@ struct Site {
 // and site pointers stay valid forever.
 std::array<Site, 4> g_sites{{{kArenaAlloc}, {kDeviceLaunch}, {kSnapshot},
                              {kPublish}}};
-std::mutex g_config_mutex;           // guards mode/probability/nth writes
+std::mutex g_config_mutex;  // serializes mode/probability/nth writes
 std::atomic<std::uint64_t> g_total_fired{0};
 std::once_flag g_env_once;
 thread_local int tl_suspended = 0;
@@ -42,7 +44,9 @@ Site* find(std::string_view name) {
 
 int armed_count_locked() {
   int count = 0;
-  for (const Site& site : g_sites) count += site.mode != Mode::kOff ? 1 : 0;
+  for (const Site& site : g_sites) {
+    count += site.mode.load(std::memory_order_relaxed) != Mode::kOff ? 1 : 0;
+  }
   return count;
 }
 
@@ -117,20 +121,22 @@ int init_from_env() {
 bool should_fail_slow(const char* site_name) {
   if (tl_suspended > 0) return false;
   Site* site = find(site_name);
-  if (site == nullptr || site->mode == Mode::kOff) return false;
+  if (site == nullptr) return false;
+  const Mode mode = site->mode.load(std::memory_order_relaxed);
+  if (mode == Mode::kOff) return false;
   const std::uint64_t hit = site->hits.fetch_add(1, std::memory_order_relaxed) + 1;
   bool fire = false;
-  switch (site->mode) {
+  switch (mode) {
     case Mode::kProbability:
       // Top 53 bits of the mixed hit index as a uniform double in [0, 1).
       fire = static_cast<double>(mix(hit) >> 11) * 0x1.0p-53 <
-             site->probability;
+             site->probability.load(std::memory_order_relaxed);
       break;
     case Mode::kOneShot:
-      fire = hit == site->nth;
+      fire = hit == site->nth.load(std::memory_order_relaxed);
       break;
     case Mode::kPersistent:
-      fire = hit >= site->nth;
+      fire = hit >= site->nth.load(std::memory_order_relaxed);
       break;
     case Mode::kOff:
       break;
@@ -153,9 +159,9 @@ bool configure(const char* site_name, const char* spec) {
   const std::lock_guard<std::mutex> lock(g_config_mutex);
   Site* site = find(site_name);
   if (site == nullptr) return false;
-  site->mode = mode;
-  site->probability = probability;
-  site->nth = nth;
+  site->mode.store(mode, std::memory_order_relaxed);
+  site->probability.store(probability, std::memory_order_relaxed);
+  site->nth.store(nth, std::memory_order_relaxed);
   site->hits.store(0, std::memory_order_relaxed);
   site->fired.store(0, std::memory_order_relaxed);
   detail::g_armed.store(armed_count_locked(), std::memory_order_relaxed);
@@ -196,9 +202,10 @@ int configure_from_string(const char* value) {
   }
   const std::lock_guard<std::mutex> lock(g_config_mutex);
   for (std::size_t i = 0; i < count; ++i) {
-    entries[i].site->mode = entries[i].mode;
-    entries[i].site->probability = entries[i].probability;
-    entries[i].site->nth = entries[i].nth;
+    entries[i].site->mode.store(entries[i].mode, std::memory_order_relaxed);
+    entries[i].site->probability.store(entries[i].probability,
+                                       std::memory_order_relaxed);
+    entries[i].site->nth.store(entries[i].nth, std::memory_order_relaxed);
     entries[i].site->hits.store(0, std::memory_order_relaxed);
     entries[i].site->fired.store(0, std::memory_order_relaxed);
   }
@@ -211,7 +218,7 @@ void disable(const char* site_name) {
   detail::init_from_env();
   const std::lock_guard<std::mutex> lock(g_config_mutex);
   if (Site* site = find(site_name)) {
-    site->mode = Mode::kOff;
+    site->mode.store(Mode::kOff, std::memory_order_relaxed);
     detail::g_armed.store(armed_count_locked(), std::memory_order_relaxed);
   }
 }
@@ -220,7 +227,7 @@ void disable_all() {
   detail::init_from_env();
   const std::lock_guard<std::mutex> lock(g_config_mutex);
   for (Site& site : g_sites) {
-    site.mode = Mode::kOff;
+    site.mode.store(Mode::kOff, std::memory_order_relaxed);
     site.hits.store(0, std::memory_order_relaxed);
     site.fired.store(0, std::memory_order_relaxed);
   }

@@ -2,10 +2,12 @@
 // families built on it (Articulations, SameBcc, BfsLevels, CcMembership).
 //
 // Four pillars:
-//   deterministic shapes — paths, cycles, bowties, multigraphs,
-//     self-loops, disconnected and edgeless graphs pin the exact
+//   deterministic shapes — paths, cycles, bowties, dumbbells, stars,
+//     multigraphs, self-loops, disconnected and edgeless graphs, plus
+//     random/road/kron classes at 1 and 4 workers, pin the exact
 //     block/articulation structure the bulk Tarjan-Vishkin pipeline must
-//     produce, checked against the sequential Hopcroft-Tarjan reference;
+//     produce, checked against the sequential Hopcroft-Tarjan reference
+//     (and bridges == singleton blocks against the DFS bridge finder);
 //   differential fuzz — seed-replayable rounds across the whole gen suite
 //     (with injected parallel edges and self-loops) diff every family on
 //     the Session/View path AND the K-sharded gadget-skeleton stitch
@@ -29,7 +31,9 @@
 #include <utility>
 #include <vector>
 
+#include "bridges/dfs_bridges.hpp"
 #include "bridges/stitch.hpp"
+#include "bridges/two_ecc.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "engine/engine.hpp"
 #include "gen/graphs.hpp"
@@ -181,6 +185,112 @@ TEST(BccIndex, EdgelessGraphHasNoBlocks) {
   expect_matches_reference(index, g, "edgeless");
 }
 
+// ---------------------------------------------- shapes at 1 and 4 workers
+
+class BccShapes : public ::testing::TestWithParam<unsigned> {
+ protected:
+  device::Context ctx_{GetParam()};
+};
+
+INSTANTIATE_TEST_SUITE_P(Workers, BccShapes, ::testing::Values(1u, 4u));
+
+TEST_P(BccShapes, SingleEdgeIsOneBlock) {
+  EdgeList g;
+  g.num_nodes = 2;
+  g.edges = {{0, 1}};
+  const BccIndex index = build_index(ctx_, g);
+  EXPECT_EQ(index.num_blocks, 1u);
+  EXPECT_EQ(index.num_articulations, 0u);
+  expect_matches_reference(index, g, "single-edge");
+}
+
+TEST_P(BccShapes, DumbbellBridgeEndpointsCut) {
+  EdgeList g;
+  g.num_nodes = 7;  // triangles {0,1,2} and {3,4,5} joined by 2-6-3
+  g.edges = {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {2, 6}, {6, 3}};
+  const BccIndex index = build_index(ctx_, g);
+  EXPECT_EQ(index.num_blocks, 4u);  // 2 triangles + 2 bridge blocks
+  EXPECT_EQ(index.num_articulations, 3u);
+  EXPECT_TRUE(index.is_articulation[2]);
+  EXPECT_TRUE(index.is_articulation[3]);
+  EXPECT_TRUE(index.is_articulation[6]);
+  expect_matches_reference(index, g, "dumbbell");
+}
+
+TEST_P(BccShapes, StarBlocksArePendantEdges) {
+  EdgeList g;
+  g.num_nodes = 30;
+  for (NodeId v = 1; v < 30; ++v) g.edges.push_back({0, v});
+  const BccIndex index = build_index(ctx_, g);
+  EXPECT_EQ(index.num_blocks, 29u);
+  EXPECT_EQ(index.num_articulations, 1u);
+  EXPECT_TRUE(index.is_articulation[0]);
+  expect_matches_reference(index, g, "star");
+}
+
+TEST_P(BccShapes, RandomDensitySweep) {
+  for (const double density : {1.05, 1.5, 3.0}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const EdgeList g = gen::er_graph(
+          300, static_cast<std::size_t>(300 * density), seed * 13);
+      expect_matches_reference(build_index(ctx_, g), g, "er-sweep");
+    }
+  }
+}
+
+TEST_P(BccShapes, RoadAndKronClasses) {
+  const EdgeList road = gen::road_graph(20, 20, 0.7, 0.05, 2);
+  expect_matches_reference(build_index(ctx_, road), road, "road");
+  const EdgeList kron = gen::kron_graph(8, 3, 3);
+  expect_matches_reference(build_index(ctx_, kron), kron, "kron");
+}
+
+TEST_P(BccShapes, PathClosedIntoACycleCollapsesToOneBlock) {
+  // Every edge a bridge and every internal node a cut, until one insert
+  // closes the cycle: one block, no cuts, one 2-ecc, no bridges.
+  EdgeList g = gen::path_graph(64);
+  EXPECT_EQ(build_index(ctx_, g).num_blocks, 63u);
+  g.edges.push_back({63, 0});
+  const BccIndex index = build_index(ctx_, g);
+  EXPECT_EQ(index.num_blocks, 1u);
+  EXPECT_EQ(index.num_articulations, 0u);
+  const bridges::BridgeMask mask =
+      bridges::find_bridges_dfs(graph::build_csr(ctx_, g));
+  EXPECT_EQ(bridges::count_bridges(mask), 0u);
+  const auto labels = bridges::two_edge_components(ctx_, g, mask);
+  EXPECT_TRUE(std::all_of(labels.begin(), labels.end(),
+                          [&](NodeId l) { return l == labels[0]; }));
+  expect_matches_reference(index, g, "closed-path");
+}
+
+TEST_P(BccShapes, MultigraphAndItsCanonicalFormBothHaveThreeBlocks) {
+  EdgeList multi;
+  multi.num_nodes = 4;
+  multi.edges = {{0, 1}, {1, 0}, {1, 2}, {1, 2}, {2, 3}};
+  const EdgeList simple = graph::canonicalize(ctx_, multi);
+  ASSERT_EQ(simple.edges.size(), 3u);
+  // Multigraph: each parallel pair is a 2-cycle block, plus the pendant
+  // 2-3. Simple form: a path of three pendant blocks.
+  const BccIndex multi_index = build_index(ctx_, multi);
+  const BccIndex simple_index = build_index(ctx_, simple);
+  EXPECT_EQ(multi_index.num_blocks, 3u);
+  EXPECT_EQ(simple_index.num_blocks, 3u);
+  expect_matches_reference(multi_index, multi, "multi");
+  expect_matches_reference(simple_index, simple, "simple");
+}
+
+TEST_P(BccShapes, BridgesAreExactlyTheSingletonBlocks) {
+  const EdgeList g = graph::simplified(gen::er_graph(400, 450, 21));
+  const BccIndex index = build_index(ctx_, g);
+  const bridges::BridgeMask mask =
+      bridges::find_bridges_dfs(graph::build_csr(ctx_, g));
+  std::vector<std::size_t> members(index.num_blocks, 0);
+  for (const NodeId b : index.edge_block) ++members[b];
+  for (std::size_t e = 0; e < g.edges.size(); ++e) {
+    ASSERT_EQ(mask[e] == 1, members[index.edge_block[e]] == 1) << "edge " << e;
+  }
+}
+
 // ------------------------------------------------------------------ fuzz
 
 /// One graph from the gen suite, plus injected multigraph noise: parallel
@@ -264,6 +374,8 @@ TEST(BccFuzz, DifferentialVsHopcroftTarjanAcrossGenSuite) {
                  std::to_string(g.edges.size()));
     Session session = engine.session(g);
     const ReferenceBcc ref(g);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_matches_reference(build_index(engine.device(), g), g, "index"));
 
     // Articulations: the whole-graph mask, exact.
     const std::vector<std::uint8_t> arts = session.run(engine::Articulations{});

@@ -299,5 +299,44 @@ TEST(Bridges, LargeRoadStress) {
   expect_all_agree(ctx, g, "large-road");
 }
 
+// --------------------------------------------- dynamic-path adversarials
+//
+// The batch-dynamic subsystem (src/dynamic) feeds these shapes to the
+// static algorithms on every rebuild; pin them down standalone.
+
+TEST(TwoEccAdversarial, TwoEccOnEdgelessGraph) {
+  // An update batch that erases everything leaves an edgeless snapshot.
+  const device::Context ctx(1);
+  graph::EdgeList g;
+  g.num_nodes = 4;
+  const auto labels = two_edge_components(ctx, g, BridgeMask{});
+  ASSERT_EQ(labels.size(), 4u);
+  const std::set<NodeId> distinct(labels.begin(), labels.end());
+  EXPECT_EQ(distinct.size(), 4u);  // all singletons
+}
+
+TEST(TwoEccAdversarial, TwoEccAcrossConnectingInsert) {
+  // Disconnected graph gaining a connecting edge: the new edge is a bridge,
+  // so the 2ecc partition must not merge across it.
+  const device::Context ctx(2);
+  graph::EdgeList g;
+  g.num_nodes = 6;
+  g.edges = {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}};
+  const graph::Csr before = build_csr(ctx, g);
+  const auto labels_before =
+      two_edge_components(ctx, g, find_bridges_dfs(before));
+  EXPECT_EQ(labels_before[0], labels_before[2]);
+  EXPECT_NE(labels_before[0], labels_before[3]);
+
+  g.edges.push_back({2, 3});  // the connecting insert
+  const auto mask = find_bridges_dfs(build_csr(ctx, g));
+  EXPECT_EQ(count_bridges(mask), 1u);
+  EXPECT_EQ(mask[6], 1);
+  const auto labels_after = two_edge_components(ctx, g, mask);
+  EXPECT_NE(labels_after[2], labels_after[3]);
+  EXPECT_EQ(labels_after[0], labels_after[2]);
+  EXPECT_EQ(labels_after[3], labels_after[5]);
+}
+
 }  // namespace
 }  // namespace emc::bridges

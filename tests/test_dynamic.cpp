@@ -6,12 +6,12 @@
 #include <utility>
 #include <vector>
 
-#include "bridges/biconnectivity.hpp"
 #include "bridges/dfs_bridges.hpp"
 #include "bridges/two_ecc.hpp"
 #include "device/context.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/oracle.hpp"
+#include "engine/engine.hpp"
 #include "gen/graphs.hpp"
 #include "graph/graph.hpp"
 #include "support/fuzz_env.hpp"
@@ -40,20 +40,12 @@ void expect_oracle_matches_reference(const device::Context& ctx,
   const EdgeList& snap = dg.snapshot(ctx);
   const test_support::ReferenceOracle ref(ctx, snap);
   ASSERT_EQ(oracle.num_bridges(), ref.num_bridges) << label;
-  std::vector<std::pair<NodeId, NodeId>> queries(num_queries);
-  for (auto& [u, v] : queries) {
-    u = static_cast<NodeId>(rng.below(dg.num_nodes()));
-    v = static_cast<NodeId>(rng.below(dg.num_nodes()));
-  }
-  std::vector<std::uint8_t> same;
-  std::vector<NodeId> dist;
-  oracle.same_2ecc_batch(ctx, queries, same);
-  oracle.bridges_on_path_batch(ctx, queries, dist);
   for (int q = 0; q < num_queries; ++q) {
-    const auto [u, v] = queries[q];
-    ASSERT_EQ(same[q] != 0, ref.comp[u] == ref.comp[v])
+    const auto u = static_cast<NodeId>(rng.below(dg.num_nodes()));
+    const auto v = static_cast<NodeId>(rng.below(dg.num_nodes()));
+    ASSERT_EQ(oracle.same_2ecc(u, v), ref.comp[u] == ref.comp[v])
         << label << ": same_2ecc(" << u << ", " << v << ")";
-    ASSERT_EQ(dist[q], ref.bridges_on_path(u, v))
+    ASSERT_EQ(oracle.bridges_on_path(u, v), ref.bridges_on_path(u, v))
         << label << ": bridges_on_path(" << u << ", " << v << ")";
     ASSERT_EQ(oracle.component_size(u), ref.comp_size[u])
         << label << ": component_size(" << u << ")";
@@ -325,7 +317,7 @@ TEST_P(DynamicParam, RefreshSkipsWhenEpochUnchanged) {
 }
 
 // Adversarial inputs the dynamic path produces, cross-checked against the
-// standalone two_edge_components / biconnectivity entry points.
+// standalone two_edge_components entry point.
 TEST_P(DynamicParam, TwoEccOnDynamicSnapshots) {
   DynamicGraph dg(6);
   ConnectivityOracle oracle;
@@ -343,24 +335,21 @@ TEST_P(DynamicParam, TwoEccOnDynamicSnapshots) {
   }
   EXPECT_EQ(oracle.num_blocks(), 6u);
 
-  // Cycle-closing inserts kill every bridge; the snapshot (now connected)
-  // also satisfies the biconnectivity entry point's precondition.
+  // Cycle-closing inserts kill every bridge.
   dg.insert_edges(ctx_, {{2, 3}, {5, 0}});
   oracle.refresh(ctx_, dg);
   EXPECT_EQ(oracle.num_bridges(), 0u);
   EXPECT_EQ(oracle.num_blocks(), 1u);
-  const auto bcc = bridges::biconnectivity_tv(ctx_, dg.snapshot(ctx_));
-  EXPECT_EQ(bcc.num_blocks, 1u);  // a cycle is one block
-  for (const auto a : bcc.is_articulation) EXPECT_EQ(a, 0);
 }
 
 // ------------------------------------------------ launch-count guarantees
 
 TEST(DynamicLaunches, QueryBatchesAreSingleKernels) {
-  const device::Context ctx = device::Context::device();
-  DynamicGraph dg(ctx, gen::road_graph(20, 20, 0.7, 0.05, 3));
-  ConnectivityOracle oracle;
-  oracle.refresh(ctx, dg);
+  engine::Engine engine({.device_workers = 2});
+  DynamicGraph dg(engine.device(), gen::road_graph(20, 20, 0.7, 0.05, 3));
+  engine::Session session = engine.session(dg);
+  engine::Policy device_route;
+  device_route.min_device_batch = 1;
   util::Rng rng(11);
   std::vector<std::pair<NodeId, NodeId>> queries(4096);
   for (auto& [u, v] : queries) {
@@ -369,21 +358,20 @@ TEST(DynamicLaunches, QueryBatchesAreSingleKernels) {
   }
   std::vector<NodeId> singles(4096);
   for (auto& v : singles) v = static_cast<NodeId>(rng.below(dg.num_nodes()));
+  session.run(engine::Same2Ecc{queries});  // 2-ecc index in place
 
-  std::vector<std::uint8_t> same;
-  std::uint64_t before = ctx.launch_count();
-  oracle.same_2ecc_batch(ctx, queries, same);
-  EXPECT_EQ(ctx.launch_count() - before, 1u);  // no per-query launches
+  // Each forced device batch is ONE answer kernel — no per-query launches.
+  std::uint64_t before = engine.device_launches();
+  session.run(engine::Same2Ecc{queries}, device_route);
+  EXPECT_EQ(engine.device_launches() - before, 1u);
 
-  std::vector<NodeId> dist;
-  before = ctx.launch_count();
-  oracle.bridges_on_path_batch(ctx, queries, dist);
-  EXPECT_EQ(ctx.launch_count() - before, 1u);
+  before = engine.device_launches();
+  session.run(engine::BridgesOnPath{queries}, device_route);
+  EXPECT_EQ(engine.device_launches() - before, 1u);
 
-  std::vector<NodeId> sizes;
-  before = ctx.launch_count();
-  oracle.component_size_batch(ctx, singles, sizes);
-  EXPECT_EQ(ctx.launch_count() - before, 1u);
+  before = engine.device_launches();
+  session.run(engine::ComponentSize{singles}, device_route);
+  EXPECT_EQ(engine.device_launches() - before, 1u);
 }
 
 TEST(DynamicLaunches, UpdateBatchLaunchesIndependentOfBatchSize) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <thread>
@@ -360,6 +361,24 @@ TEST(FailpointSpec, ScopedSuspendMasksTheCallingThread) {
   }
   EXPECT_TRUE(fp::should_fail(fp::kPublish));
   fp::disable_all();
+}
+
+TEST(FailpointSpec, ReconfigureRacesTheHotPathSafely) {
+  namespace fp = failpoint;
+  // One thread evaluates the site while another re-arms and disarms it.
+  // The hot path reads the site's spec without the config lock, so every
+  // field it reads must be atomic (ThreadSanitizer reports plain fields).
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_relaxed)) fp::should_fail(fp::kPublish);
+  });
+  for (int i = 0; i < 2000; ++i) {
+    EXPECT_TRUE(fp::configure(fp::kPublish, i % 2 == 0 ? "0.5" : "3+"));
+    fp::disable_all();
+  }
+  done.store(true, std::memory_order_relaxed);
+  reader.join();
+  EXPECT_FALSE(fp::armed());
 }
 
 TEST(DeviceLatencyModel, SequentialAndExplicitContextsAreFree) {

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "bridges/biconnectivity.hpp"
 #include "bridges/chaitanya_kothapalli.hpp"
 #include "bridges/dfs_bridges.hpp"
 #include "bridges/hybrid.hpp"
@@ -125,25 +124,6 @@ TEST(FuzzBridges, AllAlgorithmsOnTinyMultigraphs) {
         << "CK, round " << round;
     ASSERT_EQ(bridges::find_bridges_hybrid(ctx, g), dfs)
         << "hybrid, round " << round;
-  }
-}
-
-TEST(FuzzBiconnectivity, BlocksOnTinyMultigraphs) {
-  const device::Context ctx(2);
-  const test_support::FuzzRun run = test_support::fuzz_run(45, 250);
-  SCOPED_TRACE(run.trace);
-  util::Rng rng(run.seed);
-  for (int round = 0; round < run.rounds; ++round) {
-    const NodeId n = 2 + static_cast<NodeId>(rng.below(9));
-    const std::size_t extra = rng.below(10);
-    const graph::EdgeList g = random_connected_multigraph(n, extra, rng);
-    const graph::Csr csr = build_csr(ctx, g);
-    const auto tv = bridges::biconnectivity_tv(ctx, g);
-    const auto dfs = bridges::biconnectivity_dfs(g, csr);
-    ASSERT_TRUE(bridges::same_block_partition(tv.edge_block, dfs.edge_block))
-        << "round " << round << " n=" << n << " m=" << g.edges.size();
-    ASSERT_EQ(tv.num_blocks, dfs.num_blocks) << "round " << round;
-    ASSERT_EQ(tv.is_articulation, dfs.is_articulation) << "round " << round;
   }
 }
 

@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -953,6 +954,10 @@ TEST(ServeFailpoints, EveryFutureResolvesUnderRandomizedFaults) {
       failpoint::kArenaAlloc, failpoint::kDeviceLaunch, failpoint::kSnapshot,
       failpoint::kPublish};
 
+  // Construction is setup, not the system under test: the graph, the
+  // session and the initial View build fault-free; submit() and publish()
+  // below stay armed.
+  std::optional<failpoint::ScopedSuspend> setup(std::in_place);
   Engine engine({.device_workers = 2});
   const device::Context ref_ctx = device::Context::sequential();
   dynamic::DynamicGraph dg(engine.device(),
@@ -971,6 +976,7 @@ TEST(ServeFailpoints, EveryFutureResolvesUnderRandomizedFaults) {
 
   View initial = session.view();
   capture_ref(initial);
+  setup.reset();
   DispatcherOptions options;
   options.workers = 2;
   options.queue_bound = 64;

@@ -33,7 +33,9 @@ TEST(Stitch, RepresentativesAreSelfLabeledNodesInNodeOrder) {
   // Exactly the self-labeled nodes, compacted in ascending node order.
   for (std::size_t r = 0; r < reps.size(); ++r) {
     EXPECT_EQ(forest.component[reps[r]], reps[r]);
-    if (r > 0) EXPECT_LT(reps[r - 1], reps[r]);
+    if (r > 0) {
+      EXPECT_LT(reps[r - 1], reps[r]);
+    }
   }
   // Every node's label is one of the representatives.
   for (NodeId v = 0; v < g.num_nodes; ++v) {
