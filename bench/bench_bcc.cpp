@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   });
   record("build", "bridges_pipeline", n, bridges_s);
   const double bcc_s = bench::time_avg(runs, [&] {
-    session.drop_results();  // drops the BccCell, keeps the forest
+    session.drop_results();  // drops the BCC index, keeps the forest
     session.run(engine::Articulations{});
   });
   record("build", "index", n, bcc_s);

@@ -5,8 +5,8 @@
 // components) and articulation points for ANY snapshot — disconnected,
 // multigraph, edgeless — directly from the spanning forest the engine
 // already caches per epoch, and packages the result as an immutable
-// epoch-keyed artifact (`BccIndex`) behind a once-per-epoch cell
-// (`BccCell`) that Session and View share.
+// epoch-keyed artifact (`BccIndex`); the engine builds it lazily behind a
+// once-per-epoch cell (engine::EpochCell) that Session and View share.
 //
 // Tarjan & Vishkin (1985): identify nodes with preorder numbers of a
 // spanning tree T and build an auxiliary graph G'' whose vertices are the
@@ -47,8 +47,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "bridges/cc_spanning.hpp"
@@ -99,41 +97,6 @@ struct BccIndex {
                         const graph::EdgeList& graph,
                         const bridges::SpanningForest& forest,
                         util::PhaseTimer* phases = nullptr);
-};
-
-/// Once-per-epoch build cell. The Session's artifact cache holds one
-/// BccCell per epoch (a fresh cell on every publish/invalidate, never a
-/// mutation of the old one — copy-on-write at cell granularity); Views
-/// share the epoch's cell and the first query builds the index.
-///
-/// Lock order: device exclusive lock FIRST, then the cell mutex —
-/// get_or_build assumes the caller already holds the driver lock (it runs
-/// bulk kernels), and peek() takes only the cell mutex.
-class BccCell {
- public:
-  /// Returns the index, building it on first call. Exception-safe: a fault
-  /// mid-build (failpoints, allocation) leaves the cell empty and the next
-  /// caller retries.
-  std::shared_ptr<const BccIndex> get_or_build(
-      const device::Context& ctx, const graph::EdgeList& graph,
-      const bridges::SpanningForest& forest) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (index_ == nullptr) {
-      index_ = std::make_shared<const BccIndex>(
-          BccIndex::build(ctx, graph, forest));
-    }
-    return index_;
-  }
-
-  /// The index if already built, else nullptr. Never builds.
-  std::shared_ptr<const BccIndex> peek() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return index_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::shared_ptr<const BccIndex> index_;
 };
 
 /// EMC_BCC_EAGER ∈ {0, 1} (default 0): build the BCC index at publish time

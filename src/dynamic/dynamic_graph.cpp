@@ -317,8 +317,8 @@ std::shared_ptr<const graph::EdgeList> DynamicGraph::snapshot_shared(
   // launches and no driver lock. This is what lets a streaming ingest
   // writer publish insert-heavy epochs without re-exporting every segment.
   // (Edge ORDER differs from the segment-walk export below, but a snapshot
-  // only promises within-epoch consistency: the CSR and bridge mask built
-  // from it index ITS order.)
+  // only promises within-epoch consistency: a CSR or bridge mask built from
+  // it indexes ITS order.)
   if (edge_snapshot_ != nullptr && edge_snapshot_epoch_ + 1 == epoch_ &&
       last_delta_.from_epoch + 1 == epoch_ && last_delta_.insert_only() &&
       !last_delta_.inserted.empty()) {
@@ -331,7 +331,6 @@ std::shared_ptr<const graph::EdgeList> DynamicGraph::snapshot_shared(
                       last_delta_.inserted.end());
     edge_snapshot_ = std::make_shared<const graph::EdgeList>(std::move(snap));
     edge_snapshot_epoch_ = epoch_;
-    edge_snapshot_appended_ = true;
     ++num_snapshot_appends_;
     return edge_snapshot_;
   }
@@ -366,144 +365,7 @@ std::shared_ptr<const graph::EdgeList> DynamicGraph::snapshot_shared(
   // epoch's snapshot through its shared handle.
   edge_snapshot_ = std::make_shared<const graph::EdgeList>(std::move(snap));
   edge_snapshot_epoch_ = epoch_;
-  edge_snapshot_appended_ = false;
   return edge_snapshot_;
-}
-
-std::shared_ptr<const graph::Csr> DynamicGraph::csr_snapshot_shared(
-    const device::Context& ctx) const {
-  if (csr_snapshot_epoch_ == epoch_) return csr_snapshot_;
-  util::failpoint::maybe_throw(util::failpoint::kSnapshot);
-  const auto lock = ctx.exclusive();  // see insert_edges
-  const std::shared_ptr<const graph::EdgeList> snap = snapshot_shared(ctx);
-  // Append fast path, mirroring snapshot_shared: when the cached CSR is one
-  // insert-only batch behind AND this epoch's edge snapshot was itself
-  // served by the append path (edge ids [0, old_m) position-stable), splice
-  // the delta's half-edges in — an n-sized row shift plus a d-sized scatter
-  // instead of the full sort-based rebuild.
-  if (csr_snapshot_ != nullptr && csr_snapshot_epoch_ + 1 == epoch_ &&
-      edge_snapshot_appended_) {
-    const graph::Csr& old_csr = *csr_snapshot_;
-    const std::vector<graph::Edge>& delta = last_delta_.inserted;
-    const std::size_t d = delta.size();
-    const std::size_t n = static_cast<std::size_t>(num_nodes_);
-    const std::size_t old_m = old_csr.num_edges();
-
-    // Small-delta splice: only the rows of the delta's <= 2d endpoints gain
-    // entries, and every span between two touched rows is one contiguous
-    // block in both the old and new layout. Grouping the half-edges by
-    // endpoint (one small sort) turns the splice into <= 2d+1 bulk copies —
-    // no n-sized shift, no zero-initialized 2m-sized buffers — which is
-    // what keeps an insert-only epoch publish delta-priced at 1M nodes.
-    // Large deltas fall through to the n-sized shift below, whose cost the
-    // sort would exceed.
-    if (2 * d <= std::size_t{1} << 16) {
-      struct Half {
-        NodeId node;
-        NodeId nbr;
-        EdgeId eid;
-      };
-      std::vector<Half> halves(2 * d);
-      for (std::size_t i = 0; i < d; ++i) {
-        const auto eid = static_cast<EdgeId>(old_m + i);
-        halves[2 * i] = {delta[i].u, delta[i].v, eid};
-        halves[2 * i + 1] = {delta[i].v, delta[i].u, eid};
-      }
-      std::sort(halves.begin(), halves.end(),
-                [](const Half& a, const Half& b) { return a.node < b.node; });
-
-      graph::Csr csr;
-      csr.num_nodes = num_nodes_;
-      csr.row_offsets.resize(n + 1);
-      csr.neighbors.reserve(2 * (old_m + d));
-      csr.edge_ids.reserve(2 * (old_m + d));
-      std::size_t src = 0;     // next un-copied element of the old arrays
-      std::size_t row = 0;     // next row_offsets index to fill
-      EdgeId shift = 0;        // half-edges appended so far
-      std::size_t g = 0;
-      while (g < halves.size()) {
-        const NodeId t = halves[g].node;
-        // Rows up to and including t start before any of t's new entries.
-        for (; row <= static_cast<std::size_t>(t); ++row) {
-          csr.row_offsets[row] = old_csr.row_offsets[row] + shift;
-        }
-        const std::size_t end = old_csr.row_offsets[t + 1];
-        csr.neighbors.insert(csr.neighbors.end(),
-                             old_csr.neighbors.begin() + src,
-                             old_csr.neighbors.begin() + end);
-        csr.edge_ids.insert(csr.edge_ids.end(), old_csr.edge_ids.begin() + src,
-                            old_csr.edge_ids.begin() + end);
-        src = end;
-        for (; g < halves.size() && halves[g].node == t; ++g, ++shift) {
-          csr.neighbors.push_back(halves[g].nbr);
-          csr.edge_ids.push_back(halves[g].eid);
-        }
-      }
-      for (; row <= n; ++row) {
-        csr.row_offsets[row] = old_csr.row_offsets[row] + shift;
-      }
-      csr.neighbors.insert(csr.neighbors.end(), old_csr.neighbors.begin() + src,
-                           old_csr.neighbors.end());
-      csr.edge_ids.insert(csr.edge_ids.end(), old_csr.edge_ids.begin() + src,
-                          old_csr.edge_ids.end());
-      csr_snapshot_ = std::make_shared<const graph::Csr>(std::move(csr));
-      csr_snapshot_epoch_ = epoch_;
-      ++num_csr_appends_;
-      return csr_snapshot_;
-    }
-
-    graph::Csr csr;
-    csr.num_nodes = num_nodes_;
-    std::vector<EdgeId> extra(n, 0);
-    device::launch(ctx, d, [&](std::size_t i) {
-      std::atomic_ref<EdgeId>(extra[delta[i].u])
-          .fetch_add(1, std::memory_order_relaxed);
-      std::atomic_ref<EdgeId>(extra[delta[i].v])
-          .fetch_add(1, std::memory_order_relaxed);
-    });
-    std::vector<EdgeId> new_deg(n);
-    device::transform(ctx, n, new_deg.data(), [&](std::size_t v) {
-      return old_csr.row_offsets[v + 1] - old_csr.row_offsets[v] + extra[v];
-    });
-    csr.row_offsets.resize(n + 1);
-    csr.row_offsets[n] =
-        device::exclusive_scan(ctx, new_deg.data(), n, csr.row_offsets.data());
-    csr.neighbors.resize(2 * (old_m + d));
-    csr.edge_ids.resize(2 * (old_m + d));
-    // Shift each old row to its new offset, leaving the slack at the row
-    // tail for the delta scatter below (cursor marks the first free slot).
-    std::vector<EdgeId> cursor(n);
-    device::launch(ctx, n, [&](std::size_t v) {
-      const EdgeId from = old_csr.row_offsets[v];
-      const EdgeId count = old_csr.row_offsets[v + 1] - from;
-      const EdgeId to = csr.row_offsets[v];
-      for (EdgeId i = 0; i < count; ++i) {
-        csr.neighbors[to + i] = old_csr.neighbors[from + i];
-        csr.edge_ids[to + i] = old_csr.edge_ids[from + i];
-      }
-      cursor[v] = to + count;
-    });
-    device::launch(ctx, d, [&](std::size_t i) {
-      const graph::Edge e = delta[i];
-      const auto eid = static_cast<EdgeId>(old_m + i);
-      const EdgeId su = std::atomic_ref<EdgeId>(cursor[e.u])
-                            .fetch_add(1, std::memory_order_relaxed);
-      csr.neighbors[su] = e.v;
-      csr.edge_ids[su] = eid;
-      const EdgeId sv = std::atomic_ref<EdgeId>(cursor[e.v])
-                            .fetch_add(1, std::memory_order_relaxed);
-      csr.neighbors[sv] = e.u;
-      csr.edge_ids[sv] = eid;
-    });
-    csr_snapshot_ = std::make_shared<const graph::Csr>(std::move(csr));
-    csr_snapshot_epoch_ = epoch_;
-    ++num_csr_appends_;
-    return csr_snapshot_;
-  }
-  csr_snapshot_ =
-      std::make_shared<const graph::Csr>(graph::build_csr(ctx, *snap));
-  csr_snapshot_epoch_ = epoch_;
-  return csr_snapshot_;
 }
 
 }  // namespace emc::dynamic

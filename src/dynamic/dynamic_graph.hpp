@@ -26,9 +26,11 @@
 // lets ConnectivityOracle::refresh skip rebuilding entirely for no-op
 // batches.
 //
-// snapshot()/snapshot_csr() export the current version as the immutable
-// graph::EdgeList/Csr every existing algorithm consumes, built once per
-// epoch and cached — repeated calls within an epoch are zero-copy.
+// snapshot() exports the current version as the immutable graph::EdgeList
+// every existing algorithm consumes, built once per epoch and cached —
+// repeated calls within an epoch are zero-copy. (A Csr of it is the
+// consumer's to build: graph::build_csr(ctx, snapshot(ctx)); the engine
+// does so lazily, once per epoch, only when a request reads one.)
 #pragma once
 
 #include <cstddef>
@@ -143,13 +145,6 @@ class DynamicGraph {
   /// that insert-only stretches actually take it.
   std::size_t num_snapshot_appends() const { return num_snapshot_appends_; }
 
-  /// CSR snapshots served by the matching append fast path: the delta's
-  /// half-edges spliced into the previous epoch's CSR (n-sized shift +
-  /// d-sized scatter) instead of the full sort-based rebuild. Only taken
-  /// when the edge snapshot itself appended, so edge ids stay
-  /// position-stable across the epoch.
-  std::size_t num_csr_appends() const { return num_csr_appends_; }
-
   /// Total adjacency slots currently reserved (used + slack).
   std::size_t slot_capacity() const { return adj_.size(); }
 
@@ -165,26 +160,12 @@ class DynamicGraph {
     return *snapshot_shared(ctx);
   }
 
-  /// CSR adjacency of snapshot(), with edge_ids aligned to snapshot() edge
-  /// order (so a BridgeMask computed on the snapshot indexes both). Cached
-  /// per epoch like snapshot().
-  const graph::Csr& snapshot_csr(const device::Context& ctx) const {
-    return *csr_snapshot_shared(ctx);
-  }
-
-  /// Shared-ownership forms of the per-epoch snapshots. The store only keeps
+  /// Shared-ownership form of the per-epoch snapshot. The store only keeps
   /// the CURRENT epoch's snapshot cached; a consumer pinning an older
-  /// version (an engine::View generation) holds it alive through these
-  /// handles after the cache has moved on — MVCC by refcount, no copying.
+  /// version (an engine::View generation) holds it alive through this
+  /// handle after the cache has moved on — MVCC by refcount, no copying.
   std::shared_ptr<const graph::EdgeList> snapshot_shared(
       const device::Context& ctx) const;
-  std::shared_ptr<const graph::Csr> csr_snapshot_shared(
-      const device::Context& ctx) const;
-
-  /// True iff this epoch's CSR snapshot is already materialized, i.e. the
-  /// next snapshot_csr() call is free. Lets delegating caches (the engine
-  /// session) report a build vs a hit truthfully.
-  bool csr_snapshot_ready() const { return csr_snapshot_epoch_ == epoch_; }
 
  private:
   /// Sorts and deduplicates a batch into canonical packed (lo << 32 | hi)
@@ -218,15 +199,7 @@ class DynamicGraph {
   static constexpr std::uint64_t kNeverBuilt = ~std::uint64_t{0};
   mutable std::shared_ptr<const graph::EdgeList> edge_snapshot_;
   mutable std::uint64_t edge_snapshot_epoch_ = kNeverBuilt;
-  /// How the cached edge snapshot was produced: true iff by the append fast
-  /// path, which is what guarantees edge POSITIONS [0, old_m) carried over
-  /// — the precondition for appending the CSR (and for the engine's
-  /// delta-replay publish to patch its mask by edge id).
-  mutable bool edge_snapshot_appended_ = false;
   mutable std::size_t num_snapshot_appends_ = 0;
-  mutable std::shared_ptr<const graph::Csr> csr_snapshot_;
-  mutable std::uint64_t csr_snapshot_epoch_ = kNeverBuilt;
-  mutable std::size_t num_csr_appends_ = 0;
 };
 
 }  // namespace emc::dynamic

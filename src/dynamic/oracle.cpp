@@ -34,23 +34,21 @@ bool ConnectivityOracle::refresh(const device::Context& ctx,
     part = partition_insertions(cc_label_, delta.inserted);
   }
   bool incremental = part.has_value();
-  // A mixed batch pipelines the two replays through ONE block-tree reindex:
-  // the contraction hands its un-indexed tree to the tree-link, which
-  // splices in the new bridges before the shared index_block_tree tail.
-  graph::EdgeList contracted;
-  bool have_contracted = false;
   if (incremental && !part->intra.empty()) {
-    incremental =
-        apply_insertions(ctx, delta.inserted, part->intra, phases,
-                         part->cross.empty() ? nullptr : &contracted);
-    have_contracted = incremental && !part->cross.empty();
+    incremental = apply_insertions(ctx, delta.inserted, part->intra, phases);
   }
   if (incremental) {
     if (!part->cross.empty()) {
-      if (!have_contracted) contracted = current_block_tree(ctx);
-      link_components(ctx, delta.inserted, part->cross, part->merged,
-                      contracted, phases);
+      // Reindexes the (contracted) quotient with the new bridges spliced
+      // in — a mixed batch pays one block-tree index, not two.
+      link_components(ctx, delta.inserted, part->cross, part->merged, phases);
       ++tree_links_;
+    } else if (node_block_.size() > 2 * num_blocks_) {
+      // Dead edges (one per merge: tree nodes - blocks) outnumber live
+      // ones: the carried tree is mostly contracted weight, so reindex its
+      // quotient.
+      util::ScopedPhase phase(phases, "block_tree");
+      index_block_tree(ctx, current_block_tree(ctx));
     }
     ++incremental_refreshes_;
   } else {
@@ -87,6 +85,10 @@ void ConnectivityOracle::rebuild(const device::Context& ctx,
     block_of_.clear();
     block_size_.clear();
     block_lca_.reset();
+    dead_.clear();
+    node_block_.clear();
+    class_node_.clear();
+    bridge_depth_.clear();
     num_bridges_ = 0;
     num_blocks_ = 0;
     return;
@@ -188,40 +190,50 @@ void ConnectivityOracle::index_block_tree(const device::Context& ctx,
   const auto super_root = static_cast<NodeId>(block_tree.num_nodes - 1);
   // One fused Euler tour roots the tree AND feeds the inlabel index (the
   // root_tree + build_parallel pair used to tour the same tree twice).
-  block_lca_ = lca::InlabelLca::build_from_edges(ctx, block_tree, super_root);
+  block_lca_ = std::make_shared<const lca::InlabelLca>(
+      lca::InlabelLca::build_from_edges(ctx, block_tree, super_root));
+  // Fresh carried tree: every block is its own node, every edge is live.
+  const std::size_t t = num_blocks_;
+  dead_.assign(t, 0);
+  node_block_.resize(t);
+  device::iota(ctx, t, node_block_.data());
+  class_node_ = node_block_;
+  bridge_depth_ = block_lca_->levels();
 }
 
 bool ConnectivityOracle::apply_insertions(
     const device::Context& ctx, const std::vector<graph::Edge>& inserted,
-    const std::vector<std::size_t>& ids, util::PhaseTimer* phases,
-    graph::EdgeList* deferred_tree) {
+    const std::vector<std::size_t>& ids, util::PhaseTimer* phases) {
   const std::size_t n = block_of_.size();
   const std::size_t d = ids.size();
-  const auto old_blocks = static_cast<NodeId>(num_blocks_);
-  const NodeId old_super_root = old_blocks;
-  const std::vector<NodeId>& parent = block_lca_->parents();
-  const std::vector<NodeId>& depth = block_lca_->levels();
+  const lca::InlabelLca& tree = *block_lca_;
+  const std::vector<NodeId>& parent = tree.parents();
+  const std::vector<NodeId>& depth = bridge_depth_;
 
-  // The inserted endpoints' block pairs, and their meeting points on the
-  // block tree — one bulk LCA kernel for the whole delta. Every pair lies
-  // within one component, so the meet is always a real block, never the
-  // virtual super-root.
+  // The inserted endpoints' blocks as carried-tree nodes (each block's top),
+  // and their meeting points — one bulk LCA kernel for the whole delta.
+  // Every pair lies within one component, so the meet is always a real
+  // node, never the virtual super-root; and since every block is a
+  // connected subtree, the meet's block is the pair's LCA in the contracted
+  // tree.
   std::vector<std::pair<NodeId, NodeId>> pairs(d);
   device::transform(ctx, d, pairs.data(), [&](std::size_t i) {
     const graph::Edge e = inserted[ids[i]];
-    return std::pair<NodeId, NodeId>{block_of_[e.u], block_of_[e.v]};
+    return std::pair<NodeId, NodeId>{class_node_[block_of_[e.u]],
+                                     class_node_[block_of_[e.v]]};
   });
   std::vector<NodeId> meet;
   {
     util::ScopedPhase phase(phases, "lca_paths");
-    block_lca_->query_batch(ctx, pairs, meet);
+    tree.query_batch(ctx, pairs, meet);
   }
 
-  // Covered-length rule: the contraction below walks every covered tree
-  // edge, and the delta SIZE does not bound that (a single inserted edge
-  // can span a chain of a million blocks). Sum the path lengths from the
-  // LCA answers and hand oversized totals back to the full rebuild — the
-  // probe's cost so far is three small kernels, noise next to either path.
+  // Covered-length rule: the contraction below walks every covered live
+  // tree edge, and the delta SIZE does not bound that (a single inserted
+  // edge can span a chain of a million blocks). Sum the path lengths from
+  // the LCA answers and hand oversized totals back to the full rebuild —
+  // the probe's cost so far is three small kernels, noise next to either
+  // path.
   const std::size_t covered = device::reduce(
       ctx, d, std::size_t{0},
       [&](std::size_t i) -> std::size_t {
@@ -237,23 +249,35 @@ bool ConnectivityOracle::apply_insertions(
 
   // Contract: each inserted edge closes a cycle through the tree path
   // between its blocks, merging every block on it. One virtual thread per
-  // edge walks both legs up to the meet, hooking each block to its tree
-  // parent in the shared union-find; paths overlap freely (unite is
-  // idempotent and order-independent), and the final partition is exactly
-  // connectivity over the covered tree edges. A tree edge (b, parent[b])
-  // dies iff it was covered: the tree path between b and parent[b] is that
-  // single edge, so transitive merges cannot kill an uncovered bridge.
+  // edge walks both legs up to the meet's block, standing only on block
+  // tops — a top's parent edge is live, so each step crosses exactly one
+  // covered bridge — hooking the two blocks together in the shared
+  // union-find and marking the edge dead. Paths overlap freely (unite is
+  // idempotent and order-independent; the byte exchange lets exactly one
+  // walker claim each newly dead edge), and the final partition is exactly
+  // connectivity over the covered edges. A newly dead edge x subtracts one
+  // from the bridge depth of x's subtree: preorder range
+  // [pre(x), pre(x) + size(x)) of a difference array (preorder is 1-based).
+  const std::vector<NodeId>& pre = tree.preorder();
+  const std::vector<NodeId>& size = tree.subtree_sizes();
+  std::vector<NodeId> diff(static_cast<std::size_t>(tree.num_nodes()) + 2, 0);
   std::vector<NodeId> uf(num_blocks_);
   {
     util::ScopedPhase phase(phases, "contract");
     device::uf_init(ctx, uf.data(), num_blocks_);
     device::launch(ctx, d, [&](std::size_t i) {
-      const NodeId z = meet[i];
-      for (NodeId b : {pairs[i].first, pairs[i].second}) {
-        while (depth[b] > depth[z]) {
-          const NodeId p = parent[b];
-          device::uf_unite(uf.data(), b, p);
-          b = p;
+      const NodeId meet_block = node_block_[meet[i]];
+      for (NodeId x : {pairs[i].first, pairs[i].second}) {
+        while (node_block_[x] != meet_block) {
+          const NodeId p = parent[x];
+          device::uf_unite(uf.data(), node_block_[x], node_block_[p]);
+          if (std::atomic_ref<std::uint8_t>(dead_[x]).exchange(1) == 0) {
+            std::atomic_ref<NodeId>(diff[pre[x]])
+                .fetch_sub(1, std::memory_order_relaxed);
+            std::atomic_ref<NodeId>(diff[pre[x] + size[x]])
+                .fetch_add(1, std::memory_order_relaxed);
+          }
+          x = class_node_[node_block_[p]];
         }
       }
     });
@@ -275,38 +299,6 @@ bool ConnectivityOracle::apply_insertions(
   device::transform(ctx, num_blocks_, remap.data(),
                     [&](std::size_t b) { return new_id[uf[b]]; });
 
-  // Surviving bridges (uncontracted non-virtual tree edges) and the virtual
-  // root children (one per component — unchanged, since the delta never
-  // joins components; a component's root child can merge downward but never
-  // with another component's).
-  std::vector<NodeId> surviving(num_blocks_);
-  const std::size_t num_surviving = device::copy_if_index(
-      ctx, num_blocks_,
-      [&](std::size_t b) {
-        const NodeId p = parent[b];
-        return p != old_super_root && uf[b] != uf[p];
-      },
-      surviving.data());
-  std::vector<NodeId> root_children(num_blocks_);
-  const std::size_t k = device::copy_if_index(
-      ctx, num_blocks_,
-      [&](std::size_t b) { return parent[b] == old_super_root; },
-      root_children.data());
-
-  graph::EdgeList new_tree;
-  new_tree.num_nodes = static_cast<NodeId>(new_blocks + 1);
-  new_tree.edges.resize(num_surviving + k);
-  device::transform(ctx, num_surviving, new_tree.edges.data(),
-                    [&](std::size_t i) {
-                      const NodeId b = surviving[i];
-                      return graph::Edge{remap[b], remap[parent[b]]};
-                    });
-  device::transform(ctx, k, new_tree.edges.data() + num_surviving,
-                    [&](std::size_t r) {
-                      return graph::Edge{static_cast<NodeId>(new_blocks),
-                                         remap[root_children[r]]};
-                    });
-
   // Relabel the per-node index (the one n-sized pass of this path) and
   // fold the merged blocks' sizes together.
   device::launch(ctx, n, [&](std::size_t v) { block_of_[v] = remap[block_of_[v]]; });
@@ -316,17 +308,26 @@ bool ConnectivityOracle::apply_insertions(
         .fetch_add(block_size_[b], std::memory_order_relaxed);
   });
   block_size_ = std::move(new_size);
-  num_bridges_ = num_surviving;
+
+  // Carry the tree: relabel its nodes, keep as each merged block's top the
+  // one old top whose parent edge survived (the merged subtree's root), and
+  // fold the newly dead edges into the bridge depths with one scan.
+  device::launch(ctx, node_block_.size(),
+                 [&](std::size_t x) { node_block_[x] = remap[node_block_[x]]; });
+  std::vector<NodeId> new_class(new_blocks);
+  device::launch(ctx, num_blocks_, [&](std::size_t b) {
+    const NodeId top = class_node_[b];
+    if (dead_[top] == 0) new_class[remap[b]] = top;
+  });
+  class_node_ = std::move(new_class);
+  device::inclusive_scan(ctx, diff.data(), diff.size(), diff.data());
+  device::launch(ctx, bridge_depth_.size(),
+                 [&](std::size_t x) { bridge_depth_[x] += diff[pre[x]]; });
+
+  // Each merge kills exactly one bridge. cc_label_ is untouched: an
+  // intra-component delta cannot change connectivity.
+  num_bridges_ -= num_blocks_ - new_blocks;
   num_blocks_ = new_blocks;
-  // cc_label_ is untouched: an intra-component delta cannot change
-  // connectivity. Rebuild only the (now smaller) block tree index — or, in
-  // a mixed batch, hand the tree to link_components() so the two replays
-  // share one reindex.
-  if (deferred_tree != nullptr) {
-    *deferred_tree = std::move(new_tree);
-  } else {
-    index_block_tree(ctx, new_tree);
-  }
   return true;
 }
 
@@ -335,11 +336,15 @@ graph::EdgeList ConnectivityOracle::current_block_tree(
   graph::EdgeList tree;
   tree.num_nodes = static_cast<NodeId>(num_blocks_ + 1);
   tree.edges.resize(num_blocks_);
-  // One parent edge per block; root children point at the super-root, so
-  // the edge count is exactly num_blocks_.
+  // One parent edge per block — its top's, which is live; root children
+  // point at the super-root, so the edge count is exactly num_blocks_.
   const std::vector<NodeId>& parent = block_lca_->parents();
+  const NodeId carried_root = block_lca_->root();
+  const auto super_root = static_cast<NodeId>(num_blocks_);
   device::transform(ctx, num_blocks_, tree.edges.data(), [&](std::size_t b) {
-    return graph::Edge{static_cast<NodeId>(b), parent[b]};
+    const NodeId p = parent[class_node_[b]];
+    return graph::Edge{static_cast<NodeId>(b),
+                       p == carried_root ? super_root : node_block_[p]};
   });
   return tree;
 }
@@ -348,12 +353,11 @@ void ConnectivityOracle::link_components(
     const device::Context& ctx, const std::vector<graph::Edge>& inserted,
     const std::vector<std::size_t>& cross,
     const std::unordered_map<NodeId, NodeId>& merged,
-    const graph::EdgeList& tree, util::PhaseTimer* phases) {
+    util::PhaseTimer* phases) {
   util::ScopedPhase phase(phases, "tree_link");
+  const graph::EdgeList tree = current_block_tree(ctx);
   const std::size_t num_blocks = num_blocks_;
   const auto super_root = static_cast<NodeId>(num_blocks);
-  assert(tree.edges.size() == num_blocks);
-
   // The merged-away components' root-child blocks — one per cross edge. A
   // component's root child is the block holding its representative (the
   // virtual edges are built as (super_root, block_of[rep])); block_of_ is
@@ -409,11 +413,13 @@ NodeId ConnectivityOracle::bridges_on_path(NodeId u, NodeId v) const {
   const NodeId bu = block_of_[u];
   const NodeId bv = block_of_[v];
   if (bu == bv) return 0;
-  // Both blocks hang below the same component root, so the LCA is a real
-  // block and tree distance counts exactly the bridges between them.
-  const NodeId z = block_lca_->query(bu, bv);
-  const auto& depth = block_lca_->levels();
-  return depth[bu] + depth[bv] - 2 * depth[z];
+  // Both blocks hang below the same component root, so the meet is a real
+  // tree node whose block is the blocks' LCA in the contracted tree, and
+  // the live edges between them are exactly the bridges on the path.
+  const NodeId a = class_node_[bu];
+  const NodeId b = class_node_[bv];
+  const NodeId z = block_lca_->query(a, b);
+  return bridge_depth_[a] + bridge_depth_[b] - 2 * bridge_depth_[z];
 }
 
 }  // namespace emc::dynamic

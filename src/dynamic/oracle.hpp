@@ -41,9 +41,13 @@
 //   2. contracts each pair's tree path with the device union-find (one bulk
 //      kernel; each virtual thread walks its path hooking blocks together
 //      with CAS — src/device/union_find.hpp);
-//   3. relabels the per-node block ids with one n-sized pass and drops the
-//      contracted bridges;
-//   4. rebuilds only the now-smaller block tree + its inlabel LCA.
+//   3. relabels the per-node block ids with one n-sized pass;
+//   4. keeps the indexed block tree: the contracted tree edges are only
+//      marked dead, and one preorder difference-array scan recomputes each
+//      tree node's bridge depth (live edges on its root path). The LCA of
+//      two blocks in the contracted tree is the class of their LCA in the
+//      indexed tree, so bridges_on_path stays exact with no Euler tour;
+//      the quotient is reindexed only once dead edges outnumber live ones.
 //
 // An inserted edge whose endpoints lie in DIFFERENT components takes the
 // complementary fast path: it cannot merge any 2-edge-connected components
@@ -54,8 +58,9 @@
 // above) and the cross-component part, which link_components() replays
 // without touching the n-sized 2-ecc state:
 // merge the affected component labels (one n-sized relabel pass), append
-// one block-tree edge per inserted bridge, drop the merged-away components'
-// virtual-root edges, and rebuild only the block tree + inlabel LCA.
+// one block-tree edge per inserted bridge to the live quotient tree, drop
+// the merged-away components' virtual-root edges, and reindex only the
+// block tree + inlabel LCA.
 //
 // Everything else — deletions, oversized deltas, a cycle-closing set of
 // cross-component edges within one batch (two deltas joining the same pair
@@ -72,7 +77,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -231,37 +236,35 @@ class ConnectivityOracle {
   /// leaving the index UNCHANGED — when the covered-length rule fires: the
   /// summed block-tree path length of the delta exceeds
   /// max(kIncrementalFloor, num_blocks / kIncrementalRatio), in which case
-  /// the contraction walk would not beat the full pipeline.
-  /// With `deferred_tree` set, the contracted block tree is handed back
-  /// un-indexed instead of running index_block_tree — the mixed-batch path
-  /// splices the cross-component bridges into it first so both replays
-  /// share one reindex.
+  /// the contraction walk would not beat the full pipeline. The covered
+  /// tree edges are marked dead in the carried tree, not reindexed.
   bool apply_insertions(const device::Context& ctx,
                         const std::vector<graph::Edge>& inserted,
                         const std::vector<std::size_t>& ids,
-                        util::PhaseTimer* phases,
-                        graph::EdgeList* deferred_tree = nullptr);
+                        util::PhaseTimer* phases);
 
   /// Replays the cross-component insertions `inserted[cross]` onto the
   /// current index: each edge becomes a new bridge linking two trees of the
   /// block forest, so no 2-ecc state changes — apply `merged`
   /// (partition_insertions' resolved loser -> winner labels) to the
   /// component labels in one n-sized pass, splice the new bridges into
-  /// `tree` (the current block forest, either current_block_tree() or
-  /// apply_insertions' deferred output) in place of the merged-away
-  /// components' virtual-root edges, and reindex once.
+  /// current_block_tree() in place of the merged-away components'
+  /// virtual-root edges, and reindex once.
   void link_components(const device::Context& ctx,
                        const std::vector<graph::Edge>& inserted,
                        const std::vector<std::size_t>& cross,
                        const std::unordered_map<NodeId, NodeId>& merged,
-                       const graph::EdgeList& tree, util::PhaseTimer* phases);
+                       util::PhaseTimer* phases);
 
-  /// The indexed block forest as an edge list (one parent edge per block,
-  /// root children attached to the virtual super-root, node id num_blocks).
+  /// The live block forest as an edge list over compact block ids — the
+  /// quotient of the carried tree by its dead edges (one parent edge per
+  /// block; root children attached to the virtual super-root, node id
+  /// num_blocks).
   graph::EdgeList current_block_tree(const device::Context& ctx) const;
 
-  /// Shared tail of both paths: roots the block forest (+ virtual
-  /// super-root, node id num_blocks) and builds the inlabel LCA over it.
+  /// Indexes `block_tree` (one node per current block + the virtual
+  /// super-root, node id num_blocks) with the inlabel LCA and resets the
+  /// carried-tree state to it: no dead edges, every block its own node.
   void index_block_tree(const device::Context& ctx,
                         const graph::EdgeList& block_tree);
 
@@ -283,9 +286,18 @@ class ConnectivityOracle {
   std::vector<NodeId> cc_label_;    // connected-component representative
   std::vector<NodeId> block_of_;    // compact 2ecc block id, [0, num_blocks)
   std::vector<NodeId> block_size_;  // nodes per block
-  // Inlabel LCA over the block forest rooted at a virtual super-root (node
-  // id num_blocks). Engaged whenever the indexed snapshot has >= 1 node.
-  std::optional<lca::InlabelLca> block_lca_;
+  // The carried block tree: the inlabel LCA over the block forest as of the
+  // last reindex, rooted at a virtual super-root (its last node). Its
+  // nodes are the blocks of THAT moment; intra-component replays since
+  // then merged some of them by contracting tree edges, which stay in the
+  // index and are only marked dead. Each current block is a connected
+  // subtree of the carried tree. Shared (immutable) between copy-on-write
+  // clones; engaged whenever the indexed snapshot has >= 1 node.
+  std::shared_ptr<const lca::InlabelLca> block_lca_;
+  std::vector<std::uint8_t> dead_;      // per tree node: parent edge contracted
+  std::vector<NodeId> node_block_;      // per tree node: current block id
+  std::vector<NodeId> class_node_;      // per block: its top tree node
+  std::vector<NodeId> bridge_depth_;    // per tree node: live root-path edges
 };
 
 }  // namespace emc::dynamic

@@ -22,6 +22,14 @@ namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
+/// The Csr artifact's build: from the epoch's edge snapshot, so its edge
+/// ids index that snapshot (and the epoch's bridge mask).
+graph::Csr build_epoch_csr(const device::Context& ctx,
+                           const graph::EdgeList& edges) {
+  util::failpoint::maybe_throw(util::failpoint::kSnapshot);
+  return graph::build_csr(ctx, edges);
+}
+
 }  // namespace
 
 PlanInputs machine_inputs(const Engine& engine) {
@@ -156,7 +164,10 @@ void Session::sync_epoch() {
   cache_.epoch = epoch;
   // Resetting a shared_ptr drops the SESSION's reference only: Views
   // pinning the outgoing epoch keep its artifacts alive until they retire.
-  cache_.csr.reset();
+  // The lazy cells get FRESH cells, not a reset of the old ones: Views
+  // pinning the outgoing epoch share the old cells and may still be
+  // building into them.
+  cache_.csr = std::make_shared<EpochCell<graph::Csr>>();
   cache_.forest.reset();
   cache_.stitched.reset();
   cache_.stitched_csr.reset();
@@ -168,9 +179,7 @@ void Session::sync_epoch() {
   cache_.oracle_current = false;  // the oracle object itself survives: its
                                   // refresh() replays dynamic deltas
   cache_.forest_lca.reset();
-  // A FRESH cell, not a reset of the old one: Views pinning the outgoing
-  // epoch share the old cell and may still be building into it.
-  cache_.bcc = std::make_shared<bcc::BccCell>();
+  cache_.bcc = std::make_shared<EpochCell<bcc::BccIndex>>();
   // The diameter hint is sticky by design (see diameter_estimate()).
 }
 
@@ -189,7 +198,7 @@ void Session::drop_results() {
   cache_.oracle_current = false;
   oracle_mut().invalidate();  // see drop_artifacts()
   cache_.forest_lca.reset();
-  cache_.bcc = std::make_shared<bcc::BccCell>();
+  cache_.bcc = std::make_shared<EpochCell<bcc::BccIndex>>();
 }
 
 dynamic::ConnectivityOracle& Session::oracle_mut() {
@@ -217,17 +226,11 @@ bool Session::track(bool built) {
 
 const graph::Csr& Session::csr_artifact() {
   sync_epoch();
-  if (graph_.is_dynamic()) {
-    // The DCSR caches its own per-epoch CSR; delegating keeps it zero-copy.
-    track(!graph_.dynamic_graph()->csr_snapshot_ready());
-    return graph_.dynamic_graph()->snapshot_csr(engine_->device_);
-  }
-  track(!cache_.csr);
-  if (!cache_.csr) {
-    cache_.csr = std::make_shared<const graph::Csr>(
-        graph::build_csr(engine_->device_, graph_.edges(engine_->device_)));
-  }
-  return *cache_.csr;
+  track(cache_.csr->peek() == nullptr);
+  const device::Context& ctx = engine_->device_;
+  // The epoch's cell keeps the Csr alive until the next epoch change.
+  return *cache_.csr->get_or_build(
+      [&] { return build_epoch_csr(ctx, graph_.edges(ctx)); });
 }
 
 const graph::Csr& Session::csr() {
@@ -477,9 +480,10 @@ std::shared_ptr<const bcc::BccIndex> Session::bcc_artifact() {
   sync_epoch();
   track(cache_.bcc->peek() == nullptr);
   forest();  // the build input; counted separately, like every artifact
-  return cache_.bcc->get_or_build(engine_->device_,
-                                  graph_.edges(engine_->device_),
-                                  *cache_.forest);
+  const device::Context& ctx = engine_->device_;
+  return cache_.bcc->get_or_build([&] {
+    return bcc::BccIndex::build(ctx, graph_.edges(ctx), *cache_.forest);
+  });
 }
 
 template <typename A>
@@ -530,16 +534,16 @@ struct View::State {
   Backend mask_backend = Backend::kAuto;
   std::shared_ptr<const graph::EdgeList> owned_edges;  // dynamic snapshot
   const graph::EdgeList* edges = nullptr;  // owned_edges or the static graph
-  std::shared_ptr<const graph::Csr> csr;
   std::shared_ptr<const bridges::SpanningForest> forest;
   std::shared_ptr<const bridges::BridgeMask> mask;
   std::shared_ptr<const dynamic::ConnectivityOracle> oracle;
   std::shared_ptr<const lca::InlabelLca> forest_lca;
-  /// The epoch's BCC cell, SHARED with the session's cache: whichever side
-  /// builds first, everyone reads the same immutable index. The cell is
-  /// epoch-keyed (sync_epoch swaps a fresh one in), so a View never sees a
-  /// later epoch's index.
-  std::shared_ptr<bcc::BccCell> bcc;
+  /// The epoch's lazy cells, SHARED with the session's cache: whichever
+  /// side builds first, everyone reads the same immutable value. The cells
+  /// are epoch-keyed (sync_epoch swaps fresh ones in), so a View never sees
+  /// a later epoch's Csr or index.
+  std::shared_ptr<EpochCell<graph::Csr>> csr;
+  std::shared_ptr<EpochCell<bcc::BccIndex>> bcc;
 };
 
 void Session::ensure_bridge_edges() {
@@ -603,9 +607,9 @@ bool Session::try_replay_publish(const Policy& policy) {
   //     at the new epoch; refresh() skips on retry).
   const device::Context& ctx = engine_->device_;
 
-  // (1) Snapshot + CSR via the DCSR append fast paths. If the snapshot did
-  // not actually append (cache evicted by a competing export), edge ids are
-  // not position-stable and the patches below would mis-index — fall back.
+  // (1) Snapshot via the DCSR append fast path. If the snapshot did not
+  // actually append (cache evicted by a competing export), edge ids are not
+  // position-stable and the patches below would mis-index — fall back.
   const std::shared_ptr<const graph::EdgeList> snap = g.snapshot_shared(ctx);
   if (snap->edges.size() != old_m + d ||
       !std::equal(delta.inserted.begin(), delta.inserted.end(),
@@ -615,7 +619,6 @@ bool Session::try_replay_publish(const Policy& policy) {
                   })) {
     return false;
   }
-  g.csr_snapshot_shared(ctx);
 
   // (2) 2-ecc index: the oracle's own incremental refresh (it may still
   // choose its internal full rebuild — covered-length abort — without
@@ -692,8 +695,9 @@ bool Session::try_replay_publish(const Policy& policy) {
   }
 
   // (5) Commit. The stitched augmentation is stale either way (it embeds
-  // the old snapshot) and rebuilds lazily; the forest LCA survives exactly
-  // when the forest kept its shape (intra-only delta).
+  // the old snapshot) and rebuilds lazily, like the Csr (fresh cell: no
+  // publish builds it); the forest LCA survives exactly when the forest
+  // kept its shape (intra-only delta).
   cache_.epoch = g.epoch();
   cache_.mask = std::move(mask);
   cache_.mask_published = false;
@@ -701,10 +705,11 @@ bool Session::try_replay_publish(const Policy& policy) {
       std::make_shared<const std::vector<EdgeId>>(std::move(new_bridges));
   cache_.stitched.reset();
   cache_.stitched_csr.reset();
+  cache_.csr = std::make_shared<EpochCell<graph::Csr>>();
   // Even an intra-component insert can merge blocks or demote an
   // articulation — the BCC index never survives a replay (incremental BCC
   // maintenance is a recorded follow-up). Fresh cell: old Views keep theirs.
-  cache_.bcc = std::make_shared<bcc::BccCell>();
+  cache_.bcc = std::make_shared<EpochCell<bcc::BccIndex>>();
   cache_.oracle_current = true;
   if (!cross.empty()) {
     cache_.forest_lca.reset();
@@ -729,7 +734,6 @@ void Session::ensure_all_artifacts(const Policy& policy) {
   }
   const bool fresh = cache_.epoch != graph_.epoch();
   sync_epoch();
-  csr_artifact();
   forest();
   mask_artifact(policy, nullptr);
   oracle_artifact(policy);
@@ -756,11 +760,10 @@ std::shared_ptr<const View::State> Session::make_state(const Policy& policy) {
     state->owned_edges =
         graph_.dynamic_graph()->snapshot_shared(engine_->device_);
     state->edges = state->owned_edges.get();
-    state->csr = graph_.dynamic_graph()->csr_snapshot_shared(engine_->device_);
   } else {
     state->edges = graph_.static_graph();
-    state->csr = cache_.csr;
   }
+  state->csr = cache_.csr;
   state->forest = cache_.forest;
   state->mask = cache_.mask;
   state->oracle = cache_.oracle;
@@ -816,25 +819,44 @@ std::size_t View::num_components() const { return state_->components; }
 Backend View::mask_backend() const { return state_->mask_backend; }
 const Policy& View::policy() const { return state_->policy; }
 const graph::EdgeList& View::edges() const { return *state_->edges; }
-const graph::Csr& View::csr() const { return *state_->csr; }
 const bridges::SpanningForest& View::forest() const { return *state_->forest; }
 
 const Engine& View::engine() const { return *state_->engine; }
 
-std::shared_ptr<const bcc::BccIndex> View::bcc_index() const {
+namespace {
+
+/// A View's read of one of its epoch's lazy cells, building the value on
+/// first demand: the device driver lock first, then the cell mutex.
+template <typename T, typename Build>
+std::shared_ptr<const T> lazy_artifact(const Engine& engine, EpochCell<T>& cell,
+                                       Build&& build) {
   // Fast path: someone (this View, a sibling, or the Session) already built
-  // this epoch's index — no device lock needed, the index is immutable.
-  if (auto index = state_->bcc->peek()) {
-    state_->engine->counters().artifact_hits.fetch_add(1, kRelaxed);
-    return index;
+  // it — no device lock needed, the value is immutable.
+  if (auto value = cell.peek()) {
+    engine.counters().artifact_hits.fetch_add(1, kRelaxed);
+    return value;
   }
-  const auto lock = state_->engine->device().exclusive();
-  const bool built = state_->bcc->peek() == nullptr;  // re-check under lock
-  (built ? state_->engine->counters().artifact_builds
-         : state_->engine->counters().artifact_hits)
+  const auto lock = engine.device().exclusive();
+  const bool built = cell.peek() == nullptr;  // re-check under lock
+  (built ? engine.counters().artifact_builds : engine.counters().artifact_hits)
       .fetch_add(1, kRelaxed);
-  return state_->bcc->get_or_build(state_->engine->device(), *state_->edges,
-                                   *state_->forest);
+  return cell.get_or_build(std::forward<Build>(build));
+}
+
+}  // namespace
+
+const graph::Csr& View::csr() const {
+  // The View's cell keeps the Csr alive.
+  return *lazy_artifact(engine(), *state_->csr, [&] {
+    return build_epoch_csr(engine().device(), *state_->edges);
+  });
+}
+
+std::shared_ptr<const bcc::BccIndex> View::bcc_index() const {
+  return lazy_artifact(engine(), *state_->bcc, [&] {
+    return bcc::BccIndex::build(engine().device(), *state_->edges,
+                                *state_->forest);
+  });
 }
 
 template <typename A>
@@ -848,7 +870,7 @@ const A& View::artifact() const {
   } else if constexpr (std::is_same_v<A, bcc::BccIndex>) {
     return *bcc_index();  // the View's cell keeps the index alive
   } else if constexpr (std::is_same_v<A, graph::Csr>) {
-    return *state_->csr;
+    return csr();
   } else {
     static_assert(std::is_same_v<A, bridges::SpanningForest>);
     return *state_->forest;

@@ -100,6 +100,42 @@ class Engine;
 class Session;
 class View;
 
+// ------------------------------------------------------------ EpochCell
+
+/// Once-per-epoch build cell for the artifacts no publish needs (the BCC
+/// index, the Csr): the first request that reads one builds it. The
+/// Session's cache holds one cell per such artifact per epoch — a fresh
+/// cell on every epoch change, never a mutation of the old one (copy-on-
+/// write at cell granularity) — and Views share the epoch's cells, so
+/// whichever side builds first, everyone reads the same immutable value.
+///
+/// Lock order: device exclusive lock FIRST, then the cell mutex —
+/// get_or_build assumes the caller already holds the driver lock (builds
+/// run bulk kernels), and peek() takes only the cell mutex.
+template <typename T>
+class EpochCell {
+ public:
+  /// Returns the value, running build() (returning a T) on first call.
+  /// Exception-safe: a fault mid-build (failpoints, allocation) leaves the
+  /// cell empty and the next caller retries.
+  template <typename Build>
+  std::shared_ptr<const T> get_or_build(Build&& build) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (value_ == nullptr) value_ = std::make_shared<const T>(build());
+    return value_;
+  }
+
+  /// The value if already built, else nullptr. Never builds.
+  std::shared_ptr<const T> peek() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return value_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::shared_ptr<const T> value_;
+};
+
 // ------------------------------------------------------------- GraphRef
 
 /// Non-owning handle over either graph kind. Constructed implicitly, so
@@ -309,6 +345,9 @@ class View {
   /// list (mask order) co-owned with the DCSR cache; for a static graph,
   /// the user's EdgeList.
   const graph::EdgeList& edges() const;
+  /// The epoch's Csr (edge ids index edges()), building it on first call
+  /// like bcc_index(): no publish pays for it, and the first reader builds
+  /// it once for the session and every View of the epoch.
   const graph::Csr& csr() const;
   const bridges::SpanningForest& forest() const;
 
@@ -332,8 +371,9 @@ class View {
 
   /// The pinned artifact of type A — one of the artifacts a family reads
   /// (bridges::BridgeMask, dynamic::ConnectivityOracle, lca::InlabelLca,
-  /// bcc::BccIndex, graph::Csr, bridges::SpanningForest; the BCC index
-  /// builds on first call). Composite indexes read shard tables through it.
+  /// bcc::BccIndex, graph::Csr, bridges::SpanningForest; the BCC index and
+  /// the Csr build on first call). Composite indexes read shard tables
+  /// through it.
   template <typename A>
   const A& artifact() const;
 
@@ -381,8 +421,9 @@ class Session {
 
   // --- snapshot serving
   //
-  // view() materializes EVERY artifact for the current epoch (where run()
-  // builds lazily per request type) and returns the epoch-pinned snapshot;
+  // view() materializes every published artifact for the current epoch
+  // (where run() builds lazily per request type; the Csr and BCC index are
+  // lazy either way) and returns the epoch-pinned snapshot;
   // refresh() does the same without acquiring a View — the writer-side
   // "publish artifacts on the side" step, making the next view() cheap.
   // Acquiring a View freezes the artifacts it shares: the next epoch's
@@ -458,9 +499,11 @@ class Session {
     // Artifacts are shared_ptrs so a published View co-owns them: an epoch
     // change RESETS the session's reference (and rebuilds on demand) while
     // every View pinning the old epoch keeps the objects alive.
-    std::shared_ptr<const graph::Csr> csr;  // static graphs only; dynamic
-                                            // ones delegate to the DCSR's
-                                            // own shared snapshot
+    /// The epoch's Csr, built lazily from the edge snapshot by the first
+    /// reader (diameter hint, CK/DFS mask backends, BfsLevels) — never by a
+    /// publish. Fresh cell per epoch, shared with Views like `bcc`.
+    std::shared_ptr<EpochCell<graph::Csr>> csr =
+        std::make_shared<EpochCell<graph::Csr>>();
     std::shared_ptr<const bridges::SpanningForest> forest;
     std::shared_ptr<const graph::EdgeList> stitched;  // connected augmentation
     std::shared_ptr<const graph::Csr> stitched_csr;
@@ -491,7 +534,8 @@ class Session {
     /// mutation of the old one — so Views pinning the outgoing epoch keep
     /// their (immutable) index: copy-on-write at cell granularity, the
     /// same published-artifact discipline as the bridge mask.
-    std::shared_ptr<bcc::BccCell> bcc = std::make_shared<bcc::BccCell>();
+    std::shared_ptr<EpochCell<bcc::BccIndex>> bcc =
+        std::make_shared<EpochCell<bcc::BccIndex>>();
     // Sticky diameter hint (see diameter_estimate()).
     static constexpr std::uint64_t kDiameterMaxAge = 16;  // effective batches
     NodeId diameter = kNoNode;
@@ -536,10 +580,10 @@ class Session {
   /// The delta-replay publish fast path: when the graph is exactly one
   /// insert-only batch ahead of a fully published cache (same decision-rule
   /// family as ConnectivityOracle::incremental_applies), produce this
-  /// epoch's snapshot, CSR, spanning forest, bridge mask, and forest LCA by
-  /// patching the previous epoch's artifacts instead of rebuilding — O(n)
-  /// worst case (label relabel, CSR row shift) rather than the full
-  /// pipeline. Returns false, having mutated nothing, when any eligibility
+  /// epoch's snapshot, spanning forest, bridge mask, 2-ecc index and forest
+  /// LCA by patching the previous epoch's artifacts instead of rebuilding —
+  /// O(n) worst case (label relabels) rather than the full pipeline. The
+  /// Csr and BCC index start empty (lazy cells). Returns false, having mutated nothing, when any eligibility
   /// check fails (deletions, cross-component cycle, oversized batch,
   /// missing artifacts, forced-backend mismatch); the caller then runs the
   /// full pipeline.

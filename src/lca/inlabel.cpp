@@ -23,15 +23,13 @@ std::uint32_t inlabel_of(NodeId l, NodeId r) {
 }  // namespace
 
 void InlabelLca::finish_preprocessing(const device::Context& ctx,
-                                      const std::vector<NodeId>& preorder,
-                                      const std::vector<NodeId>& subtree_size,
                                       util::PhaseTimer* phases) {
   const auto n = static_cast<std::size_t>(level_.size());
   util::ScopedPhase phase(phases, "inlabel_numbers");
 
   inlabel_.resize(n);
   device::transform(ctx, n, inlabel_.data(), [&](std::size_t v) {
-    return inlabel_of(preorder[v], preorder[v] + subtree_size[v] - 1);
+    return inlabel_of(preorder_[v], preorder_[v] + subtree_size_[v] - 1);
   });
 
   // Path heads: the root, and every node whose inlabel differs from its
@@ -111,9 +109,11 @@ InlabelLca InlabelLca::build_parallel(const device::Context& ctx,
   const core::EulerTour tour =
       core::build_euler_tour(ctx, edges, tree.root, core::RankAlgo::kWeiJaja,
                              phases);
-  const core::TreeStats stats = core::compute_tree_stats(ctx, tour, phases);
-  lca.level_ = stats.level;
-  lca.finish_preprocessing(ctx, stats.preorder, stats.subtree_size, phases);
+  core::TreeStats stats = core::compute_tree_stats(ctx, tour, phases);
+  lca.level_ = std::move(stats.level);
+  lca.preorder_ = std::move(stats.preorder);
+  lca.subtree_size_ = std::move(stats.subtree_size);
+  lca.finish_preprocessing(ctx, phases);
   return lca;
 }
 
@@ -129,7 +129,9 @@ InlabelLca InlabelLca::build_from_edges(const device::Context& ctx,
   core::TreeStats stats = core::compute_tree_stats(ctx, tour, phases);
   lca.parent_ = std::move(stats.parent);
   lca.level_ = std::move(stats.level);
-  lca.finish_preprocessing(ctx, stats.preorder, stats.subtree_size, phases);
+  lca.preorder_ = std::move(stats.preorder);
+  lca.subtree_size_ = std::move(stats.subtree_size);
+  lca.finish_preprocessing(ctx, phases);
   return lca;
 }
 
@@ -179,8 +181,10 @@ InlabelLca InlabelLca::build_sequential(const core::ParentTree& tree,
     }
   }
   lca.level_ = std::move(level);
+  lca.preorder_ = std::move(preorder);
+  lca.subtree_size_ = std::move(subtree_size);
   const device::Context seq = device::Context::sequential();
-  lca.finish_preprocessing(seq, preorder, subtree_size, phases);
+  lca.finish_preprocessing(seq, phases);
   return lca;
 }
 

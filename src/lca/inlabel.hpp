@@ -74,19 +74,26 @@ class InlabelLca {
   const std::vector<NodeId>& parents() const { return parent_; }
   NodeId root() const { return root_; }
 
+  /// The preprocessing's preorder numbers (1-based, root gets 1) and
+  /// subtree sizes: v's subtree occupies preorder [pre(v), pre(v) + size(v)).
+  /// Lets consumers keep per-subtree range updates on the indexed tree
+  /// without re-touring it.
+  const std::vector<NodeId>& preorder() const { return preorder_; }
+  const std::vector<NodeId>& subtree_sizes() const { return subtree_size_; }
+
  private:
   InlabelLca() = default;
 
-  /// Shared tail of preprocessing: from (preorder, size, level, parent)
-  /// arrays to (inlabel, ascendant, head). Bulk-parallel over ctx.
+  /// Shared tail of preprocessing: from the (preorder, size, level,
+  /// parent) members to (inlabel, ascendant, head). Bulk-parallel over ctx.
   void finish_preprocessing(const device::Context& ctx,
-                            const std::vector<NodeId>& preorder,
-                            const std::vector<NodeId>& subtree_size,
                             util::PhaseTimer* phases);
 
   NodeId root_ = kNoNode;
   std::vector<NodeId> parent_;
   std::vector<NodeId> level_;
+  std::vector<NodeId> preorder_;
+  std::vector<NodeId> subtree_size_;
   std::vector<std::uint32_t> inlabel_;
   std::vector<std::uint32_t> ascendant_;
   std::vector<NodeId> head_;  // indexed by inlabel value, size n + 1

@@ -128,7 +128,7 @@ TEST_P(DynamicParam, SnapshotCsrAlignsWithSnapshotEdgeOrder) {
   DynamicGraph dg(5);
   dg.insert_edges(ctx_, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {1, 3}});
   const EdgeList& snap = dg.snapshot(ctx_);
-  const graph::Csr& csr = dg.snapshot_csr(ctx_);
+  const graph::Csr csr = graph::build_csr(ctx_, snap);
   ASSERT_EQ(csr.num_edges(), snap.edges.size());
   for (NodeId v = 0; v < dg.num_nodes(); ++v) {
     for (EdgeId i = csr.row_offsets[v]; i < csr.row_offsets[v + 1]; ++i) {
@@ -139,21 +139,19 @@ TEST_P(DynamicParam, SnapshotCsrAlignsWithSnapshotEdgeOrder) {
   }
 }
 
-TEST_P(DynamicParam, CsrAppendServesInsertOnlyEpochsAndStaysExact) {
+TEST_P(DynamicParam, CsrOfAppendedSnapshotsStaysExact) {
   DynamicGraph dg(ctx_, gen::cycle_graph(32));
-  (void)dg.snapshot_csr(ctx_);  // epoch-0 CSR: full sort-based build
-  ASSERT_EQ(dg.num_csr_appends(), 0u);
+  (void)dg.snapshot(ctx_);  // epoch-0 snapshot: full segment export
 
-  // Back-to-back insert-only epochs splice the delta into the cached CSR.
+  // Back-to-back insert-only epochs append the delta to the cached edge
+  // snapshot; a Csr built from it is a valid adjacency with edge ids
+  // aligned to snapshot order.
   dg.insert_edges(ctx_, {{0, 5}, {1, 9}});
-  (void)dg.snapshot_csr(ctx_);
-  EXPECT_EQ(dg.num_csr_appends(), 1u);
+  (void)dg.snapshot(ctx_);
   dg.insert_edges(ctx_, {{2, 11}});
-  const graph::Csr& csr = dg.snapshot_csr(ctx_);
-  EXPECT_EQ(dg.num_csr_appends(), 2u);
-  // The appended CSR is a valid adjacency of the appended snapshot, with
-  // edge ids aligned to snapshot order (positions [0, old_m) carry over).
   const EdgeList& snap = dg.snapshot(ctx_);
+  EXPECT_EQ(dg.num_snapshot_appends(), 2u);
+  const graph::Csr csr = graph::build_csr(ctx_, snap);
   EXPECT_TRUE(graph::csr_matches(snap, csr));
   for (NodeId v = 0; v < dg.num_nodes(); ++v) {
     for (EdgeId i = csr.row_offsets[v]; i < csr.row_offsets[v + 1]; ++i) {
@@ -163,15 +161,15 @@ TEST_P(DynamicParam, CsrAppendServesInsertOnlyEpochsAndStaysExact) {
     }
   }
 
-  // An erase invalidates position stability: the CSR rebuilds (the append
-  // counter stays flat)...
+  // An erase re-exports the segments; the next insert-only epoch appends
+  // again on the fresh base, and both Csrs stay exact.
   dg.erase_edges(ctx_, {{0, 1}});
-  EXPECT_TRUE(graph::csr_matches(dg.snapshot(ctx_), dg.snapshot_csr(ctx_)));
-  EXPECT_EQ(dg.num_csr_appends(), 2u);
-  // ...and the next insert-only epoch appends again on the fresh base.
+  EXPECT_TRUE(graph::csr_matches(dg.snapshot(ctx_),
+                                 graph::build_csr(ctx_, dg.snapshot(ctx_))));
   dg.insert_edges(ctx_, {{3, 13}});
-  EXPECT_TRUE(graph::csr_matches(dg.snapshot(ctx_), dg.snapshot_csr(ctx_)));
-  EXPECT_EQ(dg.num_csr_appends(), 3u);
+  EXPECT_TRUE(graph::csr_matches(dg.snapshot(ctx_),
+                                 graph::build_csr(ctx_, dg.snapshot(ctx_))));
+  EXPECT_EQ(dg.num_snapshot_appends(), 3u);
 }
 
 TEST_P(DynamicParam, CompactionPreservesEdgesAndAmortizes) {
@@ -326,7 +324,8 @@ TEST_P(DynamicParam, TwoEccOnDynamicSnapshots) {
   dg.insert_edges(ctx_, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
   oracle.refresh(ctx_, dg);
   const EdgeList& snap = dg.snapshot(ctx_);
-  const auto mask = bridges::find_bridges_dfs(dg.snapshot_csr(ctx_));
+  const auto mask =
+      bridges::find_bridges_dfs(graph::build_csr(ctx_, dg.snapshot(ctx_)));
   const auto labels = bridges::two_edge_components(ctx_, snap, mask);
   for (NodeId u = 0; u < 6; ++u) {
     for (NodeId v = 0; v < 6; ++v) {

@@ -322,6 +322,68 @@ TEST(IncrementalFuzz, InsertOnlyBatchesMatchFullRebuild) {
             static_cast<std::size_t>(effective_rounds));
 }
 
+TEST(IncrementalFuzz, IntraStretchOnABridgeTreeMatchesFullRebuild) {
+  const device::Context ctx(2);
+  constexpr NodeId kNodes = 64;
+  const std::uint64_t seed = test_support::fuzz_seed(4242);
+  const int rounds = test_support::fuzz_rounds(200);
+  util::Rng rng(seed);
+  test_support::BatchScript script;
+
+  // A random recursive tree (every edge a bridge) plus a few grandparent
+  // chords: a deep, bushy block tree, so the replays contract real tree
+  // paths and the carried tree accumulates dead edges across many epochs
+  // (the cycle base above has a single block and never contracts).
+  std::vector<NodeId> parent(kNodes, kNoNode);
+  std::vector<Edge> base;
+  for (NodeId v = 1; v < kNodes; ++v) {
+    parent[v] = static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(v)));
+    base.push_back({parent[v], v});
+  }
+  for (int c = 0; c < 4; ++c) {
+    const auto v = static_cast<NodeId>(1 + rng.below(kNodes - 1));
+    if (parent[parent[v]] != kNoNode) base.push_back({parent[parent[v]], v});
+  }
+  DynamicGraph dg(ctx, EdgeList{kNodes, base});
+  ConnectivityOracle oracle;
+  oracle.refresh(ctx, dg);
+  ASSERT_GT(oracle.num_bridges(), 32u);
+
+  const auto ancestor = [&](NodeId v, std::uint64_t steps) {
+    for (; steps > 0 && parent[v] != kNoNode; --steps) v = parent[v];
+    return v;
+  };
+  for (int round = 0; round < rounds; ++round) {
+    // Short chords (each covers <= 3 tree edges), or one arbitrary edge
+    // (covers <= 63): every batch stays under the covered-length floor, so
+    // every effective round must replay.
+    std::vector<Edge> batch;
+    if (rng.below(4) == 0) {
+      batch.push_back({static_cast<NodeId>(rng.below(kNodes)),
+                       static_cast<NodeId>(rng.below(kNodes))});
+    } else {
+      const std::size_t size = 1 + rng.below(3);
+      for (std::size_t i = 0; i < size; ++i) {
+        const auto v = static_cast<NodeId>(rng.below(kNodes));
+        batch.push_back({v, ancestor(v, 2 + rng.below(2))});
+      }
+    }
+    script.add(round, "insert", batch);
+    dg.insert_edges(ctx, batch);
+    // IIFE so a fatal failure lands here and the replay print still fires.
+    [&] {
+      oracle.refresh(ctx, dg);
+      ASSERT_EQ(oracle.built_epoch(), dg.epoch());
+      expect_equivalent_to_full_rebuild(ctx, dg, oracle, rng, 16);
+    }();
+    if (::testing::Test::HasFailure()) {
+      std::cerr << script.replay(seed, rounds);
+      return;
+    }
+  }
+  EXPECT_EQ(oracle.rebuilds(), 1u);
+}
+
 TEST(IncrementalFuzz, MixedBatchesMatchFullRebuild) {
   const device::Context ctx(2);
   constexpr NodeId kNodes = 60;

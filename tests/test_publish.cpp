@@ -1,10 +1,11 @@
 // Incremental epoch publish: Session::refresh()/view() must produce a new
-// epoch's FULL artifact set (edge snapshot, Csr, spanning forest, bridge
+// epoch's published artifact set (edge snapshot, spanning forest, bridge
 // mask, forest LCA, 2-ecc oracle) by replaying an insert-only delta onto
 // the previous epoch's artifacts — indistinguishable from the full rebuild
-// pipeline run from scratch at the same epoch.
+// pipeline run from scratch at the same epoch. The Csr is not published: a
+// View builds it on first read.
 //
-// Four pillars:
+// Five pillars:
 //   replay pins — insert-only intra/cross batches take the replay path
 //     (publish_replays advances, publish_rebuilds stays flat) and the
 //     resulting View agrees artifact-for-artifact with a scratch Session;
@@ -13,6 +14,8 @@
 //   copy-on-write — a View pinned at the previous epoch is immutable under
 //     replay: the mask is patched on a copy, and an intra-only replay
 //     SHARES the untouched forest with the published View (pointer pin);
+//   lazy Csr — no publish builds the Csr; the first reader of an epoch
+//     does, once, over that epoch's edges;
 //   differential fuzz — mixed insert/erase rounds publish every epoch and
 //     diff against a from-scratch Session and the sequential reference.
 #include <gtest/gtest.h>
@@ -79,7 +82,7 @@ void expect_views_agree(const View& got, const View& want, util::Rng& rng,
   ASSERT_EQ(got.epoch(), want.epoch());
   ASSERT_EQ(got.num_edges(), want.num_edges());
   ASSERT_EQ(got.num_components(), want.num_components());
-  // The replayed Csr must be a valid adjacency of the replayed snapshot.
+  // The (lazily built) Csr must be a valid adjacency of the snapshot.
   EXPECT_TRUE(graph::csr_matches(got.edges(), got.csr()));
   EXPECT_EQ(bridge_set(got), bridge_set(want));
   const TwoEccView blocks_got = got.run(TwoEcc{});
@@ -284,6 +287,62 @@ TEST(PublishReplay, HeldViewsStayFrozenAndIntraReplaySharesTheForest) {
   EXPECT_EQ(w1.forest().num_components, 2u);
   EXPECT_EQ(w0.run(LcaBatch{{{0, 4}}})[0], kNoNode);
   EXPECT_NE(w1.run(LcaBatch{{{0, 4}}})[0], kNoNode);
+}
+
+// --------------------------------------------------------------- lazy Csr
+
+TEST(PublishLazyCsr, ReplayBuildsNoCsrAndOldViewsTraverseTheirOwnEdges) {
+  Engine engine({.device_workers = 2});
+  const device::Context ref_ctx = device::Context::sequential();
+  dynamic::DynamicGraph dg(engine.device(), gen::cycle_graph(40));
+  Session session = engine.session(dg);
+  session.refresh();
+  const View v0 = session.view();
+
+  // Two insert-only epochs, each published by replay: no publish builds an
+  // artifact — the Csr in particular waits for a reader.
+  const std::size_t builds0 = engine.stats().artifact_builds;
+  dg.insert_edges(engine.device(), {{0, 20}});
+  session.refresh();
+  const View v1 = session.view();
+  dg.insert_edges(engine.device(), {{5, 30}, {10, 35}});
+  session.refresh();
+  const View v2 = session.view();
+  ASSERT_EQ(session.publish_replays(), 2u);
+  EXPECT_EQ(engine.stats().artifact_builds, builds0);
+
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId t = 0; t < 40; ++t) {
+    pairs.push_back({0, t});
+    pairs.push_back({7, t});
+  }
+  // The first reader of a replayed epoch's Csr builds it, once: a second
+  // read, and the session's own read of the SAME epoch, hit the shared
+  // cell. (Epoch 0's rebuild publish already built its Csr for the cost
+  // model's diameter hint.)
+  const auto levels1 = v1.run(BfsLevels{pairs});
+  EXPECT_EQ(engine.stats().artifact_builds, builds0 + 1);
+  EXPECT_EQ(v1.run(BfsLevels{pairs}), levels1);
+  const auto levels2 = v2.run(BfsLevels{pairs});
+  EXPECT_EQ(engine.stats().artifact_builds, builds0 + 2);
+  EXPECT_EQ(session.run(BfsLevels{pairs}), levels2);
+  EXPECT_EQ(engine.stats().artifact_builds, builds0 + 2);
+
+  // Every View answers over ITS epoch's edges — v0, held two epochs back,
+  // included — never over the graph's current ones.
+  for (const View* view : {&v0, &v1, &v2}) {
+    const graph::Csr ref_csr = graph::build_csr(ref_ctx, view->edges());
+    const auto from0 = test_support::bfs_levels(ref_csr, 0);
+    const auto from7 = test_support::bfs_levels(ref_csr, 7);
+    const auto got = view->run(BfsLevels{pairs});
+    for (std::size_t q = 0; q < pairs.size(); ++q) {
+      const auto [s, t] = pairs[q];
+      EXPECT_EQ(got[q], (s == 0 ? from0 : from7)[t])
+          << "epoch " << view->epoch() << " bfs " << s << "->" << t;
+    }
+  }
+  // The chords shortened the cycle's paths, so the epochs really differ.
+  EXPECT_NE(v0.run(BfsLevels{pairs}), levels2);
 }
 
 // ------------------------------------------------ launch-count guarantees

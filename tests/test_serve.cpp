@@ -279,6 +279,83 @@ TEST(ServeConcurrent, ReadersHoldSnapshotsWhileWriterAdvances) {
   }
 }
 
+TEST(ServeConcurrent, ReadersFirstTouchTheLazyCsrWhileWriterPublishes) {
+  const auto fuzz = test_support::fuzz_run(/*seed=*/2027, /*rounds=*/12);
+  SCOPED_TRACE(fuzz.trace);
+  const std::string tag = "[" + fuzz.trace + "]";
+  constexpr NodeId kSide = 16;
+  constexpr NodeId kNodes = kSide * kSide;
+  constexpr unsigned kReaders = 3;
+
+  Engine engine({.device_workers = 2});
+  const device::Context ref_ctx = device::Context::sequential();
+  // Reliability 1 keeps the grid connected, so every writer insert is
+  // intra-component and every publish replays — a replay builds no
+  // artifact, which makes the readers' Csr builds exactly countable.
+  dynamic::DynamicGraph dg(
+      engine.device(), gen::road_graph(kSide, kSide, 1.0, 0.05, fuzz.seed));
+  Session session = engine.session(dg);
+  util::Rng rng(fuzz.seed ^ 0x51f15e);
+  const auto insert_chords = [&] {
+    std::vector<Edge> batch;
+    while (batch.size() < 4) {
+      const auto u = static_cast<NodeId>(rng.below(kNodes));
+      const auto v = static_cast<NodeId>(rng.below(kNodes));
+      if (u != v && !dg.has_edge(u, v)) batch.push_back({u, v});
+    }
+    dg.insert_edges(engine.device(), batch);
+  };
+  // Epoch 0's rebuild publish builds its Csr for the cost model's diameter
+  // hint; start the rounds at a replayed epoch, whose Csr nobody built.
+  session.refresh();
+  insert_chords();
+  session.refresh();
+
+  for (int round = 0; round < fuzz.rounds; ++round) {
+    // A fresh epoch whose Csr nobody has read yet, and its reference.
+    const View view = session.view();
+    const graph::Csr ref_csr = graph::build_csr(ref_ctx, view.edges());
+    const std::size_t builds0 = engine.stats().artifact_builds;
+
+    std::atomic<bool> go{false};
+    std::array<const graph::Csr*, kReaders> seen{};
+    const auto reader = [&](unsigned tid) {
+      util::Rng local(fuzz.seed * 7919 + round * 31 + tid);
+      std::vector<std::pair<NodeId, NodeId>> pairs;
+      const auto source = static_cast<NodeId>(local.below(kNodes));
+      for (int q = 0; q < 16; ++q) {
+        pairs.push_back({source, static_cast<NodeId>(local.below(kNodes))});
+      }
+      // Odd readers take the forced-device route.
+      Policy policy;
+      if (tid % 2 == 1) policy.min_device_batch = 1;
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      const auto got = view.with_policy(policy).run(engine::BfsLevels{pairs});
+      seen[tid] = &view.csr();
+      const auto want = test_support::bfs_levels(ref_csr, source);
+      for (std::size_t q = 0; q < pairs.size(); ++q) {
+        EXPECT_EQ(got[q], want[pairs[q].second])
+            << tag << " epoch " << view.epoch() << " bfs " << source << "->"
+            << pairs[q].second;
+      }
+    };
+    std::vector<std::thread> readers;
+    for (unsigned t = 0; t < kReaders; ++t) readers.emplace_back(reader, t);
+
+    // Writer: the next epoch lands while the readers race the first touch.
+    const std::uint64_t replays0 = session.publish_replays();
+    go.store(true, std::memory_order_release);
+    insert_chords();
+    session.refresh();
+    for (std::thread& thread : readers) thread.join();
+
+    ASSERT_EQ(session.publish_replays(), replays0 + 1) << tag;
+    // Exactly one Csr build for the epoch, and every reader saw that one.
+    EXPECT_EQ(engine.stats().artifact_builds, builds0 + 1) << tag;
+    for (const graph::Csr* csr : seen) EXPECT_EQ(csr, seen[0]) << tag;
+  }
+}
+
 TEST(ServeDispatcher, AnswersCarryTheServingEpochAcrossPublishes) {
   const auto fuzz = test_support::fuzz_run(/*seed=*/414, /*rounds=*/12);
   SCOPED_TRACE(fuzz.trace);
