@@ -29,10 +29,6 @@ EdgeId capacity_for(EdgeId need) {
   return need + std::max<EdgeId>(4, need / 4);
 }
 
-/// Process-wide id source; ids start at 1 so 0 means "no graph yet" to
-/// consumers like ConnectivityOracle.
-std::atomic<std::uint64_t> uid_counter{0};
-
 /// Half-open bounds of run r in a directed key array of `total` entries.
 std::pair<std::size_t, std::size_t> run_bounds(
     const std::vector<EdgeId>& run_start, std::size_t runs, std::size_t total,
@@ -71,37 +67,8 @@ std::size_t expand_directed_runs(const device::Context& ctx,
 
 }  // namespace
 
-std::optional<InsertPartition> partition_insertions(
-    const std::vector<NodeId>& labels,
-    const std::vector<graph::Edge>& inserted) {
-  InsertPartition part;
-  std::unordered_map<NodeId, NodeId> parent;  // label -> parent label
-  auto find = [&](NodeId c) {
-    for (auto it = parent.find(c); it != parent.end(); it = parent.find(c)) {
-      c = it->second;
-    }
-    return c;
-  };
-  for (std::size_t i = 0; i < inserted.size(); ++i) {
-    const NodeId cu = labels[inserted[i].u];
-    const NodeId cv = labels[inserted[i].v];
-    if (cu == cv) {
-      part.intra.push_back(i);
-      continue;
-    }
-    const NodeId a = find(cu);
-    const NodeId b = find(cv);
-    if (a == b) return std::nullopt;  // cycle across this batch's merges
-    parent[std::max(a, b)] = std::min(a, b);
-    part.cross.push_back(i);
-  }
-  for (const auto& entry : parent) part.merged[entry.first] = find(entry.first);
-  return part;
-}
-
 DynamicGraph::DynamicGraph(NodeId num_nodes)
     : num_nodes_(num_nodes),
-      uid_(uid_counter.fetch_add(1, std::memory_order_relaxed) + 1),
       seg_begin_(static_cast<std::size_t>(num_nodes) + 1, 0),
       seg_count_(static_cast<std::size_t>(num_nodes), 0) {}
 

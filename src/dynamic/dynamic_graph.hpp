@@ -23,7 +23,7 @@
 // graph::canonicalize): inserting an edge already present or erasing one
 // already absent is a no-op and does not advance the epoch. The epoch
 // counter advances exactly when the edge set actually changes, which is what
-// lets ConnectivityOracle::refresh skip rebuilding entirely for no-op
+// lets an epoch-keyed cache (engine::Session) skip all work for no-op
 // batches.
 //
 // snapshot() exports the current version as the immutable graph::EdgeList
@@ -36,8 +36,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "device/context.hpp"
@@ -51,7 +49,7 @@ namespace emc::dynamic {
 /// canonical (u < v) form, and the epoch the batch applied on top of. A
 /// consumer holding an index for `from_epoch` can bring it to
 /// `from_epoch + 1` by replaying the delta instead of re-reading the whole
-/// graph — the hook ConnectivityOracle's incremental refresh hangs off.
+/// graph — the hook the engine's delta-replay publish hangs off.
 struct UpdateDelta {
   /// Epoch the delta applies on top of (the batch produced from_epoch + 1).
   /// kNoDelta when no effective batch has run yet.
@@ -62,28 +60,6 @@ struct UpdateDelta {
   static constexpr std::uint64_t kNoDelta = ~std::uint64_t{0};
   bool insert_only() const { return erased.empty(); }
 };
-
-/// An insert delta split by the connected components of the snapshot it
-/// applies to: intra-component edges can only merge 2-edge-connected
-/// blocks, cross-component edges each become a bridge linking two trees.
-struct InsertPartition {
-  std::vector<std::size_t> intra;  // delta indexes, endpoints in one component
-  std::vector<std::size_t> cross;  // delta indexes, endpoints in two components
-  /// Loser label -> final winner label of the components the cross edges
-  /// join. The min label wins, so relabeling yields exactly what a fresh CC
-  /// labeling of the new snapshot assigns (component[rep] == rep holds).
-  std::unordered_map<NodeId, NodeId> merged;
-};
-
-/// Classifies `inserted` by `labels` (per-node component label of the
-/// snapshot BEFORE the insert), merging the touched labels with a host
-/// union-find as it goes. Returns nullopt for the one shape neither
-/// incremental replay can express: a cross edge closing a cycle through
-/// components merged earlier in the same batch (it is not a bridge, yet
-/// not intra-component on the old snapshot either).
-std::optional<InsertPartition> partition_insertions(
-    const std::vector<NodeId>& labels,
-    const std::vector<graph::Edge>& inserted);
 
 class DynamicGraph {
  public:
@@ -96,10 +72,10 @@ class DynamicGraph {
   /// stored edge set is the simple form of `initial`.
   DynamicGraph(const device::Context& ctx, const graph::EdgeList& initial);
 
-  /// Identity type — neither copyable nor movable: a copy (or a gutted
-  /// moved-from source) would carry the uid that identifies this graph to
-  /// oracle caches while holding a different edge set. Heap-allocate when
-  /// ownership must travel.
+  /// Identity type — neither copyable nor movable: sessions bind it by
+  /// address and key their caches on its epoch, which a copy (or a gutted
+  /// moved-from source) would carry while holding a different edge set.
+  /// Heap-allocate when ownership must travel.
   DynamicGraph(const DynamicGraph&) = delete;
   DynamicGraph& operator=(const DynamicGraph&) = delete;
 
@@ -129,11 +105,6 @@ class DynamicGraph {
   /// from_epoch is UpdateDelta::kNoDelta. Invalidated by the next effective
   /// batch — consumers replay it immediately or not at all.
   const UpdateDelta& last_delta() const { return last_delta_; }
-
-  /// Process-unique graph identity (never 0). Consumers that cache derived
-  /// state key it on (uid, epoch): epoch alone would collide across
-  /// different DynamicGraph instances.
-  std::uint64_t uid() const { return uid_; }
 
   /// Compactions performed so far (the amortized reshuffles).
   std::size_t num_compactions() const { return num_compactions_; }
@@ -183,7 +154,6 @@ class DynamicGraph {
   NodeId num_nodes_ = 0;
   std::size_t num_edges_ = 0;
   std::uint64_t epoch_ = 0;
-  std::uint64_t uid_ = 0;
   std::size_t num_compactions_ = 0;
 
   /// Records `keys` (canonical packed edges) as the delta that produced the

@@ -14,50 +14,57 @@
 
 namespace emc::dynamic {
 
-bool ConnectivityOracle::refresh(const device::Context& ctx,
-                                 const DynamicGraph& graph,
-                                 util::PhaseTimer* phases,
-                                 const bridges::BridgeMask* bridge_mask,
-                                 const bridges::SpanningForest* cc) {
-  if (built_uid_ == graph.uid() && built_epoch_ == graph.epoch()) {
-    ++refreshes_skipped_;
+std::optional<InsertPartition> partition_insertions(
+    const std::vector<NodeId>& labels,
+    const std::vector<graph::Edge>& inserted) {
+  InsertPartition part;
+  std::unordered_map<NodeId, NodeId> parent;  // label -> parent label
+  auto find = [&](NodeId c) {
+    for (auto it = parent.find(c); it != parent.end(); it = parent.find(c)) {
+      c = it->second;
+    }
+    return c;
+  };
+  for (std::size_t i = 0; i < inserted.size(); ++i) {
+    const NodeId cu = labels[inserted[i].u];
+    const NodeId cv = labels[inserted[i].v];
+    if (cu == cv) {
+      part.intra.push_back(i);
+      continue;
+    }
+    const NodeId a = find(cu);
+    const NodeId b = find(cv);
+    if (a == b) return std::nullopt;  // cycle across this batch's merges
+    parent[std::max(a, b)] = std::min(a, b);
+    part.cross.push_back(i);
+  }
+  for (const auto& entry : parent) part.merged[entry.first] = find(entry.first);
+  return part;
+}
+
+bool ConnectivityOracle::insert(const device::Context& ctx,
+                                const std::vector<graph::Edge>& inserted,
+                                const InsertPartition& part,
+                                util::PhaseTimer* phases) {
+  // Intra-component edges merge blocks (contraction), cross-component
+  // edges become bridges linking block trees (tree-link).
+  if (!part.intra.empty() &&
+      !apply_insertions(ctx, inserted, part.intra, phases)) {
     return false;
   }
-  // Incremental path: the index must be exactly the one effective batch
-  // whose delta the graph still holds behind the current epoch, and the
-  // delta must pass the size rule. The delta is then split by the indexed
-  // components — intra-component edges merge blocks (contraction),
-  // cross-component edges become bridges linking block trees (tree-link).
-  const UpdateDelta& delta = graph.last_delta();
-  std::optional<InsertPartition> part;
-  if (incremental_candidate(graph)) {
-    part = partition_insertions(cc_label_, delta.inserted);
+  if (!part.cross.empty()) {
+    // Reindexes the (contracted) quotient with the new bridges spliced
+    // in — a mixed batch pays one block-tree index, not two.
+    link_components(ctx, inserted, part.cross, part.merged, phases);
+    ++tree_links_;
+  } else if (node_block_.size() > 2 * num_blocks_) {
+    // Dead edges (one per merge: tree nodes - blocks) outnumber live
+    // ones: the carried tree is mostly contracted weight, so reindex its
+    // quotient.
+    util::ScopedPhase phase(phases, "block_tree");
+    index_block_tree(ctx, current_block_tree(ctx));
   }
-  bool incremental = part.has_value();
-  if (incremental && !part->intra.empty()) {
-    incremental = apply_insertions(ctx, delta.inserted, part->intra, phases);
-  }
-  if (incremental) {
-    if (!part->cross.empty()) {
-      // Reindexes the (contracted) quotient with the new bridges spliced
-      // in — a mixed batch pays one block-tree index, not two.
-      link_components(ctx, delta.inserted, part->cross, part->merged, phases);
-      ++tree_links_;
-    } else if (node_block_.size() > 2 * num_blocks_) {
-      // Dead edges (one per merge: tree nodes - blocks) outnumber live
-      // ones: the carried tree is mostly contracted weight, so reindex its
-      // quotient.
-      util::ScopedPhase phase(phases, "block_tree");
-      index_block_tree(ctx, current_block_tree(ctx));
-    }
-    ++incremental_refreshes_;
-  } else {
-    rebuild(ctx, graph.snapshot(ctx), phases, bridge_mask, cc);
-    ++rebuilds_;
-  }
-  built_uid_ = graph.uid();
-  built_epoch_ = graph.epoch();
-  built_edges_ = graph.num_edges();
+  ++incremental_refreshes_;
   return true;
 }
 
@@ -66,18 +73,6 @@ void ConnectivityOracle::build(const device::Context& ctx,
                                const bridges::BridgeMask* bridge_mask,
                                const bridges::SpanningForest* cc,
                                util::PhaseTimer* phases) {
-  rebuild(ctx, snapshot, phases, bridge_mask, cc);
-  ++rebuilds_;
-  built_uid_ = 0;  // no DynamicGraph has uid 0: never matches a refresh()
-  built_epoch_ = kNeverBuilt;
-  built_edges_ = snapshot.edges.size();
-}
-
-void ConnectivityOracle::rebuild(const device::Context& ctx,
-                                 const graph::EdgeList& snapshot,
-                                 util::PhaseTimer* phases,
-                                 const bridges::BridgeMask* bridge_mask,
-                                 const bridges::SpanningForest* cc) {
   const auto n = static_cast<std::size_t>(snapshot.num_nodes);
   const std::size_t m = snapshot.edges.size();
   if (n == 0) {
@@ -91,6 +86,7 @@ void ConnectivityOracle::rebuild(const device::Context& ctx,
     bridge_depth_.clear();
     num_bridges_ = 0;
     num_blocks_ = 0;
+    ++rebuilds_;
     return;
   }
 
@@ -183,6 +179,7 @@ void ConnectivityOracle::rebuild(const device::Context& ctx,
                                          block_of_[comp_reps[r]]};
                     });
   index_block_tree(ctx, block_tree);
+  ++rebuilds_;
 }
 
 void ConnectivityOracle::index_block_tree(const device::Context& ctx,

@@ -1,8 +1,7 @@
-// 2-edge-connectivity oracle over a DynamicGraph — the queryable index the
-// paper's pipeline produces, kept alive between update batches.
+// 2-edge-connectivity oracle — the queryable index the paper's pipeline
+// produces, kept alive between update batches.
 //
-// After each update batch the oracle rebuilds its index from the current
-// snapshot with the paper's own pipeline:
+// build() indexes a snapshot with the paper's own pipeline:
 //
 //   bridge mask          — Tarjan-Vishkin on the snapshot (a disconnected
 //                          snapshot is stitched with virtual edges between
@@ -23,18 +22,17 @@
 // are no per-query kernel launches, exactly the regime the paper's
 // Figure 6 shows the device needs.
 //
-// Epoch versioning: refresh() compares its build epoch against the graph's
-// and skips the rebuild entirely when nothing changed — in particular after
-// update batches that turn out to be no-ops (all duplicates / already
-// absent), which never advance the graph epoch.
+// The index has no epoch and names no graph store: it is whatever its last
+// build() or insert() made it. Deciding WHEN an insert batch may be
+// replayed belongs to the caller (engine::Session owns the one replay
+// rule); the oracle only states the size rule (incremental_applies) and
+// refuses, unchanged, a batch whose covered paths are too long.
 //
-// Incremental maintenance: when the graph is exactly ONE effective batch
-// ahead of the index and that batch's applied delta (DynamicGraph::
-// last_delta) is insert-only, small, and stays within connected components,
-// refresh() skips the full pipeline. An inserted edge {u, v} inside one
-// component can only MERGE 2-edge-connected components: it closes a cycle
-// through the block-tree path between u's and v's blocks, so every block on
-// that path collapses into one. The incremental path therefore
+// Incremental maintenance: insert() replays an insert-only batch split by
+// the indexed components (partition_insertions). An inserted edge {u, v}
+// inside one component can only MERGE 2-edge-connected components: it
+// closes a cycle through the block-tree path between u's and v's blocks,
+// so every block on that path collapses into one. The intra-component part
 //
 //   1. answers all inserted endpoints' block pairs with ONE bulk LCA kernel
 //      on the existing block tree;
@@ -49,28 +47,21 @@
 //      indexed tree, so bridges_on_path stays exact with no Euler tour;
 //      the quotient is reindexed only once dead edges outnumber live ones.
 //
-// An inserted edge whose endpoints lie in DIFFERENT components takes the
-// complementary fast path: it cannot merge any 2-edge-connected components
-// (every cycle through it would need a second connecting edge), it IS a new
-// bridge, and its only structural effect is linking two trees of the block
-// forest. refresh() therefore splits an insert-only delta
-// (partition_insertions) into the intra-component part (contracted as
-// above) and the cross-component part, which link_components() replays
-// without touching the n-sized 2-ecc state:
+// An edge whose endpoints lie in DIFFERENT components cannot merge any
+// 2-edge-connected components (every cycle through it would need a second
+// connecting edge): it IS a new bridge, and its only structural effect is
+// linking two trees of the block forest. The cross-component part is
+// replayed by link_components() without touching the n-sized 2-ecc state:
 // merge the affected component labels (one n-sized relabel pass), append
 // one block-tree edge per inserted bridge to the live quotient tree, drop
 // the merged-away components' virtual-root edges, and reindex only the
 // block tree + inlabel LCA.
 //
-// Everything else — deletions, oversized deltas, a cycle-closing set of
-// cross-component edges within one batch (two deltas joining the same pair
-// of components), or a graph more than one batch ahead — falls back to the
-// full rebuild under the explicit cost rule in incremental_applies(). One
-// more guard engages mid-flight: the contraction's work is the total length
-// of the covered block-tree paths, which the delta size does not bound (one
-// edge can span a million-block chain), so after the bulk LCA answers the
-// path lengths are summed and an oversized total aborts into the rebuild —
-// see apply_insertions().
+// The contraction's work is the total length of the covered block-tree
+// paths, which the batch size does not bound (one edge can span a
+// million-block chain), so after the bulk LCA answers the path lengths are
+// summed and an oversized total makes insert() return false — see
+// apply_insertions().
 #pragma once
 
 #include <algorithm>
@@ -78,6 +69,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -85,37 +77,43 @@
 #include "bridges/bridges.hpp"
 #include "bridges/cc_spanning.hpp"
 #include "device/context.hpp"
-#include "dynamic/dynamic_graph.hpp"
+#include "graph/graph.hpp"
 #include "lca/inlabel.hpp"
 #include "util/timer.hpp"
 #include "util/types.hpp"
 
 namespace emc::dynamic {
 
+/// An insert batch split by the connected components of the snapshot it
+/// applies to: intra-component edges can only merge 2-edge-connected
+/// blocks, cross-component edges each become a bridge linking two trees.
+struct InsertPartition {
+  std::vector<std::size_t> intra;  // batch indexes, endpoints in one component
+  std::vector<std::size_t> cross;  // batch indexes, endpoints in two components
+  /// Loser label -> final winner label of the components the cross edges
+  /// join. The min label wins, so relabeling yields exactly what a fresh CC
+  /// labeling of the new snapshot assigns (component[rep] == rep holds).
+  std::unordered_map<NodeId, NodeId> merged;
+};
+
+/// Classifies `inserted` by `labels` (per-node component label of the
+/// snapshot BEFORE the insert), merging the touched labels with a host
+/// union-find as it goes. Returns nullopt for the one shape neither
+/// incremental replay can express: a cross edge closing a cycle through
+/// components merged earlier in the same batch (it is not a bridge, yet
+/// not intra-component on the old snapshot either).
+std::optional<InsertPartition> partition_insertions(
+    const std::vector<NodeId>& labels,
+    const std::vector<graph::Edge>& inserted);
+
 class ConnectivityOracle {
  public:
-  /// Brings the index up to date with `graph`. Returns true if any work ran
-  /// (incremental or full rebuild), false if the (uid, epoch) check proved
-  /// the index is already current for this exact graph instance. Phases
-  /// (when collected): components, bridge_mask, two_ecc, block_tree for the
-  /// full rebuild; lca_paths, contract, block_tree, tree_link for the
-  /// incremental paths. `bridge_mask` and `cc`, when provided, must belong
-  /// to the graph's CURRENT snapshot (engine artifact reuse: the per-edge
-  /// bridge verdict and the connected-components spanning forest); both are
-  /// consumed only if the full-rebuild path runs.
-  bool refresh(const device::Context& ctx, const DynamicGraph& graph,
-               util::PhaseTimer* phases = nullptr,
-               const bridges::BridgeMask* bridge_mask = nullptr,
-               const bridges::SpanningForest* cc = nullptr);
-
-  /// Builds the index from an immutable snapshot with the full pipeline,
-  /// unconditionally — the engine's static-graph entry (the caller owns
-  /// change detection; epoch-keying lives in its artifact cache). Severs any
-  /// (uid, epoch) binding to a DynamicGraph and counts as a rebuild.
+  /// Builds the index from a snapshot with the full pipeline. Phases (when
+  /// collected): components, bridge_mask, two_ecc, block_tree.
   /// `bridge_mask`, when provided, must align with `snapshot.edges` (any
-  /// backend — they all agree) and lets the rebuild skip its own
+  /// backend — they all agree) and lets the build skip its own
   /// Tarjan-Vishkin mask phase; `cc`, when provided, must be the spanning
-  /// forest of `snapshot` and spares the rebuild its components phase the
+  /// forest of `snapshot` and spares the build its components phase the
   /// same way — so a session that already answered a Bridges request pays
   /// only the marginal 2-ecc work.
   void build(const device::Context& ctx, const graph::EdgeList& snapshot,
@@ -123,39 +121,22 @@ class ConnectivityOracle {
              const bridges::SpanningForest* cc = nullptr,
              util::PhaseTimer* phases = nullptr);
 
-  /// True iff a refresh() against `graph` right now would run the full
-  /// rebuild pipeline — neither the (uid, epoch) skip nor the incremental
-  /// candidacy checks hold. Cheap host checks only: a candidate delta can
-  /// still fall back to the rebuild mid-flight (cycle-closing cross edges,
-  /// oversized covered paths), so a false here is a strong hint, not a
-  /// promise. The engine uses it to decide whether a policy-chosen mask is
-  /// worth computing up front.
-  bool refresh_needs_rebuild(const DynamicGraph& graph) const {
-    if (built_uid_ == graph.uid() && built_epoch_ == graph.epoch()) {
-      return false;  // refresh would skip entirely
-    }
-    return !incremental_candidate(graph);
-  }
+  /// Replays the insert-only batch `inserted` — the only change to the
+  /// indexed snapshot — split by `part`, which partition_insertions
+  /// computed over component_labels(). Returns false, leaving the index
+  /// UNCHANGED, when the covered-length rule fires (see apply_insertions);
+  /// the caller then build()s the new snapshot. Phases: lca_paths,
+  /// contract, block_tree, tree_link.
+  bool insert(const device::Context& ctx,
+              const std::vector<graph::Edge>& inserted,
+              const InsertPartition& part, util::PhaseTimer* phases = nullptr);
 
-  /// Severs the (uid, epoch) binding so the next refresh() can take neither
-  /// the skip nor the incremental path — it must run the full pipeline. The
-  /// engine's drop_artifacts/drop_results hooks call this so "the next
-  /// request rebuilds" holds for dynamic sessions too (their refresh would
-  /// otherwise no-op on the unchanged epoch). The index stays queryable.
-  void invalidate() {
-    built_uid_ = 0;
-    built_epoch_ = kNeverBuilt;
-    built_edges_ = 0;
-  }
-
-  /// The size half of the incremental decision rule: an insert-only delta
+  /// The size half of the incremental decision rule: an insert-only batch
   /// qualifies iff it is small relative to the INDEXED snapshot —
   ///   inserted <= max(kIncrementalFloor, indexed_edges / kIncrementalRatio)
   /// and erased == 0. (The floor keeps small graphs on the incremental path;
   /// the ratio bounds the worst case where contraction relabels would not
-  /// beat the full pipeline.) The remaining conditions — index exactly one
-  /// batch behind, and no cycle-closing set of cross-component edges within
-  /// the batch — are checked against live state by refresh().
+  /// beat the full pipeline.)
   static bool incremental_applies(std::size_t inserted, std::size_t erased,
                                   std::size_t indexed_edges) {
     return erased == 0 && inserted > 0 &&
@@ -166,13 +147,10 @@ class ConnectivityOracle {
   static constexpr std::size_t kIncrementalFloor = 64;
   static constexpr std::size_t kIncrementalRatio = 4;
 
-  /// Epoch of the snapshot the index was built from.
-  std::uint64_t built_epoch() const { return built_epoch_; }
   std::size_t rebuilds() const { return rebuilds_; }
-  std::size_t refreshes_skipped() const { return refreshes_skipped_; }
-  /// Refreshes served by the incremental (delta-replay) path.
+  /// Batches served by insert() (the delta-replay path).
   std::size_t incremental_refreshes() const { return incremental_refreshes_; }
-  /// Incremental refreshes whose delta included cross-component edges,
+  /// Incremental refreshes whose batch included cross-component edges,
   /// served by the tree-link path (a subset of incremental_refreshes()).
   std::size_t tree_links() const { return tree_links_; }
 
@@ -190,9 +168,9 @@ class ConnectivityOracle {
   /// Per-node connected-component representative of the indexed snapshot.
   const std::vector<NodeId>& component_labels() const { return cc_label_; }
 
-  // Query precondition (all queries below): refresh() must have run against
-  // the queried graph, and node ids must be < that snapshot's num_nodes —
-  // checked by assert in Debug builds, unchecked on the Release hot path.
+  // Query precondition (all queries below): node ids must be < the indexed
+  // snapshot's num_nodes — checked by assert in Debug builds, unchecked on
+  // the Release hot path.
 
   /// True iff two edge-disjoint u-v paths exist.
   bool same_2ecc(NodeId u, NodeId v) const {
@@ -211,28 +189,9 @@ class ConnectivityOracle {
   }
 
  private:
-  /// The stateful half of the incremental decision rule (shared by
-  /// refresh() and refresh_needs_rebuild()): the index is exactly the one
-  /// effective batch whose delta the graph still holds behind the current
-  /// epoch, and the delta passes incremental_applies().
-  bool incremental_candidate(const DynamicGraph& graph) const {
-    const UpdateDelta& delta = graph.last_delta();
-    return built_uid_ == graph.uid() && built_epoch_ != kNeverBuilt &&
-           graph.epoch() == built_epoch_ + 1 &&
-           delta.from_epoch == built_epoch_ &&
-           incremental_applies(delta.inserted.size(), delta.erased.size(),
-                               built_edges_);
-  }
-
-  void rebuild(const device::Context& ctx, const graph::EdgeList& snapshot,
-               util::PhaseTimer* phases,
-               const bridges::BridgeMask* bridge_mask = nullptr,
-               const bridges::SpanningForest* cc = nullptr);
-
   /// Replays the intra-component insertions `inserted[ids]` onto the
-  /// current index. Precondition: incremental_applies() held and every
-  /// such edge's endpoints share a connected component (checked by
-  /// refresh() through partition_insertions). Returns false —
+  /// current index. Precondition: every such edge's endpoints share a
+  /// connected component (partition_insertions). Returns false —
   /// leaving the index UNCHANGED — when the covered-length rule fires: the
   /// summed block-tree path length of the delta exceeds
   /// max(kIncrementalFloor, num_blocks / kIncrementalRatio), in which case
@@ -272,12 +231,7 @@ class ConnectivityOracle {
     return v >= 0 && static_cast<std::size_t>(v) < block_of_.size();
   }
 
-  static constexpr std::uint64_t kNeverBuilt = ~std::uint64_t{0};
-  std::uint64_t built_uid_ = 0;  // no DynamicGraph has uid 0
-  std::uint64_t built_epoch_ = kNeverBuilt;
-  std::size_t built_edges_ = 0;  // edge count of the indexed snapshot
   std::size_t rebuilds_ = 0;
-  std::size_t refreshes_skipped_ = 0;
   std::size_t incremental_refreshes_ = 0;
   std::size_t tree_links_ = 0;
 

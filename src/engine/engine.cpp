@@ -176,8 +176,6 @@ void Session::sync_epoch() {
   cache_.bridge_edges.reset();
   cache_.mask_published = false;
   cache_.forest_published = false;
-  cache_.oracle_current = false;  // the oracle object itself survives: its
-                                  // refresh() replays dynamic deltas
   cache_.forest_lca.reset();
   cache_.bcc = std::make_shared<EpochCell<bcc::BccIndex>>();
   // The diameter hint is sticky by design (see diameter_estimate()).
@@ -187,16 +185,14 @@ void Session::drop_artifacts() {
   cache_.epoch = Cache::kNone;
   sync_epoch();  // resets every epoch-keyed artifact
   cache_.epoch = Cache::kNone;
-  // A dynamic graph's oracle would otherwise see an unchanged (uid, epoch)
-  // and no-op its refresh — sever the binding so the rebuild is real.
-  oracle_mut().invalidate();
+  cache_.oracle_epoch = Cache::kNone;
 }
 
 void Session::drop_results() {
   cache_.mask.reset();
   cache_.mask_backend = Backend::kAuto;
-  cache_.oracle_current = false;
-  oracle_mut().invalidate();  // see drop_artifacts()
+  cache_.bridge_edges.reset();  // derived from the mask
+  cache_.oracle_epoch = Cache::kNone;
   cache_.forest_lca.reset();
   cache_.bcc = std::make_shared<EpochCell<bcc::BccIndex>>();
 }
@@ -204,9 +200,9 @@ void Session::drop_results() {
 dynamic::ConnectivityOracle& Session::oracle_mut() {
   if (cache_.oracle_published) {
     // Copy-on-write: a View shares the object, so it must never change
-    // underneath the readers. The clone carries the (uid, epoch) binding
-    // and the cumulative stats, so the incremental replay still applies to
-    // it exactly as it would have in place. The sticky flag (rather than
+    // underneath the readers. The clone carries the cumulative stats, and
+    // Cache::oracle_epoch describes it exactly as it did the original, so
+    // a replay still applies to it. The sticky flag (rather than
     // use_count() == 1) is deliberate: a refcount load is not a
     // synchronization point, so mutating on an observed count of 1 would
     // race the retired readers' earlier reads (no happens-before edge);
@@ -380,66 +376,68 @@ const bridges::BridgeMask& Session::mask_artifact(const Policy& policy,
 const dynamic::ConnectivityOracle& Session::oracle_artifact(
     const Policy& policy) {
   sync_epoch();
-  track(!(cache_.oracle_current));
-  if (!cache_.oracle_current) {
-    const bridges::BridgeMask* mask =
-        cache_.mask ? &*cache_.mask : nullptr;
-    // A forced backend follows the same rule as a forced Bridges request:
-    // a cached mask from a DIFFERENT backend does not satisfy it.
+  if (!track(cache_.oracle_epoch != cache_.epoch)) return *cache_.oracle;
+  const std::optional<dynamic::InsertPartition> part = replay_partition();
+  const bridges::BridgeMask* mask = cache_.mask ? &*cache_.mask : nullptr;
+  const bridges::SpanningForest* forest_hint =
+      cache_.forest ? &*cache_.forest : nullptr;
+  if (!part) {
+    // The step will build. A forced backend follows the same rule as a
+    // forced Bridges request: a cached mask from a DIFFERENT backend does
+    // not satisfy it, so this epoch's mask is computed with it and handed
+    // down (it stays cached for later Bridges requests). A replay never
+    // reads a mask, so a forced backend does not make it build one.
     const bool needs_forced_mask =
         policy.backend != Backend::kAuto &&
         (mask == nullptr || cache_.mask_backend != policy.backend);
-    const bridges::SpanningForest* forest_hint = nullptr;
     if (graph_.is_dynamic()) {
-      // An explicit backend override is honored by computing this epoch's
-      // mask artifact with it and handing it down (it stays cached for
-      // later Bridges requests) — but only when refresh() would actually
-      // run the full rebuild: eagerly building a mask the incremental
-      // replay then discards would turn every small-delta serving step
-      // into a full mask computation. kAuto always stays lazy, and a
-      // candidate delta that still aborts into the rebuild mid-flight
-      // just runs the oracle's own TV mask phase.
-      if (needs_forced_mask &&
-          cache_.oracle->refresh_needs_rebuild(*graph_.dynamic_graph())) {
-        mask = &mask_artifact(policy, nullptr);
-      }
-      forest_hint = cache_.forest ? &*cache_.forest : nullptr;
+      // kAuto stays lazy: the build runs the oracle's own TV mask phase.
+      if (needs_forced_mask) mask = &mask_artifact(policy, nullptr);
     } else {
-      // Static: the mask is the policy-chosen artifact — ensure it exists
-      // (recomputing a forced-backend mismatch, like a Bridges request
-      // would), and hand the cached spanning forest down with it, so the
-      // 2-ecc index pays only the marginal work on top of both.
+      // Static: the mask is the policy-chosen artifact, and the cached
+      // spanning forest goes down with it, so the 2-ecc index pays only
+      // the marginal work on top of both.
       if (mask == nullptr || needs_forced_mask) {
         mask = &mask_artifact(policy, nullptr);
       }
       forest_hint = &forest();
     }
-    // oracle_mut() OUTSIDE the try: a clone failure must not invalidate the
-    // published oracle still serving live Views.
-    dynamic::ConnectivityOracle& oracle = oracle_mut();
-    try {
-      // refresh() replays deltas incrementally when it can; this epoch's
-      // cached mask and forest (only if already built — forcing either
-      // would defeat the incremental path) spare the full rebuild those
-      // phases.
-      if (graph_.is_dynamic()) {
-        oracle.refresh(engine_->device_, *graph_.dynamic_graph(), nullptr,
-                       mask, forest_hint);
-      } else {
-        oracle.build(engine_->device_, graph_.edges(engine_->device_), mask,
-                     forest_hint);
-      }
-    } catch (...) {
-      // A throw mid-refresh (injected fault, real OOM) can leave the index
-      // half-updated with its (uid, epoch) binding intact — a retry would
-      // then replay deltas on top of a corrupt base. Sever the binding so
-      // the next attempt rebuilds from scratch.
-      oracle.invalidate();
-      throw;
-    }
-    cache_.oracle_current = true;
   }
+  advance_oracle(part, mask, forest_hint);
   return *cache_.oracle;
+}
+
+std::optional<dynamic::InsertPartition> Session::replay_partition() const {
+  if (!graph_.is_dynamic() || cache_.oracle_epoch == Cache::kNone) {
+    return std::nullopt;
+  }
+  const dynamic::DynamicGraph& g = *graph_.dynamic_graph();
+  const dynamic::UpdateDelta& delta = g.last_delta();
+  // The delta that produced the current epoch started at the index's.
+  if (delta.from_epoch != cache_.oracle_epoch) return std::nullopt;
+  const std::size_t d = delta.inserted.size();
+  if (!dynamic::ConnectivityOracle::incremental_applies(
+          d, delta.erased.size(), g.num_edges() - d)) {
+    return std::nullopt;  // deletions, or too large to beat a build
+  }
+  return dynamic::partition_insertions(cache_.oracle->component_labels(),
+                                       delta.inserted);
+}
+
+void Session::advance_oracle(
+    const std::optional<dynamic::InsertPartition>& part,
+    const bridges::BridgeMask* mask, const bridges::SpanningForest* forest) {
+  const device::Context& ctx = engine_->device_;
+  // oracle_mut() first: a failed clone leaves the published index, still
+  // at its epoch, untouched.
+  dynamic::ConnectivityOracle& oracle = oracle_mut();
+  cache_.oracle_epoch = Cache::kNone;  // half-mutated until the step ends
+  if (!part ||
+      !oracle.insert(ctx, graph_.dynamic_graph()->last_delta().inserted,
+                     *part)) {
+    oracle.build(ctx, graph_.edges(ctx), mask, forest);
+  }
+  cache_.oracle_epoch = graph_.epoch();
 }
 
 const lca::InlabelLca& Session::forest_lca_artifact() {
@@ -561,21 +559,11 @@ void Session::ensure_bridge_edges() {
 bool Session::try_replay_publish(const Policy& policy) {
   // --- eligibility: cheap host checks only; any `return false` here has
   //     mutated NOTHING, and the caller runs the full pipeline instead.
-  if (!graph_.is_dynamic()) return false;
-  const dynamic::DynamicGraph& g = *graph_.dynamic_graph();
-  if (cache_.epoch == Cache::kNone || g.epoch() != cache_.epoch + 1) {
-    return false;
-  }
-  const dynamic::UpdateDelta& delta = g.last_delta();
-  if (delta.from_epoch != cache_.epoch || !delta.insert_only() ||
-      delta.inserted.empty()) {
-    return false;  // deletions (or no delta) take the full pipeline
-  }
   // Every previous-epoch artifact must exist: the replay is a patch, not a
   // build. bridge_edges is only materialized by publishes, so the FIRST
   // publish after lazy run()-only traffic rebuilds once, then replays.
   if (!cache_.forest || !cache_.mask || !cache_.forest_lca ||
-      !cache_.bridge_edges || !cache_.oracle_current) {
+      !cache_.bridge_edges || cache_.oracle_epoch != cache_.epoch) {
     return false;
   }
   // A forced backend different from the one that produced the carried-over
@@ -584,27 +572,25 @@ bool Session::try_replay_publish(const Policy& policy) {
       policy.backend != cache_.mask_backend) {
     return false;
   }
-  const std::size_t old_m = cache_.mask->size();
-  const std::size_t d = delta.inserted.size();
-  if (!dynamic::ConnectivityOracle::incremental_applies(d, 0, old_m)) {
-    return false;  // oversized batch: patching would not beat rebuilding
-  }
-
-  // Partition the delta by the indexed components, exactly as the oracle's
-  // refresh() does: intra-component edges merge 2-ecc blocks (the forest
-  // and its LCA keep their shape), cross-component edges each become a
-  // bridge linking two forest trees.
-  const std::optional<dynamic::InsertPartition> part =
-      dynamic::partition_insertions(cache_.forest->component, delta.inserted);
-  if (!part) return false;  // cycle across components merged this batch
+  // The one replay rule, computed once: intra-component edges merge 2-ecc
+  // blocks (the forest and its LCA keep their shape), cross-component
+  // edges each become a bridge linking two forest trees. The oracle step
+  // and the forest patch below both consume this partition.
+  const std::optional<dynamic::InsertPartition> part = replay_partition();
+  if (!part) return false;
   const std::vector<std::size_t>& cross = part->cross;
+  const dynamic::DynamicGraph& g = *graph_.dynamic_graph();
+  const std::vector<graph::Edge>& inserted = g.last_delta().inserted;
+  const std::size_t old_m = cache_.mask->size();
+  const std::size_t d = inserted.size();
 
   // --- the replay. Failure past this point (a thrown injected fault or
   //     real OOM) leaves cache_.epoch at the PREVIOUS epoch while the graph
   //     is ahead, so the next artifact access resyncs and rebuilds from
   //     scratch — no path can serve a half-patched artifact. The oracle is
-  //     the one object that survives a successful step (it is then validly
-  //     at the new epoch; refresh() skips on retry).
+  //     the one object that survives a successful step: oracle_epoch then
+  //     names the new epoch, so a retry finds the replay rule false and
+  //     keeps the index instead of replaying the batch onto it again.
   const device::Context& ctx = engine_->device_;
 
   // (1) Snapshot via the DCSR append fast path. If the snapshot did not
@@ -612,7 +598,7 @@ bool Session::try_replay_publish(const Policy& policy) {
   // position-stable and the patches below would mis-index — fall back.
   const std::shared_ptr<const graph::EdgeList> snap = g.snapshot_shared(ctx);
   if (snap->edges.size() != old_m + d ||
-      !std::equal(delta.inserted.begin(), delta.inserted.end(),
+      !std::equal(inserted.begin(), inserted.end(),
                   snap->edges.begin() + static_cast<std::ptrdiff_t>(old_m),
                   [](const graph::Edge& a, const graph::Edge& b) {
                     return a.u == b.u && a.v == b.v;
@@ -620,20 +606,11 @@ bool Session::try_replay_publish(const Policy& policy) {
     return false;
   }
 
-  // (2) 2-ecc index: the oracle's own incremental refresh (it may still
-  // choose its internal full rebuild — covered-length abort — without
-  // invalidating this replay: bridgeness is block_of[u] != block_of[v]
-  // EXACTLY, whichever path produced the labels).
-  dynamic::ConnectivityOracle& oracle = oracle_mut();
-  try {
-    oracle.refresh(ctx, g, nullptr, nullptr, nullptr);
-  } catch (...) {
-    // Half-refreshed with the (uid, epoch) binding intact would let a retry
-    // replay onto a corrupt base — sever it (see oracle_artifact).
-    oracle.invalidate();
-    cache_.oracle_current = false;
-    throw;
-  }
+  // (2) 2-ecc index: the shared oracle step (it may still build — covered-
+  // length refusal — without invalidating this replay: bridgeness is
+  // block_of[u] != block_of[v] EXACTLY, whichever path produced the labels).
+  advance_oracle(part, nullptr, nullptr);
+  const dynamic::ConnectivityOracle& oracle = *cache_.oracle;
   const std::vector<NodeId>& block = oracle.block_labels();
 
   // (3) Bridge mask: copy-on-write iff a View shares it, else in place.
@@ -646,7 +623,7 @@ bool Session::try_replay_publish(const Policy& policy) {
   // in different blocks of the NEW index (cross inserts always, intra
   // inserts never — but reading the labels needs no case split).
   device::launch(ctx, d, [&](std::size_t i) {
-    const graph::Edge e = delta.inserted[i];
+    const graph::Edge e = inserted[i];
     (*mask)[old_m + i] = block[e.u] != block[e.v] ? 1 : 0;
   });
   // Inserts never promote an old edge to a bridge (its witness cycle
@@ -673,8 +650,8 @@ bool Session::try_replay_publish(const Policy& policy) {
 
   // (4) Spanning forest: intra inserts leave it untouched (the endpoints
   // were already connected, so the tree edges still span); each cross
-  // insert links two trees — append it and fold the loser labels in, the
-  // link_components relabel idiom.
+  // insert links two trees — append it and fold the loser labels in with
+  // the partition's merge map, the link_components relabel idiom.
   if (!cross.empty()) {
     std::shared_ptr<bridges::SpanningForest> forest =
         cache_.forest_published
@@ -710,7 +687,6 @@ bool Session::try_replay_publish(const Policy& policy) {
   // articulation — the BCC index never survives a replay (incremental BCC
   // maintenance is a recorded follow-up). Fresh cell: old Views keep theirs.
   cache_.bcc = std::make_shared<EpochCell<bcc::BccIndex>>();
-  cache_.oracle_current = true;
   if (!cross.empty()) {
     cache_.forest_lca.reset();
     forest_lca_artifact();

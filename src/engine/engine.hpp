@@ -41,14 +41,16 @@
 //             refcount; see Session::pinned_epochs()).
 //
 // The artifact cache's 2-ecc artifact IS a dynamic::ConnectivityOracle —
-// not a parallel universe: for dynamic graphs refresh() replays deltas
-// incrementally, for static graphs build() runs the full pipeline once,
-// and in both cases a bridge mask the session already computed is handed
-// down so the oracle skips its own mask phase. Publishing a View freezes
-// the oracle object; the next epoch's refresh then clones it first
-// (copy-on-write — the incremental replay runs on the clone, the frozen
-// snapshot keeps answering) while unpublished sessions refresh in place
-// exactly as before.
+// not a parallel universe. The oracle is an epoch-free index; the Session
+// owns the one replay rule (replay_partition): when the graph is exactly one
+// effective, small, insert-only batch ahead of the index's epoch, the batch
+// is replayed onto it (ConnectivityOracle::insert); otherwise the index is
+// built from the snapshot, reusing a bridge mask and spanning forest the
+// session already computed so it skips those phases. The lazy 2-ecc request
+// and the delta-replay publish take that same step. Publishing a View
+// freezes the oracle object; the next epoch's step then clones it first
+// (copy-on-write — the replay runs on the clone, the frozen snapshot keeps
+// answering) while unpublished sessions advance it in place.
 //
 // Disconnected inputs are handled uniformly (the free-function backends
 // except DFS require connected graphs): the cache keeps a "stitched"
@@ -77,6 +79,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -427,8 +430,8 @@ class Session {
   // refresh() does the same without acquiring a View — the writer-side
   // "publish artifacts on the side" step, making the next view() cheap.
   // Acquiring a View freezes the artifacts it shares: the next epoch's
-  // 2-ecc refresh clones the oracle (copy-on-write) instead of replaying
-  // deltas in place, so held Views keep answering at their epoch.
+  // 2-ecc step clones the oracle (copy-on-write) instead of advancing it in
+  // place, so held Views keep answering at their epoch.
   View view();
   View view(const Policy& policy);
   std::uint64_t refresh();
@@ -453,9 +456,9 @@ class Session {
   /// policy's key input cannot go arbitrarily stale at constant m.
   NodeId diameter_estimate();
   /// The session's 2-ecc index object — a pure stats reader (rebuilds,
-  /// incremental refreshes, tree-links, block counts). It does NOT refresh:
-  /// it may lag the graph until the next 2-ecc request runs. Queries go
-  /// through run().
+  /// incremental refreshes, tree-links, block counts). Reading it runs
+  /// nothing: it may lag the graph until the next 2-ecc request or publish
+  /// advances it. Queries go through run().
   const dynamic::ConnectivityOracle& two_ecc_index() const {
     return *cache_.oracle;
   }
@@ -472,8 +475,8 @@ class Session {
   /// the graph's last delta onto the previous epoch's artifacts, vs by the
   /// full per-artifact pipeline. A publish that found its epoch already
   /// built counts as neither. The replay requires the PREVIOUS epoch to
-  /// have been published (its artifacts all materialized) and the delta to
-  /// be insert-only under the oracle's incremental size rule.
+  /// have been published (its artifacts all materialized) and the one
+  /// replay rule (replay_partition) to hold.
   std::uint64_t publish_replays() const { return publish_replays_; }
   std::uint64_t publish_rebuilds() const { return publish_rebuilds_; }
 
@@ -482,11 +485,11 @@ class Session {
   /// Live Views are unaffected: they co-own what they pinned.
   void drop_artifacts();
 
-  /// Drops only the ANSWER artifacts (bridge mask, 2-ecc index, forest
-  /// LCA), keeping the input-preparation ones (Csr, spanning forest,
-  /// stitched augmentation, diameter hint). The benchmark hook for timing
-  /// the per-request algorithm cost the way the paper's figures do — input
-  /// prep outside the timer, algorithm inside.
+  /// Drops only the ANSWER artifacts (bridge mask with its bridge-id list,
+  /// 2-ecc index, forest LCA, BCC index), keeping the input-preparation
+  /// ones (Csr, spanning forest, stitched augmentation, diameter hint). The
+  /// benchmark hook for timing the per-request algorithm cost the way the
+  /// paper's figures do — input prep outside the timer, algorithm inside.
   void drop_results();
 
  private:
@@ -520,10 +523,13 @@ class Session {
     /// point, so use_count() == 1 must not license in-place mutation.
     bool mask_published = false;
     bool forest_published = false;
-    bool oracle_current = false;
-    // The 2-ecc index persists across epochs (dynamic refreshes replay
-    // deltas). Once `oracle_published` (a View shares the object), any
-    // mutation goes through Session::oracle_mut(), which clones first.
+    // The 2-ecc index persists across epochs (insert batches replay onto
+    // it), so it carries its own epoch: the one it was last advanced to,
+    // kNone when the next step must build (never built, dropped, or a
+    // fault struck while it was being mutated). Once `oracle_published` (a
+    // View shares the object), any mutation goes through
+    // Session::oracle_mut(), which clones first.
+    std::uint64_t oracle_epoch = kNone;
     bool oracle_published = false;
     std::shared_ptr<dynamic::ConnectivityOracle> oracle =
         std::make_shared<dynamic::ConnectivityOracle>();
@@ -544,8 +550,8 @@ class Session {
   };
 
   /// Epoch fence: every request passes through here first; a changed epoch
-  /// invalidates the epoch-keyed artifacts (the oracle object survives so
-  /// dynamic refreshes can take the incremental paths).
+  /// invalidates the epoch-keyed artifacts (the oracle object survives, at
+  /// its own oracle_epoch, so insert batches can replay onto it).
   void sync_epoch();
   const graph::Csr& csr_artifact();
   NodeId diameter_artifact();
@@ -559,9 +565,28 @@ class Session {
   /// The mask artifact under `policy` (the heart of the Bridges request).
   const bridges::BridgeMask& mask_artifact(const Policy& policy,
                                            util::PhaseTimer* phases);
-  /// The 2-ecc index artifact: refresh (dynamic) or build (static), either
-  /// way reusing this epoch's cached mask when present.
+  /// The 2-ecc index artifact: advance_oracle() when it lags the epoch,
+  /// first computing the policy's mask when the step will build (a static
+  /// graph always; a dynamic one only for a forced backend).
   const dynamic::ConnectivityOracle& oracle_artifact(const Policy& policy);
+  /// The one replay rule: the graph is exactly one effective insert-only
+  /// batch ahead of Cache::oracle_epoch, and the batch passes
+  /// ConnectivityOracle::incremental_applies. Returns the batch split by
+  /// the oracle's component labels — which equal the forest's at the same
+  /// epoch (both are min-id labels, merged min-wins) — or nullopt when the
+  /// rule fails or the batch closes a cycle across components. Host checks
+  /// only; mutates nothing.
+  std::optional<dynamic::InsertPartition> replay_partition() const;
+  /// The one oracle step, shared by oracle_artifact and the replay
+  /// publish: replays the graph's last batch split by `part` onto the
+  /// index, or builds it from the current snapshot (seeded with `mask` /
+  /// `forest` when given) when there is no partition or insert() refuses
+  /// it. Advances Cache::oracle_epoch as soon as it succeeds — a publish
+  /// retried after a later fault must not replay the batch twice — and
+  /// leaves it kNone if it throws, so the retry builds.
+  void advance_oracle(const std::optional<dynamic::InsertPartition>& part,
+                      const bridges::BridgeMask* mask,
+                      const bridges::SpanningForest* forest);
   const lca::InlabelLca& forest_lca_artifact();
   /// The BCC index artifact (expects the device driver lock held).
   std::shared_ptr<const bcc::BccIndex> bcc_artifact();
@@ -571,22 +596,22 @@ class Session {
   template <typename A>
   const A& locked_artifact(const Policy& policy, util::PhaseTimer* phases);
   /// Mutable access to the 2-ecc index: clones it first if a View shares
-  /// the object (copy-on-write — cumulative stats and the (uid, epoch)
-  /// binding travel with the clone, so incremental replay still applies).
+  /// the object (copy-on-write — cumulative stats travel with the clone,
+  /// and Cache::oracle_epoch still describes it).
   dynamic::ConnectivityOracle& oracle_mut();
   /// Materializes every artifact for the current epoch under `policy`
   /// (expects the caller to hold the device driver lock).
   void ensure_all_artifacts(const Policy& policy);
-  /// The delta-replay publish fast path: when the graph is exactly one
-  /// insert-only batch ahead of a fully published cache (same decision-rule
-  /// family as ConnectivityOracle::incremental_applies), produce this
-  /// epoch's snapshot, spanning forest, bridge mask, 2-ecc index and forest
-  /// LCA by patching the previous epoch's artifacts instead of rebuilding —
-  /// O(n) worst case (label relabels) rather than the full pipeline. The
-  /// Csr and BCC index start empty (lazy cells). Returns false, having mutated nothing, when any eligibility
-  /// check fails (deletions, cross-component cycle, oversized batch,
-  /// missing artifacts, forced-backend mismatch); the caller then runs the
-  /// full pipeline.
+  /// The delta-replay publish fast path: when the previous epoch is fully
+  /// published (every artifact, the 2-ecc index included, at
+  /// Cache::epoch) and replay_partition() holds, produce this epoch's
+  /// snapshot, spanning forest, bridge mask, 2-ecc index and forest LCA by
+  /// patching the previous epoch's artifacts with that one partition
+  /// instead of rebuilding — O(n) worst case (label relabels) rather than
+  /// the full pipeline. The Csr and BCC index start empty (lazy cells).
+  /// Returns false, having mutated nothing, when any eligibility check
+  /// fails (the replay rule, missing artifacts, forced-backend mismatch);
+  /// the caller then runs the full pipeline.
   bool try_replay_publish(const Policy& policy);
   /// Materializes Cache::bridge_edges from the current mask (publish path
   /// only — dynamic sessions; lazy run() requests never need it).

@@ -26,8 +26,8 @@
 // KIND-HOMOGENEOUS: a batch holds only inserts or only erases, cut at every
 // kind switch so commit order is preserved — and so insert-only stretches
 // of the stream reach the graph as insert-only deltas, the shape the
-// ConnectivityOracle's incremental refresh (and the DynamicGraph's snapshot
-// append path) fast-path. Edges are canonicalized host-side (u < v, sorted,
+// Session's delta-replay publish (and the DynamicGraph's snapshot append
+// path) fast-path. Edges are canonicalized host-side (u < v, sorted,
 // within-batch duplicates collapsed) before they touch the device.
 //
 // INGESTOR. One dedicated writer thread owns the DynamicGraph + Session for

@@ -227,14 +227,31 @@ TEST_P(DynamicParam, SeededConstructorHasNoDelta) {
 }
 
 // ------------------------------------------------------------- the oracle
+//
+// The 2-ecc index is driven the way every caller drives it: through a
+// Session on the graph, whose TwoEcc request brings it to the graph's epoch.
+
+/// Runs a TwoEcc request; true iff it advanced the session's 2-ecc index
+/// (a build or a replay ran), false if the index was already current.
+bool advance(engine::Session& session) {
+  const auto steps = [&] {
+    const ConnectivityOracle& oracle = session.two_ecc_index();
+    return oracle.rebuilds() + oracle.incremental_refreshes();
+  };
+  const std::size_t before = steps();
+  session.run(engine::TwoEcc{});
+  return steps() > before;
+}
 
 TEST_P(DynamicParam, OracleTracksBridgeAcrossUpdates) {
   // Two triangles joined by a bridge.
   DynamicGraph dg(6);
   dg.insert_edges(ctx_,
                   {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {2, 3}});
-  ConnectivityOracle oracle;
-  EXPECT_TRUE(oracle.refresh(ctx_, dg));
+  engine::Engine engine({.device_workers = GetParam()});
+  engine::Session session = engine.session(dg);
+  const ConnectivityOracle& oracle = session.two_ecc_index();
+  EXPECT_TRUE(advance(session));
   EXPECT_EQ(oracle.num_bridges(), 1u);
   EXPECT_TRUE(oracle.same_2ecc(0, 2));
   EXPECT_FALSE(oracle.same_2ecc(0, 3));
@@ -244,7 +261,7 @@ TEST_P(DynamicParam, OracleTracksBridgeAcrossUpdates) {
 
   // The graph loses all bridges after an insert closing a second path.
   dg.insert_edges(ctx_, {{1, 4}});
-  EXPECT_TRUE(oracle.refresh(ctx_, dg));
+  EXPECT_TRUE(advance(session));
   EXPECT_EQ(oracle.num_bridges(), 0u);
   EXPECT_TRUE(oracle.same_2ecc(0, 5));
   EXPECT_EQ(oracle.bridges_on_path(0, 5), 0);
@@ -256,34 +273,20 @@ TEST_P(DynamicParam, OracleOnDisconnectedGraphGainingConnectingEdge) {
   DynamicGraph dg(7);
   dg.insert_edges(ctx_, {{0, 1}, {1, 2}, {2, 0},    // triangle
                          {3, 4}, {4, 5}, {5, 3}});  // triangle, node 6 alone
-  ConnectivityOracle oracle;
-  oracle.refresh(ctx_, dg);
+  engine::Engine engine({.device_workers = GetParam()});
+  engine::Session session = engine.session(dg);
+  const ConnectivityOracle& oracle = session.two_ecc_index();
+  advance(session);
   EXPECT_EQ(oracle.num_bridges(), 0u);
   EXPECT_EQ(oracle.bridges_on_path(0, 3), kNoNode);  // different components
   EXPECT_EQ(oracle.bridges_on_path(0, 6), kNoNode);
   EXPECT_EQ(oracle.component_size(6), 1);
 
   dg.insert_edges(ctx_, {{2, 3}});  // the connecting edge
-  oracle.refresh(ctx_, dg);
+  advance(session);
   EXPECT_EQ(oracle.num_bridges(), 1u);
   EXPECT_EQ(oracle.bridges_on_path(0, 3), 1);
   EXPECT_EQ(oracle.bridges_on_path(0, 6), kNoNode);  // 6 is still isolated
-}
-
-TEST_P(DynamicParam, RefreshDistinguishesGraphInstances) {
-  // Two fresh graphs share epoch numbers; the oracle must key its cache on
-  // the graph's identity too, not the epoch alone.
-  DynamicGraph a(ctx_, gen::cycle_graph(8));
-  DynamicGraph b(ctx_, gen::path_graph(8));
-  EXPECT_NE(a.uid(), b.uid());
-  EXPECT_EQ(a.epoch(), b.epoch());
-  ConnectivityOracle oracle;
-  oracle.refresh(ctx_, a);
-  EXPECT_EQ(oracle.num_bridges(), 0u);
-  EXPECT_TRUE(oracle.refresh(ctx_, b));  // same epoch, different graph
-  EXPECT_EQ(oracle.num_bridges(), 7u);
-  EXPECT_FALSE(oracle.refresh(ctx_, b));
-  EXPECT_TRUE(oracle.refresh(ctx_, a));
 }
 
 TEST_P(DynamicParam, ConstructorIgnoresOutOfRangeEndpoints) {
@@ -296,33 +299,17 @@ TEST_P(DynamicParam, ConstructorIgnoresOutOfRangeEndpoints) {
   EXPECT_TRUE(dg.has_edge(1, 2));
 }
 
-TEST_P(DynamicParam, RefreshSkipsWhenEpochUnchanged) {
-  DynamicGraph dg(4);
-  dg.insert_edges(ctx_, {{0, 1}, {1, 2}});
-  ConnectivityOracle oracle;
-  EXPECT_TRUE(oracle.refresh(ctx_, dg));
-  EXPECT_FALSE(oracle.refresh(ctx_, dg));  // nothing changed
-  dg.insert_edges(ctx_, {{1, 0}});         // no-op update batch
-  dg.erase_edges(ctx_, {{0, 2}});          // absent: another no-op
-  EXPECT_FALSE(oracle.refresh(ctx_, dg));
-  EXPECT_EQ(oracle.rebuilds(), 1u);
-  EXPECT_EQ(oracle.refreshes_skipped(), 2u);
-  dg.insert_edges(ctx_, {{2, 3}});  // effective (cross-component: tree-link)
-  EXPECT_TRUE(oracle.refresh(ctx_, dg));
-  EXPECT_EQ(oracle.rebuilds(), 1u);
-  EXPECT_EQ(oracle.incremental_refreshes(), 1u);
-  EXPECT_EQ(oracle.tree_links(), 1u);
-}
-
 // Adversarial inputs the dynamic path produces, cross-checked against the
 // standalone two_edge_components entry point.
 TEST_P(DynamicParam, TwoEccOnDynamicSnapshots) {
   DynamicGraph dg(6);
-  ConnectivityOracle oracle;
+  engine::Engine engine({.device_workers = GetParam()});
+  engine::Session session = engine.session(dg);
+  const ConnectivityOracle& oracle = session.two_ecc_index();
 
   // Disconnected snapshot (two paths): every node is its own 2ecc.
   dg.insert_edges(ctx_, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
-  oracle.refresh(ctx_, dg);
+  advance(session);
   const EdgeList& snap = dg.snapshot(ctx_);
   const auto mask =
       bridges::find_bridges_dfs(graph::build_csr(ctx_, dg.snapshot(ctx_)));
@@ -336,7 +323,7 @@ TEST_P(DynamicParam, TwoEccOnDynamicSnapshots) {
 
   // Cycle-closing inserts kill every bridge.
   dg.insert_edges(ctx_, {{2, 3}, {5, 0}});
-  oracle.refresh(ctx_, dg);
+  advance(session);
   EXPECT_EQ(oracle.num_bridges(), 0u);
   EXPECT_EQ(oracle.num_blocks(), 1u);
 }
@@ -403,8 +390,12 @@ TEST(DynamicFuzz, OracleMatchesFromScratchRecompute) {
   test_support::BatchScript script;
 
   DynamicGraph dg(kNodes);
-  ConnectivityOracle oracle;
+  engine::Engine engine({.device_workers = 2});
+  engine::Session session = engine.session(dg);
+  const ConnectivityOracle& oracle = session.two_ecc_index();
   std::set<std::pair<NodeId, NodeId>> ref_edges;
+  std::uint64_t last_epoch = ~std::uint64_t{0};
+  std::size_t epochs = 0;  // distinct epochs the index was asked at
 
   for (int round = 0; round < rounds; ++round) {
     std::vector<Edge> batch;
@@ -444,8 +435,11 @@ TEST(DynamicFuzz, OracleMatchesFromScratchRecompute) {
     [&] {
       ASSERT_EQ(dg.num_edges(), ref_edges.size()) << "round " << round;
       ASSERT_EQ(edge_set(dg.snapshot(ctx)), ref_edges) << "round " << round;
-      oracle.refresh(ctx, dg);
-      ASSERT_EQ(oracle.built_epoch(), dg.epoch());
+      // The index advances exactly once per epoch it is asked at.
+      advance(session);
+      if (dg.epoch() != last_epoch) ++epochs;
+      last_epoch = dg.epoch();
+      ASSERT_EQ(oracle.rebuilds() + oracle.incremental_refreshes(), epochs);
       expect_oracle_matches_reference(
           ctx, dg, oracle, rng, 24, ("round " + std::to_string(round)).c_str());
     }();

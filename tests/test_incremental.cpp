@@ -1,12 +1,14 @@
 // Incremental oracle maintenance under insertions.
 //
-// The contract: for an insert-only, intra-component, size-bounded delta,
-// ConnectivityOracle::refresh() must produce an index INDISTINGUISHABLE
-// from a full rebuild of the same snapshot — verified here three ways:
-// differential fuzz against a from-scratch oracle and the shared sequential
-// reference (tests/support/reference.hpp), launch-count pins showing the
-// incremental path is a fixed kernel sequence cheaper than the rebuild,
-// and unit tests of the explicit fallback rule.
+// The contract: for an insert-only, size-bounded delta, the 2-ecc index a
+// Session replays (ConnectivityOracle::insert under the Session's one
+// replay rule) must be INDISTINGUISHABLE from a full build of the same
+// snapshot — verified here three ways: differential fuzz against a
+// from-scratch session and the shared sequential reference
+// (tests/support/reference.hpp), launch-count pins showing the incremental
+// path is a fixed kernel sequence cheaper than the build, and unit tests
+// of the explicit fallback rule. Each test drives a Session on the graph;
+// a TwoEcc request brings its index to the graph's epoch.
 #include <gtest/gtest.h>
 
 #include <iostream>
@@ -16,6 +18,7 @@
 #include "device/context.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/oracle.hpp"
+#include "engine/engine.hpp"
 #include "gen/graphs.hpp"
 #include "graph/graph.hpp"
 #include "support/fuzz_env.hpp"
@@ -27,15 +30,18 @@ namespace {
 
 using graph::Edge;
 using graph::EdgeList;
+using engine::Engine;
+using engine::Session;
+using engine::TwoEcc;
 
-/// Diffs `oracle` against a freshly rebuilt oracle AND the sequential
+/// Diffs `oracle` against a freshly built oracle AND the sequential
 /// reference on the same snapshot: structure counts plus a query sample.
 void expect_equivalent_to_full_rebuild(const device::Context& ctx,
                                        const DynamicGraph& dg,
                                        const ConnectivityOracle& oracle,
                                        util::Rng& rng, int num_queries) {
   ConnectivityOracle fresh;
-  fresh.refresh(ctx, dg);
+  fresh.build(ctx, dg.snapshot(ctx));
   ASSERT_EQ(oracle.num_bridges(), fresh.num_bridges());
   ASSERT_EQ(oracle.num_blocks(), fresh.num_blocks());
   const test_support::ReferenceOracle ref(ctx, dg.snapshot(ctx));
@@ -56,6 +62,18 @@ void expect_equivalent_to_full_rebuild(const device::Context& ctx,
   }
 }
 
+/// Runs a TwoEcc request; true iff it advanced the session's 2-ecc index
+/// (a build or a replay ran), false if the index was already current.
+bool advance(Session& session) {
+  const auto steps = [&] {
+    const ConnectivityOracle& oracle = session.two_ecc_index();
+    return oracle.rebuilds() + oracle.incremental_refreshes();
+  };
+  const std::size_t before = steps();
+  session.run(TwoEcc{});
+  return steps() > before;
+}
+
 // --------------------------------------------------- the fallback rule
 
 TEST(IncrementalRule, SizeRuleIsExplicit) {
@@ -74,18 +92,20 @@ TEST(IncrementalRule, SizeRuleIsExplicit) {
 
 TEST(IncrementalRule, InsertOnlyIntraComponentDeltaGoesIncremental) {
   const device::Context ctx(2);
+  Engine engine({.device_workers = 2});
   // Two triangles joined by a bridge; closing a second path kills it.
   DynamicGraph dg(6);
   dg.insert_edges(ctx,
                   {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {2, 3}});
-  ConnectivityOracle oracle;
-  EXPECT_TRUE(oracle.refresh(ctx, dg));
+  Session session = engine.session(dg);
+  const ConnectivityOracle& oracle = session.two_ecc_index();
+  EXPECT_TRUE(advance(session));
   EXPECT_EQ(oracle.rebuilds(), 1u);
   dg.insert_edges(ctx, {{1, 4}});
-  EXPECT_TRUE(oracle.refresh(ctx, dg));
+  EXPECT_TRUE(advance(session));
   EXPECT_EQ(oracle.rebuilds(), 1u);  // no full pipeline this time
   EXPECT_EQ(oracle.incremental_refreshes(), 1u);
-  EXPECT_EQ(oracle.built_epoch(), dg.epoch());
+  EXPECT_FALSE(advance(session));  // current: a repeat request runs nothing
   EXPECT_EQ(oracle.num_bridges(), 0u);
   EXPECT_EQ(oracle.num_blocks(), 1u);
   util::Rng rng(3);
@@ -94,11 +114,13 @@ TEST(IncrementalRule, InsertOnlyIntraComponentDeltaGoesIncremental) {
 
 TEST(IncrementalRule, EraseBatchFallsBackToRebuild) {
   const device::Context ctx(2);
+  Engine engine({.device_workers = 2});
   DynamicGraph dg(ctx, gen::cycle_graph(8));
-  ConnectivityOracle oracle;
-  oracle.refresh(ctx, dg);
+  Session session = engine.session(dg);
+  const ConnectivityOracle& oracle = session.two_ecc_index();
+  session.run(TwoEcc{});
   dg.erase_edges(ctx, {{0, 1}});
-  EXPECT_TRUE(oracle.refresh(ctx, dg));
+  EXPECT_TRUE(advance(session));
   EXPECT_EQ(oracle.rebuilds(), 2u);
   EXPECT_EQ(oracle.incremental_refreshes(), 0u);
   EXPECT_EQ(oracle.num_bridges(), 7u);  // the cycle became a path
@@ -106,15 +128,17 @@ TEST(IncrementalRule, EraseBatchFallsBackToRebuild) {
 
 TEST(IncrementalRule, CrossComponentInsertTreeLinks) {
   const device::Context ctx(2);
+  Engine engine({.device_workers = 2});
   DynamicGraph dg(7);
   dg.insert_edges(ctx, {{0, 1}, {1, 2}, {2, 0},    // triangle
                         {3, 4}, {4, 5}, {5, 3}});  // triangle, 6 isolated
-  ConnectivityOracle oracle;
-  oracle.refresh(ctx, dg);
+  Session session = engine.session(dg);
+  const ConnectivityOracle& oracle = session.two_ecc_index();
+  session.run(TwoEcc{});
   // {2, 3} joins two components: it is a new bridge linking two block
   // trees, replayed by the tree-link fast path — no full pipeline.
   dg.insert_edges(ctx, {{2, 3}});
-  EXPECT_TRUE(oracle.refresh(ctx, dg));
+  EXPECT_TRUE(advance(session));
   EXPECT_EQ(oracle.rebuilds(), 1u);
   EXPECT_EQ(oracle.incremental_refreshes(), 1u);
   EXPECT_EQ(oracle.tree_links(), 1u);
@@ -128,7 +152,7 @@ TEST(IncrementalRule, CrossComponentInsertTreeLinks) {
   // Linking the isolated node, together with an intra-component chord in
   // the same batch, exercises both replay paths in one refresh.
   dg.insert_edges(ctx, {{6, 0}, {1, 4}});
-  EXPECT_TRUE(oracle.refresh(ctx, dg));
+  EXPECT_TRUE(advance(session));
   EXPECT_EQ(oracle.rebuilds(), 1u);
   EXPECT_EQ(oracle.incremental_refreshes(), 2u);
   EXPECT_EQ(oracle.tree_links(), 2u);
@@ -141,16 +165,18 @@ TEST(IncrementalRule, CrossComponentInsertTreeLinks) {
 
 TEST(IncrementalRule, CycleClosingCrossBatchFallsBackToRebuild) {
   const device::Context ctx(2);
+  Engine engine({.device_workers = 2});
   DynamicGraph dg(6);
   dg.insert_edges(ctx, {{0, 1}, {1, 2}, {2, 0},    // triangle
                         {3, 4}, {4, 5}, {5, 3}});  // triangle
-  ConnectivityOracle oracle;
-  oracle.refresh(ctx, dg);
+  Session session = engine.session(dg);
+  const ConnectivityOracle& oracle = session.two_ecc_index();
+  session.run(TwoEcc{});
   // Two edges between the SAME pair of components in one batch: the second
   // closes a cycle through the first, which no replay path can express
   // (it is neither a bridge nor intra-component on the indexed snapshot).
   dg.insert_edges(ctx, {{0, 3}, {1, 4}});
-  EXPECT_TRUE(oracle.refresh(ctx, dg));
+  EXPECT_TRUE(advance(session));
   EXPECT_EQ(oracle.rebuilds(), 2u);
   EXPECT_EQ(oracle.incremental_refreshes(), 0u);
   EXPECT_EQ(oracle.num_bridges(), 0u);
@@ -161,14 +187,16 @@ TEST(IncrementalRule, CycleClosingCrossBatchFallsBackToRebuild) {
 
 TEST(IncrementalRule, MultipleBatchesBehindFallsBackToRebuild) {
   const device::Context ctx(2);
+  Engine engine({.device_workers = 2});
   DynamicGraph dg(ctx, gen::cycle_graph(16));
-  ConnectivityOracle oracle;
-  oracle.refresh(ctx, dg);
+  Session session = engine.session(dg);
+  const ConnectivityOracle& oracle = session.two_ecc_index();
+  session.run(TwoEcc{});
   // Two effective batches with no refresh between: only the second delta is
   // retained, so the one-batch-ahead precondition fails.
   dg.insert_edges(ctx, {{0, 2}});
   dg.insert_edges(ctx, {{0, 4}});
-  EXPECT_TRUE(oracle.refresh(ctx, dg));
+  EXPECT_TRUE(advance(session));
   EXPECT_EQ(oracle.rebuilds(), 2u);
   EXPECT_EQ(oracle.incremental_refreshes(), 0u);
   util::Rng rng(5);
@@ -177,14 +205,16 @@ TEST(IncrementalRule, MultipleBatchesBehindFallsBackToRebuild) {
 
 TEST(IncrementalRule, OversizedDeltaFallsBackToRebuild) {
   const device::Context ctx(2);
+  Engine engine({.device_workers = 2});
   // Path on 200 nodes: m = 199, so the cutoff is max(64, 199/4) = 64.
   DynamicGraph dg(ctx, gen::path_graph(200));
-  ConnectivityOracle oracle;
-  oracle.refresh(ctx, dg);
+  Session session = engine.session(dg);
+  const ConnectivityOracle& oracle = session.two_ecc_index();
+  session.run(TwoEcc{});
   std::vector<Edge> batch;
   for (NodeId v = 0; v < 65; ++v) batch.push_back({v, static_cast<NodeId>(v + 100)});
   ASSERT_EQ(dg.insert_edges(ctx, batch), 65u);
-  EXPECT_TRUE(oracle.refresh(ctx, dg));
+  EXPECT_TRUE(advance(session));
   EXPECT_EQ(oracle.rebuilds(), 2u);
   EXPECT_EQ(oracle.incremental_refreshes(), 0u);
   util::Rng rng(6);
@@ -193,22 +223,24 @@ TEST(IncrementalRule, OversizedDeltaFallsBackToRebuild) {
 
 TEST(IncrementalRule, LongCoveredPathFallsBackToRebuild) {
   const device::Context ctx(2);
+  Engine engine({.device_workers = 2});
   // Path graph: every edge a bridge, every node its own block, so an
   // inserted edge covers a block-tree path as long as its span. The delta
   // size (1) passes the size rule; the covered-length rule must catch it.
   DynamicGraph dg(ctx, gen::path_graph(1000));
-  ConnectivityOracle oracle;
-  oracle.refresh(ctx, dg);
+  Session session = engine.session(dg);
+  const ConnectivityOracle& oracle = session.two_ecc_index();
+  session.run(TwoEcc{});
   ASSERT_EQ(oracle.num_blocks(), 1000u);
   // Covered length 999 > max(64, 1000 / 4) = 250: full rebuild.
   dg.insert_edges(ctx, {{0, 999}});
-  EXPECT_TRUE(oracle.refresh(ctx, dg));
+  EXPECT_TRUE(advance(session));
   EXPECT_EQ(oracle.rebuilds(), 2u);
   EXPECT_EQ(oracle.incremental_refreshes(), 0u);
   EXPECT_EQ(oracle.num_bridges(), 0u);  // the path closed into a cycle
   // A chord inside the merged block (covered length 0) stays incremental.
   dg.insert_edges(ctx, {{200, 205}});
-  EXPECT_TRUE(oracle.refresh(ctx, dg));
+  EXPECT_TRUE(advance(session));
   EXPECT_EQ(oracle.rebuilds(), 2u);
   EXPECT_EQ(oracle.incremental_refreshes(), 1u);
   util::Rng rng(9);
@@ -217,16 +249,18 @@ TEST(IncrementalRule, LongCoveredPathFallsBackToRebuild) {
 
 TEST(IncrementalRule, WithinBlockInsertIsStructurallyInert) {
   const device::Context ctx(2);
+  Engine engine({.device_workers = 2});
   // K4 plus a pendant: adding another chord inside the K4 block changes no
   // structure, but must still go through the incremental path and keep the
   // index exact.
   DynamicGraph dg(5);
   dg.insert_edges(ctx, {{0, 1}, {1, 2}, {2, 0}, {0, 3}, {1, 3}, {3, 4}});
-  ConnectivityOracle oracle;
-  oracle.refresh(ctx, dg);
+  Session session = engine.session(dg);
+  const ConnectivityOracle& oracle = session.two_ecc_index();
+  session.run(TwoEcc{});
   const std::size_t bridges_before = oracle.num_bridges();
   dg.insert_edges(ctx, {{2, 3}});  // inside the 2ecc {0,1,2,3}
-  EXPECT_TRUE(oracle.refresh(ctx, dg));
+  EXPECT_TRUE(advance(session));
   EXPECT_EQ(oracle.incremental_refreshes(), 1u);
   EXPECT_EQ(oracle.num_bridges(), bridges_before);
   util::Rng rng(7);
@@ -236,12 +270,14 @@ TEST(IncrementalRule, WithinBlockInsertIsStructurallyInert) {
 // ------------------------------------------------ launch-count guarantees
 
 TEST(IncrementalLaunches, FixedKernelSequenceCheaperThanRebuild) {
-  const device::Context ctx = device::Context::device();
+  Engine engine;  // the default device context
+  const device::Context& ctx = engine.device();
   // Road-like base: bridgy appendages over a 2-edge-connected core, all in
   // one giant component (reliability 1 keeps the grid connected).
   DynamicGraph dg(ctx, gen::road_graph(40, 40, 1.0, 0.05, 3));
-  ConnectivityOracle oracle;
-  oracle.refresh(ctx, dg);
+  Session session = engine.session(dg);
+  const ConnectivityOracle& oracle = session.two_ecc_index();
+  session.run(TwoEcc{});
   const auto cc = test_support::cc_labels(dg.snapshot(ctx));
 
   // Batches of intra-component edges, sizes 8 and 56: the incremental
@@ -260,7 +296,7 @@ TEST(IncrementalLaunches, FixedKernelSequenceCheaperThanRebuild) {
   auto refresh_launches = [&](const std::vector<Edge>& batch) {
     EXPECT_GT(dg.insert_edges(ctx, batch), 0u) << "batch was a no-op";
     const std::uint64_t before = ctx.launch_count();
-    EXPECT_TRUE(oracle.refresh(ctx, dg));
+    EXPECT_TRUE(advance(session));
     return ctx.launch_count() - before;
   };
 
@@ -271,9 +307,9 @@ TEST(IncrementalLaunches, FixedKernelSequenceCheaperThanRebuild) {
                              "the delta size";
 
   // And it must undercut the full pipeline on the same graph.
-  ConnectivityOracle scratch;
+  Session scratch = engine.session(dg);
   const std::uint64_t before = ctx.launch_count();
-  scratch.refresh(ctx, dg);
+  scratch.run(TwoEcc{});
   const std::uint64_t rebuild = ctx.launch_count() - before;
   EXPECT_LT(large, rebuild);
 }
@@ -282,6 +318,7 @@ TEST(IncrementalLaunches, FixedKernelSequenceCheaperThanRebuild) {
 
 TEST(IncrementalFuzz, InsertOnlyBatchesMatchFullRebuild) {
   const device::Context ctx(2);
+  Engine engine({.device_workers = 2});
   constexpr NodeId kNodes = 64;
   const std::uint64_t seed = test_support::fuzz_seed(777);
   const int rounds = test_support::fuzz_rounds(200);
@@ -291,8 +328,9 @@ TEST(IncrementalFuzz, InsertOnlyBatchesMatchFullRebuild) {
   // Connected base so every insertion is intra-component and the
   // incremental path carries (almost) every round.
   DynamicGraph dg(ctx, gen::cycle_graph(kNodes));
-  ConnectivityOracle oracle;
-  oracle.refresh(ctx, dg);
+  Session session = engine.session(dg);
+  const ConnectivityOracle& oracle = session.two_ecc_index();
+  session.run(TwoEcc{});
 
   int effective_rounds = 0;
   for (int round = 0; round < rounds; ++round) {
@@ -303,11 +341,12 @@ TEST(IncrementalFuzz, InsertOnlyBatchesMatchFullRebuild) {
                        static_cast<NodeId>(rng.below(kNodes))});
     }
     script.add(round, "insert", batch);
+    const std::uint64_t epoch_before = dg.epoch();
     if (dg.insert_edges(ctx, batch) > 0) ++effective_rounds;
     // IIFE so a fatal failure lands here and the replay print still fires.
     [&] {
-      oracle.refresh(ctx, dg);
-      ASSERT_EQ(oracle.built_epoch(), dg.epoch());
+      // The index advances iff the round changed the graph.
+      ASSERT_EQ(advance(session), dg.epoch() != epoch_before);
       expect_equivalent_to_full_rebuild(ctx, dg, oracle, rng, 16);
     }();
     if (::testing::Test::HasFailure()) {
@@ -324,6 +363,7 @@ TEST(IncrementalFuzz, InsertOnlyBatchesMatchFullRebuild) {
 
 TEST(IncrementalFuzz, IntraStretchOnABridgeTreeMatchesFullRebuild) {
   const device::Context ctx(2);
+  Engine engine({.device_workers = 2});
   constexpr NodeId kNodes = 64;
   const std::uint64_t seed = test_support::fuzz_seed(4242);
   const int rounds = test_support::fuzz_rounds(200);
@@ -345,8 +385,9 @@ TEST(IncrementalFuzz, IntraStretchOnABridgeTreeMatchesFullRebuild) {
     if (parent[parent[v]] != kNoNode) base.push_back({parent[parent[v]], v});
   }
   DynamicGraph dg(ctx, EdgeList{kNodes, base});
-  ConnectivityOracle oracle;
-  oracle.refresh(ctx, dg);
+  Session session = engine.session(dg);
+  const ConnectivityOracle& oracle = session.two_ecc_index();
+  session.run(TwoEcc{});
   ASSERT_GT(oracle.num_bridges(), 32u);
 
   const auto ancestor = [&](NodeId v, std::uint64_t steps) {
@@ -369,11 +410,12 @@ TEST(IncrementalFuzz, IntraStretchOnABridgeTreeMatchesFullRebuild) {
       }
     }
     script.add(round, "insert", batch);
+    const std::uint64_t epoch_before = dg.epoch();
     dg.insert_edges(ctx, batch);
     // IIFE so a fatal failure lands here and the replay print still fires.
     [&] {
-      oracle.refresh(ctx, dg);
-      ASSERT_EQ(oracle.built_epoch(), dg.epoch());
+      // The index advances iff the round changed the graph.
+      ASSERT_EQ(advance(session), dg.epoch() != epoch_before);
       expect_equivalent_to_full_rebuild(ctx, dg, oracle, rng, 16);
     }();
     if (::testing::Test::HasFailure()) {
@@ -386,6 +428,7 @@ TEST(IncrementalFuzz, IntraStretchOnABridgeTreeMatchesFullRebuild) {
 
 TEST(IncrementalFuzz, MixedBatchesMatchFullRebuild) {
   const device::Context ctx(2);
+  Engine engine({.device_workers = 2});
   constexpr NodeId kNodes = 60;
   const std::uint64_t seed = test_support::fuzz_seed(31337);
   const int rounds = test_support::fuzz_rounds(200);
@@ -402,13 +445,15 @@ TEST(IncrementalFuzz, MixedBatchesMatchFullRebuild) {
   for (NodeId v = 24; v < 48; ++v)
     base.push_back({v, static_cast<NodeId>(v == 47 ? 24 : v + 1)});
   dg.insert_edges(ctx, base);
-  ConnectivityOracle oracle;
-  oracle.refresh(ctx, dg);
+  Session session = engine.session(dg);
+  const ConnectivityOracle& oracle = session.two_ecc_index();
+  session.run(TwoEcc{});
 
   std::vector<Edge> inserted_pool(base);
   for (int round = 0; round < rounds; ++round) {
     std::vector<Edge> batch;
     const std::size_t size = 1 + rng.below(10);
+    const std::uint64_t epoch_before = dg.epoch();
     if (round % 3 == 2) {
       for (std::size_t i = 0; i < size; ++i) {
         batch.push_back(inserted_pool[rng.below(inserted_pool.size())]);
@@ -426,8 +471,8 @@ TEST(IncrementalFuzz, MixedBatchesMatchFullRebuild) {
       dg.insert_edges(ctx, batch);
     }
     [&] {
-      oracle.refresh(ctx, dg);
-      ASSERT_EQ(oracle.built_epoch(), dg.epoch());
+      // The index advances iff the round changed the graph.
+      ASSERT_EQ(advance(session), dg.epoch() != epoch_before);
       expect_equivalent_to_full_rebuild(ctx, dg, oracle, rng, 16);
     }();
     if (::testing::Test::HasFailure()) {

@@ -17,12 +17,16 @@
 //   lazy Csr — no publish builds the Csr; the first reader of an epoch
 //     does, once, over that epoch's edges;
 //   differential fuzz — mixed insert/erase rounds publish every epoch and
-//     diff against a from-scratch Session and the sequential reference.
+//     diff against a from-scratch Session and the sequential reference;
+//   fault sweep — one replayed publish faulted at every kernel launch and
+//     scratch allocation in turn must still land, on retry, exactly where
+//     a scratch Session does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <iostream>
 #include <map>
+#include <new>
 #include <set>
 #include <utility>
 #include <vector>
@@ -34,6 +38,7 @@
 #include "graph/graph.hpp"
 #include "support/fuzz_env.hpp"
 #include "support/reference.hpp"
+#include "util/failpoint.hpp"
 #include "util/rng.hpp"
 
 namespace emc::engine {
@@ -470,6 +475,119 @@ TEST(PublishFuzz, EveryEpochMatchesAScratchSessionAndTheReference) {
     EXPECT_GT(session.publish_replays(), 0u);
     EXPECT_GT(session.publish_rebuilds(), 1u);
   }
+}
+
+// ------------------------------------------------------------ fault sweep
+
+/// Faults one replayed publish at every hit of `site` in turn. Each N gets
+/// a fresh setup (failpoints suspended): publish epoch 0 — held in a View
+/// when `hold_view`, so the replay patches copies — then apply a mixed
+/// intra + cross insert batch. Arm the one-shot `site:N`, publish (it may
+/// throw), disarm, publish again. Wherever the fault struck — the oracle
+/// step, the mask or forest patch, the forest LCA — the retry must serve
+/// the new epoch exactly as a scratch Session and the sequential reference
+/// do, must have advanced the 2-ecc index exactly once (a retry never
+/// replays the batch onto an index that already took it), and must leave
+/// a held View frozen at epoch 0.
+void sweep_replay_faults(const char* site, bool hold_view) {
+  namespace failpoint = util::failpoint;
+  failpoint::disable_all();
+  // Triangles {0,1,2} and {3,4,5} joined by the bridge {2,3}, a pendant
+  // path 5-6-7, an isolated node 8 and a one-edge component {9,10}.
+  const EdgeList base{11, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3},
+                           {2, 3}, {5, 6}, {6, 7}, {9, 10}}};
+  // {1,4} closes a cycle through {2,3}; {7,8} and {6,9} link components.
+  const std::vector<Edge> batch = {{1, 4}, {7, 8}, {6, 9}};
+
+  Engine engine({.device_workers = 2});
+  // Every iteration builds the same graph, so one scratch Session (full
+  // pipeline) and one reference serve as the expected epoch for all.
+  dynamic::DynamicGraph final_graph(engine.device(), base);
+  final_graph.insert_edges(engine.device(), batch);
+  const View want = scratch_view(engine, final_graph);
+  const ReferenceOracle ref(engine.device(),
+                            final_graph.snapshot(engine.device()));
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId u = 0; u < base.num_nodes; ++u) {
+    for (NodeId v = 0; v < base.num_nodes; ++v) pairs.push_back({u, v});
+  }
+
+  std::uint64_t launches = 0;  // device launches of the unfaulted replay
+  for (std::uint64_t n = 0; n <= launches + 2; ++n) {
+    SCOPED_TRACE(std::string(site) + ":" + std::to_string(n) +
+                 (hold_view ? " (held view)" : " (no view)"));
+    dynamic::DynamicGraph dg(engine.device(), base);
+    Session session = engine.session(dg);
+    View held;
+    CanonicalEdgeSet held_bridges;
+    std::size_t steps = 0;  // 2-ecc index builds + replays so far
+    const auto index_steps = [&] {
+      const dynamic::ConnectivityOracle& oracle = session.two_ecc_index();
+      return oracle.rebuilds() + oracle.incremental_refreshes();
+    };
+    {
+      failpoint::ScopedSuspend quiet;
+      session.refresh();
+      if (hold_view) {
+        held = session.view();
+        held_bridges = bridge_set(held);
+      }
+      ASSERT_EQ(dg.insert_edges(engine.device(), batch), batch.size());
+      steps = index_steps();
+    }
+    if (n == 0) {
+      // The unfaulted replay sets the sweep's range.
+      const std::uint64_t before = engine.device_launches();
+      session.refresh();
+      launches = engine.device_launches() - before;
+      ASSERT_EQ(session.publish_replays(), 1u);
+      ASSERT_GT(launches, 0u);
+    } else {
+      ASSERT_TRUE(failpoint::configure(site, std::to_string(n).c_str()));
+      try {
+        session.refresh();
+      } catch (const failpoint::InjectedFault&) {
+      } catch (const std::bad_alloc&) {
+      }
+      const std::uint64_t fired = failpoint::fired(site);
+      failpoint::disable_all();
+      // Every launch of the replay is a device.launch hit.
+      if (std::string(site) == failpoint::kDeviceLaunch) {
+        EXPECT_EQ(fired, n <= launches ? 1u : 0u);
+      }
+      session.refresh();
+    }
+
+    EXPECT_EQ(index_steps(), steps + 1);
+    const View got = session.view();
+    ASSERT_EQ(got.epoch(), dg.epoch());
+    util::Rng rng(n);
+    expect_views_agree(got, want, rng, 24);
+    EXPECT_EQ(bridge_set(got).size(), ref.num_bridges);
+    const auto same = got.run(Same2Ecc{pairs});
+    const auto on_path = got.run(BridgesOnPath{pairs});
+    for (std::size_t q = 0; q < pairs.size(); ++q) {
+      const auto [u, v] = pairs[q];
+      EXPECT_EQ(same[q] != 0, ref.comp[u] == ref.comp[v])
+          << "same2ecc " << u << "," << v;
+      EXPECT_EQ(on_path[q], ref.bridges_on_path(u, v))
+          << "bridges_on_path " << u << "," << v;
+    }
+    if (hold_view) {
+      EXPECT_EQ(held.epoch(), 0u);
+      EXPECT_EQ(bridge_set(held), held_bridges);
+    }
+  }
+}
+
+TEST(PublishFaults, ReplayRetriesCleanlyAfterAFaultAtEveryLaunch) {
+  sweep_replay_faults(util::failpoint::kDeviceLaunch, /*hold_view=*/true);
+  sweep_replay_faults(util::failpoint::kDeviceLaunch, /*hold_view=*/false);
+}
+
+TEST(PublishFaults, ReplayRetriesCleanlyAfterAFaultAtEveryAllocation) {
+  sweep_replay_faults(util::failpoint::kArenaAlloc, /*hold_view=*/true);
+  sweep_replay_faults(util::failpoint::kArenaAlloc, /*hold_view=*/false);
 }
 
 }  // namespace
