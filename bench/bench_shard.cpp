@@ -315,7 +315,7 @@ int main(int argc, char** argv) {
     opts.ingest.publish_every = 16;
     opts.ingest.publish_min_interval = std::chrono::milliseconds(20);
     shard::ShardedGraph sg(kBurstyNodes, opts);
-    shard::ShardedDispatcher dispatcher(sg, {.workers = 1});
+    shard::ShardedDispatcher dispatcher(sg);
 
     std::atomic<bool> replay_done{false};
     std::size_t answered = 0, unresolved = 0;

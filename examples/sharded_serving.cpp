@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   const auto side =
       static_cast<NodeId>(flags.get_int("side", 128, "grid side length"));
   const auto shards = static_cast<std::size_t>(
-      flags.get_int("shards", 4, "shard count K (0 = EMC_SHARD_COUNT)"));
+      flags.get_int("shards", 4, "shard count K"));
   const auto requests = static_cast<std::size_t>(
       flags.get_int("requests", 20000, "cross-shard requests to serve"));
   flags.finish();

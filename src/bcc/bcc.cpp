@@ -10,7 +10,6 @@
 #include "device/primitives.hpp"
 #include "rmq/segment_tree.hpp"
 #include "rmq/sparse_table.hpp"
-#include "util/env.hpp"
 
 namespace emc::bcc {
 
@@ -208,10 +207,6 @@ BccIndex BccIndex::build(const device::Context& ctx,
       [&](std::size_t v) -> std::size_t { return result.is_articulation[v]; },
       [](std::size_t a, std::size_t b) { return a + b; });
   return result;
-}
-
-bool resolve_bcc_eager() {
-  return util::env_int_or("EMC_BCC_EAGER", 0, 0, 1) != 0;
 }
 
 }  // namespace emc::bcc

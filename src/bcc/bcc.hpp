@@ -99,8 +99,4 @@ struct BccIndex {
                         util::PhaseTimer* phases = nullptr);
 };
 
-/// EMC_BCC_EAGER ∈ {0, 1} (default 0): build the BCC index at publish time
-/// instead of on first query. Strict parse on the shared env grammar.
-bool resolve_bcc_eager();
-
 }  // namespace emc::bcc

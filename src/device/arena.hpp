@@ -160,12 +160,17 @@ class Arena {
   /// Called when the outermost scope closes: collapse a fragmented block
   /// chain into one block large enough for the whole previous cycle, so the
   /// next cycle bump-allocates from a single block and never mallocs.
-  void consolidate() {
+  /// Runs inside ~Scope, so it must not throw: when the allocation fails
+  /// the arena is left empty and regrows on its next use.
+  void consolidate() noexcept {
     if (blocks_.size() <= 1) return;
     const std::size_t total = capacity();
-    blocks_.clear();
-    blocks_.push_back(make_block(total));
+    blocks_.clear();  // keeps the vector's storage: push_back cannot throw
     active_ = 0;
+    try {
+      blocks_.push_back(make_block(total));
+    } catch (const std::bad_alloc&) {
+    }
   }
 
   std::vector<Block> blocks_;

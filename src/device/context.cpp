@@ -1,28 +1,22 @@
 #include "device/context.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <thread>
+
+#include "util/env.hpp"
 
 namespace emc::device {
 
 namespace {
 
 unsigned default_workers() {
-  // EMC_WORKERS is taken only when it parses completely as a positive,
-  // sane worker count; anything else (empty, non-numeric, trailing junk,
-  // zero, negative, absurd) falls back to hardware concurrency so a typo in
-  // a job script degrades gracefully instead of silently serializing or
-  // spawning thousands of threads.
-  constexpr long kMaxWorkers = 4096;
-  if (const char* env = std::getenv("EMC_WORKERS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 1 && parsed <= kMaxWorkers) {
-      return static_cast<unsigned>(parsed);
-    }
-  }
-  return std::max(1u, std::thread::hardware_concurrency());
+  // An invalid EMC_WORKERS (zero, negative, absurd, junk) falls back to
+  // hardware concurrency instead of serializing or spawning thousands of
+  // threads.
+  constexpr std::int64_t kMaxWorkers = 4096;
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  return static_cast<unsigned>(
+      util::env_int_or("EMC_WORKERS", hardware, 1, kMaxWorkers));
 }
 
 }  // namespace
@@ -39,12 +33,12 @@ double Context::device_launch_overhead() {
   // roughly 10-100x throughput gap between that GPU and one CPU core, so
   // the latency-to-work ratio — which decides the diameter-bound behaviors
   // in Figures 6 and 9-11 — is preserved rather than the absolute number.
-  // Override with EMC_KERNEL_LATENCY_US (0 disables the model).
-  double overhead_us = 50.0;
-  if (const char* env = std::getenv("EMC_KERNEL_LATENCY_US")) {
-    overhead_us = std::strtod(env, nullptr);
-  }
-  return overhead_us * 1e-6;
+  // Override with EMC_KERNEL_LATENCY_US, integer microseconds in
+  // [0, 1'000'000] (0 disables the model); anything else keeps 50.
+  constexpr std::int64_t kDefaultUs = 50;
+  return static_cast<double>(util::env_int_or("EMC_KERNEL_LATENCY_US",
+                                              kDefaultUs, 0, 1'000'000)) *
+         1e-6;
 }
 
 Context Context::device() { return Context(0, device_launch_overhead()); }

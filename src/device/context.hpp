@@ -38,7 +38,8 @@ class Context {
   static Context sequential() { return Context(1); }
 
   /// Full-width context simulating the GPU: charges a per-kernel launch
-  /// latency (EMC_KERNEL_LATENCY_US, default 50us — the GTX 980's ~5us
+  /// latency (EMC_KERNEL_LATENCY_US: integer microseconds in [0, 1e6],
+  /// anything else keeps the default 50us — the GTX 980's ~5us
   /// launch+sync cost scaled to this simulator's throughput), the cost that
   /// makes level-synchronous BFS diameter-bound in the paper's Figures 9-11
   /// and small query batches wasteful in Figure 6.

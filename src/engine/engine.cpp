@@ -701,13 +701,7 @@ void Session::ensure_all_artifacts(const Policy& policy) {
   // through here, and nothing is mutated yet when it fires, so a caller
   // that catches the fault keeps a coherent (stale) cache.
   util::failpoint::maybe_throw(util::failpoint::kPublish);
-  // EMC_BCC_EAGER moves the BCC build from first-query to publish time;
-  // it runs LAST either way, so a fault inside it leaves every other
-  // artifact committed and only the (retryable) cell empty.
-  if (try_replay_publish(policy)) {
-    if (bcc::resolve_bcc_eager()) bcc_artifact();
-    return;
-  }
+  if (try_replay_publish(policy)) return;
   const bool fresh = cache_.epoch != graph_.epoch();
   sync_epoch();
   forest();
@@ -715,7 +709,6 @@ void Session::ensure_all_artifacts(const Policy& policy) {
   oracle_artifact(policy);
   forest_lca_artifact();
   if (graph_.is_dynamic()) ensure_bridge_edges();
-  if (bcc::resolve_bcc_eager()) bcc_artifact();
   if (fresh) {
     ++publish_rebuilds_;
     engine_->counters_.publish_rebuilds.fetch_add(1, kRelaxed);

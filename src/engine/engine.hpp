@@ -534,12 +534,12 @@ class Session {
     std::shared_ptr<dynamic::ConnectivityOracle> oracle =
         std::make_shared<dynamic::ConnectivityOracle>();
     std::shared_ptr<const lca::InlabelLca> forest_lca;
-    /// Vertex-biconnectivity cell: built at most once per epoch (lazily on
-    /// first Articulations/SameBcc demand, or at publish under
-    /// EMC_BCC_EAGER). An epoch change swaps in a FRESH cell — never a
-    /// mutation of the old one — so Views pinning the outgoing epoch keep
-    /// their (immutable) index: copy-on-write at cell granularity, the
-    /// same published-artifact discipline as the bridge mask.
+    /// Vertex-biconnectivity cell: built at most once per epoch, by the
+    /// first Articulations/SameBcc reader — never by a publish. An epoch
+    /// change swaps in a FRESH cell — never a mutation of the old one — so
+    /// Views pinning the outgoing epoch keep their (immutable) index:
+    /// copy-on-write at cell granularity, the same published-artifact
+    /// discipline as the bridge mask.
     std::shared_ptr<EpochCell<bcc::BccIndex>> bcc =
         std::make_shared<EpochCell<bcc::BccIndex>>();
     // Sticky diameter hint (see diameter_estimate()).

@@ -89,7 +89,7 @@ struct LcaBatch {
 
 /// Whole-graph articulation-point mask: per node, 1 iff removing the node
 /// increases the component count. Served from the epoch's cached BCC index
-/// (built on first demand, or at publish under EMC_BCC_EAGER).
+/// (built by the epoch's first reader).
 struct Articulations {};
 
 /// For each pair: does some biconnected component (block) contain both

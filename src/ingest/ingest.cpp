@@ -5,41 +5,15 @@
 #include <utility>
 
 #include "graph/graph.hpp"
-#include "util/env.hpp"
 
 namespace emc::ingest {
-
-std::size_t resolve_queue_bound(std::size_t from_options) {
-  if (from_options > 0) return from_options;
-  return static_cast<std::size_t>(util::env_int_or(
-      "EMC_INGEST_QUEUE_BOUND", 65536, 1, std::int64_t{1} << 30));
-}
-
-std::size_t resolve_max_batch(std::size_t from_options) {
-  if (from_options > 0) return from_options;
-  return static_cast<std::size_t>(util::env_int_or(
-      "EMC_INGEST_MAX_BATCH", 2048, 1, std::int64_t{1} << 30));
-}
-
-std::chrono::microseconds resolve_linger(
-    std::chrono::microseconds from_options) {
-  if (from_options.count() >= 0) return from_options;
-  return std::chrono::microseconds(util::env_int_or(
-      "EMC_INGEST_LINGER_US", 200, 0, std::int64_t{1'000'000'000}));
-}
-
-std::size_t resolve_publish_every(std::size_t from_options) {
-  if (from_options > 0) return from_options;
-  return static_cast<std::size_t>(util::env_int_or(
-      "EMC_INGEST_PUBLISH_EVERY", 1, 1, std::int64_t{1'000'000'000}));
-}
 
 // ---------------------------------------------------------------- batcher
 
 Batcher::Batcher(UpdateQueue& queue, const BatcherOptions& options)
     : queue_(queue), options_(options) {
-  options_.max_batch = resolve_max_batch(options_.max_batch);
-  options_.linger = resolve_linger(options_.linger);
+  options_.max_batch = std::max<std::size_t>(1, options_.max_batch);
+  options_.linger = std::max(std::chrono::microseconds{0}, options_.linger);
 }
 
 std::chrono::microseconds Batcher::effective_linger(std::size_t depth) const {
@@ -171,11 +145,11 @@ Ingestor::Ingestor(engine::Engine& engine, dynamic::DynamicGraph& graph,
       graph_(graph),
       session_(session),
       options_(options),
-      queue_(resolve_queue_bound(options.queue_bound), options.admission),
+      queue_(options.queue_bound, options.admission),
       batcher_(queue_, BatcherOptions{options.max_batch, options.linger,
                                       options.adaptive_linger}),
       paused_(options.start_paused) {
-  options_.publish_every = resolve_publish_every(options_.publish_every);
+  options_.publish_every = std::max<std::size_t>(1, options_.publish_every);
   if (options_.idle_publish.count() <= 0) {
     options_.idle_publish =
         std::max(4 * batcher_.options().linger, std::chrono::microseconds(

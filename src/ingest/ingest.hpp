@@ -62,12 +62,8 @@
 // before the Dispatcher is destroyed, and destroyed after it (declare the
 // Ingestor first).
 //
-// Env knobs (strict util/env.hpp parsing — a typo degrades to the default,
-// never to a surprise configuration):
-//   EMC_INGEST_QUEUE_BOUND    ring capacity         [1, 2^30]   (def 65536)
-//   EMC_INGEST_MAX_BATCH      batch size threshold  [1, 2^30]   (def 2048)
-//   EMC_INGEST_LINGER_US      linger threshold      [0, 1e9]    (def 200)
-//   EMC_INGEST_PUBLISH_EVERY  publish pacing        [1, 1e9]    (def 1)
+// Option values with no meaning are clamped at construction: a zero
+// queue_bound, max_batch or publish_every acts as 1, a negative linger as 0.
 #pragma once
 
 #include <atomic>
@@ -88,24 +84,9 @@
 
 namespace emc::ingest {
 
-/// The resolved ring capacity: `from_options` when nonzero, else a strict
-/// EMC_INGEST_QUEUE_BOUND parse (complete, in [1, 2^30]), else 65536.
-/// Exposed for the env-hardening tests (test_flags.cpp).
-std::size_t resolve_queue_bound(std::size_t from_options);
-
-/// The resolved batch-size threshold: `from_options` when nonzero, else a
-/// strict EMC_INGEST_MAX_BATCH parse (complete, in [1, 2^30]), else 2048.
-std::size_t resolve_max_batch(std::size_t from_options);
-
-/// The resolved linger threshold: `from_options` when non-negative, else a
-/// strict EMC_INGEST_LINGER_US parse (complete, in [0, 1e9] microseconds —
-/// 0 is valid and means opportunistic batching, no added wait), else 200us.
-std::chrono::microseconds resolve_linger(std::chrono::microseconds from_options);
-
-/// The resolved publish pacing: `from_options` when nonzero, else a strict
-/// EMC_INGEST_PUBLISH_EVERY parse (complete, in [1, 1e9]), else 1
-/// (publish every batch).
-std::size_t resolve_publish_every(std::size_t from_options);
+/// Defaults shared by BatcherOptions and IngestorOptions.
+inline constexpr std::size_t kDefaultMaxBatch = 2048;
+inline constexpr std::chrono::microseconds kDefaultLinger{200};
 
 /// One kind-homogeneous, canonicalized update batch cut by the Batcher.
 struct Batch {
@@ -120,9 +101,9 @@ struct Batch {
 };
 
 struct BatcherOptions {
-  std::size_t max_batch = 0;              // 0 = resolve_max_batch
-  std::chrono::microseconds linger{-1};   // < 0 = resolve_linger
-  bool adaptive_linger = true;            // depth-scaled window (see above)
+  std::size_t max_batch = kDefaultMaxBatch;           // 0 acts as 1
+  std::chrono::microseconds linger = kDefaultLinger;  // < 0 acts as 0
+  bool adaptive_linger = true;  // depth-scaled window (see above)
 };
 
 /// Drains an UpdateQueue into Batches (single consumer — the Ingestor's
@@ -169,19 +150,19 @@ class Batcher {
 
 struct IngestorOptions {
   // --- admission (the ring) ---
-  std::size_t queue_bound = 0;  // 0 = resolve_queue_bound
+  std::size_t queue_bound = 65536;  // ring capacity; 0 acts as 1
   Admission admission = Admission::kBlock;
 
   // --- batching ---
-  std::size_t max_batch = 0;             // 0 = resolve_max_batch
-  std::chrono::microseconds linger{-1};  // < 0 = resolve_linger
+  std::size_t max_batch = kDefaultMaxBatch;           // 0 acts as 1
+  std::chrono::microseconds linger = kDefaultLinger;  // < 0 acts as 0
   bool adaptive_linger = true;
 
   // --- publish pacing (both gates must pass; see the header comment) ---
-  /// Publish after this many applied batches. 0 = resolve_publish_every
-  /// (default 1 = every batch); SIZE_MAX = batch count never triggers
-  /// (publish on min-interval/flush/stop only).
-  std::size_t publish_every = 0;
+  /// Publish after this many applied batches (1 = every batch; 0 acts as
+  /// 1); SIZE_MAX = batch count never triggers (publish on min-interval/
+  /// flush/stop only).
+  std::size_t publish_every = 1;
   /// Publish no sooner than this after the previous publish. 0 = no
   /// minimum interval.
   std::chrono::microseconds publish_min_interval{0};

@@ -8,7 +8,6 @@
 #include <unordered_map>
 
 #include "ingest/ingest.hpp"
-#include "util/env.hpp"
 #include "util/failpoint.hpp"
 
 namespace emc::serve {
@@ -33,19 +32,6 @@ std::string_view to_string(Status status) {
   return "?";
 }
 
-std::size_t resolve_queue_bound(std::size_t from_options) {
-  if (from_options > 0) return from_options;
-  return static_cast<std::size_t>(util::env_int_or(
-      "EMC_SERVE_QUEUE_BOUND", 0, 1, std::int64_t{1} << 30));
-}
-
-std::chrono::microseconds resolve_default_ttl(
-    std::chrono::microseconds from_options) {
-  if (from_options.count() > 0) return from_options;
-  return std::chrono::microseconds(util::env_int_or(
-      "EMC_SERVE_DEADLINE_US", 0, 1, std::int64_t{1'000'000'000}));
-}
-
 namespace {
 
 /// Per-round dedup keys: both payload element shapes pack into 64 bits.
@@ -66,8 +52,6 @@ Dispatcher::Dispatcher(engine::View view, const DispatcherOptions& options)
     : options_(options), paused_(options.start_paused) {
   options_.workers = std::max(1u, options_.workers);
   options_.max_coalesce = std::max<std::size_t>(1, options_.max_coalesce);
-  options_.queue_bound = resolve_queue_bound(options_.queue_bound);
-  options_.default_ttl = resolve_default_ttl(options_.default_ttl);
   options_.publish_attempts = std::max(1u, options_.publish_attempts);
   latest_epoch_ = view.epoch();
   num_nodes_ = view.num_nodes();
@@ -269,32 +253,30 @@ void Dispatcher::wait_for_round(std::unique_lock<std::mutex>& lk,
   auto window =
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           options_.coalesce_window);
-  if (options_.adaptive_window) {
-    // Deep queue: latency is already queue-dominated, widen (more
-    // amortization per kernel). Shallow queue: the window IS the latency,
-    // shrink. Clamped so the knob's order of magnitude still governs.
-    const double depth_scale =
-        std::clamp(2.0 * static_cast<double>(lane.total) /
-                       static_cast<double>(options_.max_coalesce),
-                   0.25, 4.0);
-    window = std::chrono::nanoseconds(
-        std::llround(static_cast<double>(window.count()) * depth_scale));
-    // Never wait past the earliest queued deadline minus the measured
-    // round-service time. Sub fronts approximate "earliest" (oldest
-    // submit per client) without an O(queued) scan.
-    auto earliest = Clock::time_point::max();
-    for (const auto& [client, sub] : lane.subs) {
-      if (!sub.queue.empty()) {
-        earliest = std::min(earliest, sub.queue.front().deadline);
-      }
+  // Deep queue: latency is already queue-dominated, widen (more
+  // amortization per kernel). Shallow queue: the window IS the latency,
+  // shrink. Clamped so the knob's order of magnitude still governs.
+  const double depth_scale =
+      std::clamp(2.0 * static_cast<double>(lane.total) /
+                     static_cast<double>(options_.max_coalesce),
+                 0.25, 4.0);
+  window = std::chrono::nanoseconds(
+      std::llround(static_cast<double>(window.count()) * depth_scale));
+  // Never wait past the earliest queued deadline minus the measured
+  // round-service time. Sub fronts approximate "earliest" (oldest
+  // submit per client) without an O(queued) scan.
+  auto earliest = Clock::time_point::max();
+  for (const auto& [client, sub] : lane.subs) {
+    if (!sub.queue.empty()) {
+      earliest = std::min(earliest, sub.queue.front().deadline);
     }
-    if (earliest != Clock::time_point::max()) {
-      const auto service =
-          std::chrono::nanoseconds(std::llround(round_ewma_ns_));
-      const auto slack = std::chrono::duration_cast<std::chrono::nanoseconds>(
-          earliest - Clock::now() - service);
-      window = std::min(window, std::max(std::chrono::nanoseconds{0}, slack));
-    }
+  }
+  if (earliest != Clock::time_point::max()) {
+    const auto service =
+        std::chrono::nanoseconds(std::llround(round_ewma_ns_));
+    const auto slack = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        earliest - Clock::now() - service);
+    window = std::min(window, std::max(std::chrono::nanoseconds{0}, slack));
   }
   if (window.count() <= 0) return;
   const auto deadline = Clock::now() + window;

@@ -39,7 +39,7 @@
 //                (negative ids included); checked once at submit, resolved
 //                immediately, never queued — so one client's bad id can
 //                never reach the kernels of a round it would have shared
-// Lanes are BOUNDED (`queue_bound`, or EMC_SERVE_QUEUE_BOUND) with an
+// Lanes are BOUNDED (`queue_bound`; 0 = unbounded) with an
 // explicit admission policy, and drained FAIRLY: each lane keeps one
 // sub-queue per client (Ticket::client), and rounds take items by
 // weighted round-robin across clients, so one hot tenant cannot starve
@@ -163,20 +163,12 @@ struct DispatcherOptions {
 
   // --- overload / robustness knobs ---
 
-  /// Per-lane queued-request bound. 0 = take EMC_SERVE_QUEUE_BOUND from
-  /// the environment (strict parse, range [1, 2^30]), unbounded when that
-  /// is unset too.
+  /// Per-lane queued-request bound. 0 = unbounded.
   std::size_t queue_bound = 0;
   /// Policy when a bounded lane is full.
   Admission admission = Admission::kBlock;
-  /// Deadline for requests whose Ticket carries none. 0 = take
-  /// EMC_SERVE_DEADLINE_US from the environment (strict parse, range
-  /// [1, 1e9] microseconds), no deadline when that is unset too.
+  /// Deadline for requests whose Ticket carries none. 0 = no deadline.
   std::chrono::microseconds default_ttl{0};
-  /// Scale coalesce_window with queue depth and cap it by the earliest
-  /// queued deadline (see the header comment). Off = the fixed window,
-  /// for tests that pin exact timing.
-  bool adaptive_window = true;
   /// publish(Session&): total build attempts before giving up into
   /// bounded-staleness mode (>= 1), and the first retry's sleep (doubling
   /// each retry).
@@ -247,17 +239,6 @@ struct DispatcherStats {
   /// updates in the write pipeline right now. 0 when none is attached.
   std::size_t ingest_lag = 0;
 };
-
-/// The resolved per-lane bound: `from_options` when nonzero, else a strict
-/// EMC_SERVE_QUEUE_BOUND parse (complete, in [1, 2^30]; anything else is
-/// ignored), else 0 = unbounded. Exposed for the env-hardening tests.
-std::size_t resolve_queue_bound(std::size_t from_options);
-
-/// The resolved default TTL: `from_options` when nonzero, else a strict
-/// EMC_SERVE_DEADLINE_US parse (complete, in [1, 1e9] microseconds), else
-/// zero = no deadline. Exposed for the env-hardening tests.
-std::chrono::microseconds resolve_default_ttl(
-    std::chrono::microseconds from_options);
 
 class Dispatcher {
  public:

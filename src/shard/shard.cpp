@@ -6,15 +6,8 @@
 #include <tuple>
 
 #include "bcc/bcc.hpp"
-#include "util/env.hpp"
 
 namespace emc::shard {
-
-std::size_t resolve_shard_count(std::size_t from_options) {
-  if (from_options != 0) return from_options;
-  return static_cast<std::size_t>(
-      util::env_int_or("EMC_SHARD_COUNT", 4, 1, 1024));
-}
 
 // --------------------------------------------------------------- Router
 
@@ -354,7 +347,7 @@ ShardedGraph::ShardedGraph(NodeId num_nodes, const ShardedOptions& options)
 ShardedGraph::ShardedGraph(NodeId num_nodes, const graph::EdgeList& initial,
                            const ShardedOptions& options)
     : options_(options),
-      router_(num_nodes, resolve_shard_count(options.shards)) {
+      router_(num_nodes, options.shards) {
   const std::size_t k = router_.shards();
   // Per-shard engines get a bounded worker slice so K shards don't each
   // spawn a machine-wide pool; the façade engine answers cross-shard
@@ -728,15 +721,8 @@ ingest::Ingestor& ShardedGraph::shard_ingestor(std::size_t shard) {
 
 // ------------------------------------------------------ ShardedDispatcher
 
-ShardedDispatcher::ShardedDispatcher(ShardedGraph& graph,
-                                     const ShardedDispatcherOptions& options)
-    : graph_(graph), options_(options) {
-  const unsigned workers = options_.workers == 0 ? 1 : options_.workers;
-  workers_.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    workers_.emplace_back([this] { run(); });
-  }
-}
+ShardedDispatcher::ShardedDispatcher(ShardedGraph& graph)
+    : graph_(graph), worker_([this] { run(); }) {}
 
 ShardedDispatcher::~ShardedDispatcher() { stop(); }
 
@@ -759,15 +745,12 @@ void ShardedDispatcher::run() {
 void ShardedDispatcher::stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_ && workers_.empty()) return;
     stopping_ = true;
   }
   cv_.notify_all();
-  // Workers drain every queued job before exiting: no future is abandoned.
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
+  // The worker drains every queued job before exiting: no future is
+  // abandoned.
+  if (worker_.joinable()) worker_.join();
 }
 
 ShardedStats ShardedDispatcher::stats() const {

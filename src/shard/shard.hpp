@@ -84,7 +84,7 @@
 //     silently-wrong per-shard answer; the relaxation loop is a recorded
 //     ROADMAP follow-up.
 //
-//   ShardedDispatcher — the serving façade: a small worker pool that
+//   ShardedDispatcher — the serving façade: one worker thread that
 //     answers every composable family against the freshest ShardedView,
 //     each request mapped and answered atomically against ONE pinned view
 //     (no torn-epoch answers). stats() folds the façade ledger into the
@@ -105,10 +105,6 @@
 // kernels run on the façade engine's context. stop() quiesces in the
 // documented order (ingestors first, then dispatchers); the destructor
 // calls it.
-//
-// Env knobs (strict util/env.hpp grammar — a typo degrades to the default):
-//   EMC_SHARD_COUNT   shards K when ShardedOptions.shards == 0
-//                     [1, 1024]  (default 4)
 #pragma once
 
 #include <condition_variable>
@@ -133,11 +129,6 @@
 #include "util/types.hpp"
 
 namespace emc::shard {
-
-/// The resolved shard count: `from_options` when nonzero, else a strict
-/// EMC_SHARD_COUNT parse (complete, in [1, 1024]), else 4. Exposed for the
-/// env-hardening tests (test_flags.cpp).
-std::size_t resolve_shard_count(std::size_t from_options);
 
 // --------------------------------------------------------------- Router
 
@@ -207,8 +198,8 @@ class Router {
 // -------------------------------------------------------------- options
 
 struct ShardedOptions {
-  /// Number of shards. 0 = resolve_shard_count (EMC_SHARD_COUNT, else 4).
-  std::size_t shards = 0;
+  /// Number of shards K (0 acts as 1).
+  std::size_t shards = 4;
   /// Device workers per shard engine. Shards own separate engines so
   /// their writers never contend on one driver lock. The façade engine
   /// (summary build + cross-shard batch queries) always takes the machine
@@ -457,27 +448,21 @@ class ShardedGraph {
 
 // ------------------------------------------------------ ShardedDispatcher
 
-struct ShardedDispatcherOptions {
-  /// Worker threads answering façade requests.
-  unsigned workers = 1;
-};
-
 /// The cross-shard serving front door: submit() enqueues a typed request
-/// and returns a future; a worker maps and answers it against ONE pinned
+/// and returns a future; the worker thread maps and answers it against ONE pinned
 /// ShardedView (the freshest at answer time), so no reply mixes epochs.
 /// Reply.epoch carries the view's stitch generation (ShardedView::version).
 /// stop() drains the queue — every future resolves — then joins; submits
 /// after stop() resolve kCancelled. The ShardedGraph must outlive it.
 class ShardedDispatcher {
  public:
-  explicit ShardedDispatcher(ShardedGraph& graph,
-                             const ShardedDispatcherOptions& options = {});
+  explicit ShardedDispatcher(ShardedGraph& graph);
   ~ShardedDispatcher();
 
   ShardedDispatcher(const ShardedDispatcher&) = delete;
   ShardedDispatcher& operator=(const ShardedDispatcher&) = delete;
 
-  /// Enqueues a request of any registered family; a worker answers it
+  /// Enqueues a request of any registered family; the worker answers it
   /// with ShardedView::run, and the reply carries that answer. Resolves
   /// IMMEDIATELY, never queued, with Status::kInvalidArgument for a
   /// payload id outside [0, num_nodes), and with Status::kUnsupported
@@ -529,7 +514,6 @@ class ShardedDispatcher {
   void run();
 
   ShardedGraph& graph_;
-  ShardedDispatcherOptions options_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> jobs_;
@@ -540,7 +524,7 @@ class ShardedDispatcher {
   std::size_t faulted_ = 0;
   std::size_t unsupported_ = 0;
   std::size_t invalid_ = 0;
-  std::vector<std::thread> workers_;
+  std::thread worker_;
 };
 
 template <typename Value, typename Fn>

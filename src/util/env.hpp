@@ -1,11 +1,13 @@
-// Strict environment-variable parsing, shared by every EMC_* knob.
+// Strict environment-variable parsing for the few EMC_* knobs that stay
+// process-wide: EMC_WORKERS and EMC_KERNEL_LATENCY_US (device/context.cpp)
+// and the test harness's EMC_FUZZ_SEED/EMC_FUZZ_ROUNDS. Everything else is
+// tuned through its options struct only.
 //
-// Policy (established for EMC_WORKERS in device/context.cpp and reused by
-// EMC_FUZZ_SEED/EMC_FUZZ_ROUNDS and the serve-layer QoS knobs): a value is
-// taken only when it parses COMPLETELY as an integer inside the knob's sane
-// range; empty, non-numeric, trailing junk, or out-of-range values fall back
-// to the caller's default. A typo in a job script degrades to stock behavior
-// instead of silently arming the wrong configuration.
+// Policy: a value is taken only when it parses COMPLETELY as an integer
+// inside the knob's sane range; empty, non-numeric, trailing junk, or
+// out-of-range values fall back to the caller's default. A typo in a job
+// script degrades to stock behavior instead of silently arming the wrong
+// configuration.
 #pragma once
 
 #include <cerrno>

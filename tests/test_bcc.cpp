@@ -15,8 +15,9 @@
 //   launch pins — bulk batches cost exactly ONE answer kernel on the
 //     device route, zero on the host route, and BfsLevels pairs sharing a
 //     source share one traversal;
-//   failpoints — engine.snapshot/engine.publish faults during (eager) BCC
-//     artifact builds leave the session resumable at the old epoch.
+//   failpoints — a fault anywhere in an epoch's lazy BCC build (its first
+//     read) leaves the epoch's cell empty for the retry and older Views
+//     untouched.
 #include "bcc/bcc.hpp"
 
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 #include <map>
 #include <string>
 #include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -516,17 +518,28 @@ TEST(BccPins, PolicyFloorForcesTheDeviceRoute) {
   EXPECT_EQ(engine.device_launches(), after);  // host route again
 }
 
-TEST(BccPins, EagerEnvBuildsTheIndexAtPublish) {
-  ASSERT_EQ(setenv("EMC_BCC_EAGER", "1", 1), 0);
+TEST(BccPins, PublishLeavesTheBuildToTheFirstReader) {
   Engine engine({.device_workers = 2});
   dynamic::DynamicGraph dg(engine.device(), gen::cycle_graph(48));
   Session session = engine.session(dg);
-  View view = session.view();  // publish ran the eager build
-  const std::uint64_t before = engine.device_launches();
-  const auto arts = view.run(engine::Articulations{});
-  EXPECT_EQ(engine.device_launches(), before);  // already built
-  EXPECT_EQ(arts.size(), 48u);
-  unsetenv("EMC_BCC_EAGER");
+  // Both publish paths — the full rebuild, then an insert-only replay —
+  // leave the epoch's BCC cell empty: the first read builds, the second
+  // reads the cell.
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    SCOPED_TRACE(epoch);
+    if (epoch == 1) {
+      ASSERT_EQ(dg.insert_edges(engine.device(), {{0, 24}}), 1u);
+    }
+    const View view = session.view();
+    EXPECT_EQ(session.publish_replays(), epoch == 0 ? 0u : 1u);
+    const std::uint64_t before = engine.device_launches();
+    const auto arts = view.run(engine::Articulations{});
+    const std::uint64_t built = engine.device_launches();
+    EXPECT_GT(built, before);
+    EXPECT_EQ(view.run(engine::Articulations{}), arts);
+    EXPECT_EQ(engine.device_launches(), built);
+    EXPECT_EQ(arts.size(), 48u);
+  }
 }
 
 // ------------------------------------------------------------- dispatcher
@@ -774,7 +787,7 @@ TEST(BccShard, DispatcherServesThreeFamiliesAndRefusesBfsHonestly) {
   g.edges = {{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {2, 4}};
   shard::ShardedGraph sg(6, g, fast_options(2));
   sg.flush();
-  shard::ShardedDispatcher dispatcher(sg, {.workers = 2});
+  shard::ShardedDispatcher dispatcher(sg);
 
   auto arts = dispatcher.submit(engine::Articulations{});
   auto same = dispatcher.submit(engine::SameBcc{{{0, 1}, {1, 3}}});
@@ -812,61 +825,143 @@ TEST(BccShard, DispatcherServesThreeFamiliesAndRefusesBfsHonestly) {
 
 // ------------------------------------------------------------- failpoints
 
-TEST(BccFailpoints, MidBuildFaultLeavesTheSessionResumableAtTheOldEpoch) {
+/// Faults the first read of a fresh epoch's BCC index — the lazy build —
+/// at every hit of `site` in turn, reading through Session::run or, with
+/// `through_view`, through the epoch's View. Each N gets a fresh engine
+/// and setup (failpoints suspended): publish epoch 0 into a held View,
+/// insert one edge, publish epoch 1 (a replay). Arm the one-shot `site:N`
+/// and read Articulations. A read that throws must leave epoch 1's cell
+/// empty, so the retry builds, and the held View must still answer for
+/// epoch 0. After disarming, the retry must match the sequential
+/// reference. The held View's index is read only after the fault: a
+/// prior build would warm the scratch arena past what epoch 1's build
+/// needs, leaving arena.alloc nothing to fault.
+void sweep_bcc_build_faults(const char* site, bool through_view) {
   failpoint::disable_all();
-  ASSERT_EQ(setenv("EMC_BCC_EAGER", "1", 1), 0);  // build inside publish
-  for (const char* site : {failpoint::kSnapshot, failpoint::kPublish}) {
-    SCOPED_TRACE(site);
-    Engine engine({.device_workers = 2});
-    dynamic::DynamicGraph dg(engine.device(), gen::cycle_graph(32));
-    Session session = engine.session(dg);
-    View v0 = session.view();
-    const auto arts0 = v0.run(engine::Articulations{});  // cycle: no cuts
-
-    // Erasing {10,11} opens the cycle into a path: internal cuts appear.
-    ASSERT_EQ(dg.erase_edges(engine.device(), {{10, 11}}), 1u);
-    ASSERT_TRUE(failpoint::configure(site, "1"));
-    EXPECT_THROW(session.refresh(), failpoint::InjectedFault);
-    failpoint::disable_all();
-
-    // The old epoch still serves, untouched by the aborted build.
-    EXPECT_EQ(v0.run(engine::Articulations{}), arts0);
-    EXPECT_EQ(v0.run(engine::SameBcc{{{0, 16}}})[0], 1u);
-
-    // And the session resumes: the retry publishes and the new epoch's
-    // answers match the new graph's reference.
-    EXPECT_NO_THROW(session.refresh());
-    const ReferenceBcc ref(dg.snapshot(engine.device()));
-    const auto arts1 = session.run(engine::Articulations{});
-    for (NodeId v = 0; v < 32; ++v) {
-      ASSERT_EQ(arts1[v] != 0, ref.is_articulation[v] != 0)
-          << "articulation(" << v << ") after resume";
+  // A dense random core on nodes 0..191 with the pendant path 191..255:
+  // every inner path node is a cut. Epoch 1 adds {255, 0}, which closes
+  // the path into a cycle through the core and removes those cuts.
+  const EdgeList base = [] {
+    EdgeList g = gen::er_graph(192, 2000, 11);
+    g.num_nodes = 256;
+    for (NodeId v = 191; v < 255; ++v) g.edges.push_back({v, v + 1});
+    return g;
+  }();
+  EdgeList closed = base;
+  closed.edges.push_back({255, 0});
+  const ReferenceBcc ref0(base);
+  const ReferenceBcc ref1(closed);
+  ASSERT_NE(ref0.is_articulation, ref1.is_articulation);
+  const auto expect_truth = [](const std::vector<std::uint8_t>& arts,
+                               const ReferenceBcc& ref, const char* what) {
+    ASSERT_EQ(arts.size(), ref.is_articulation.size()) << what;
+    for (std::size_t v = 0; v < arts.size(); ++v) {
+      ASSERT_EQ(arts[v] != 0, ref.is_articulation[v] != 0)
+          << what << " articulation(" << v << ")";
     }
+  };
+
+  std::uint64_t hits = 0;  // `site` hits of the unfaulted build
+  std::size_t faulted_reads = 0;
+  for (std::uint64_t n = 0; n <= hits + 2; ++n) {
+    SCOPED_TRACE(std::string(site) + ":" + std::to_string(n) +
+                 (through_view ? " (View::run)" : " (Session::run)"));
+    Engine engine({.device_workers = 2});
+    dynamic::DynamicGraph dg(engine.device(), base);
+    Session session = engine.session(dg);
+    View v0;
+    View v1;
+    {
+      failpoint::ScopedSuspend quiet;
+      v0 = session.view();
+      ASSERT_EQ(dg.insert_edges(engine.device(), {{255, 0}}), 1u);
+      v1 = session.view();
+      ASSERT_EQ(session.publish_replays(), 1u);
+    }
+    const auto read = [&] {
+      return through_view ? v1.run(engine::Articulations{})
+                          : session.run(engine::Articulations{});
+    };
+    // n == 0 calibrates: a spec that never fires still counts the hits.
+    ASSERT_TRUE(failpoint::configure(
+        site, n == 0 ? "1000000000" : std::to_string(n).c_str()));
+    bool threw = false;
+    try {
+      read();
+    } catch (const failpoint::InjectedFault&) {
+      threw = true;
+    } catch (const std::bad_alloc&) {
+      threw = true;
+    }
+    const std::uint64_t site_hits = failpoint::hits(site);
+    const std::uint64_t fired = failpoint::fired(site);
+    failpoint::disable_all();
+    if (n == 0) {
+      hits = site_hits;
+      ASSERT_GT(hits, 0u);
+      ASSERT_FALSE(threw);
+      continue;
+    }
+    EXPECT_EQ(fired, n <= hits ? 1u : 0u);
+    // Every fault throws, except an allocation fault in the arena's
+    // end-of-scope consolidation: that one is absorbed, after the build
+    // has already succeeded.
+    if (std::string(site) == failpoint::kDeviceLaunch) {
+      EXPECT_EQ(threw, fired != 0);
+    } else {
+      EXPECT_TRUE(!threw || fired != 0);
+    }
+    faulted_reads += threw ? 1 : 0;
+
+    // A faulted build left the cell empty, so the retry builds; after a
+    // clean read it only reads the cell.
+    const std::uint64_t before = engine.device_launches();
+    const auto arts1 = read();
+    EXPECT_EQ(engine.device_launches() > before, threw);
+    expect_truth(arts1, ref1, "epoch 1 retry");
+    // The held View still answers for its own epoch.
+    expect_truth(v0.run(engine::Articulations{}), ref0, "epoch 0 view");
   }
-  unsetenv("EMC_BCC_EAGER");
+  EXPECT_GT(faulted_reads, 0u);
 }
 
-TEST(BccFailpoints, AnswersStayCorrectUnderRandomizedPublishFaults) {
+TEST(BccFailpoints, FaultAtEveryLaunchOfTheLazyBuildIsRetryable) {
+  sweep_bcc_build_faults(failpoint::kDeviceLaunch, /*through_view=*/false);
+  sweep_bcc_build_faults(failpoint::kDeviceLaunch, /*through_view=*/true);
+}
+
+TEST(BccFailpoints, FaultAtEveryAllocationOfTheLazyBuildIsRetryable) {
+  sweep_bcc_build_faults(failpoint::kArenaAlloc, /*through_view=*/false);
+  sweep_bcc_build_faults(failpoint::kArenaAlloc, /*through_view=*/true);
+}
+
+TEST(BccFailpoints, AnswersStayCorrectUnderRandomizedFaults) {
   const auto fuzz = test_support::fuzz_run(/*seed=*/3307, /*rounds=*/24);
   SCOPED_TRACE(fuzz.trace);
-  ASSERT_EQ(setenv("EMC_BCC_EAGER", "1", 1), 0);
 
-  // Re-arm from the environment explicitly (the CI path); otherwise
-  // rotate the publish-side sites ourselves.
-  const char* env_spec = std::getenv("EMC_FAILPOINT");
-  const bool env_armed =
-      env_spec != nullptr && failpoint::configure_from_string(env_spec) > 0;
-
+  failpoint::disable_all();  // the setup runs unarmed
   Engine engine({.device_workers = 2});
   dynamic::DynamicGraph dg(engine.device(), gen::er_graph(96, 180, fuzz.seed));
   Session session = engine.session(dg);
   util::Rng rng(fuzz.seed * 17 + 3);
 
+  // Re-arm from the environment explicitly (the CI path); otherwise
+  // rotate every site ourselves.
+  const char* env_spec = std::getenv("EMC_FAILPOINT");
+  const bool env_armed =
+      env_spec != nullptr && failpoint::configure_from_string(env_spec) > 0;
+  constexpr std::array<std::pair<const char*, const char*>, 4> kRotation{{
+      {failpoint::kSnapshot, "0.4"},
+      {failpoint::kPublish, "0.4"},
+      {failpoint::kDeviceLaunch, "0.05"},
+      {failpoint::kArenaAlloc, "0.3"},
+  }};
+
   for (int round = 0; round < fuzz.rounds; ++round) {
     if (!env_armed) {
       failpoint::disable_all();
-      ASSERT_TRUE(failpoint::configure(
-          round % 2 == 0 ? failpoint::kSnapshot : failpoint::kPublish, "0.4"));
+      const auto& [site, spec] = kRotation[round % kRotation.size()];
+      ASSERT_TRUE(failpoint::configure(site, spec));
     }
     {
       // The writer's own mutation must stay fault-free: it is the ground
@@ -882,12 +977,24 @@ TEST(BccFailpoints, AnswersStayCorrectUnderRandomizedPublishFaults) {
     try {
       session.refresh();
     } catch (const failpoint::InjectedFault&) {
-      continue;  // resumable: the next round's refresh retries
+    } catch (const std::bad_alloc&) {
     }
-    // A successful publish must serve exactly its own epoch's truth.
+    {
+      // Resumable: an unarmed retry publishes whatever the armed one left.
+      failpoint::ScopedSuspend suspend;
+      session.refresh();
+    }
+    // The publish left the index to its first reader, which runs armed.
+    std::vector<std::uint8_t> arts;
+    try {
+      arts = session.run(engine::Articulations{});
+    } catch (const failpoint::InjectedFault&) {
+    } catch (const std::bad_alloc&) {
+    }
     failpoint::ScopedSuspend suspend;
+    if (arts.empty()) arts = session.run(engine::Articulations{});  // retry
+    // Either way the epoch serves exactly its own truth.
     const ReferenceBcc ref(session.view().edges());
-    const auto arts = session.run(engine::Articulations{});
     const auto pair = std::pair<NodeId, NodeId>{
         static_cast<NodeId>(rng.below(96)), static_cast<NodeId>(rng.below(96))};
     const auto same = session.run(engine::SameBcc{{pair}});
@@ -897,7 +1004,6 @@ TEST(BccFailpoints, AnswersStayCorrectUnderRandomizedPublishFaults) {
     }
   }
   failpoint::disable_all();
-  unsetenv("EMC_BCC_EAGER");
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "device/primitives.hpp"
 #include "device/segreduce.hpp"
 #include "device/union_find.hpp"
+#include "util/failpoint.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -362,6 +363,28 @@ TEST(Arena, ScopedSlotsAreDistinctAndNestable) {
   std::fill(d, d + 50, 8);
   for (int i = 0; i < 100; ++i) ASSERT_EQ(a[i], 7);
   for (int i = 0; i < 33; ++i) ASSERT_EQ(b[i], 9);
+}
+
+// Closing the outermost scope merges a fragmented block chain into one
+// block. That allocation runs inside ~Scope, so a failed one (a simulated
+// device OOM) must leave the arena empty and usable, never throw.
+TEST(Arena, FailedConsolidationLeavesTheArenaEmptyAndUsable) {
+  namespace failpoint = util::failpoint;
+  failpoint::disable_all();
+  Arena arena;
+  ASSERT_TRUE(failpoint::configure(failpoint::kArenaAlloc, "3"));
+  {
+    Arena::Scope scope(arena);
+    scope.get<std::int64_t>(10'000);  // hit 1: the first block
+    scope.get<std::int64_t>(20'000);  // hit 2: a second block
+  }  // hit 3: the consolidation fires
+  EXPECT_EQ(failpoint::fired(failpoint::kArenaAlloc), 1u);
+  failpoint::disable_all();
+  EXPECT_EQ(arena.capacity(), 0u);
+  Arena::Scope scope(arena);
+  std::int64_t* slot = scope.get<std::int64_t>(100);
+  std::fill(slot, slot + 100, 5);
+  EXPECT_EQ(slot[99], 5);
 }
 
 TEST(ThreadPool, LaunchCounterCountsEveryKernel) {

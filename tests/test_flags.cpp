@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "bcc/bcc.hpp"
 #include "device/context.hpp"
 #include "device/primitives.hpp"
+#include "dynamic/dynamic_graph.hpp"
+#include "engine/engine.hpp"
 #include "ingest/ingest.hpp"
 #include "serve/serve.hpp"
 #include "shard/shard.hpp"
@@ -98,6 +101,28 @@ TEST(DeviceWorkers, InvalidEmcWorkersFallsBackToHardwareConcurrency) {
   EXPECT_EQ(device::Context(0).workers(), hardware);
 }
 
+TEST(DeviceLatency, ValidEmcKernelLatencyIsHonored) {
+  ASSERT_EQ(setenv("EMC_KERNEL_LATENCY_US", "120", 1), 0);
+  EXPECT_DOUBLE_EQ(device::Context::device_launch_overhead(), 120e-6);
+  ASSERT_EQ(setenv("EMC_KERNEL_LATENCY_US", "0", 1), 0);  // model off
+  EXPECT_DOUBLE_EQ(device::Context::device_launch_overhead(), 0.0);
+  ASSERT_EQ(setenv("EMC_KERNEL_LATENCY_US", "1000000", 1), 0);  // ceiling
+  EXPECT_DOUBLE_EQ(device::Context::device_launch_overhead(), 1.0);
+  unsetenv("EMC_KERNEL_LATENCY_US");
+  EXPECT_DOUBLE_EQ(device::Context::device_launch_overhead(), 50e-6);
+}
+
+TEST(DeviceLatency, InvalidEmcKernelLatencyKeepsTheDefault) {
+  // Junk and negatives used to switch the latency model off silently.
+  for (const char* bad : {"abc", "-50", "", "12.5", "50us", "1000001",
+                          "92233720368547758071"}) {
+    ASSERT_EQ(setenv("EMC_KERNEL_LATENCY_US", bad, 1), 0);
+    EXPECT_DOUBLE_EQ(device::Context::device_launch_overhead(), 50e-6)
+        << "EMC_KERNEL_LATENCY_US=\"" << bad << "\"";
+  }
+  unsetenv("EMC_KERNEL_LATENCY_US");
+}
+
 // EMC_FUZZ_SEED / EMC_FUZZ_ROUNDS use the same strict policy as
 // EMC_WORKERS: complete parse within the knob's range, else the default.
 
@@ -134,164 +159,127 @@ TEST(FuzzEnv, InvalidOverridesFallBackToDefault) {
   EXPECT_EQ(test_support::fuzz_rounds(100), 100);
 }
 
-// EMC_SERVE_QUEUE_BOUND / EMC_SERVE_DEADLINE_US (the dispatcher's overload
-// knobs) follow the same strict policy; a typo'd bound must degrade to
-// "unbounded / no deadline", never to a surprise admission behavior.
+// The options structs are the only way to tune ingest, serving and
+// sharding: the environment variables that once overrode them are ignored,
+// and values with no meaning clamp at construction.
 
-TEST(ServeEnv, QueueBoundAndDeadlineOverridesAreHonored) {
-  ASSERT_EQ(setenv("EMC_SERVE_QUEUE_BOUND", "128", 1), 0);
-  ASSERT_EQ(setenv("EMC_SERVE_DEADLINE_US", "2500", 1), 0);
-  EXPECT_EQ(serve::resolve_queue_bound(0), 128u);
-  EXPECT_EQ(serve::resolve_default_ttl({}).count(), 2500);
-  // Explicit DispatcherOptions win over the environment.
-  EXPECT_EQ(serve::resolve_queue_bound(16), 16u);
-  EXPECT_EQ(serve::resolve_default_ttl(std::chrono::microseconds(9)).count(),
-            9);
-  unsetenv("EMC_SERVE_QUEUE_BOUND");
-  unsetenv("EMC_SERVE_DEADLINE_US");
-  EXPECT_EQ(serve::resolve_queue_bound(0), 0u);      // unbounded
-  EXPECT_EQ(serve::resolve_default_ttl({}).count(), 0);  // no deadline
+/// Every retired override, set to a valid non-default value.
+constexpr std::array<std::pair<const char*, const char*>, 8> kRetiredEnv{{
+    {"EMC_INGEST_QUEUE_BOUND", "1024"},
+    {"EMC_INGEST_MAX_BATCH", "512"},
+    {"EMC_INGEST_LINGER_US", "750"},
+    {"EMC_INGEST_PUBLISH_EVERY", "8"},
+    {"EMC_SERVE_QUEUE_BOUND", "1"},
+    {"EMC_SERVE_DEADLINE_US", "1"},
+    {"EMC_SHARD_COUNT", "6"},
+    {"EMC_BCC_EAGER", "1"},
+}};
+
+/// Stages inserts {i, i+1} for i < `path`, then an erase and an insert of
+/// {0, 1}, in a paused Ingestor over an empty graph; then resumes and
+/// stops it. Returns the ring capacity and the drained stats.
+std::pair<std::size_t, ingest::IngestorStats> drive_ingestor(
+    ingest::IngestorOptions options, NodeId path) {
+  engine::Engine engine({.device_workers = 1});
+  dynamic::DynamicGraph graph(engine.device(), graph::EdgeList{path + 1, {}});
+  engine::Session session = engine.session(graph);
+  options.start_paused = true;
+  ingest::Ingestor ingestor(engine, graph, session, options);
+  std::vector<graph::Edge> edges;
+  for (NodeId i = 0; i < path; ++i) edges.push_back({i, i + 1});
+  ingestor.insert(edges);
+  ingestor.erase({{0, 1}});
+  ingestor.insert({{0, 1}});
+  ingestor.resume();
+  ingestor.stop();
+  return {ingestor.queue().bound(), ingestor.stats()};
 }
 
-TEST(ServeEnv, InvalidValuesFallBackToUnset) {
-  for (const char* bad : {"0", "-5", "abc", "", "64k", "1e3",
-                          "99999999999999999999"}) {
-    ASSERT_EQ(setenv("EMC_SERVE_QUEUE_BOUND", bad, 1), 0);
-    ASSERT_EQ(setenv("EMC_SERVE_DEADLINE_US", bad, 1), 0);
-    EXPECT_EQ(serve::resolve_queue_bound(0), 0u)
-        << "EMC_SERVE_QUEUE_BOUND=\"" << bad << "\"";
-    EXPECT_EQ(serve::resolve_default_ttl({}).count(), 0)
-        << "EMC_SERVE_DEADLINE_US=\"" << bad << "\"";
+TEST(OptionDefaults, RetiredEnvOverridesAreIgnored) {
+  for (const auto& [name, value] : kRetiredEnv) {
+    ASSERT_EQ(setenv(name, value, 1), 0);
   }
-  // In-type but out-of-range: bound caps at 2^30, deadline at 10^9 us.
-  ASSERT_EQ(setenv("EMC_SERVE_QUEUE_BOUND", "1073741825", 1), 0);
-  ASSERT_EQ(setenv("EMC_SERVE_DEADLINE_US", "1000000001", 1), 0);
-  EXPECT_EQ(serve::resolve_queue_bound(0), 0u);
-  EXPECT_EQ(serve::resolve_default_ttl({}).count(), 0);
-  unsetenv("EMC_SERVE_QUEUE_BOUND");
-  unsetenv("EMC_SERVE_DEADLINE_US");
-}
 
-// EMC_BCC_EAGER shares the strict grammar: a 0/1 switch (build the BCC
-// index at publish instead of on first demand). A typo must leave lazy
-// builds — never silently flip eagerness.
+  // Ingest: a 65536-update ring (Reject admission refuses nothing),
+  // batches cut at 2048 (3000 inserts make two, the erase and the last
+  // insert one each), a publish per batch and a 200us linger.
+  ingest::IngestorOptions defaults;
+  defaults.admission = ingest::Admission::kReject;
+  const auto [bound, stats] = drive_ingestor(defaults, 3000);
+  EXPECT_EQ(bound, 65536u);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.batches, 4u);
+  EXPECT_EQ(stats.max_batch, 2048u);
+  EXPECT_EQ(stats.publishes, 4u);
+  ingest::UpdateQueue queue(16, ingest::Admission::kBlock);
+  const ingest::Batcher batcher(queue, ingest::BatcherOptions{});
+  EXPECT_EQ(batcher.options().max_batch, 2048u);
+  EXPECT_EQ(batcher.options().linger, std::chrono::microseconds(200));
 
-TEST(BccEnv, EagerOverrideIsHonored) {
-  ASSERT_EQ(setenv("EMC_BCC_EAGER", "1", 1), 0);
-  EXPECT_TRUE(bcc::resolve_bcc_eager());
-  ASSERT_EQ(setenv("EMC_BCC_EAGER", "0", 1), 0);  // explicit off is valid
-  EXPECT_FALSE(bcc::resolve_bcc_eager());
-  unsetenv("EMC_BCC_EAGER");
-  EXPECT_FALSE(bcc::resolve_bcc_eager());
-}
-
-TEST(BccEnv, InvalidValuesFallBackToDefaults) {
-  for (const char* bad : {"-1", "2", "abc", "", "1x", "1e3", "yes",
-                          "99999999999999999999"}) {
-    ASSERT_EQ(setenv("EMC_BCC_EAGER", bad, 1), 0);
-    EXPECT_FALSE(bcc::resolve_bcc_eager()) << "EMC_BCC_EAGER=\"" << bad
-                                           << "\"";
+  // Serve: unbounded lanes and no default deadline, so every request
+  // staged in a paused Reject-admission lane is answered, however long
+  // it waited.
+  engine::Engine engine({.device_workers = 1});
+  const graph::EdgeList triangle{3, {{0, 1}, {1, 2}, {2, 0}}};
+  engine::Session session = engine.session(triangle);
+  serve::Dispatcher dispatcher(
+      session.view(),
+      {.start_paused = true, .admission = serve::Admission::kReject});
+  std::vector<decltype(dispatcher.submit(engine::Same2Ecc{}))> replies;
+  for (int i = 0; i < 3; ++i) {
+    replies.push_back(dispatcher.submit(engine::Same2Ecc{{{0, 1}}}));
   }
-  unsetenv("EMC_BCC_EAGER");
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  dispatcher.resume();
+  for (auto& reply : replies) EXPECT_EQ(reply.get().status, serve::Status::kOk);
+  dispatcher.stop();
+  EXPECT_EQ(dispatcher.stats().rejected, 0u);
+  EXPECT_EQ(dispatcher.stats().expired, 0u);
+
+  // BCC: a publish leaves the index to its first reader.
+  const engine::View view = session.view();
+  const std::uint64_t before = engine.device_launches();
+  view.run(engine::Articulations{});
+  EXPECT_GT(engine.device_launches(), before);
+
+  // Shard: K = 4.
+  EXPECT_EQ(shard::ShardedGraph(8, shard::ShardedOptions{}).shards(), 4u);
+
+  for (const auto& [name, value] : kRetiredEnv) unsetenv(name);
 }
 
-// The EMC_INGEST_* knobs share the strict policy, with per-knob ranges:
-// queue bound and max batch in [1, 2^30], linger in [0, 1e9] us (0 is a
-// real setting — opportunistic batching), publish pacing in [1, 1e9].
+TEST(OptionDefaults, MeaninglessValuesClampAtConstruction) {
+  // A zero ring bound acts as 1: the first update is admitted, the rest
+  // are refused.
+  ingest::IngestorOptions ring;
+  ring.queue_bound = 0;
+  ring.admission = ingest::Admission::kReject;
+  const auto [bound, refused] = drive_ingestor(ring, 4);
+  EXPECT_EQ(bound, 1u);
+  EXPECT_EQ(refused.accepted, 1u);
+  EXPECT_EQ(refused.rejected, 5u);
 
-TEST(IngestEnv, OverridesAreHonoredAndOptionsWin) {
-  ASSERT_EQ(setenv("EMC_INGEST_QUEUE_BOUND", "1024", 1), 0);
-  ASSERT_EQ(setenv("EMC_INGEST_MAX_BATCH", "512", 1), 0);
-  ASSERT_EQ(setenv("EMC_INGEST_LINGER_US", "750", 1), 0);
-  ASSERT_EQ(setenv("EMC_INGEST_PUBLISH_EVERY", "8", 1), 0);
-  EXPECT_EQ(ingest::resolve_queue_bound(0), 1024u);
-  EXPECT_EQ(ingest::resolve_max_batch(0), 512u);
-  EXPECT_EQ(ingest::resolve_linger(std::chrono::microseconds(-1)).count(),
-            750);
-  EXPECT_EQ(ingest::resolve_publish_every(0), 8u);
-  // Explicit IngestorOptions win over the environment; linger 0 is an
-  // explicit setting, not "unset".
-  EXPECT_EQ(ingest::resolve_queue_bound(16), 16u);
-  EXPECT_EQ(ingest::resolve_max_batch(32), 32u);
-  EXPECT_EQ(ingest::resolve_linger(std::chrono::microseconds(0)).count(), 0);
-  EXPECT_EQ(ingest::resolve_publish_every(3), 3u);
-  unsetenv("EMC_INGEST_QUEUE_BOUND");
-  unsetenv("EMC_INGEST_MAX_BATCH");
-  unsetenv("EMC_INGEST_LINGER_US");
-  unsetenv("EMC_INGEST_PUBLISH_EVERY");
-  EXPECT_EQ(ingest::resolve_queue_bound(0), 65536u);
-  EXPECT_EQ(ingest::resolve_max_batch(0), 2048u);
-  EXPECT_EQ(ingest::resolve_linger(std::chrono::microseconds(-1)).count(),
-            200);
-  EXPECT_EQ(ingest::resolve_publish_every(0), 1u);
-}
+  // Zero max_batch and publish_every act as 1: every update is its own
+  // batch and its own publish.
+  ingest::IngestorOptions pacing;
+  pacing.max_batch = 0;
+  pacing.publish_every = 0;
+  const ingest::IngestorStats stats = drive_ingestor(pacing, 4).second;
+  EXPECT_EQ(stats.batches, 6u);
+  EXPECT_EQ(stats.max_batch, 1u);
+  EXPECT_EQ(stats.publishes, 6u);
 
-TEST(IngestEnv, InvalidValuesFallBackToDefaults) {
-  for (const char* bad : {"-5", "abc", "", "64k", "1e3",
-                          "99999999999999999999"}) {
-    ASSERT_EQ(setenv("EMC_INGEST_QUEUE_BOUND", bad, 1), 0);
-    ASSERT_EQ(setenv("EMC_INGEST_MAX_BATCH", bad, 1), 0);
-    ASSERT_EQ(setenv("EMC_INGEST_LINGER_US", bad, 1), 0);
-    ASSERT_EQ(setenv("EMC_INGEST_PUBLISH_EVERY", bad, 1), 0);
-    EXPECT_EQ(ingest::resolve_queue_bound(0), 65536u)
-        << "EMC_INGEST_QUEUE_BOUND=\"" << bad << "\"";
-    EXPECT_EQ(ingest::resolve_max_batch(0), 2048u)
-        << "EMC_INGEST_MAX_BATCH=\"" << bad << "\"";
-    EXPECT_EQ(ingest::resolve_linger(std::chrono::microseconds(-1)).count(),
-              200)
-        << "EMC_INGEST_LINGER_US=\"" << bad << "\"";
-    EXPECT_EQ(ingest::resolve_publish_every(0), 1u)
-        << "EMC_INGEST_PUBLISH_EVERY=\"" << bad << "\"";
-  }
-  // "0" splits the knobs: linger accepts it, the counted knobs do not.
-  ASSERT_EQ(setenv("EMC_INGEST_QUEUE_BOUND", "0", 1), 0);
-  ASSERT_EQ(setenv("EMC_INGEST_MAX_BATCH", "0", 1), 0);
-  ASSERT_EQ(setenv("EMC_INGEST_LINGER_US", "0", 1), 0);
-  ASSERT_EQ(setenv("EMC_INGEST_PUBLISH_EVERY", "0", 1), 0);
-  EXPECT_EQ(ingest::resolve_queue_bound(0), 65536u);
-  EXPECT_EQ(ingest::resolve_max_batch(0), 2048u);
-  EXPECT_EQ(ingest::resolve_linger(std::chrono::microseconds(-1)).count(), 0);
-  EXPECT_EQ(ingest::resolve_publish_every(0), 1u);
-  // In-type but out-of-range: sizes cap at 2^30, times/counts at 10^9.
-  ASSERT_EQ(setenv("EMC_INGEST_QUEUE_BOUND", "1073741825", 1), 0);
-  ASSERT_EQ(setenv("EMC_INGEST_MAX_BATCH", "1073741825", 1), 0);
-  ASSERT_EQ(setenv("EMC_INGEST_LINGER_US", "1000000001", 1), 0);
-  ASSERT_EQ(setenv("EMC_INGEST_PUBLISH_EVERY", "1000000001", 1), 0);
-  EXPECT_EQ(ingest::resolve_queue_bound(0), 65536u);
-  EXPECT_EQ(ingest::resolve_max_batch(0), 2048u);
-  EXPECT_EQ(ingest::resolve_linger(std::chrono::microseconds(-1)).count(),
-            200);
-  EXPECT_EQ(ingest::resolve_publish_every(0), 1u);
-  unsetenv("EMC_INGEST_QUEUE_BOUND");
-  unsetenv("EMC_INGEST_MAX_BATCH");
-  unsetenv("EMC_INGEST_LINGER_US");
-  unsetenv("EMC_INGEST_PUBLISH_EVERY");
-}
+  // A negative linger acts as 0: no added wait at any depth.
+  ingest::UpdateQueue queue(16, ingest::Admission::kBlock);
+  const ingest::Batcher batcher(
+      queue, {.max_batch = 0, .linger = std::chrono::microseconds(-5)});
+  EXPECT_EQ(batcher.options().max_batch, 1u);
+  EXPECT_EQ(batcher.effective_linger(0).count(), 0);
+  EXPECT_EQ(batcher.effective_linger(64).count(), 0);
 
-// EMC_SHARD_COUNT follows the same strict contract: explicit
-// ShardedOptions.shards wins, a valid complete in-range parse is honored,
-// and anything else degrades to the default of 4 shards.
-
-TEST(ShardEnv, ShardCountIsHonoredAndOptionsWin) {
-  ASSERT_EQ(setenv("EMC_SHARD_COUNT", "6", 1), 0);
-  EXPECT_EQ(shard::resolve_shard_count(0), 6u);
-  EXPECT_EQ(shard::resolve_shard_count(2), 2u);  // options beat the env
-  ASSERT_EQ(setenv("EMC_SHARD_COUNT", "1", 1), 0);   // range floor
-  EXPECT_EQ(shard::resolve_shard_count(0), 1u);
-  ASSERT_EQ(setenv("EMC_SHARD_COUNT", "1024", 1), 0);  // range ceiling
-  EXPECT_EQ(shard::resolve_shard_count(0), 1024u);
-  unsetenv("EMC_SHARD_COUNT");
-  EXPECT_EQ(shard::resolve_shard_count(0), 4u);  // documented default
-}
-
-TEST(ShardEnv, InvalidShardCountFallsBackToDefault) {
-  for (const char* bad : {"-5", "abc", "", "4k", "1e1", "0", "1025",
-                          "99999999999999999999"}) {
-    ASSERT_EQ(setenv("EMC_SHARD_COUNT", bad, 1), 0);
-    EXPECT_EQ(shard::resolve_shard_count(0), 4u)
-        << "EMC_SHARD_COUNT=\"" << bad << "\"";
-  }
-  unsetenv("EMC_SHARD_COUNT");
+  // Zero shards act as 1.
+  EXPECT_EQ(shard::ShardedGraph(8, shard::ShardedOptions{.shards = 0}).shards(),
+            1u);
 }
 
 // EMC_FAILPOINT's spec grammar ("0.25" | "7" | "7+") is strict, and a full

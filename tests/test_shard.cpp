@@ -157,12 +157,6 @@ TEST(ShardRouter, BoundarySetIsVersionedPerEffectiveChange) {
   EXPECT_EQ(router.boundary_snapshot().first.get(), snap.get());
 }
 
-TEST(ShardFlagsInCode, ResolveShardCountPrefersOptions) {
-  unsetenv("EMC_SHARD_COUNT");
-  EXPECT_EQ(resolve_shard_count(7), 7u);
-  EXPECT_EQ(resolve_shard_count(0), 4u);  // documented default
-}
-
 // ----------------------------------------------------- cross-shard shapes
 
 TEST(ShardCorners, BoundaryEdgeIsABridge) {
@@ -339,7 +333,7 @@ TEST(ShardDispatcher, AnswersMatchTheViewAndStopCancels) {
   ShardedGraph sg(6, fast_options(3));
   sg.insert({{0, 3}, {1, 4}, {0, 1}, {3, 4}});
   sg.flush();
-  ShardedDispatcher dispatcher(sg, {.workers = 2});
+  ShardedDispatcher dispatcher(sg);
 
   auto same = dispatcher.submit(
       engine::Same2Ecc{{{0, 1}, {0, 3}, {2, 5}, {0, 0}}});
@@ -382,7 +376,7 @@ TEST(ShardDispatcher, AnswersMatchTheViewAndStopCancels) {
 
 TEST(ShardStats, LedgerBalancesAcrossShardsAndFacade) {
   ShardedGraph sg(12, fast_options(3));
-  ShardedDispatcher dispatcher(sg, {.workers = 1});
+  ShardedDispatcher dispatcher(sg);
 
   util::Rng rng(97);
   std::size_t accepted = 0;
@@ -561,7 +555,7 @@ TEST(ShardFailpoints, EveryFutureResolvesAndNoUpdateIsLostUnderFaults) {
     failpoint::ScopedSuspend suspend;  // construction is setup, not SUT
     return std::make_unique<ShardedGraph>(kNodes, opts);
   }();
-  ShardedDispatcher dispatcher(*sg, {.workers = 1});
+  ShardedDispatcher dispatcher(*sg);
 
   util::Rng rng(fuzz.seed * 17 + 3);
   std::unordered_set<std::uint64_t> expected_keys;
