@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
     for (int r = 0; r < runs; ++r) {
       auto inserts = random_batch(rng, n, batch_size);
       std::vector<graph::Edge> erases(batch_size / 4);
-      const auto& current = dg.snapshot(ctx).edges;
+      const auto current = dg.snapshot(ctx).span().edges;
       for (auto& e : erases) e = current[rng.below(current.size())];
       util::Timer timer;
       dg.insert_edges(ctx, inserts);
@@ -176,11 +176,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- epoch publish: bring EVERY serving artifact (edge snapshot, CSR,
-  // spanning forest, bridge mask, forest LCA, 2-ecc oracle) to the new
-  // epoch, as Session::refresh() does for a publisher. The incremental side
-  // replays the insert-only delta onto the previous epoch's artifacts
-  // (delta-sized patches + appends); the full side is a fresh session's
+  // ---- epoch publish: bring EVERY published artifact (spanning forest,
+  // bridge mask, forest LCA, 2-ecc oracle; the edge snapshot is the edge
+  // log's prefix and the Csr is lazy) to the new epoch, as
+  // Session::refresh() does for a publisher. The incremental side replays
+  // the insert-only delta onto the previous epoch's artifacts (delta-sized
+  // patches + appends); the full side is a fresh session's
   // from-scratch pipeline at the SAME epoch (n-sized). The gap between the
   // two rows is what makes per-batch publishing affordable at streaming
   // cadence — the --check gate pins it.

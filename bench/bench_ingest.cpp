@@ -85,7 +85,7 @@ std::vector<graph::Edge> fresh_edges(util::Rng& rng, NodeId n,
   return out;
 }
 
-std::unordered_set<std::uint64_t> edge_keys(const graph::EdgeList& g) {
+std::unordered_set<std::uint64_t> edge_keys(graph::EdgeSpan g) {
   std::unordered_set<std::uint64_t> keys;
   keys.reserve(g.edges.size() * 2);
   for (const graph::Edge& e : g.edges) keys.insert(edge_key(e));
@@ -208,9 +208,10 @@ int main(int argc, char** argv) {
 
     // Published cell: the same pool with a publish after EVERY batch. Only
     // affordable because insert-only epochs publish by delta replay —
-    // every batch's artifacts (snapshot, CSR, forest, mask, LCA, oracle)
-    // are patched from the previous epoch instead of rebuilt, so the
-    // publish cost rides the delta, not the graph.
+    // every batch's artifacts (forest, mask, LCA, oracle) are patched from
+    // the previous epoch instead of rebuilt, and its snapshot is a longer
+    // prefix of the same edge log, so the publish cost rides the delta,
+    // not the graph.
     //   op = ingest/steady/published            per-update cost, publish on
     //   op = ingest/steady/publish_replays      epochs published by replay
     //   op = ingest/steady/publish_rebuilds     epochs that fell back

@@ -14,7 +14,7 @@
 namespace emc::bcc {
 
 BccIndex BccIndex::build(const device::Context& ctx,
-                         const graph::EdgeList& graph,
+                         graph::EdgeSpan graph,
                          const bridges::SpanningForest& forest,
                          util::PhaseTimer* phases) {
   const auto n = static_cast<std::size_t>(graph.num_nodes);

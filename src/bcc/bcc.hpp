@@ -94,7 +94,7 @@ struct BccIndex {
   /// exact forest the engine's bridge pipeline produced for this epoch).
   /// Caller must hold the device driver lock, as for every bulk build.
   static BccIndex build(const device::Context& ctx,
-                        const graph::EdgeList& graph,
+                        graph::EdgeSpan graph,
                         const bridges::SpanningForest& forest,
                         util::PhaseTimer* phases = nullptr);
 };

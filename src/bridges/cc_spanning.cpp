@@ -10,7 +10,7 @@
 namespace emc::bridges {
 
 SpanningForest cc_spanning_forest(const device::Context& ctx,
-                                  const graph::EdgeList& graph,
+                                  graph::EdgeSpan graph,
                                   util::PhaseTimer* phases) {
   util::ScopedPhase phase(phases, "spanning_tree");
   const auto n = static_cast<std::size_t>(graph.num_nodes);

@@ -33,7 +33,7 @@ struct SpanningForest {
 };
 
 SpanningForest cc_spanning_forest(const device::Context& ctx,
-                                  const graph::EdgeList& graph,
+                                  graph::EdgeSpan graph,
                                   util::PhaseTimer* phases = nullptr);
 
 // component_representatives / stitch_components — the virtual-edge

@@ -9,7 +9,7 @@
 namespace emc::bridges {
 
 BridgeMask ck_marking_phase(const device::Context& ctx,
-                            const graph::EdgeList& graph,
+                            graph::EdgeSpan graph,
                             const std::vector<NodeId>& parent,
                             const std::vector<EdgeId>& parent_edge,
                             const std::vector<NodeId>& level,
@@ -51,7 +51,7 @@ BridgeMask ck_marking_phase(const device::Context& ctx,
 }
 
 BridgeMask find_bridges_ck(const device::Context& ctx,
-                           const graph::EdgeList& graph, const graph::Csr& csr,
+                           graph::EdgeSpan graph, const graph::Csr& csr,
                            util::PhaseTimer* phases) {
   // The dual-argument contract: a Csr built from a different edge list (or
   // from this one in a different order) would silently misalign edge ids.

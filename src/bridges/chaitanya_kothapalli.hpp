@@ -25,7 +25,7 @@ namespace emc::bridges {
 
 /// Requires a connected graph. `csr` must be the adjacency of `graph`.
 BridgeMask find_bridges_ck(const device::Context& ctx,
-                           const graph::EdgeList& graph,
+                           graph::EdgeSpan graph,
                            const graph::Csr& csr,
                            util::PhaseTimer* phases = nullptr);
 
@@ -34,7 +34,7 @@ BridgeMask find_bridges_ck(const device::Context& ctx,
 /// Euler tour technique). `parent_edge[v]` maps v to the undirected edge id
 /// of (v, parent[v]); `is_tree_edge` flags edges of the spanning tree.
 BridgeMask ck_marking_phase(const device::Context& ctx,
-                            const graph::EdgeList& graph,
+                            graph::EdgeSpan graph,
                             const std::vector<NodeId>& parent,
                             const std::vector<EdgeId>& parent_edge,
                             const std::vector<NodeId>& level,

@@ -10,7 +10,7 @@
 namespace emc::bridges {
 
 BridgeMask find_bridges_hybrid(const device::Context& ctx,
-                               const graph::EdgeList& graph,
+                               graph::EdgeSpan graph,
                                util::PhaseTimer* phases) {
   const auto n = static_cast<std::size_t>(graph.num_nodes);
   if (n <= 1 || graph.edges.empty()) {

@@ -27,7 +27,7 @@ namespace emc::bridges {
 
 /// Requires a connected graph.
 BridgeMask find_bridges_hybrid(const device::Context& ctx,
-                               const graph::EdgeList& graph,
+                               graph::EdgeSpan graph,
                                util::PhaseTimer* phases = nullptr);
 
 }  // namespace emc::bridges

@@ -21,7 +21,7 @@ std::vector<NodeId> component_representatives(const device::Context& ctx,
   return reps;
 }
 
-graph::EdgeList stitch_components(const graph::EdgeList& graph,
+graph::EdgeList stitch_components(graph::EdgeSpan graph,
                                   const std::vector<NodeId>& reps) {
   graph::EdgeList augmented;
   augmented.num_nodes = graph.num_nodes;

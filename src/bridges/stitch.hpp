@@ -41,7 +41,7 @@ std::vector<NodeId> component_representatives(const device::Context& ctx,
 /// over it and back), so a mask computed on the augmentation and truncated
 /// to graph.num_edges() is exact. `reps` comes from
 /// component_representatives(); a connected graph is returned unchanged.
-graph::EdgeList stitch_components(const graph::EdgeList& graph,
+graph::EdgeList stitch_components(graph::EdgeSpan graph,
                                   const std::vector<NodeId>& reps);
 
 }  // namespace emc::bridges

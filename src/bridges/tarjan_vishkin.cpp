@@ -14,7 +14,7 @@
 namespace emc::bridges {
 
 BridgeMask find_bridges_tarjan_vishkin(const device::Context& ctx,
-                                       const graph::EdgeList& graph,
+                                       graph::EdgeSpan graph,
                                        util::PhaseTimer* phases) {
   const auto n = static_cast<std::size_t>(graph.num_nodes);
   const std::size_t m = graph.edges.size();

@@ -27,7 +27,7 @@ namespace emc::bridges {
 
 /// Requires a connected graph with at least one node.
 BridgeMask find_bridges_tarjan_vishkin(const device::Context& ctx,
-                                       const graph::EdgeList& graph,
+                                       graph::EdgeSpan graph,
                                        util::PhaseTimer* phases = nullptr);
 
 }  // namespace emc::bridges

@@ -7,7 +7,7 @@
 namespace emc::bridges::tv_detail {
 
 void aggregate_non_tree_min_max(const device::Context& ctx,
-                                const graph::EdgeList& graph,
+                                graph::EdgeSpan graph,
                                 const std::vector<std::uint8_t>& is_tree_edge,
                                 const std::vector<NodeId>& pre,
                                 std::vector<NodeId>& node_min,

@@ -15,7 +15,7 @@ namespace emc::bridges::tv_detail {
 /// the paper's sort + segreduce step: (node, pre[other]) pairs for both
 /// directions of each non-tree edge, radix-sorted by node, reduced per run.
 void aggregate_non_tree_min_max(const device::Context& ctx,
-                                const graph::EdgeList& graph,
+                                graph::EdgeSpan graph,
                                 const std::vector<std::uint8_t>& is_tree_edge,
                                 const std::vector<NodeId>& pre,
                                 std::vector<NodeId>& node_min,

@@ -5,7 +5,7 @@
 namespace emc::bridges {
 
 std::vector<NodeId> two_edge_components(const device::Context& ctx,
-                                        const graph::EdgeList& graph,
+                                        graph::EdgeSpan graph,
                                         const BridgeMask& is_bridge) {
   graph::EdgeList residual;
   residual.num_nodes = graph.num_nodes;

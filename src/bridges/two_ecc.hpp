@@ -19,7 +19,7 @@ namespace emc::bridges {
 /// component (nodes u, v share a label iff two edge-disjoint u-v paths
 /// exist). `is_bridge` must come from the same graph.
 std::vector<NodeId> two_edge_components(const device::Context& ctx,
-                                        const graph::EdgeList& graph,
+                                        graph::EdgeSpan graph,
                                         const BridgeMask& is_bridge);
 
 }  // namespace emc::bridges

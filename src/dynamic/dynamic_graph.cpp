@@ -24,9 +24,16 @@ std::uint64_t pack_directed(NodeId src, NodeId dst) {
 constexpr std::uint64_t kInvalidKey = ~std::uint64_t{0};
 
 /// Slack policy: a quarter of the occupancy, at least 4 slots, so repeated
-/// small batches amortize to O(1) moves per inserted edge.
-EdgeId capacity_for(EdgeId need) {
-  return need + std::max<EdgeId>(4, need / 4);
+/// small batches amortize to O(1) moves per inserted edge. Shared by the
+/// adjacency segments and the edge log.
+template <typename Count>
+Count capacity_for(Count need) {
+  return need + std::max<Count>(4, need / 4);
+}
+
+graph::Edge edge_of_key(std::uint64_t key) {
+  return {static_cast<NodeId>(key >> 32),
+          static_cast<NodeId>(key & 0xffffffffULL)};
 }
 
 /// Half-open bounds of run r in a directed key array of `total` entries.
@@ -158,6 +165,24 @@ std::size_t DynamicGraph::insert_edges(const device::Context& ctx,
   const std::size_t c = fresh.size();
   if (c == 0) return 0;
 
+  // Room in the edge log first: everything that can fail for the log
+  // happens before the segments change, so a fault never leaves the log
+  // behind the store. A regrow copies the prefix into a fresh buffer;
+  // snapshots pinned on the old one keep it alive.
+  std::shared_ptr<graph::Edge[]> log = log_;
+  std::size_t log_capacity = log_capacity_;
+  const std::size_t logged = log != nullptr ? log_len_.back() : 0;
+  if (log != nullptr) {
+    if (logged + c > log_capacity) {
+      log_capacity = capacity_for(logged + c);
+      log = std::shared_ptr<graph::Edge[]>(new graph::Edge[log_capacity]);
+      std::copy_n(log_.get(), logged, log.get());
+    }
+    if (log_len_.size() == log_len_.capacity()) {
+      log_len_.reserve(2 * log_len_.size());
+    }
+  }
+
   std::vector<std::uint64_t> dir;
   std::vector<EdgeId> run_start;
   const std::size_t runs = expand_directed_runs(ctx, fresh, dir, run_start);
@@ -196,7 +221,14 @@ std::size_t DynamicGraph::insert_edges(const device::Context& ctx,
   });
   num_edges_ += c;
   ++epoch_;
-  record_delta(ctx, fresh, /*inserted=*/true);
+  if (log != nullptr) {
+    // Past every pinned length (all <= logged): no reader sees these slots.
+    // A host loop, not a kernel — the append must not fail.
+    for (std::size_t i = 0; i < c; ++i) log[logged + i] = edge_of_key(fresh[i]);
+    log_ = std::move(log);
+    log_capacity_ = log_capacity;
+    log_len_.push_back(logged + c);
+  }
   return c;
 }
 
@@ -234,22 +266,11 @@ std::size_t DynamicGraph::erase_edges(const device::Context& ctx,
   });
   num_edges_ -= c;
   ++epoch_;
-  record_delta(ctx, doomed, /*inserted=*/false);
+  // Positions shift under an erase: the next snapshot() exports a new log.
+  log_.reset();
+  log_capacity_ = 0;
+  log_len_.clear();
   return c;
-}
-
-void DynamicGraph::record_delta(const device::Context& ctx,
-                                const std::vector<std::uint64_t>& keys,
-                                bool inserted) {
-  last_delta_.from_epoch = epoch_ - 1;
-  auto& applied = inserted ? last_delta_.inserted : last_delta_.erased;
-  auto& other = inserted ? last_delta_.erased : last_delta_.inserted;
-  other.clear();
-  applied.resize(keys.size());
-  device::transform(ctx, keys.size(), applied.data(), [&](std::size_t i) {
-    return graph::Edge{static_cast<NodeId>(keys[i] >> 32),
-                       static_cast<NodeId>(keys[i] & 0xffffffffULL)};
-  });
 }
 
 void DynamicGraph::compact(const device::Context& ctx, const EdgeId* demand) {
@@ -271,68 +292,54 @@ void DynamicGraph::compact(const device::Context& ctx, const EdgeId* demand) {
   ++num_compactions_;
 }
 
-std::shared_ptr<const graph::EdgeList> DynamicGraph::snapshot_shared(
-    const device::Context& ctx) const {
-  if (edge_snapshot_epoch_ == epoch_) return edge_snapshot_;
-  // Failpoint: after the cache-hit check, so an armed site perturbs only
-  // fresh materializations — cached snapshots stay servable, the property
-  // the bounded-staleness mode relies on.
-  util::failpoint::maybe_throw(util::failpoint::kSnapshot);
-  // Append fast path: when exactly one insert-only batch separates the
-  // cached snapshot from the current epoch, the new edge list is the old
-  // one plus the recorded delta — a host-side copy + append, no kernel
-  // launches and no driver lock. This is what lets a streaming ingest
-  // writer publish insert-heavy epochs without re-exporting every segment.
-  // (Edge ORDER differs from the segment-walk export below, but a snapshot
-  // only promises within-epoch consistency: a CSR or bridge mask built from
-  // it indexes ITS order.)
-  if (edge_snapshot_ != nullptr && edge_snapshot_epoch_ + 1 == epoch_ &&
-      last_delta_.from_epoch + 1 == epoch_ && last_delta_.insert_only() &&
-      !last_delta_.inserted.empty()) {
-    graph::EdgeList snap;
-    snap.num_nodes = num_nodes_;
-    snap.edges.reserve(edge_snapshot_->edges.size() +
-                       last_delta_.inserted.size());
-    snap.edges = edge_snapshot_->edges;
-    snap.edges.insert(snap.edges.end(), last_delta_.inserted.begin(),
-                      last_delta_.inserted.end());
-    edge_snapshot_ = std::make_shared<const graph::EdgeList>(std::move(snap));
-    edge_snapshot_epoch_ = epoch_;
-    ++num_snapshot_appends_;
-    return edge_snapshot_;
-  }
-  const auto lock = ctx.exclusive();  // see insert_edges
-  const std::size_t n = static_cast<std::size_t>(num_nodes_);
-  // The lower endpoint of each edge emits it, so every undirected edge
-  // appears exactly once: per-node counts, scan, then a placement kernel.
-  std::vector<EdgeId> count(n);
-  device::transform(ctx, n, count.data(), [&](std::size_t v) {
-    EdgeId c = 0;
-    const EdgeId begin = seg_begin_[v];
-    for (EdgeId i = begin; i < begin + seg_count_[v]; ++i) {
-      if (adj_[i] > static_cast<NodeId>(v)) ++c;
-    }
-    return c;
-  });
-  std::vector<EdgeId> offset(n + 1);
-  offset[n] = device::exclusive_scan(ctx, count.data(), n, offset.data());
-  graph::EdgeList snap;
-  snap.num_nodes = num_nodes_;
-  snap.edges.resize(static_cast<std::size_t>(offset[n]));
-  device::launch(ctx, n, [&](std::size_t v) {
-    EdgeId w = offset[v];
-    const EdgeId begin = seg_begin_[v];
-    for (EdgeId i = begin; i < begin + seg_count_[v]; ++i) {
-      if (adj_[i] > static_cast<NodeId>(v)) {
-        snap.edges[w++] = {static_cast<NodeId>(v), adj_[i]};
+EdgeSnapshot DynamicGraph::snapshot(const device::Context& ctx) const {
+  if (log_ == nullptr) {
+    // Failpoint: only an export can fault — snapshots of an existing log
+    // stay servable, the property the bounded-staleness mode relies on.
+    util::failpoint::maybe_throw(util::failpoint::kSnapshot);
+    const auto lock = ctx.exclusive();  // see insert_edges
+    const std::size_t n = static_cast<std::size_t>(num_nodes_);
+    // The lower endpoint of each edge emits it, so every undirected edge
+    // appears exactly once: per-node counts, scan, then a placement kernel.
+    std::vector<EdgeId> count(n);
+    device::transform(ctx, n, count.data(), [&](std::size_t v) {
+      EdgeId c = 0;
+      const EdgeId begin = seg_begin_[v];
+      for (EdgeId i = begin; i < begin + seg_count_[v]; ++i) {
+        if (adj_[i] > static_cast<NodeId>(v)) ++c;
       }
-    }
-  });
-  // A fresh object rather than reuse: a consumer may still hold the previous
-  // epoch's snapshot through its shared handle.
-  edge_snapshot_ = std::make_shared<const graph::EdgeList>(std::move(snap));
-  edge_snapshot_epoch_ = epoch_;
-  return edge_snapshot_;
+      return c;
+    });
+    std::vector<EdgeId> offset(n + 1);
+    offset[n] = device::exclusive_scan(ctx, count.data(), n, offset.data());
+    const auto m = static_cast<std::size_t>(offset[n]);
+    const std::size_t capacity = capacity_for(m);
+    std::shared_ptr<graph::Edge[]> log(new graph::Edge[capacity]);
+    device::launch(ctx, n, [&](std::size_t v) {
+      EdgeId w = offset[v];
+      const EdgeId begin = seg_begin_[v];
+      for (EdgeId i = begin; i < begin + seg_count_[v]; ++i) {
+        if (adj_[i] > static_cast<NodeId>(v)) {
+          log[w++] = {static_cast<NodeId>(v), adj_[i]};
+        }
+      }
+    });
+    log_len_.assign(1, m);
+    log_base_ = epoch_;
+    log_capacity_ = capacity;
+    log_ = std::move(log);
+  }
+  return EdgeSnapshot(log_, log_len_.back(), num_nodes_);
+}
+
+std::optional<std::span<const graph::Edge>> DynamicGraph::inserted_since(
+    std::uint64_t epoch) const {
+  if (log_ == nullptr || epoch < log_base_ || epoch > epoch_) {
+    return std::nullopt;
+  }
+  const std::size_t from = log_len_[epoch - log_base_];
+  return std::span<const graph::Edge>(log_.get() + from,
+                                      log_len_.back() - from);
 }
 
 }  // namespace emc::dynamic

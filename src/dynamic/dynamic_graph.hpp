@@ -26,16 +26,29 @@
 // lets an epoch-keyed cache (engine::Session) skip all work for no-op
 // batches.
 //
-// snapshot() exports the current version as the immutable graph::EdgeList
-// every existing algorithm consumes, built once per epoch and cached —
-// repeated calls within an epoch are zero-copy. (A Csr of it is the
-// consumer's to build: graph::build_csr(ctx, snapshot(ctx)); the engine
-// does so lazily, once per epoch, only when a request reads one.)
+// snapshot() exposes the current version as a prefix of one append-only
+// EDGE LOG — the plain edge list every algorithm reads, through a
+// graph::EdgeSpan. The log is exported from the segments once: by the first
+// snapshot() after construction or after an erase. From then on every
+// effective insert batch appends its applied edges to it, so each
+// insert-only epoch's snapshot is the first len(epoch) edges of the same
+// buffer (no per-epoch copy), and what the epochs since e added is exactly
+// the suffix inserted_since(e) returns. The buffer grows by the segments'
+// slack rule; a regrow copies the prefix into a fresh buffer while
+// snapshots pinned on the old one keep it alive. The writer only ever
+// writes past every pinned length and a reader never reads past its own,
+// so a snapshot handed to another thread stays race-free while the writer
+// appends. An erase drops the log; the next snapshot() exports a fresh one.
+// (A Csr is the consumer's to build: graph::build_csr(ctx, snapshot(ctx));
+// the engine does so lazily, once per epoch, only when a request reads one.)
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "device/context.hpp"
@@ -44,21 +57,29 @@
 
 namespace emc::dynamic {
 
-/// The applied (post-normalization) delta of the most recent effective
-/// update batch: the edges that actually entered or left the store, in
-/// canonical (u < v) form, and the epoch the batch applied on top of. A
-/// consumer holding an index for `from_epoch` can bring it to
-/// `from_epoch + 1` by replaying the delta instead of re-reading the whole
-/// graph — the hook the engine's delta-replay publish hangs off.
-struct UpdateDelta {
-  /// Epoch the delta applies on top of (the batch produced from_epoch + 1).
-  /// kNoDelta when no effective batch has run yet.
-  std::uint64_t from_epoch = ~std::uint64_t{0};
-  std::vector<graph::Edge> inserted;  // canonical u < v, deduplicated
-  std::vector<graph::Edge> erased;    // canonical u < v, deduplicated
+/// One epoch's edge list: the first num_edges() edges of the store's edge
+/// log. Co-owns the log buffer, so it stays readable after the store has
+/// appended past it, regrown or dropped the log, or been destroyed. The
+/// edge order is fixed: a Csr or bridge mask built from the snapshot
+/// indexes its positions, and later insert-only epochs keep every position
+/// and append theirs after it.
+class EdgeSnapshot {
+ public:
+  EdgeSnapshot() = default;
 
-  static constexpr std::uint64_t kNoDelta = ~std::uint64_t{0};
-  bool insert_only() const { return erased.empty(); }
+  graph::EdgeSpan span() const { return {num_nodes_, {log_.get(), length_}}; }
+  /* implicit */ operator graph::EdgeSpan() const { return span(); }
+  std::size_t num_edges() const { return length_; }
+
+ private:
+  friend class DynamicGraph;
+  EdgeSnapshot(std::shared_ptr<const graph::Edge[]> log, std::size_t length,
+               NodeId num_nodes)
+      : log_(std::move(log)), length_(length), num_nodes_(num_nodes) {}
+
+  std::shared_ptr<const graph::Edge[]> log_;
+  std::size_t length_ = 0;
+  NodeId num_nodes_ = 0;
 };
 
 class DynamicGraph {
@@ -82,13 +103,16 @@ class DynamicGraph {
   /// Applies a batch of insertions. Self-loops, out-of-range endpoints,
   /// within-batch duplicates and edges already present are ignored. Returns
   /// the number of edges actually added; the epoch advances iff that is
-  /// non-zero.
+  /// non-zero, and then the added edges are appended to the edge log (when
+  /// one exists). The log's regrow allocation happens before the segments
+  /// change, and the append itself cannot fail, so a fault leaves the store
+  /// and its log consistent.
   std::size_t insert_edges(const device::Context& ctx,
                            const std::vector<graph::Edge>& batch);
 
   /// Applies a batch of deletions (same normalization; edges not present are
   /// ignored). Returns the number of edges actually removed; the epoch
-  /// advances iff that is non-zero.
+  /// advances iff that is non-zero, and then the edge log is dropped.
   std::size_t erase_edges(const device::Context& ctx,
                           const std::vector<graph::Edge>& batch);
 
@@ -98,23 +122,8 @@ class DynamicGraph {
   /// Version counter: advances exactly when the edge set changes.
   std::uint64_t epoch() const { return epoch_; }
 
-  /// Delta of the most recent effective update batch (the one that advanced
-  /// the epoch to epoch()). No-op batches leave it untouched; before any
-  /// effective batch (including right after the seeding constructor, whose
-  /// initial edges are part of epoch 0, not a delta on top of it) its
-  /// from_epoch is UpdateDelta::kNoDelta. Invalidated by the next effective
-  /// batch — consumers replay it immediately or not at all.
-  const UpdateDelta& last_delta() const { return last_delta_; }
-
   /// Compactions performed so far (the amortized reshuffles).
   std::size_t num_compactions() const { return num_compactions_; }
-
-  /// Edge-list snapshots served by the insert-only APPEND fast path (the
-  /// previous epoch's snapshot plus the recorded delta — no kernels, no
-  /// segment walk) rather than a full export. Advances when a streaming
-  /// writer publishes back-to-back insert-only epochs; the ingest tests pin
-  /// that insert-only stretches actually take it.
-  std::size_t num_snapshot_appends() const { return num_snapshot_appends_; }
 
   /// Total adjacency slots currently reserved (used + slack).
   std::size_t slot_capacity() const { return adj_.size(); }
@@ -124,19 +133,18 @@ class DynamicGraph {
   /// Membership test by scanning the smaller endpoint's segment.
   bool has_edge(NodeId u, NodeId v) const;
 
-  /// The current version as an immutable edge list, built once per epoch and
-  /// cached: calling again without an intervening update returns the same
-  /// object (zero-copy). Every existing bridge finder runs unmodified on it.
-  const graph::EdgeList& snapshot(const device::Context& ctx) const {
-    return *snapshot_shared(ctx);
-  }
+  /// The current version: this epoch's prefix of the edge log. Exports the
+  /// log from the segments first when none exists — the one place the log
+  /// is created, and the only call here that runs kernels or can fault.
+  EdgeSnapshot snapshot(const device::Context& ctx) const;
 
-  /// Shared-ownership form of the per-epoch snapshot. The store only keeps
-  /// the CURRENT epoch's snapshot cached; a consumer pinning an older
-  /// version (an engine::View generation) holds it alive through this
-  /// handle after the cache has moved on — MVCC by refcount, no copying.
-  std::shared_ptr<const graph::EdgeList> snapshot_shared(
-      const device::Context& ctx) const;
+  /// The edges added since `epoch`: the log suffix [len(epoch), len(now)),
+  /// every insert batch in between concatenated in apply order (canonical
+  /// u < v). nullopt when no log covers `epoch` — it was not exported yet
+  /// at that epoch, or an erase came in between. Valid until the next
+  /// update.
+  std::optional<std::span<const graph::Edge>> inserted_since(
+      std::uint64_t epoch) const;
 
  private:
   /// Sorts and deduplicates a batch into canonical packed (lo << 32 | hi)
@@ -156,20 +164,17 @@ class DynamicGraph {
   std::uint64_t epoch_ = 0;
   std::size_t num_compactions_ = 0;
 
-  /// Records `keys` (canonical packed edges) as the delta that produced the
-  /// current epoch, into the inserted or erased side.
-  void record_delta(const device::Context& ctx,
-                    const std::vector<std::uint64_t>& keys, bool inserted);
-
   std::vector<EdgeId> seg_begin_;  // size n+1: slot range of each segment
   std::vector<EdgeId> seg_count_;  // size n: used slots (node degree)
   std::vector<NodeId> adj_;        // slot store
-  UpdateDelta last_delta_;
 
-  static constexpr std::uint64_t kNeverBuilt = ~std::uint64_t{0};
-  mutable std::shared_ptr<const graph::EdgeList> edge_snapshot_;
-  mutable std::uint64_t edge_snapshot_epoch_ = kNeverBuilt;
-  mutable std::size_t num_snapshot_appends_ = 0;
+  // The edge log, null when none exists: log_capacity_ slots, of which the
+  // first log_len_.back() hold the current edges; log_len_[i] is the edge
+  // count at epoch log_base_ + i. Mutable because snapshot() exports it.
+  mutable std::shared_ptr<graph::Edge[]> log_;
+  mutable std::size_t log_capacity_ = 0;
+  mutable std::uint64_t log_base_ = 0;
+  mutable std::vector<std::size_t> log_len_;
 };
 
 }  // namespace emc::dynamic

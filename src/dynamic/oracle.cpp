@@ -16,7 +16,7 @@ namespace emc::dynamic {
 
 std::optional<InsertPartition> partition_insertions(
     const std::vector<NodeId>& labels,
-    const std::vector<graph::Edge>& inserted) {
+    std::span<const graph::Edge> inserted) {
   InsertPartition part;
   std::unordered_map<NodeId, NodeId> parent;  // label -> parent label
   auto find = [&](NodeId c) {
@@ -43,7 +43,7 @@ std::optional<InsertPartition> partition_insertions(
 }
 
 bool ConnectivityOracle::insert(const device::Context& ctx,
-                                const std::vector<graph::Edge>& inserted,
+                                std::span<const graph::Edge> inserted,
                                 const InsertPartition& part,
                                 util::PhaseTimer* phases) {
   // Intra-component edges merge blocks (contraction), cross-component
@@ -69,7 +69,7 @@ bool ConnectivityOracle::insert(const device::Context& ctx,
 }
 
 void ConnectivityOracle::build(const device::Context& ctx,
-                               const graph::EdgeList& snapshot,
+                               graph::EdgeSpan snapshot,
                                const bridges::BridgeMask* bridge_mask,
                                const bridges::SpanningForest* cc,
                                util::PhaseTimer* phases) {
@@ -199,7 +199,7 @@ void ConnectivityOracle::index_block_tree(const device::Context& ctx,
 }
 
 bool ConnectivityOracle::apply_insertions(
-    const device::Context& ctx, const std::vector<graph::Edge>& inserted,
+    const device::Context& ctx, std::span<const graph::Edge> inserted,
     const std::vector<std::size_t>& ids, util::PhaseTimer* phases) {
   const std::size_t n = block_of_.size();
   const std::size_t d = ids.size();
@@ -347,7 +347,7 @@ graph::EdgeList ConnectivityOracle::current_block_tree(
 }
 
 void ConnectivityOracle::link_components(
-    const device::Context& ctx, const std::vector<graph::Edge>& inserted,
+    const device::Context& ctx, std::span<const graph::Edge> inserted,
     const std::vector<std::size_t>& cross,
     const std::unordered_map<NodeId, NodeId>& merged,
     util::PhaseTimer* phases) {

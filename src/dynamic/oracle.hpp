@@ -70,6 +70,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -104,7 +105,7 @@ struct InsertPartition {
 /// not intra-component on the old snapshot either).
 std::optional<InsertPartition> partition_insertions(
     const std::vector<NodeId>& labels,
-    const std::vector<graph::Edge>& inserted);
+    std::span<const graph::Edge> inserted);
 
 class ConnectivityOracle {
  public:
@@ -116,19 +117,19 @@ class ConnectivityOracle {
   /// forest of `snapshot` and spares the build its components phase the
   /// same way — so a session that already answered a Bridges request pays
   /// only the marginal 2-ecc work.
-  void build(const device::Context& ctx, const graph::EdgeList& snapshot,
+  void build(const device::Context& ctx, graph::EdgeSpan snapshot,
              const bridges::BridgeMask* bridge_mask = nullptr,
              const bridges::SpanningForest* cc = nullptr,
              util::PhaseTimer* phases = nullptr);
 
-  /// Replays the insert-only batch `inserted` — the only change to the
-  /// indexed snapshot — split by `part`, which partition_insertions
-  /// computed over component_labels(). Returns false, leaving the index
-  /// UNCHANGED, when the covered-length rule fires (see apply_insertions);
-  /// the caller then build()s the new snapshot. Phases: lca_paths,
-  /// contract, block_tree, tree_link.
+  /// Replays `inserted` — every edge added to the indexed snapshot since,
+  /// one or more insert-only batches concatenated — split by `part`, which
+  /// partition_insertions computed over component_labels(). Returns false,
+  /// leaving the index UNCHANGED, when the covered-length rule fires (see
+  /// apply_insertions); the caller then build()s the new snapshot. Phases:
+  /// lca_paths, contract, block_tree, tree_link.
   bool insert(const device::Context& ctx,
-              const std::vector<graph::Edge>& inserted,
+              std::span<const graph::Edge> inserted,
               const InsertPartition& part, util::PhaseTimer* phases = nullptr);
 
   /// The size half of the incremental decision rule: an insert-only batch
@@ -198,7 +199,7 @@ class ConnectivityOracle {
   /// the contraction walk would not beat the full pipeline. The covered
   /// tree edges are marked dead in the carried tree, not reindexed.
   bool apply_insertions(const device::Context& ctx,
-                        const std::vector<graph::Edge>& inserted,
+                        std::span<const graph::Edge> inserted,
                         const std::vector<std::size_t>& ids,
                         util::PhaseTimer* phases);
 
@@ -210,7 +211,7 @@ class ConnectivityOracle {
   /// current_block_tree() in place of the merged-away components'
   /// virtual-root edges, and reindex once.
   void link_components(const device::Context& ctx,
-                       const std::vector<graph::Edge>& inserted,
+                       std::span<const graph::Edge> inserted,
                        const std::vector<std::size_t>& cross,
                        const std::unordered_map<NodeId, NodeId>& merged,
                        util::PhaseTimer* phases);

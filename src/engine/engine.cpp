@@ -25,7 +25,7 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 /// The Csr artifact's build: from the epoch's edge snapshot, so its edge
 /// ids index that snapshot (and the epoch's bridge mask).
 graph::Csr build_epoch_csr(const device::Context& ctx,
-                           const graph::EdgeList& edges) {
+                           graph::EdgeSpan edges) {
   util::failpoint::maybe_throw(util::failpoint::kSnapshot);
   return graph::build_csr(ctx, edges);
 }
@@ -168,6 +168,7 @@ void Session::sync_epoch() {
   // pinning the outgoing epoch share the old cells and may still be
   // building into them.
   cache_.csr = std::make_shared<EpochCell<graph::Csr>>();
+  cache_.edge_list = std::make_shared<EpochCell<graph::EdgeList>>();
   cache_.forest.reset();
   cache_.stitched.reset();
   cache_.stitched_csr.reset();
@@ -255,7 +256,7 @@ const graph::EdgeList& Session::stitched() {
   track(!cache_.stitched);
   if (!cache_.stitched) {
     const device::Context& ctx = engine_->device_;
-    const graph::EdgeList& g = graph_.edges(ctx);
+    const graph::EdgeSpan g = graph_.edges(ctx);
     cache_.stitched = std::make_shared<const graph::EdgeList>(
         bridges::stitch_components(
             g, bridges::component_representatives(ctx, forest())));
@@ -323,8 +324,8 @@ const bridges::BridgeMask& Session::mask_artifact(const Policy& policy,
     return *cache_.mask;
   }
   const device::Context& device = engine_->device_;
-  const graph::EdgeList& g = graph_.edges(device);
-  const std::size_t m = g.edges.size();
+  const graph::EdgeSpan g = graph_.edges(device);
+  const std::size_t m = g.num_edges();
   bridges::BridgeMask mask(m, 0);
   Backend backend = policy.backend;
   if (m == 0) {
@@ -337,7 +338,7 @@ const bridges::BridgeMask& Session::mask_artifact(const Policy& policy,
       // The parallel backends require a connected input; a disconnected
       // graph runs through the stitched augmentation and slices back.
       const bool connected = forest().num_components <= 1;
-      const graph::EdgeList& target = connected ? g : stitched();
+      const graph::EdgeSpan target = connected ? g : stitched();
       switch (backend) {
         case Backend::kCkMulticore:
           mask = bridges::find_bridges_ck(
@@ -377,11 +378,11 @@ const dynamic::ConnectivityOracle& Session::oracle_artifact(
     const Policy& policy) {
   sync_epoch();
   if (!track(cache_.oracle_epoch != cache_.epoch)) return *cache_.oracle;
-  const std::optional<dynamic::InsertPartition> part = replay_partition();
+  const std::optional<Replay> replay = replay_partition();
   const bridges::BridgeMask* mask = cache_.mask ? &*cache_.mask : nullptr;
   const bridges::SpanningForest* forest_hint =
       cache_.forest ? &*cache_.forest : nullptr;
-  if (!part) {
+  if (!replay) {
     // The step will build. A forced backend follows the same rule as a
     // forced Bridges request: a cached mask from a DIFFERENT backend does
     // not satisfy it, so this epoch's mask is computed with it and handed
@@ -403,38 +404,39 @@ const dynamic::ConnectivityOracle& Session::oracle_artifact(
       forest_hint = &forest();
     }
   }
-  advance_oracle(part, mask, forest_hint);
+  advance_oracle(replay, mask, forest_hint);
   return *cache_.oracle;
 }
 
-std::optional<dynamic::InsertPartition> Session::replay_partition() const {
+std::optional<Session::Replay> Session::replay_partition() const {
   if (!graph_.is_dynamic() || cache_.oracle_epoch == Cache::kNone) {
     return std::nullopt;
   }
   const dynamic::DynamicGraph& g = *graph_.dynamic_graph();
-  const dynamic::UpdateDelta& delta = g.last_delta();
-  // The delta that produced the current epoch started at the index's.
-  if (delta.from_epoch != cache_.oracle_epoch) return std::nullopt;
-  const std::size_t d = delta.inserted.size();
-  if (!dynamic::ConnectivityOracle::incremental_applies(
-          d, delta.erased.size(), g.num_edges() - d)) {
-    return std::nullopt;  // deletions, or too large to beat a build
+  // Everything the graph added since the index's epoch, however many
+  // batches that was; nullopt when an erase came in between.
+  const auto inserted = g.inserted_since(cache_.oracle_epoch);
+  if (!inserted) return std::nullopt;
+  const std::size_t d = inserted->size();
+  if (!dynamic::ConnectivityOracle::incremental_applies(d, 0,
+                                                        g.num_edges() - d)) {
+    return std::nullopt;  // too large to beat a build
   }
-  return dynamic::partition_insertions(cache_.oracle->component_labels(),
-                                       delta.inserted);
+  auto part = dynamic::partition_insertions(cache_.oracle->component_labels(),
+                                            *inserted);
+  if (!part) return std::nullopt;
+  return Replay{*inserted, std::move(*part)};
 }
 
-void Session::advance_oracle(
-    const std::optional<dynamic::InsertPartition>& part,
-    const bridges::BridgeMask* mask, const bridges::SpanningForest* forest) {
+void Session::advance_oracle(const std::optional<Replay>& replay,
+                             const bridges::BridgeMask* mask,
+                             const bridges::SpanningForest* forest) {
   const device::Context& ctx = engine_->device_;
   // oracle_mut() first: a failed clone leaves the published index, still
   // at its epoch, untouched.
   dynamic::ConnectivityOracle& oracle = oracle_mut();
   cache_.oracle_epoch = Cache::kNone;  // half-mutated until the step ends
-  if (!part ||
-      !oracle.insert(ctx, graph_.dynamic_graph()->last_delta().inserted,
-                     *part)) {
+  if (!replay || !oracle.insert(ctx, replay->inserted, replay->part)) {
     oracle.build(ctx, graph_.edges(ctx), mask, forest);
   }
   cache_.oracle_epoch = graph_.epoch();
@@ -445,7 +447,7 @@ const lca::InlabelLca& Session::forest_lca_artifact() {
   track(!cache_.forest_lca);
   if (!cache_.forest_lca) {
     const device::Context& ctx = engine_->device_;
-    const graph::EdgeList& g = graph_.edges(ctx);
+    const graph::EdgeSpan g = graph_.edges(ctx);
     const bridges::SpanningForest& f = forest();
     const auto n = static_cast<std::size_t>(g.num_nodes);
     const auto virtual_root = static_cast<NodeId>(n);
@@ -530,8 +532,9 @@ struct View::State {
   std::size_t m = 0;
   std::size_t components = 0;
   Backend mask_backend = Backend::kAuto;
-  std::shared_ptr<const graph::EdgeList> owned_edges;  // dynamic snapshot
-  const graph::EdgeList* edges = nullptr;  // owned_edges or the static graph
+  dynamic::EdgeSnapshot snapshot;  // dynamic graphs: co-owns the log prefix
+  const graph::EdgeList* static_edges = nullptr;  // static graphs
+  graph::EdgeSpan edges;  // the epoch's edges: one of the two above
   std::shared_ptr<const bridges::SpanningForest> forest;
   std::shared_ptr<const bridges::BridgeMask> mask;
   std::shared_ptr<const dynamic::ConnectivityOracle> oracle;
@@ -542,6 +545,7 @@ struct View::State {
   /// a later epoch's Csr or index.
   std::shared_ptr<EpochCell<graph::Csr>> csr;
   std::shared_ptr<EpochCell<bcc::BccIndex>> bcc;
+  std::shared_ptr<EpochCell<graph::EdgeList>> edge_list;  // dynamic edges()
 };
 
 void Session::ensure_bridge_edges() {
@@ -572,15 +576,16 @@ bool Session::try_replay_publish(const Policy& policy) {
       policy.backend != cache_.mask_backend) {
     return false;
   }
-  // The one replay rule, computed once: intra-component edges merge 2-ecc
-  // blocks (the forest and its LCA keep their shape), cross-component
-  // edges each become a bridge linking two forest trees. The oracle step
-  // and the forest patch below both consume this partition.
-  const std::optional<dynamic::InsertPartition> part = replay_partition();
-  if (!part) return false;
-  const std::vector<std::size_t>& cross = part->cross;
-  const dynamic::DynamicGraph& g = *graph_.dynamic_graph();
-  const std::vector<graph::Edge>& inserted = g.last_delta().inserted;
+  // The one replay rule, computed once over everything the graph added
+  // since the published epoch (any number of insert-only batches):
+  // intra-component edges merge 2-ecc blocks (the forest and its LCA keep
+  // their shape), cross-component edges each become a bridge linking two
+  // forest trees. The oracle step and the forest patch below both consume
+  // this partition.
+  const std::optional<Replay> replay = replay_partition();
+  if (!replay) return false;
+  const std::span<const graph::Edge> inserted = replay->inserted;
+  const std::vector<std::size_t>& cross = replay->part.cross;
   const std::size_t old_m = cache_.mask->size();
   const std::size_t d = inserted.size();
 
@@ -593,31 +598,28 @@ bool Session::try_replay_publish(const Policy& policy) {
   //     keeps the index instead of replaying the batch onto it again.
   const device::Context& ctx = engine_->device_;
 
-  // (1) Snapshot via the DCSR append fast path. If the snapshot did not
-  // actually append (cache evicted by a competing export), edge ids are not
-  // position-stable and the patches below would mis-index — fall back.
-  const std::shared_ptr<const graph::EdgeList> snap = g.snapshot_shared(ctx);
-  if (snap->edges.size() != old_m + d ||
-      !std::equal(inserted.begin(), inserted.end(),
-                  snap->edges.begin() + static_cast<std::ptrdiff_t>(old_m),
-                  [](const graph::Edge& a, const graph::Edge& b) {
-                    return a.u == b.u && a.v == b.v;
-                  })) {
-    return false;
-  }
+  // (1) Snapshot: the published epoch's edges followed by the log suffix,
+  // so every edge id the carried artifacts hold still names its edge.
+  const graph::EdgeSpan snap = graph_.edges(ctx);
+  assert(snap.num_edges() == old_m + d);
 
   // (2) 2-ecc index: the shared oracle step (it may still build — covered-
   // length refusal — without invalidating this replay: bridgeness is
   // block_of[u] != block_of[v] EXACTLY, whichever path produced the labels).
-  advance_oracle(part, nullptr, nullptr);
+  advance_oracle(replay, nullptr, nullptr);
   const dynamic::ConnectivityOracle& oracle = *cache_.oracle;
   const std::vector<NodeId>& block = oracle.block_labels();
 
-  // (3) Bridge mask: copy-on-write iff a View shares it, else in place.
-  std::shared_ptr<bridges::BridgeMask> mask =
-      cache_.mask_published
-          ? std::make_shared<bridges::BridgeMask>(*cache_.mask)
-          : std::const_pointer_cast<bridges::BridgeMask>(cache_.mask);
+  // (3) Bridge mask: copy-on-write iff a View shares it, else in place. The
+  // copy is made at its final length: one allocation, one pass.
+  std::shared_ptr<bridges::BridgeMask> mask;
+  if (cache_.mask_published) {
+    mask = std::make_shared<bridges::BridgeMask>();
+    mask->reserve(old_m + d);
+    mask->assign(cache_.mask->begin(), cache_.mask->end());
+  } else {
+    mask = std::const_pointer_cast<bridges::BridgeMask>(cache_.mask);
+  }
   mask->resize(old_m + d);
   // Appended verdicts are exact: an edge is a bridge iff its endpoints lie
   // in different blocks of the NEW index (cross inserts always, intra
@@ -631,7 +633,7 @@ bool Session::try_replay_publish(const Policy& policy) {
   // block. Recheck exactly the previous epoch's bridge set.
   const std::vector<EdgeId>& old_bridges = *cache_.bridge_edges;
   device::launch(ctx, old_bridges.size(), [&](std::size_t i) {
-    const graph::Edge e = snap->edges[old_bridges[i]];
+    const graph::Edge e = snap.edges[old_bridges[i]];
     if (block[e.u] == block[e.v]) (*mask)[old_bridges[i]] = 0;
   });
   // New bridge set = surviving old bridges + the cross inserts, compacted
@@ -659,8 +661,8 @@ bool Session::try_replay_publish(const Policy& policy) {
             : std::const_pointer_cast<bridges::SpanningForest>(cache_.forest);
     std::vector<NodeId>& labels = forest->component;
     device::launch(ctx, labels.size(), [&](std::size_t v) {
-      const auto it = part->merged.find(labels[v]);
-      if (it != part->merged.end()) labels[v] = it->second;
+      const auto it = replay->part.merged.find(labels[v]);
+      if (it != replay->part.merged.end()) labels[v] = it->second;
     });
     forest->tree_edges.reserve(forest->tree_edges.size() + cross.size());
     for (const std::size_t i : cross) {
@@ -675,7 +677,7 @@ bool Session::try_replay_publish(const Policy& policy) {
   // the old snapshot) and rebuilds lazily, like the Csr (fresh cell: no
   // publish builds it); the forest LCA survives exactly when the forest
   // kept its shape (intra-only delta).
-  cache_.epoch = g.epoch();
+  cache_.epoch = graph_.epoch();
   cache_.mask = std::move(mask);
   cache_.mask_published = false;
   cache_.bridge_edges =
@@ -683,6 +685,7 @@ bool Session::try_replay_publish(const Policy& policy) {
   cache_.stitched.reset();
   cache_.stitched_csr.reset();
   cache_.csr = std::make_shared<EpochCell<graph::Csr>>();
+  cache_.edge_list = std::make_shared<EpochCell<graph::EdgeList>>();
   // Even an intra-component insert can merge blocks or demote an
   // articulation — the BCC index never survives a replay (incremental BCC
   // maintenance is a recorded follow-up). Fresh cell: old Views keep theirs.
@@ -726,13 +729,14 @@ std::shared_ptr<const View::State> Session::make_state(const Policy& policy) {
   state->components = cache_.forest->num_components;
   state->mask_backend = cache_.mask_backend;
   if (graph_.is_dynamic()) {
-    state->owned_edges =
-        graph_.dynamic_graph()->snapshot_shared(engine_->device_);
-    state->edges = state->owned_edges.get();
+    state->snapshot = graph_.dynamic_graph()->snapshot(engine_->device_);
+    state->edges = state->snapshot;
   } else {
-    state->edges = graph_.static_graph();
+    state->static_edges = graph_.static_graph();
+    state->edges = *state->static_edges;
   }
   state->csr = cache_.csr;
+  state->edge_list = cache_.edge_list;
   state->forest = cache_.forest;
   state->mask = cache_.mask;
   state->oracle = cache_.oracle;
@@ -787,7 +791,16 @@ std::size_t View::num_edges() const { return state_->m; }
 std::size_t View::num_components() const { return state_->components; }
 Backend View::mask_backend() const { return state_->mask_backend; }
 const Policy& View::policy() const { return state_->policy; }
-const graph::EdgeList& View::edges() const { return *state_->edges; }
+graph::EdgeSpan View::edge_span() const { return state_->edges; }
+
+const graph::EdgeList& View::edges() const {
+  if (state_->static_edges != nullptr) return *state_->static_edges;
+  // A plain copy, no kernels: the cell mutex alone serializes the export.
+  return *state_->edge_list->get_or_build([&] {
+    const graph::EdgeSpan g = state_->edges;
+    return graph::EdgeList{g.num_nodes, {g.edges.begin(), g.edges.end()}};
+  });
+}
 const bridges::SpanningForest& View::forest() const { return *state_->forest; }
 
 const Engine& View::engine() const { return *state_->engine; }
@@ -817,13 +830,13 @@ std::shared_ptr<const T> lazy_artifact(const Engine& engine, EpochCell<T>& cell,
 const graph::Csr& View::csr() const {
   // The View's cell keeps the Csr alive.
   return *lazy_artifact(engine(), *state_->csr, [&] {
-    return build_epoch_csr(engine().device(), *state_->edges);
+    return build_epoch_csr(engine().device(), state_->edges);
   });
 }
 
 std::shared_ptr<const bcc::BccIndex> View::bcc_index() const {
   return lazy_artifact(engine(), *state_->bcc, [&] {
-    return bcc::BccIndex::build(engine().device(), *state_->edges,
+    return bcc::BccIndex::build(engine().device(), state_->edges,
                                 *state_->forest);
   });
 }

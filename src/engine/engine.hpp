@@ -42,9 +42,10 @@
 //
 // The artifact cache's 2-ecc artifact IS a dynamic::ConnectivityOracle —
 // not a parallel universe. The oracle is an epoch-free index; the Session
-// owns the one replay rule (replay_partition): when the graph is exactly one
-// effective, small, insert-only batch ahead of the index's epoch, the batch
-// is replayed onto it (ConnectivityOracle::insert); otherwise the index is
+// owns the one replay rule (replay_partition): when everything the graph
+// added since the index's epoch is one small insert-only suffix of the
+// edge log (any number of batches, no erase in between), that suffix is
+// replayed onto it (ConnectivityOracle::insert); otherwise the index is
 // built from the snapshot, reusing a bridge mask and spanning forest the
 // session already computed so it skips those phases. The lazy 2-ecc request
 // and the delta-replay publish take that same step. Publishing a View
@@ -62,9 +63,9 @@
 // outlive its Sessions and their Views. A Session must not outlive its
 // graph. A View of a STATIC graph references the user's EdgeList and must
 // not outlive it either; a View of a DYNAMIC graph co-owns its epoch's
-// snapshot and survives both the graph moving on and the graph being
-// destroyed. A static EdgeList must not be mutated while a Session is
-// bound to it (the epoch key cannot see such edits).
+// prefix of the edge log and survives both the graph moving on and the
+// graph being destroyed. A static EdgeList must not be mutated while a
+// Session is bound to it (the epoch key cannot see such edits).
 //
 // Threading contract: a Session (and a DynamicGraph) is driven by ONE
 // writer thread at a time; Views are the concurrent surface and may be
@@ -80,6 +81,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -166,8 +168,11 @@ class GraphRef {
   std::uint64_t epoch() const {
     return dynamic_ != nullptr ? dynamic_->epoch() : 0;
   }
-  const graph::EdgeList& edges(const device::Context& ctx) const {
-    return dynamic_ != nullptr ? dynamic_->snapshot(ctx) : *static_;
+  /// The current edges. A dynamic graph's span stays valid until its next
+  /// update (a View co-owns its own snapshot instead).
+  graph::EdgeSpan edges(const device::Context& ctx) const {
+    return dynamic_ != nullptr ? dynamic_->snapshot(ctx).span()
+                               : graph::EdgeSpan(*static_);
   }
   const graph::EdgeList* static_graph() const { return static_; }
   const dynamic::DynamicGraph* dynamic_graph() const { return dynamic_; }
@@ -344,11 +349,15 @@ class View {
   /// The routing policy captured at acquisition (see with_policy()).
   const Policy& policy() const;
 
-  /// The pinned snapshot itself: for a dynamic graph, the epoch's edge
-  /// list (mask order) co-owned with the DCSR cache; for a static graph,
-  /// the user's EdgeList.
+  /// The pinned snapshot itself, in mask order: for a dynamic graph, the
+  /// epoch's prefix of the edge log, co-owned by the View; for a static
+  /// graph, the user's EdgeList. What the library reads.
+  graph::EdgeSpan edge_span() const;
+  /// The same edges as an owned EdgeList. A static graph's is the user's;
+  /// a dynamic graph's is copied out of the log by the first caller, once
+  /// per epoch (shared like csr()), for callers that need a container.
   const graph::EdgeList& edges() const;
-  /// The epoch's Csr (edge ids index edges()), building it on first call
+  /// The epoch's Csr (edge ids index edge_span()), building it on first call
   /// like bcc_index(): no publish pays for it, and the first reader builds
   /// it once for the session and every View of the epoch.
   const graph::Csr& csr() const;
@@ -472,8 +481,8 @@ class Session {
   Backend mask_backend() const { return cache_.mask_backend; }
 
   /// Epoch publishes (refresh()/view()) this session served by replaying
-  /// the graph's last delta onto the previous epoch's artifacts, vs by the
-  /// full per-artifact pipeline. A publish that found its epoch already
+  /// the edges added since the previous publish onto its artifacts, vs by
+  /// the full per-artifact pipeline. A publish that found its epoch already
   /// built counts as neither. The replay requires the PREVIOUS epoch to
   /// have been published (its artifacts all materialized) and the one
   /// replay rule (replay_partition) to hold.
@@ -507,6 +516,10 @@ class Session {
     /// publish. Fresh cell per epoch, shared with Views like `bcc`.
     std::shared_ptr<EpochCell<graph::Csr>> csr =
         std::make_shared<EpochCell<graph::Csr>>();
+    /// A dynamic epoch's edges as an owned EdgeList (View::edges()), copied
+    /// out of the log by the first reader. Fresh cell per epoch.
+    std::shared_ptr<EpochCell<graph::EdgeList>> edge_list =
+        std::make_shared<EpochCell<graph::EdgeList>>();
     std::shared_ptr<const bridges::SpanningForest> forest;
     std::shared_ptr<const graph::EdgeList> stitched;  // connected augmentation
     std::shared_ptr<const graph::Csr> stitched_csr;
@@ -569,22 +582,29 @@ class Session {
   /// first computing the policy's mask when the step will build (a static
   /// graph always; a dynamic one only for a forced backend).
   const dynamic::ConnectivityOracle& oracle_artifact(const Policy& policy);
-  /// The one replay rule: the graph is exactly one effective insert-only
-  /// batch ahead of Cache::oracle_epoch, and the batch passes
-  /// ConnectivityOracle::incremental_applies. Returns the batch split by
-  /// the oracle's component labels — which equal the forest's at the same
-  /// epoch (both are min-id labels, merged min-wins) — or nullopt when the
-  /// rule fails or the batch closes a cycle across components. Host checks
-  /// only; mutates nothing.
-  std::optional<dynamic::InsertPartition> replay_partition() const;
+  /// The input of every replay: the edges the graph added since
+  /// Cache::oracle_epoch (a suffix of its edge log), split by the oracle's
+  /// component labels.
+  struct Replay {
+    std::span<const graph::Edge> inserted;
+    dynamic::InsertPartition part;
+  };
+  /// The one replay rule: the edge log covers Cache::oracle_epoch (no erase
+  /// since), and its whole suffix since then passes
+  /// ConnectivityOracle::incremental_applies — however many batches it
+  /// spans. Returns the suffix split by the oracle's component labels —
+  /// which equal the forest's at the same epoch (both are min-id labels,
+  /// merged min-wins) — or nullopt when the rule fails or the suffix closes
+  /// a cycle across components. Host checks only; mutates nothing.
+  std::optional<Replay> replay_partition() const;
   /// The one oracle step, shared by oracle_artifact and the replay
-  /// publish: replays the graph's last batch split by `part` onto the
-  /// index, or builds it from the current snapshot (seeded with `mask` /
-  /// `forest` when given) when there is no partition or insert() refuses
-  /// it. Advances Cache::oracle_epoch as soon as it succeeds — a publish
+  /// publish: replays `replay` onto the index, or builds it from the
+  /// current snapshot (seeded with `mask` / `forest` when given) when there
+  /// is no replay or insert() refuses it. Advances Cache::oracle_epoch as
+  /// soon as it succeeds — a publish
   /// retried after a later fault must not replay the batch twice — and
   /// leaves it kNone if it throws, so the retry builds.
-  void advance_oracle(const std::optional<dynamic::InsertPartition>& part,
+  void advance_oracle(const std::optional<Replay>& replay,
                       const bridges::BridgeMask* mask,
                       const bridges::SpanningForest* forest);
   const lca::InlabelLca& forest_lca_artifact();
@@ -605,8 +625,9 @@ class Session {
   /// The delta-replay publish fast path: when the previous epoch is fully
   /// published (every artifact, the 2-ecc index included, at
   /// Cache::epoch) and replay_partition() holds, produce this epoch's
-  /// snapshot, spanning forest, bridge mask, 2-ecc index and forest LCA by
-  /// patching the previous epoch's artifacts with that one partition
+  /// spanning forest, bridge mask, 2-ecc index and forest LCA by patching
+  /// the previous epoch's artifacts with that one partition of the log
+  /// suffix (the snapshot itself is the log prefix: nothing to copy)
   /// instead of rebuilding — O(n) worst case (label relabels) rather than
   /// the full pipeline. The Csr and BCC index start empty (lazy cells).
   /// Returns false, having mutated nothing, when any eligibility check

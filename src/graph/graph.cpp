@@ -18,7 +18,7 @@ bool EdgeList::valid() const {
   return true;
 }
 
-Csr build_csr(const device::Context& ctx, const EdgeList& graph) {
+Csr build_csr(const device::Context& ctx, EdgeSpan graph) {
   const NodeId n = graph.num_nodes;
   const std::size_t m = graph.edges.size();
   Csr csr;
@@ -64,7 +64,7 @@ std::uint64_t mix64(std::uint64_t x) { return util::splitmix64(x); }
 
 }  // namespace
 
-bool csr_matches(const EdgeList& graph, const Csr& csr) {
+bool csr_matches(EdgeSpan graph, const Csr& csr) {
   const std::size_t m = graph.edges.size();
   if (graph.num_nodes != csr.num_nodes || m != csr.num_edges()) return false;
   if (csr.row_offsets.size() != static_cast<std::size_t>(csr.num_nodes) + 1) {
@@ -123,7 +123,7 @@ class UnionFind {
 
 }  // namespace
 
-std::vector<NodeId> connected_component_labels(const EdgeList& graph) {
+std::vector<NodeId> connected_component_labels(EdgeSpan graph) {
   UnionFind uf(static_cast<std::size_t>(graph.num_nodes));
   for (const Edge& e : graph.edges) uf.unite(e.u, e.v);
   std::vector<NodeId> labels(static_cast<std::size_t>(graph.num_nodes));

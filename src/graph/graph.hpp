@@ -4,12 +4,17 @@
 // of undirected edges as pairs of node identifiers. All paper algorithms
 // accept this (or a parent array, for trees).
 //
+// EdgeSpan — a read-only view of the same shape (node count + contiguous
+// edges) that the algorithms actually take, so an EdgeList and a prefix of
+// the dynamic store's append-only edge log are read by the same code.
+//
 // Csr — compressed sparse row adjacency built from an EdgeList; used by BFS,
 // DFS, and the CK marking phase.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "device/context.hpp"
@@ -54,6 +59,23 @@ struct EdgeList {
   bool valid() const;
 };
 
+/// Read-only view of an edge list: node count plus a contiguous edge range
+/// it does not own. Built implicitly from an EdgeList, so every function
+/// taking one also takes a plain EdgeList; the viewed edges must outlive
+/// the span.
+struct EdgeSpan {
+  NodeId num_nodes = 0;
+  std::span<const Edge> edges;
+
+  EdgeSpan() = default;
+  EdgeSpan(NodeId nodes, std::span<const Edge> list)
+      : num_nodes(nodes), edges(list) {}
+  /* implicit */ EdgeSpan(const EdgeList& graph)
+      : num_nodes(graph.num_nodes), edges(graph.edges) {}
+
+  std::size_t num_edges() const { return edges.size(); }
+};
+
 /// Compressed sparse row: for node v the incident half-edges are
 /// neighbors[row_offsets[v] .. row_offsets[v+1]); edge_ids gives the
 /// undirected edge id each half-edge came from, so algorithms can
@@ -70,7 +92,7 @@ struct Csr {
 
 /// Builds CSR adjacency from an edge list. Counting-sort based: O(n + m),
 /// bulk-parallel over the device context.
-Csr build_csr(const device::Context& ctx, const EdgeList& graph);
+Csr build_csr(const device::Context& ctx, EdgeSpan graph);
 
 /// True iff `csr` could be the adjacency build_csr() produces for `graph`:
 /// same node/edge counts and the same multiset of (edge id, endpoints)
@@ -81,14 +103,14 @@ Csr build_csr(const device::Context& ctx, const EdgeList& graph);
 /// algorithms: every function taking an (EdgeList, Csr) pair asserts it,
 /// turning a silently wrong answer from mismatched arguments into an
 /// immediate failure.
-bool csr_matches(const EdgeList& graph, const Csr& csr);
+bool csr_matches(EdgeSpan graph, const Csr& csr);
 
 /// Connected component labels via sequential union-find. This is the
 /// *preprocessing* tool (e.g. extracting the largest component of a
 /// generated graph, mirroring the paper's dataset preparation); the
 /// device-parallel CC used inside Tarjan-Vishkin lives in
 /// bridges/cc_spanning.hpp.
-std::vector<NodeId> connected_component_labels(const EdgeList& graph);
+std::vector<NodeId> connected_component_labels(EdgeSpan graph);
 
 /// Number of distinct values in a label array.
 std::size_t count_components(const std::vector<NodeId>& labels);

@@ -26,9 +26,10 @@
 // KIND-HOMOGENEOUS: a batch holds only inserts or only erases, cut at every
 // kind switch so commit order is preserved — and so insert-only stretches
 // of the stream reach the graph as insert-only deltas, the shape the
-// Session's delta-replay publish (and the DynamicGraph's snapshot append
-// path) fast-path. Edges are canonicalized host-side (u < v, sorted,
-// within-batch duplicates collapsed) before they touch the device.
+// Session's delta-replay publish fast-paths (and whose snapshots the
+// DynamicGraph's edge log shares without copying). Edges are canonicalized
+// host-side (u < v, sorted, within-batch duplicates collapsed) before they
+// touch the device.
 //
 // INGESTOR. One dedicated writer thread owns the DynamicGraph + Session for
 // its lifetime (the engine's one-writer contract): it applies each batch,

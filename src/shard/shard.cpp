@@ -556,7 +556,7 @@ std::shared_ptr<const ShardedView::State> ShardedGraph::stitch() {
   for (std::size_t s = 0; s < k; ++s) {
     const bridges::BridgeMask& mask =
         state->views[s].artifact<bridges::BridgeMask>();
-    const std::vector<graph::Edge>& edges = state->views[s].edges().edges;
+    const auto edges = state->views[s].edge_span().edges;
     const std::vector<NodeId>& labels = *state->labels[s];
     const NodeId off = state->offsets[s];
     intra_edges += edges.size();

@@ -34,7 +34,9 @@
 //                    (simulated device OOM)
 //   device.launch    kernel launch on any ThreadPool -> InjectedFault
 //                    (launch failure / device lost)
-//   engine.snapshot  DynamicGraph snapshot/CSR materialization -> InjectedFault
+//   engine.snapshot  edge-log export (a DynamicGraph's first snapshot after
+//                    construction or an erase) or lazy Csr build
+//                    -> InjectedFault
 //   engine.publish   Session artifact publish (refresh()/view()) -> InjectedFault
 #pragma once
 

@@ -51,7 +51,7 @@ class UnionFind {
 
 /// Connected-component label per node (a representative node id) by
 /// union-find over the edge list.
-inline std::vector<NodeId> cc_labels(const graph::EdgeList& g) {
+inline std::vector<NodeId> cc_labels(graph::EdgeSpan g) {
   UnionFind uf(static_cast<std::size_t>(g.num_nodes));
   for (const graph::Edge& e : g.edges) uf.unite(e.u, e.v);
   std::vector<NodeId> label(static_cast<std::size_t>(g.num_nodes));
@@ -61,7 +61,7 @@ inline std::vector<NodeId> cc_labels(const graph::EdgeList& g) {
 
 /// 2-edge-connected-component label per node: union-find over the
 /// non-bridge edges of `mask` (which must align with g.edges).
-inline std::vector<NodeId> two_ecc_labels(const graph::EdgeList& g,
+inline std::vector<NodeId> two_ecc_labels(graph::EdgeSpan g,
                                           const bridges::BridgeMask& mask) {
   UnionFind uf(static_cast<std::size_t>(g.num_nodes));
   for (std::size_t e = 0; e < g.edges.size(); ++e) {
@@ -107,7 +107,7 @@ struct ReferenceBcc {
   std::vector<std::vector<NodeId>> vertex_blocks;  // sorted, unique
   std::size_t num_blocks = 0;
 
-  explicit ReferenceBcc(const graph::EdgeList& g) {
+  explicit ReferenceBcc(graph::EdgeSpan g) {
     const auto n = static_cast<std::size_t>(g.num_nodes);
     const std::size_t m = g.edges.size();
     edge_block.assign(m, kNoNode);
@@ -208,7 +208,7 @@ struct ReferenceOracle {
   std::vector<std::vector<NodeId>> block_adj;  // bridge adjacency over comps
   std::size_t num_bridges = 0;
 
-  ReferenceOracle(const device::Context& ctx, const graph::EdgeList& g) {
+  ReferenceOracle(const device::Context& ctx, graph::EdgeSpan g) {
     const auto n = static_cast<std::size_t>(g.num_nodes);
     const graph::Csr csr = graph::build_csr(ctx, g);
     const bridges::BridgeMask mask = bridges::find_bridges_dfs(csr);

@@ -24,7 +24,7 @@ namespace {
 using graph::Edge;
 using graph::EdgeList;
 
-std::set<std::pair<NodeId, NodeId>> edge_set(const EdgeList& g) {
+std::set<std::pair<NodeId, NodeId>> edge_set(graph::EdgeSpan g) {
   std::set<std::pair<NodeId, NodeId>> s;
   for (const Edge& e : g.edges) {
     s.insert({std::min(e.u, e.v), std::max(e.u, e.v)});
@@ -37,8 +37,7 @@ void expect_oracle_matches_reference(const device::Context& ctx,
                                      const ConnectivityOracle& oracle,
                                      util::Rng& rng, int num_queries,
                                      const char* label) {
-  const EdgeList& snap = dg.snapshot(ctx);
-  const test_support::ReferenceOracle ref(ctx, snap);
+  const test_support::ReferenceOracle ref(ctx, dg.snapshot(ctx));
   ASSERT_EQ(oracle.num_bridges(), ref.num_bridges) << label;
   for (int q = 0; q < num_queries; ++q) {
     const auto u = static_cast<NodeId>(rng.below(dg.num_nodes()));
@@ -107,27 +106,46 @@ TEST_P(DynamicParam, ConstructorCanonicalizesInitialEdges) {
   EXPECT_EQ(dg.num_edges(), 3u);
   EXPECT_TRUE(dg.has_edge(0, 1));
   EXPECT_FALSE(dg.has_edge(0, 0));
-  const EdgeList& snap = dg.snapshot(ctx_);
-  EXPECT_TRUE(snap.valid());
+  const graph::EdgeSpan snap = dg.snapshot(ctx_);
+  const EdgeList copy{snap.num_nodes, {snap.edges.begin(), snap.edges.end()}};
+  EXPECT_TRUE(copy.valid());
   EXPECT_EQ(edge_set(snap),
             (std::set<std::pair<NodeId, NodeId>>{{0, 1}, {1, 2}, {2, 3}}));
 }
 
-TEST_P(DynamicParam, SnapshotIsCachedPerEpoch) {
-  DynamicGraph dg(6);
-  dg.insert_edges(ctx_, {{0, 1}, {1, 2}});
-  const EdgeList* first = &dg.snapshot(ctx_);
-  EXPECT_EQ(first, &dg.snapshot(ctx_));  // zero-copy within an epoch
-  dg.insert_edges(ctx_, {{0, 1}});       // no-op: cache stays warm
-  EXPECT_EQ(first, &dg.snapshot(ctx_));
-  dg.insert_edges(ctx_, {{2, 3}});
-  EXPECT_EQ(dg.snapshot(ctx_).edges.size(), 3u);
+TEST_P(DynamicParam, InsertOnlySnapshotsShareOneLog) {
+  DynamicGraph dg(ctx_, gen::cycle_graph(64));
+  const EdgeSnapshot first = dg.snapshot(ctx_);  // exports the log
+  ASSERT_EQ(first.num_edges(), 64u);
+  const Edge* log = first.span().edges.data();
+  EXPECT_EQ(dg.snapshot(ctx_).span().edges.data(), log);
+
+  // No-op batches append nothing: same buffer, same length, same epoch.
+  dg.insert_edges(ctx_, {{0, 1}, {5, 5}, {-1, 3}});
+  dg.erase_edges(ctx_, {{0, 2}});
+  EXPECT_EQ(dg.snapshot(ctx_).num_edges(), 64u);
+  EXPECT_EQ(dg.snapshot(ctx_).span().edges.data(), log);
+
+  // Each insert-only epoch's snapshot is a longer prefix of the SAME
+  // buffer, exactly its epoch's edge count long; earlier handles keep
+  // their own length.
+  dg.insert_edges(ctx_, {{0, 2}, {4, 9}});
+  const EdgeSnapshot second = dg.snapshot(ctx_);
+  dg.insert_edges(ctx_, {{7, 3}});
+  const EdgeSnapshot third = dg.snapshot(ctx_);
+  EXPECT_EQ(second.span().edges.data(), log);
+  EXPECT_EQ(third.span().edges.data(), log);
+  EXPECT_EQ(first.num_edges(), 64u);
+  EXPECT_EQ(second.num_edges(), 66u);
+  EXPECT_EQ(third.num_edges(), 67u);
+  EXPECT_EQ(third.num_edges(), dg.num_edges());
+  EXPECT_EQ(third.span().edges[66], (Edge{3, 7}));  // canonical u < v
 }
 
 TEST_P(DynamicParam, SnapshotCsrAlignsWithSnapshotEdgeOrder) {
   DynamicGraph dg(5);
   dg.insert_edges(ctx_, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {1, 3}});
-  const EdgeList& snap = dg.snapshot(ctx_);
+  const graph::EdgeSpan snap = dg.snapshot(ctx_);
   const graph::Csr csr = graph::build_csr(ctx_, snap);
   ASSERT_EQ(csr.num_edges(), snap.edges.size());
   for (NodeId v = 0; v < dg.num_nodes(); ++v) {
@@ -139,37 +157,70 @@ TEST_P(DynamicParam, SnapshotCsrAlignsWithSnapshotEdgeOrder) {
   }
 }
 
-TEST_P(DynamicParam, CsrOfAppendedSnapshotsStaysExact) {
+TEST_P(DynamicParam, PinnedSnapshotsReadTheirOwnEdgesAcrossAppendsAndRegrow) {
+  // A small seed gives the log little slack, so the appends below regrow it
+  // several times while earlier snapshots stay pinned on older buffers.
   DynamicGraph dg(ctx_, gen::cycle_graph(32));
-  (void)dg.snapshot(ctx_);  // epoch-0 snapshot: full segment export
+  util::Rng rng(19);
+  struct Pinned {
+    EdgeSnapshot snap;
+    std::vector<Edge> edges;  // copied when pinned
+    std::set<std::pair<NodeId, NodeId>> expected;
+  };
+  std::vector<Pinned> pinned;
+  std::set<std::pair<NodeId, NodeId>> ref = edge_set(dg.snapshot(ctx_));
+  std::set<const Edge*> buffers;
+  const auto pin = [&] {
+    const EdgeSnapshot snap = dg.snapshot(ctx_);
+    buffers.insert(snap.span().edges.data());
+    pinned.push_back(
+        {snap, {snap.span().edges.begin(), snap.span().edges.end()}, ref});
+  };
+  pin();
+  for (int round = 0; round < 24; ++round) {
+    std::vector<Edge> batch;
+    for (int i = 0; i < 6; ++i) {
+      const auto u = static_cast<NodeId>(rng.below(32));
+      const auto v = static_cast<NodeId>(rng.below(32));
+      batch.push_back({u, v});
+      if (u != v) ref.insert({std::min(u, v), std::max(u, v)});
+    }
+    dg.insert_edges(ctx_, batch);
+    pin();
+  }
+  EXPECT_GT(buffers.size(), 2u);  // the log regrew at least twice
 
-  // Back-to-back insert-only epochs append the delta to the cached edge
-  // snapshot; a Csr built from it is a valid adjacency with edge ids
-  // aligned to snapshot order.
-  dg.insert_edges(ctx_, {{0, 5}, {1, 9}});
-  (void)dg.snapshot(ctx_);
-  dg.insert_edges(ctx_, {{2, 11}});
-  const EdgeList& snap = dg.snapshot(ctx_);
-  EXPECT_EQ(dg.num_snapshot_appends(), 2u);
-  const graph::Csr csr = graph::build_csr(ctx_, snap);
-  EXPECT_TRUE(graph::csr_matches(snap, csr));
-  for (NodeId v = 0; v < dg.num_nodes(); ++v) {
-    for (EdgeId i = csr.row_offsets[v]; i < csr.row_offsets[v + 1]; ++i) {
-      const Edge e = snap.edges[csr.edge_ids[i]];
-      EXPECT_TRUE((e.u == v && e.v == csr.neighbors[i]) ||
-                  (e.v == v && e.u == csr.neighbors[i]));
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    const graph::EdgeSpan snap = pinned[i].snap;
+    SCOPED_TRACE("pinned snapshot " + std::to_string(i));
+    ASSERT_EQ(snap.num_edges(), pinned[i].edges.size());
+    EXPECT_TRUE(std::equal(snap.edges.begin(), snap.edges.end(),
+                           pinned[i].edges.begin()));
+    EXPECT_EQ(edge_set(snap), pinned[i].expected);
+    const graph::Csr csr = graph::build_csr(ctx_, snap);
+    EXPECT_TRUE(graph::csr_matches(snap, csr));
+    for (NodeId v = 0; v < dg.num_nodes(); ++v) {
+      for (EdgeId k = csr.row_offsets[v]; k < csr.row_offsets[v + 1]; ++k) {
+        const Edge e = snap.edges[csr.edge_ids[k]];
+        EXPECT_TRUE((e.u == v && e.v == csr.neighbors[k]) ||
+                    (e.v == v && e.u == csr.neighbors[k]));
+      }
     }
   }
 
-  // An erase re-exports the segments; the next insert-only epoch appends
-  // again on the fresh base, and both Csrs stay exact.
+  // An erase drops the log; the next snapshot exports a fresh one, earlier
+  // snapshots keep theirs, and every Csr stays exact.
   dg.erase_edges(ctx_, {{0, 1}});
-  EXPECT_TRUE(graph::csr_matches(dg.snapshot(ctx_),
-                                 graph::build_csr(ctx_, dg.snapshot(ctx_))));
+  ref.erase({0, 1});
+  const EdgeSnapshot after = dg.snapshot(ctx_);
+  EXPECT_EQ(buffers.count(after.span().edges.data()), 0u);
+  EXPECT_EQ(edge_set(after), ref);
+  EXPECT_TRUE(graph::csr_matches(after, graph::build_csr(ctx_, after)));
+  EXPECT_EQ(edge_set(pinned.back().snap), pinned.back().expected);
   dg.insert_edges(ctx_, {{3, 13}});
-  EXPECT_TRUE(graph::csr_matches(dg.snapshot(ctx_),
-                                 graph::build_csr(ctx_, dg.snapshot(ctx_))));
-  EXPECT_EQ(dg.num_snapshot_appends(), 3u);
+  const EdgeSnapshot appended = dg.snapshot(ctx_);
+  EXPECT_EQ(appended.span().edges.data(), after.span().edges.data());
+  EXPECT_TRUE(graph::csr_matches(appended, graph::build_csr(ctx_, appended)));
 }
 
 TEST_P(DynamicParam, CompactionPreservesEdgesAndAmortizes) {
@@ -193,37 +244,41 @@ TEST_P(DynamicParam, CompactionPreservesEdgesAndAmortizes) {
   EXPECT_LE(dg.slot_capacity(), 2 * 2 * ref.size() + 4 * 50);
 }
 
-TEST_P(DynamicParam, LastDeltaTracksAppliedBatches) {
-  DynamicGraph dg(6);
-  EXPECT_EQ(dg.last_delta().from_epoch, UpdateDelta::kNoDelta);
+TEST_P(DynamicParam, InsertedSinceConcatenatesAppliedBatches) {
+  DynamicGraph dg(ctx_, gen::cycle_graph(5));
+  // No log before the first snapshot: the seeded edges are epoch 0 itself,
+  // and nothing records what later batches add until a log exists.
+  EXPECT_FALSE(dg.inserted_since(0).has_value());
+  (void)dg.snapshot(ctx_);
+  ASSERT_TRUE(dg.inserted_since(0).has_value());
+  EXPECT_TRUE(dg.inserted_since(0)->empty());
 
-  dg.insert_edges(ctx_, {{1, 0}, {1, 2}, {0, 1}, {2, 2}});
-  const UpdateDelta& delta = dg.last_delta();
-  EXPECT_EQ(delta.from_epoch, 0u);
-  EXPECT_TRUE(delta.insert_only());
-  // Canonical (u < v), deduplicated, invalid entries dropped.
-  EXPECT_EQ(delta.inserted,
-            (std::vector<Edge>{{0, 1}, {1, 2}}));
+  const auto since = [&](std::uint64_t epoch) {
+    const auto suffix = dg.inserted_since(epoch);
+    return suffix ? std::vector<Edge>(suffix->begin(), suffix->end())
+                  : std::vector<Edge>{{-1, -1}};
+  };
+  // Applied form: canonical (u < v), deduplicated, invalid and present
+  // edges dropped, sorted within a batch; batches in apply order.
+  dg.insert_edges(ctx_, {{3, 0}, {1, 3}, {0, 3}, {2, 2}, {0, 1}});
+  dg.insert_edges(ctx_, {{0, 1}});  // no-op: appends nothing
+  dg.erase_edges(ctx_, {{0, 2}});   // no-op erase: the log survives
+  dg.insert_edges(ctx_, {{4, 2}});
+  EXPECT_EQ(dg.epoch(), 2u);
+  EXPECT_EQ(since(0), (std::vector<Edge>{{0, 3}, {1, 3}, {2, 4}}));
+  EXPECT_EQ(since(1), (std::vector<Edge>{{2, 4}}));
+  EXPECT_TRUE(since(2).empty());
+  EXPECT_FALSE(dg.inserted_since(3).has_value());  // a future epoch
 
-  // No-op batches leave the delta untouched.
-  dg.insert_edges(ctx_, {{0, 1}});
-  dg.erase_edges(ctx_, {{3, 4}});
-  EXPECT_EQ(dg.last_delta().from_epoch, 0u);
-  EXPECT_EQ(dg.last_delta().inserted.size(), 2u);
-
-  // An effective erase replaces it and flips the side.
-  dg.erase_edges(ctx_, {{2, 1}, {4, 5}});
-  EXPECT_EQ(dg.last_delta().from_epoch, 1u);
-  EXPECT_FALSE(dg.last_delta().insert_only());
-  EXPECT_EQ(dg.last_delta().erased, (std::vector<Edge>{{1, 2}}));
-  EXPECT_TRUE(dg.last_delta().inserted.empty());
-}
-
-TEST_P(DynamicParam, SeededConstructorHasNoDelta) {
-  const DynamicGraph dg(ctx_, gen::cycle_graph(5));
-  // The initial edges are epoch 0 itself, not a delta on top of it.
-  EXPECT_EQ(dg.last_delta().from_epoch, UpdateDelta::kNoDelta);
-  EXPECT_EQ(dg.epoch(), 0u);
+  // An effective erase drops the log: no suffix spans it.
+  dg.erase_edges(ctx_, {{1, 3}});
+  EXPECT_FALSE(dg.inserted_since(0).has_value());
+  EXPECT_FALSE(dg.inserted_since(2).has_value());
+  EXPECT_FALSE(dg.inserted_since(3).has_value());
+  (void)dg.snapshot(ctx_);  // a fresh log, from epoch 3 on
+  dg.insert_edges(ctx_, {{1, 4}});
+  EXPECT_FALSE(dg.inserted_since(2).has_value());
+  EXPECT_EQ(since(3), (std::vector<Edge>{{1, 4}}));
 }
 
 // ------------------------------------------------------------- the oracle
@@ -310,7 +365,7 @@ TEST_P(DynamicParam, TwoEccOnDynamicSnapshots) {
   // Disconnected snapshot (two paths): every node is its own 2ecc.
   dg.insert_edges(ctx_, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
   advance(session);
-  const EdgeList& snap = dg.snapshot(ctx_);
+  const graph::EdgeSpan snap = dg.snapshot(ctx_);
   const auto mask =
       bridges::find_bridges_dfs(graph::build_csr(ctx_, dg.snapshot(ctx_)));
   const auto labels = bridges::two_edge_components(ctx_, snap, mask);

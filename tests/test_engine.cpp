@@ -235,7 +235,7 @@ TEST(EngineDynamic, BridgesRequestSharesItsMaskWithTheTwoEccIndex) {
   // backend run happens at all.
   session.run(Bridges{}, Policy::fixed(Backend::kDfs));
   session.run(TwoEcc{});
-  const auto& snapshot = dg.snapshot(engine.device()).edges;
+  const auto snapshot = dg.snapshot(engine.device()).span().edges;
   std::vector<Edge> erase(snapshot.begin(), snapshot.begin() + 60);
   dg.erase_edges(engine.device(), erase);
   const auto runs_before = engine.stats().backend_runs;

@@ -185,21 +185,30 @@ TEST(IncrementalRule, CycleClosingCrossBatchFallsBackToRebuild) {
   expect_equivalent_to_full_rebuild(ctx, dg, oracle, rng, 24);
 }
 
-TEST(IncrementalRule, MultipleBatchesBehindFallsBackToRebuild) {
+TEST(IncrementalRule, MultipleBatchesBehindReplayAsOneSuffix) {
   const device::Context ctx(2);
   Engine engine({.device_workers = 2});
   DynamicGraph dg(ctx, gen::cycle_graph(16));
   Session session = engine.session(dg);
   const ConnectivityOracle& oracle = session.two_ecc_index();
   session.run(TwoEcc{});
-  // Two effective batches with no refresh between: only the second delta is
-  // retained, so the one-batch-ahead precondition fails.
+  // Two effective batches with no refresh between: the edge log holds both,
+  // so the index replays their concatenation in one step.
   dg.insert_edges(ctx, {{0, 2}});
   dg.insert_edges(ctx, {{0, 4}});
   EXPECT_TRUE(advance(session));
-  EXPECT_EQ(oracle.rebuilds(), 2u);
-  EXPECT_EQ(oracle.incremental_refreshes(), 0u);
+  EXPECT_EQ(oracle.rebuilds(), 1u);
+  EXPECT_EQ(oracle.incremental_refreshes(), 1u);
   util::Rng rng(5);
+  expect_equivalent_to_full_rebuild(ctx, dg, oracle, rng, 24);
+
+  // A gap that contains an erase has no log suffix: the index rebuilds.
+  dg.insert_edges(ctx, {{0, 6}});
+  dg.erase_edges(ctx, {{0, 2}});
+  dg.insert_edges(ctx, {{0, 8}});
+  EXPECT_TRUE(advance(session));
+  EXPECT_EQ(oracle.rebuilds(), 2u);
+  EXPECT_EQ(oracle.incremental_refreshes(), 1u);
   expect_equivalent_to_full_rebuild(ctx, dg, oracle, rng, 24);
 }
 

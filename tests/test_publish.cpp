@@ -6,11 +6,13 @@
 // View builds it on first read.
 //
 // Five pillars:
-//   replay pins — insert-only intra/cross batches take the replay path
+//   replay pins — insert-only intra/cross batches, and gaps of several
+//     such batches between publishes, take the replay path
 //     (publish_replays advances, publish_rebuilds stays flat) and the
 //     resulting View agrees artifact-for-artifact with a scratch Session;
-//   fallback pins — deletions, oversized batches, multi-batch gaps and
-//     cycle-closing cross pairs take the full pipeline, correctly;
+//   fallback pins — deletions (also inside a gap), oversized batches and
+//     gaps, and cycle-closing cross pairs take the full pipeline,
+//     correctly;
 //   copy-on-write — a View pinned at the previous epoch is immutable under
 //     replay: the mask is patched on a copy, and an intra-only replay
 //     SHARES the untouched forest with the published View (pointer pin);
@@ -55,7 +57,7 @@ using CanonicalEdgeSet = std::set<std::pair<NodeId, NodeId>>;
 /// masks are only comparable as SETS of edges, never positionally.
 CanonicalEdgeSet bridge_set(const View& view) {
   const bridges::BridgeMask& mask = view.run(Bridges{});
-  const EdgeList& g = view.edges();
+  const graph::EdgeSpan g = view.edge_span();
   CanonicalEdgeSet out;
   for (std::size_t e = 0; e < mask.size(); ++e) {
     if (mask[e] != 0) {
@@ -190,7 +192,44 @@ TEST(PublishReplay, CrossComponentInsertPatchesForestAndLca) {
 
 // ---------------------------------------------------------- fallback pins
 
-TEST(PublishReplay, EraseOversizedAndGapBatchesTakeTheFullPipeline) {
+TEST(PublishReplay, InsertOnlyGapReplaysAsOneSuffix) {
+  Engine engine({.device_workers = 2});
+  dynamic::DynamicGraph dg(engine.device(), gen::cycle_graph(16));
+  Session session = engine.session(dg);
+  session.refresh();
+  util::Rng rng(5);
+
+  // Two effective batches with no refresh between: the edge log holds both
+  // after the published epoch, so one replay covers the whole gap.
+  dg.insert_edges(engine.device(), {{0, 2}});
+  dg.insert_edges(engine.device(), {{0, 4}});
+  session.refresh();
+  EXPECT_EQ(session.publish_replays(), 1u);
+  EXPECT_EQ(session.publish_rebuilds(), 1u);
+  expect_views_agree(session.view(), scratch_view(engine, dg), rng, 16);
+
+  // A three-batch gap mixing intra chords and cross links on a graph with
+  // isolated nodes: the forest patch appends links from every batch. (An
+  // edge between two components an earlier batch of the gap linked closes
+  // a cycle no replay expresses — the cycle-closing pin below.)
+  dynamic::DynamicGraph split(10);
+  split.insert_edges(engine.device(), {{0, 1}, {1, 2}, {2, 3}, {3, 0},    // C4
+                                       {4, 5}, {5, 6}, {6, 7}, {7, 4}});  // C4
+  Session split_session = engine.session(split);
+  split_session.refresh();
+  split.insert_edges(engine.device(), {{3, 4}});          // cross link
+  split.insert_edges(engine.device(), {{0, 2}, {0, 8}});  // intra + cross
+  split.insert_edges(engine.device(), {{8, 9}});          // cross link
+  split_session.refresh();
+  EXPECT_EQ(split_session.publish_replays(), 1u);
+  EXPECT_EQ(split_session.publish_rebuilds(), 1u);
+  const View v = split_session.view();
+  EXPECT_EQ(v.num_components(), 1u);
+  EXPECT_EQ(bridge_set(v), (CanonicalEdgeSet{{3, 4}, {0, 8}, {8, 9}}));
+  expect_views_agree(v, scratch_view(engine, split), rng, 24);
+}
+
+TEST(PublishReplay, EraseAndOversizedGapsTakeTheFullPipeline) {
   Engine engine({.device_workers = 2});
   dynamic::DynamicGraph dg(engine.device(), gen::cycle_graph(16));
   Session session = engine.session(dg);
@@ -204,9 +243,9 @@ TEST(PublishReplay, EraseOversizedAndGapBatchesTakeTheFullPipeline) {
   EXPECT_EQ(session.publish_replays(), 0u);
   expect_views_agree(session.view(), scratch_view(engine, dg), rng, 16);
 
-  // Two effective batches with no refresh between: only the second delta
-  // survives, so the one-epoch-ahead precondition fails.
+  // So does an erase anywhere inside a gap of insert batches.
   dg.insert_edges(engine.device(), {{0, 2}});
+  dg.erase_edges(engine.device(), {{4, 5}});
   dg.insert_edges(engine.device(), {{0, 4}});
   session.refresh();
   EXPECT_EQ(session.publish_rebuilds(), 3u);
@@ -226,6 +265,23 @@ TEST(PublishReplay, EraseOversizedAndGapBatchesTakeTheFullPipeline) {
   EXPECT_EQ(wide_session.publish_rebuilds(), 2u);
   EXPECT_EQ(wide_session.publish_replays(), 0u);
   expect_views_agree(wide_session.view(), scratch_view(engine, wide), rng, 16);
+
+  // The rule prices the whole gap: two batches that each pass it alone
+  // (40 <= 64) but total 80 fall back too.
+  const std::vector<Edge> first(big.begin(), big.begin() + 40);
+  std::vector<Edge> second;
+  for (NodeId v = 0; v < 40; ++v) {
+    second.push_back({v, static_cast<NodeId>(v + 150)});
+  }
+  dynamic::DynamicGraph gap(engine.device(), gen::path_graph(200));
+  Session gap_session = engine.session(gap);
+  gap_session.refresh();
+  ASSERT_EQ(gap.insert_edges(engine.device(), first), first.size());
+  ASSERT_EQ(gap.insert_edges(engine.device(), second), second.size());
+  gap_session.refresh();
+  EXPECT_EQ(gap_session.publish_rebuilds(), 2u);
+  EXPECT_EQ(gap_session.publish_replays(), 0u);
+  expect_views_agree(gap_session.view(), scratch_view(engine, gap), rng, 16);
 }
 
 TEST(PublishReplay, CycleClosingCrossBatchTakesTheFullPipeline) {
@@ -409,7 +465,8 @@ TEST(PublishFuzz, EveryEpochMatchesAScratchSessionAndTheReference) {
 
   // Disconnected base (two cycles + isolated tail nodes): rounds mix
   // intra-component inserts (replay), cross-component links (replay or
-  // rebuild, batch-dependent) and erases (always rebuild).
+  // rebuild, batch-dependent) and erases (always rebuild). Random rounds
+  // skip the publish, so publishes cover gaps of 1-4 batches.
   dynamic::DynamicGraph dg(kNodes);
   std::vector<Edge> base;
   for (NodeId v = 0; v < 24; ++v) {
@@ -423,6 +480,8 @@ TEST(PublishFuzz, EveryEpochMatchesAScratchSessionAndTheReference) {
   session.refresh();
 
   std::vector<Edge> inserted_pool(base);
+  std::size_t gap = 0;          // batches applied since the last publish
+  std::size_t gap_replays = 0;  // replayed publishes covering >= 2 batches
   for (int round = 0; round < rounds; ++round) {
     std::vector<Edge> batch;
     const std::size_t size = 1 + rng.below(10);
@@ -442,9 +501,13 @@ TEST(PublishFuzz, EveryEpochMatchesAScratchSessionAndTheReference) {
       script.add(round, "insert", batch);
       dg.insert_edges(engine.device(), batch);
     }
+    if (++gap < 4 && rng.below(2) == 0) continue;  // publish later
     // IIFE so a fatal failure lands here and the replay print still fires.
     [&] {
+      const std::uint64_t replays = session.publish_replays();
       session.refresh();
+      if (gap >= 2 && session.publish_replays() > replays) ++gap_replays;
+      gap = 0;
       const View got = session.view();
       ASSERT_EQ(got.epoch(), dg.epoch());
       expect_views_agree(got, scratch_view(engine, dg), rng, 12);
@@ -473,6 +536,7 @@ TEST(PublishFuzz, EveryEpochMatchesAScratchSessionAndTheReference) {
   // EMC_FUZZ_ROUNDS override.
   if (rounds >= 30) {
     EXPECT_GT(session.publish_replays(), 0u);
+    EXPECT_GT(gap_replays, 0u);
     EXPECT_GT(session.publish_rebuilds(), 1u);
   }
 }

@@ -27,6 +27,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -122,7 +123,7 @@ TEST(ServeView, EpochPinnedSnapshotIsolation) {
 
   // Advance the graph two effective epochs past the views.
   util::Rng rng(91);
-  const EdgeList& snap = dg.snapshot(engine.device());
+  const graph::EdgeSpan snap = dg.snapshot(engine.device());
   std::vector<Edge> erase(snap.edges.begin(), snap.edges.begin() + 40);
   ASSERT_GT(dg.erase_edges(engine.device(), erase), 0u);
   ASSERT_GT(dg.insert_edges(engine.device(), random_batch(rng, 576, 30)), 0u);
@@ -256,7 +257,7 @@ TEST(ServeConcurrent, ReadersHoldSnapshotsWhileWriterAdvances) {
     const bool do_erase = round % 3 == 2;
     std::vector<Edge> batch;
     if (do_erase) {
-      const EdgeList& snap = dg.snapshot(engine.device());
+      const graph::EdgeSpan snap = dg.snapshot(engine.device());
       const std::size_t count = 1 + rng.below(6);
       for (std::size_t i = 0; i < count && !snap.edges.empty(); ++i) {
         batch.push_back(snap.edges[rng.below(snap.edges.size())]);
@@ -274,6 +275,122 @@ TEST(ServeConcurrent, ReadersHoldSnapshotsWhileWriterAdvances) {
   }
   done.store(true, std::memory_order_release);
   for (std::thread& thread : readers) thread.join();
+  if (::testing::Test::HasFailure()) {
+    ADD_FAILURE() << script.replay(fuzz.seed, fuzz.rounds);
+  }
+}
+
+// The edge log under a race: every insert-only epoch's snapshot is a
+// prefix of one shared buffer that the writer keeps appending to (and, past
+// its slack, regrows). Readers hold Views of several epochs at once, scan
+// their edge spans and answer Same2Ecc/LcaBatch on them while the writer
+// appends and publishes; each span must still equal the copy taken when
+// its View was acquired, and each answer the reference of that copy. Run
+// under TSan in CI: a write at or below a pinned length is a race here.
+TEST(ServeConcurrent, PrefixReadersRaceAnAppendingWriterThroughARegrow) {
+  const auto fuzz = test_support::fuzz_run(/*seed=*/2028, /*rounds=*/24);
+  SCOPED_TRACE(fuzz.trace);
+  const std::string tag = "[" + fuzz.trace + "]";
+  constexpr NodeId kSide = 12;
+  constexpr NodeId kNodes = kSide * kSide;
+  constexpr std::size_t kHeld = 4;  // epochs each reader keeps pinned
+
+  Engine engine({.device_workers = 2});
+  const device::Context ref_ctx = device::Context::sequential();
+  dynamic::DynamicGraph dg(
+      engine.device(), gen::road_graph(kSide, kSide, 1.0, 0.05, fuzz.seed));
+  Session session = engine.session(dg);
+  // Enough fresh edges per round that the rounds outgrow the log's slack
+  // (a quarter of the seed's edges) whatever EMC_FUZZ_ROUNDS says.
+  const std::size_t per_round = std::max<std::size_t>(
+      4, (dg.num_edges() / 4 + 4) / static_cast<std::size_t>(fuzz.rounds) + 1);
+
+  struct Pinned {
+    View view;
+    std::vector<Edge> edges;  // copied when the View was acquired
+    std::shared_ptr<const ReferenceOracle> ref;
+  };
+  std::mutex board_mutex;
+  Pinned board;
+  std::set<const Edge*> buffers;  // distinct log buffers published
+  const auto publish = [&](const Policy& policy) {
+    Pinned entry;
+    entry.view = session.view(policy);
+    const graph::EdgeSpan span = entry.view.edge_span();
+    entry.edges.assign(span.edges.begin(), span.edges.end());
+    entry.ref = std::make_shared<const ReferenceOracle>(
+        ref_ctx, graph::EdgeSpan(kNodes, entry.edges));
+    buffers.insert(span.edges.data());
+    const std::lock_guard<std::mutex> lock(board_mutex);
+    board = std::move(entry);
+  };
+  publish(Policy{});
+
+  std::atomic<bool> done{false};
+  const auto reader = [&](unsigned tid) {
+    util::Rng rng(fuzz.seed * 1000003 + tid);
+    std::deque<Pinned> held;
+    while (!done.load(std::memory_order_acquire)) {
+      {
+        const std::lock_guard<std::mutex> lock(board_mutex);
+        if (held.empty() || held.back().view.epoch() != board.view.epoch()) {
+          held.push_back(board);
+        }
+      }
+      if (held.size() > kHeld) held.pop_front();
+      for (const Pinned& pinned : held) {
+        const graph::EdgeSpan span = pinned.view.edge_span();
+        ASSERT_EQ(span.num_edges(), pinned.edges.size())
+            << tag << " epoch " << pinned.view.epoch();
+        ASSERT_TRUE(std::equal(span.edges.begin(), span.edges.end(),
+                               pinned.edges.begin()))
+            << tag << " epoch " << pinned.view.epoch() << " span changed";
+        std::vector<std::pair<NodeId, NodeId>> pairs;
+        for (int q = 0; q < 16; ++q) {
+          pairs.push_back({static_cast<NodeId>(rng.below(kNodes)),
+                           static_cast<NodeId>(rng.below(kNodes))});
+        }
+        const auto same = pinned.view.run(engine::Same2Ecc{pairs});
+        const auto lcas = pinned.view.run(engine::LcaBatch{pairs});
+        for (std::size_t q = 0; q < pairs.size(); ++q) {
+          const auto [u, v] = pairs[q];
+          EXPECT_EQ(same[q] != 0, pinned.ref->comp[u] == pinned.ref->comp[v])
+              << tag << " epoch " << pinned.view.epoch() << " same2ecc " << u
+              << "," << v;
+          EXPECT_EQ(lcas[q] == kNoNode, pinned.ref->cc[u] != pinned.ref->cc[v])
+              << tag << " epoch " << pinned.view.epoch() << " lca " << u << ","
+              << v;
+        }
+      }
+    }
+  };
+  std::vector<std::thread> readers;
+  for (unsigned t = 0; t < 3; ++t) readers.emplace_back(reader, t);
+
+  // Writer: insert-only batches of fresh chords, each published, odd
+  // rounds with the forced-device query route.
+  util::Rng rng(fuzz.seed ^ 0x10a9);
+  test_support::BatchScript script;
+  for (int round = 0; round < fuzz.rounds; ++round) {
+    std::vector<Edge> batch;
+    std::set<std::pair<NodeId, NodeId>> picked;
+    while (batch.size() < per_round) {
+      const auto u = static_cast<NodeId>(rng.below(kNodes));
+      const auto v = static_cast<NodeId>(rng.below(kNodes));
+      if (u != v && !dg.has_edge(u, v) &&
+          picked.insert({std::min(u, v), std::max(u, v)}).second) {
+        batch.push_back({u, v});
+      }
+    }
+    script.add(round, "insert", batch);
+    dg.insert_edges(engine.device(), batch);
+    Policy policy;
+    if (round % 2 == 1) policy.min_device_batch = 1;
+    publish(policy);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& thread : readers) thread.join();
+  EXPECT_GE(buffers.size(), 2u) << tag << " the log never regrew";
   if (::testing::Test::HasFailure()) {
     ADD_FAILURE() << script.replay(fuzz.seed, fuzz.rounds);
   }
