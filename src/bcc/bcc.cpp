@@ -4,12 +4,9 @@
 #include <atomic>
 #include <limits>
 
-#include "bridges/stitch.hpp"
 #include "bridges/tv_detail.hpp"
 #include "core/euler_tour.hpp"
 #include "device/primitives.hpp"
-#include "rmq/segment_tree.hpp"
-#include "rmq/sparse_table.hpp"
 
 namespace emc::bcc {
 
@@ -25,66 +22,37 @@ BccIndex BccIndex::build(const device::Context& ctx,
   result.is_articulation.assign(n, 0);
   if (m == 0) return result;
 
-  // --- Stitched tree: the forest's tree edges plus one virtual edge from a
-  // virtual root to each component representative — the same augmentation
-  // the forest-LCA artifact uses. n + 1 nodes, exactly n tree edges.
+  // --- The forest rooted at virtual node n (bridges::virtual_root_tree):
+  // n + 1 nodes, exactly n tree edges, parent[rep] == vroot.
   const NodeId vroot = graph.num_nodes;
-  const std::size_t t = forest.tree_edges.size();
   std::vector<std::uint8_t> is_tree_edge(m, 0);
-  device::launch(ctx, t, [&](std::size_t k) {
+  device::launch(ctx, forest.tree_edges.size(), [&](std::size_t k) {
     is_tree_edge[forest.tree_edges[k]] = 1;
   });
-  const std::vector<NodeId> reps =
-      bridges::component_representatives(ctx, forest);
-  graph::EdgeList tree;
-  tree.num_nodes = graph.num_nodes + 1;
-  tree.edges.resize(t + reps.size());
-  device::transform(ctx, t, tree.edges.data(), [&](std::size_t k) {
-    return graph.edges[forest.tree_edges[k]];
-  });
-  device::transform(ctx, reps.size(), tree.edges.data() + t,
-                    [&](std::size_t r) {
-                      return graph::Edge{vroot, reps[r]};
-                    });
-
   core::TreeStats stats;
   {
     util::ScopedPhase phase(phases, "euler_tour");
-    const core::EulerTour tour = core::build_euler_tour(ctx, tree, vroot);
+    const core::EulerTour tour = core::build_euler_tour(
+        ctx, bridges::virtual_root_tree(ctx, graph, forest), vroot);
     stats = core::compute_tree_stats(ctx, tour);
   }
   const std::vector<NodeId>& pre = stats.preorder;      // over n + 1 nodes
   const std::vector<NodeId>& size = stats.subtree_size;
-  const std::vector<NodeId>& parent = stats.parent;     // parent[rep] == vroot
+  const std::vector<NodeId>& parent = stats.parent;
 
   util::ScopedPhase phase(phases, "blocks");
 
-  // --- Per-node min/max non-tree neighbor preorders, then subtree low/high.
-  // Preorders are global over the stitched tree, but each component's form a
+  // --- Subtree low/high, the routine TV's bridge criterion reads. Preorders
+  // are global over the rooted forest, but each component's form a
   // contiguous interval, so every comparison below — always within one
   // component — is equivalent to the per-component computation.
-  const std::size_t ns = n + 1;
-  std::vector<NodeId> node_min(ns), node_max(ns);
-  device::launch(ctx, ns, [&](std::size_t v) {
-    node_min[v] = pre[v];
-    node_max[v] = pre[v];
-  });
-  bridges::tv_detail::aggregate_non_tree_min_max(ctx, graph, is_tree_edge, pre,
-                                                 node_min, node_max);
-  std::vector<NodeId> by_pre_min(ns), by_pre_max(ns), node_at_pre(ns);
-  device::launch(ctx, ns, [&](std::size_t v) {
-    by_pre_min[pre[v] - 1] = node_min[v];
-    by_pre_max[pre[v] - 1] = node_max[v];
+  const bridges::tv_detail::LowHigh lh =
+      bridges::tv_detail::subtree_low_high(ctx, graph, is_tree_edge, stats);
+  const std::vector<NodeId>& low = lh.low;
+  const std::vector<NodeId>& high = lh.high;
+  std::vector<NodeId> node_at_pre(n + 1);
+  device::launch(ctx, n + 1, [&](std::size_t v) {
     node_at_pre[pre[v] - 1] = static_cast<NodeId>(v);
-  });
-  const rmq::SparseTable<NodeId, rmq::MinOp> low_tree(ctx, by_pre_min);
-  const rmq::SparseTable<NodeId, rmq::MaxOp> high_tree(ctx, by_pre_max);
-  std::vector<NodeId> low(ns), high(ns);
-  device::launch(ctx, ns, [&](std::size_t v) {
-    const auto lo = static_cast<std::size_t>(pre[v]) - 1;
-    const auto hi = lo + static_cast<std::size_t>(size[v]) - 1;
-    low[v] = low_tree.query(lo, hi);
-    high[v] = high_tree.query(lo, hi);
   });
 
   // --- Auxiliary graph G'' over parent edges (aux vertex w stands for the

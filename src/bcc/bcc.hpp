@@ -19,12 +19,14 @@
 //       past v).
 // Connected components of G'' are exactly the blocks of G.
 //
-// Construction = Tarjan-Vishkin over the same virtual-root stitched tree the
-// forest-LCA artifact uses (one virtual root adjacent to every component
-// representative; n + 1 nodes, exactly n tree edges):
-//   * low/high per node from the Euler tour of the stitched tree + one
-//     non-tree min/max aggregation + two sparse tables (cf. fast-bcc's
-//     low/high interval machinery);
+// Construction = Tarjan-Vishkin over the one virtual-root tree that TV, the
+// hybrid and the forest-LCA artifact also tour (bridges::virtual_root_tree:
+// one virtual root adjacent to every component representative; n + 1
+// nodes, exactly n tree edges):
+//   * low/high per node from its Euler tour by the routine TV's bridge
+//     criterion reads (bridges::tv_detail::subtree_low_high: one non-tree
+//     min/max aggregation + two sparse tables; cf. fast-bcc's low/high
+//     interval machinery);
 //   * the auxiliary graph G'' over parent edges, with both rules restricted
 //     to REAL edges: a representative's parent edge is virtual, and rule (a)
 //     can never select it (every non-tree edge incident to a representative

@@ -6,18 +6,20 @@
 
 namespace emc::bridges {
 
-BfsTree bfs(const device::Context& ctx, const graph::Csr& graph, NodeId source,
-            util::PhaseTimer* phases) {
+BfsTree bfs(const device::Context& ctx, const graph::Csr& graph,
+            const std::vector<NodeId>& sources, util::PhaseTimer* phases) {
   util::ScopedPhase phase(phases, "bfs");
   const auto n = static_cast<std::size_t>(graph.num_nodes);
   BfsTree tree;
-  tree.source = source;
   tree.parent.assign(n, kNoNode);
   tree.parent_edge.assign(n, kNoEdge);
   tree.level.assign(n, kNoNode);
-  tree.level[source] = 0;
 
-  std::vector<NodeId> frontier{source};
+  std::vector<NodeId> frontier;
+  for (const NodeId s : sources) {
+    if (tree.level[s] == kNoNode) frontier.push_back(s);
+    tree.level[s] = 0;
+  }
   std::vector<NodeId> next(n);
   NodeId depth = 0;
   while (!frontier.empty()) {

@@ -6,7 +6,7 @@
 // We implement the standard frontier-expansion structure: one bulk kernel
 // per BFS level expands the current frontier, claims unvisited neighbors
 // with an atomic CAS, and compacts them into the next frontier. The number
-// of global barriers equals the graph's eccentricity from the source —
+// of global barriers equals the graph's eccentricity from the sources —
 // exactly the diameter sensitivity that drives Figures 9-11.
 #pragma once
 
@@ -20,14 +20,17 @@
 namespace emc::bridges {
 
 struct BfsTree {
-  NodeId source = kNoNode;
-  std::vector<NodeId> parent;       // kNoNode at source / unreached
+  std::vector<NodeId> parent;       // kNoNode at a source / unreached
   std::vector<EdgeId> parent_edge;  // undirected edge id used to reach node
-  std::vector<NodeId> level;        // kNoNode if unreached
+  std::vector<NodeId> level;        // hops from the nearest source; kNoNode
+                                    // if unreached
   NodeId num_levels = 0;
 };
 
+/// Multi-source BFS: every source starts at level 0, so one source per
+/// component yields a BFS forest of the whole graph.
 BfsTree bfs(const device::Context& ctx, const graph::Csr& graph,
-            NodeId source, util::PhaseTimer* phases = nullptr);
+            const std::vector<NodeId>& sources,
+            util::PhaseTimer* phases = nullptr);
 
 }  // namespace emc::bridges

@@ -1,9 +1,10 @@
 // Common types for the bridge-finding algorithms (paper §4).
 //
-// Problem: given a connected undirected graph, decide for every edge
-// whether it is a bridge. All four algorithms (sequential DFS, multi-core
-// CK, device CK, device TV, plus the §4.3 hybrid) produce the same
-// per-edge boolean vector, indexed by EdgeList order.
+// Problem: given an undirected graph (a multigraph, possibly disconnected),
+// decide for every edge whether it is a bridge. All four algorithms
+// (sequential DFS, multi-core CK, device CK, device TV, plus the §4.3
+// hybrid) produce the same per-edge boolean vector, indexed by EdgeList
+// order.
 #pragma once
 
 #include <cstdint>

@@ -96,4 +96,38 @@ SpanningForest cc_spanning_forest(const device::Context& ctx,
   return forest;
 }
 
+std::vector<NodeId> component_representatives(const device::Context& ctx,
+                                              const SpanningForest& forest) {
+  const std::size_t n = forest.component.size();
+  std::vector<NodeId> reps(n);
+  const std::size_t k = device::copy_if_index(
+      ctx, n,
+      [&](std::size_t v) {
+        return forest.component[v] == static_cast<NodeId>(v);
+      },
+      reps.data());
+  assert(k == forest.num_components);
+  reps.resize(k);
+  return reps;
+}
+
+graph::EdgeList virtual_root_tree(const device::Context& ctx,
+                                  graph::EdgeSpan graph,
+                                  const SpanningForest& forest) {
+  const NodeId virtual_root = graph.num_nodes;
+  const std::size_t t = forest.tree_edges.size();
+  const std::vector<NodeId> reps = component_representatives(ctx, forest);
+  graph::EdgeList tree;
+  tree.num_nodes = virtual_root + 1;
+  tree.edges.resize(t + reps.size());
+  device::transform(ctx, t, tree.edges.data(), [&](std::size_t k) {
+    return graph.edges[forest.tree_edges[k]];
+  });
+  device::transform(ctx, reps.size(), tree.edges.data() + t,
+                    [&](std::size_t r) {
+                      return graph::Edge{virtual_root, reps[r]};
+                    });
+  return tree;
+}
+
 }  // namespace emc::bridges

@@ -15,6 +15,10 @@
 //
 // Hooking strictly label-decreasing keeps the union acyclic, so the
 // recorded edges form a spanning forest: exactly n - #components edges.
+//
+// Every Euler-tour user (TV, the hybrid, the BCC index, the engine's forest
+// LCA) roots this forest one way, virtual_root_tree below: the forest plus
+// one virtual node adjacent to each component representative.
 #pragma once
 
 #include <vector>
@@ -36,9 +40,22 @@ SpanningForest cc_spanning_forest(const device::Context& ctx,
                                   graph::EdgeSpan graph,
                                   util::PhaseTimer* phases = nullptr);
 
-// component_representatives / stitch_components — the virtual-edge
-// stitch-and-slice machinery built on this forest — live in
-// bridges/stitch.hpp (standalone so the shard summary can reuse them
-// without pulling in the CC kernels' callers).
+/// The component representatives (nodes v with component[v] == v),
+/// compacted in node order — exactly forest.num_components entries.
+std::vector<NodeId> component_representatives(const device::Context& ctx,
+                                              const SpanningForest& forest);
+
+/// The one way a spanning forest is rooted: its tree edges (in tree_edges
+/// order) followed by one edge from virtual node n = graph.num_nodes to each
+/// component representative (in node order) — one tree on n + 1 nodes with
+/// exactly n edges, to be rooted at n. Each component then hangs below its
+/// representative as a subtree with a contiguous preorder interval, so
+/// per-component rules (Tarjan's bridge criterion, low/high, LCA) hold on it
+/// unchanged. The parent edges of the representatives are the virtual ones:
+/// a node whose parent is n is a component root. Connected, disconnected and
+/// edgeless inputs all take this path.
+graph::EdgeList virtual_root_tree(const device::Context& ctx,
+                                  graph::EdgeSpan graph,
+                                  const SpanningForest& forest);
 
 }  // namespace emc::bridges

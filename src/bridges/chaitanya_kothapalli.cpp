@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cassert>
+#include <stdexcept>
 
 #include "device/arena.hpp"
 #include "device/primitives.hpp"
@@ -43,7 +44,7 @@ BridgeMask ck_marking_phase(const device::Context& ctx,
 
   BridgeMask is_bridge(m, 0);
   device::launch(ctx, parent.size(), [&](std::size_t v) {
-    if (parent[v] != kNoNode && !marked[v]) {
+    if (parent_edge[v] != kNoEdge && !marked[v]) {
       is_bridge[parent_edge[v]] = 1;
     }
   });
@@ -52,6 +53,7 @@ BridgeMask ck_marking_phase(const device::Context& ctx,
 
 BridgeMask find_bridges_ck(const device::Context& ctx,
                            graph::EdgeSpan graph, const graph::Csr& csr,
+                           const std::vector<NodeId>& roots,
                            util::PhaseTimer* phases) {
   // The dual-argument contract: a Csr built from a different edge list (or
   // from this one in a different order) would silently misalign edge ids.
@@ -60,8 +62,21 @@ BridgeMask find_bridges_ck(const device::Context& ctx,
   if (n <= 1 || graph.edges.empty()) {
     return BridgeMask(graph.edges.size(), 0);
   }
-  // Phase 1: BFS spanning tree.
-  const BfsTree tree = bfs(ctx, csr, /*source=*/0, phases);
+  // Phase 1: BFS spanning forest, one tree per root.
+  const BfsTree tree = bfs(ctx, csr, roots, phases);
+  // An unreached node with an edge would send a marking walk up a missing
+  // parent chain: refuse the roots instead.
+  const std::size_t missed = device::reduce(
+      ctx, n, std::size_t{0},
+      [&](std::size_t v) -> std::size_t {
+        return tree.level[v] == kNoNode &&
+               csr.row_offsets[v + 1] != csr.row_offsets[v];
+      },
+      [](std::size_t a, std::size_t b) { return a + b; });
+  if (missed != 0) {
+    throw std::invalid_argument(
+        "find_bridges_ck: the roots miss a component with edges");
+  }
   std::vector<std::uint8_t> is_tree_edge(graph.edges.size(), 0);
   device::launch(ctx, n, [&](std::size_t v) {
     if (tree.parent_edge[v] != kNoEdge) is_tree_edge[tree.parent_edge[v]] = 1;

@@ -1,7 +1,5 @@
 #include "bridges/hybrid.hpp"
 
-#include <cassert>
-
 #include "bridges/cc_spanning.hpp"
 #include "bridges/chaitanya_kothapalli.hpp"
 #include "core/euler_tour.hpp"
@@ -17,25 +15,19 @@ BridgeMask find_bridges_hybrid(const device::Context& ctx,
     return BridgeMask(graph.edges.size(), 0);
   }
 
-  // Phase 1: unrooted spanning tree from connected components.
+  // Phase 1: unrooted spanning forest from connected components.
   const SpanningForest forest = cc_spanning_forest(ctx, graph, phases);
-  assert(forest.num_components == 1 && "hybrid requires a connected input");
-
   std::vector<std::uint8_t> is_tree_edge(graph.edges.size(), 0);
-  graph::EdgeList tree;
-  tree.num_nodes = graph.num_nodes;
-  tree.edges.resize(forest.tree_edges.size());
   device::launch(ctx, forest.tree_edges.size(), [&](std::size_t k) {
-    const EdgeId e = forest.tree_edges[k];
-    tree.edges[k] = graph.edges[e];
-    is_tree_edge[e] = 1;
+    is_tree_edge[forest.tree_edges[k]] = 1;
   });
+  const graph::EdgeList tree = virtual_root_tree(ctx, graph, forest);
 
-  // Phases 2+3: root the tree with the Euler tour technique.
-  const NodeId root = 0;
+  // Phases 2+3: root the forest at virtual node n with the Euler tour
+  // technique.
   const core::EulerTour tour = [&] {
     util::ScopedPhase phase(phases, "euler_tour");
-    return core::build_euler_tour(ctx, tree, root);
+    return core::build_euler_tour(ctx, tree, graph.num_nodes);
   }();
   core::TreeStats stats;
   {
@@ -43,9 +35,10 @@ BridgeMask find_bridges_hybrid(const device::Context& ctx,
     stats = core::compute_tree_stats(ctx, tour);
   }
 
-  // parent_edge: map each non-root node to the original edge id of its
-  // parent edge.
-  std::vector<EdgeId> parent_edge(n, kNoEdge);
+  // parent_edge: map each node below a real tree edge to that edge's id;
+  // the virtual root and the component roots keep kNoEdge, so the marking
+  // phase skips their (virtual) parent edges.
+  std::vector<EdgeId> parent_edge(n + 1, kNoEdge);
   device::launch(ctx, forest.tree_edges.size(), [&](std::size_t k) {
     const EdgeId e = forest.tree_edges[k];
     const graph::Edge edge = graph.edges[e];
@@ -53,7 +46,7 @@ BridgeMask find_bridges_hybrid(const device::Context& ctx,
     parent_edge[child] = e;
   });
 
-  // Phase 4: CK marking on the rooted CC tree.
+  // Phase 4: CK marking on the rooted CC forest.
   return ck_marking_phase(ctx, graph, stats.parent, parent_edge, stats.level,
                           is_tree_edge, phases);
 }

@@ -4,12 +4,13 @@
 // phases, matching the paper's Figure 11 breakdown:
 //
 //   spanning_tree   — device connected components (ECL-CC stand-in), which
-//                     yields an unrooted spanning tree as a byproduct;
-//   euler_tour      — root the tree and compute preorder numbers and
-//                     subtree sizes with the Euler tour technique, plus each
-//                     node's min/max non-tree neighbor (segreduce);
-//   detect_bridges  — aggregate low/high over subtrees (an RMQ over the
-//                     preorder intervals, via segment trees) and apply
+//                     yields an unrooted spanning forest as a byproduct;
+//   euler_tour      — root the forest below one virtual node
+//                     (virtual_root_tree) and compute preorder numbers and
+//                     subtree sizes with the Euler tour technique;
+//   detect_bridges  — each node's min/max non-tree neighbor (segreduce),
+//                     aggregated to low/high over subtrees (an RMQ over the
+//                     preorder intervals, via sparse tables), and apply
 //                     Tarjan's criterion: with the nodes identified by
 //                     preorder numbers, tree edge (v, parent(v)) is a bridge
 //                     iff both low(v) and high(v) stay inside
@@ -25,7 +26,7 @@
 
 namespace emc::bridges {
 
-/// Requires a connected graph with at least one node.
+/// Any graph: connected, disconnected, multigraph or edgeless.
 BridgeMask find_bridges_tarjan_vishkin(const device::Context& ctx,
                                        graph::EdgeSpan graph,
                                        util::PhaseTimer* phases = nullptr);

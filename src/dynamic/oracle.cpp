@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "bridges/cc_spanning.hpp"
-#include "bridges/stitch.hpp"
 #include "bridges/tarjan_vishkin.hpp"
 #include "bridges/two_ecc.hpp"
 #include "device/primitives.hpp"
@@ -90,8 +89,8 @@ void ConnectivityOracle::build(const device::Context& ctx,
     return;
   }
 
-  // Connected components; the representatives both stitch the augmented
-  // graph below and become the virtual-root children of the block tree.
+  // Connected components; the representatives become the virtual-root
+  // children of the block tree.
   bridges::SpanningForest forest;
   {
     util::ScopedPhase phase(phases, "components");
@@ -118,14 +117,8 @@ void ConnectivityOracle::build(const device::Context& ctx,
       // every backend produces the same verdict, so reuse is exact.
       assert(bridge_mask->size() == m);
       mask = *bridge_mask;
-    } else if (m > 0 && k == 1) {
+    } else {
       mask = bridges::find_bridges_tarjan_vishkin(ctx, snapshot);
-    } else if (m > 0) {
-      // Disconnected: run TV on the stitched augmentation and slice the
-      // mask back to the real edges.
-      mask = bridges::find_bridges_tarjan_vishkin(
-          ctx, bridges::stitch_components(snapshot, comp_reps));
-      mask.resize(m);
     }
   }
   num_bridges_ = bridges::count_bridges(mask);

@@ -3,12 +3,10 @@
 //
 // build() indexes a snapshot with the paper's own pipeline:
 //
-//   bridge mask          — Tarjan-Vishkin on the snapshot (a disconnected
-//                          snapshot is stitched with virtual edges between
-//                          component representatives first: a single extra
-//                          edge between two components can never change the
-//                          bridgeness of a real edge, so slicing the mask
-//                          back to the real edges is exact);
+//   bridge mask          — Tarjan-Vishkin on the snapshot as it is (a
+//                          disconnected one too: TV roots its spanning
+//                          forest below one virtual node adjacent to each
+//                          component representative), or the caller's mask;
 //   2ecc labels          — two_edge_components (bridge removal + device CC);
 //   bridge-block tree    — contract each 2-edge-connected component to one
 //                          node; the bridges are exactly the tree edges of

@@ -10,7 +10,6 @@
 #include "bridges/chaitanya_kothapalli.hpp"
 #include "bridges/dfs_bridges.hpp"
 #include "bridges/hybrid.hpp"
-#include "bridges/stitch.hpp"
 #include "bridges/tarjan_vishkin.hpp"
 #include "device/primitives.hpp"
 #include "gen/graphs.hpp"
@@ -79,7 +78,7 @@ Answer<BfsLevels> Family<BfsLevels>::device(const device::Context& ctx,
                                             const BfsLevels& request) {
   std::vector<NodeId> answers(request.pairs.size(), kNoNode);
   for (const auto& [source, queries] : by_source(request)) {
-    const bridges::BfsTree tree = bridges::bfs(ctx, csr, source);
+    const bridges::BfsTree tree = bridges::bfs(ctx, csr, {source});
     for (const std::size_t q : queries) {
       answers[q] = tree.level[request.pairs[q].second];
     }
@@ -170,8 +169,6 @@ void Session::sync_epoch() {
   cache_.csr = std::make_shared<EpochCell<graph::Csr>>();
   cache_.edge_list = std::make_shared<EpochCell<graph::EdgeList>>();
   cache_.forest.reset();
-  cache_.stitched.reset();
-  cache_.stitched_csr.reset();
   cache_.mask.reset();
   cache_.mask_backend = Backend::kAuto;
   cache_.bridge_edges.reset();
@@ -251,29 +248,6 @@ std::size_t Session::num_components() {
   return forest().num_components;
 }
 
-const graph::EdgeList& Session::stitched() {
-  sync_epoch();
-  track(!cache_.stitched);
-  if (!cache_.stitched) {
-    const device::Context& ctx = engine_->device_;
-    const graph::EdgeSpan g = graph_.edges(ctx);
-    cache_.stitched = std::make_shared<const graph::EdgeList>(
-        bridges::stitch_components(
-            g, bridges::component_representatives(ctx, forest())));
-  }
-  return *cache_.stitched;
-}
-
-const graph::Csr& Session::stitched_csr() {
-  sync_epoch();
-  track(!cache_.stitched_csr);
-  if (!cache_.stitched_csr) {
-    cache_.stitched_csr = std::make_shared<const graph::Csr>(
-        graph::build_csr(engine_->device_, stitched()));
-  }
-  return *cache_.stitched_csr;
-}
-
 NodeId Session::diameter_artifact() {
   sync_epoch();
   if (graph_.num_nodes() == 0) return 0;
@@ -332,36 +306,27 @@ const bridges::BridgeMask& Session::mask_artifact(const Policy& policy,
     if (backend == Backend::kAuto) backend = Backend::kDfs;
   } else {
     if (backend == Backend::kAuto) backend = policy.choose(plan_inputs());
-    if (backend == Backend::kDfs) {
-      mask = bridges::find_bridges_dfs(csr_artifact());
-    } else {
-      // The parallel backends require a connected input; a disconnected
-      // graph runs through the stitched augmentation and slices back.
-      const bool connected = forest().num_components <= 1;
-      const graph::EdgeSpan target = connected ? g : stitched();
-      switch (backend) {
-        case Backend::kCkMulticore:
-          mask = bridges::find_bridges_ck(
-              engine_->multicore_, target,
-              connected ? csr_artifact() : stitched_csr(), phases);
-          break;
-        case Backend::kCk:
-          mask = bridges::find_bridges_ck(
-              device, target, connected ? csr_artifact() : stitched_csr(),
-              phases);
-          break;
-        case Backend::kTv:
-          mask = bridges::find_bridges_tarjan_vishkin(device, target, phases);
-          break;
-        case Backend::kHybrid:
-          mask = bridges::find_bridges_hybrid(device, target, phases);
-          break;
-        case Backend::kDfs:
-        case Backend::kAuto:
-          assert(false);
-          break;
-      }
-      mask.resize(m);  // drop the virtual stitch edges' verdicts
+    // Every backend takes the snapshot as it is, connected or not.
+    switch (backend) {
+      case Backend::kDfs:
+        mask = bridges::find_bridges_dfs(csr_artifact());
+        break;
+      case Backend::kCkMulticore:
+      case Backend::kCk:
+        mask = bridges::find_bridges_ck(
+            backend == Backend::kCk ? device : engine_->multicore_, g,
+            csr_artifact(),
+            bridges::component_representatives(device, forest()), phases);
+        break;
+      case Backend::kTv:
+        mask = bridges::find_bridges_tarjan_vishkin(device, g, phases);
+        break;
+      case Backend::kHybrid:
+        mask = bridges::find_bridges_hybrid(device, g, phases);
+        break;
+      case Backend::kAuto:
+        assert(false);
+        break;
     }
     // Inside the m > 0 branch: the edgeless early path runs no backend, so
     // it must not count as one.
@@ -448,28 +413,11 @@ const lca::InlabelLca& Session::forest_lca_artifact() {
   if (!cache_.forest_lca) {
     const device::Context& ctx = engine_->device_;
     const graph::EdgeSpan g = graph_.edges(ctx);
-    const bridges::SpanningForest& f = forest();
-    const auto n = static_cast<std::size_t>(g.num_nodes);
-    const auto virtual_root = static_cast<NodeId>(n);
-    // Stitch the spanning forest into one tree below a virtual root (one
-    // edge per component representative), root it with the Euler tour
-    // technique, and index it with the Schieber-Vishkin inlabel LCA.
-    graph::EdgeList tree;
-    tree.num_nodes = static_cast<NodeId>(n + 1);
-    const std::size_t t = f.tree_edges.size();
-    const std::vector<NodeId> reps = bridges::component_representatives(ctx, f);
-    const std::size_t k = reps.size();
-    tree.edges.resize(t + k);
-    device::transform(ctx, t, tree.edges.data(), [&](std::size_t i) {
-      return g.edges[f.tree_edges[i]];
-    });
-    device::transform(ctx, k, tree.edges.data() + t, [&](std::size_t r) {
-      return graph::Edge{virtual_root, reps[r]};
-    });
-    // One fused Euler tour roots the stitched tree AND feeds the inlabel
-    // index (the root_tree + build_parallel pair toured it twice).
+    // One fused Euler tour roots the forest at its virtual root AND feeds
+    // the Schieber-Vishkin inlabel index.
     cache_.forest_lca = std::make_shared<const lca::InlabelLca>(
-        lca::InlabelLca::build_from_edges(ctx, tree, virtual_root));
+        lca::InlabelLca::build_from_edges(
+            ctx, bridges::virtual_root_tree(ctx, g, forest()), g.num_nodes));
   }
   return *cache_.forest_lca;
 }
@@ -673,17 +621,14 @@ bool Session::try_replay_publish(const Policy& policy) {
     cache_.forest_published = false;
   }
 
-  // (5) Commit. The stitched augmentation is stale either way (it embeds
-  // the old snapshot) and rebuilds lazily, like the Csr (fresh cell: no
-  // publish builds it); the forest LCA survives exactly when the forest
-  // kept its shape (intra-only delta).
+  // (5) Commit. The Csr rebuilds lazily (fresh cell: no publish builds
+  // it); the forest LCA survives exactly when the forest kept its shape
+  // (intra-only delta).
   cache_.epoch = graph_.epoch();
   cache_.mask = std::move(mask);
   cache_.mask_published = false;
   cache_.bridge_edges =
       std::make_shared<const std::vector<EdgeId>>(std::move(new_bridges));
-  cache_.stitched.reset();
-  cache_.stitched_csr.reset();
   cache_.csr = std::make_shared<EpochCell<graph::Csr>>();
   cache_.edge_list = std::make_shared<EpochCell<graph::EdgeList>>();
   // Even an intra-component insert can merge blocks or demote an
@@ -935,10 +880,10 @@ void Policy::calibrate(Engine& engine) {
           bridges::find_bridges_dfs(inst.csr);
           break;
         case Backend::kCkMulticore:
-          bridges::find_bridges_ck(engine.multicore(), inst.g, inst.csr);
+          bridges::find_bridges_ck(engine.multicore(), inst.g, inst.csr, {0});
           break;
         case Backend::kCk:
-          bridges::find_bridges_ck(device, inst.g, inst.csr);
+          bridges::find_bridges_ck(device, inst.g, inst.csr, {0});
           break;
         case Backend::kTv:
           bridges::find_bridges_tarjan_vishkin(device, inst.g);

@@ -24,8 +24,8 @@
 //             request is answered with the existing bulk kernels, a Policy
 //             picks the backend per request (explicit override or the
 //             calibrated cost model — policy.hpp), and every derived
-//             artifact (Csr, spanning forest, stitched augmentation, bridge
-//             mask, 2-ecc index, forest LCA, BCC index) is cached under the
+//             artifact (Csr, spanning forest, bridge mask, 2-ecc index,
+//             forest LCA, BCC index) is cached under the
 //             graph epoch so repeated and mixed request batches pay only
 //             the marginal work.
 //   View    — an immutable, refcounted snapshot of ONE epoch's artifacts,
@@ -53,11 +53,12 @@
 // (copy-on-write — the replay runs on the clone, the frozen snapshot keeps
 // answering) while unpublished sessions advance it in place.
 //
-// Disconnected inputs are handled uniformly (the free-function backends
-// except DFS require connected graphs): the cache keeps a "stitched"
-// augmentation — one virtual edge from the first component representative
-// to each other representative, which can never change the bridgeness of a
-// real edge — runs the backend on it, and slices the mask back.
+// Disconnected inputs need no special path: every backend accepts any
+// graph and runs on the epoch's snapshot as it is. The Euler-tour users
+// (TV, hybrid, forest LCA, BCC index) all root the spanning forest the same
+// way, below one virtual node n adjacent to each component representative
+// (bridges::virtual_root_tree); CK roots its BFS at the cached forest's
+// representatives.
 //
 // Lifetimes: the Engine (whose contexts execute the bulk kernels) must
 // outlive its Sessions and their Views. A Session must not outlive its
@@ -496,7 +497,7 @@ class Session {
 
   /// Drops only the ANSWER artifacts (bridge mask with its bridge-id list,
   /// 2-ecc index, forest LCA, BCC index), keeping the input-preparation
-  /// ones (Csr, spanning forest, stitched augmentation, diameter hint). The
+  /// ones (Csr, spanning forest, diameter hint). The
   /// benchmark hook for timing the per-request algorithm cost the way the
   /// paper's figures do — input prep outside the timer, algorithm inside.
   void drop_results();
@@ -521,8 +522,6 @@ class Session {
     std::shared_ptr<EpochCell<graph::EdgeList>> edge_list =
         std::make_shared<EpochCell<graph::EdgeList>>();
     std::shared_ptr<const bridges::SpanningForest> forest;
-    std::shared_ptr<const graph::EdgeList> stitched;  // connected augmentation
-    std::shared_ptr<const graph::Csr> stitched_csr;
     std::shared_ptr<const bridges::BridgeMask> mask;
     Backend mask_backend = Backend::kAuto;
     /// Edge ids (mask order) of the current mask's bridges, computed on the
@@ -569,12 +568,6 @@ class Session {
   const graph::Csr& csr_artifact();
   NodeId diameter_artifact();
   const bridges::SpanningForest& forest();
-  /// Connected augmentation of a disconnected graph: one virtual edge from
-  /// the first component representative to each other representative (can
-  /// never change a real edge's bridgeness), so the connected-only backends
-  /// run unmodified and the mask is sliced back to the real edges.
-  const graph::EdgeList& stitched();
-  const graph::Csr& stitched_csr();
   /// The mask artifact under `policy` (the heart of the Bridges request).
   const bridges::BridgeMask& mask_artifact(const Policy& policy,
                                            util::PhaseTimer* phases);

@@ -237,8 +237,9 @@ struct Family<LcaBatch> {
   using Answer = std::vector<NodeId>;
   using Artifact = lca::InlabelLca;
   static constexpr auto payload = &LcaBatch::pairs;
-  /// The forest is stitched below a virtual root; meeting there means
-  /// "different components".
+  /// The forest is rooted below one virtual node
+  /// (bridges::virtual_root_tree); meeting there means "different
+  /// components".
   static NodeId one(const Artifact& lca, const NodePair& q) {
     const NodeId meet = lca.query(q.first, q.second);
     return meet == lca.root() ? kNoNode : meet;

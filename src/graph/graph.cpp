@@ -234,12 +234,18 @@ std::pair<NodeId, NodeId> bfs_farthest(const Csr& graph, NodeId source,
 }  // namespace
 
 NodeId estimate_diameter(const Csr& graph, int sweeps, std::uint64_t seed) {
-  if (graph.num_nodes == 0) return 0;
+  // The start is the r-th node with an edge, r uniform: a sweep from an
+  // isolated node reaches nothing. With no node isolated, this is a
+  // uniform draw over all nodes.
+  std::uint64_t touched = 0;
+  for (NodeId v = 0; v < graph.num_nodes; ++v) touched += graph.degree(v) != 0;
+  if (touched == 0) return 0;
   util::Rng rng(seed);
+  std::uint64_t r = rng.below(touched);
+  NodeId start = 0;
+  while (graph.degree(start) == 0 || r-- != 0) ++start;
   std::vector<NodeId> dist(static_cast<std::size_t>(graph.num_nodes));
   NodeId best = 0;
-  NodeId start = static_cast<NodeId>(
-      rng.below(static_cast<std::uint64_t>(graph.num_nodes)));
   for (int s = 0; s < sweeps; ++s) {
     const auto [far_node, far_dist] = bfs_farthest(graph, start, dist);
     best = std::max(best, far_dist);

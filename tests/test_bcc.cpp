@@ -33,8 +33,8 @@
 #include <utility>
 #include <vector>
 
+#include "bridges/cc_spanning.hpp"
 #include "bridges/dfs_bridges.hpp"
-#include "bridges/stitch.hpp"
 #include "bridges/two_ecc.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "engine/engine.hpp"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "bridges/bfs.hpp"
@@ -31,7 +32,8 @@ void expect_all_agree(const device::Context& ctx, const graph::EdgeList& g,
   const graph::Csr csr = build_csr(ctx, g);
   const BridgeMask dfs = find_bridges_dfs(csr);
   const BridgeMask tv = find_bridges_tarjan_vishkin(ctx, g);
-  const BridgeMask ck = find_bridges_ck(ctx, g, csr);
+  const BridgeMask ck = find_bridges_ck(
+      ctx, g, csr, component_representatives(ctx, cc_spanning_forest(ctx, g)));
   const BridgeMask hy = find_bridges_hybrid(ctx, g);
   ASSERT_EQ(tv, dfs) << label << ": TV disagrees with DFS";
   ASSERT_EQ(ck, dfs) << label << ": CK disagrees with DFS";
@@ -191,7 +193,7 @@ TEST_P(BridgesParam, SpanningForestDeterministic) {
 TEST_P(BridgesParam, BfsLevelsMatchSequential) {
   const auto g = prepared(gen::er_graph(400, 900, 3));
   const graph::Csr csr = build_csr(ctx_, g);
-  const BfsTree tree = bfs(ctx_, csr, 0);
+  const BfsTree tree = bfs(ctx_, csr, {0});
   // Shared sequential reference BFS.
   EXPECT_EQ(tree.level, test_support::bfs_levels(csr, 0));
   // Parent edges are consistent: level[parent] == level[v] - 1.
@@ -207,9 +209,32 @@ TEST_P(BridgesParam, BfsLevelsMatchSequential) {
 TEST_P(BridgesParam, BfsOnPathHasFullDepth) {
   const auto g = gen::path_graph(300);
   const graph::Csr csr = build_csr(ctx_, g);
-  const BfsTree tree = bfs(ctx_, csr, 0);
+  const BfsTree tree = bfs(ctx_, csr, {0});
   EXPECT_EQ(tree.num_levels, 300);
   EXPECT_EQ(tree.level[299], 299);
+}
+
+TEST_P(BridgesParam, BfsFromASourceSetLevelsEachComponent) {
+  // Two paths 0-1-2 and 3-4, isolated 5: one source per path.
+  graph::EdgeList g;
+  g.num_nodes = 6;
+  g.edges = {{0, 1}, {1, 2}, {3, 4}};
+  const BfsTree tree = bfs(ctx_, build_csr(ctx_, g), {2, 3});
+  EXPECT_EQ(tree.level, (std::vector<NodeId>{2, 1, 0, 0, 1, kNoNode}));
+  EXPECT_EQ(tree.parent, (std::vector<NodeId>{1, 2, kNoNode, kNoNode, 3,
+                                              kNoNode}));
+}
+
+TEST_P(BridgesParam, CkThrowsWhenItsRootsMissAComponent) {
+  // A triangle, an edge {3, 4} and isolated 5: {0} misses the edge's
+  // component, whose marking walks would otherwise climb a missing parent
+  // chain forever. Isolated nodes need no root.
+  graph::EdgeList g;
+  g.num_nodes = 6;
+  g.edges = {{0, 1}, {1, 2}, {0, 2}, {3, 4}};
+  const graph::Csr csr = build_csr(ctx_, g);
+  EXPECT_THROW(find_bridges_ck(ctx_, g, csr, {0}), std::invalid_argument);
+  EXPECT_EQ(find_bridges_ck(ctx_, g, csr, {0, 3}), find_bridges_dfs(csr));
 }
 
 // ---------------------------------------------------------------- 2ecc
@@ -268,7 +293,7 @@ TEST(BridgesPhases, CkReportsBfsAndMark) {
   const auto g = prepared(gen::er_graph(200, 400, 2));
   const graph::Csr csr = build_csr(ctx, g);
   util::PhaseTimer phases;
-  find_bridges_ck(ctx, g, csr, &phases);
+  find_bridges_ck(ctx, g, csr, {0}, &phases);
   std::vector<std::string> names;
   for (const auto& [name, secs] : phases.phases()) names.push_back(name);
   EXPECT_EQ(names, (std::vector<std::string>{"bfs", "mark_non_bridges"}));

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "bridges/cc_spanning.hpp"
 #include "bridges/chaitanya_kothapalli.hpp"
 #include "bridges/dfs_bridges.hpp"
 #include "bridges/hybrid.hpp"
@@ -41,6 +42,34 @@ graph::EdgeList random_connected_multigraph(NodeId n, std::size_t extra,
     const NodeId u = static_cast<NodeId>(rng.below(n));
     const NodeId v = static_cast<NodeId>(rng.below(n));
     if (u != v) g.edges.push_back({u, v});
+  }
+  return g;
+}
+
+/// Random disconnected multigraph: 2-4 random connected multigraphs plus
+/// 1-3 isolated nodes, with node ids and edge order shuffled so component
+/// representatives and tree edges land anywhere.
+graph::EdgeList random_disconnected_multigraph(util::Rng& rng) {
+  graph::EdgeList g;
+  g.num_nodes = 0;
+  const std::size_t parts = 2 + rng.below(3);
+  for (std::size_t p = 0; p < parts; ++p) {
+    const NodeId size = 2 + static_cast<NodeId>(rng.below(5));
+    for (const graph::Edge e :
+         random_connected_multigraph(size, rng.below(6), rng).edges) {
+      g.edges.push_back({g.num_nodes + e.u, g.num_nodes + e.v});
+    }
+    g.num_nodes += size;
+  }
+  g.num_nodes += 1 + static_cast<NodeId>(rng.below(3));
+  std::vector<NodeId> id(static_cast<std::size_t>(g.num_nodes));
+  for (NodeId v = 0; v < g.num_nodes; ++v) id[v] = v;
+  for (std::size_t i = id.size(); i > 1; --i) {
+    std::swap(id[i - 1], id[rng.below(i)]);
+  }
+  for (graph::Edge& e : g.edges) e = {id[e.u], id[e.v]};
+  for (std::size_t i = g.edges.size(); i > 1; --i) {
+    std::swap(g.edges[i - 1], g.edges[rng.below(i)]);
   }
   return g;
 }
@@ -115,12 +144,18 @@ TEST(FuzzBridges, AllAlgorithmsOnTinyMultigraphs) {
   for (int round = 0; round < run.rounds; ++round) {
     const NodeId n = 2 + static_cast<NodeId>(rng.below(10));
     const std::size_t extra = rng.below(12);
-    const graph::EdgeList g = random_connected_multigraph(n, extra, rng);
+    // Odd rounds: several components plus isolated nodes.
+    const bool connected = round % 2 == 0;
+    const graph::EdgeList g = connected
+                                  ? random_connected_multigraph(n, extra, rng)
+                                  : random_disconnected_multigraph(rng);
     const graph::Csr csr = build_csr(ctx, g);
     const auto dfs = bridges::find_bridges_dfs(csr);
+    const std::vector<NodeId> roots = bridges::component_representatives(
+        ctx, bridges::cc_spanning_forest(ctx, g));
     ASSERT_EQ(bridges::find_bridges_tarjan_vishkin(ctx, g), dfs)
         << "TV, round " << round;
-    ASSERT_EQ(bridges::find_bridges_ck(ctx, g, csr), dfs)
+    ASSERT_EQ(bridges::find_bridges_ck(ctx, g, csr, roots), dfs)
         << "CK, round " << round;
     ASSERT_EQ(bridges::find_bridges_hybrid(ctx, g), dfs)
         << "hybrid, round " << round;

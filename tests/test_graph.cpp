@@ -249,5 +249,19 @@ TEST(Diameter, StarIsTwo) {
   EXPECT_EQ(estimate_diameter(csr), 2);
 }
 
+TEST(Diameter, IsolatedNodesNeverStartASweep) {
+  // A 20-edge path on nodes 0..20 plus 980 isolated nodes: a start drawn
+  // among all nodes is almost always isolated and would report 0.
+  const device::Context ctx(1);
+  EdgeList g;
+  g.num_nodes = 1000;
+  for (NodeId v = 0; v < 20; ++v) g.edges.push_back({v, v + 1});
+  const Csr csr = build_csr(ctx, g);
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    EXPECT_EQ(estimate_diameter(csr, 2, seed), 20) << "seed " << seed;
+  }
+  EXPECT_EQ(estimate_diameter(build_csr(ctx, EdgeList{5, {}})), 0);
+}
+
 }  // namespace
 }  // namespace emc::graph

@@ -1,25 +1,23 @@
-// Direct unit tests for bridges/stitch.hpp — component_representatives and
-// stitch_components, the virtual-edge stitch-and-slice machinery. Until
-// this file they were covered only indirectly through the oracle/engine
-// pipelines; the shard summary now reuses them as a standalone building
-// block, so their contract is pinned here on its own.
-#include "bridges/stitch.hpp"
-
+// Direct unit tests for the one way a spanning forest is rooted
+// (bridges/cc_spanning.hpp): component_representatives and
+// virtual_root_tree, which stitches every component below one virtual node
+// so TV, the hybrid, the BCC index and the engine's forest LCA all tour a
+// single tree. Their disconnected-input behaviour end to end is fuzzed in
+// test_fuzz (FuzzBridges.AllAlgorithmsOnTinyMultigraphs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "bridges/cc_spanning.hpp"
-#include "bridges/dfs_bridges.hpp"
+#include "core/euler_tour.hpp"
 #include "device/context.hpp"
 #include "graph/graph.hpp"
-#include "support/reference.hpp"
 
 namespace emc::bridges {
 namespace {
 
-TEST(Stitch, RepresentativesAreSelfLabeledNodesInNodeOrder) {
+TEST(VirtualRoot, RepresentativesAreSelfLabeledNodesInNodeOrder) {
   const device::Context ctx(2);
   // Three components: {0,1,2} triangle, {3,4} edge, {5} isolated.
   graph::EdgeList g;
@@ -44,81 +42,54 @@ TEST(Stitch, RepresentativesAreSelfLabeledNodesInNodeOrder) {
   }
 }
 
-TEST(Stitch, ConnectedGraphIsReturnedUnchanged) {
-  const device::Context ctx(2);
-  graph::EdgeList g;
-  g.num_nodes = 4;
-  g.edges = {{0, 1}, {1, 2}, {2, 3}, {0, 3}};
-  const SpanningForest forest = cc_spanning_forest(ctx, g);
-  const std::vector<NodeId> reps = component_representatives(ctx, forest);
-  ASSERT_EQ(reps.size(), 1u);
-
-  const graph::EdgeList stitched = stitch_components(g, reps);
-  EXPECT_EQ(stitched.num_nodes, g.num_nodes);
-  EXPECT_EQ(stitched.edges, g.edges);
-}
-
-TEST(Stitch, AddsOneVirtualEdgePerExtraComponent) {
+TEST(VirtualRoot, EachComponentHangsBelowNodeNAsOnePreorderInterval) {
   const device::Context ctx(2);
   graph::EdgeList g;
   g.num_nodes = 7;
-  g.edges = {{0, 1}, {1, 2}, {0, 2}, {3, 4}};  // components: 3 + {5}, {6}
+  g.edges = {{4, 3}, {1, 2}, {0, 2}, {2, 1}};  // {0,1,2}, {3,4}, {5}, {6}
   const SpanningForest forest = cc_spanning_forest(ctx, g);
   const std::vector<NodeId> reps = component_representatives(ctx, forest);
   ASSERT_EQ(reps.size(), 4u);
 
-  const graph::EdgeList stitched = stitch_components(g, reps);
-  EXPECT_EQ(stitched.num_nodes, g.num_nodes);
-  ASSERT_EQ(stitched.edges.size(), g.edges.size() + reps.size() - 1);
-  // The real edges come first, untouched (the slice-back contract).
-  for (std::size_t e = 0; e < g.edges.size(); ++e) {
-    EXPECT_EQ(stitched.edges[e], g.edges[e]);
+  const graph::EdgeList tree = virtual_root_tree(ctx, g, forest);
+  ASSERT_EQ(tree.num_nodes, g.num_nodes + 1);
+  ASSERT_EQ(tree.edges.size(), static_cast<std::size_t>(g.num_nodes));
+  ASSERT_TRUE(tree.valid());
+  // The forest's tree edges in order, then one virtual edge per
+  // representative in node order.
+  const std::size_t t = forest.tree_edges.size();
+  for (std::size_t k = 0; k < t; ++k) {
+    EXPECT_EQ(tree.edges[k], g.edges[forest.tree_edges[k]]);
   }
-  // Then one virtual edge from the first representative to each other.
-  for (std::size_t r = 1; r < reps.size(); ++r) {
-    EXPECT_EQ(stitched.edges[g.edges.size() + r - 1],
-              (graph::Edge{reps[0], reps[r]}));
+  for (std::size_t r = 0; r < reps.size(); ++r) {
+    EXPECT_EQ(tree.edges[t + r], (graph::Edge{g.num_nodes, reps[r]}));
   }
-  ASSERT_TRUE(stitched.valid());
-}
 
-TEST(Stitch, VirtualEdgesNeverChangeARealEdgesBridgeness) {
-  const device::Context ctx(2);
-  // Two triangles (no bridges) + a path 6-7-8 (two bridges) + isolated 9.
-  graph::EdgeList g;
-  g.num_nodes = 10;
-  g.edges = {{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5},
-             {3, 5}, {6, 7}, {7, 8}};
-  const SpanningForest forest = cc_spanning_forest(ctx, g);
-  const std::vector<NodeId> reps = component_representatives(ctx, forest);
-  const graph::EdgeList stitched = stitch_components(g, reps);
-  ASSERT_TRUE(stitched.valid());
-
-  // Mask on the augmentation, truncated to the real edges, must equal the
-  // per-component DFS verdicts on the original graph.
-  const BridgeMask full = find_bridges_dfs(graph::build_csr(ctx, stitched));
-  const BridgeMask direct = find_bridges_dfs(graph::build_csr(ctx, g));
-  for (std::size_t e = 0; e < g.edges.size(); ++e) {
-    EXPECT_EQ(full[e], direct[e]) << "edge " << e;
-  }
-  // And every virtual edge is itself a bridge (sole connection between its
-  // components).
-  for (std::size_t e = g.edges.size(); e < stitched.edges.size(); ++e) {
-    EXPECT_TRUE(full[e]) << "virtual edge " << e;
+  // Rooted at n: the representatives are the virtual root's children and
+  // each one's subtree is exactly its component.
+  const core::TreeStats stats = core::compute_tree_stats(
+      ctx, core::build_euler_tour(ctx, tree, g.num_nodes));
+  for (NodeId v = 0; v < g.num_nodes; ++v) {
+    const NodeId rep = forest.component[v];
+    EXPECT_EQ(stats.parent[v] == g.num_nodes, v == rep) << "node " << v;
+    const NodeId size = static_cast<NodeId>(std::count(
+        forest.component.begin(), forest.component.end(), rep));
+    EXPECT_EQ(stats.subtree_size[rep], size);
+    EXPECT_GE(stats.preorder[v], stats.preorder[rep]);
+    EXPECT_LT(stats.preorder[v], stats.preorder[rep] + size);
   }
 }
 
-TEST(Stitch, EmptyAndSingleNodeGraphs) {
+TEST(VirtualRoot, EmptyAndSingleNodeGraphs) {
   const device::Context ctx(2);
   graph::EdgeList empty;
   empty.num_nodes = 0;
   const SpanningForest forest = cc_spanning_forest(ctx, empty);
   EXPECT_EQ(forest.num_components, 0u);
-  const std::vector<NodeId> reps = component_representatives(ctx, forest);
-  EXPECT_TRUE(reps.empty());
-  const graph::EdgeList stitched = stitch_components(empty, reps);
-  EXPECT_EQ(stitched.num_nodes, 0);
-  EXPECT_TRUE(stitched.edges.empty());
+  EXPECT_TRUE(component_representatives(ctx, forest).empty());
+  const graph::EdgeList lone_root = virtual_root_tree(ctx, empty, forest);
+  EXPECT_EQ(lone_root.num_nodes, 1);
+  EXPECT_TRUE(lone_root.edges.empty());
 
   graph::EdgeList one;
   one.num_nodes = 1;
@@ -126,7 +97,9 @@ TEST(Stitch, EmptyAndSingleNodeGraphs) {
   const std::vector<NodeId> r1 = component_representatives(ctx, f1);
   ASSERT_EQ(r1.size(), 1u);
   EXPECT_EQ(r1[0], 0);
-  EXPECT_TRUE(stitch_components(one, r1).edges.empty());
+  const graph::EdgeList tree = virtual_root_tree(ctx, one, f1);
+  EXPECT_EQ(tree.num_nodes, 2);
+  EXPECT_EQ(tree.edges, (std::vector<graph::Edge>{{1, 0}}));
 }
 
 }  // namespace
