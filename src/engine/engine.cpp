@@ -21,14 +21,6 @@ namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
-/// The Csr artifact's build: from the epoch's edge snapshot, so its edge
-/// ids index that snapshot (and the epoch's bridge mask).
-graph::Csr build_epoch_csr(const device::Context& ctx,
-                           graph::EdgeSpan edges) {
-  util::failpoint::maybe_throw(util::failpoint::kSnapshot);
-  return graph::build_csr(ctx, edges);
-}
-
 }  // namespace
 
 PlanInputs machine_inputs(const Engine& engine) {
@@ -155,44 +147,145 @@ EngineStats Engine::stats() const {
   return s;
 }
 
-// ----------------------------------------------------------- cache plumbing
+// ---------------------------------------------------------- epoch record
+
+/// One epoch's artifacts: the record the Session fills and every View of
+/// the epoch shares. The one sharing rule: a record a View holds is never
+/// written. The Session fills an empty field in place (view() fills every
+/// field a View reads before sharing the record) and swaps in a copy
+/// (copy_record) before it replaces or clears a filled one. Copies share
+/// the lazy cells.
+struct EpochArtifacts {
+  std::uint64_t epoch = 0;
+  dynamic::EdgeSnapshot snapshot;  // dynamic graphs: co-owns the log prefix
+  const graph::EdgeList* static_edges = nullptr;  // static graphs
+  std::shared_ptr<const bridges::SpanningForest> forest;
+  std::shared_ptr<const bridges::BridgeMask> mask;
+  Backend mask_backend = Backend::kAuto;
+  /// Edge ids (mask order) of the mask's bridges, filled on the publish
+  /// path only: the next epoch's delta replay demotes dying bridges by
+  /// rechecking exactly these instead of rescanning the mask.
+  std::shared_ptr<const std::vector<EdgeId>> bridge_edges;
+  std::shared_ptr<const lca::InlabelLca> forest_lca;
+  /// The 2-ecc index at this epoch: the Session's index object as the step
+  /// that reached the epoch left it (Session::Cache owns the object and its
+  /// cross-epoch copy-on-write).
+  std::shared_ptr<const dynamic::ConnectivityOracle> oracle;
+  /// The lazy cells, built by the first reader and never by a publish.
+  std::shared_ptr<EpochCell<graph::Csr>> csr =
+      std::make_shared<EpochCell<graph::Csr>>();
+  std::shared_ptr<EpochCell<graph::EdgeList>> edge_list =  // dynamic edges()
+      std::make_shared<EpochCell<graph::EdgeList>>();
+  std::shared_ptr<EpochCell<bcc::BccIndex>> bcc =
+      std::make_shared<EpochCell<bcc::BccIndex>>();
+
+  /// The epoch's edges, in mask order.
+  graph::EdgeSpan edges() const {
+    return static_edges != nullptr ? graph::EdgeSpan(*static_edges)
+                                   : snapshot.span();
+  }
+};
+
+namespace {
+
+/// A record for the graph's current epoch: its edge handle, no artifacts.
+std::shared_ptr<EpochArtifacts> fresh_record(GraphRef graph,
+                                             const device::Context& ctx) {
+  auto record = std::make_shared<EpochArtifacts>();
+  record->epoch = graph.epoch();
+  if (graph.is_dynamic()) {
+    record->snapshot = graph.dynamic_graph()->snapshot(ctx);
+  } else {
+    record->static_edges = graph.static_graph();
+  }
+  return record;
+}
+
+/// One of the epoch's lazy cells, built by whichever side reads it first:
+/// the device driver lock (recursive) first, then the cell mutex.
+template <typename T, typename Build>
+std::shared_ptr<const T> lazy_artifact(const Engine& engine, EpochCell<T>& cell,
+                                       Build&& build) {
+  // Fast path: already built and immutable — no device lock needed.
+  if (auto value = cell.peek()) {
+    engine.counters().artifact_hits.fetch_add(1, kRelaxed);
+    return value;
+  }
+  const auto lock = engine.device().exclusive();
+  const bool built = cell.peek() == nullptr;  // re-check under lock
+  (built ? engine.counters().artifact_builds : engine.counters().artifact_hits)
+      .fetch_add(1, kRelaxed);
+  return cell.get_or_build(std::forward<Build>(build));
+}
+
+/// The epoch's Csr, from its edge snapshot, so its edge ids index that
+/// snapshot (and the epoch's bridge mask). The cell keeps it alive.
+std::shared_ptr<const graph::Csr> epoch_csr(const Engine& engine,
+                                            const EpochArtifacts& record) {
+  return lazy_artifact(engine, *record.csr, [&] {
+    util::failpoint::maybe_throw(util::failpoint::kSnapshot);
+    return graph::build_csr(engine.device(), record.edges());
+  });
+}
+
+/// The epoch's BCC index, from the record's spanning forest (which must be
+/// filled). The cell keeps it alive.
+std::shared_ptr<const bcc::BccIndex> epoch_bcc(const Engine& engine,
+                                               const EpochArtifacts& record) {
+  return lazy_artifact(engine, *record.bcc, [&] {
+    return bcc::BccIndex::build(engine.device(), record.edges(),
+                                *record.forest);
+  });
+}
+
+/// The forest LCA: one fused Euler tour roots the forest at its virtual
+/// root AND feeds the Schieber-Vishkin inlabel index.
+std::shared_ptr<const lca::InlabelLca> build_forest_lca(
+    const device::Context& ctx, graph::EdgeSpan g,
+    const bridges::SpanningForest& forest) {
+  return std::make_shared<const lca::InlabelLca>(
+      lca::InlabelLca::build_from_edges(
+          ctx, bridges::virtual_root_tree(ctx, g, forest), g.num_nodes));
+}
+
+}  // namespace
+
+// --------------------------------------------------------- session plumbing
+
+Session::Session(Engine& engine, GraphRef graph)
+    : engine_(&engine), graph_(graph) {}
+
+Backend Session::mask_backend() const {
+  return record_ ? record_->mask_backend : Backend::kAuto;
+}
 
 void Session::sync_epoch() {
-  const std::uint64_t epoch = graph_.epoch();
-  if (cache_.epoch == epoch) return;
-  cache_.epoch = epoch;
-  // Resetting a shared_ptr drops the SESSION's reference only: Views
-  // pinning the outgoing epoch keep its artifacts alive until they retire.
-  // The lazy cells get FRESH cells, not a reset of the old ones: Views
-  // pinning the outgoing epoch share the old cells and may still be
-  // building into them.
-  cache_.csr = std::make_shared<EpochCell<graph::Csr>>();
-  cache_.edge_list = std::make_shared<EpochCell<graph::EdgeList>>();
-  cache_.forest.reset();
-  cache_.mask.reset();
-  cache_.mask_backend = Backend::kAuto;
-  cache_.bridge_edges.reset();
-  cache_.mask_published = false;
-  cache_.forest_published = false;
-  cache_.forest_lca.reset();
-  cache_.bcc = std::make_shared<EpochCell<bcc::BccIndex>>();
-  // The diameter hint is sticky by design (see diameter_estimate()).
+  if (record_ && record_->epoch == graph_.epoch()) return;
+  // Views pinning the outgoing epoch keep its record; the session moves on
+  // to a fresh one. The diameter hint is sticky by design (see
+  // diameter_estimate()).
+  record_ = fresh_record(graph_, engine_->device_);
+}
+
+void Session::copy_record() {
+  record_ = std::make_shared<EpochArtifacts>(*record_);
 }
 
 void Session::drop_artifacts() {
-  cache_.epoch = Cache::kNone;
-  sync_epoch();  // resets every epoch-keyed artifact
-  cache_.epoch = Cache::kNone;
+  record_.reset();
   cache_.oracle_epoch = Cache::kNone;
 }
 
 void Session::drop_results() {
-  cache_.mask.reset();
-  cache_.mask_backend = Backend::kAuto;
-  cache_.bridge_edges.reset();  // derived from the mask
   cache_.oracle_epoch = Cache::kNone;
-  cache_.forest_lca.reset();
-  cache_.bcc = std::make_shared<EpochCell<bcc::BccIndex>>();
+  if (!record_) return;
+  copy_record();
+  record_->mask.reset();
+  record_->mask_backend = Backend::kAuto;
+  record_->bridge_edges.reset();  // derived from the mask
+  record_->oracle.reset();
+  record_->forest_lca.reset();
+  record_->bcc = std::make_shared<EpochCell<bcc::BccIndex>>();
 }
 
 dynamic::ConnectivityOracle& Session::oracle_mut() {
@@ -220,11 +313,7 @@ bool Session::track(bool built) {
 
 const graph::Csr& Session::csr_artifact() {
   sync_epoch();
-  track(cache_.csr->peek() == nullptr);
-  const device::Context& ctx = engine_->device_;
-  // The epoch's cell keeps the Csr alive until the next epoch change.
-  return *cache_.csr->get_or_build(
-      [&] { return build_epoch_csr(ctx, graph_.edges(ctx)); });
+  return *epoch_csr(*engine_, *record_);
 }
 
 const graph::Csr& Session::csr() {
@@ -234,13 +323,12 @@ const graph::Csr& Session::csr() {
 
 const bridges::SpanningForest& Session::forest() {
   sync_epoch();
-  track(!cache_.forest);
-  if (!cache_.forest) {
-    cache_.forest = std::make_shared<const bridges::SpanningForest>(
-        bridges::cc_spanning_forest(engine_->device_,
-                                    graph_.edges(engine_->device_)));
+  track(!record_->forest);
+  if (!record_->forest) {
+    record_->forest = std::make_shared<const bridges::SpanningForest>(
+        bridges::cc_spanning_forest(engine_->device_, record_->edges()));
   }
-  return *cache_.forest;
+  return *record_->forest;
 }
 
 std::size_t Session::num_components() {
@@ -292,13 +380,13 @@ const bridges::BridgeMask& Session::mask_artifact(const Policy& policy,
   sync_epoch();
   // A cached mask is reusable unless the request FORCES a backend other
   // than the one that computed it (forcing is the point in benches/tests).
-  if (cache_.mask && (policy.backend == Backend::kAuto ||
-                      policy.backend == cache_.mask_backend)) {
+  if (record_->mask && (policy.backend == Backend::kAuto ||
+                        policy.backend == record_->mask_backend)) {
     track(false);
-    return *cache_.mask;
+    return *record_->mask;
   }
   const device::Context& device = engine_->device_;
-  const graph::EdgeSpan g = graph_.edges(device);
+  const graph::EdgeSpan g = record_->edges();
   const std::size_t m = g.num_edges();
   bridges::BridgeMask mask(m, 0);
   Backend backend = policy.backend;
@@ -334,19 +422,24 @@ const bridges::BridgeMask& Session::mask_artifact(const Policy& policy,
                                                                       kRelaxed);
   }
   track(true);
-  cache_.mask = std::make_shared<const bridges::BridgeMask>(std::move(mask));
-  cache_.mask_backend = backend;
-  return *cache_.mask;
+  if (record_->mask) copy_record();  // a forced backend replaces the mask
+  record_->mask = std::make_shared<const bridges::BridgeMask>(std::move(mask));
+  record_->mask_backend = backend;
+  return *record_->mask;
 }
 
 const dynamic::ConnectivityOracle& Session::oracle_artifact(
     const Policy& policy) {
   sync_epoch();
-  if (!track(cache_.oracle_epoch != cache_.epoch)) return *cache_.oracle;
+  if (!track(cache_.oracle_epoch != record_->epoch)) {
+    // The index is at this epoch; the record takes it once.
+    if (!record_->oracle) record_->oracle = cache_.oracle;
+    return *record_->oracle;
+  }
   const std::optional<Replay> replay = replay_partition();
-  const bridges::BridgeMask* mask = cache_.mask ? &*cache_.mask : nullptr;
+  const bridges::BridgeMask* mask = record_->mask ? &*record_->mask : nullptr;
   const bridges::SpanningForest* forest_hint =
-      cache_.forest ? &*cache_.forest : nullptr;
+      record_->forest ? &*record_->forest : nullptr;
   if (!replay) {
     // The step will build. A forced backend follows the same rule as a
     // forced Bridges request: a cached mask from a DIFFERENT backend does
@@ -355,7 +448,7 @@ const dynamic::ConnectivityOracle& Session::oracle_artifact(
     // reads a mask, so a forced backend does not make it build one.
     const bool needs_forced_mask =
         policy.backend != Backend::kAuto &&
-        (mask == nullptr || cache_.mask_backend != policy.backend);
+        (mask == nullptr || record_->mask_backend != policy.backend);
     if (graph_.is_dynamic()) {
       // kAuto stays lazy: the build runs the oracle's own TV mask phase.
       if (needs_forced_mask) mask = &mask_artifact(policy, nullptr);
@@ -369,8 +462,10 @@ const dynamic::ConnectivityOracle& Session::oracle_artifact(
       forest_hint = &forest();
     }
   }
-  advance_oracle(replay, mask, forest_hint);
-  return *cache_.oracle;
+  advance_oracle(replay, record_->edges(), mask, forest_hint);
+  // Empty until now: a record's oracle field is only ever set at its epoch.
+  record_->oracle = cache_.oracle;
+  return *record_->oracle;
 }
 
 std::optional<Session::Replay> Session::replay_partition() const {
@@ -394,6 +489,7 @@ std::optional<Session::Replay> Session::replay_partition() const {
 }
 
 void Session::advance_oracle(const std::optional<Replay>& replay,
+                             graph::EdgeSpan edges,
                              const bridges::BridgeMask* mask,
                              const bridges::SpanningForest* forest) {
   const device::Context& ctx = engine_->device_;
@@ -402,36 +498,26 @@ void Session::advance_oracle(const std::optional<Replay>& replay,
   dynamic::ConnectivityOracle& oracle = oracle_mut();
   cache_.oracle_epoch = Cache::kNone;  // half-mutated until the step ends
   if (!replay || !oracle.insert(ctx, replay->inserted, replay->part)) {
-    oracle.build(ctx, graph_.edges(ctx), mask, forest);
+    oracle.build(ctx, edges, mask, forest);
   }
   cache_.oracle_epoch = graph_.epoch();
 }
 
 const lca::InlabelLca& Session::forest_lca_artifact() {
   sync_epoch();
-  track(!cache_.forest_lca);
-  if (!cache_.forest_lca) {
-    const device::Context& ctx = engine_->device_;
-    const graph::EdgeSpan g = graph_.edges(ctx);
-    // One fused Euler tour roots the forest at its virtual root AND feeds
-    // the Schieber-Vishkin inlabel index.
-    cache_.forest_lca = std::make_shared<const lca::InlabelLca>(
-        lca::InlabelLca::build_from_edges(
-            ctx, bridges::virtual_root_tree(ctx, g, forest()), g.num_nodes));
+  track(!record_->forest_lca);
+  if (!record_->forest_lca) {
+    record_->forest_lca =
+        build_forest_lca(engine_->device_, record_->edges(), forest());
   }
-  return *cache_.forest_lca;
+  return *record_->forest_lca;
 }
 
 // --------------------------------------------------------------- requests
 
 std::shared_ptr<const bcc::BccIndex> Session::bcc_artifact() {
-  sync_epoch();
-  track(cache_.bcc->peek() == nullptr);
   forest();  // the build input; counted separately, like every artifact
-  const device::Context& ctx = engine_->device_;
-  return cache_.bcc->get_or_build([&] {
-    return bcc::BccIndex::build(ctx, graph_.edges(ctx), *cache_.forest);
-  });
+  return epoch_bcc(*engine_, *record_);
 }
 
 template <typename A>
@@ -445,7 +531,7 @@ const A& Session::locked_artifact(const Policy& policy,
   } else if constexpr (std::is_same_v<A, lca::InlabelLca>) {
     return forest_lca_artifact();
   } else if constexpr (std::is_same_v<A, bcc::BccIndex>) {
-    return *bcc_artifact();  // the epoch's cell keeps the index alive
+    return *bcc_artifact();  // the record's cell keeps the index alive
   } else if constexpr (std::is_same_v<A, graph::Csr>) {
     return csr_artifact();
   } else {
@@ -473,38 +559,20 @@ Plan Session::plan(const Bridges&, const Policy& policy) {
 // ------------------------------------------------------------------ views
 
 struct View::State {
-  Engine* engine = nullptr;
+  const Engine* engine = nullptr;
   Policy policy;  // captured at acquisition: decides batch routing
-  std::uint64_t epoch = 0;
-  NodeId n = 0;
-  std::size_t m = 0;
-  std::size_t components = 0;
-  Backend mask_backend = Backend::kAuto;
-  dynamic::EdgeSnapshot snapshot;  // dynamic graphs: co-owns the log prefix
-  const graph::EdgeList* static_edges = nullptr;  // static graphs
-  graph::EdgeSpan edges;  // the epoch's edges: one of the two above
-  std::shared_ptr<const bridges::SpanningForest> forest;
-  std::shared_ptr<const bridges::BridgeMask> mask;
-  std::shared_ptr<const dynamic::ConnectivityOracle> oracle;
-  std::shared_ptr<const lca::InlabelLca> forest_lca;
-  /// The epoch's lazy cells, SHARED with the session's cache: whichever
-  /// side builds first, everyone reads the same immutable value. The cells
-  /// are epoch-keyed (sync_epoch swaps fresh ones in), so a View never sees
-  /// a later epoch's Csr or index.
-  std::shared_ptr<EpochCell<graph::Csr>> csr;
-  std::shared_ptr<EpochCell<bcc::BccIndex>> bcc;
-  std::shared_ptr<EpochCell<graph::EdgeList>> edge_list;  // dynamic edges()
+  std::shared_ptr<const EpochArtifacts> record;
 };
 
 void Session::ensure_bridge_edges() {
-  if (cache_.bridge_edges) return;
-  const bridges::BridgeMask& mask = *cache_.mask;
+  if (record_->bridge_edges) return;
+  const bridges::BridgeMask& mask = *record_->mask;
   std::vector<EdgeId> ids(mask.size());
   const std::size_t b = device::copy_if_index(
       engine_->device_, mask.size(),
       [&](std::size_t e) { return mask[e] != 0; }, ids.data());
   ids.resize(b);
-  cache_.bridge_edges =
+  record_->bridge_edges =
       std::make_shared<const std::vector<EdgeId>>(std::move(ids));
 }
 
@@ -514,14 +582,16 @@ bool Session::try_replay_publish(const Policy& policy) {
   // Every previous-epoch artifact must exist: the replay is a patch, not a
   // build. bridge_edges is only materialized by publishes, so the FIRST
   // publish after lazy run()-only traffic rebuilds once, then replays.
-  if (!cache_.forest || !cache_.mask || !cache_.forest_lca ||
-      !cache_.bridge_edges || cache_.oracle_epoch != cache_.epoch) {
+  if (!record_ || !record_->forest || !record_->mask ||
+      !record_->forest_lca || !record_->bridge_edges ||
+      cache_.oracle_epoch != record_->epoch) {
     return false;
   }
+  const EpochArtifacts& prev = *record_;
   // A forced backend different from the one that produced the carried-over
   // mask must actually run it — same rule as mask_artifact's reuse check.
   if (policy.backend != Backend::kAuto &&
-      policy.backend != cache_.mask_backend) {
+      policy.backend != prev.mask_backend) {
     return false;
   }
   // The one replay rule, computed once over everything the graph added
@@ -534,40 +604,38 @@ bool Session::try_replay_publish(const Policy& policy) {
   if (!replay) return false;
   const std::span<const graph::Edge> inserted = replay->inserted;
   const std::vector<std::size_t>& cross = replay->part.cross;
-  const std::size_t old_m = cache_.mask->size();
+  const std::size_t old_m = prev.mask->size();
   const std::size_t d = inserted.size();
 
-  // --- the replay. Failure past this point (a thrown injected fault or
-  //     real OOM) leaves cache_.epoch at the PREVIOUS epoch while the graph
-  //     is ahead, so the next artifact access resyncs and rebuilds from
-  //     scratch — no path can serve a half-patched artifact. The oracle is
-  //     the one object that survives a successful step: oracle_epoch then
-  //     names the new epoch, so a retry finds the replay rule false and
-  //     keeps the index instead of replaying the batch onto it again.
+  // --- the replay builds the next epoch's record beside the previous one,
+  //     which it only reads, and installs it with one assignment at the
+  //     end. A failure before that (a thrown injected fault or real OOM)
+  //     leaves the previous epoch's record current while the graph is
+  //     ahead, so the retry installs a fresh record and rebuilds from
+  //     scratch — no path can serve a half-built epoch. The oracle is the
+  //     one object a failed replay may have advanced: oracle_epoch then
+  //     names the new epoch, so the retry keeps the index instead of
+  //     replaying the batch onto it again.
   const device::Context& ctx = engine_->device_;
 
   // (1) Snapshot: the published epoch's edges followed by the log suffix,
   // so every edge id the carried artifacts hold still names its edge.
-  const graph::EdgeSpan snap = graph_.edges(ctx);
+  std::shared_ptr<EpochArtifacts> next = fresh_record(graph_, ctx);
+  const graph::EdgeSpan snap = next->edges();
   assert(snap.num_edges() == old_m + d);
 
   // (2) 2-ecc index: the shared oracle step (it may still build — covered-
   // length refusal — without invalidating this replay: bridgeness is
   // block_of[u] != block_of[v] EXACTLY, whichever path produced the labels).
-  advance_oracle(replay, nullptr, nullptr);
-  const dynamic::ConnectivityOracle& oracle = *cache_.oracle;
-  const std::vector<NodeId>& block = oracle.block_labels();
+  advance_oracle(replay, snap, nullptr, nullptr);
+  next->oracle = cache_.oracle;
+  const std::vector<NodeId>& block = next->oracle->block_labels();
 
-  // (3) Bridge mask: copy-on-write iff a View shares it, else in place. The
-  // copy is made at its final length: one allocation, one pass.
-  std::shared_ptr<bridges::BridgeMask> mask;
-  if (cache_.mask_published) {
-    mask = std::make_shared<bridges::BridgeMask>();
-    mask->reserve(old_m + d);
-    mask->assign(cache_.mask->begin(), cache_.mask->end());
-  } else {
-    mask = std::const_pointer_cast<bridges::BridgeMask>(cache_.mask);
-  }
+  // (3) Bridge mask: a copy made at its final length — one allocation, one
+  // pass.
+  auto mask = std::make_shared<bridges::BridgeMask>();
+  mask->reserve(old_m + d);
+  mask->assign(prev.mask->begin(), prev.mask->end());
   mask->resize(old_m + d);
   // Appended verdicts are exact: an edge is a bridge iff its endpoints lie
   // in different blocks of the NEW index (cross inserts always, intra
@@ -579,7 +647,7 @@ bool Session::try_replay_publish(const Policy& policy) {
   // Inserts never promote an old edge to a bridge (its witness cycle
   // survives); they only demote old bridges whose endpoints now share a
   // block. Recheck exactly the previous epoch's bridge set.
-  const std::vector<EdgeId>& old_bridges = *cache_.bridge_edges;
+  const std::vector<EdgeId>& old_bridges = *prev.bridge_edges;
   device::launch(ctx, old_bridges.size(), [&](std::size_t i) {
     const graph::Edge e = snap.edges[old_bridges[i]];
     if (block[e.u] == block[e.v]) (*mask)[old_bridges[i]] = 0;
@@ -596,17 +664,23 @@ bool Session::try_replay_publish(const Policy& policy) {
   for (std::size_t i = 0; i < cross.size(); ++i) {
     new_bridges[survivors + i] = static_cast<EdgeId>(old_m + cross[i]);
   }
-  assert(new_bridges.size() == oracle.num_bridges());
+  assert(new_bridges.size() == next->oracle->num_bridges());
+  next->mask = std::move(mask);
+  next->mask_backend = prev.mask_backend;
+  next->bridge_edges =
+      std::make_shared<const std::vector<EdgeId>>(std::move(new_bridges));
 
-  // (4) Spanning forest: intra inserts leave it untouched (the endpoints
-  // were already connected, so the tree edges still span); each cross
-  // insert links two trees — append it and fold the loser labels in with
-  // the partition's merge map, the link_components relabel idiom.
-  if (!cross.empty()) {
-    std::shared_ptr<bridges::SpanningForest> forest =
-        cache_.forest_published
-            ? std::make_shared<bridges::SpanningForest>(*cache_.forest)
-            : std::const_pointer_cast<bridges::SpanningForest>(cache_.forest);
+  // (4) Spanning forest and its LCA: intra inserts leave both untouched
+  // (the endpoints were already connected, so the tree edges still span),
+  // and the new record shares the objects. Each cross insert links two
+  // trees — append it to a copy and fold the loser labels in with the
+  // partition's merge map, the link_components relabel idiom — and the
+  // LCA is rebuilt over the linked forest.
+  if (cross.empty()) {
+    next->forest = prev.forest;
+    next->forest_lca = prev.forest_lca;
+  } else {
+    auto forest = std::make_shared<bridges::SpanningForest>(*prev.forest);
     std::vector<NodeId>& labels = forest->component;
     device::launch(ctx, labels.size(), [&](std::size_t v) {
       const auto it = replay->part.merged.find(labels[v]);
@@ -617,28 +691,16 @@ bool Session::try_replay_publish(const Policy& policy) {
       forest->tree_edges.push_back(static_cast<EdgeId>(old_m + i));
     }
     forest->num_components -= cross.size();
-    cache_.forest = std::move(forest);
-    cache_.forest_published = false;
+    track(true);  // counted like forest_lca_artifact's build
+    next->forest_lca = build_forest_lca(ctx, snap, *forest);
+    next->forest = std::move(forest);
   }
 
-  // (5) Commit. The Csr rebuilds lazily (fresh cell: no publish builds
-  // it); the forest LCA survives exactly when the forest kept its shape
-  // (intra-only delta).
-  cache_.epoch = graph_.epoch();
-  cache_.mask = std::move(mask);
-  cache_.mask_published = false;
-  cache_.bridge_edges =
-      std::make_shared<const std::vector<EdgeId>>(std::move(new_bridges));
-  cache_.csr = std::make_shared<EpochCell<graph::Csr>>();
-  cache_.edge_list = std::make_shared<EpochCell<graph::EdgeList>>();
-  // Even an intra-component insert can merge blocks or demote an
-  // articulation — the BCC index never survives a replay (incremental BCC
-  // maintenance is a recorded follow-up). Fresh cell: old Views keep theirs.
-  cache_.bcc = std::make_shared<EpochCell<bcc::BccIndex>>();
-  if (!cross.empty()) {
-    cache_.forest_lca.reset();
-    forest_lca_artifact();
-  }
+  // (5) Commit: the one assignment. The record's Csr and BCC cells start
+  // empty (no publish builds them); even an intra-component insert can
+  // merge blocks or demote an articulation, so the BCC index never
+  // survives a replay.
+  record_ = std::move(next);
   ++publish_replays_;
   engine_->counters_.publish_replays.fetch_add(1, kRelaxed);
   return true;
@@ -647,10 +709,10 @@ bool Session::try_replay_publish(const Policy& policy) {
 void Session::ensure_all_artifacts(const Policy& policy) {
   // Failpoint: the publish chokepoint — both refresh() and view() pass
   // through here, and nothing is mutated yet when it fires, so a caller
-  // that catches the fault keeps a coherent (stale) cache.
+  // that catches the fault keeps a coherent (stale) record.
   util::failpoint::maybe_throw(util::failpoint::kPublish);
   if (try_replay_publish(policy)) return;
-  const bool fresh = cache_.epoch != graph_.epoch();
+  const bool fresh = !record_ || record_->epoch != graph_.epoch();
   sync_epoch();
   forest();
   mask_artifact(policy, nullptr);
@@ -665,34 +727,12 @@ void Session::ensure_all_artifacts(const Policy& policy) {
 
 std::shared_ptr<const View::State> Session::make_state(const Policy& policy) {
   ensure_all_artifacts(policy);
-  auto state = std::make_shared<View::State>();
-  state->engine = engine_;
-  state->policy = policy;
-  state->epoch = cache_.epoch;
-  state->n = graph_.num_nodes();
-  state->m = graph_.num_edges();
-  state->components = cache_.forest->num_components;
-  state->mask_backend = cache_.mask_backend;
-  if (graph_.is_dynamic()) {
-    state->snapshot = graph_.dynamic_graph()->snapshot(engine_->device_);
-    state->edges = state->snapshot;
-  } else {
-    state->static_edges = graph_.static_graph();
-    state->edges = *state->static_edges;
-  }
-  state->csr = cache_.csr;
-  state->edge_list = cache_.edge_list;
-  state->forest = cache_.forest;
-  state->mask = cache_.mask;
-  state->oracle = cache_.oracle;
-  state->forest_lca = cache_.forest_lca;
-  state->bcc = cache_.bcc;
-  // From here on the shared artifacts are frozen: the next epoch's refresh
-  // clones the oracle first (oracle_mut) instead of replaying deltas in
-  // place, and the delta-replay publish patches COPIES of the mask/forest.
+  auto state =
+      std::make_shared<const View::State>(View::State{engine_, policy, record_});
+  // From here on the record is frozen (see EpochArtifacts), and the next
+  // epoch's 2-ecc step clones the oracle first (oracle_mut) instead of
+  // advancing it in place.
   cache_.oracle_published = true;
-  cache_.mask_published = true;
-  cache_.forest_published = true;
   std::erase_if(published_, [](const auto& weak) { return weak.expired(); });
   published_.push_back(state);
   return state;
@@ -711,13 +751,13 @@ std::uint64_t Session::refresh() { return refresh(engine_->default_policy()); }
 std::uint64_t Session::refresh(const Policy& policy) {
   const auto lock = engine_->device_.exclusive();
   ensure_all_artifacts(policy);
-  return cache_.epoch;
+  return record_->epoch;
 }
 
 std::size_t Session::pinned_epochs() const {
   std::vector<std::uint64_t> epochs;
   for (const auto& weak : published_) {
-    if (const auto state = weak.lock()) epochs.push_back(state->epoch);
+    if (const auto state = weak.lock()) epochs.push_back(state->record->epoch);
   }
   std::sort(epochs.begin(), epochs.end());
   epochs.erase(std::unique(epochs.begin(), epochs.end()), epochs.end());
@@ -725,82 +765,55 @@ std::size_t Session::pinned_epochs() const {
 }
 
 View View::with_policy(const Policy& policy) const {
-  auto state = std::make_shared<State>(*state_);
-  state->policy = policy;
-  return View(std::move(state));
+  return View(std::make_shared<const State>(
+      State{state_->engine, policy, state_->record}));
 }
 
-std::uint64_t View::epoch() const { return state_->epoch; }
-NodeId View::num_nodes() const { return state_->n; }
-std::size_t View::num_edges() const { return state_->m; }
-std::size_t View::num_components() const { return state_->components; }
-Backend View::mask_backend() const { return state_->mask_backend; }
+const Engine& View::engine() const { return *state_->engine; }
+const EpochArtifacts& View::record() const { return *state_->record; }
+
+std::uint64_t View::epoch() const { return record().epoch; }
+NodeId View::num_nodes() const { return edge_span().num_nodes; }
+std::size_t View::num_edges() const { return edge_span().num_edges(); }
+std::size_t View::num_components() const {
+  return record().forest->num_components;
+}
+Backend View::mask_backend() const { return record().mask_backend; }
 const Policy& View::policy() const { return state_->policy; }
-graph::EdgeSpan View::edge_span() const { return state_->edges; }
+graph::EdgeSpan View::edge_span() const { return record().edges(); }
 
 const graph::EdgeList& View::edges() const {
-  if (state_->static_edges != nullptr) return *state_->static_edges;
+  const EpochArtifacts& record = this->record();
+  if (record.static_edges != nullptr) return *record.static_edges;
   // A plain copy, no kernels: the cell mutex alone serializes the export.
-  return *state_->edge_list->get_or_build([&] {
-    const graph::EdgeSpan g = state_->edges;
+  return *record.edge_list->get_or_build([&] {
+    const graph::EdgeSpan g = record.edges();
     return graph::EdgeList{g.num_nodes, {g.edges.begin(), g.edges.end()}};
   });
 }
-const bridges::SpanningForest& View::forest() const { return *state_->forest; }
+const bridges::SpanningForest& View::forest() const { return *record().forest; }
 
-const Engine& View::engine() const { return *state_->engine; }
-
-namespace {
-
-/// A View's read of one of its epoch's lazy cells, building the value on
-/// first demand: the device driver lock first, then the cell mutex.
-template <typename T, typename Build>
-std::shared_ptr<const T> lazy_artifact(const Engine& engine, EpochCell<T>& cell,
-                                       Build&& build) {
-  // Fast path: someone (this View, a sibling, or the Session) already built
-  // it — no device lock needed, the value is immutable.
-  if (auto value = cell.peek()) {
-    engine.counters().artifact_hits.fetch_add(1, kRelaxed);
-    return value;
-  }
-  const auto lock = engine.device().exclusive();
-  const bool built = cell.peek() == nullptr;  // re-check under lock
-  (built ? engine.counters().artifact_builds : engine.counters().artifact_hits)
-      .fetch_add(1, kRelaxed);
-  return cell.get_or_build(std::forward<Build>(build));
-}
-
-}  // namespace
-
-const graph::Csr& View::csr() const {
-  // The View's cell keeps the Csr alive.
-  return *lazy_artifact(engine(), *state_->csr, [&] {
-    return build_epoch_csr(engine().device(), state_->edges);
-  });
-}
+const graph::Csr& View::csr() const { return *epoch_csr(engine(), record()); }
 
 std::shared_ptr<const bcc::BccIndex> View::bcc_index() const {
-  return lazy_artifact(engine(), *state_->bcc, [&] {
-    return bcc::BccIndex::build(engine().device(), state_->edges,
-                                *state_->forest);
-  });
+  return epoch_bcc(engine(), record());
 }
 
 template <typename A>
 const A& View::artifact() const {
   if constexpr (std::is_same_v<A, bridges::BridgeMask>) {
-    return *state_->mask;
+    return *record().mask;
   } else if constexpr (std::is_same_v<A, dynamic::ConnectivityOracle>) {
-    return *state_->oracle;
+    return *record().oracle;
   } else if constexpr (std::is_same_v<A, lca::InlabelLca>) {
-    return *state_->forest_lca;
+    return *record().forest_lca;
   } else if constexpr (std::is_same_v<A, bcc::BccIndex>) {
-    return *bcc_index();  // the View's cell keeps the index alive
+    return *bcc_index();  // the record's cell keeps the index alive
   } else if constexpr (std::is_same_v<A, graph::Csr>) {
     return csr();
   } else {
     static_assert(std::is_same_v<A, bridges::SpanningForest>);
-    return *state_->forest;
+    return forest();
   }
 }
 

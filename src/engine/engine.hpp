@@ -18,29 +18,33 @@
 //             difference is where the epoch comes from (a DynamicGraph
 //             advances it per effective update batch, a static graph is
 //             forever at epoch 0).
-//   Session — a GraphRef plus an epoch-keyed artifact cache. Requests are
-//             typed batches, one family each, declared once in the
-//             registry (families.hpp); run() is one template over it. Each
-//             request is answered with the existing bulk kernels, a Policy
-//             picks the backend per request (explicit override or the
-//             calibrated cost model — policy.hpp), and every derived
+//   Session — a GraphRef plus one record of the current epoch's artifacts.
+//             Requests are typed batches, one family each, declared once in
+//             the registry (families.hpp); run() is one template over it.
+//             Each request is answered with the existing bulk kernels, a
+//             Policy picks the backend per request (explicit override or
+//             the calibrated cost model — policy.hpp), and every derived
 //             artifact (Csr, spanning forest, bridge mask, 2-ecc index,
-//             forest LCA, BCC index) is cached under the
-//             graph epoch so repeated and mixed request batches pay only
-//             the marginal work.
+//             forest LCA, BCC index) is kept in the epoch's record so
+//             repeated and mixed request batches pay only the marginal work.
 //   View    — an immutable, refcounted snapshot of ONE epoch's artifacts,
-//             acquired with Session::view(). A View answers every request
-//             type concurrently from any number of threads (snapshot
-//             isolation): host-routed query batches are lock-free reads of
-//             the frozen index; device-routed bulk kernels serialize on the
-//             context's driver lock. The serving shape is one writer thread
-//             updating the DynamicGraph and calling refresh()/view() to
-//             publish each new epoch, while reader threads keep answering
-//             on the Views they hold — an old epoch's artifacts stay alive
-//             exactly until the last View pinning them drops (MVCC by
-//             refcount; see Session::pinned_epochs()).
+//             acquired with Session::view(): the Session's record itself,
+//             shared, plus the View's engine and routing policy. A record a
+//             View holds is never written; the Session swaps in a copy
+//             before it replaces or clears one of its fields, and an epoch
+//             change or a replay publish installs a new record whole. A
+//             View answers every request type concurrently from any number
+//             of threads (snapshot isolation): host-routed query batches
+//             are lock-free reads of the frozen index; device-routed bulk
+//             kernels serialize on the context's driver lock. The serving
+//             shape is one writer thread updating the DynamicGraph and
+//             calling refresh()/view() to publish each new epoch, while
+//             reader threads keep answering on the Views they hold — an old
+//             epoch's record stays alive exactly until the last View
+//             pinning it drops (MVCC by refcount; see
+//             Session::pinned_epochs()).
 //
-// The artifact cache's 2-ecc artifact IS a dynamic::ConnectivityOracle —
+// The record's 2-ecc artifact IS a dynamic::ConnectivityOracle —
 // not a parallel universe. The oracle is an epoch-free index; the Session
 // owns the one replay rule (replay_partition): when everything the graph
 // added since the index's epoch is one small insert-only suffix of the
@@ -105,15 +109,16 @@ namespace emc::engine {
 class Engine;
 class Session;
 class View;
+struct EpochArtifacts;  // one epoch's artifacts (engine.cpp)
 
 // ------------------------------------------------------------ EpochCell
 
 /// Once-per-epoch build cell for the artifacts no publish needs (the BCC
-/// index, the Csr): the first request that reads one builds it. The
-/// Session's cache holds one cell per such artifact per epoch — a fresh
-/// cell on every epoch change, never a mutation of the old one (copy-on-
-/// write at cell granularity) — and Views share the epoch's cells, so
-/// whichever side builds first, everyone reads the same immutable value.
+/// index, the Csr): the first request that reads one builds it. Each
+/// epoch's record holds one cell per such artifact — a new record starts
+/// with fresh cells, never a mutation of the old ones — and the Session and
+/// every View of the epoch share the record, so whichever side builds
+/// first, everyone reads the same immutable value.
 ///
 /// Lock order: device exclusive lock FIRST, then the cell mutex —
 /// get_or_build assumes the caller already holds the driver lock (builds
@@ -168,12 +173,6 @@ class GraphRef {
   /// a dynamic graph advances per effective update batch.
   std::uint64_t epoch() const {
     return dynamic_ != nullptr ? dynamic_->epoch() : 0;
-  }
-  /// The current edges. A dynamic graph's span stays valid until its next
-  /// update (a View co-owns its own snapshot instead).
-  graph::EdgeSpan edges(const device::Context& ctx) const {
-    return dynamic_ != nullptr ? dynamic_->snapshot(ctx).span()
-                               : graph::EdgeSpan(*static_);
   }
   const graph::EdgeList* static_graph() const { return static_; }
   const dynamic::DynamicGraph* dynamic_graph() const { return dynamic_; }
@@ -376,8 +375,8 @@ class View {
 
   /// The epoch's vertex-biconnectivity artifact, building it on first call
   /// (the build serializes on the device driver lock; afterwards the index
-  /// is immutable and lock-free to read). Shared with the session's cache
-  /// cell, so the first builder — session or any View — pays for everyone.
+  /// is immutable and lock-free to read). The cell is the epoch record's,
+  /// so the first builder — session or any View — pays for everyone.
   /// Composite indexes (shard::ShardedView's skeleton stitch) read the
   /// per-shard tables through this.
   std::shared_ptr<const bcc::BccIndex> bcc_index() const;
@@ -392,7 +391,7 @@ class View {
 
   /// A copy of this View answering under a different routing policy (e.g.
   /// host_fallback_when_busy for degraded serving). Cheap: the copy shares
-  /// every pinned artifact; only the captured Policy differs.
+  /// the epoch's record; only the captured Policy differs.
   View with_policy(const Policy& policy) const;
 
  private:
@@ -400,6 +399,7 @@ class View {
   struct State;
   explicit View(std::shared_ptr<const State> state) : state_(std::move(state)) {}
   const Engine& engine() const;
+  const EpochArtifacts& record() const;
   std::shared_ptr<const State> state_;
 };
 
@@ -415,11 +415,11 @@ class Session {
   //     The artifact is built (or hit) under the device driver lock and
   //     released; answering then routes host/device per policy.
   //
-  // run(Bridges) returns a reference into the artifact cache: it stays
+  // run(Bridges) returns a reference into the epoch's record: it stays
   // valid until the next request that recomputes the mask (an epoch
   // change, drop_results/drop_artifacts, or a forced backend different
   // from the one that produced it). Copy the mask to keep it across such
-  // calls — or hold a View, whose mask is frozen.
+  // calls — or hold a View, whose record is frozen.
   template <Request Req>
   Answer<Req> run(const Req& request) {
     return run(request, engine_->default_policy());
@@ -439,7 +439,7 @@ class Session {
   // lazy either way) and returns the epoch-pinned snapshot;
   // refresh() does the same without acquiring a View — the writer-side
   // "publish artifacts on the side" step, making the next view() cheap.
-  // Acquiring a View freezes the artifacts it shares: the next epoch's
+  // Acquiring a View freezes the record it shares, and the next epoch's
   // 2-ecc step clones the oracle (copy-on-write) instead of advancing it in
   // place, so held Views keep answering at their epoch.
   View view();
@@ -479,7 +479,7 @@ class Session {
   std::uint64_t epoch() const { return graph_.epoch(); }
   /// The backend that served the most recent bridge-mask computation
   /// (after kAuto resolution); kAuto if none ran yet this epoch.
-  Backend mask_backend() const { return cache_.mask_backend; }
+  Backend mask_backend() const;
 
   /// Epoch publishes (refresh()/view()) this session served by replaying
   /// the edges added since the previous publish onto its artifacts, vs by
@@ -504,37 +504,12 @@ class Session {
 
  private:
   friend class Engine;
-  Session(Engine& engine, GraphRef graph) : engine_(&engine), graph_(graph) {}
+  Session(Engine& engine, GraphRef graph);
 
+  /// What the session carries ACROSS epochs; each epoch's artifacts live in
+  /// its record (record_).
   struct Cache {
     static constexpr std::uint64_t kNone = ~std::uint64_t{0};
-    std::uint64_t epoch = kNone;  // epoch the artifacts below belong to
-    // Artifacts are shared_ptrs so a published View co-owns them: an epoch
-    // change RESETS the session's reference (and rebuilds on demand) while
-    // every View pinning the old epoch keeps the objects alive.
-    /// The epoch's Csr, built lazily from the edge snapshot by the first
-    /// reader (diameter hint, CK/DFS mask backends, BfsLevels) — never by a
-    /// publish. Fresh cell per epoch, shared with Views like `bcc`.
-    std::shared_ptr<EpochCell<graph::Csr>> csr =
-        std::make_shared<EpochCell<graph::Csr>>();
-    /// A dynamic epoch's edges as an owned EdgeList (View::edges()), copied
-    /// out of the log by the first reader. Fresh cell per epoch.
-    std::shared_ptr<EpochCell<graph::EdgeList>> edge_list =
-        std::make_shared<EpochCell<graph::EdgeList>>();
-    std::shared_ptr<const bridges::SpanningForest> forest;
-    std::shared_ptr<const bridges::BridgeMask> mask;
-    Backend mask_backend = Backend::kAuto;
-    /// Edge ids (mask order) of the current mask's bridges, computed on the
-    /// publish path only: the next epoch's delta replay demotes dying
-    /// bridges by rechecking exactly these instead of rescanning the mask.
-    std::shared_ptr<const std::vector<EdgeId>> bridge_edges;
-    /// Set when a View shares the mask / forest object (make_state); the
-    /// delta replay then patches a COPY (copy-on-write) instead of mutating
-    /// the artifact under the readers. Sticky for the same reason as
-    /// `oracle_published` below: a refcount load is not a synchronization
-    /// point, so use_count() == 1 must not license in-place mutation.
-    bool mask_published = false;
-    bool forest_published = false;
     // The 2-ecc index persists across epochs (insert batches replay onto
     // it), so it carries its own epoch: the one it was last advanced to,
     // kNone when the next step must build (never built, dropped, or a
@@ -545,15 +520,6 @@ class Session {
     bool oracle_published = false;
     std::shared_ptr<dynamic::ConnectivityOracle> oracle =
         std::make_shared<dynamic::ConnectivityOracle>();
-    std::shared_ptr<const lca::InlabelLca> forest_lca;
-    /// Vertex-biconnectivity cell: built at most once per epoch, by the
-    /// first Articulations/SameBcc reader — never by a publish. An epoch
-    /// change swaps in a FRESH cell — never a mutation of the old one — so
-    /// Views pinning the outgoing epoch keep their (immutable) index:
-    /// copy-on-write at cell granularity, the same published-artifact
-    /// discipline as the bridge mask.
-    std::shared_ptr<EpochCell<bcc::BccIndex>> bcc =
-        std::make_shared<EpochCell<bcc::BccIndex>>();
     // Sticky diameter hint (see diameter_estimate()).
     static constexpr std::uint64_t kDiameterMaxAge = 16;  // effective batches
     NodeId diameter = kNoNode;
@@ -562,9 +528,12 @@ class Session {
   };
 
   /// Epoch fence: every request passes through here first; a changed epoch
-  /// invalidates the epoch-keyed artifacts (the oracle object survives, at
-  /// its own oracle_epoch, so insert batches can replay onto it).
+  /// installs a fresh record (the oracle object survives, at its own
+  /// oracle_epoch, so insert batches can replay onto it).
   void sync_epoch();
+  /// Swaps in a copy of the current record before one of its filled fields
+  /// is replaced or cleared: a View may hold the current one.
+  void copy_record();
   const graph::Csr& csr_artifact();
   NodeId diameter_artifact();
   const bridges::SpanningForest& forest();
@@ -591,14 +560,14 @@ class Session {
   /// a cycle across components. Host checks only; mutates nothing.
   std::optional<Replay> replay_partition() const;
   /// The one oracle step, shared by oracle_artifact and the replay
-  /// publish: replays `replay` onto the index, or builds it from the
-  /// current snapshot (seeded with `mask` / `forest` when given) when there
-  /// is no replay or insert() refuses it. Advances Cache::oracle_epoch as
+  /// publish: replays `replay` onto the index, or builds it from `edges`,
+  /// the current epoch's (seeded with `mask` / `forest` when given), when
+  /// there is no replay or insert() refuses it. Advances Cache::oracle_epoch as
   /// soon as it succeeds — a publish
   /// retried after a later fault must not replay the batch twice — and
   /// leaves it kNone if it throws, so the retry builds.
   void advance_oracle(const std::optional<Replay>& replay,
-                      const bridges::BridgeMask* mask,
+                      graph::EdgeSpan edges, const bridges::BridgeMask* mask,
                       const bridges::SpanningForest* forest);
   const lca::InlabelLca& forest_lca_artifact();
   /// The BCC index artifact (expects the device driver lock held).
@@ -615,28 +584,32 @@ class Session {
   /// Materializes every artifact for the current epoch under `policy`
   /// (expects the caller to hold the device driver lock).
   void ensure_all_artifacts(const Policy& policy);
-  /// The delta-replay publish fast path: when the previous epoch is fully
-  /// published (every artifact, the 2-ecc index included, at
-  /// Cache::epoch) and replay_partition() holds, produce this epoch's
-  /// spanning forest, bridge mask, 2-ecc index and forest LCA by patching
-  /// the previous epoch's artifacts with that one partition of the log
-  /// suffix (the snapshot itself is the log prefix: nothing to copy)
-  /// instead of rebuilding — O(n) worst case (label relabels) rather than
-  /// the full pipeline. The Csr and BCC index start empty (lazy cells).
-  /// Returns false, having mutated nothing, when any eligibility check
-  /// fails (the replay rule, missing artifacts, forced-backend mismatch);
-  /// the caller then runs the full pipeline.
+  /// The delta-replay publish fast path: when the current record is a
+  /// fully published previous epoch (every artifact, the 2-ecc index at its
+  /// epoch too) and replay_partition() holds, build this epoch's record —
+  /// spanning forest, bridge mask, 2-ecc index and forest LCA — from the
+  /// previous one's and that one partition of the log suffix (the snapshot
+  /// itself is the log prefix: nothing to copy) instead of rebuilding:
+  /// O(n) worst case (label relabels) rather than the full pipeline. The
+  /// Csr and BCC index start empty (lazy cells). The record is installed
+  /// with one assignment once every step has succeeded. Returns false,
+  /// having mutated nothing, when any eligibility check fails (the replay
+  /// rule, missing artifacts, forced-backend mismatch); the caller then
+  /// runs the full pipeline.
   bool try_replay_publish(const Policy& policy);
-  /// Materializes Cache::bridge_edges from the current mask (publish path
-  /// only — dynamic sessions; lazy run() requests never need it).
+  /// Fills the record's bridge_edges from its mask (publish path only —
+  /// dynamic sessions; lazy run() requests never need it).
   void ensure_bridge_edges();
-  /// ensure_all_artifacts + assemble and register the shared snapshot.
+  /// ensure_all_artifacts + share the record with a new View's state.
   std::shared_ptr<const View::State> make_state(const Policy& policy);
   PlanInputs plan_inputs();
   bool track(bool built);  // stats helper: count a build or a hit
 
   Engine* engine_;
   GraphRef graph_;
+  /// The current epoch's record (null before the first request and after
+  /// drop_artifacts), shared with every View acquired at it.
+  std::shared_ptr<EpochArtifacts> record_;
   Cache cache_;
   std::uint64_t publish_replays_ = 0;
   std::uint64_t publish_rebuilds_ = 0;

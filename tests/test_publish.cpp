@@ -622,6 +622,9 @@ void sweep_replay_faults(const char* site, bool hold_view) {
       session.refresh();
     }
 
+    // The ledger balances: the initial rebuild plus exactly one publish of
+    // the faulted epoch, a replay or (after a fault) a rebuild.
+    EXPECT_EQ(session.publish_replays() + session.publish_rebuilds(), 2u);
     EXPECT_EQ(index_steps(), steps + 1);
     const View got = session.view();
     ASSERT_EQ(got.epoch(), dg.epoch());
