@@ -13,10 +13,10 @@
 //     first query (the index refresh dominates; launches shows the fixed
 //     kernel count);
 //   incremental rows — refresh cost alone for small INSERT-ONLY batches,
-//     where the cached index replays the delta (LCA kernel + union-find
-//     contraction, plus the tree-link path for cross-component edges)
-//     instead of the full pipeline, next to a fresh session's full rebuild
-//     of the same snapshot;
+//     where the session replays the delta onto the previous epoch's record
+//     (an interval test over the forest's bridges, no path walk) instead
+//     of the full pipeline, next to a fresh session's full rebuild of the
+//     same snapshot;
 //   query rows  — queries/s for same_2ecc and bridges_on_path batches on
 //     the forced device route, plus the auto route (host below the
 //     launch-overhead threshold) for comparison;
@@ -71,7 +71,8 @@ int main(int argc, char** argv) {
   const auto runs = std::max(
       1, static_cast<int>(flags.get_int("runs", 3, "timing runs")));
   const bool check = flags.get_int("check", 0,
-                                   "exit 1 unless incremental publish costs "
+                                   "exit 1 unless every incremental row "
+                                   "replays and incremental publish costs "
                                    "<= 10% of a full publish") != 0;
   flags.finish();
 
@@ -131,8 +132,9 @@ int main(int argc, char** argv) {
   // ---- incremental refresh vs full rebuild: small insert-only batches of
   // intra-component edges (the delta shape the replay paths serve). Timed
   // per phase: the index refresh only — the DCSR apply is identical for
-  // both. The "full" side is a FRESH session on the same graph, whose
-  // oracle has no index to replay onto.
+  // both. The "full" side is a FRESH session on the same graph, which has
+  // no record to replay from. A replay not taken fails --check.
+  std::size_t skipped_replays = 0;
   {
     const auto cc = graph::connected_component_labels(dg.snapshot(ctx));
     auto intra_batch = [&](std::size_t size) {
@@ -150,17 +152,16 @@ int main(int argc, char** argv) {
       for (int r = 0; r < runs; ++r) {
         session.run(engine::Same2Ecc{{{0, 1}}});  // make the index current
         dg.insert_edges(ctx, intra_batch(batch_size));
-        const std::size_t incrementals_before =
-            session.two_ecc_index().incremental_refreshes();
+        const std::uint64_t replays_before = session.publish_replays();
         std::uint64_t before = ctx.launch_count();
         util::Timer timer;
         session.run(engine::Same2Ecc{{{0, 1}}});
         incr_total += timer.seconds();
         incr_launches += ctx.launch_count() - before;
-        if (session.two_ecc_index().incremental_refreshes() ==
-            incrementals_before) {
-          std::fprintf(stderr, "warning: incremental path not taken at "
-                       "batch=%zu\n", batch_size);
+        if (session.publish_replays() == replays_before) {
+          std::fprintf(stderr, "incremental path not taken at batch=%zu\n",
+                       batch_size);
+          ++skipped_replays;
         }
         engine::Session fresh = eng.session(dg);  // full pipeline
         before = ctx.launch_count();
@@ -210,8 +211,9 @@ int main(int argc, char** argv) {
         incr_total += timer.seconds();
         incr_launches += ctx.launch_count() - before;
         if (session.publish_replays() == replays_before) {
-          std::fprintf(stderr, "warning: publish replay not taken at "
-                       "batch=%zu\n", batch_size);
+          std::fprintf(stderr, "publish replay not taken at batch=%zu\n",
+                       batch_size);
+          ++skipped_replays;
         }
         engine::Session fresh = eng.session(dg);  // full pipeline baseline
         before = ctx.launch_count();
@@ -281,6 +283,12 @@ int main(int argc, char** argv) {
   table.print();
   if (!bench::write_bench_json("BENCH_dynamic.json", rows)) {
     std::fprintf(stderr, "failed to write BENCH_dynamic.json\n");
+    return 1;
+  }
+  if (check && skipped_replays > 0) {
+    std::fprintf(stderr,
+                 "check FAILED: %zu incremental rows did not replay\n",
+                 skipped_replays);
     return 1;
   }
   if (check && worst_publish_ratio > 0.10) {

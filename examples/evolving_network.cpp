@@ -3,8 +3,8 @@
 // Scenario: a regional road network monitored for single points of failure.
 // Edges fail (washouts, closures) and get built in batches; the session's
 // epoch-keyed artifact cache notices each effective batch, brings the 2-ecc
-// index up to date (incrementally when the delta is small — including the
-// tree-link fast path when construction reconnects two regions), and
+// index up to date (by replaying an insert-only delta onto the previous
+// epoch's record when it is small, reconnected regions included), and
 // answers dispatcher query batches: "are these two depots still on a
 // redundant route?" and "how many critical road segments does a trip
 // between them cross?". No-op batches (re-reported closures) never advance
@@ -89,13 +89,11 @@ int main(int argc, char** argv) {
   const std::size_t noop = roads.erase_edges(ctx, {gone, gone});
   const std::uint64_t launches = eng.device_launches();
   session.run(engine::Same2Ecc{{{depot_a, depot_b}}});
-  const auto& index = session.two_ecc_index();
   std::printf("\nno-op batch: %zu changes, %llu kernel launches to re-answer "
-              "(index: %zu rebuilds, %zu incremental of which %zu "
-              "tree-links)\n",
+              "(epochs: %llu replayed, %llu rebuilt)\n",
               noop,
               static_cast<unsigned long long>(eng.device_launches() - launches),
-              index.rebuilds(), index.incremental_refreshes(),
-              index.tree_links());
+              static_cast<unsigned long long>(session.publish_replays()),
+              static_cast<unsigned long long>(session.publish_rebuilds()));
   return 0;
 }

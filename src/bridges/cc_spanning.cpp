@@ -130,4 +130,12 @@ graph::EdgeList virtual_root_tree(const device::Context& ctx,
   return tree;
 }
 
+std::shared_ptr<const lca::InlabelLca> forest_lca(
+    const device::Context& ctx, graph::EdgeSpan graph,
+    const SpanningForest& forest) {
+  return std::make_shared<const lca::InlabelLca>(
+      lca::InlabelLca::build_from_edges(
+          ctx, virtual_root_tree(ctx, graph, forest), graph.num_nodes));
+}
+
 }  // namespace emc::bridges

@@ -16,15 +16,17 @@
 // Hooking strictly label-decreasing keeps the union acyclic, so the
 // recorded edges form a spanning forest: exactly n - #components edges.
 //
-// Every Euler-tour user (TV, the hybrid, the BCC index, the engine's forest
-// LCA) roots this forest one way, virtual_root_tree below: the forest plus
-// one virtual node adjacent to each component representative.
+// Every Euler-tour user (TV, the hybrid, the BCC index, forest_lca below)
+// roots this forest one way, virtual_root_tree below: the forest plus one
+// virtual node adjacent to each component representative.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "device/context.hpp"
 #include "graph/graph.hpp"
+#include "lca/inlabel.hpp"
 #include "util/timer.hpp"
 #include "util/types.hpp"
 
@@ -57,5 +59,11 @@ std::vector<NodeId> component_representatives(const device::Context& ctx,
 graph::EdgeList virtual_root_tree(const device::Context& ctx,
                                   graph::EdgeSpan graph,
                                   const SpanningForest& forest);
+
+/// The forest LCA: one fused Euler tour roots virtual_root_tree at n AND
+/// feeds the Schieber-Vishkin inlabel index. The 2-ecc index reads it.
+std::shared_ptr<const lca::InlabelLca> forest_lca(const device::Context& ctx,
+                                                  graph::EdgeSpan graph,
+                                                  const SpanningForest& forest);
 
 }  // namespace emc::bridges

@@ -1,76 +1,43 @@
-// 2-edge-connectivity oracle — the queryable index the paper's pipeline
-// produces, kept alive between update batches.
+// 2-edge-connectivity index on an epoch's spanning forest — the queryable
+// index the paper's pipeline produces.
 //
-// build() indexes a snapshot with the paper's own pipeline:
+// One rooted spanning tree answers every tree query (the paper's Euler-tour
+// technique). Every bridge is a tree edge of every spanning forest, and each
+// 2-edge-connected block meets the forest in a connected subtree. So the
+// index derives from the epoch's forest, its forest LCA (bridges::forest_lca,
+// shared with the epoch record) and bridge mask: per node, its compact block
+// label (the components of the non-bridge tree edges,
+// bridges::two_edge_components) and parent edge; per block, its size, one
+// member and its bridge depth bd — the bridges on any member's forest root
+// path, one count for all members since the block's tree part is connected.
+// A simple forest path crosses exactly the bridges separating its ends, once
+// each, so
 //
-//   bridge mask          — Tarjan-Vishkin on the snapshot as it is (a
-//                          disconnected one too: TV roots its spanning
-//                          forest below one virtual node adjacent to each
-//                          component representative), or the caller's mask;
-//   2ecc labels          — two_edge_components (bridge removal + device CC);
-//   bridge-block tree    — contract each 2-edge-connected component to one
-//                          node; the bridges are exactly the tree edges of
-//                          the resulting forest, which is rooted through a
-//                          virtual super-root and preprocessed with the
-//                          Schieber-Vishkin inlabel LCA.
+//   bridges_on_path(u, v) = bd(u) + bd(v) - 2 bd(lca_F(u, v))
 //
-// Each query is O(1) arithmetic on the index (the inlabel query on the
-// block tree). The engine answers request batches through these scalar
-// queries with ONE bulk kernel per batch (engine::answer_each), so there
-// are no per-query kernel launches, exactly the regime the paper's
-// Figure 6 shows the device needs.
+// and same_2ecc compares labels: O(1) queries, which the engine answers in
+// bulk with ONE kernel per batch (engine::answer_each), the paper's Figure 6
+// regime.
 //
-// The index has no epoch and names no graph store: it is whatever its last
-// build() or insert() made it. Deciding WHEN an insert batch may be
-// replayed belongs to the caller (engine::Session owns the one replay
-// rule); the oracle only states the size rule (incremental_applies) and
-// refuses, unchanged, a batch whose covered paths are too long.
+// insert() derives the next epoch's index for an insert-only suffix and
+// walks no path. An intra edge {u, v} weighs +1 at
+// pre(u) and pre(v) and -2 at pre(lca_F(u, v)); an old bridge (p, c) is
+// demoted iff the weight inside c's interval [pre(c), pre(c) + size(c)) is
+// positive (Tarjan-Vishkin's test: the sum counts the edges with exactly one
+// end below c). Demoted bridges union their blocks, and a block's bd drops by
+// the demoted intervals holding it. A cross edge is a new bridge linking two
+// trees: no block changes; the caller links the forest and rebuilds its LCA,
+// and bd is recomputed over the new preorder.
 //
-// Incremental maintenance: insert() replays an insert-only batch split by
-// the indexed components (partition_insertions). An inserted edge {u, v}
-// inside one component can only MERGE 2-edge-connected components: it
-// closes a cycle through the block-tree path between u's and v's blocks,
-// so every block on that path collapses into one. The intra-component part
-//
-//   1. answers all inserted endpoints' block pairs with ONE bulk LCA kernel
-//      on the existing block tree;
-//   2. contracts each pair's tree path with the device union-find (one bulk
-//      kernel; each virtual thread walks its path hooking blocks together
-//      with CAS — src/device/union_find.hpp);
-//   3. relabels the per-node block ids with one n-sized pass;
-//   4. keeps the indexed block tree: the contracted tree edges are only
-//      marked dead, and one preorder difference-array scan recomputes each
-//      tree node's bridge depth (live edges on its root path). The LCA of
-//      two blocks in the contracted tree is the class of their LCA in the
-//      indexed tree, so bridges_on_path stays exact with no Euler tour;
-//      the quotient is reindexed only once dead edges outnumber live ones.
-//
-// An edge whose endpoints lie in DIFFERENT components cannot merge any
-// 2-edge-connected components (every cycle through it would need a second
-// connecting edge): it IS a new bridge, and its only structural effect is
-// linking two trees of the block forest. The cross-component part is
-// replayed by link_components() without touching the n-sized 2-ecc state:
-// merge the affected component labels (one n-sized relabel pass), append
-// one block-tree edge per inserted bridge to the live quotient tree, drop
-// the merged-away components' virtual-root edges, and reindex only the
-// block tree + inlabel LCA.
-//
-// The contraction's work is the total length of the covered block-tree
-// paths, which the batch size does not bound (one edge can span a
-// million-block chain), so after the bulk LCA answers the path lengths are
-// summed and an oversized total makes insert() return false — see
-// apply_insertions().
+// The index has no epoch and counts nothing: when a suffix may be replayed is
+// engine::Session's one replay rule.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "bridges/bridges.hpp"
@@ -78,63 +45,42 @@
 #include "device/context.hpp"
 #include "graph/graph.hpp"
 #include "lca/inlabel.hpp"
-#include "util/timer.hpp"
 #include "util/types.hpp"
 
 namespace emc::dynamic {
 
-/// An insert batch split by the connected components of the snapshot it
-/// applies to: intra-component edges can only merge 2-edge-connected
-/// blocks, cross-component edges each become a bridge linking two trees.
-struct InsertPartition {
-  std::vector<std::size_t> intra;  // batch indexes, endpoints in one component
-  std::vector<std::size_t> cross;  // batch indexes, endpoints in two components
-  /// Loser label -> final winner label of the components the cross edges
-  /// join. The min label wins, so relabeling yields exactly what a fresh CC
-  /// labeling of the new snapshot assigns (component[rep] == rep holds).
-  std::unordered_map<NodeId, NodeId> merged;
-};
-
-/// Classifies `inserted` by `labels` (per-node component label of the
-/// snapshot BEFORE the insert), merging the touched labels with a host
-/// union-find as it goes. Returns nullopt for the one shape neither
-/// incremental replay can express: a cross edge closing a cycle through
-/// components merged earlier in the same batch (it is not a bridge, yet
-/// not intra-component on the old snapshot either).
-std::optional<InsertPartition> partition_insertions(
-    const std::vector<NodeId>& labels,
-    std::span<const graph::Edge> inserted);
-
 class ConnectivityOracle {
  public:
-  /// Builds the index from a snapshot with the full pipeline. Phases (when
-  /// collected): components, bridge_mask, two_ecc, block_tree.
-  /// `bridge_mask`, when provided, must align with `snapshot.edges` (any
-  /// backend — they all agree) and lets the build skip its own
-  /// Tarjan-Vishkin mask phase; `cc`, when provided, must be the spanning
-  /// forest of `snapshot` and spares the build its components phase the
-  /// same way — so a session that already answered a Bridges request pays
-  /// only the marginal 2-ecc work.
-  void build(const device::Context& ctx, graph::EdgeSpan snapshot,
-             const bridges::BridgeMask* bridge_mask = nullptr,
-             const bridges::SpanningForest* cc = nullptr,
-             util::PhaseTimer* phases = nullptr);
+  /// The index of the empty graph.
+  ConnectivityOracle() = default;
 
-  /// Replays `inserted` — every edge added to the indexed snapshot since,
-  /// one or more insert-only batches concatenated — split by `part`, which
-  /// partition_insertions computed over component_labels(). Returns false,
-  /// leaving the index UNCHANGED, when the covered-length rule fires (see
-  /// apply_insertions); the caller then build()s the new snapshot. Phases:
-  /// lca_paths, contract, block_tree, tree_link.
-  bool insert(const device::Context& ctx,
-              std::span<const graph::Edge> inserted,
-              const InsertPartition& part, util::PhaseTimer* phases = nullptr);
+  /// Indexes `g` from its spanning forest, that forest's LCA
+  /// and a bridge mask aligned with g.edges (any backend — they all agree).
+  ConnectivityOracle(const device::Context& ctx, graph::EdgeSpan g,
+                     const bridges::SpanningForest& forest,
+                     std::shared_ptr<const lca::InlabelLca> lca,
+                     const bridges::BridgeMask& mask);
 
-  /// The size half of the incremental decision rule: an insert-only batch
-  /// qualifies iff it is small relative to the INDEXED snapshot —
+  /// The index of `g`: the indexed snapshot followed by `inserted` (its
+  /// edge log suffix, any number of insert-only batches), of which the
+  /// `intra` edges join nodes the indexed forest already connects and the
+  /// rest link its trees. `forest` and `lca` are g's forest and forest LCA;
+  /// the arrays bound to the forest are kept iff `lca` is the indexed one.
+  /// On entry `mask` is the indexed mask extended to g.edges, the appended
+  /// verdicts included; insert() clears the bridges the suffix demotes and
+  /// mutates nothing else. Arrays the suffix leaves unchanged are shared.
+  ConnectivityOracle insert(const device::Context& ctx, graph::EdgeSpan g,
+                            const bridges::SpanningForest& forest,
+                            std::span<const graph::Edge> inserted,
+                            std::span<const std::size_t> intra,
+                            std::shared_ptr<const lca::InlabelLca> lca,
+                            bridges::BridgeMask& mask) const;
+
+  /// The size half of the replay rule: an insert-only batch qualifies iff
+  /// it is small relative to the INDEXED snapshot —
   ///   inserted <= max(kIncrementalFloor, indexed_edges / kIncrementalRatio)
   /// and erased == 0. (The floor keeps small graphs on the incremental path;
-  /// the ratio bounds the worst case where contraction relabels would not
+  /// the ratio bounds the worst case where the replay's passes would not
   /// beat the full pipeline.)
   static bool incremental_applies(std::size_t inserted, std::size_t erased,
                                   std::size_t indexed_edges) {
@@ -146,26 +92,16 @@ class ConnectivityOracle {
   static constexpr std::size_t kIncrementalFloor = 64;
   static constexpr std::size_t kIncrementalRatio = 4;
 
-  std::size_t rebuilds() const { return rebuilds_; }
-  /// Batches served by insert() (the delta-replay path).
-  std::size_t incremental_refreshes() const { return incremental_refreshes_; }
-  /// Incremental refreshes whose batch included cross-component edges,
-  /// served by the tree-link path (a subset of incremental_refreshes()).
-  std::size_t tree_links() const { return tree_links_; }
-
   std::size_t num_bridges() const { return num_bridges_; }
   /// Number of 2-edge-connected components (blocks).
   std::size_t num_blocks() const { return num_blocks_; }
 
   /// Per-node compact 2-ecc block id in [0, num_blocks) — u and v share a
   /// block iff same_2ecc(u, v). This is the label array the engine serves
-  /// as its TwoEcc artifact (the oracle IS the cache's 2-ecc index, not a
-  /// parallel universe).
-  const std::vector<NodeId>& block_labels() const { return block_of_; }
+  /// as its TwoEcc artifact.
+  const std::vector<NodeId>& block_labels() const { return *labels_; }
   /// Nodes per block, indexed by block id.
-  const std::vector<NodeId>& block_sizes() const { return block_size_; }
-  /// Per-node connected-component representative of the indexed snapshot.
-  const std::vector<NodeId>& component_labels() const { return cc_label_; }
+  const std::vector<NodeId>& block_sizes() const { return *sizes_; }
 
   // Query precondition (all queries below): node ids must be < the indexed
   // snapshot's num_nodes — checked by assert in Debug builds, unchecked on
@@ -174,83 +110,41 @@ class ConnectivityOracle {
   /// True iff two edge-disjoint u-v paths exist.
   bool same_2ecc(NodeId u, NodeId v) const {
     assert(in_range(u) && in_range(v));
-    return block_of_[u] == block_of_[v];
+    return (*labels_)[u] == (*labels_)[v];
   }
 
   /// Number of bridges on the (every) u-v path, or kNoNode if u and v lie
-  /// in different connected components. O(1) via the block-tree LCA.
-  NodeId bridges_on_path(NodeId u, NodeId v) const;
+  /// in different connected components. O(1) via the forest LCA.
+  NodeId bridges_on_path(NodeId u, NodeId v) const {
+    assert(in_range(u) && in_range(v));
+    const std::vector<NodeId>& label = *labels_;
+    if (label[u] == label[v]) return 0;
+    const NodeId z = lca_->query(u, v);
+    // The virtual root is the meet of nodes in different components.
+    if (static_cast<std::size_t>(z) == label.size()) return kNoNode;
+    return depth_[label[u]] + depth_[label[v]] - 2 * depth_[label[z]];
+  }
 
   /// Size of u's 2-edge-connected component.
   NodeId component_size(NodeId u) const {
     assert(in_range(u));
-    return block_size_[block_of_[u]];
+    return (*sizes_)[(*labels_)[u]];
   }
 
  private:
-  /// Replays the intra-component insertions `inserted[ids]` onto the
-  /// current index. Precondition: every such edge's endpoints share a
-  /// connected component (partition_insertions). Returns false —
-  /// leaving the index UNCHANGED — when the covered-length rule fires: the
-  /// summed block-tree path length of the delta exceeds
-  /// max(kIncrementalFloor, num_blocks / kIncrementalRatio), in which case
-  /// the contraction walk would not beat the full pipeline. The covered
-  /// tree edges are marked dead in the carried tree, not reindexed.
-  bool apply_insertions(const device::Context& ctx,
-                        std::span<const graph::Edge> inserted,
-                        const std::vector<std::size_t>& ids,
-                        util::PhaseTimer* phases);
-
-  /// Replays the cross-component insertions `inserted[cross]` onto the
-  /// current index: each edge becomes a new bridge linking two trees of the
-  /// block forest, so no 2-ecc state changes — apply `merged`
-  /// (partition_insertions' resolved loser -> winner labels) to the
-  /// component labels in one n-sized pass, splice the new bridges into
-  /// current_block_tree() in place of the merged-away components'
-  /// virtual-root edges, and reindex once.
-  void link_components(const device::Context& ctx,
-                       std::span<const graph::Edge> inserted,
-                       const std::vector<std::size_t>& cross,
-                       const std::unordered_map<NodeId, NodeId>& merged,
-                       util::PhaseTimer* phases);
-
-  /// The live block forest as an edge list over compact block ids — the
-  /// quotient of the carried tree by its dead edges (one parent edge per
-  /// block; root children attached to the virtual super-root, node id
-  /// num_blocks).
-  graph::EdgeList current_block_tree(const device::Context& ctx) const;
-
-  /// Indexes `block_tree` (one node per current block + the virtual
-  /// super-root, node id num_blocks) with the inlabel LCA and resets the
-  /// carried-tree state to it: no dead edges, every block its own node.
-  void index_block_tree(const device::Context& ctx,
-                        const graph::EdgeList& block_tree);
-
   bool in_range(NodeId v) const {
-    return v >= 0 && static_cast<std::size_t>(v) < block_of_.size();
+    return v >= 0 && static_cast<std::size_t>(v) < labels_->size();
   }
-
-  std::size_t rebuilds_ = 0;
-  std::size_t incremental_refreshes_ = 0;
-  std::size_t tree_links_ = 0;
 
   std::size_t num_bridges_ = 0;
   std::size_t num_blocks_ = 0;
-  std::vector<NodeId> cc_label_;    // connected-component representative
-  std::vector<NodeId> block_of_;    // compact 2ecc block id, [0, num_blocks)
-  std::vector<NodeId> block_size_;  // nodes per block
-  // The carried block tree: the inlabel LCA over the block forest as of the
-  // last reindex, rooted at a virtual super-root (its last node). Its
-  // nodes are the blocks of THAT moment; intra-component replays since
-  // then merged some of them by contracting tree edges, which stay in the
-  // index and are only marked dead. Each current block is a connected
-  // subtree of the carried tree. Shared (immutable) between copy-on-write
-  // clones; engaged whenever the indexed snapshot has >= 1 node.
-  std::shared_ptr<const lca::InlabelLca> block_lca_;
-  std::vector<std::uint8_t> dead_;      // per tree node: parent edge contracted
-  std::vector<NodeId> node_block_;      // per tree node: current block id
-  std::vector<NodeId> class_node_;      // per block: its top tree node
-  std::vector<NodeId> bridge_depth_;    // per tree node: live root-path edges
+  std::shared_ptr<const std::vector<NodeId>> labels_ =
+      std::make_shared<const std::vector<NodeId>>();
+  std::shared_ptr<const std::vector<NodeId>> sizes_ = labels_;
+  std::shared_ptr<const NodeId[]> members_;  // per block: one member
+  std::shared_ptr<const NodeId[]> depth_;    // bd, per block
+  std::shared_ptr<const EdgeId[]> up_;       // per node: its parent edge
+  std::shared_ptr<const lca::InlabelLca> lca_;
 };
 
 }  // namespace emc::dynamic

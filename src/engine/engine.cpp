@@ -162,14 +162,8 @@ struct EpochArtifacts {
   std::shared_ptr<const bridges::SpanningForest> forest;
   std::shared_ptr<const bridges::BridgeMask> mask;
   Backend mask_backend = Backend::kAuto;
-  /// Edge ids (mask order) of the mask's bridges, filled on the publish
-  /// path only: the next epoch's delta replay demotes dying bridges by
-  /// rechecking exactly these instead of rescanning the mask.
-  std::shared_ptr<const std::vector<EdgeId>> bridge_edges;
   std::shared_ptr<const lca::InlabelLca> forest_lca;
-  /// The 2-ecc index at this epoch: the Session's index object as the step
-  /// that reached the epoch left it (Session::Cache owns the object and its
-  /// cross-epoch copy-on-write).
+  /// The 2-ecc index, derived from forest, forest_lca and mask.
   std::shared_ptr<const dynamic::ConnectivityOracle> oracle;
   /// The lazy cells, built by the first reader and never by a publish.
   std::shared_ptr<EpochCell<graph::Csr>> csr =
@@ -238,16 +232,6 @@ std::shared_ptr<const bcc::BccIndex> epoch_bcc(const Engine& engine,
   });
 }
 
-/// The forest LCA: one fused Euler tour roots the forest at its virtual
-/// root AND feeds the Schieber-Vishkin inlabel index.
-std::shared_ptr<const lca::InlabelLca> build_forest_lca(
-    const device::Context& ctx, graph::EdgeSpan g,
-    const bridges::SpanningForest& forest) {
-  return std::make_shared<const lca::InlabelLca>(
-      lca::InlabelLca::build_from_edges(
-          ctx, bridges::virtual_root_tree(ctx, g, forest), g.num_nodes));
-}
-
 }  // namespace
 
 // --------------------------------------------------------- session plumbing
@@ -262,47 +246,38 @@ Backend Session::mask_backend() const {
 void Session::sync_epoch() {
   if (record_ && record_->epoch == graph_.epoch()) return;
   // Views pinning the outgoing epoch keep its record; the session moves on
-  // to a fresh one. The diameter hint is sticky by design (see
+  // to the next one. The diameter hint is sticky by design (see
   // diameter_estimate()).
-  record_ = fresh_record(graph_, engine_->device_);
+  if (const std::optional<Replay> replay = replay_partition()) {
+    record_ = replayed_record(*replay);
+    ++publish_replays_;
+    engine_->counters_.publish_replays.fetch_add(1, kRelaxed);
+  } else {
+    record_ = fresh_record(graph_, engine_->device_);
+    ++publish_rebuilds_;
+    engine_->counters_.publish_rebuilds.fetch_add(1, kRelaxed);
+  }
+}
+
+const dynamic::ConnectivityOracle& Session::two_ecc_index() const {
+  static const dynamic::ConnectivityOracle empty;
+  return record_ && record_->oracle ? *record_->oracle : empty;
 }
 
 void Session::copy_record() {
   record_ = std::make_shared<EpochArtifacts>(*record_);
 }
 
-void Session::drop_artifacts() {
-  record_.reset();
-  cache_.oracle_epoch = Cache::kNone;
-}
+void Session::drop_artifacts() { record_.reset(); }
 
 void Session::drop_results() {
-  cache_.oracle_epoch = Cache::kNone;
   if (!record_) return;
   copy_record();
   record_->mask.reset();
   record_->mask_backend = Backend::kAuto;
-  record_->bridge_edges.reset();  // derived from the mask
   record_->oracle.reset();
   record_->forest_lca.reset();
   record_->bcc = std::make_shared<EpochCell<bcc::BccIndex>>();
-}
-
-dynamic::ConnectivityOracle& Session::oracle_mut() {
-  if (cache_.oracle_published) {
-    // Copy-on-write: a View shares the object, so it must never change
-    // underneath the readers. The clone carries the cumulative stats, and
-    // Cache::oracle_epoch describes it exactly as it did the original, so
-    // a replay still applies to it. The sticky flag (rather than
-    // use_count() == 1) is deliberate: a refcount load is not a
-    // synchronization point, so mutating on an observed count of 1 would
-    // race the retired readers' earlier reads (no happens-before edge);
-    // the price is at most one conservative clone after every View of an
-    // epoch has already dropped.
-    cache_.oracle = std::make_shared<dynamic::ConnectivityOracle>(*cache_.oracle);
-    cache_.oracle_published = false;
-  }
-  return *cache_.oracle;
 }
 
 bool Session::track(bool built) {
@@ -431,76 +406,61 @@ const bridges::BridgeMask& Session::mask_artifact(const Policy& policy,
 const dynamic::ConnectivityOracle& Session::oracle_artifact(
     const Policy& policy) {
   sync_epoch();
-  if (!track(cache_.oracle_epoch != record_->epoch)) {
-    // The index is at this epoch; the record takes it once.
-    if (!record_->oracle) record_->oracle = cache_.oracle;
-    return *record_->oracle;
-  }
-  const std::optional<Replay> replay = replay_partition();
-  const bridges::BridgeMask* mask = record_->mask ? &*record_->mask : nullptr;
-  const bridges::SpanningForest* forest_hint =
-      record_->forest ? &*record_->forest : nullptr;
-  if (!replay) {
-    // The step will build. A forced backend follows the same rule as a
-    // forced Bridges request: a cached mask from a DIFFERENT backend does
-    // not satisfy it, so this epoch's mask is computed with it and handed
-    // down (it stays cached for later Bridges requests). A replay never
-    // reads a mask, so a forced backend does not make it build one.
-    const bool needs_forced_mask =
-        policy.backend != Backend::kAuto &&
-        (mask == nullptr || record_->mask_backend != policy.backend);
-    if (graph_.is_dynamic()) {
-      // kAuto stays lazy: the build runs the oracle's own TV mask phase.
-      if (needs_forced_mask) mask = &mask_artifact(policy, nullptr);
-    } else {
-      // Static: the mask is the policy-chosen artifact, and the cached
-      // spanning forest goes down with it, so the 2-ecc index pays only
-      // the marginal work on top of both.
-      if (mask == nullptr || needs_forced_mask) {
-        mask = &mask_artifact(policy, nullptr);
-      }
-      forest_hint = &forest();
-    }
-  }
-  advance_oracle(replay, record_->edges(), mask, forest_hint);
-  // Empty until now: a record's oracle field is only ever set at its epoch.
-  record_->oracle = cache_.oracle;
+  if (!track(!record_->oracle)) return *record_->oracle;
+  // The mask first: a forced backend may swap in a copy of the record.
+  const bridges::BridgeMask& mask = mask_artifact(policy, nullptr);
+  forest_lca_artifact();
+  record_->oracle = std::make_shared<const dynamic::ConnectivityOracle>(
+      engine_->device_, record_->edges(), *record_->forest,
+      record_->forest_lca, mask);
   return *record_->oracle;
 }
 
 std::optional<Session::Replay> Session::replay_partition() const {
-  if (!graph_.is_dynamic() || cache_.oracle_epoch == Cache::kNone) {
+  if (!graph_.is_dynamic() || !record_ || !record_->oracle) {
     return std::nullopt;
   }
   const dynamic::DynamicGraph& g = *graph_.dynamic_graph();
-  // Everything the graph added since the index's epoch, however many
+  // Everything the graph added since the record's epoch, however many
   // batches that was; nullopt when an erase came in between.
-  const auto inserted = g.inserted_since(cache_.oracle_epoch);
+  const auto inserted = g.inserted_since(record_->epoch);
   if (!inserted) return std::nullopt;
   const std::size_t d = inserted->size();
   if (!dynamic::ConnectivityOracle::incremental_applies(d, 0,
                                                         g.num_edges() - d)) {
     return std::nullopt;  // too large to beat a build
   }
-  auto part = dynamic::partition_insertions(cache_.oracle->component_labels(),
-                                            *inserted);
-  if (!part) return std::nullopt;
-  return Replay{*inserted, std::move(*part)};
-}
-
-void Session::advance_oracle(const std::optional<Replay>& replay,
-                             graph::EdgeSpan edges,
-                             const bridges::BridgeMask* mask,
-                             const bridges::SpanningForest* forest) {
-  const device::Context& ctx = engine_->device_;
-  // oracle_mut() first: a failed clone leaves the published index, still
-  // at its epoch, untouched.
-  dynamic::ConnectivityOracle& oracle = oracle_mut();
-  cache_.oracle_epoch = Cache::kNone;  // half-mutated until the step ends
-  if (!replay || !oracle.insert(ctx, replay->inserted, replay->part)) {
-    oracle.build(ctx, edges, mask, forest);
+  // Split the suffix by the record's forest labels, merging the labels the
+  // cross edges join with a host union-find as it goes (the min label wins,
+  // as in a fresh CC labeling). A cross edge closing a cycle through
+  // components merged earlier in the suffix is neither a bridge nor
+  // intra-component on the old snapshot: no replay expresses it.
+  const std::vector<NodeId>& labels = record_->forest->component;
+  Replay replay{*inserted, {}, {}, {}};
+  std::unordered_map<NodeId, NodeId> parent;  // label -> parent label
+  const auto find = [&](NodeId c) {
+    for (auto it = parent.find(c); it != parent.end(); it = parent.find(c)) {
+      c = it->second;
+    }
+    return c;
+  };
+  for (std::size_t i = 0; i < d; ++i) {
+    const NodeId cu = labels[(*inserted)[i].u];
+    const NodeId cv = labels[(*inserted)[i].v];
+    if (cu == cv) {
+      replay.intra.push_back(i);
+      continue;
+    }
+    const NodeId a = find(cu);
+    const NodeId b = find(cv);
+    if (a == b) return std::nullopt;
+    parent[std::max(a, b)] = std::min(a, b);
+    replay.cross.push_back(i);
   }
-  cache_.oracle_epoch = graph_.epoch();
+  for (const auto& entry : parent) {
+    replay.merged[entry.first] = find(entry.first);
+  }
+  return replay;
 }
 
 const lca::InlabelLca& Session::forest_lca_artifact() {
@@ -508,7 +468,7 @@ const lca::InlabelLca& Session::forest_lca_artifact() {
   track(!record_->forest_lca);
   if (!record_->forest_lca) {
     record_->forest_lca =
-        build_forest_lca(engine_->device_, record_->edges(), forest());
+        bridges::forest_lca(engine_->device_, record_->edges(), forest());
   }
   return *record_->forest_lca;
 }
@@ -564,118 +524,26 @@ struct View::State {
   std::shared_ptr<const EpochArtifacts> record;
 };
 
-void Session::ensure_bridge_edges() {
-  if (record_->bridge_edges) return;
-  const bridges::BridgeMask& mask = *record_->mask;
-  std::vector<EdgeId> ids(mask.size());
-  const std::size_t b = device::copy_if_index(
-      engine_->device_, mask.size(),
-      [&](std::size_t e) { return mask[e] != 0; }, ids.data());
-  ids.resize(b);
-  record_->bridge_edges =
-      std::make_shared<const std::vector<EdgeId>>(std::move(ids));
-}
-
-bool Session::try_replay_publish(const Policy& policy) {
-  // --- eligibility: cheap host checks only; any `return false` here has
-  //     mutated NOTHING, and the caller runs the full pipeline instead.
-  // Every previous-epoch artifact must exist: the replay is a patch, not a
-  // build. bridge_edges is only materialized by publishes, so the FIRST
-  // publish after lazy run()-only traffic rebuilds once, then replays.
-  if (!record_ || !record_->forest || !record_->mask ||
-      !record_->forest_lca || !record_->bridge_edges ||
-      cache_.oracle_epoch != record_->epoch) {
-    return false;
-  }
+std::shared_ptr<EpochArtifacts> Session::replayed_record(
+    const Replay& replay) {
   const EpochArtifacts& prev = *record_;
-  // A forced backend different from the one that produced the carried-over
-  // mask must actually run it — same rule as mask_artifact's reuse check.
-  if (policy.backend != Backend::kAuto &&
-      policy.backend != prev.mask_backend) {
-    return false;
-  }
-  // The one replay rule, computed once over everything the graph added
-  // since the published epoch (any number of insert-only batches):
-  // intra-component edges merge 2-ecc blocks (the forest and its LCA keep
-  // their shape), cross-component edges each become a bridge linking two
-  // forest trees. The oracle step and the forest patch below both consume
-  // this partition.
-  const std::optional<Replay> replay = replay_partition();
-  if (!replay) return false;
-  const std::span<const graph::Edge> inserted = replay->inserted;
-  const std::vector<std::size_t>& cross = replay->part.cross;
-  const std::size_t old_m = prev.mask->size();
-  const std::size_t d = inserted.size();
-
-  // --- the replay builds the next epoch's record beside the previous one,
-  //     which it only reads, and installs it with one assignment at the
-  //     end. A failure before that (a thrown injected fault or real OOM)
-  //     leaves the previous epoch's record current while the graph is
-  //     ahead, so the retry installs a fresh record and rebuilds from
-  //     scratch — no path can serve a half-built epoch. The oracle is the
-  //     one object a failed replay may have advanced: oracle_epoch then
-  //     names the new epoch, so the retry keeps the index instead of
-  //     replaying the batch onto it again.
   const device::Context& ctx = engine_->device_;
+  const std::vector<std::size_t>& cross = replay.cross;
+  const std::size_t old_m = prev.mask->size();
+  const std::size_t d = replay.inserted.size();
 
-  // (1) Snapshot: the published epoch's edges followed by the log suffix,
-  // so every edge id the carried artifacts hold still names its edge.
+  // The snapshot: the previous epoch's edges followed by the log suffix,
+  // so every edge id the previous record's artifacts hold still names its
+  // edge.
   std::shared_ptr<EpochArtifacts> next = fresh_record(graph_, ctx);
   const graph::EdgeSpan snap = next->edges();
   assert(snap.num_edges() == old_m + d);
 
-  // (2) 2-ecc index: the shared oracle step (it may still build — covered-
-  // length refusal — without invalidating this replay: bridgeness is
-  // block_of[u] != block_of[v] EXACTLY, whichever path produced the labels).
-  advance_oracle(replay, snap, nullptr, nullptr);
-  next->oracle = cache_.oracle;
-  const std::vector<NodeId>& block = next->oracle->block_labels();
-
-  // (3) Bridge mask: a copy made at its final length — one allocation, one
-  // pass.
-  auto mask = std::make_shared<bridges::BridgeMask>();
-  mask->reserve(old_m + d);
-  mask->assign(prev.mask->begin(), prev.mask->end());
-  mask->resize(old_m + d);
-  // Appended verdicts are exact: an edge is a bridge iff its endpoints lie
-  // in different blocks of the NEW index (cross inserts always, intra
-  // inserts never — but reading the labels needs no case split).
-  device::launch(ctx, d, [&](std::size_t i) {
-    const graph::Edge e = inserted[i];
-    (*mask)[old_m + i] = block[e.u] != block[e.v] ? 1 : 0;
-  });
-  // Inserts never promote an old edge to a bridge (its witness cycle
-  // survives); they only demote old bridges whose endpoints now share a
-  // block. Recheck exactly the previous epoch's bridge set.
-  const std::vector<EdgeId>& old_bridges = *prev.bridge_edges;
-  device::launch(ctx, old_bridges.size(), [&](std::size_t i) {
-    const graph::Edge e = snap.edges[old_bridges[i]];
-    if (block[e.u] == block[e.v]) (*mask)[old_bridges[i]] = 0;
-  });
-  // New bridge set = surviving old bridges + the cross inserts, compacted
-  // bridge-count-sized rather than by rescanning the m-sized mask.
-  std::vector<EdgeId> keep(old_bridges.size());
-  const std::size_t survivors = device::copy_if_index(
-      ctx, old_bridges.size(),
-      [&](std::size_t i) { return (*mask)[old_bridges[i]] != 0; }, keep.data());
-  std::vector<EdgeId> new_bridges(survivors + cross.size());
-  device::gather(ctx, old_bridges.data(), keep.data(), survivors,
-                 new_bridges.data());
-  for (std::size_t i = 0; i < cross.size(); ++i) {
-    new_bridges[survivors + i] = static_cast<EdgeId>(old_m + cross[i]);
-  }
-  assert(new_bridges.size() == next->oracle->num_bridges());
-  next->mask = std::move(mask);
-  next->mask_backend = prev.mask_backend;
-  next->bridge_edges =
-      std::make_shared<const std::vector<EdgeId>>(std::move(new_bridges));
-
-  // (4) Spanning forest and its LCA: intra inserts leave both untouched
-  // (the endpoints were already connected, so the tree edges still span),
-  // and the new record shares the objects. Each cross insert links two
-  // trees — append it to a copy and fold the loser labels in with the
-  // partition's merge map, the link_components relabel idiom — and the
-  // LCA is rebuilt over the linked forest.
+  // Spanning forest and its LCA: intra inserts leave both untouched (the
+  // endpoints were already connected, so the tree edges still span), and
+  // the new record shares the objects. Each cross insert links two trees —
+  // append it to a copy and fold the loser labels in with the partition's
+  // merge map — and the LCA is rebuilt over the linked forest.
   if (cross.empty()) {
     next->forest = prev.forest;
     next->forest_lca = prev.forest_lca;
@@ -683,8 +551,8 @@ bool Session::try_replay_publish(const Policy& policy) {
     auto forest = std::make_shared<bridges::SpanningForest>(*prev.forest);
     std::vector<NodeId>& labels = forest->component;
     device::launch(ctx, labels.size(), [&](std::size_t v) {
-      const auto it = replay->part.merged.find(labels[v]);
-      if (it != replay->part.merged.end()) labels[v] = it->second;
+      const auto it = replay.merged.find(labels[v]);
+      if (it != replay.merged.end()) labels[v] = it->second;
     });
     forest->tree_edges.reserve(forest->tree_edges.size() + cross.size());
     for (const std::size_t i : cross) {
@@ -692,18 +560,27 @@ bool Session::try_replay_publish(const Policy& policy) {
     }
     forest->num_components -= cross.size();
     track(true);  // counted like forest_lca_artifact's build
-    next->forest_lca = build_forest_lca(ctx, snap, *forest);
+    next->forest_lca = bridges::forest_lca(ctx, snap, *forest);
     next->forest = std::move(forest);
   }
 
-  // (5) Commit: the one assignment. The record's Csr and BCC cells start
-  // empty (no publish builds them); even an intra-component insert can
-  // merge blocks or demote an articulation, so the BCC index never
-  // survives a replay.
-  record_ = std::move(next);
-  ++publish_replays_;
-  engine_->counters_.publish_replays.fetch_add(1, kRelaxed);
-  return true;
+  // Bridge mask: a copy made at its final length — one allocation, one
+  // pass. Appended edges are bridges iff they link trees (an intra insert
+  // closes a cycle); the index step then clears the bridges they demote.
+  auto mask = std::make_shared<bridges::BridgeMask>();
+  mask->reserve(old_m + d);
+  mask->assign(prev.mask->begin(), prev.mask->end());
+  mask->resize(old_m + d, 0);
+  for (const std::size_t i : cross) (*mask)[old_m + i] = 1;
+  next->oracle = std::make_shared<const dynamic::ConnectivityOracle>(
+      prev.oracle->insert(ctx, snap, *next->forest, replay.inserted,
+                          replay.intra, next->forest_lca, *mask));
+  next->mask = std::move(mask);
+  next->mask_backend = prev.mask_backend;
+  // The Csr and BCC cells start empty (no publish builds them): even an
+  // intra-component insert can merge blocks or demote an articulation, so
+  // the BCC index never survives a replay.
+  return next;
 }
 
 void Session::ensure_all_artifacts(const Policy& policy) {
@@ -711,28 +588,17 @@ void Session::ensure_all_artifacts(const Policy& policy) {
   // through here, and nothing is mutated yet when it fires, so a caller
   // that catches the fault keeps a coherent (stale) record.
   util::failpoint::maybe_throw(util::failpoint::kPublish);
-  if (try_replay_publish(policy)) return;
-  const bool fresh = !record_ || record_->epoch != graph_.epoch();
-  sync_epoch();
-  forest();
+  // The mask first, so a forced backend also replaces a replayed record's
+  // mask; the index step then fills the forest and forest LCA it reads.
   mask_artifact(policy, nullptr);
   oracle_artifact(policy);
-  forest_lca_artifact();
-  if (graph_.is_dynamic()) ensure_bridge_edges();
-  if (fresh) {
-    ++publish_rebuilds_;
-    engine_->counters_.publish_rebuilds.fetch_add(1, kRelaxed);
-  }
 }
 
 std::shared_ptr<const View::State> Session::make_state(const Policy& policy) {
   ensure_all_artifacts(policy);
   auto state =
       std::make_shared<const View::State>(View::State{engine_, policy, record_});
-  // From here on the record is frozen (see EpochArtifacts), and the next
-  // epoch's 2-ecc step clones the oracle first (oracle_mut) instead of
-  // advancing it in place.
-  cache_.oracle_published = true;
+  // From here on the record is frozen (see EpochArtifacts).
   std::erase_if(published_, [](const auto& weak) { return weak.expired(); });
   published_.push_back(state);
   return state;

@@ -32,7 +32,7 @@
 //             shared, plus the View's engine and routing policy. A record a
 //             View holds is never written; the Session swaps in a copy
 //             before it replaces or clears one of its fields, and an epoch
-//             change or a replay publish installs a new record whole. A
+//             change (replayed or empty) installs a new record whole. A
 //             View answers every request type concurrently from any number
 //             of threads (snapshot isolation): host-routed query batches
 //             are lock-free reads of the frozen index; device-routed bulk
@@ -44,18 +44,16 @@
 //             pinning it drops (MVCC by refcount; see
 //             Session::pinned_epochs()).
 //
-// The record's 2-ecc artifact IS a dynamic::ConnectivityOracle —
-// not a parallel universe. The oracle is an epoch-free index; the Session
+// The record's 2-ecc artifact IS a dynamic::ConnectivityOracle — not a
+// parallel universe: block labels and bridge depths derived from the
+// record's own spanning forest, forest LCA and bridge mask. The Session
 // owns the one replay rule (replay_partition): when everything the graph
-// added since the index's epoch is one small insert-only suffix of the
-// edge log (any number of batches, no erase in between), that suffix is
-// replayed onto it (ConnectivityOracle::insert); otherwise the index is
-// built from the snapshot, reusing a bridge mask and spanning forest the
-// session already computed so it skips those phases. The lazy 2-ecc request
-// and the delta-replay publish take that same step. Publishing a View
-// freezes the oracle object; the next epoch's step then clones it first
-// (copy-on-write — the replay runs on the clone, the frozen snapshot keeps
-// answering) while unpublished sessions advance it in place.
+// added since the current record's epoch is one small insert-only suffix
+// of the edge log (any number of batches, no erase in between) and the
+// current record holds the index, the epoch fence (sync_epoch) derives the
+// next record from the current one (replayed_record); otherwise it installs
+// an empty record the requests then fill. Lazy requests and publishes both
+// pass the fence, so whichever comes first at a new epoch takes the replay.
 //
 // Disconnected inputs need no special path: every backend accepts any
 // graph and runs on the epoch's snapshot as it is. The Euler-tour users
@@ -87,6 +85,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -202,9 +201,9 @@ struct EngineStats {
   std::size_t host_fallbacks = 0;
   /// Views acquired via Session::view().
   std::size_t views = 0;
-  /// Epoch publishes (refresh()/view() materializations) served by the
-  /// delta-replay fast path vs the full per-artifact pipeline. A publish
-  /// that found its epoch already built counts as neither.
+  /// Epoch records the sessions' fences derived by the delta replay vs
+  /// installed empty for the full per-artifact pipeline (see
+  /// Session::publish_replays()).
   std::size_t publish_replays = 0;
   std::size_t publish_rebuilds = 0;
 };
@@ -439,9 +438,8 @@ class Session {
   // lazy either way) and returns the epoch-pinned snapshot;
   // refresh() does the same without acquiring a View — the writer-side
   // "publish artifacts on the side" step, making the next view() cheap.
-  // Acquiring a View freezes the record it shares, and the next epoch's
-  // 2-ecc step clones the oracle (copy-on-write) instead of advancing it in
-  // place, so held Views keep answering at their epoch.
+  // Acquiring a View freezes the record it shares; the next epoch gets a
+  // record of its own, so held Views keep answering at their epoch.
   View view();
   View view(const Policy& policy);
   std::uint64_t refresh();
@@ -465,13 +463,11 @@ class Session {
   /// steady-state dynamic serving does not re-pay the sweeps while the
   /// policy's key input cannot go arbitrarily stale at constant m.
   NodeId diameter_estimate();
-  /// The session's 2-ecc index object — a pure stats reader (rebuilds,
-  /// incremental refreshes, tree-links, block counts). Reading it runs
-  /// nothing: it may lag the graph until the next 2-ecc request or publish
-  /// advances it. Queries go through run().
-  const dynamic::ConnectivityOracle& two_ecc_index() const {
-    return *cache_.oracle;
-  }
+  /// The current record's 2-ecc index, or an empty one before the first
+  /// 2-ecc step. Reading it runs nothing: it may lag the graph until the
+  /// next 2-ecc request or publish. The reference names one record's index:
+  /// fetch it again after any request or publish. Queries go through run().
+  const dynamic::ConnectivityOracle& two_ecc_index() const;
   std::size_t num_components();
 
   NodeId num_nodes() const { return graph_.num_nodes(); }
@@ -481,12 +477,12 @@ class Session {
   /// (after kAuto resolution); kAuto if none ran yet this epoch.
   Backend mask_backend() const;
 
-  /// Epoch publishes (refresh()/view()) this session served by replaying
-  /// the edges added since the previous publish onto its artifacts, vs by
-  /// the full per-artifact pipeline. A publish that found its epoch already
-  /// built counts as neither. The replay requires the PREVIOUS epoch to
-  /// have been published (its artifacts all materialized) and the one
-  /// replay rule (replay_partition) to hold.
+  /// How the epoch fence reached each of this session's records: derived
+  /// from the previous record by replaying the edges added since (it held
+  /// the 2-ecc index and the one replay rule, replay_partition, held), vs
+  /// installed empty for the full per-artifact pipeline. A request or
+  /// publish that found its epoch's record already current counts as
+  /// neither.
   std::uint64_t publish_replays() const { return publish_replays_; }
   std::uint64_t publish_rebuilds() const { return publish_rebuilds_; }
 
@@ -495,8 +491,8 @@ class Session {
   /// Live Views are unaffected: they co-own what they pinned.
   void drop_artifacts();
 
-  /// Drops only the ANSWER artifacts (bridge mask with its bridge-id list,
-  /// 2-ecc index, forest LCA, BCC index), keeping the input-preparation
+  /// Drops only the ANSWER artifacts (bridge mask, 2-ecc index, forest
+  /// LCA, BCC index), keeping the input-preparation
   /// ones (Csr, spanning forest, diameter hint). The
   /// benchmark hook for timing the per-request algorithm cost the way the
   /// paper's figures do — input prep outside the timer, algorithm inside.
@@ -509,17 +505,6 @@ class Session {
   /// What the session carries ACROSS epochs; each epoch's artifacts live in
   /// its record (record_).
   struct Cache {
-    static constexpr std::uint64_t kNone = ~std::uint64_t{0};
-    // The 2-ecc index persists across epochs (insert batches replay onto
-    // it), so it carries its own epoch: the one it was last advanced to,
-    // kNone when the next step must build (never built, dropped, or a
-    // fault struck while it was being mutated). Once `oracle_published` (a
-    // View shares the object), any mutation goes through
-    // Session::oracle_mut(), which clones first.
-    std::uint64_t oracle_epoch = kNone;
-    bool oracle_published = false;
-    std::shared_ptr<dynamic::ConnectivityOracle> oracle =
-        std::make_shared<dynamic::ConnectivityOracle>();
     // Sticky diameter hint (see diameter_estimate()).
     static constexpr std::uint64_t kDiameterMaxAge = 16;  // effective batches
     NodeId diameter = kNoNode;
@@ -527,9 +512,11 @@ class Session {
     std::uint64_t diameter_at_epoch = 0;
   };
 
-  /// Epoch fence: every request passes through here first; a changed epoch
-  /// installs a fresh record (the oracle object survives, at its own
-  /// oracle_epoch, so insert batches can replay onto it).
+  /// Epoch fence: every request and publish passes through here first. A
+  /// changed epoch installs the replayed record when replay_partition()
+  /// holds, else an empty one, and counts which (publish_replays /
+  /// publish_rebuilds). A replay that throws installs nothing, so the
+  /// retry replays again.
   void sync_epoch();
   /// Swaps in a copy of the current record before one of its filled fields
   /// is replaced or cleared: a View may hold the current one.
@@ -540,35 +527,38 @@ class Session {
   /// The mask artifact under `policy` (the heart of the Bridges request).
   const bridges::BridgeMask& mask_artifact(const Policy& policy,
                                            util::PhaseTimer* phases);
-  /// The 2-ecc index artifact: advance_oracle() when it lags the epoch,
-  /// first computing the policy's mask when the step will build (a static
-  /// graph always; a dynamic one only for a forced backend).
+  /// The 2-ecc index artifact, built from the record's forest, forest LCA
+  /// and the mask `policy` picks (a forced backend recomputes a cached mask
+  /// from another one, as a forced Bridges request does).
   const dynamic::ConnectivityOracle& oracle_artifact(const Policy& policy);
-  /// The input of every replay: the edges the graph added since
-  /// Cache::oracle_epoch (a suffix of its edge log), split by the oracle's
-  /// component labels.
+  /// The input of every replay: the edges the graph added since the current
+  /// record's epoch (a suffix of its edge log), split by the record's
+  /// forest component labels. Intra-component edges can only merge 2-ecc
+  /// blocks; cross-component edges each become a bridge linking two trees.
   struct Replay {
     std::span<const graph::Edge> inserted;
-    dynamic::InsertPartition part;
+    std::vector<std::size_t> intra;  // indexes into inserted
+    std::vector<std::size_t> cross;  // indexes into inserted
+    /// Loser label -> final winner label of the components the cross edges
+    /// join. The min label wins, so relabeling yields exactly what a fresh
+    /// CC labeling of the new snapshot assigns (component[rep] == rep).
+    std::unordered_map<NodeId, NodeId> merged;
   };
-  /// The one replay rule: the edge log covers Cache::oracle_epoch (no erase
-  /// since), and its whole suffix since then passes
-  /// ConnectivityOracle::incremental_applies — however many batches it
-  /// spans. Returns the suffix split by the oracle's component labels —
-  /// which equal the forest's at the same epoch (both are min-id labels,
-  /// merged min-wins) — or nullopt when the rule fails or the suffix closes
-  /// a cycle across components. Host checks only; mutates nothing.
+  /// The one replay rule: the current record holds the 2-ecc index, the
+  /// edge log covers its epoch (no erase since), and the whole suffix since
+  /// then passes ConnectivityOracle::incremental_applies — however many
+  /// batches it spans. Returns the suffix split by the record's forest
+  /// labels (the one delta classifier), or nullopt when the rule fails or
+  /// the suffix closes a cycle across components. Host work only; mutates
+  /// nothing.
   std::optional<Replay> replay_partition() const;
-  /// The one oracle step, shared by oracle_artifact and the replay
-  /// publish: replays `replay` onto the index, or builds it from `edges`,
-  /// the current epoch's (seeded with `mask` / `forest` when given), when
-  /// there is no replay or insert() refuses it. Advances Cache::oracle_epoch as
-  /// soon as it succeeds — a publish
-  /// retried after a later fault must not replay the batch twice — and
-  /// leaves it kNone if it throws, so the retry builds.
-  void advance_oracle(const std::optional<Replay>& replay,
-                      graph::EdgeSpan edges, const bridges::BridgeMask* mask,
-                      const bridges::SpanningForest* forest);
+  /// The one function that builds a replayed record: the current epoch's
+  /// record derived from the current record (which it only reads) and
+  /// `replay` — forest and forest LCA (shared when no edge links trees),
+  /// bridge mask and 2-ecc index (ConnectivityOracle::insert). The snapshot
+  /// is the edge log's prefix, so nothing is copied from it; the Csr and
+  /// BCC cells start empty.
+  std::shared_ptr<EpochArtifacts> replayed_record(const Replay& replay);
   const lca::InlabelLca& forest_lca_artifact();
   /// The BCC index artifact (expects the device driver lock held).
   std::shared_ptr<const bcc::BccIndex> bcc_artifact();
@@ -577,29 +567,9 @@ class Session {
   /// bridge-mask build only.
   template <typename A>
   const A& locked_artifact(const Policy& policy, util::PhaseTimer* phases);
-  /// Mutable access to the 2-ecc index: clones it first if a View shares
-  /// the object (copy-on-write — cumulative stats travel with the clone,
-  /// and Cache::oracle_epoch still describes it).
-  dynamic::ConnectivityOracle& oracle_mut();
   /// Materializes every artifact for the current epoch under `policy`
   /// (expects the caller to hold the device driver lock).
   void ensure_all_artifacts(const Policy& policy);
-  /// The delta-replay publish fast path: when the current record is a
-  /// fully published previous epoch (every artifact, the 2-ecc index at its
-  /// epoch too) and replay_partition() holds, build this epoch's record —
-  /// spanning forest, bridge mask, 2-ecc index and forest LCA — from the
-  /// previous one's and that one partition of the log suffix (the snapshot
-  /// itself is the log prefix: nothing to copy) instead of rebuilding:
-  /// O(n) worst case (label relabels) rather than the full pipeline. The
-  /// Csr and BCC index start empty (lazy cells). The record is installed
-  /// with one assignment once every step has succeeded. Returns false,
-  /// having mutated nothing, when any eligibility check fails (the replay
-  /// rule, missing artifacts, forced-backend mismatch); the caller then
-  /// runs the full pipeline.
-  bool try_replay_publish(const Policy& policy);
-  /// Fills the record's bridge_edges from its mask (publish path only —
-  /// dynamic sessions; lazy run() requests never need it).
-  void ensure_bridge_edges();
   /// ensure_all_artifacts + share the record with a new View's state.
   std::shared_ptr<const View::State> make_state(const Policy& policy);
   PlanInputs plan_inputs();

@@ -48,10 +48,10 @@ class InlabelLca {
                                      util::PhaseTimer* phases = nullptr);
 
   /// Parallel preprocessing straight from an UNROOTED tree edge list: one
-  /// Euler tour yields preorder/size/level AND the parent array. Callers
-  /// that only have edges (the engine's virtual-root forest, the oracle's
-  /// block tree) previously paid root_tree + build_parallel — two full
-  /// tours over the same tree; this entry point halves that.
+  /// Euler tour yields preorder/size/level AND the parent array. A caller
+  /// that only has edges (bridges::forest_lca over the virtual-root forest)
+  /// would otherwise pay root_tree + build_parallel — two full tours over
+  /// the same tree; this entry point halves that.
   static InlabelLca build_from_edges(const device::Context& ctx,
                                      const graph::EdgeList& edges, NodeId root,
                                      util::PhaseTimer* phases = nullptr);

@@ -6,6 +6,8 @@
 #include <tuple>
 
 #include "bcc/bcc.hpp"
+#include "bridges/cc_spanning.hpp"
+#include "bridges/tarjan_vishkin.hpp"
 
 namespace emc::shard {
 
@@ -111,6 +113,8 @@ struct ShardedView::State {
   std::vector<const std::vector<NodeId>*> labels;
   graph::EdgeList summary_graph;  // shard bridges + boundary (multigraph)
   dynamic::ConnectivityOracle summary;
+  /// Component label per summary node (the summary forest's).
+  std::vector<NodeId> summary_cc;
   /// Vertex count per summary 2-ecc block: shard-block weights accumulated
   /// under the summary's labels — the global component-size answer.
   std::vector<NodeId> weight;
@@ -317,7 +321,7 @@ bool ShardedView::is_articulation(NodeId v) const {
 NodeId ShardedView::component_label(NodeId v) const {
   // Shard bridges and boundary edges connect blocks WITHIN a component,
   // so summary components are exactly global components.
-  return state_->summary.component_labels()[state_->hnode[v]];
+  return state_->summary_cc[state_->hnode[v]];
 }
 
 const std::vector<std::uint8_t>& ShardedView::articulations() const {
@@ -580,7 +584,13 @@ std::shared_ptr<const ShardedView::State> ShardedGraph::stitch() {
   if (state->summary_graph.num_nodes > 0) {
     const device::Context& ctx = facade_->device();
     const auto device_lock = ctx.exclusive();
-    state->summary.build(ctx, state->summary_graph);
+    const graph::EdgeList& g = state->summary_graph;
+    bridges::SpanningForest forest = bridges::cc_spanning_forest(ctx, g);
+    state->summary = dynamic::ConnectivityOracle(
+        ctx, g, forest, bridges::forest_lca(ctx, g, forest),
+        bridges::find_bridges_tarjan_vishkin(ctx, g));
+    state->summary_cc = std::move(forest.component);
+    state->num_components = forest.num_components;
   }
 
   // Weights: a summary block's vertex count is the sum of its shard
@@ -594,12 +604,6 @@ std::shared_ptr<const ShardedView::State> ShardedGraph::stitch() {
           blocks[s]->block_sizes()[b];
     }
   }
-  const std::vector<NodeId>& cc = state->summary.component_labels();
-  std::size_t components = 0;
-  for (std::size_t h = 0; h < cc.size(); ++h) {
-    components += cc[h] == static_cast<NodeId>(h) ? 1 : 0;
-  }
-  state->num_components = components;
 
   // Per-vertex composed tables (one O(n) pass; every later query is flat
   // label reads, the same shape as the unsharded oracle's).

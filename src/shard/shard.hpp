@@ -33,10 +33,11 @@
 //     labels — kept as a MULTIGRAPH: two boundary edges landing on the
 //     same block pair demote each other to non-bridges, exactly like
 //     parallel edges anywhere else in the library. A
-//     dynamic::ConnectivityOracle built over the summary (naturally
-//     disconnected; its TV phase roots the summary's spanning forest below
-//     one virtual node like every other disconnected input) then composes
-//     shard-local answers into global ones:
+//     dynamic::ConnectivityOracle built over the summary's spanning forest,
+//     its forest LCA and its TV bridge mask (the summary is naturally
+//     disconnected; its forest is rooted below one virtual node like every
+//     other disconnected input's) then composes shard-local answers into
+//     global ones:
 //
 //       same_2ecc_G(u, v)       = summary.same_2ecc(h(u), h(v))
 //       bridges_on_path_G(u, v) = summary.bridges_on_path(h(u), h(v))

@@ -259,7 +259,8 @@ TEST_P(BccShapes, PathClosedIntoACycleCollapsesToOneBlock) {
   const bridges::BridgeMask mask =
       bridges::find_bridges_dfs(graph::build_csr(ctx_, g));
   EXPECT_EQ(bridges::count_bridges(mask), 0u);
-  const auto labels = bridges::two_edge_components(ctx_, g, mask);
+  const auto labels = bridges::two_edge_components(
+      ctx_, g, bridges::cc_spanning_forest(ctx_, g), mask);
   EXPECT_TRUE(std::all_of(labels.begin(), labels.end(),
                           [&](NodeId l) { return l == labels[0]; }));
   expect_matches_reference(index, g, "closed-path");

@@ -244,7 +244,8 @@ TEST_P(BridgesParam, TwoEccPartitionsByBridges) {
   g.num_nodes = 6;
   g.edges = {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {2, 3}};
   const BridgeMask mask = find_bridges_tarjan_vishkin(ctx_, g);
-  const auto labels = two_edge_components(ctx_, g, mask);
+  const auto labels =
+      two_edge_components(ctx_, g, cc_spanning_forest(ctx_, g), mask);
   EXPECT_EQ(labels[0], labels[1]);
   EXPECT_EQ(labels[1], labels[2]);
   EXPECT_EQ(labels[3], labels[4]);
@@ -254,8 +255,9 @@ TEST_P(BridgesParam, TwoEccPartitionsByBridges) {
 
 TEST_P(BridgesParam, TwoEccOfCycleIsOneComponent) {
   const auto g = gen::cycle_graph(100);
-  const auto labels = two_edge_components(
-      ctx_, g, find_bridges_tarjan_vishkin(ctx_, g));
+  const auto labels =
+      two_edge_components(ctx_, g, cc_spanning_forest(ctx_, g),
+                          find_bridges_tarjan_vishkin(ctx_, g));
   const std::set<NodeId> distinct(labels.begin(), labels.end());
   EXPECT_EQ(distinct.size(), 1u);
 }
@@ -263,7 +265,8 @@ TEST_P(BridgesParam, TwoEccOfCycleIsOneComponent) {
 TEST_P(BridgesParam, TwoEccOfTreeIsAllSingletons) {
   const auto g = gen::path_graph(50);
   const auto labels =
-      two_edge_components(ctx_, g, find_bridges_tarjan_vishkin(ctx_, g));
+      two_edge_components(ctx_, g, cc_spanning_forest(ctx_, g),
+                          find_bridges_tarjan_vishkin(ctx_, g));
   const std::set<NodeId> distinct(labels.begin(), labels.end());
   EXPECT_EQ(distinct.size(), 50u);
 }
@@ -271,7 +274,8 @@ TEST_P(BridgesParam, TwoEccOfTreeIsAllSingletons) {
 TEST_P(BridgesParam, TwoEccSizesSumToN) {
   const auto g = prepared(gen::er_graph(300, 450, 17));
   const auto labels =
-      two_edge_components(ctx_, g, find_bridges_tarjan_vishkin(ctx_, g));
+      two_edge_components(ctx_, g, cc_spanning_forest(ctx_, g),
+                          find_bridges_tarjan_vishkin(ctx_, g));
   EXPECT_EQ(labels.size(), static_cast<std::size_t>(g.num_nodes));
 }
 
@@ -334,7 +338,8 @@ TEST(TwoEccAdversarial, TwoEccOnEdgelessGraph) {
   const device::Context ctx(1);
   graph::EdgeList g;
   g.num_nodes = 4;
-  const auto labels = two_edge_components(ctx, g, BridgeMask{});
+  const auto labels =
+      two_edge_components(ctx, g, cc_spanning_forest(ctx, g), BridgeMask{});
   ASSERT_EQ(labels.size(), 4u);
   const std::set<NodeId> distinct(labels.begin(), labels.end());
   EXPECT_EQ(distinct.size(), 4u);  // all singletons
@@ -349,7 +354,8 @@ TEST(TwoEccAdversarial, TwoEccAcrossConnectingInsert) {
   g.edges = {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}};
   const graph::Csr before = build_csr(ctx, g);
   const auto labels_before =
-      two_edge_components(ctx, g, find_bridges_dfs(before));
+      two_edge_components(ctx, g, cc_spanning_forest(ctx, g),
+                          find_bridges_dfs(before));
   EXPECT_EQ(labels_before[0], labels_before[2]);
   EXPECT_NE(labels_before[0], labels_before[3]);
 
@@ -357,7 +363,8 @@ TEST(TwoEccAdversarial, TwoEccAcrossConnectingInsert) {
   const auto mask = find_bridges_dfs(build_csr(ctx, g));
   EXPECT_EQ(count_bridges(mask), 1u);
   EXPECT_EQ(mask[6], 1);
-  const auto labels_after = two_edge_components(ctx, g, mask);
+  const auto labels_after =
+      two_edge_components(ctx, g, cc_spanning_forest(ctx, g), mask);
   EXPECT_NE(labels_after[2], labels_after[3]);
   EXPECT_EQ(labels_after[0], labels_after[2]);
   EXPECT_EQ(labels_after[3], labels_after[5]);

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "bridges/cc_spanning.hpp"
 #include "bridges/dfs_bridges.hpp"
 #include "bridges/two_ecc.hpp"
 #include "device/context.hpp"
@@ -286,12 +287,11 @@ TEST_P(DynamicParam, InsertedSinceConcatenatesAppliedBatches) {
 // The 2-ecc index is driven the way every caller drives it: through a
 // Session on the graph, whose TwoEcc request brings it to the graph's epoch.
 
-/// Runs a TwoEcc request; true iff it advanced the session's 2-ecc index
-/// (a build or a replay ran), false if the index was already current.
+/// Runs a TwoEcc request; true iff it moved the session to a new record
+/// (a replay or a rebuild), false if the index was already current.
 bool advance(engine::Session& session) {
   const auto steps = [&] {
-    const ConnectivityOracle& oracle = session.two_ecc_index();
-    return oracle.rebuilds() + oracle.incremental_refreshes();
+    return session.publish_replays() + session.publish_rebuilds();
   };
   const std::size_t before = steps();
   session.run(engine::TwoEcc{});
@@ -305,23 +305,22 @@ TEST_P(DynamicParam, OracleTracksBridgeAcrossUpdates) {
                   {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {2, 3}});
   engine::Engine engine({.device_workers = GetParam()});
   engine::Session session = engine.session(dg);
-  const ConnectivityOracle& oracle = session.two_ecc_index();
   EXPECT_TRUE(advance(session));
-  EXPECT_EQ(oracle.num_bridges(), 1u);
-  EXPECT_TRUE(oracle.same_2ecc(0, 2));
-  EXPECT_FALSE(oracle.same_2ecc(0, 3));
-  EXPECT_EQ(oracle.bridges_on_path(0, 5), 1);
-  EXPECT_EQ(oracle.bridges_on_path(0, 1), 0);
-  EXPECT_EQ(oracle.component_size(0), 3);
+  EXPECT_EQ(session.two_ecc_index().num_bridges(), 1u);
+  EXPECT_TRUE(session.two_ecc_index().same_2ecc(0, 2));
+  EXPECT_FALSE(session.two_ecc_index().same_2ecc(0, 3));
+  EXPECT_EQ(session.two_ecc_index().bridges_on_path(0, 5), 1);
+  EXPECT_EQ(session.two_ecc_index().bridges_on_path(0, 1), 0);
+  EXPECT_EQ(session.two_ecc_index().component_size(0), 3);
 
   // The graph loses all bridges after an insert closing a second path.
   dg.insert_edges(ctx_, {{1, 4}});
   EXPECT_TRUE(advance(session));
-  EXPECT_EQ(oracle.num_bridges(), 0u);
-  EXPECT_TRUE(oracle.same_2ecc(0, 5));
-  EXPECT_EQ(oracle.bridges_on_path(0, 5), 0);
-  EXPECT_EQ(oracle.component_size(0), 6);
-  EXPECT_EQ(oracle.num_blocks(), 1u);
+  EXPECT_EQ(session.two_ecc_index().num_bridges(), 0u);
+  EXPECT_TRUE(session.two_ecc_index().same_2ecc(0, 5));
+  EXPECT_EQ(session.two_ecc_index().bridges_on_path(0, 5), 0);
+  EXPECT_EQ(session.two_ecc_index().component_size(0), 6);
+  EXPECT_EQ(session.two_ecc_index().num_blocks(), 1u);
 }
 
 TEST_P(DynamicParam, OracleOnDisconnectedGraphGainingConnectingEdge) {
@@ -330,18 +329,19 @@ TEST_P(DynamicParam, OracleOnDisconnectedGraphGainingConnectingEdge) {
                          {3, 4}, {4, 5}, {5, 3}});  // triangle, node 6 alone
   engine::Engine engine({.device_workers = GetParam()});
   engine::Session session = engine.session(dg);
-  const ConnectivityOracle& oracle = session.two_ecc_index();
   advance(session);
-  EXPECT_EQ(oracle.num_bridges(), 0u);
-  EXPECT_EQ(oracle.bridges_on_path(0, 3), kNoNode);  // different components
-  EXPECT_EQ(oracle.bridges_on_path(0, 6), kNoNode);
-  EXPECT_EQ(oracle.component_size(6), 1);
+  EXPECT_EQ(session.two_ecc_index().num_bridges(), 0u);
+  // Different components.
+  EXPECT_EQ(session.two_ecc_index().bridges_on_path(0, 3), kNoNode);
+  EXPECT_EQ(session.two_ecc_index().bridges_on_path(0, 6), kNoNode);
+  EXPECT_EQ(session.two_ecc_index().component_size(6), 1);
 
   dg.insert_edges(ctx_, {{2, 3}});  // the connecting edge
   advance(session);
-  EXPECT_EQ(oracle.num_bridges(), 1u);
-  EXPECT_EQ(oracle.bridges_on_path(0, 3), 1);
-  EXPECT_EQ(oracle.bridges_on_path(0, 6), kNoNode);  // 6 is still isolated
+  EXPECT_EQ(session.two_ecc_index().num_bridges(), 1u);
+  EXPECT_EQ(session.two_ecc_index().bridges_on_path(0, 3), 1);
+  // 6 is still isolated.
+  EXPECT_EQ(session.two_ecc_index().bridges_on_path(0, 6), kNoNode);
 }
 
 TEST_P(DynamicParam, ConstructorIgnoresOutOfRangeEndpoints) {
@@ -360,7 +360,6 @@ TEST_P(DynamicParam, TwoEccOnDynamicSnapshots) {
   DynamicGraph dg(6);
   engine::Engine engine({.device_workers = GetParam()});
   engine::Session session = engine.session(dg);
-  const ConnectivityOracle& oracle = session.two_ecc_index();
 
   // Disconnected snapshot (two paths): every node is its own 2ecc.
   dg.insert_edges(ctx_, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
@@ -368,19 +367,21 @@ TEST_P(DynamicParam, TwoEccOnDynamicSnapshots) {
   const graph::EdgeSpan snap = dg.snapshot(ctx_);
   const auto mask =
       bridges::find_bridges_dfs(graph::build_csr(ctx_, dg.snapshot(ctx_)));
-  const auto labels = bridges::two_edge_components(ctx_, snap, mask);
+  const auto labels = bridges::two_edge_components(
+      ctx_, snap, bridges::cc_spanning_forest(ctx_, snap), mask);
   for (NodeId u = 0; u < 6; ++u) {
     for (NodeId v = 0; v < 6; ++v) {
-      EXPECT_EQ(labels[u] == labels[v], oracle.same_2ecc(u, v));
+      EXPECT_EQ(labels[u] == labels[v],
+                session.two_ecc_index().same_2ecc(u, v));
     }
   }
-  EXPECT_EQ(oracle.num_blocks(), 6u);
+  EXPECT_EQ(session.two_ecc_index().num_blocks(), 6u);
 
   // Cycle-closing inserts kill every bridge.
   dg.insert_edges(ctx_, {{2, 3}, {5, 0}});
   advance(session);
-  EXPECT_EQ(oracle.num_bridges(), 0u);
-  EXPECT_EQ(oracle.num_blocks(), 1u);
+  EXPECT_EQ(session.two_ecc_index().num_bridges(), 0u);
+  EXPECT_EQ(session.two_ecc_index().num_blocks(), 1u);
 }
 
 // ------------------------------------------------ launch-count guarantees
@@ -447,7 +448,6 @@ TEST(DynamicFuzz, OracleMatchesFromScratchRecompute) {
   DynamicGraph dg(kNodes);
   engine::Engine engine({.device_workers = 2});
   engine::Session session = engine.session(dg);
-  const ConnectivityOracle& oracle = session.two_ecc_index();
   std::set<std::pair<NodeId, NodeId>> ref_edges;
   std::uint64_t last_epoch = ~std::uint64_t{0};
   std::size_t epochs = 0;  // distinct epochs the index was asked at
@@ -494,9 +494,11 @@ TEST(DynamicFuzz, OracleMatchesFromScratchRecompute) {
       advance(session);
       if (dg.epoch() != last_epoch) ++epochs;
       last_epoch = dg.epoch();
-      ASSERT_EQ(oracle.rebuilds() + oracle.incremental_refreshes(), epochs);
+      ASSERT_EQ(session.publish_replays() + session.publish_rebuilds(),
+                epochs);
       expect_oracle_matches_reference(
-          ctx, dg, oracle, rng, 24, ("round " + std::to_string(round)).c_str());
+          ctx, dg, session.two_ecc_index(), rng, 24,
+          ("round " + std::to_string(round)).c_str());
     }();
     if (::testing::Test::HasFailure()) {
       std::cerr << script.replay(seed, rounds);

@@ -193,14 +193,14 @@ TEST(EngineDynamic, EpochChangesInvalidateAndReplayIncrementally) {
   EXPECT_TRUE(before[0] != 0);  // a cycle is one 2ecc block
 
   // An effective insert advances the epoch; the session must re-answer
-  // against the new snapshot (via the oracle's incremental replay, not a
-  // rebuild — the engine keeps the oracle object alive across epochs).
+  // against the new snapshot (via the epoch fence's replay, not a rebuild —
+  // the new record derives from the previous one).
   dg.insert_edges(engine.device(), {{0, 2}});
   EXPECT_EQ(session.epoch(), dg.epoch());
   const auto after = session.run(ring);
   EXPECT_TRUE(after[0] != 0);
-  EXPECT_EQ(session.two_ecc_index().rebuilds(), 1u);
-  EXPECT_EQ(session.two_ecc_index().incremental_refreshes(), 1u);
+  EXPECT_EQ(session.publish_rebuilds(), 1u);
+  EXPECT_EQ(session.publish_replays(), 1u);
 
   // A no-op batch does not advance the epoch: everything stays cached.
   dg.insert_edges(engine.device(), {{0, 1}});

@@ -195,7 +195,8 @@ TEST(FuzzTwoEcc, AgreesWithBridgeStructure) {
     const NodeId n = 2 + static_cast<NodeId>(rng.below(10));
     const graph::EdgeList g = random_connected_multigraph(n, rng.below(8), rng);
     const auto mask = bridges::find_bridges_tarjan_vishkin(ctx, g);
-    const auto labels = bridges::two_edge_components(ctx, g, mask);
+    const auto labels = bridges::two_edge_components(
+        ctx, g, bridges::cc_spanning_forest(ctx, g), mask);
     // Two endpoints of a non-bridge share a component; endpoints of a
     // bridge do not.
     for (std::size_t e = 0; e < g.edges.size(); ++e) {

@@ -1,4 +1,4 @@
-// Incremental oracle maintenance under insertions.
+// Incremental 2-ecc index maintenance under insertions.
 //
 // The contract: for an insert-only, size-bounded delta, the 2-ecc index a
 // Session replays (ConnectivityOracle::insert under the Session's one
@@ -8,7 +8,9 @@
 // (tests/support/reference.hpp), launch-count pins showing the incremental
 // path is a fixed kernel sequence cheaper than the build, and unit tests
 // of the explicit fallback rule. Each test drives a Session on the graph;
-// a TwoEcc request brings its index to the graph's epoch.
+// a TwoEcc request brings its index to the graph's epoch. The index named
+// by Session::two_ecc_index() belongs to one epoch record, so the tests
+// fetch it again after every step.
 #include <gtest/gtest.h>
 
 #include <iostream>
@@ -34,14 +36,17 @@ using engine::Engine;
 using engine::Session;
 using engine::TwoEcc;
 
-/// Diffs `oracle` against a freshly built oracle AND the sequential
-/// reference on the same snapshot: structure counts plus a query sample.
-void expect_equivalent_to_full_rebuild(const device::Context& ctx,
-                                       const DynamicGraph& dg,
-                                       const ConnectivityOracle& oracle,
-                                       util::Rng& rng, int num_queries) {
-  ConnectivityOracle fresh;
-  fresh.build(ctx, dg.snapshot(ctx));
+/// Diffs `session`'s 2-ecc index against a scratch Session's (the full
+/// pipeline) AND the sequential reference on the same snapshot: structure
+/// counts plus a query sample.
+void expect_equivalent_to_full_rebuild(Engine& engine, const DynamicGraph& dg,
+                                       const Session& session, util::Rng& rng,
+                                       int num_queries) {
+  const device::Context& ctx = engine.device();
+  const ConnectivityOracle& oracle = session.two_ecc_index();
+  Session scratch = engine.session(dg);
+  scratch.run(TwoEcc{});
+  const ConnectivityOracle& fresh = scratch.two_ecc_index();
   ASSERT_EQ(oracle.num_bridges(), fresh.num_bridges());
   ASSERT_EQ(oracle.num_blocks(), fresh.num_blocks());
   const test_support::ReferenceOracle ref(ctx, dg.snapshot(ctx));
@@ -62,12 +67,11 @@ void expect_equivalent_to_full_rebuild(const device::Context& ctx,
   }
 }
 
-/// Runs a TwoEcc request; true iff it advanced the session's 2-ecc index
-/// (a build or a replay ran), false if the index was already current.
+/// Runs a TwoEcc request; true iff it moved the session to a new record
+/// (a replay or a rebuild), false if the index was already current.
 bool advance(Session& session) {
   const auto steps = [&] {
-    const ConnectivityOracle& oracle = session.two_ecc_index();
-    return oracle.rebuilds() + oracle.incremental_refreshes();
+    return session.publish_replays() + session.publish_rebuilds();
   };
   const std::size_t before = steps();
   session.run(TwoEcc{});
@@ -98,18 +102,17 @@ TEST(IncrementalRule, InsertOnlyIntraComponentDeltaGoesIncremental) {
   dg.insert_edges(ctx,
                   {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {2, 3}});
   Session session = engine.session(dg);
-  const ConnectivityOracle& oracle = session.two_ecc_index();
   EXPECT_TRUE(advance(session));
-  EXPECT_EQ(oracle.rebuilds(), 1u);
+  EXPECT_EQ(session.publish_rebuilds(), 1u);
   dg.insert_edges(ctx, {{1, 4}});
   EXPECT_TRUE(advance(session));
-  EXPECT_EQ(oracle.rebuilds(), 1u);  // no full pipeline this time
-  EXPECT_EQ(oracle.incremental_refreshes(), 1u);
+  EXPECT_EQ(session.publish_rebuilds(), 1u);  // no full pipeline this time
+  EXPECT_EQ(session.publish_replays(), 1u);
   EXPECT_FALSE(advance(session));  // current: a repeat request runs nothing
-  EXPECT_EQ(oracle.num_bridges(), 0u);
-  EXPECT_EQ(oracle.num_blocks(), 1u);
+  EXPECT_EQ(session.two_ecc_index().num_bridges(), 0u);
+  EXPECT_EQ(session.two_ecc_index().num_blocks(), 1u);
   util::Rng rng(3);
-  expect_equivalent_to_full_rebuild(ctx, dg, oracle, rng, 36);
+  expect_equivalent_to_full_rebuild(engine, dg, session, rng, 36);
 }
 
 TEST(IncrementalRule, EraseBatchFallsBackToRebuild) {
@@ -117,13 +120,13 @@ TEST(IncrementalRule, EraseBatchFallsBackToRebuild) {
   Engine engine({.device_workers = 2});
   DynamicGraph dg(ctx, gen::cycle_graph(8));
   Session session = engine.session(dg);
-  const ConnectivityOracle& oracle = session.two_ecc_index();
   session.run(TwoEcc{});
   dg.erase_edges(ctx, {{0, 1}});
   EXPECT_TRUE(advance(session));
-  EXPECT_EQ(oracle.rebuilds(), 2u);
-  EXPECT_EQ(oracle.incremental_refreshes(), 0u);
-  EXPECT_EQ(oracle.num_bridges(), 7u);  // the cycle became a path
+  EXPECT_EQ(session.publish_rebuilds(), 2u);
+  EXPECT_EQ(session.publish_replays(), 0u);
+  // The cycle became a path.
+  EXPECT_EQ(session.two_ecc_index().num_bridges(), 7u);
 }
 
 TEST(IncrementalRule, CrossComponentInsertTreeLinks) {
@@ -133,34 +136,33 @@ TEST(IncrementalRule, CrossComponentInsertTreeLinks) {
   dg.insert_edges(ctx, {{0, 1}, {1, 2}, {2, 0},    // triangle
                         {3, 4}, {4, 5}, {5, 3}});  // triangle, 6 isolated
   Session session = engine.session(dg);
-  const ConnectivityOracle& oracle = session.two_ecc_index();
   session.run(TwoEcc{});
-  // {2, 3} joins two components: it is a new bridge linking two block
-  // trees, replayed by the tree-link fast path — no full pipeline.
+  // {2, 3} joins two components: it is a new bridge linking two forest
+  // trees, replayed by a forest link and LCA rebuild — no full pipeline.
   dg.insert_edges(ctx, {{2, 3}});
   EXPECT_TRUE(advance(session));
-  EXPECT_EQ(oracle.rebuilds(), 1u);
-  EXPECT_EQ(oracle.incremental_refreshes(), 1u);
-  EXPECT_EQ(oracle.tree_links(), 1u);
-  EXPECT_EQ(oracle.num_bridges(), 1u);
-  EXPECT_FALSE(oracle.same_2ecc(0, 3));
-  EXPECT_EQ(oracle.bridges_on_path(0, 4), 1);
-  EXPECT_EQ(oracle.bridges_on_path(0, 6), kNoNode);  // 6 still isolated
+  EXPECT_EQ(session.publish_rebuilds(), 1u);
+  EXPECT_EQ(session.publish_replays(), 1u);
+  EXPECT_EQ(session.two_ecc_index().num_bridges(), 1u);
+  EXPECT_FALSE(session.two_ecc_index().same_2ecc(0, 3));
+  EXPECT_EQ(session.two_ecc_index().bridges_on_path(0, 4), 1);
+  // 6 is still isolated.
+  EXPECT_EQ(session.two_ecc_index().bridges_on_path(0, 6), kNoNode);
   util::Rng rng(21);
-  expect_equivalent_to_full_rebuild(ctx, dg, oracle, rng, 36);
+  expect_equivalent_to_full_rebuild(engine, dg, session, rng, 36);
 
   // Linking the isolated node, together with an intra-component chord in
   // the same batch, exercises both replay paths in one refresh.
   dg.insert_edges(ctx, {{6, 0}, {1, 4}});
   EXPECT_TRUE(advance(session));
-  EXPECT_EQ(oracle.rebuilds(), 1u);
-  EXPECT_EQ(oracle.incremental_refreshes(), 2u);
-  EXPECT_EQ(oracle.tree_links(), 2u);
-  EXPECT_EQ(oracle.num_bridges(), 1u);  // {1,4} collapsed the old bridge
-  EXPECT_TRUE(oracle.same_2ecc(0, 5));
-  EXPECT_EQ(oracle.bridges_on_path(2, 6), 1);
+  EXPECT_EQ(session.publish_rebuilds(), 1u);
+  EXPECT_EQ(session.publish_replays(), 2u);
+  // {1,4} collapsed the old bridge.
+  EXPECT_EQ(session.two_ecc_index().num_bridges(), 1u);
+  EXPECT_TRUE(session.two_ecc_index().same_2ecc(0, 5));
+  EXPECT_EQ(session.two_ecc_index().bridges_on_path(2, 6), 1);
   util::Rng rng2(22);
-  expect_equivalent_to_full_rebuild(ctx, dg, oracle, rng2, 36);
+  expect_equivalent_to_full_rebuild(engine, dg, session, rng2, 36);
 }
 
 TEST(IncrementalRule, CycleClosingCrossBatchFallsBackToRebuild) {
@@ -170,19 +172,18 @@ TEST(IncrementalRule, CycleClosingCrossBatchFallsBackToRebuild) {
   dg.insert_edges(ctx, {{0, 1}, {1, 2}, {2, 0},    // triangle
                         {3, 4}, {4, 5}, {5, 3}});  // triangle
   Session session = engine.session(dg);
-  const ConnectivityOracle& oracle = session.two_ecc_index();
   session.run(TwoEcc{});
   // Two edges between the SAME pair of components in one batch: the second
   // closes a cycle through the first, which no replay path can express
   // (it is neither a bridge nor intra-component on the indexed snapshot).
   dg.insert_edges(ctx, {{0, 3}, {1, 4}});
   EXPECT_TRUE(advance(session));
-  EXPECT_EQ(oracle.rebuilds(), 2u);
-  EXPECT_EQ(oracle.incremental_refreshes(), 0u);
-  EXPECT_EQ(oracle.num_bridges(), 0u);
-  EXPECT_TRUE(oracle.same_2ecc(0, 5));
+  EXPECT_EQ(session.publish_rebuilds(), 2u);
+  EXPECT_EQ(session.publish_replays(), 0u);
+  EXPECT_EQ(session.two_ecc_index().num_bridges(), 0u);
+  EXPECT_TRUE(session.two_ecc_index().same_2ecc(0, 5));
   util::Rng rng(23);
-  expect_equivalent_to_full_rebuild(ctx, dg, oracle, rng, 24);
+  expect_equivalent_to_full_rebuild(engine, dg, session, rng, 24);
 }
 
 TEST(IncrementalRule, MultipleBatchesBehindReplayAsOneSuffix) {
@@ -190,26 +191,25 @@ TEST(IncrementalRule, MultipleBatchesBehindReplayAsOneSuffix) {
   Engine engine({.device_workers = 2});
   DynamicGraph dg(ctx, gen::cycle_graph(16));
   Session session = engine.session(dg);
-  const ConnectivityOracle& oracle = session.two_ecc_index();
   session.run(TwoEcc{});
   // Two effective batches with no refresh between: the edge log holds both,
   // so the index replays their concatenation in one step.
   dg.insert_edges(ctx, {{0, 2}});
   dg.insert_edges(ctx, {{0, 4}});
   EXPECT_TRUE(advance(session));
-  EXPECT_EQ(oracle.rebuilds(), 1u);
-  EXPECT_EQ(oracle.incremental_refreshes(), 1u);
+  EXPECT_EQ(session.publish_rebuilds(), 1u);
+  EXPECT_EQ(session.publish_replays(), 1u);
   util::Rng rng(5);
-  expect_equivalent_to_full_rebuild(ctx, dg, oracle, rng, 24);
+  expect_equivalent_to_full_rebuild(engine, dg, session, rng, 24);
 
   // A gap that contains an erase has no log suffix: the index rebuilds.
   dg.insert_edges(ctx, {{0, 6}});
   dg.erase_edges(ctx, {{0, 2}});
   dg.insert_edges(ctx, {{0, 8}});
   EXPECT_TRUE(advance(session));
-  EXPECT_EQ(oracle.rebuilds(), 2u);
-  EXPECT_EQ(oracle.incremental_refreshes(), 1u);
-  expect_equivalent_to_full_rebuild(ctx, dg, oracle, rng, 24);
+  EXPECT_EQ(session.publish_rebuilds(), 2u);
+  EXPECT_EQ(session.publish_replays(), 1u);
+  expect_equivalent_to_full_rebuild(engine, dg, session, rng, 24);
 }
 
 TEST(IncrementalRule, OversizedDeltaFallsBackToRebuild) {
@@ -218,42 +218,65 @@ TEST(IncrementalRule, OversizedDeltaFallsBackToRebuild) {
   // Path on 200 nodes: m = 199, so the cutoff is max(64, 199/4) = 64.
   DynamicGraph dg(ctx, gen::path_graph(200));
   Session session = engine.session(dg);
-  const ConnectivityOracle& oracle = session.two_ecc_index();
   session.run(TwoEcc{});
   std::vector<Edge> batch;
   for (NodeId v = 0; v < 65; ++v) batch.push_back({v, static_cast<NodeId>(v + 100)});
   ASSERT_EQ(dg.insert_edges(ctx, batch), 65u);
   EXPECT_TRUE(advance(session));
-  EXPECT_EQ(oracle.rebuilds(), 2u);
-  EXPECT_EQ(oracle.incremental_refreshes(), 0u);
+  EXPECT_EQ(session.publish_rebuilds(), 2u);
+  EXPECT_EQ(session.publish_replays(), 0u);
   util::Rng rng(6);
-  expect_equivalent_to_full_rebuild(ctx, dg, oracle, rng, 24);
+  expect_equivalent_to_full_rebuild(engine, dg, session, rng, 24);
 }
 
-TEST(IncrementalRule, LongCoveredPathFallsBackToRebuild) {
+TEST(IncrementalRule, LongCoveredPathReplays) {
   const device::Context ctx(2);
   Engine engine({.device_workers = 2});
   // Path graph: every edge a bridge, every node its own block, so an
-  // inserted edge covers a block-tree path as long as its span. The delta
-  // size (1) passes the size rule; the covered-length rule must catch it.
+  // inserted edge covers a tree path as long as its span. The delta size
+  // (1) passes the size rule, and the interval test prices no path length,
+  // so even a 999-bridge cover replays.
   DynamicGraph dg(ctx, gen::path_graph(1000));
   Session session = engine.session(dg);
-  const ConnectivityOracle& oracle = session.two_ecc_index();
-  session.run(TwoEcc{});
-  ASSERT_EQ(oracle.num_blocks(), 1000u);
-  // Covered length 999 > max(64, 1000 / 4) = 250: full rebuild.
+  const engine::View path = session.view();  // held at the path epoch
+  ASSERT_EQ(session.two_ecc_index().num_blocks(), 1000u);
   dg.insert_edges(ctx, {{0, 999}});
   EXPECT_TRUE(advance(session));
-  EXPECT_EQ(oracle.rebuilds(), 2u);
-  EXPECT_EQ(oracle.incremental_refreshes(), 0u);
-  EXPECT_EQ(oracle.num_bridges(), 0u);  // the path closed into a cycle
-  // A chord inside the merged block (covered length 0) stays incremental.
+  EXPECT_EQ(session.publish_rebuilds(), 1u);
+  EXPECT_EQ(session.publish_replays(), 1u);
+  // The path closed into a cycle.
+  EXPECT_EQ(session.two_ecc_index().num_bridges(), 0u);
+  // A chord inside the merged block demotes nothing.
   dg.insert_edges(ctx, {{200, 205}});
   EXPECT_TRUE(advance(session));
-  EXPECT_EQ(oracle.rebuilds(), 2u);
-  EXPECT_EQ(oracle.incremental_refreshes(), 1u);
+  EXPECT_EQ(session.publish_rebuilds(), 1u);
+  EXPECT_EQ(session.publish_replays(), 2u);
   util::Rng rng(9);
-  expect_equivalent_to_full_rebuild(ctx, dg, oracle, rng, 24);
+  expect_equivalent_to_full_rebuild(engine, dg, session, rng, 24);
+  // The View held at the path epoch still answers for the path.
+  EXPECT_EQ(path.run(engine::TwoEcc{}).num_bridges, 999u);
+  EXPECT_EQ(path.run(engine::BridgesOnPath{{{0, 999}}})[0], 999);
+}
+
+TEST(IncrementalRule, BridgesRequestFirstAtANewEpochStillReplays) {
+  const device::Context ctx(2);
+  Engine engine({.device_workers = 2});
+  // Two triangles joined by a bridge; {1, 4} closes a second path.
+  DynamicGraph dg(6);
+  dg.insert_edges(ctx,
+                  {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {2, 3}});
+  Session session = engine.session(dg);
+  session.run(TwoEcc{});
+  dg.insert_edges(ctx, {{1, 4}});
+  // The epoch fence replays on the Bridges request, the first one to reach
+  // the new epoch; the TwoEcc request after it then finds the index current.
+  EXPECT_EQ(bridges::count_bridges(session.run(engine::Bridges{})), 0u);
+  EXPECT_EQ(session.publish_replays(), 1u);
+  EXPECT_EQ(session.publish_rebuilds(), 1u);
+  EXPECT_FALSE(advance(session));
+  EXPECT_EQ(session.two_ecc_index().num_bridges(), 0u);
+  util::Rng rng(4);
+  expect_equivalent_to_full_rebuild(engine, dg, session, rng, 36);
 }
 
 TEST(IncrementalRule, WithinBlockInsertIsStructurallyInert) {
@@ -265,15 +288,14 @@ TEST(IncrementalRule, WithinBlockInsertIsStructurallyInert) {
   DynamicGraph dg(5);
   dg.insert_edges(ctx, {{0, 1}, {1, 2}, {2, 0}, {0, 3}, {1, 3}, {3, 4}});
   Session session = engine.session(dg);
-  const ConnectivityOracle& oracle = session.two_ecc_index();
   session.run(TwoEcc{});
-  const std::size_t bridges_before = oracle.num_bridges();
+  const std::size_t bridges_before = session.two_ecc_index().num_bridges();
   dg.insert_edges(ctx, {{2, 3}});  // inside the 2ecc {0,1,2,3}
   EXPECT_TRUE(advance(session));
-  EXPECT_EQ(oracle.incremental_refreshes(), 1u);
-  EXPECT_EQ(oracle.num_bridges(), bridges_before);
+  EXPECT_EQ(session.publish_replays(), 1u);
+  EXPECT_EQ(session.two_ecc_index().num_bridges(), bridges_before);
   util::Rng rng(7);
-  expect_equivalent_to_full_rebuild(ctx, dg, oracle, rng, 25);
+  expect_equivalent_to_full_rebuild(engine, dg, session, rng, 25);
 }
 
 // ------------------------------------------------ launch-count guarantees
@@ -285,7 +307,6 @@ TEST(IncrementalLaunches, FixedKernelSequenceCheaperThanRebuild) {
   // one giant component (reliability 1 keeps the grid connected).
   DynamicGraph dg(ctx, gen::road_graph(40, 40, 1.0, 0.05, 3));
   Session session = engine.session(dg);
-  const ConnectivityOracle& oracle = session.two_ecc_index();
   session.run(TwoEcc{});
   const auto cc = test_support::cc_labels(dg.snapshot(ctx));
 
@@ -311,7 +332,7 @@ TEST(IncrementalLaunches, FixedKernelSequenceCheaperThanRebuild) {
 
   const std::uint64_t small = refresh_launches(intra_batch(8));
   const std::uint64_t large = refresh_launches(intra_batch(56));
-  EXPECT_EQ(oracle.incremental_refreshes(), 2u);
+  EXPECT_EQ(session.publish_replays(), 2u);
   EXPECT_EQ(small, large) << "incremental launch count must not scale with "
                              "the delta size";
 
@@ -338,7 +359,6 @@ TEST(IncrementalFuzz, InsertOnlyBatchesMatchFullRebuild) {
   // incremental path carries (almost) every round.
   DynamicGraph dg(ctx, gen::cycle_graph(kNodes));
   Session session = engine.session(dg);
-  const ConnectivityOracle& oracle = session.two_ecc_index();
   session.run(TwoEcc{});
 
   int effective_rounds = 0;
@@ -356,7 +376,7 @@ TEST(IncrementalFuzz, InsertOnlyBatchesMatchFullRebuild) {
     [&] {
       // The index advances iff the round changed the graph.
       ASSERT_EQ(advance(session), dg.epoch() != epoch_before);
-      expect_equivalent_to_full_rebuild(ctx, dg, oracle, rng, 16);
+      expect_equivalent_to_full_rebuild(engine, dg, session, rng, 16);
     }();
     if (::testing::Test::HasFailure()) {
       std::cerr << script.replay(seed, rounds);
@@ -365,8 +385,8 @@ TEST(IncrementalFuzz, InsertOnlyBatchesMatchFullRebuild) {
   }
   // The point of the suite: the incremental path must actually have served
   // every effective round (connected base + small insert-only batches).
-  EXPECT_EQ(oracle.rebuilds(), 1u);
-  EXPECT_EQ(oracle.incremental_refreshes(),
+  EXPECT_EQ(session.publish_rebuilds(), 1u);
+  EXPECT_EQ(session.publish_replays(),
             static_cast<std::size_t>(effective_rounds));
 }
 
@@ -380,9 +400,9 @@ TEST(IncrementalFuzz, IntraStretchOnABridgeTreeMatchesFullRebuild) {
   test_support::BatchScript script;
 
   // A random recursive tree (every edge a bridge) plus a few grandparent
-  // chords: a deep, bushy block tree, so the replays contract real tree
-  // paths and the carried tree accumulates dead edges across many epochs
-  // (the cycle base above has a single block and never contracts).
+  // chords: many deep, bushy blocks, so the replays demote real bridges
+  // and merge blocks epoch after epoch from one carried forest (the cycle
+  // base above has a single block and never merges).
   std::vector<NodeId> parent(kNodes, kNoNode);
   std::vector<Edge> base;
   for (NodeId v = 1; v < kNodes; ++v) {
@@ -395,9 +415,8 @@ TEST(IncrementalFuzz, IntraStretchOnABridgeTreeMatchesFullRebuild) {
   }
   DynamicGraph dg(ctx, EdgeList{kNodes, base});
   Session session = engine.session(dg);
-  const ConnectivityOracle& oracle = session.two_ecc_index();
   session.run(TwoEcc{});
-  ASSERT_GT(oracle.num_bridges(), 32u);
+  ASSERT_GT(session.two_ecc_index().num_bridges(), 32u);
 
   const auto ancestor = [&](NodeId v, std::uint64_t steps) {
     for (; steps > 0 && parent[v] != kNoNode; --steps) v = parent[v];
@@ -405,8 +424,8 @@ TEST(IncrementalFuzz, IntraStretchOnABridgeTreeMatchesFullRebuild) {
   };
   for (int round = 0; round < rounds; ++round) {
     // Short chords (each covers <= 3 tree edges), or one arbitrary edge
-    // (covers <= 63): every batch stays under the covered-length floor, so
-    // every effective round must replay.
+    // (covers <= 63): every batch passes the size rule, so every effective
+    // round must replay.
     std::vector<Edge> batch;
     if (rng.below(4) == 0) {
       batch.push_back({static_cast<NodeId>(rng.below(kNodes)),
@@ -425,14 +444,98 @@ TEST(IncrementalFuzz, IntraStretchOnABridgeTreeMatchesFullRebuild) {
     [&] {
       // The index advances iff the round changed the graph.
       ASSERT_EQ(advance(session), dg.epoch() != epoch_before);
-      expect_equivalent_to_full_rebuild(ctx, dg, oracle, rng, 16);
+      expect_equivalent_to_full_rebuild(engine, dg, session, rng, 16);
     }();
     if (::testing::Test::HasFailure()) {
       std::cerr << script.replay(seed, rounds);
       return;
     }
   }
-  EXPECT_EQ(oracle.rebuilds(), 1u);
+  EXPECT_EQ(session.publish_rebuilds(), 1u);
+}
+
+TEST(IncrementalFuzz, PendantChordsOnALongCycleMatchFullRebuild) {
+  const device::Context ctx(2);
+  Engine engine({.device_workers = 2});
+  // A long cycle with short pendant paths, so the replay's interval weights
+  // take both forms (oracle.cpp's PreorderWeights; its costs at n ~ 9.2k
+  // break even near 900 items): one or two chords over the ~1000 pendant
+  // bridges, and the blocks they merge, read the sorted points; a round of
+  // 1600-2200 chords, and the ~900 bridges it demotes, the prefix array.
+  constexpr NodeId kCycle = 8192;
+  const std::uint64_t seed = test_support::fuzz_seed(2718);
+  const int rounds = test_support::fuzz_rounds(120);
+  util::Rng rng(seed);
+  test_support::BatchScript script;
+
+  std::vector<Edge> base;
+  for (NodeId v = 0; v < kCycle; ++v) {
+    base.push_back({v, static_cast<NodeId>((v + 1) % kCycle)});
+  }
+  std::vector<NodeId> parent(kCycle, kNoNode);  // toward the cycle
+  for (int path = 0; path < 200; ++path) {
+    auto at = static_cast<NodeId>(rng.below(kCycle));
+    for (std::uint64_t i = 1 + rng.below(9); i > 0; --i) {
+      const auto v = static_cast<NodeId>(parent.size());
+      base.push_back({at, v});
+      parent.push_back(at);
+      at = v;
+    }
+  }
+  const auto nodes = static_cast<NodeId>(parent.size());
+  DynamicGraph dg(ctx, EdgeList{nodes, base});
+  Session session = engine.session(dg);
+  session.run(TwoEcc{});
+
+  // A new chord from a pendant node 2-4 steps up its path, or to any node:
+  // it demotes the bridges between its ends. Every 16th round erases the
+  // chords (a rebuild), so the pendant bridges come back.
+  const auto chord = [&] {
+    while (true) {
+      const auto v = static_cast<NodeId>(kCycle + rng.below(nodes - kCycle));
+      NodeId w = v;
+      if (rng.below(4) == 0) {
+        w = static_cast<NodeId>(rng.below(nodes));
+      } else {
+        for (auto steps = 2 + rng.below(3); steps > 0 && parent[w] != kNoNode;
+             --steps) {
+          w = parent[w];
+        }
+      }
+      if (w != v && !dg.has_edge(v, w)) return Edge{v, w};
+    }
+  };
+  std::vector<Edge> chords;
+  std::size_t rebuilds = 1;
+  for (int round = 0; round < rounds; ++round) {
+    const std::uint64_t epoch_before = dg.epoch();
+    if (round % 16 == 15) {
+      script.add(round, "erase", chords);
+      dg.erase_edges(ctx, chords);
+      chords.clear();
+      if (dg.epoch() != epoch_before) ++rebuilds;
+    } else {
+      std::vector<Edge> batch;
+      const std::uint64_t size =
+          round % 16 == 7 ? 1600 + rng.below(601) : 1 + rng.below(2);
+      for (std::uint64_t i = 0; i < size; ++i) batch.push_back(chord());
+      script.add(round, "insert", batch);
+      dg.insert_edges(ctx, batch);
+      chords.insert(chords.end(), batch.begin(), batch.end());
+    }
+    // IIFE so a fatal failure lands here and the replay print still fires.
+    [&] {
+      // The index advances iff the round changed the graph.
+      ASSERT_EQ(advance(session), dg.epoch() != epoch_before);
+      expect_equivalent_to_full_rebuild(engine, dg, session, rng, 16);
+    }();
+    if (::testing::Test::HasFailure()) {
+      std::cerr << script.replay(seed, rounds);
+      return;
+    }
+  }
+  // Only the erases rebuild; every insert round replays.
+  EXPECT_EQ(session.publish_rebuilds(), rebuilds);
 }
 
 TEST(IncrementalFuzz, MixedBatchesMatchFullRebuild) {
@@ -455,7 +558,6 @@ TEST(IncrementalFuzz, MixedBatchesMatchFullRebuild) {
     base.push_back({v, static_cast<NodeId>(v == 47 ? 24 : v + 1)});
   dg.insert_edges(ctx, base);
   Session session = engine.session(dg);
-  const ConnectivityOracle& oracle = session.two_ecc_index();
   session.run(TwoEcc{});
 
   std::vector<Edge> inserted_pool(base);
@@ -482,7 +584,7 @@ TEST(IncrementalFuzz, MixedBatchesMatchFullRebuild) {
     [&] {
       // The index advances iff the round changed the graph.
       ASSERT_EQ(advance(session), dg.epoch() != epoch_before);
-      expect_equivalent_to_full_rebuild(ctx, dg, oracle, rng, 16);
+      expect_equivalent_to_full_rebuild(engine, dg, session, rng, 16);
     }();
     if (::testing::Test::HasFailure()) {
       std::cerr << script.replay(seed, rounds);
@@ -493,8 +595,8 @@ TEST(IncrementalFuzz, MixedBatchesMatchFullRebuild) {
   // only holds statistically, so skip it when a small EMC_FUZZ_ROUNDS
   // override (a replay session) leaves too few rounds to guarantee it.
   if (rounds >= 30) {
-    EXPECT_GT(oracle.incremental_refreshes(), 0u);
-    EXPECT_GT(oracle.rebuilds(), 1u);
+    EXPECT_GT(session.publish_replays(), 0u);
+    EXPECT_GT(session.publish_rebuilds(), 1u);
   }
 }
 

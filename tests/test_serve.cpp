@@ -13,8 +13,8 @@
 //   coalescing pins — K small submitted batches drain as ONE answer round
 //     costing one bulk kernel launch (and exactly K launches with
 //     coalescing disabled — the per-request baseline);
-//   lifecycle — drains on stop, shutdown races, copy-on-write of the
-//     2-ecc index preserving the incremental-replay stats.
+//   lifecycle — drains on stop, shutdown races, a held View keeping its
+//     epoch while the session rebuilds and replays past it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -161,7 +161,7 @@ TEST(ServeView, EpochPinnedSnapshotIsolation) {
   expect_view_matches(v1, ref1, pairs, "v1-after-retire");
 }
 
-TEST(ServeView, CopyOnWriteKeepsIncrementalReplayAndStats) {
+TEST(ServeView, HeldViewKeepsItsEpochAcrossRebuildAndReplay) {
   Engine engine({.device_workers = 2});
   const device::Context ref_ctx = device::Context::sequential();
   dynamic::DynamicGraph dg(engine.device(), gen::cycle_graph(64));
@@ -169,23 +169,23 @@ TEST(ServeView, CopyOnWriteKeepsIncrementalReplayAndStats) {
 
   session.run(engine::TwoEcc{});  // build the index (rebuild #1)
   View ring = session.view();
-  EXPECT_EQ(session.two_ecc_index().rebuilds(), 1u);
+  EXPECT_EQ(session.publish_rebuilds(), 1u);
 
-  // An erase splits the cycle into a path of bridges. The session's index
-  // must advance (full rebuild on deletion) on a CLONE, the view's frozen
-  // copy must keep answering the ring.
+  // An erase splits the cycle into a path of bridges. The session moves to
+  // a new record (full rebuild on deletion); the view's record must keep
+  // answering the ring.
   ASSERT_EQ(dg.erase_edges(engine.device(), {{10, 11}}), 1u);
   const auto after = session.run(engine::Same2Ecc{{{0, 32}}});
   EXPECT_EQ(after[0], 0);  // path: no two edge-disjoint routes remain
   const auto ring_answer = ring.run(engine::Same2Ecc{{{0, 32}}});
   EXPECT_EQ(ring_answer[0], 1);  // the pinned epoch still sees the cycle
-  // The clone carried the cumulative stats (1 initial + 1 post-erase).
-  EXPECT_EQ(session.two_ecc_index().rebuilds(), 2u);
+  // 1 initial + 1 post-erase rebuild.
+  EXPECT_EQ(session.publish_rebuilds(), 2u);
 
-  // Insert-only deltas still take the incremental path on the clone.
+  // Insert-only deltas still take the incremental path.
   ASSERT_EQ(dg.insert_edges(engine.device(), {{10, 11}}), 1u);
   session.refresh();
-  EXPECT_EQ(session.two_ecc_index().incremental_refreshes(), 1u);
+  EXPECT_EQ(session.publish_replays(), 1u);
   const ReferenceOracle ref(ref_ctx, dg.snapshot(engine.device()));
   std::vector<std::pair<NodeId, NodeId>> pairs;
   util::Rng rng(7);
