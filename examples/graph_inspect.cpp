@@ -10,8 +10,9 @@
 // Pipeline (paper §4.2-§4.3): simplify → largest connected component →
 // statistics → bridges (policy-picked backend, cross-checked against the
 // forced DFS baseline) → biconnectivity (blocks + articulation points from
-// the session's BccIndex) → 2-edge-connected components from the session's
-// cached index.
+// the session's BccIndex, cross-checked against a standalone build) →
+// 2-edge-connected components from the session's cached index. Exits 1 on
+// either disagreement.
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -71,11 +72,23 @@ int main(int argc, char** argv) {
 
   timer.reset();
   const std::vector<std::uint8_t> arts = session.run(engine::Articulations{});
-  std::size_t articulations = 0;
-  for (const auto a : arts) articulations += a;
-  std::printf("blocks: %zu, articulation points: %zu  (%.1f ms)\n",
-              session.view().bcc_index()->num_blocks, articulations,
-              timer.seconds() * 1e3);
+  const double bcc_time = timer.seconds();
+  const engine::View view = session.view();
+  const bcc::BccIndex& index = *view.bcc_index();
+  // The engine builds on its forest LCA's tree; a standalone build tours the
+  // same forest itself. Both must agree.
+  const bcc::BccIndex standalone =
+      bcc::BccIndex::build(eng.device(), g, view.forest());
+  if (index.num_blocks != standalone.num_blocks ||
+      index.num_articulations != standalone.num_articulations ||
+      index.is_articulation != standalone.is_articulation ||
+      arts != standalone.is_articulation) {
+    std::fprintf(stderr, "BCC index disagreement — please report\n");
+    return 1;
+  }
+  std::printf("blocks: %zu, articulation points: %zu  (%.1f ms, standalone "
+              "cross-check agrees)\n",
+              index.num_blocks, index.num_articulations, bcc_time * 1e3);
 
   const engine::TwoEccView tecc = session.run(engine::TwoEcc{});
   std::printf("2-edge-connected components: %zu\n", tecc.num_blocks);

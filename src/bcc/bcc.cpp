@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "bridges/tv_detail.hpp"
-#include "core/euler_tour.hpp"
 #include "device/primitives.hpp"
 
 namespace emc::bcc {
@@ -13,6 +12,19 @@ namespace emc::bcc {
 BccIndex BccIndex::build(const device::Context& ctx,
                          graph::EdgeSpan graph,
                          const bridges::SpanningForest& forest,
+                         util::PhaseTimer* phases) {
+  core::TreeStats tree;
+  {
+    util::ScopedPhase phase(phases, "euler_tour");
+    tree = bridges::root_forest(ctx, graph, forest);
+  }
+  return build(ctx, graph, forest, tree, phases);
+}
+
+BccIndex BccIndex::build(const device::Context& ctx,
+                         graph::EdgeSpan graph,
+                         const bridges::SpanningForest& forest,
+                         const core::TreeStats& tree,
                          util::PhaseTimer* phases) {
   const auto n = static_cast<std::size_t>(graph.num_nodes);
   const std::size_t m = graph.edges.size();
@@ -22,32 +34,24 @@ BccIndex BccIndex::build(const device::Context& ctx,
   result.is_articulation.assign(n, 0);
   if (m == 0) return result;
 
-  // --- The forest rooted at virtual node n (bridges::virtual_root_tree):
-  // n + 1 nodes, exactly n tree edges, parent[rep] == vroot.
+  // --- The forest rooted at virtual node n (bridges::root_forest): n + 1
+  // nodes, exactly n tree edges, parent[rep] == vroot.
+  util::ScopedPhase phase(phases, "blocks");
   const NodeId vroot = graph.num_nodes;
   std::vector<std::uint8_t> is_tree_edge(m, 0);
   device::launch(ctx, forest.tree_edges.size(), [&](std::size_t k) {
     is_tree_edge[forest.tree_edges[k]] = 1;
   });
-  core::TreeStats stats;
-  {
-    util::ScopedPhase phase(phases, "euler_tour");
-    const core::EulerTour tour = core::build_euler_tour(
-        ctx, bridges::virtual_root_tree(ctx, graph, forest), vroot);
-    stats = core::compute_tree_stats(ctx, tour);
-  }
-  const std::vector<NodeId>& pre = stats.preorder;      // over n + 1 nodes
-  const std::vector<NodeId>& size = stats.subtree_size;
-  const std::vector<NodeId>& parent = stats.parent;
-
-  util::ScopedPhase phase(phases, "blocks");
+  const std::vector<NodeId>& pre = tree.preorder;      // over n + 1 nodes
+  const std::vector<NodeId>& size = tree.subtree_size;
+  const std::vector<NodeId>& parent = tree.parent;
 
   // --- Subtree low/high, the routine TV's bridge criterion reads. Preorders
   // are global over the rooted forest, but each component's form a
   // contiguous interval, so every comparison below — always within one
   // component — is equivalent to the per-component computation.
   const bridges::tv_detail::LowHigh lh =
-      bridges::tv_detail::subtree_low_high(ctx, graph, is_tree_edge, stats);
+      bridges::tv_detail::subtree_low_high(ctx, graph, is_tree_edge, tree);
   const std::vector<NodeId>& low = lh.low;
   const std::vector<NodeId>& high = lh.high;
   std::vector<NodeId> node_at_pre(n + 1);

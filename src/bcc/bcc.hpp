@@ -3,9 +3,9 @@
 // The paper evaluates only the bridge slice of the Tarjan-Vishkin framework;
 // this module completes it: it computes blocks (2-vertex-connected
 // components) and articulation points for ANY snapshot — disconnected,
-// multigraph, edgeless — directly from the spanning forest the engine
-// already caches per epoch, and packages the result as an immutable
-// epoch-keyed artifact (`BccIndex`); the engine builds it lazily behind a
+// multigraph, edgeless — directly from the spanning forest and forest-LCA
+// tree the engine already caches per epoch, and packages the result as an
+// immutable epoch-keyed artifact (`BccIndex`); the engine builds it lazily behind a
 // once-per-epoch cell (engine::EpochCell) that Session and View share.
 //
 // Tarjan & Vishkin (1985): identify nodes with preorder numbers of a
@@ -20,10 +20,11 @@
 // Connected components of G'' are exactly the blocks of G.
 //
 // Construction = Tarjan-Vishkin over the one virtual-root tree that TV, the
-// hybrid and the forest-LCA artifact also tour (bridges::virtual_root_tree:
+// hybrid and the forest-LCA artifact also root (bridges::virtual_root_tree:
 // one virtual root adjacent to every component representative; n + 1
-// nodes, exactly n tree edges):
-//   * low/high per node from its Euler tour by the routine TV's bridge
+// nodes, exactly n tree edges). The engine passes the tree its forest LCA
+// already toured (bridges::root_forest); only the standalone build tours:
+//   * low/high per node from the tree's stats by the routine TV's bridge
 //     criterion reads (bridges::tv_detail::subtree_low_high: one non-tree
 //     min/max aggregation + two sparse tables; cf. fast-bcc's low/high
 //     interval machinery);
@@ -92,12 +93,18 @@ struct BccIndex {
     return false;
   }
 
-  /// Builds the index from a snapshot and its cached spanning forest (the
-  /// exact forest the engine's bridge pipeline produced for this epoch).
-  /// Caller must hold the device driver lock, as for every bulk build.
+  /// Builds the index from a snapshot and its spanning forest, rooted by
+  /// bridges::root_forest. Caller must hold the device driver lock.
   static BccIndex build(const device::Context& ctx,
                         graph::EdgeSpan graph,
                         const bridges::SpanningForest& forest,
+                        util::PhaseTimer* phases = nullptr);
+
+  /// The same on `forest` already rooted (the engine's forest LCA tree()).
+  static BccIndex build(const device::Context& ctx,
+                        graph::EdgeSpan graph,
+                        const bridges::SpanningForest& forest,
+                        const core::TreeStats& tree,
                         util::PhaseTimer* phases = nullptr);
 };
 

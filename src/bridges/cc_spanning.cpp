@@ -130,12 +130,18 @@ graph::EdgeList virtual_root_tree(const device::Context& ctx,
   return tree;
 }
 
+core::TreeStats root_forest(const device::Context& ctx, graph::EdgeSpan graph,
+                            const SpanningForest& forest) {
+  const core::EulerTour tour = core::build_euler_tour(
+      ctx, virtual_root_tree(ctx, graph, forest), graph.num_nodes);
+  return core::compute_tree_stats(ctx, tour);
+}
+
 std::shared_ptr<const lca::InlabelLca> forest_lca(
     const device::Context& ctx, graph::EdgeSpan graph,
     const SpanningForest& forest) {
   return std::make_shared<const lca::InlabelLca>(
-      lca::InlabelLca::build_from_edges(
-          ctx, virtual_root_tree(ctx, graph, forest), graph.num_nodes));
+      ctx, root_forest(ctx, graph, forest), graph.num_nodes);
 }
 
 }  // namespace emc::bridges

@@ -16,9 +16,10 @@
 // Hooking strictly label-decreasing keeps the union acyclic, so the
 // recorded edges form a spanning forest: exactly n - #components edges.
 //
-// Every Euler-tour user (TV, the hybrid, the BCC index, forest_lca below)
-// roots this forest one way, virtual_root_tree below: the forest plus one
-// virtual node adjacent to each component representative.
+// Every Euler-tour user roots this forest one way, virtual_root_tree below:
+// the forest plus one virtual node adjacent to each component
+// representative. root_forest tours it for forest_lca, whose tree() the
+// BCC index and TV detection read; the hybrid tours it in its own phases.
 #pragma once
 
 #include <memory>
@@ -60,8 +61,12 @@ graph::EdgeList virtual_root_tree(const device::Context& ctx,
                                   graph::EdgeSpan graph,
                                   const SpanningForest& forest);
 
-/// The forest LCA: one fused Euler tour roots virtual_root_tree at n AND
-/// feeds the Schieber-Vishkin inlabel index. The 2-ecc index reads it.
+/// The one place a forest is rooted: virtual_root_tree, its Euler tour from
+/// virtual node n, and the tour's stats over the n + 1 nodes.
+core::TreeStats root_forest(const device::Context& ctx, graph::EdgeSpan graph,
+                            const SpanningForest& forest);
+
+/// The forest LCA: the inlabel index over root_forest, kept as its tree().
 std::shared_ptr<const lca::InlabelLca> forest_lca(const device::Context& ctx,
                                                   graph::EdgeSpan graph,
                                                   const SpanningForest& forest);

@@ -6,7 +6,7 @@
 //   spanning_tree   — device connected components (ECL-CC stand-in), which
 //                     yields an unrooted spanning forest as a byproduct;
 //   euler_tour      — root the forest below one virtual node
-//                     (virtual_root_tree) and compute preorder numbers and
+//                     (root_forest) and compute preorder numbers and
 //                     subtree sizes with the Euler tour technique;
 //   detect_bridges  — each node's min/max non-tree neighbor (segreduce),
 //                     aggregated to low/high over subtrees (an RMQ over the
@@ -20,6 +20,7 @@
 #pragma once
 
 #include "bridges/bridges.hpp"
+#include "bridges/cc_spanning.hpp"
 #include "device/context.hpp"
 #include "graph/graph.hpp"
 #include "util/timer.hpp"
@@ -29,6 +30,13 @@ namespace emc::bridges {
 /// Any graph: connected, disconnected, multigraph or edgeless.
 BridgeMask find_bridges_tarjan_vishkin(const device::Context& ctx,
                                        graph::EdgeSpan graph,
+                                       util::PhaseTimer* phases = nullptr);
+
+/// detect_bridges alone, on `forest` already rooted (a forest LCA tree()).
+BridgeMask find_bridges_tarjan_vishkin(const device::Context& ctx,
+                                       graph::EdgeSpan graph,
+                                       const SpanningForest& forest,
+                                       const core::TreeStats& tree,
                                        util::PhaseTimer* phases = nullptr);
 
 }  // namespace emc::bridges

@@ -86,9 +86,9 @@ std::pair<std::shared_ptr<const EdgeId[]>, std::shared_ptr<const NodeId[]>>
 forest_part(const device::Context& ctx, graph::EdgeSpan g,
             const bridges::SpanningForest& forest, const lca::InlabelLca& lca,
             const bridges::BridgeMask& mask, std::span<const NodeId> members) {
-  const std::vector<NodeId>& parent = lca.parents();
-  const std::vector<NodeId>& pre = lca.preorder();
-  const std::vector<NodeId>& size = lca.subtree_sizes();
+  const std::vector<NodeId>& parent = lca.tree().parent;
+  const std::vector<NodeId>& pre = lca.tree().preorder;
+  const std::vector<NodeId>& size = lca.tree().subtree_size;
   const auto n = static_cast<std::size_t>(g.num_nodes);
   auto up = std::make_shared_for_overwrite<EdgeId[]>(n);
   device::fill(ctx, n, up.get(), kNoEdge);
@@ -152,9 +152,9 @@ ConnectivityOracle ConnectivityOracle::insert(
     bridges::BridgeMask& mask) const {
   const std::size_t n = labels_->size();
   const std::vector<NodeId>& label = *labels_;
-  const std::vector<NodeId>& parent = lca_->parents();
-  const std::vector<NodeId>& pre = lca_->preorder();
-  const std::vector<NodeId>& size = lca_->subtree_sizes();
+  const std::vector<NodeId>& parent = lca_->tree().parent;
+  const std::vector<NodeId>& pre = lca_->tree().preorder;
+  const std::vector<NodeId>& size = lca_->tree().subtree_size;
   device::Arena::Scope scope(ctx.arena());
   // The children of the demoted bridges.
   NodeId* demoted = scope.get<NodeId>(num_bridges_);

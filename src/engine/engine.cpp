@@ -222,13 +222,13 @@ std::shared_ptr<const graph::Csr> epoch_csr(const Engine& engine,
   });
 }
 
-/// The epoch's BCC index, from the record's spanning forest (which must be
-/// filled). The cell keeps it alive.
+/// The epoch's BCC index, on the tree the record's forest LCA already
+/// toured (forest and forest LCA must be filled). The cell keeps it alive.
 std::shared_ptr<const bcc::BccIndex> epoch_bcc(const Engine& engine,
                                                const EpochArtifacts& record) {
   return lazy_artifact(engine, *record.bcc, [&] {
     return bcc::BccIndex::build(engine.device(), record.edges(),
-                                *record.forest);
+                                *record.forest, record.forest_lca->tree());
   });
 }
 
@@ -476,7 +476,9 @@ const lca::InlabelLca& Session::forest_lca_artifact() {
 // --------------------------------------------------------------- requests
 
 std::shared_ptr<const bcc::BccIndex> Session::bcc_artifact() {
-  forest();  // the build input; counted separately, like every artifact
+  // The build inputs (forest, then its LCA); counted separately, like every
+  // artifact.
+  forest_lca_artifact();
   return epoch_bcc(*engine_, *record_);
 }
 

@@ -57,10 +57,11 @@
 //
 // Disconnected inputs need no special path: every backend accepts any
 // graph and runs on the epoch's snapshot as it is. The Euler-tour users
-// (TV, hybrid, forest LCA, BCC index) all root the spanning forest the same
-// way, below one virtual node n adjacent to each component representative
-// (bridges::virtual_root_tree); CK roots its BFS at the cached forest's
-// representatives.
+// (TV, hybrid, forest LCA) all root the spanning forest the same way, below
+// one virtual node n adjacent to each component representative
+// (bridges::virtual_root_tree); the record's forest LCA is the epoch's one
+// tour, and the 2-ecc and BCC indexes read its tree(). CK roots its BFS at
+// the cached forest's representatives.
 //
 // Lifetimes: the Engine (whose contexts execute the bulk kernels) must
 // outlive its Sessions and their Views. A Session must not outlive its
@@ -496,6 +497,9 @@ class Session {
   /// ones (Csr, spanning forest, diameter hint). The
   /// benchmark hook for timing the per-request algorithm cost the way the
   /// paper's figures do — input prep outside the timer, algorithm inside.
+  /// The BCC index reads the forest LCA's tree, so a BCC read after this
+  /// rebuilds the forest LCA first; fill it (e.g. an LcaBatch run) outside
+  /// the timer to time the index build alone.
   void drop_results();
 
  private:

@@ -22,21 +22,25 @@ std::uint32_t inlabel_of(NodeId l, NodeId r) {
 
 }  // namespace
 
-void InlabelLca::finish_preprocessing(const device::Context& ctx,
-                                      util::PhaseTimer* phases) {
-  const auto n = static_cast<std::size_t>(level_.size());
+InlabelLca::InlabelLca(const device::Context& ctx, core::TreeStats tree,
+                       NodeId root, util::PhaseTimer* phases)
+    : root_(root), tree_(std::move(tree)) {
+  const std::vector<NodeId>& parent = tree_.parent;
+  const std::vector<NodeId>& preorder = tree_.preorder;
+  const std::vector<NodeId>& subtree_size = tree_.subtree_size;
+  const auto n = static_cast<std::size_t>(parent.size());
   util::ScopedPhase phase(phases, "inlabel_numbers");
 
   inlabel_.resize(n);
   device::transform(ctx, n, inlabel_.data(), [&](std::size_t v) {
-    return inlabel_of(preorder_[v], preorder_[v] + subtree_size_[v] - 1);
+    return inlabel_of(preorder[v], preorder[v] + subtree_size[v] - 1);
   });
 
   // Path heads: the root, and every node whose inlabel differs from its
   // parent's. head_[inlabel] = that node.
   head_.assign(n + 1, kNoNode);
   device::launch(ctx, n, [&](std::size_t v) {
-    const NodeId p = parent_[v];
+    const NodeId p = parent[v];
     if (p == kNoNode || inlabel_[v] != inlabel_[p]) {
       head_[inlabel_[v]] = static_cast<NodeId>(v);
     }
@@ -50,7 +54,7 @@ void InlabelLca::finish_preprocessing(const device::Context& ctx,
   ascendant_.assign(n, 0);
   std::vector<std::uint8_t> ready(n, 0);
   device::launch(ctx, n, [&](std::size_t v) {
-    if (parent_[static_cast<NodeId>(v)] == kNoNode) {
+    if (parent[static_cast<NodeId>(v)] == kNoNode) {
       ascendant_[v] = 1u << util::lsb_index(inlabel_[v]);
       ready[v] = 1;
     }
@@ -60,7 +64,7 @@ void InlabelLca::finish_preprocessing(const device::Context& ctx,
   std::vector<NodeId> heads_todo;
   heads_todo.reserve(n);
   for (std::size_t v = 0; v < n; ++v) {
-    const NodeId p = parent_[v];
+    const NodeId p = parent[v];
     if (p != kNoNode && inlabel_[v] != inlabel_[p]) {
       heads_todo.push_back(static_cast<NodeId>(v));
     }
@@ -71,7 +75,7 @@ void InlabelLca::finish_preprocessing(const device::Context& ctx,
     device::launch(ctx, heads_todo.size(), [&](std::size_t i) {
       const NodeId v = heads_todo[i];
       if (ready[v]) return;
-      const NodeId p = parent_[v];
+      const NodeId p = parent[v];
       // The parent either lies on an already-resolved segment (its head is
       // ready) or not; segments resolve top-down, one level per round. A
       // sibling virtual thread may resolve ph within this same launch, so
@@ -100,46 +104,16 @@ void InlabelLca::finish_preprocessing(const device::Context& ctx,
 InlabelLca InlabelLca::build_parallel(const device::Context& ctx,
                                       const core::ParentTree& tree,
                                       util::PhaseTimer* phases) {
-  InlabelLca lca;
-  lca.root_ = tree.root;
-  lca.parent_ = tree.parent;
-
   // Euler tour preprocessing (§2): preorder numbers, subtree sizes, levels.
-  const graph::EdgeList edges = core::tree_edges(tree);
   const core::EulerTour tour =
-      core::build_euler_tour(ctx, edges, tree.root, core::RankAlgo::kWeiJaja,
-                             phases);
-  core::TreeStats stats = core::compute_tree_stats(ctx, tour, phases);
-  lca.level_ = std::move(stats.level);
-  lca.preorder_ = std::move(stats.preorder);
-  lca.subtree_size_ = std::move(stats.subtree_size);
-  lca.finish_preprocessing(ctx, phases);
-  return lca;
-}
-
-InlabelLca InlabelLca::build_from_edges(const device::Context& ctx,
-                                        const graph::EdgeList& edges,
-                                        NodeId root,
-                                        util::PhaseTimer* phases) {
-  InlabelLca lca;
-  lca.root_ = root;
-  const core::EulerTour tour =
-      core::build_euler_tour(ctx, edges, root, core::RankAlgo::kWeiJaja,
-                             phases);
-  core::TreeStats stats = core::compute_tree_stats(ctx, tour, phases);
-  lca.parent_ = std::move(stats.parent);
-  lca.level_ = std::move(stats.level);
-  lca.preorder_ = std::move(stats.preorder);
-  lca.subtree_size_ = std::move(stats.subtree_size);
-  lca.finish_preprocessing(ctx, phases);
-  return lca;
+      core::build_euler_tour(ctx, core::tree_edges(tree), tree.root,
+                             core::RankAlgo::kWeiJaja, phases);
+  return InlabelLca(ctx, core::compute_tree_stats(ctx, tour, phases),
+                    tree.root, phases);
 }
 
 InlabelLca InlabelLca::build_sequential(const core::ParentTree& tree,
                                         util::PhaseTimer* phases) {
-  InlabelLca lca;
-  lca.root_ = tree.root;
-  lca.parent_ = tree.parent;
   const auto n = static_cast<std::size_t>(tree.num_nodes());
 
   // Iterative DFS over child lists built by counting sort.
@@ -163,10 +137,9 @@ InlabelLca InlabelLca::build_sequential(const core::ParentTree& tree,
     NodeId next_pre = 1;
     // Two-phase stack: negative marker = "children done, aggregate size".
     std::vector<NodeId> stack{tree.root};
-    std::vector<EdgeId> child_cursor(n);
-    for (std::size_t v = 0; v < n; ++v) child_cursor[v] = child_offset[v];
+    std::vector<EdgeId> child_cursor(child_offset.begin(),
+                                     child_offset.end() - 1);
     preorder[tree.root] = next_pre++;
-    level[tree.root] = 0;
     while (!stack.empty()) {
       const NodeId v = stack.back();
       if (child_cursor[v] < child_offset[v + 1]) {
@@ -180,20 +153,20 @@ InlabelLca InlabelLca::build_sequential(const core::ParentTree& tree,
       }
     }
   }
-  lca.level_ = std::move(level);
-  lca.preorder_ = std::move(preorder);
-  lca.subtree_size_ = std::move(subtree_size);
-  const device::Context seq = device::Context::sequential();
-  lca.finish_preprocessing(seq, phases);
-  return lca;
+  return InlabelLca(device::Context::sequential(),
+                    core::TreeStats{std::move(preorder),
+                                    std::move(subtree_size), std::move(level),
+                                    tree.parent},
+                    tree.root, phases);
 }
 
 NodeId InlabelLca::query(NodeId x, NodeId y) const {
   const std::uint32_t ix = inlabel_[x];
   const std::uint32_t iy = inlabel_[y];
+  const std::vector<NodeId>& level = tree_.level;
   if (ix == iy) {
     // Same path segment: the shallower endpoint is the ancestor.
-    return level_[x] <= level_[y] ? x : y;
+    return level[x] <= level[y] ? x : y;
   }
   // inlabel of the LCA's path: the lowest common set bit of the two
   // ascendant masks at or above the highest bit where ix and iy differ.
@@ -213,11 +186,11 @@ NodeId InlabelLca::query(NodeId x, NodeId y) const {
     const std::uint32_t inlabel_w =
         ((inlabel_[v] >> (k + 1)) << (k + 1)) | (1u << k);
     const NodeId w = head_[inlabel_w];
-    return parent_[w];
+    return tree_.parent[w];
   };
   const NodeId xz = climb(x);
   const NodeId yz = climb(y);
-  return level_[xz] <= level_[yz] ? xz : yz;
+  return level[xz] <= level[yz] ? xz : yz;
 }
 
 void InlabelLca::query_batch(

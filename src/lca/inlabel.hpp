@@ -17,7 +17,7 @@
 // the Euler tour technique in the parallel variants, and from an iterative
 // DFS in the single-core reference variant; everything after that is O(1)
 // work per node ("the remaining part of the preprocessing runs in O(1) time
-// and O(n) total work").
+// and O(n) total work"). The index keeps those inputs as its tree().
 #pragma once
 
 #include <cstdint>
@@ -47,14 +47,10 @@ class InlabelLca {
   static InlabelLca build_sequential(const core::ParentTree& tree,
                                      util::PhaseTimer* phases = nullptr);
 
-  /// Parallel preprocessing straight from an UNROOTED tree edge list: one
-  /// Euler tour yields preorder/size/level AND the parent array. A caller
-  /// that only has edges (bridges::forest_lca over the virtual-root forest)
-  /// would otherwise pay root_tree + build_parallel — two full tours over
-  /// the same tree; this entry point halves that.
-  static InlabelLca build_from_edges(const device::Context& ctx,
-                                     const graph::EdgeList& edges, NodeId root,
-                                     util::PhaseTimer* phases = nullptr);
+  /// Preprocessing from a tree's stats, which the index keeps: a caller
+  /// that already toured its tree (bridges::forest_lca) pays no second tour.
+  InlabelLca(const device::Context& ctx, core::TreeStats tree, NodeId root,
+             util::PhaseTimer* phases = nullptr);
 
   /// Lowest common ancestor of x and y. O(1).
   NodeId query(NodeId x, NodeId y) const;
@@ -65,35 +61,18 @@ class InlabelLca {
                    const std::vector<std::pair<NodeId, NodeId>>& queries,
                    std::vector<NodeId>& answers) const;
 
-  NodeId num_nodes() const { return static_cast<NodeId>(level_.size()); }
-  const std::vector<NodeId>& levels() const { return level_; }
-
-  /// The rooted tree the index was built over: parent per node (kNoNode for
-  /// the root). Lets consumers that keep an InlabelLca walk or enumerate
-  /// tree edges without storing the parent array a second time.
-  const std::vector<NodeId>& parents() const { return parent_; }
+  NodeId num_nodes() const { return static_cast<NodeId>(tree_.level.size()); }
+  const std::vector<NodeId>& levels() const { return tree_.level; }
   NodeId root() const { return root_; }
 
-  /// The preprocessing's preorder numbers (1-based, root gets 1) and
-  /// subtree sizes: v's subtree occupies preorder [pre(v), pre(v) + size(v)).
-  /// Lets consumers keep per-subtree range updates on the indexed tree
-  /// without re-touring it.
-  const std::vector<NodeId>& preorder() const { return preorder_; }
-  const std::vector<NodeId>& subtree_sizes() const { return subtree_size_; }
+  /// The rooted tree the index was built over (v's subtree occupies
+  /// preorder [pre(v), pre(v) + size(v))): consumers that keep an
+  /// InlabelLca read it here instead of touring the tree again.
+  const core::TreeStats& tree() const { return tree_; }
 
  private:
-  InlabelLca() = default;
-
-  /// Shared tail of preprocessing: from the (preorder, size, level,
-  /// parent) members to (inlabel, ascendant, head). Bulk-parallel over ctx.
-  void finish_preprocessing(const device::Context& ctx,
-                            util::PhaseTimer* phases);
-
   NodeId root_ = kNoNode;
-  std::vector<NodeId> parent_;
-  std::vector<NodeId> level_;
-  std::vector<NodeId> preorder_;
-  std::vector<NodeId> subtree_size_;
+  core::TreeStats tree_;
   std::vector<std::uint32_t> inlabel_;
   std::vector<std::uint32_t> ascendant_;
   std::vector<NodeId> head_;  // indexed by inlabel value, size n + 1

@@ -34,7 +34,8 @@
 //     same block pair demote each other to non-bridges, exactly like
 //     parallel edges anywhere else in the library. A
 //     dynamic::ConnectivityOracle built over the summary's spanning forest,
-//     its forest LCA and its TV bridge mask (the summary is naturally
+//     its forest LCA and the TV bridge mask detected on that LCA's tree
+//     (one forest, one tour per stitch; the summary is naturally
 //     disconnected; its forest is rooted below one virtual node like every
 //     other disconnected input's) then composes shard-local answers into
 //     global ones:

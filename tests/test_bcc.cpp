@@ -10,11 +10,12 @@
 //     (and bridges == singleton blocks against the DFS bridge finder);
 //   differential fuzz — seed-replayable rounds across the whole gen suite
 //     (with injected parallel edges and self-loops) diff every family on
-//     the Session/View path AND the K-sharded gadget-skeleton stitch
-//     against the reference. Replay with EMC_FUZZ_SEED/EMC_FUZZ_ROUNDS;
+//     the Session/View path, the index on replayed and rebuilt records
+//     AND the K-sharded gadget-skeleton stitch against the reference.
+//     Replay with EMC_FUZZ_SEED/EMC_FUZZ_ROUNDS;
 //   launch pins — bulk batches cost exactly ONE answer kernel on the
-//     device route, zero on the host route, and BfsLevels pairs sharing a
-//     source share one traversal;
+//     device route, zero on the host route, BfsLevels pairs sharing a
+//     source share one traversal, and the engine's build tours nothing;
 //   failpoints — a fault anywhere in an epoch's lazy BCC build (its first
 //     read) leaves the epoch's cell empty for the retry and older Views
 //     untouched.
@@ -435,6 +436,114 @@ TEST(BccFuzz, DifferentialVsHopcroftTarjanAcrossGenSuite) {
   }
 }
 
+/// Field-by-field equality: the engine's index and a standalone build on
+/// the same snapshot and forest run the same kernels on the same rooted
+/// tree.
+void expect_same_index(const BccIndex& got, const BccIndex& want) {
+  EXPECT_EQ(got.edge_block, want.edge_block);
+  EXPECT_EQ(got.vertex_block, want.vertex_block);
+  EXPECT_EQ(got.head, want.head);
+  EXPECT_EQ(got.is_articulation, want.is_articulation);
+  EXPECT_EQ(got.num_blocks, want.num_blocks);
+  EXPECT_EQ(got.num_articulations, want.num_articulations);
+}
+
+TEST(BccFuzz, ReplayedRecordsMatchReferenceAndStandaloneBuild) {
+  const auto fuzz = test_support::fuzz_run(/*seed=*/7747, /*rounds=*/80);
+  SCOPED_TRACE(fuzz.trace);
+  Engine engine({.device_workers = 2});
+  const device::Context& ctx = engine.device();
+  constexpr NodeId kNodes = 36;
+  constexpr NodeId kTrees = 4;
+  util::Rng rng(fuzz.seed);
+
+  // kTrees random recursive trees (every edge a bridge, every inner node an
+  // articulation) plus a few grandparent chords: many small blocks, and
+  // components for cross-linking inserts to join.
+  std::vector<NodeId> parent(kNodes, kNoNode);
+  std::vector<Edge> base;
+  for (NodeId v = kTrees; v < kNodes; ++v) {
+    parent[v] = v % kTrees + kTrees * static_cast<NodeId>(rng.below(v / kTrees));
+    base.push_back({parent[v], v});
+  }
+  for (int c = 0; c < 3; ++c) {
+    const auto v = static_cast<NodeId>(kTrees + rng.below(kNodes - kTrees));
+    if (parent[parent[v]] != kNoNode) base.push_back({parent[parent[v]], v});
+  }
+  dynamic::DynamicGraph dg(ctx, EdgeList{kNodes, base});
+  Session session = engine.session(dg);
+  View prev = session.view();
+  const auto ancestor = [&](NodeId v, std::uint64_t steps) {
+    for (; steps > 0 && parent[v] != kNoNode; --steps) v = parent[v];
+    return v;
+  };
+
+  std::size_t intra_replays = 0, cross_replays = 0, erase_rebuilds = 0;
+  for (int round = 0; round < fuzz.rounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::vector<NodeId> cc = test_support::cc_labels(prev.edge_span());
+    std::vector<Edge> batch;
+    bool erase = false;
+    if (round % 8 == 7) {
+      // An occasional erase: the next publish is a full rebuild.
+      const auto edges = prev.edge_span().edges;
+      for (int i = 0; i < 2; ++i) batch.push_back(edges[rng.below(edges.size())]);
+      erase = true;
+    } else if (round % 4 == 1) {
+      // Cross-linking: one edge between two components, if any remain.
+      for (int tries = 0; tries < 32 && batch.empty(); ++tries) {
+        const auto u = static_cast<NodeId>(rng.below(kNodes));
+        const auto v = static_cast<NodeId>(rng.below(kNodes));
+        if (cc[u] != cc[v]) batch.push_back({u, v});
+      }
+    }
+    if (batch.empty()) {
+      // Intra-only: short chords up the original trees.
+      const std::size_t size = 1 + rng.below(3);
+      for (std::size_t i = 0; i < size; ++i) {
+        const auto v = static_cast<NodeId>(rng.below(kNodes));
+        batch.push_back({v, ancestor(v, 2 + rng.below(2))});
+      }
+    }
+    const bool cross = std::any_of(batch.begin(), batch.end(), [&](Edge e) {
+      return cc[e.u] != cc[e.v];
+    });
+    const std::uint64_t epoch_before = dg.epoch();
+    const std::size_t replays_before = session.publish_replays();
+    if (erase) {
+      dg.erase_edges(ctx, batch);
+    } else {
+      dg.insert_edges(ctx, batch);
+    }
+    const View view = session.view();
+    if (dg.epoch() != epoch_before) {
+      const bool replayed = session.publish_replays() > replays_before;
+      ASSERT_EQ(replayed, !erase);
+      // An intra-only replay shares the forest and its LCA with the
+      // previous epoch; a cross-linking one rebuilds the LCA.
+      const bool shared = &view.artifact<lca::InlabelLca>() ==
+                          &prev.artifact<lca::InlabelLca>();
+      if (replayed) {
+        EXPECT_EQ(shared, !cross);
+      }
+      (erase ? erase_rebuilds : cross ? cross_replays : intra_replays) += 1;
+    }
+
+    const std::shared_ptr<const BccIndex> index = view.bcc_index();
+    ASSERT_NO_FATAL_FAILURE(
+        expect_matches_reference(*index, view.edges(), "replayed"));
+    expect_same_index(*index,
+                      BccIndex::build(ctx, view.edge_span(), view.forest()));
+    if (::testing::Test::HasFailure()) return;
+    prev = view;
+  }
+  if (fuzz.rounds >= 16) {
+    EXPECT_GT(intra_replays, 0u);
+    EXPECT_GT(cross_replays, 0u);
+    EXPECT_GT(erase_rebuilds, 0u);
+  }
+}
+
 // ------------------------------------------------------------ launch pins
 
 TEST(BccPins, ArtifactIsBuiltOncePerEpochAndRerunsAreFree) {
@@ -517,6 +626,28 @@ TEST(BccPins, PolicyFloorForcesTheDeviceRoute) {
   const std::uint64_t after = engine.device_launches();
   session.run(engine::SameBcc{{{0, 1}, {2, 3}}});
   EXPECT_EQ(engine.device_launches(), after);  // host route again
+}
+
+TEST(BccPins, FirstReadAfterAViewSkipsTheForestTour) {
+  Engine engine({.device_workers = 2});
+  const EdgeList g = gen::road_graph(20, 20, 0.72, 0.04, 15);
+  Session session = engine.session(g);
+  const View view = session.view();  // fills the forest and its LCA
+
+  std::uint64_t before = engine.device_launches();
+  const auto arts = session.run(engine::Articulations{});
+  const std::uint64_t engine_build = engine.device_launches() - before;
+
+  // The standalone build on the same forest, and the rooting inside it.
+  before = engine.device_launches();
+  const BccIndex standalone = BccIndex::build(engine.device(), g, view.forest());
+  const std::uint64_t standalone_build = engine.device_launches() - before;
+  before = engine.device_launches();
+  bridges::root_forest(engine.device(), g, view.forest());
+  const std::uint64_t rooting = engine.device_launches() - before;
+  ASSERT_GT(rooting, 0u);
+  EXPECT_EQ(engine_build, standalone_build - rooting);
+  EXPECT_EQ(arts, standalone.is_articulation);
 }
 
 TEST(BccPins, PublishLeavesTheBuildToTheFirstReader) {

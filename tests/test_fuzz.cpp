@@ -151,10 +151,15 @@ TEST(FuzzBridges, AllAlgorithmsOnTinyMultigraphs) {
                                   : random_disconnected_multigraph(rng);
     const graph::Csr csr = build_csr(ctx, g);
     const auto dfs = bridges::find_bridges_dfs(csr);
-    const std::vector<NodeId> roots = bridges::component_representatives(
-        ctx, bridges::cc_spanning_forest(ctx, g));
+    const bridges::SpanningForest forest = bridges::cc_spanning_forest(ctx, g);
+    const std::vector<NodeId> roots =
+        bridges::component_representatives(ctx, forest);
     ASSERT_EQ(bridges::find_bridges_tarjan_vishkin(ctx, g), dfs)
         << "TV, round " << round;
+    ASSERT_EQ(bridges::find_bridges_tarjan_vishkin(
+                  ctx, g, forest, bridges::forest_lca(ctx, g, forest)->tree()),
+              dfs)
+        << "TV on the forest LCA's tree, round " << round;
     ASSERT_EQ(bridges::find_bridges_ck(ctx, g, csr, roots), dfs)
         << "CK, round " << round;
     ASSERT_EQ(bridges::find_bridges_hybrid(ctx, g), dfs)
