@@ -11,6 +11,8 @@
 //      Euler rooting (hybrid) vs TV — isolating why hybrid never wins.
 #include <cstdio>
 
+#include "bridges/hybrid.hpp"
+#include "bridges/tarjan_vishkin.hpp"
 #include "common.hpp"
 #include "core/euler_tour.hpp"
 #include "engine/engine.hpp"
@@ -103,13 +105,13 @@ int main(int argc, char** argv) {
     engine::Session session = eng.session(road);
     session.csr();
     session.num_components();  // input prep outside the phase timers
+    // TV and the hybrid through their standalone entry points: the whole
+    // pipeline, spanning tree and tour included, as in Figure 11.
     util::PhaseTimer ck_phases, hy_phases, tv_phases;
     session.run(engine::Bridges{&ck_phases},
                 engine::Policy::fixed(engine::Backend::kCk));
-    session.run(engine::Bridges{&hy_phases},
-                engine::Policy::fixed(engine::Backend::kHybrid));
-    session.run(engine::Bridges{&tv_phases},
-                engine::Policy::fixed(engine::Backend::kTv));
+    bridges::find_bridges_hybrid(eng.device(), road, &hy_phases);
+    bridges::find_bridges_tarjan_vishkin(eng.device(), road, &tv_phases);
     std::printf("A4 spanning-tree choice on a road graph (%d nodes):\n",
                 road.num_nodes);
     auto show = [](const char* name, const util::PhaseTimer& phases) {

@@ -5,12 +5,16 @@
 //
 // Per scenario (kron / social / square road / ribbon road — spanning the
 // diameter and density regimes that decide the paper's Figures 9-11), every
-// fixed backend answers the same Bridges request through one Session
-// (result artifacts dropped between runs, input prep cached), then the auto
-// policy runs the same request. The auto row must match or beat every fixed
-// backend: it runs whichever backend the cost model picks, so its time is
-// the winner's time plus a cache lookup — if it does not, the model is
-// miscalibrated for this machine (rerun and refit CostModel).
+// fixed backend answers the same Bridges request through one Session, then
+// the auto policy runs the same request. Each run starts from an epoch that
+// holds its spanning forest and forest LCA and nothing else (every publish
+// builds both for the 2-ecc index), so each row is the MARGINAL mask the
+// cost model prices: DFS and CK build the Csr they read, TV and the hybrid
+// run on the forest LCA's tree, and auto decides from that tree's height.
+// The auto row must match or beat every fixed backend: it runs whichever
+// backend the cost model picks, so its time is the winner's time plus a
+// cache lookup — if it does not, the model is miscalibrated for this
+// machine (rerun and refit CostModel).
 //
 // Rows land in BENCH_engine.json (committed at repo root):
 //   op   = engine_bridges/<scenario>/<backend>   (n = instance edge count)
@@ -26,26 +30,8 @@
 #include "graph/graph.hpp"
 #include "util/timer.hpp"
 
-namespace {
-
-using namespace emc;
-
-/// Best-of-runs: the stable statistic for ranking backends on a noisy
-/// container (averages smear scheduler hiccups into the wrong winner).
-template <typename Fn>
-double time_min(int runs, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < runs; ++r) {
-    util::Timer timer;
-    fn();
-    best = std::min(best, timer.seconds());
-  }
-  return best;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace emc;
   util::Flags flags(argc, argv);
   const auto runs = std::max(
       1, static_cast<int>(flags.get_int("runs", 3, "timing runs (min taken)")));
@@ -78,22 +64,30 @@ int main(int argc, char** argv) {
       "road-ribbon", graph::largest_component(graph::simplified(
                          gen::road_graph(side(4096), 24, 0.72, 0.04, 4))));
 
-  util::Table table({"scenario", "nodes", "edges", "diameter", "backend",
-                     "seconds", "ns/edge"});
+  util::Table table({"scenario", "nodes", "edges", "diameter", "height",
+                     "backend", "seconds", "ns/edge"});
   std::vector<bench::BenchRow> rows;
   bool auto_won_everywhere = true;
 
   for (const auto& [name, g] : scenarios) {
     engine::Session session = eng.session(g);
-    session.csr();
-    session.num_components();
-    const NodeId diameter = session.diameter_estimate();  // input prep + plan
+    const std::string diameter =
+        std::to_string(graph::estimate_diameter(session.csr(), /*sweeps=*/2));
+    const std::string height =
+        std::to_string(session.plan(engine::Bridges{}).inputs.height);
 
+    // Best-of-runs: the stable statistic for ranking backends on a noisy
+    // container (averages smear scheduler hiccups into the wrong winner).
     const auto timed = [&](const engine::Policy& policy) {
-      return time_min(runs, [&] {
-        session.drop_results();
+      double best = 1e300;
+      for (int r = 0; r < runs; ++r) {
+        session.drop_artifacts();
+        session.run(engine::LcaBatch{});  // forest + forest LCA, untimed
+        util::Timer timer;
         session.run(engine::Bridges{}, policy);
-      });
+        best = std::min(best, timer.seconds());
+      }
+      return best;
     };
     double best_fixed = 1e300;
     for (const engine::Backend backend : engine::kFixedBackends) {
@@ -101,19 +95,17 @@ int main(int argc, char** argv) {
       best_fixed = std::min(best_fixed, seconds);
       const std::string label(engine::to_string(backend));
       table.add_row({name, bench::human(static_cast<std::size_t>(g.num_nodes)),
-                     bench::human(g.num_edges()), std::to_string(diameter),
-                     label, util::Table::num(seconds),
+                     bench::human(g.num_edges()), diameter, height, label,
+                     util::Table::num(seconds),
                      util::Table::num(seconds * 1e9 / g.num_edges(), 1)});
       rows.push_back({"engine_bridges/" + name + "/" + label, g.num_edges(),
                       label, seconds * 1e9 / g.num_edges()});
     }
     const auto auto_row = [&](const char* label, const engine::Policy& policy) {
-      const double seconds = timed(policy);
-      session.drop_results();
-      session.run(engine::Bridges{}, policy);
+      const double seconds = timed(policy);  // leaves the pick's mask
       const std::string picked(engine::to_string(session.mask_backend()));
       table.add_row({name, bench::human(static_cast<std::size_t>(g.num_nodes)),
-                     bench::human(g.num_edges()), std::to_string(diameter),
+                     bench::human(g.num_edges()), diameter, height,
                      std::string(label) + "->" + picked,
                      util::Table::num(seconds),
                      util::Table::num(seconds * 1e9 / g.num_edges(), 1)});
@@ -132,8 +124,10 @@ int main(int argc, char** argv) {
   }
 
   table.print();
-  std::printf("\nauto policy %s every benched scenario\n",
-              auto_won_everywhere ? "matched or beat" : "LOST on");
+  std::printf("\nauto policy %s\n",
+              auto_won_everywhere
+                  ? "matched or beat every benched scenario"
+                  : "LOST on at least one benched scenario (see !! above)");
   if (!bench::write_bench_json("BENCH_engine.json", rows)) {
     std::fprintf(stderr, "failed to write BENCH_engine.json\n");
     return 1;

@@ -28,7 +28,8 @@ int main(int argc, char** argv) {
   engine::Session session = eng.session(map);
   std::printf("road network: %d intersections, %zu road segments, "
               "diameter >= %d\n\n",
-              map.num_nodes, map.num_edges(), session.diameter_estimate());
+              map.num_nodes, map.num_edges(),
+              graph::estimate_diameter(session.csr(), /*sweeps=*/2));
 
   // Same request, four forced backends; the session recomputes the mask
   // whenever the forced backend differs from the cached one.

@@ -19,7 +19,8 @@
 // Every Euler-tour user roots this forest one way, virtual_root_tree below:
 // the forest plus one virtual node adjacent to each component
 // representative. root_forest tours it for forest_lca, whose tree() the
-// BCC index and TV detection read; the hybrid tours it in its own phases.
+// BCC index, TV detection and the hybrid's marking read; the standalone
+// hybrid tours it in its own phases.
 #pragma once
 
 #include <memory>

@@ -17,6 +17,10 @@
 //                     [pre(v), pre(v) + size(v)), i.e. no non-tree edge
 //                     escapes the subtree. (Works for *any* spanning tree —
 //                     that is Tarjan's escape from the DFS obstacle.)
+//
+// The tour form (second overload) is detect_bridges alone: the engine runs
+// it on its forest LCA's tree(), the epoch's one Euler tour, so an engine
+// TV mask costs detection only and no spanning forest or tour of its own.
 #pragma once
 
 #include "bridges/bridges.hpp"
@@ -32,7 +36,8 @@ BridgeMask find_bridges_tarjan_vishkin(const device::Context& ctx,
                                        graph::EdgeSpan graph,
                                        util::PhaseTimer* phases = nullptr);
 
-/// detect_bridges alone, on `forest` already rooted (a forest LCA tree()).
+/// detect_bridges alone, on `forest` already rooted below virtual node
+/// graph.num_nodes (root_forest's stats, e.g. a forest LCA's tree()).
 BridgeMask find_bridges_tarjan_vishkin(const device::Context& ctx,
                                        graph::EdgeSpan graph,
                                        const SpanningForest& forest,

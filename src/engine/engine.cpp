@@ -222,6 +222,14 @@ std::shared_ptr<const graph::Csr> epoch_csr(const Engine& engine,
   });
 }
 
+/// The largest level of a rooted forest's tree (the cost model's height),
+/// by one host pass: no kernel launch.
+NodeId tree_height(const core::TreeStats& tree) {
+  return tree.level.empty()
+             ? 0
+             : *std::max_element(tree.level.begin(), tree.level.end());
+}
+
 /// The epoch's BCC index, on the tree the record's forest LCA already
 /// toured (forest and forest LCA must be filled). The cell keeps it alive.
 std::shared_ptr<const bcc::BccIndex> epoch_bcc(const Engine& engine,
@@ -246,8 +254,7 @@ Backend Session::mask_backend() const {
 void Session::sync_epoch() {
   if (record_ && record_->epoch == graph_.epoch()) return;
   // Views pinning the outgoing epoch keep its record; the session moves on
-  // to the next one. The diameter hint is sticky by design (see
-  // diameter_estimate()).
+  // to the next one.
   if (const std::optional<Replay> replay = replay_partition()) {
     record_ = replayed_record(*replay);
     ++publish_replays_;
@@ -311,40 +318,11 @@ std::size_t Session::num_components() {
   return forest().num_components;
 }
 
-NodeId Session::diameter_artifact() {
-  sync_epoch();
-  if (graph_.num_nodes() == 0) return 0;
-  const std::size_t m = graph_.num_edges();
-  const std::size_t m0 = cache_.diameter_at_m;
-  const std::size_t drift = m > m0 ? m - m0 : m0 - m;
-  // Edge-count drift misses structural change at constant m (balanced
-  // insert/erase batches can collapse a road diameter without moving m),
-  // so the hint also expires after a fixed number of effective update
-  // batches — amortizing the two BFS sweeps to a sliver of steady-state
-  // serving while bounding how stale the policy's key input can get.
-  const bool stale =
-      cache_.diameter == kNoNode ||
-      drift * 4 > std::max<std::size_t>(m0, 1) ||
-      graph_.epoch() - cache_.diameter_at_epoch >= Cache::kDiameterMaxAge;
-  track(stale);
-  if (stale) {
-    cache_.diameter = graph::estimate_diameter(csr_artifact(), /*sweeps=*/2);
-    cache_.diameter_at_m = m;
-    cache_.diameter_at_epoch = graph_.epoch();
-  }
-  return cache_.diameter;
-}
-
-NodeId Session::diameter_estimate() {
-  const auto lock = engine_->device_.exclusive();
-  return diameter_artifact();
-}
-
 PlanInputs Session::plan_inputs() {
   PlanInputs inputs = machine_inputs(*engine_);
   inputs.n = graph_.num_nodes();
   inputs.m = graph_.num_edges();
-  inputs.diameter = diameter_artifact();
+  inputs.height = tree_height(forest_lca_artifact().tree());
   return inputs;
 }
 
@@ -369,7 +347,8 @@ const bridges::BridgeMask& Session::mask_artifact(const Policy& policy,
     if (backend == Backend::kAuto) backend = Backend::kDfs;
   } else {
     if (backend == Backend::kAuto) backend = policy.choose(plan_inputs());
-    // Every backend takes the snapshot as it is, connected or not.
+    // Every backend takes the snapshot as it is, connected or not; TV and
+    // the hybrid run on the epoch's one tour, the forest LCA's tree.
     switch (backend) {
       case Backend::kDfs:
         mask = bridges::find_bridges_dfs(csr_artifact());
@@ -382,10 +361,12 @@ const bridges::BridgeMask& Session::mask_artifact(const Policy& policy,
             bridges::component_representatives(device, forest()), phases);
         break;
       case Backend::kTv:
-        mask = bridges::find_bridges_tarjan_vishkin(device, g, phases);
+        mask = bridges::find_bridges_tarjan_vishkin(
+            device, g, forest(), forest_lca_artifact().tree(), phases);
         break;
       case Backend::kHybrid:
-        mask = bridges::find_bridges_hybrid(device, g, phases);
+        mask = bridges::find_bridges_hybrid(
+            device, g, forest(), forest_lca_artifact().tree(), phases);
         break;
       case Backend::kAuto:
         assert(false);
@@ -407,9 +388,10 @@ const dynamic::ConnectivityOracle& Session::oracle_artifact(
     const Policy& policy) {
   sync_epoch();
   if (!track(!record_->oracle)) return *record_->oracle;
-  // The mask first: a forced backend may swap in a copy of the record.
-  const bridges::BridgeMask& mask = mask_artifact(policy, nullptr);
+  // The forest LCA first, then the mask, which may read its tree (a forced
+  // backend may swap in a copy of the record; the copy keeps the LCA).
   forest_lca_artifact();
+  const bridges::BridgeMask& mask = mask_artifact(policy, nullptr);
   record_->oracle = std::make_shared<const dynamic::ConnectivityOracle>(
       engine_->device_, record_->edges(), *record_->forest,
       record_->forest_lca, mask);
@@ -590,8 +572,10 @@ void Session::ensure_all_artifacts(const Policy& policy) {
   // through here, and nothing is mutated yet when it fires, so a caller
   // that catches the fault keeps a coherent (stale) record.
   util::failpoint::maybe_throw(util::failpoint::kPublish);
-  // The mask first, so a forced backend also replaces a replayed record's
-  // mask; the index step then fills the forest and forest LCA it reads.
+  // Forest and forest LCA first (the auto pick and the TV and hybrid masks
+  // read its tree), then the mask, so a forced backend also replaces a
+  // replayed record's mask, then the index.
+  forest_lca_artifact();
   mask_artifact(policy, nullptr);
   oracle_artifact(policy);
 }
@@ -725,12 +709,14 @@ double charge_seconds(const CostModel& model, Backend backend,
 
 void Policy::calibrate(Engine& engine) {
   // Two small instances spanning the regimes that separate the backends: a
-  // high-diameter ribbon (CK's BFS-launch regime) and a dense low-diameter
-  // kron. ~1-2k nodes each keeps the whole fit around 100ms on the
-  // reference container.
+  // tall ribbon (CK's BFS-launch and the hybrid's long-walk regime) and a
+  // dense shallow kron. ~1-2k nodes each keeps the whole fit around 100ms
+  // on the reference container. Each is rooted outside the timers, as an
+  // epoch is before its mask.
   struct Instance {
     graph::EdgeList g;
-    graph::Csr csr;
+    bridges::SpanningForest forest;
+    std::shared_ptr<const lca::InlabelLca> lca;
     PlanInputs inputs;
   };
   const device::Context& device = engine.device();
@@ -739,38 +725,45 @@ void Policy::calibrate(Engine& engine) {
       Instance{graph::largest_component(
                    graph::simplified(gen::road_graph(192, 8, 0.92, 0.02, 71))),
                {},
+               {},
                {}},
       Instance{graph::largest_component(
                    graph::simplified(gen::kron_graph(10, 12.0, 72))),
                {},
+               {},
                {}}};
   for (Instance& inst : instances) {
-    inst.csr = graph::build_csr(device, inst.g);
+    inst.forest = bridges::cc_spanning_forest(device, inst.g);
+    inst.lca = bridges::forest_lca(device, inst.g, inst.forest);
     inst.inputs = machine_inputs(engine);
     inst.inputs.n = inst.g.num_nodes;
     inst.inputs.m = inst.g.num_edges();
-    inst.inputs.diameter = graph::estimate_diameter(inst.csr, /*sweeps=*/2);
+    inst.inputs.height = tree_height(inst.lca->tree());
   }
 
+  // Times what the model prices: DFS and CK build the Csr they read, TV and
+  // the hybrid run on the rooted forest.
   const auto measure = [&](Backend backend, const Instance& inst) {
     double best = 1e300;
     for (int run = 0; run < 2; ++run) {
       util::Timer timer;
       switch (backend) {
         case Backend::kDfs:
-          bridges::find_bridges_dfs(inst.csr);
+          bridges::find_bridges_dfs(graph::build_csr(device, inst.g));
           break;
         case Backend::kCkMulticore:
-          bridges::find_bridges_ck(engine.multicore(), inst.g, inst.csr, {0});
-          break;
         case Backend::kCk:
-          bridges::find_bridges_ck(device, inst.g, inst.csr, {0});
+          bridges::find_bridges_ck(
+              backend == Backend::kCk ? device : engine.multicore(), inst.g,
+              graph::build_csr(device, inst.g), {0});
           break;
         case Backend::kTv:
-          bridges::find_bridges_tarjan_vishkin(device, inst.g);
+          bridges::find_bridges_tarjan_vishkin(device, inst.g, inst.forest,
+                                               inst.lca->tree());
           break;
         case Backend::kHybrid:
-          bridges::find_bridges_hybrid(device, inst.g);
+          bridges::find_bridges_hybrid(device, inst.g, inst.forest,
+                                       inst.lca->tree());
           break;
         case Backend::kAuto:
           break;
@@ -812,6 +805,7 @@ void Policy::calibrate(Engine& engine) {
   const double r_hybrid = fit_ratio(Backend::kHybrid);
   model.hybrid_node_ns *= r_hybrid;
   model.hybrid_edge_ns *= r_hybrid;
+  model.hybrid_walk_ns *= r_hybrid;
   // Host/device point-query work scales with scalar host throughput.
   model.query_host_ns *= r_dfs;
   model.query_device_ns *= r_dfs;
@@ -823,11 +817,12 @@ void Policy::calibrate(Engine& engine) {
   int sync_count = 0;
   for (const Instance& inst : instances) {
     const double work =
-        work_seconds(model, Backend::kCkMulticore, inst.inputs);
+        work_seconds(model, Backend::kCkMulticore, inst.inputs) +
+        hand.csr_launches * inst.inputs.launch_overhead;  // the Csr's launches
     const double residual = measure(Backend::kCkMulticore, inst) - work;
     const double launches =
-        hand.ck_launches_per_diameter *
-            static_cast<double>(std::max<NodeId>(inst.inputs.diameter, 1)) +
+        hand.ck_launches_per_level *
+            static_cast<double>(std::max<NodeId>(inst.inputs.height, 1)) +
         hand.ck_fixed_launches;
     if (residual <= 0.0 || launches <= 0.0) continue;
     const double per_sync_ns = residual / launches * 1e9;

@@ -56,12 +56,15 @@
 // pass the fence, so whichever comes first at a new epoch takes the replay.
 //
 // Disconnected inputs need no special path: every backend accepts any
-// graph and runs on the epoch's snapshot as it is. The Euler-tour users
-// (TV, hybrid, forest LCA) all root the spanning forest the same way, below
-// one virtual node n adjacent to each component representative
-// (bridges::virtual_root_tree); the record's forest LCA is the epoch's one
-// tour, and the 2-ecc and BCC indexes read its tree(). CK roots its BFS at
-// the cached forest's representatives.
+// graph and runs on the epoch's snapshot as it is. The spanning forest is
+// rooted one way, below one virtual node n adjacent to each component
+// representative (bridges::virtual_root_tree); the record's forest LCA is
+// the epoch's one Euler tour, and TV's detection, the hybrid's marking, the
+// 2-ecc index and the BCC index all read its tree(). The artifact order is
+// forest -> forest LCA -> bridge mask -> 2-ecc index: the auto policy
+// decides from the tree's height, so a mask by TV or the hybrid builds no
+// Csr at all. DFS and CK read the epoch's Csr; CK roots its BFS at the
+// cached forest's representatives.
 //
 // Lifetimes: the Engine (whose contexts execute the bulk kernels) must
 // outlive its Sessions and their Views. A Session must not outlive its
@@ -451,19 +454,14 @@ class Session {
   std::size_t pinned_epochs() const;
 
   /// The decision a Bridges request would take, without running it: chosen
-  /// backend plus the model's per-backend predictions. Builds the cheap
-  /// inputs (Csr, diameter estimate) if missing.
+  /// backend plus the model's per-backend predictions. Builds its input,
+  /// the forest LCA (whose tree's height the model reads), if missing —
+  /// never the Csr.
   Plan plan(const Bridges& request);
   Plan plan(const Bridges& request, const Policy& policy);
 
   // --- artifacts and instance statistics
   const graph::Csr& csr();
-  /// Double-sweep BFS diameter lower bound. Sticky across epochs: an
-  /// estimate survives small edge-count drift (|m - m_at_estimate| <= 25%)
-  /// for up to Cache::kDiameterMaxAge effective update batches, so
-  /// steady-state dynamic serving does not re-pay the sweeps while the
-  /// policy's key input cannot go arbitrarily stale at constant m.
-  NodeId diameter_estimate();
   /// The current record's 2-ecc index, or an empty one before the first
   /// 2-ecc step. Reading it runs nothing: it may lag the graph until the
   /// next 2-ecc request or publish. The reference names one record's index:
@@ -487,34 +485,24 @@ class Session {
   std::uint64_t publish_replays() const { return publish_replays_; }
   std::uint64_t publish_rebuilds() const { return publish_rebuilds_; }
 
-  /// Drops every cached artifact (benchmark / memory-pressure hook) except
-  /// the sticky diameter hint. The next request rebuilds from scratch.
-  /// Live Views are unaffected: they co-own what they pinned.
+  /// Drops every cached artifact (benchmark / memory-pressure hook). The
+  /// next request rebuilds from scratch. Live Views are unaffected: they
+  /// co-own what they pinned.
   void drop_artifacts();
 
   /// Drops only the ANSWER artifacts (bridge mask, 2-ecc index, forest
-  /// LCA, BCC index), keeping the input-preparation
-  /// ones (Csr, spanning forest, diameter hint). The
-  /// benchmark hook for timing the per-request algorithm cost the way the
-  /// paper's figures do — input prep outside the timer, algorithm inside.
-  /// The BCC index reads the forest LCA's tree, so a BCC read after this
-  /// rebuilds the forest LCA first; fill it (e.g. an LcaBatch run) outside
-  /// the timer to time the index build alone.
+  /// LCA, BCC index), keeping the input-preparation ones (Csr, spanning
+  /// forest). The benchmark hook for timing the per-request algorithm cost
+  /// the way the paper's figures do — input prep outside the timer,
+  /// algorithm inside. The BCC index, an auto mask and a TV or hybrid mask
+  /// read the forest LCA's tree, so they rebuild the forest LCA first after
+  /// this; fill it (e.g. an LcaBatch run) outside the timer to time their
+  /// marginal cost alone.
   void drop_results();
 
  private:
   friend class Engine;
   Session(Engine& engine, GraphRef graph);
-
-  /// What the session carries ACROSS epochs; each epoch's artifacts live in
-  /// its record (record_).
-  struct Cache {
-    // Sticky diameter hint (see diameter_estimate()).
-    static constexpr std::uint64_t kDiameterMaxAge = 16;  // effective batches
-    NodeId diameter = kNoNode;
-    std::size_t diameter_at_m = 0;
-    std::uint64_t diameter_at_epoch = 0;
-  };
 
   /// Epoch fence: every request and publish passes through here first. A
   /// changed epoch installs the replayed record when replay_partition()
@@ -526,14 +514,15 @@ class Session {
   /// is replaced or cleared: a View may hold the current one.
   void copy_record();
   const graph::Csr& csr_artifact();
-  NodeId diameter_artifact();
   const bridges::SpanningForest& forest();
   /// The mask artifact under `policy` (the heart of the Bridges request).
+  /// Auto, TV and the hybrid fill the forest LCA first and read its tree.
   const bridges::BridgeMask& mask_artifact(const Policy& policy,
                                            util::PhaseTimer* phases);
   /// The 2-ecc index artifact, built from the record's forest, forest LCA
   /// and the mask `policy` picks (a forced backend recomputes a cached mask
-  /// from another one, as a forced Bridges request does).
+  /// from another one, as a forced Bridges request does). Fills the forest
+  /// LCA before the mask.
   const dynamic::ConnectivityOracle& oracle_artifact(const Policy& policy);
   /// The input of every replay: the edges the graph added since the current
   /// record's epoch (a suffix of its edge log), split by the record's
@@ -576,6 +565,8 @@ class Session {
   void ensure_all_artifacts(const Policy& policy);
   /// ensure_all_artifacts + share the record with a new View's state.
   std::shared_ptr<const View::State> make_state(const Policy& policy);
+  /// The model's inputs: machine parameters, n, m and the forest LCA
+  /// tree's height (fills the forest LCA).
   PlanInputs plan_inputs();
   bool track(bool built);  // stats helper: count a build or a hit
 
@@ -584,7 +575,6 @@ class Session {
   /// The current epoch's record (null before the first request and after
   /// drop_artifacts), shared with every View acquired at it.
   std::shared_ptr<EpochArtifacts> record_;
-  Cache cache_;
   std::uint64_t publish_replays_ = 0;
   std::uint64_t publish_rebuilds_ = 0;
   /// Weak registry of every State this session published, for

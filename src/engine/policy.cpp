@@ -30,49 +30,74 @@ std::size_t backend_index(Backend backend) {
   return 0;
 }
 
-// Calibration notes — constants fitted to the committed BENCH tables
-// (BENCH_engine.json is the primary source: it measures every fixed
-// backend on scenarios spanning the density/diameter regimes; the worker
-// division extrapolates to wider machines):
+// Calibration notes. Each backend is priced at its marginal cost on an
+// epoch that already holds its rooted spanning forest and forest LCA (the
+// 2-ecc index needs both, so every publish builds them): DFS and CK read a
+// Csr the epoch builds only for them, TV runs detect_bridges on the
+// forest LCA's tree(), and the hybrid runs CK's marking on it.
 //
-//   DFS  — per-edge cost ~9.7 ns on dense kron (n/m ~ 0.03) vs ~24-27 ns
-//          on road shapes (n/m ~ 0.7): node_ns ~ 22, edge_ns ~ 4.5 per
-//          half-edge.
-//   TV   — work split from the same regimes (kron ~87, road ~200-250
-//          ns/edge at one worker, ~70 launches from
-//          bench_bridges_breakdown): node_ns ~ 230, edge_ns ~ 48.
-//   CK   — the road-ribbon row pins the launch term: measured ~1769
-//          ns/edge at diameter ~4700 on m ~ 141k is almost exactly
-//          diameter * 50us of launch latency; the flat work term (~50
-//          ns/edge) comes from the small-diameter rows. The multicore
-//          variant pays ~1us pool syncs per BFS level instead of launches.
-//   Hybrid — fewer launches than TV (~40) and a marking phase far cheaper
-//          than TV's detect on this simulator: node_ns ~ 280, edge ~ 10.
+// The constants come from a probe of those marginal pipelines on the
+// bench_e2e graphs (canonical kron_graph(20, 8): n = 2^20, m = 8.04M,
+// height 6; road_graph(1024, 1024, 0.9, 0.02): m = 1.90M, height 2922),
+// 4 device workers, 2 multicore workers, 50 us launches, 4-vCPU VM,
+// seconds over three runs (kron / road):
+//
+//   Csr build 0.67-0.72 / 0.031-0.034, DFS on it 0.40-0.47 / 0.073-0.084;
+//   CK (device, Csr excluded) 0.35-0.40 in 12 launches / 0.36-0.37 in 1765
+//   (one launch per BFS level, ecc 1758 < height); multicore CK 0.54-0.59 /
+//   0.34-0.38; TV detect 0.33-0.43 / 0.15-0.16 in 52 launches; hybrid
+//   marking 0.12-0.13 / 0.76-0.83 in 5 launches.
+//
+//   DFS  — the Csr build scales worse than linearly on kron (its hubs
+//          serialize the scatter's atomics): node ~5, edge ~28 ns per
+//          half-edge plus the Csr's 3 launches match road (0.11 s) and
+//          keep kron (0.46 s predicted, 1.1-1.2 measured) above TV.
+//   TV   — the two shapes fit node ~310, edge ~140 ns (at one worker).
+//   CK   — launch term one per level up to the height (a bound: road's
+//          BFS runs 1765 levels below height 2922) plus the Csr's 3;
+//          work ~20 node / ~400 edge ns with the Csr folded in. The
+//          multicore variant pays ~1 us pool syncs per BFS level instead
+//          of launches.
+//   Hybrid — kron fixes the flat marking cost (~57 ns per edge, walks of
+//          a few steps), road the walk term: ~0.55 ns per edge per level
+//          of height (road's mean walk is 146 steps at height 2922).
+//
+// Predicted (kron / road): hybrid 0.12 / 0.79, TV 0.37 / 0.15, DFS 0.46 /
+// 0.11, CK 0.81 / 0.34, multicore CK 1.62 / 0.39 — the measured order of
+// the three that matter: hybrid < TV < DFS on kron, DFS < TV < hybrid on
+// road. The height only bounds the walks: a narrow ribbon (bench_engine's
+// road-ribbon, height 7485) walks 16 steps on average, and there the
+// model over-charges the hybrid.
 double CostModel::seconds(Backend backend, const PlanInputs& inputs) const {
   const double n = static_cast<double>(inputs.n);
   const double m = static_cast<double>(inputs.m);
-  const double diam = static_cast<double>(std::max<NodeId>(inputs.diameter, 1));
+  const double height = static_cast<double>(std::max<NodeId>(inputs.height, 1));
   const double device_w = std::max(1u, inputs.device_workers);
   const double multicore_w = std::max(1u, inputs.multicore_workers);
   const double launch = inputs.launch_overhead;
   const double ck_work_ns = ck_node_ns * n + ck_edge_ns * m;
-  const double ck_launches = ck_launches_per_diameter * diam + ck_fixed_launches;
+  const double ck_launches = ck_launches_per_level * height + ck_fixed_launches;
   switch (backend) {
     case Backend::kDfs:
-      return (dfs_node_ns * n + dfs_edge_ns * 2.0 * m) * 1e-9;
+      return csr_launches * launch +
+             (dfs_node_ns * n + dfs_edge_ns * 2.0 * m) * 1e-9;
     case Backend::kCkMulticore:
       // CPU contexts charge no launch latency, but every BFS level still
       // synchronizes the pool.
-      return (ck_work_ns / multicore_w + ck_launches * multicore_sync_ns) *
-             1e-9;
+      return csr_launches * launch +
+             (ck_work_ns / multicore_w + ck_launches * multicore_sync_ns) *
+                 1e-9;
     case Backend::kCk:
-      return ck_launches * launch + ck_work_ns / device_w * 1e-9;
+      return (csr_launches + ck_launches) * launch +
+             ck_work_ns / device_w * 1e-9;
     case Backend::kTv:
       return tv_launches * launch +
              (tv_node_ns * n + tv_edge_ns * m) / device_w * 1e-9;
     case Backend::kHybrid:
       return hybrid_launches * launch +
-             (hybrid_node_ns * n + hybrid_edge_ns * m) / device_w * 1e-9;
+             (hybrid_node_ns * n + hybrid_edge_ns * m +
+              hybrid_walk_ns * m * height) /
+                 device_w * 1e-9;
     case Backend::kAuto: break;
   }
   assert(false && "CostModel::seconds(kAuto)");

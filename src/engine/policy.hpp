@@ -3,17 +3,19 @@
 // The paper's headline finding is that the SAME bridge/2-ecc problem is
 // best served by different backends depending on the instance: sequential
 // DFS on one core, CK on multicore, CK/TV/hybrid on the device — with the
-// winner decided by graph shape (diameter, density) and, for query
-// serving, by the batch size (Figure 6's launch-overhead regime). In the
+// winner decided by graph shape (depth, density) and, for query serving,
+// by the batch size (Figure 6's launch-overhead regime). In the
 // spirit of Optiplan (PAPERS.md), which let IP-based and graph-based
 // planners compete per instance behind one interface, a Policy either
 // forces one backend or resolves kAuto through an explicit cost model.
 //
 // The cost model is deliberately simple — per-element work constants plus
 // a per-kernel launch charge — and is CALIBRATED, not derived: the
-// constants in CostModel's defaults are fitted to the committed BENCH
-// tables (see the notes in policy.cpp). It only has to rank backends,
-// not predict wall time.
+// constants in CostModel's defaults are fitted to measurements (see the
+// notes in policy.cpp). Its depth input is the height of the epoch's
+// rooted spanning forest, which the epoch's one Euler tour already holds,
+// so deciding costs no Csr and no BFS sweeps. It only has to rank
+// backends, not predict wall time.
 #pragma once
 
 #include <array>
@@ -34,8 +36,8 @@ enum class Backend {
   kDfs,          // sequential Hopcroft-Tarjan on the CSR (cpu1 baseline)
   kCkMulticore,  // Chaitanya-Kothapalli on the multicore context
   kCk,           // Chaitanya-Kothapalli on the device context
-  kTv,           // Tarjan-Vishkin on the device context
-  kHybrid,       // CC tree + Euler rooting + CK marking on the device
+  kTv,           // Tarjan-Vishkin detection on the epoch's rooted forest
+  kHybrid,       // CK marking on the epoch's rooted forest (§4.3)
 };
 
 inline constexpr std::size_t kNumBackends = 5;
@@ -51,44 +53,57 @@ std::string_view to_string(Backend backend);
 /// Index of a fixed backend in kFixedBackends order (kAuto not allowed).
 std::size_t backend_index(Backend backend);
 
-/// What the cost model sees: instance statistics (from the session's
-/// artifact cache) and machine parameters (from the engine's contexts).
+/// What the cost model sees: instance statistics (from the epoch's
+/// record) and machine parameters (from the engine's contexts).
 struct PlanInputs {
   NodeId n = 0;
   std::size_t m = 0;
-  NodeId diameter = 0;  // double-sweep BFS lower bound (cached artifact)
+  /// Height of the epoch's rooted spanning forest: the largest level of the
+  /// forest LCA's tree() (virtual root 0, component roots 1). It bounds both
+  /// depth-dependent costs: CK's BFS from a component root runs ecc(root) <=
+  /// height levels, and a marking walk climbs at most height tree edges per
+  /// endpoint. Free once the epoch's Euler tour exists.
+  NodeId height = 0;
   unsigned device_workers = 1;
   unsigned multicore_workers = 1;
   double launch_overhead = 0.0;  // seconds per device kernel launch
 };
 
-/// Per-element work constants (nanoseconds) and launch counts. Defaults are
-/// fitted to the committed BENCH tables; override to recalibrate for other
-/// hardware without rebuilding.
+/// Per-element work constants (nanoseconds) and launch counts, each backend
+/// priced at its MARGINAL cost on an epoch whose rooted spanning forest
+/// already exists (every publish builds it for the 2-ecc index): DFS and CK
+/// pay for the Csr they read, TV only for its detect phase, the hybrid only
+/// for its marking. Defaults are fitted to measurements (policy.cpp);
+/// override to recalibrate for other hardware without rebuilding.
 struct CostModel {
-  // Sequential DFS: one cache-unfriendly pass over n + 2m adjacency slots.
-  double dfs_node_ns = 22.0;
-  double dfs_edge_ns = 4.5;  // per directed half-edge (the model doubles m)
-  // Tarjan-Vishkin: node/edge split fitted from the BENCH tables (see
-  // policy.cpp); launch count pinned by bench_bridges_breakdown.
-  double tv_node_ns = 230.0;
-  double tv_edge_ns = 48.0;
-  double tv_launches = 70.0;
-  // CK: the diameter cost is the BFS LAUNCH COUNT (~1 launch per unit of
-  // the diameter estimate), not the marking walks — measured walks stay
-  // local (most non-tree edges meet their BFS-tree LCA within a few hops),
-  // so marking folds into the flat per-edge constant.
-  double ck_node_ns = 37.0;
-  double ck_edge_ns = 50.0;
-  double ck_launches_per_diameter = 1.0;
+  // The Csr build DFS and CK pay for: its launches on the device context
+  // (its work is folded into their per-element constants).
+  double csr_launches = 3.0;
+  // Sequential DFS over n + 2m adjacency slots, the Csr build folded in.
+  double dfs_node_ns = 5.0;
+  double dfs_edge_ns = 28.0;  // per directed half-edge (the model doubles m)
+  // Tarjan-Vishkin's detect phase on the rooted forest (low/high + the
+  // criterion); launch count as measured (see policy.cpp).
+  double tv_node_ns = 310.0;
+  double tv_edge_ns = 140.0;
+  double tv_launches = 52.0;
+  // CK, the Csr build folded in: the depth cost is the BFS LAUNCH COUNT
+  // (one launch per level, at most height levels), not the marking walks —
+  // walks on a BFS tree stay local, so marking folds into the flat
+  // per-edge constant.
+  double ck_node_ns = 20.0;
+  double ck_edge_ns = 400.0;
+  double ck_launches_per_level = 1.0;
   double ck_fixed_launches = 10.0;
   double multicore_sync_ns = 950.0;  // per BFS-level pool barrier (no
                                      // modeled latency on CPU contexts)
-  // Hybrid: TV's spanning tree + Euler tour, then CK's (cheap) marking in
-  // place of TV's RMQ-heavy detect phase — fewer launches than TV.
-  double hybrid_node_ns = 280.0;
-  double hybrid_edge_ns = 10.0;
-  double hybrid_launches = 40.0;
+  // Hybrid: CK's marking alone on the rooted forest. Its walks are not
+  // local on a deep tree: each climbs toward its LCA, at most height edges
+  // per endpoint, so the walk term is per edge per level of height.
+  double hybrid_node_ns = 10.0;
+  double hybrid_edge_ns = 57.0;
+  double hybrid_walk_ns = 0.55;
+  double hybrid_launches = 5.0;
   // Point queries on the 2-ecc index / forest LCA (per query; identical
   // arithmetic either way, so the device only wins by dividing it).
   double query_host_ns = 30.0;
@@ -125,17 +140,17 @@ struct Policy {
 
   /// Auto-fits the CostModel's per-element work constants to THIS machine
   /// with a ~100ms startup microbenchmark: each fixed backend runs on two
-  /// small calibration instances spanning the diameter regimes (a
-  /// high-diameter road ribbon and a dense small-diameter kron), the
-  /// already-exact launch/sync charges are subtracted from the measured
-  /// times, and each backend's work constants are scaled by the measured /
-  /// predicted work ratio. The committed hand-fitted constants (calibrated
-  /// for the 1-core reference container) stay as both the structural prior
-  /// — launch counts, diameter dependence and node/edge split are NOT
-  /// refitted, only scaled — and the fallback: a non-finite or wildly
-  /// implausible ratio (outside [1/20, 20], i.e. noise) leaves that
-  /// backend's constants untouched. Implemented in engine.cpp (it drives
-  /// the engine's execution contexts).
+  /// small calibration instances spanning the depth regimes (a tall road
+  /// ribbon and a dense shallow kron), timed as the model prices it — DFS
+  /// and CK including the Csr build, TV and the hybrid on a forest rooted
+  /// outside the timer. The already-exact launch/sync charges are
+  /// subtracted from the measured times, and each backend's work constants
+  /// are scaled by the measured / predicted work ratio. The committed
+  /// constants stay as both the structural prior — launch counts, height
+  /// dependence and node/edge/walk split are NOT refitted, only scaled —
+  /// and the fallback: a non-finite or wildly implausible ratio (outside
+  /// [1/20, 20], i.e. noise) leaves that backend's constants untouched.
+  /// Implemented in engine.cpp (it drives the engine's execution contexts).
   void calibrate(Engine& engine);
 
   /// Resolves this policy for one bridge request: the forced backend, or

@@ -183,6 +183,24 @@ TEST(EngineCache, AutoReusesAnyMaskButForcingRecomputes) {
             runs_before[backend_index(Backend::kHybrid)] + 1);
 }
 
+TEST(EngineCache, ATourPickBuildsNoCsr) {
+  // A dense shallow graph on which the committed model picks a tour
+  // backend: the publish decides from the forest LCA's height and runs the
+  // mask on its tree, so nothing in view() reads a Csr.
+  Engine engine({.device_workers = 4, .multicore_workers = 2});
+  const EdgeList g = graph::largest_component(
+      graph::simplified(gen::kron_graph(14, 16.0, 5)));
+  Session session = engine.session(g);
+  const View view = session.view();
+  ASSERT_TRUE(view.mask_backend() == Backend::kTv ||
+              view.mask_backend() == Backend::kHybrid)
+      << "auto picked " << to_string(view.mask_backend());
+  const std::size_t builds = engine.stats().artifact_builds;
+  const graph::Csr& csr = session.csr();  // the epoch's first Csr
+  EXPECT_EQ(engine.stats().artifact_builds, builds + 1);
+  EXPECT_EQ(view.run(Bridges{}), bridges::find_bridges_dfs(csr));
+}
+
 TEST(EngineDynamic, EpochChangesInvalidateAndReplayIncrementally) {
   Engine engine({.device_workers = 2});
   dynamic::DynamicGraph dg(engine.device(), gen::cycle_graph(64));
@@ -294,7 +312,7 @@ TEST(EnginePolicy, CostModelRanksBackendsLikeThePaper) {
   PlanInputs cpu1;
   cpu1.n = 1 << 20;
   cpu1.m = 1 << 22;
-  cpu1.diameter = 30;
+  cpu1.height = 30;
   cpu1.device_workers = 1;
   cpu1.multicore_workers = 1;
   cpu1.launch_overhead = 50e-6;
@@ -309,18 +327,50 @@ TEST(EnginePolicy, CostModelRanksBackendsLikeThePaper) {
   EXPECT_NE(wide, Backend::kDfs);
   EXPECT_LT(model.seconds(wide, gpu), model.seconds(Backend::kDfs, gpu));
 
-  // Diameter punishes CK but not TV (the Figure 9-11 mechanism): on a road
+  // Depth punishes CK but not TV (the Figure 9-11 mechanism): on a road
   // shape CK's BFS launches alone dwarf TV's fixed budget.
   PlanInputs road = gpu;
   road.m = road.n * 5 / 4;
-  road.diameter = 6000;
+  road.height = 6000;
   EXPECT_GT(model.seconds(Backend::kCk, road),
             model.seconds(Backend::kTv, road));
-  // And TV's prediction is diameter-invariant.
+  // And TV's prediction is depth-invariant.
   PlanInputs road_flat = road;
-  road_flat.diameter = 10;
+  road_flat.height = 10;
   EXPECT_EQ(model.seconds(Backend::kTv, road),
             model.seconds(Backend::kTv, road_flat));
+}
+
+TEST(EnginePolicy, CommittedModelPicksFromTheForestHeight) {
+  // The bench_e2e shapes and engine: kron_graph(20, 8) (m ~ 7.7n after
+  // canonicalization, forest height 6) and a 1024 x 1024 road grid (m ~
+  // 1.8n, height ~ 3000), 4 device workers, 2 multicore workers, 50us
+  // launches. The measured marginal ranking is hybrid < TV < DFS on kron
+  // and DFS < TV < hybrid on road; the committed model must keep it.
+  const CostModel model;
+  PlanInputs kron;
+  kron.n = 1 << 20;
+  kron.m = static_cast<std::size_t>(kron.n) * 77 / 10;
+  kron.height = 6;
+  kron.device_workers = 4;
+  kron.multicore_workers = 2;
+  kron.launch_overhead = 50e-6;
+  const Backend kron_pick = Policy{}.choose(kron);
+  EXPECT_TRUE(kron_pick == Backend::kTv || kron_pick == Backend::kHybrid)
+      << to_string(kron_pick);
+  EXPECT_LT(model.seconds(Backend::kHybrid, kron),
+            model.seconds(Backend::kTv, kron));
+  EXPECT_LT(model.seconds(Backend::kTv, kron),
+            model.seconds(Backend::kDfs, kron));
+
+  PlanInputs road = kron;
+  road.m = static_cast<std::size_t>(road.n) * 18 / 10;
+  road.height = 3000;
+  EXPECT_EQ(Policy{}.choose(road), Backend::kDfs);
+  EXPECT_LT(model.seconds(Backend::kDfs, road),
+            model.seconds(Backend::kTv, road));
+  EXPECT_LT(model.seconds(Backend::kTv, road),
+            model.seconds(Backend::kHybrid, road));
 }
 
 TEST(EnginePolicy, BatchRoutingFollowsTheLaunchOverhead) {
@@ -349,41 +399,44 @@ TEST(EnginePolicy, CalibrationFitsThisMachineAndAutoStaysCompetitive) {
   const CostModel& fit = calibrated.model;
 
   // Work constants stay positive and finite; structural terms (launch
-  // counts, diameter dependence) are priors, not fit targets.
+  // counts, height dependence) are priors, not fit targets.
   for (const double c : {fit.dfs_node_ns, fit.dfs_edge_ns, fit.ck_node_ns,
                          fit.ck_edge_ns, fit.tv_node_ns, fit.tv_edge_ns,
                          fit.hybrid_node_ns, fit.hybrid_edge_ns,
-                         fit.multicore_sync_ns, fit.query_host_ns,
-                         fit.query_device_ns}) {
+                         fit.hybrid_walk_ns, fit.multicore_sync_ns,
+                         fit.query_host_ns, fit.query_device_ns}) {
     ASSERT_TRUE(std::isfinite(c));
     ASSERT_GT(c, 0.0);
   }
   const CostModel hand;
   EXPECT_EQ(fit.tv_launches, hand.tv_launches);
   EXPECT_EQ(fit.hybrid_launches, hand.hybrid_launches);
-  EXPECT_EQ(fit.ck_launches_per_diameter, hand.ck_launches_per_diameter);
+  EXPECT_EQ(fit.ck_launches_per_level, hand.ck_launches_per_level);
 
   // The mini bench_engine: on a small road instance under the simulated
-  // 50us launch latency the device backends pay milliseconds of fixed
-  // charge, so calibrated auto must route around them...
+  // 50us launch latency CK and TV pay milliseconds of fixed charge (BFS
+  // levels; TV's ~50 detect launches), so calibrated auto must route
+  // around them. The hybrid's marginal mask is 5 launches on the epoch's
+  // tree, within a launch or two of DFS with its Csr, so either may win...
   const EdgeList g = graph::largest_component(
       graph::simplified(gen::road_graph(48, 48, 0.72, 0.04, 7)));
   Session session = engine.session(g);
   session.csr();
   session.num_components();
-  session.diameter_estimate();
   const Plan plan = session.plan(Bridges{}, calibrated);
   EXPECT_NE(plan.chosen, Backend::kCk);
   EXPECT_NE(plan.chosen, Backend::kTv);
-  EXPECT_NE(plan.chosen, Backend::kHybrid);
 
   // ...and must match or beat every fixed backend when measured (generous
   // tolerance: the auto pick IS one of the fixed backends plus a model
-  // evaluation, so losing by 2x means the fit pointed at a loser).
+  // evaluation, so losing by 2x means the fit pointed at a loser). Each
+  // run starts from an epoch holding its forest LCA, as every publish's
+  // does: the model prices the mask on top of it.
   const auto timed = [&](const Policy& policy) {
     double best = 1e300;
     for (int run = 0; run < 3; ++run) {
       session.drop_results();
+      session.run(LcaBatch{});
       util::Timer timer;
       session.run(Bridges{}, policy);
       best = std::min(best, timer.seconds());

@@ -13,16 +13,20 @@
 // fetch it again after every step.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iostream>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "bridges/dfs_bridges.hpp"
 #include "device/context.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/oracle.hpp"
 #include "engine/engine.hpp"
 #include "gen/graphs.hpp"
 #include "graph/graph.hpp"
+#include "lca/inlabel.hpp"
 #include "support/fuzz_env.hpp"
 #include "support/reference.hpp"
 #include "util/rng.hpp"
@@ -597,6 +601,136 @@ TEST(IncrementalFuzz, MixedBatchesMatchFullRebuild) {
   if (rounds >= 30) {
     EXPECT_GT(session.publish_replays(), 0u);
     EXPECT_GT(session.publish_rebuilds(), 1u);
+  }
+}
+
+/// Each node's smallest same-label node: equal iff two labelings induce
+/// the same partition.
+std::vector<NodeId> canonical_partition(const std::vector<NodeId>& labels) {
+  std::vector<NodeId> first(labels.size(), kNoNode);
+  std::vector<NodeId> out(labels.size());
+  for (std::size_t v = 0; v < labels.size(); ++v) {
+    NodeId& f = first[labels[v]];
+    if (f == kNoNode) f = static_cast<NodeId>(v);
+    out[v] = f;
+  }
+  return out;
+}
+
+TEST(IncrementalFuzz, EveryForcedBackendOnReplayedRecordsMatchesDfs) {
+  const auto fuzz = test_support::fuzz_run(/*seed=*/2417, /*rounds=*/60);
+  SCOPED_TRACE(fuzz.trace);
+  Engine engine({.device_workers = 2});
+  const device::Context& ctx = engine.device();
+  constexpr NodeId kNodes = 48;
+  constexpr NodeId kTrees = 6;
+  util::Rng rng(fuzz.seed);
+
+  // kTrees random recursive trees (every edge a bridge) plus a few
+  // grandparent chords, fed in as a multigraph (parallel copies and
+  // self-loops, which the store drops): many bridges, and components for
+  // cross-linking inserts to join.
+  std::vector<NodeId> parent(kNodes, kNoNode);
+  std::vector<Edge> base;
+  for (NodeId v = kTrees; v < kNodes; ++v) {
+    parent[v] =
+        v % kTrees + kTrees * static_cast<NodeId>(rng.below(v / kTrees));
+    base.push_back({parent[v], v});
+    if (rng.below(4) == 0) base.push_back({v, parent[v]});
+    if (rng.below(8) == 0) base.push_back({v, v});
+  }
+  for (int c = 0; c < 4; ++c) {
+    const auto v = static_cast<NodeId>(kTrees + rng.below(kNodes - kTrees));
+    if (parent[parent[v]] != kNoNode) base.push_back({parent[parent[v]], v});
+  }
+  DynamicGraph dg(ctx, EdgeList{kNodes, base});
+  Session session = engine.session(dg);
+  engine::View prev = session.view();
+  const auto ancestor = [&](NodeId v, std::uint64_t steps) {
+    for (; steps > 0 && parent[v] != kNoNode; --steps) v = parent[v];
+    return v;
+  };
+
+  std::size_t intra_replays = 0, cross_replays = 0, erase_rebuilds = 0;
+  for (int round = 0; round < fuzz.rounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::vector<NodeId> cc = test_support::cc_labels(prev.edge_span());
+    std::vector<Edge> batch;
+    bool erase = false;
+    if (round % 8 == 7) {
+      // An erase: the next publish is a full rebuild.
+      const auto edges = prev.edge_span().edges;
+      for (int i = 0; i < 2; ++i) {
+        batch.push_back(edges[rng.below(edges.size())]);
+      }
+      erase = true;
+    } else if (round % 4 == 1) {
+      // Cross-linking: one edge between two components, if any remain.
+      for (int tries = 0; tries < 32 && batch.empty(); ++tries) {
+        const auto u = static_cast<NodeId>(rng.below(kNodes));
+        const auto v = static_cast<NodeId>(rng.below(kNodes));
+        if (cc[u] != cc[v]) batch.push_back({u, v});
+      }
+    }
+    if (batch.empty()) {
+      // Intra-only: short chords up the original trees.
+      const std::size_t size = 1 + rng.below(3);
+      for (std::size_t i = 0; i < size; ++i) {
+        const auto v = static_cast<NodeId>(rng.below(kNodes));
+        batch.push_back({v, ancestor(v, 2 + rng.below(2))});
+      }
+    }
+    const bool cross = std::any_of(batch.begin(), batch.end(), [&](Edge e) {
+      return cc[e.u] != cc[e.v];
+    });
+    const std::uint64_t epoch_before = dg.epoch();
+    const std::size_t replays_before = session.publish_replays();
+    if (erase) {
+      dg.erase_edges(ctx, batch);
+    } else {
+      dg.insert_edges(ctx, batch);
+    }
+    // Each publish forces the next backend, so replays derive from masks
+    // every backend produced.
+    const engine::Backend published =
+        engine::kFixedBackends[static_cast<std::size_t>(round) %
+                               engine::kNumBackends];
+    const engine::View view = session.view(engine::Policy::fixed(published));
+    ASSERT_EQ(view.mask_backend(), published);
+    if (dg.epoch() != epoch_before) {
+      const bool replayed = session.publish_replays() > replays_before;
+      ASSERT_EQ(replayed, !erase);
+      // An intra-only replay shares the forest LCA (the tree TV and the
+      // hybrid read) with the previous epoch; a cross-linking one rebuilds.
+      const bool shared = &view.artifact<lca::InlabelLca>() ==
+                          &prev.artifact<lca::InlabelLca>();
+      if (replayed) {
+        EXPECT_EQ(shared, !cross);
+      }
+      (erase ? erase_rebuilds : cross ? cross_replays : intra_replays) += 1;
+    }
+
+    const graph::EdgeSpan snap = view.edge_span();
+    const bridges::BridgeMask want =
+        bridges::find_bridges_dfs(graph::build_csr(ctx, snap));
+    ASSERT_EQ(view.run(engine::Bridges{}), want) << "published mask";
+    for (const engine::Backend backend : engine::kFixedBackends) {
+      ASSERT_EQ(session.run(engine::Bridges{}, engine::Policy::fixed(backend)),
+                want)
+          << "forced " << engine::to_string(backend);
+      ASSERT_EQ(session.mask_backend(), backend);
+    }
+    const engine::TwoEccView tecc = view.run(TwoEcc{});
+    EXPECT_EQ(canonical_partition(*tecc.labels),
+              canonical_partition(test_support::two_ecc_labels(snap, want)));
+    EXPECT_EQ(tecc.num_bridges, bridges::count_bridges(want));
+    if (::testing::Test::HasFailure()) return;
+    prev = view;
+  }
+  if (fuzz.rounds >= 16) {
+    EXPECT_GT(intra_replays, 0u);
+    EXPECT_GT(cross_replays, 0u);
+    EXPECT_GT(erase_rebuilds, 0u);
   }
 }
 
