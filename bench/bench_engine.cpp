@@ -10,7 +10,8 @@
 // holds its spanning forest and forest LCA and nothing else (every publish
 // builds both for the 2-ecc index), so each row is the MARGINAL mask the
 // cost model prices: DFS and CK build the Csr they read, TV and the hybrid
-// run on the forest LCA's tree, and auto decides from that tree's height.
+// run on the forest LCA's tree, and auto decides from that tree's height
+// and its sampled mean marking walk.
 // The auto row must match or beat every fixed backend: it runs whichever
 // backend the cost model picks, so its time is the winner's time plus a
 // cache lookup — if it does not, the model is miscalibrated for this
@@ -65,7 +66,7 @@ int main(int argc, char** argv) {
                          gen::road_graph(side(4096), 24, 0.72, 0.04, 4))));
 
   util::Table table({"scenario", "nodes", "edges", "diameter", "height",
-                     "backend", "seconds", "ns/edge"});
+                     "walk", "backend", "seconds", "ns/edge"});
   std::vector<bench::BenchRow> rows;
   bool auto_won_everywhere = true;
 
@@ -73,8 +74,9 @@ int main(int argc, char** argv) {
     engine::Session session = eng.session(g);
     const std::string diameter =
         std::to_string(graph::estimate_diameter(session.csr(), /*sweeps=*/2));
-    const std::string height =
-        std::to_string(session.plan(engine::Bridges{}).inputs.height);
+    const engine::PlanInputs inputs = session.plan(engine::Bridges{}).inputs;
+    const std::string height = std::to_string(inputs.height);
+    const std::string walk = util::Table::num(inputs.walk, 1);
 
     // Best-of-runs: the stable statistic for ranking backends on a noisy
     // container (averages smear scheduler hiccups into the wrong winner).
@@ -95,7 +97,7 @@ int main(int argc, char** argv) {
       best_fixed = std::min(best_fixed, seconds);
       const std::string label(engine::to_string(backend));
       table.add_row({name, bench::human(static_cast<std::size_t>(g.num_nodes)),
-                     bench::human(g.num_edges()), diameter, height, label,
+                     bench::human(g.num_edges()), diameter, height, walk, label,
                      util::Table::num(seconds),
                      util::Table::num(seconds * 1e9 / g.num_edges(), 1)});
       rows.push_back({"engine_bridges/" + name + "/" + label, g.num_edges(),
@@ -105,7 +107,7 @@ int main(int argc, char** argv) {
       const double seconds = timed(policy);  // leaves the pick's mask
       const std::string picked(engine::to_string(session.mask_backend()));
       table.add_row({name, bench::human(static_cast<std::size_t>(g.num_nodes)),
-                     bench::human(g.num_edges()), diameter, height,
+                     bench::human(g.num_edges()), diameter, height, walk,
                      std::string(label) + "->" + picked,
                      util::Table::num(seconds),
                      util::Table::num(seconds * 1e9 / g.num_edges(), 1)});

@@ -22,15 +22,18 @@ int main() {
               eng.device().workers(), eng.multicore().workers());
 
   // --- 1. A static graph session: bridges with the auto policy.
-  //        The Policy's cost model (n, m, and the height of the spanning
-  //        forest the session roots for every epoch) picks among DFS / CK /
-  //        TV / hybrid per request; plan() shows the decision.
+  //        The Policy's cost model (n, m, and the height and sampled mean
+  //        marking walk of the spanning forest the session roots for every
+  //        epoch) picks among DFS / CK / TV / hybrid per request; plan()
+  //        shows the decision.
   const graph::EdgeList road = graph::largest_component(
       graph::simplified(gen::road_graph(60, 60, 0.7, 0.05, 7)));
   engine::Session session = eng.session(road);
   const engine::Plan plan = session.plan(engine::Bridges{});
-  std::printf("\nroad graph: %d nodes, %zu edges, rooted forest height %d\n",
-              road.num_nodes, road.num_edges(), plan.inputs.height);
+  std::printf("\nroad graph: %d nodes, %zu edges, rooted forest height %d, "
+              "mean walk %.1f\n",
+              road.num_nodes, road.num_edges(), plan.inputs.height,
+              plan.inputs.walk);
   std::printf("policy predictions:");
   for (std::size_t b = 0; b < engine::kNumBackends; ++b) {
     std::printf(" %s=%.1fms",

@@ -222,7 +222,7 @@ struct EngineOptions {
   Policy policy{};
   /// Run policy.calibrate(*this) at construction: replaces the committed
   /// hand-fitted CostModel constants (1-core container numbers) with ones
-  /// fitted to this machine by a ~100ms startup microbenchmark.
+  /// fitted to this machine by a ~120ms startup microbenchmark.
   bool calibrate = false;
 };
 

@@ -12,9 +12,10 @@
 // The cost model is deliberately simple — per-element work constants plus
 // a per-kernel launch charge — and is CALIBRATED, not derived: the
 // constants in CostModel's defaults are fitted to measurements (see the
-// notes in policy.cpp). Its depth input is the height of the epoch's
-// rooted spanning forest, which the epoch's one Euler tour already holds,
-// so deciding costs no Csr and no BFS sweeps. It only has to rank
+// notes in policy.cpp). Its depth inputs come from the epoch's rooted
+// spanning forest, which the epoch's one Euler tour already holds: the
+// forest's height, and the mean marking walk on a sampled few hundred
+// edges. Deciding costs no Csr and no BFS sweeps. It only has to rank
 // backends, not predict wall time.
 #pragma once
 
@@ -64,6 +65,11 @@ struct PlanInputs {
   /// height levels, and a marking walk climbs at most height tree edges per
   /// endpoint. Free once the epoch's Euler tour exists.
   NodeId height = 0;
+  /// Mean tree edges a marking walk climbs per edge (tree edges count 0),
+  /// measured on a strided sample of the snapshot's edges up the forest
+  /// LCA's tree. The height only bounds it, and loosely: on a road grid the
+  /// walks average ~2% of the height, on a narrow ribbon well under 1%.
+  double walk = 0.0;
   unsigned device_workers = 1;
   unsigned multicore_workers = 1;
   double launch_overhead = 0.0;  // seconds per device kernel launch
@@ -76,17 +82,15 @@ struct PlanInputs {
 /// for its marking. Defaults are fitted to measurements (policy.cpp);
 /// override to recalibrate for other hardware without rebuilding.
 struct CostModel {
-  // The Csr build DFS and CK pay for: its launches on the device context
-  // (its work is folded into their per-element constants).
-  double csr_launches = 3.0;
   // Sequential DFS over n + 2m adjacency slots, the Csr build folded in.
   double dfs_node_ns = 5.0;
   double dfs_edge_ns = 28.0;  // per directed half-edge (the model doubles m)
   // Tarjan-Vishkin's detect phase on the rooted forest (low/high + the
-  // criterion); launch count as measured (see policy.cpp).
+  // criterion). Its launches are these fixed ones (sort, scans) plus two
+  // per doubling of n, one per level of its low and high sparse tables.
   double tv_node_ns = 310.0;
   double tv_edge_ns = 140.0;
-  double tv_launches = 52.0;
+  double tv_launches = 12.0;
   // CK, the Csr build folded in: the depth cost is the BFS LAUNCH COUNT
   // (one launch per level, at most height levels), not the marking walks —
   // walks on a BFS tree stay local, so marking folds into the flat
@@ -95,14 +99,16 @@ struct CostModel {
   double ck_edge_ns = 400.0;
   double ck_launches_per_level = 1.0;
   double ck_fixed_launches = 10.0;
-  double multicore_sync_ns = 950.0;  // per BFS-level pool barrier (no
-                                     // modeled latency on CPU contexts)
+  // The barrier of a launch on a pool of several workers: waking them and
+  // waiting for the last. Every such launch pays it, on the device on top
+  // of the modeled launch latency; on the multicore context (no modeled
+  // latency) it is what each of CK's BFS levels costs.
+  double pool_sync_ns = 25000.0;
   // Hybrid: CK's marking alone on the rooted forest. Its walks are not
-  // local on a deep tree: each climbs toward its LCA, at most height edges
-  // per endpoint, so the walk term is per edge per level of height.
+  // local on a deep tree, so the per-edge constant is charged once per
+  // edge and once per tree edge the mean walk climbs (m * (1 + walk)).
   double hybrid_node_ns = 10.0;
-  double hybrid_edge_ns = 57.0;
-  double hybrid_walk_ns = 0.55;
+  double hybrid_edge_ns = 20.0;
   double hybrid_launches = 5.0;
   // Point queries on the 2-ecc index / forest LCA (per query; identical
   // arithmetic either way, so the device only wins by dividing it).
@@ -138,18 +144,21 @@ struct Policy {
     return policy;
   }
 
-  /// Auto-fits the CostModel's per-element work constants to THIS machine
-  /// with a ~100ms startup microbenchmark: each fixed backend runs on two
-  /// small calibration instances spanning the depth regimes (a tall road
-  /// ribbon and a dense shallow kron), timed as the model prices it — DFS
-  /// and CK including the Csr build, TV and the hybrid on a forest rooted
-  /// outside the timer. The already-exact launch/sync charges are
-  /// subtracted from the measured times, and each backend's work constants
-  /// are scaled by the measured / predicted work ratio. The committed
-  /// constants stay as both the structural prior — launch counts, height
-  /// dependence and node/edge/walk split are NOT refitted, only scaled —
+  /// Auto-fits the CostModel to THIS machine with a ~120ms startup
+  /// microbenchmark. It first measures pool_sync_ns (empty launches wide
+  /// enough to wake every worker, less the modeled launch latency), then
+  /// runs the fixed backends on two calibration instances of a few tens of
+  /// thousands of edges (a tall road ribbon and a dense shallow kron),
+  /// timed as the model prices them — DFS and CK including the Csr build,
+  /// TV and the hybrid on a forest rooted outside the timer. The launch
+  /// and sync charges are subtracted from the measured times, and each
+  /// backend's work constants are scaled by the measured / predicted work
+  /// ratio: TV and the hybrid over both instances, DFS over the ribbon
+  /// and CK over the kron (see engine.cpp). The committed constants stay
+  /// as both the structural prior — launch counts, height and walk
+  /// dependence and the node/edge split are NOT refitted, only scaled —
   /// and the fallback: a non-finite or wildly implausible ratio (outside
-  /// [1/20, 20], i.e. noise) leaves that backend's constants untouched.
+  /// [1/50, 50], i.e. noise) leaves that backend's constants untouched.
   /// Implemented in engine.cpp (it drives the engine's execution contexts).
   void calibrate(Engine& engine);
 

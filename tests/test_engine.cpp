@@ -313,6 +313,7 @@ TEST(EnginePolicy, CostModelRanksBackendsLikeThePaper) {
   cpu1.n = 1 << 20;
   cpu1.m = 1 << 22;
   cpu1.height = 30;
+  cpu1.walk = 4.0;  // a shallow forest's marking walks climb a few edges
   cpu1.device_workers = 1;
   cpu1.multicore_workers = 1;
   cpu1.launch_overhead = 50e-6;
@@ -341,17 +342,19 @@ TEST(EnginePolicy, CostModelRanksBackendsLikeThePaper) {
             model.seconds(Backend::kTv, road_flat));
 }
 
-TEST(EnginePolicy, CommittedModelPicksFromTheForestHeight) {
+TEST(EnginePolicy, CommittedModelPicksFromTheRootedForest) {
   // The bench_e2e shapes and engine: kron_graph(20, 8) (m ~ 7.7n after
-  // canonicalization, forest height 6) and a 1024 x 1024 road grid (m ~
-  // 1.8n, height ~ 3000), 4 device workers, 2 multicore workers, 50us
-  // launches. The measured marginal ranking is hybrid < TV < DFS on kron
-  // and DFS < TV < hybrid on road; the committed model must keep it.
+  // canonicalization, forest height 6, mean marking walk 2.6 per edge) and
+  // a 1024 x 1024 road grid (m ~ 1.8n, height ~ 3000, walk ~ 65), 4 device
+  // workers, 2 multicore workers, 50us launches. The measured marginal
+  // ranking is hybrid < TV < DFS on kron and DFS < TV < hybrid on road;
+  // the committed model must keep it.
   const CostModel model;
   PlanInputs kron;
   kron.n = 1 << 20;
   kron.m = static_cast<std::size_t>(kron.n) * 77 / 10;
   kron.height = 6;
+  kron.walk = 2.6;
   kron.device_workers = 4;
   kron.multicore_workers = 2;
   kron.launch_overhead = 50e-6;
@@ -366,11 +369,22 @@ TEST(EnginePolicy, CommittedModelPicksFromTheForestHeight) {
   PlanInputs road = kron;
   road.m = static_cast<std::size_t>(road.n) * 18 / 10;
   road.height = 3000;
+  road.walk = 65.0;
   EXPECT_EQ(Policy{}.choose(road), Backend::kDfs);
   EXPECT_LT(model.seconds(Backend::kDfs, road),
             model.seconds(Backend::kTv, road));
   EXPECT_LT(model.seconds(Backend::kTv, road),
             model.seconds(Backend::kHybrid, road));
+
+  // bench_engine's road-ribbon: taller than the grid, but its walks stay
+  // short (5 per edge at height 7485), and there the hybrid beats DFS with
+  // its Csr (measured 3.7 against 9.0 ms). The height alone would hide it.
+  PlanInputs ribbon = kron;
+  ribbon.n = 97276;
+  ribbon.m = 141509;
+  ribbon.height = 7485;
+  ribbon.walk = 5.1;
+  EXPECT_EQ(Policy{}.choose(ribbon), Backend::kHybrid);
 }
 
 TEST(EnginePolicy, BatchRoutingFollowsTheLaunchOverhead) {
@@ -403,8 +417,8 @@ TEST(EnginePolicy, CalibrationFitsThisMachineAndAutoStaysCompetitive) {
   for (const double c : {fit.dfs_node_ns, fit.dfs_edge_ns, fit.ck_node_ns,
                          fit.ck_edge_ns, fit.tv_node_ns, fit.tv_edge_ns,
                          fit.hybrid_node_ns, fit.hybrid_edge_ns,
-                         fit.hybrid_walk_ns, fit.multicore_sync_ns,
-                         fit.query_host_ns, fit.query_device_ns}) {
+                         fit.pool_sync_ns, fit.query_host_ns,
+                         fit.query_device_ns}) {
     ASSERT_TRUE(std::isfinite(c));
     ASSERT_GT(c, 0.0);
   }
@@ -415,39 +429,53 @@ TEST(EnginePolicy, CalibrationFitsThisMachineAndAutoStaysCompetitive) {
 
   // The mini bench_engine: on a small road instance under the simulated
   // 50us launch latency CK and TV pay milliseconds of fixed charge (BFS
-  // levels; TV's ~50 detect launches), so calibrated auto must route
-  // around them. The hybrid's marginal mask is 5 launches on the epoch's
-  // tree, within a launch or two of DFS with its Csr, so either may win...
+  // levels; TV's ~35 detect launches), so calibrated auto must route
+  // around them...
   const EdgeList g = graph::largest_component(
       graph::simplified(gen::road_graph(48, 48, 0.72, 0.04, 7)));
   Session session = engine.session(g);
-  session.csr();
-  session.num_components();
   const Plan plan = session.plan(Bridges{}, calibrated);
   EXPECT_NE(plan.chosen, Backend::kCk);
   EXPECT_NE(plan.chosen, Backend::kTv);
 
-  // ...and must match or beat every fixed backend when measured (generous
-  // tolerance: the auto pick IS one of the fixed backends plus a model
-  // evaluation, so losing by 2x means the fit pointed at a loser). Each
-  // run starts from an epoch holding its forest LCA, as every publish's
-  // does: the model prices the mask on top of it.
-  const auto timed = [&](const Policy& policy) {
-    double best = 1e300;
-    for (int run = 0; run < 3; ++run) {
-      session.drop_results();
-      session.run(LcaBatch{});
-      util::Timer timer;
-      session.run(Bridges{}, policy);
-      best = std::min(best, timer.seconds());
-    }
-    return best;
+  // ...and must rank DFS and the hybrid as measured: the backend it picks
+  // is, up to timing noise (15%), the one measured fastest here. That is
+  // DFS with its Csr in an optimized build on an idle machine (~0.38 ms
+  // against the hybrid's ~0.47: 5 launches plus walks of 6 tree edges per
+  // edge), a tie when other processes keep the cores awake (the pool's
+  // barrier gets cheaper), and the hybrid under sanitizers, which slow
+  // DFS's sequential pass more. Each run starts from an epoch holding its
+  // forest LCA and no Csr, as every publish's does: the model prices the
+  // mask on top of it. The backends take turns, best of five, so a burst
+  // of load hits them alike.
+  const auto run_once = [&](const Policy& policy) {
+    session.drop_artifacts();
+    session.run(LcaBatch{});
+    util::Timer timer;
+    session.run(Bridges{}, policy);
+    return timer.seconds();
   };
-  double best_fixed = 1e300;
-  for (const Backend backend : kFixedBackends) {
-    best_fixed = std::min(best_fixed, timed(Policy::fixed(backend)));
+  std::array<double, kNumBackends> fixed_seconds;
+  fixed_seconds.fill(1e300);
+  for (int run = 0; run < 5; ++run) {
+    for (const Backend backend : kFixedBackends) {
+      double& best = fixed_seconds[backend_index(backend)];
+      best = std::min(best, run_once(Policy::fixed(backend)));
+    }
   }
-  const double auto_seconds = timed(calibrated);
+  const double best_fixed =
+      *std::min_element(fixed_seconds.begin(), fixed_seconds.end());
+  EXPECT_LE(fixed_seconds[backend_index(plan.chosen)], best_fixed * 1.15)
+      << "calibrated auto picked " << to_string(plan.chosen) << ": dfs "
+      << fixed_seconds[backend_index(Backend::kDfs)] << " s, hybrid "
+      << fixed_seconds[backend_index(Backend::kHybrid)] << " s";
+
+  // Running the pick costs the pick plus a model evaluation (generous
+  // tolerance: losing by 2x means the fit pointed at a loser).
+  double auto_seconds = 1e300;
+  for (int run = 0; run < 3; ++run) {
+    auto_seconds = std::min(auto_seconds, run_once(calibrated));
+  }
   EXPECT_LE(auto_seconds, best_fixed * 2.0 + 2e-3)
       << "calibrated auto picked " << to_string(session.mask_backend());
 
