@@ -10,6 +10,7 @@
 #include <string>
 
 #include "bridges/bridges.hpp"
+#include "bridges/dfs_bridges.hpp"
 #include "engine/engine.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "gen/graphs.hpp"
@@ -43,19 +44,18 @@ int main() {
   std::printf("  -> %s\n",
               std::string(engine::to_string(plan.chosen)).c_str());
 
-  // Copy the answer: run() returns a reference into the session's artifact
-  // cache, which the forced-backend run below overwrites.
-  const bridges::BridgeMask auto_mask = session.run(engine::Bridges{});
-  const std::size_t auto_bridges = bridges::count_bridges(auto_mask);
-  // Forcing a specific backend is one Policy away — and every backend
-  // must agree; the DFS baseline doubles as a cross-check here.
-  const bridges::BridgeMask dfs_mask = session.run(
-      engine::Bridges{}, engine::Policy::fixed(engine::Backend::kDfs));
-  std::printf("bridges: %zu via %s, %zu via forced dfs (%s)\n", auto_bridges,
+  const bridges::BridgeMask& auto_mask = session.run(engine::Bridges{});
+  // Every backend must agree. The sequential DFS cross-check runs outside
+  // the session: a forced-DFS request would re-serve the cached mask
+  // whenever auto already picked DFS, comparing the mask with itself.
+  const bridges::BridgeMask dfs_mask =
+      bridges::find_bridges_dfs(graph::build_csr(eng.device(), road));
+  const bool agreed = auto_mask == dfs_mask;
+  std::printf("bridges: %zu via %s, %zu via sequential dfs (%s)\n",
+              bridges::count_bridges(auto_mask),
               std::string(engine::to_string(session.mask_backend())).c_str(),
               bridges::count_bridges(dfs_mask),
-              auto_mask == dfs_mask ? "agreement" : "MISMATCH");
-  const bool agreed = auto_mask == dfs_mask;
+              agreed ? "agreement" : "MISMATCH");
 
   // --- 2. Query batches on the cached 2-ecc artifact. The first batch
   //        builds the index (reusing the bridge mask the session already

@@ -59,53 +59,29 @@ BccIndex BccIndex::build(const device::Context& ctx,
     node_at_pre[pre[v] - 1] = static_cast<NodeId>(v);
   });
 
-  // --- Auxiliary graph G'' over parent edges (aux vertex w stands for the
-  // tree edge {w, parent[w]}). Virtual parent edges never participate:
-  // rule (a) cannot pick a representative (every non-tree edge incident to
-  // one stays inside its subtree, so the unrelatedness test fails) and
-  // rule (b) skips w or v whose parent is the virtual root — the "v is not
-  // the root" side condition of per-component Tarjan-Vishkin.
-  graph::EdgeList aux;
-  aux.num_nodes = graph.num_nodes;
-  {
-    std::vector<EdgeId> flag(m), pos(m);
-    device::transform(ctx, m, flag.data(), [&](std::size_t e) -> EdgeId {
-      if (is_tree_edge[e]) return 0;
-      auto [u, v] = graph.edges[e];
-      if (u == v) return 0;  // self-loops belong to no block
-      if (pre[v] < pre[u]) std::swap(u, v);
-      return pre[u] + size[u] <= pre[v] ? 1 : 0;
-    });
-    const EdgeId rule_a =
-        device::exclusive_scan(ctx, flag.data(), m, pos.data());
-    std::vector<EdgeId> flag_b(n), pos_b(n);
-    device::transform(ctx, n, flag_b.data(), [&](std::size_t w) -> EdgeId {
-      const NodeId v = parent[w];
-      if (v == kNoNode || v == vroot) return 0;
-      if (parent[v] == kNoNode || parent[v] == vroot) return 0;
-      return (low[w] < pre[v] || high[w] >= pre[v] + size[v]) ? 1 : 0;
-    });
-    const EdgeId rule_b =
-        device::exclusive_scan(ctx, flag_b.data(), n, pos_b.data());
-    aux.edges.resize(static_cast<std::size_t>(rule_a + rule_b));
-    device::launch(ctx, m, [&](std::size_t e) {
-      if (!flag[e]) return;
-      aux.edges[pos[e]] = graph.edges[e];
-    });
-    device::launch(ctx, n, [&](std::size_t w) {
-      if (!flag_b[w]) return;
-      aux.edges[rule_a + pos_b[w]] = {static_cast<NodeId>(w), parent[w]};
-    });
-  }
-
-  // --- Blocks = connected components of G''.
-  const bridges::SpanningForest blocks = bridges::cc_spanning_forest(ctx, aux);
+  // --- Blocks = the CC of the snapshot's edges under the rule (a)/(b)
+  // mask (bcc.hpp): an unrelated non-tree edge, or a tree edge {w, p} whose
+  // parent p is no representative and whose subtree escapes past p.
+  // Self-loops belong to no block.
+  std::vector<std::uint8_t> keep(m);
+  device::transform(ctx, m, keep.data(), [&](std::size_t e) -> std::uint8_t {
+    auto [u, v] = graph.edges[e];
+    if (u == v) return 0;
+    if (pre[v] < pre[u]) std::swap(u, v);  // a tree edge's v is the child
+    if (is_tree_edge[e]) {
+      if (parent[u] == vroot) return 0;
+      return (low[v] < pre[u] || high[v] >= pre[u] + size[u]) ? 1 : 0;
+    }
+    return pre[u] + size[u] <= pre[v] ? 1 : 0;
+  });
+  const bridges::SpanningForest blocks =
+      bridges::cc_spanning_forest(ctx, graph, keep);
 
   const auto real_parent = [&](std::size_t w) {
     return parent[w] != kNoNode && parent[w] != vroot;
   };
 
-  // --- Compact the raw labels (component representatives in G'') to dense
+  // --- Compact the raw labels (the blocks' minimum node ids) to dense
   // ids. Every block contains at least one real tree edge, so flagging the
   // labels of real-parent nodes covers exactly the blocks.
   std::vector<NodeId> compact(n, kNoNode);
@@ -125,18 +101,14 @@ BccIndex BccIndex::build(const device::Context& ctx,
     });
   }
 
-  // --- Edge labels: a tree edge takes its child endpoint's component, a
-  // non-tree edge its deeper endpoint's (the deeper endpoint always has a
-  // real parent edge — a representative is the shallowest node of its
-  // component, and self-loops were excluded above).
+  // --- Edge labels: an edge takes the block of its larger-preorder
+  // endpoint's parent edge: a tree edge's child, a non-tree edge's
+  // descendant endpoint (unrelated endpoints share a block). That endpoint
+  // is never a representative, the smallest preorder of its component.
   device::transform(ctx, m, result.edge_block.data(),
                     [&](std::size_t e) -> NodeId {
                       const auto [u, v] = graph.edges[e];
                       if (u == v) return kNoNode;
-                      if (is_tree_edge[e]) {
-                        const NodeId child = parent[u] == v ? u : v;
-                        return compact[blocks.component[child]];
-                      }
                       return compact[blocks.component[pre[u] > pre[v] ? u : v]];
                     });
   device::launch(ctx, n, [&](std::size_t w) {

@@ -28,13 +28,15 @@
 //     criterion reads (bridges::tv_detail::subtree_low_high: one non-tree
 //     min/max aggregation + two sparse tables; cf. fast-bcc's low/high
 //     interval machinery);
-//   * the auxiliary graph G'' over parent edges, with both rules restricted
-//     to REAL edges: a representative's parent edge is virtual, and rule (a)
-//     can never select it (every non-tree edge incident to a representative
-//     stays inside its subtree), while rule (b) explicitly skips nodes whose
-//     parent — or grandparent — is the virtual root, which is exactly the
-//     "v is not the root" side condition of per-component Tarjan-Vishkin
-//     rooted at the representative;
+//   * the blocks: the CC of the snapshot's edges under the rule (a)/(b)
+//     mask (cc_spanning_forest with a keep mask). With node w standing for
+//     its parent edge, the kept edges are exactly G'''s edge multiset: rule
+//     (a) keeps an unrelated non-tree edge {v, w} as it is, and rule (b)'s
+//     {edge(v), edge(w)} is w's tree edge {w, v}. A representative's parent
+//     edge is virtual: rule (a) never selects it (every non-tree edge at a
+//     representative stays inside its subtree) and rule (b) drops a tree
+//     edge whose parent is a representative — the "v is not the root" side
+//     condition of per-component Tarjan-Vishkin;
 //   * block labels compacted to [0, num_blocks) (dense ids for the
 //     O(num_blocks) head/articulation passes and for cross-shard offsets).
 //

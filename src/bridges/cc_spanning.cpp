@@ -1,5 +1,6 @@
 #include "bridges/cc_spanning.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <limits>
@@ -11,10 +12,12 @@ namespace emc::bridges {
 
 SpanningForest cc_spanning_forest(const device::Context& ctx,
                                   graph::EdgeSpan graph,
+                                  std::span<const std::uint8_t> keep,
                                   util::PhaseTimer* phases) {
   util::ScopedPhase phase(phases, "spanning_tree");
   const auto n = static_cast<std::size_t>(graph.num_nodes);
   const std::size_t m = graph.edges.size();
+  assert(keep.empty() || keep.size() == m);
 
   SpanningForest forest;
   forest.component.resize(n);
@@ -58,6 +61,7 @@ SpanningForest cc_spanning_forest(const device::Context& ctx,
     device::fill(ctx, n, proposal, kNoProposal);
     std::atomic<int> any_proposal{0};
     device::launch(ctx, m, [&](std::size_t e) {
+      if (!keep.empty() && keep[e] == 0) return;
       const NodeId lu = label[graph.edges[e].u];
       const NodeId lv = label[graph.edges[e].v];
       if (lu == lv) return;
@@ -81,7 +85,7 @@ SpanningForest cc_spanning_forest(const device::Context& ctx,
   }
   flatten();
 
-  forest.tree_edges.resize(m);
+  forest.tree_edges.resize(std::min(m, n));
   const std::size_t k = device::copy_if_index(
       ctx, m, [&](std::size_t e) { return edge_used[e] != 0; },
       forest.tree_edges.data());

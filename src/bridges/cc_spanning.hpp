@@ -15,6 +15,8 @@
 //
 // Hooking strictly label-decreasing keeps the union acyclic, so the
 // recorded edges form a spanning forest: exactly n - #components edges.
+// Each component is labeled by its minimum node id. A keep mask restricts
+// the CC to the kept edges without copying them (the BCC index's block CC).
 //
 // Every Euler-tour user roots this forest one way, virtual_root_tree below:
 // the forest plus one virtual node adjacent to each component
@@ -40,8 +42,10 @@ struct SpanningForest {
   std::size_t num_components = 0;
 };
 
+/// `keep`: empty (every edge) or one byte per edge; a 0 byte drops the edge.
 SpanningForest cc_spanning_forest(const device::Context& ctx,
                                   graph::EdgeSpan graph,
+                                  std::span<const std::uint8_t> keep = {},
                                   util::PhaseTimer* phases = nullptr);
 
 /// The component representatives (nodes v with component[v] == v),

@@ -13,7 +13,7 @@ BridgeMask find_bridges_hybrid(const device::Context& ctx,
   }
 
   // Phase 1: unrooted spanning forest from connected components.
-  const SpanningForest forest = cc_spanning_forest(ctx, graph, phases);
+  const SpanningForest forest = cc_spanning_forest(ctx, graph, {}, phases);
   const graph::EdgeList tree = virtual_root_tree(ctx, graph, forest);
 
   // Phases 2+3: root the forest at virtual node n with the Euler tour

@@ -13,7 +13,7 @@ BridgeMask find_bridges_tarjan_vishkin(const device::Context& ctx,
   }
 
   // --- Phase 1: spanning forest from connected components.
-  const SpanningForest forest = cc_spanning_forest(ctx, graph, phases);
+  const SpanningForest forest = cc_spanning_forest(ctx, graph, {}, phases);
 
   // --- Phase 2: Euler tour statistics on the forest rooted at virtual n.
   core::TreeStats tree;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bridges/bfs.hpp"
@@ -150,34 +151,105 @@ TEST_P(BridgesParam, TreeInputAllEdgesAreBridges) {
 
 // ---------------------------------------------------------------- cc
 
-TEST_P(BridgesParam, SpanningForestProperties) {
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const auto g = gen::er_graph(300, 500, seed * 7);
-    const SpanningForest forest = cc_spanning_forest(ctx_, g);
-    const auto ref_labels = graph::connected_component_labels(g);
-    const std::size_t ref_components = graph::count_components(ref_labels);
-    ASSERT_EQ(forest.num_components, ref_components);
-    // Forest size: n - #components.
-    ASSERT_EQ(forest.tree_edges.size(),
-              static_cast<std::size_t>(g.num_nodes) - ref_components);
-    // Labels agree with reference components (same partition).
-    for (const auto& e : g.edges) {
-      ASSERT_EQ(forest.component[e.u], forest.component[e.v]);
-    }
-    // Forest edges are acyclic: union-find over them never sees a cycle.
-    std::vector<NodeId> uf(g.num_nodes);
-    for (NodeId v = 0; v < g.num_nodes; ++v) uf[v] = v;
-    auto find = [&](NodeId x) {
-      while (uf[x] != x) x = uf[x] = uf[uf[x]];
-      return x;
-    };
-    for (const EdgeId e : forest.tree_edges) {
-      const NodeId a = find(g.edges[e].u);
-      const NodeId b = find(g.edges[e].v);
-      ASSERT_NE(a, b) << "cycle in spanning forest";
-      uf[a] = b;
-    }
+/// Random multigraph with parallel edges, self-loops and isolated nodes:
+/// `m` uniform pairs over the first n - 3 nodes (the last three touch no
+/// edge).
+graph::EdgeList random_multigraph(NodeId n, std::size_t m, util::Rng& rng) {
+  graph::EdgeList g;
+  g.num_nodes = n;
+  for (std::size_t i = 0; i < m; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.below(n - 3));
+    const NodeId v = rng.below(8) == 0
+                         ? u
+                         : static_cast<NodeId>(rng.below(n - 3));
+    g.edges.push_back({u, v});
+    if (rng.below(6) == 0) g.edges.push_back({v, u});  // parallel twin
   }
+  return g;
+}
+
+/// cc_spanning_forest(g, keep) is the CC of the kept edges: the same labels
+/// as the CC of a copy holding only them, a spanning forest of kept edges
+/// with n - #components edges, and no mask == an all-ones mask.
+void expect_forest_of_kept(const device::Context& ctx, const graph::EdgeList& g,
+                           const std::vector<std::uint8_t>& keep) {
+  const SpanningForest forest = cc_spanning_forest(ctx, g, keep);
+  graph::EdgeList kept;
+  kept.num_nodes = g.num_nodes;
+  for (std::size_t e = 0; e < g.edges.size(); ++e) {
+    if (keep.empty() || keep[e]) kept.edges.push_back(g.edges[e]);
+  }
+  EXPECT_EQ(forest.component, cc_spanning_forest(ctx, kept).component);
+  const auto ref_labels = graph::connected_component_labels(kept);
+  const std::size_t ref_components = graph::count_components(ref_labels);
+  ASSERT_EQ(forest.num_components, ref_components);
+  // Same partition as the sequential reference: no coarser (every kept
+  // edge inside one label) and as many components.
+  for (const auto& e : kept.edges) {
+    ASSERT_EQ(forest.component[e.u], forest.component[e.v]);
+  }
+  // Forest size: n - #components, all of them kept edges.
+  ASSERT_EQ(forest.tree_edges.size(),
+            static_cast<std::size_t>(g.num_nodes) - ref_components);
+  // Forest edges are acyclic: union-find over them never sees a cycle.
+  std::vector<NodeId> uf(g.num_nodes);
+  for (NodeId v = 0; v < g.num_nodes; ++v) uf[v] = v;
+  auto find = [&](NodeId x) {
+    while (uf[x] != x) x = uf[x] = uf[uf[x]];
+    return x;
+  };
+  for (const EdgeId e : forest.tree_edges) {
+    ASSERT_TRUE(keep.empty() || keep[e]) << "tree edge " << e << " masked";
+    const NodeId a = find(g.edges[e].u);
+    const NodeId b = find(g.edges[e].v);
+    ASSERT_NE(a, b) << "cycle in spanning forest";
+    uf[a] = b;
+  }
+  if (keep.empty()) {
+    const SpanningForest ones = cc_spanning_forest(
+        ctx, g, std::vector<std::uint8_t>(g.edges.size(), 1));
+    EXPECT_EQ(ones.component, forest.component);
+    EXPECT_EQ(ones.tree_edges, forest.tree_edges);
+  }
+}
+
+TEST_P(BridgesParam, SpanningForestProperties) {
+  util::Rng rng(17);
+  std::vector<graph::EdgeList> graphs;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    graphs.push_back(gen::er_graph(300, 500, seed * 7));
+    graphs.push_back(random_multigraph(60 + static_cast<NodeId>(seed) * 20,
+                                       40 * seed, rng));
+  }
+  // Disconnected: two cycles, a path of doubled edges and isolated nodes.
+  graph::EdgeList shapes;
+  shapes.num_nodes = 40;
+  for (NodeId v = 0; v < 10; ++v) {
+    shapes.edges.push_back({v, (v + 1) % 10});
+    shapes.edges.push_back({20 + v, 20 + (v + 1) % 10});
+    shapes.edges.push_back({10 + v / 2, 11 + v / 2});
+  }
+  graphs.push_back(shapes);
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    SCOPED_TRACE("graph " + std::to_string(i));
+    const graph::EdgeList& g = graphs[i];
+    expect_forest_of_kept(ctx_, g, {});
+    for (const std::uint64_t one_in : {2, 4}) {
+      std::vector<std::uint8_t> keep(g.edges.size());
+      for (auto& k : keep) k = rng.below(one_in) != 0 ? 1 : 0;
+      expect_forest_of_kept(ctx_, g, keep);
+    }
+    expect_forest_of_kept(ctx_, g, std::vector<std::uint8_t>(g.edges.size()));
+  }
+}
+
+TEST_P(BridgesParam, SpanningForestBufferIsSizedByNodes) {
+  // A forest has at most n - 1 edges; its buffer must not keep m slots.
+  const auto g = gen::er_graph(200, 4000, 5);
+  const SpanningForest forest = cc_spanning_forest(ctx_, g);
+  EXPECT_EQ(forest.tree_edges.size(), 199u);
+  EXPECT_LE(forest.tree_edges.capacity(),
+            static_cast<std::size_t>(g.num_nodes));
 }
 
 TEST_P(BridgesParam, SpanningForestDeterministic) {
