@@ -25,9 +25,9 @@
 // nodes, exactly n tree edges). The engine passes the tree its forest LCA
 // already toured (bridges::root_forest); only the standalone build tours:
 //   * low/high per node from the tree's stats by the routine TV's bridge
-//     criterion reads (bridges::tv_detail::subtree_low_high: one non-tree
-//     min/max aggregation + two sparse tables; cf. fast-bcc's low/high
-//     interval machinery);
+//     criterion reads (bridges::tv_detail::subtree_low_high: atomic
+//     min/max over the non-tree edges + a blocked RMQ over preorder; cf.
+//     fast-bcc's low/high interval machinery);
 //   * the blocks: the CC of the snapshot's edges under the rule (a)/(b)
 //     mask (cc_spanning_forest with a keep mask). With node w standing for
 //     its parent edge, the kept edges are exactly G'''s edge multiset: rule

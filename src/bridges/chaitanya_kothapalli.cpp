@@ -28,16 +28,19 @@ BridgeMask ck_marking_phase(const device::Context& ctx,
     NodeId u = graph.edges[e].u;
     NodeId v = graph.edges[e].v;
     // Walk both endpoints to the same level, then in lockstep to the LCA,
-    // marking every traversed tree edge. Plain byte stores race benignly
-    // (all writers store 1), as in the GPU original.
+    // marking every traversed tree edge. Byte stores race benignly (all
+    // writers store 1), as in the GPU original; a mark already set is not
+    // stored again, so walks that meet near the root only read its line.
     while (u != v) {
       if (level[u] < level[v]) {
         const NodeId t = u;
         u = v;
         v = t;
       }
-      std::atomic_ref<std::uint8_t>(marked[u]).store(
-          1, std::memory_order_relaxed);
+      const std::atomic_ref<std::uint8_t> mark(marked[u]);
+      if (mark.load(std::memory_order_relaxed) == 0) {
+        mark.store(1, std::memory_order_relaxed);
+      }
       u = parent[u];
     }
   });

@@ -8,9 +8,11 @@
 //   euler_tour      — root the forest below one virtual node
 //                     (root_forest) and compute preorder numbers and
 //                     subtree sizes with the Euler tour technique;
-//   detect_bridges  — each node's min/max non-tree neighbor (segreduce),
+//   detect_bridges  — each node's min/max non-tree neighbor (atomic
+//                     min/max per edge; the paper sorts and segreduces),
 //                     aggregated to low/high over subtrees (an RMQ over the
-//                     preorder intervals, via sparse tables), and apply
+//                     preorder intervals, blocked: 64-wide blocks plus a
+//                     sparse table over the block folds), and apply
 //                     Tarjan's criterion: with the nodes identified by
 //                     preorder numbers, tree edge (v, parent(v)) is a bridge
 //                     iff both low(v) and high(v) stay inside

@@ -4,11 +4,29 @@
 
 #include "device/arena.hpp"
 #include "device/primitives.hpp"
-#include "device/sort.hpp"
-#include "rmq/segment_tree.hpp"
 #include "rmq/sparse_table.hpp"
 
 namespace emc::bridges::tv_detail {
+
+namespace {
+
+/// A (min, max) pair of preorder numbers; the fold is componentwise.
+struct Span {
+  NodeId lo;
+  NodeId hi;
+};
+
+struct Fold {
+  Span operator()(Span a, Span b) const {
+    return {std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
+  }
+};
+constexpr Fold fold{};
+
+constexpr std::size_t kBlockLog2 = 6;
+constexpr std::size_t kBlock = std::size_t{1} << kBlockLog2;
+
+}  // namespace
 
 LowHigh subtree_low_high(const device::Context& ctx, graph::EdgeSpan graph,
                          const std::vector<std::uint8_t>& is_tree_edge,
@@ -17,63 +35,66 @@ LowHigh subtree_low_high(const device::Context& ctx, graph::EdgeSpan graph,
   const std::vector<NodeId>& size = stats.subtree_size;
   const std::size_t n = pre.size();
   const std::size_t m = graph.edges.size();
+  LowHigh result{std::vector<NodeId>(n), std::vector<NodeId>(n)};
   device::Arena::Scope scope(ctx.arena());
 
-  // Per-node min/max indexed by preorder position: position p describes the
-  // node with preorder p + 1, which can never provide an escape itself.
-  NodeId* by_pre_min = scope.get<NodeId>(n);
-  NodeId* by_pre_max = scope.get<NodeId>(n);
+  // Per preorder position p (the node with preorder p + 1): the min and max
+  // preorder among the node itself and its non-tree neighbours. Each
+  // non-tree edge folds each endpoint's preorder into the other's slot.
+  Span* own = scope.get<Span>(n);
   device::launch(ctx, n, [&](std::size_t p) {
-    by_pre_min[p] = static_cast<NodeId>(p + 1);
-    by_pre_max[p] = static_cast<NodeId>(p + 1);
+    own[p] = {static_cast<NodeId>(p + 1), static_cast<NodeId>(p + 1)};
+  });
+  device::launch(ctx, m, [&](std::size_t e) {
+    if (is_tree_edge[e]) return;
+    const graph::Edge edge = graph.edges[e];
+    const NodeId pu = pre[edge.u];
+    const NodeId pv = pre[edge.v];
+    Span& su = own[pu - 1];
+    Span& sv = own[pv - 1];
+    device::atomic_min(&su.lo, pv);
+    device::atomic_max(&su.hi, pv);
+    device::atomic_min(&sv.lo, pu);
+    device::atomic_max(&sv.hi, pu);
   });
 
-  // Compact the non-tree edges (a scan keeps it a bulk pipeline), then emit
-  // both directions and sort them by node.
-  EdgeId* non_tree = scope.get<EdgeId>(m);
-  const std::size_t k = device::copy_if_index(
-      ctx, m, [&](std::size_t e) { return !is_tree_edge[e]; }, non_tree);
-  if (k != 0) {
-    std::uint32_t* keys = scope.get<std::uint32_t>(2 * k);
-    NodeId* values = scope.get<NodeId>(2 * k);
-    device::launch(ctx, k, [&](std::size_t i) {
-      const graph::Edge edge = graph.edges[non_tree[i]];
-      keys[2 * i] = static_cast<std::uint32_t>(edge.u);
-      values[2 * i] = pre[edge.v];
-      keys[2 * i + 1] = static_cast<std::uint32_t>(edge.v);
-      values[2 * i + 1] = pre[edge.u];
-    });
-    device::sort_pairs(ctx, keys, values, 2 * k);
+  // A subtree is the preorder interval [pre(v), pre(v) + size(v)), so
+  // low/high are range folds over `own`. Blocked RMQ: 64-wide blocks with
+  // in-block prefix and suffix folds, and a sparse table over the block
+  // folds alone (n/64 entries per level, not n).
+  const std::size_t blocks = (n + kBlock - 1) >> kBlockLog2;
+  Span* prefix = scope.get<Span>(n);
+  Span* suffix = scope.get<Span>(n);
+  Span* block_fold = scope.get<Span>(blocks);
+  device::launch(ctx, blocks, [&](std::size_t b) {
+    const std::size_t begin = b << kBlockLog2;
+    const std::size_t end = std::min(n, begin + kBlock);
+    Span acc = own[begin];
+    for (std::size_t p = begin; p < end; ++p) {
+      prefix[p] = acc = fold(acc, own[p]);
+    }
+    block_fold[b] = acc;
+    acc = own[end - 1];
+    for (std::size_t p = end; p-- > begin;) {
+      suffix[p] = acc = fold(acc, own[p]);
+    }
+  });
+  const rmq::SparseTable<Span, Fold> table(ctx, block_fold, blocks);
 
-    // One virtual thread per run of equal keys (runs are contiguous after
-    // the sort; this is what mgpu::segreduce does with its sorted-segment
-    // input).
-    device::launch(ctx, 2 * k, [&](std::size_t i) {
-      if (i != 0 && keys[i] == keys[i - 1]) return;  // not a run head
-      const std::uint32_t node = keys[i];
-      NodeId lo = values[i];
-      NodeId hi = values[i];
-      for (std::size_t j = i + 1; j < 2 * k && keys[j] == node; ++j) {
-        lo = std::min(lo, values[j]);
-        hi = std::max(hi, values[j]);
-      }
-      const std::size_t p = static_cast<std::size_t>(pre[node]) - 1;
-      by_pre_min[p] = std::min(by_pre_min[p], lo);
-      by_pre_max[p] = std::max(by_pre_max[p], hi);
-    });
-  }
-
-  // A subtree is a preorder interval, so a sparse table answers each
-  // node's query in O(1) with two streaming lookups (the paper's segment
-  // tree is kept as an ablation: bench_ablation --detect-rmq=segtree).
-  const rmq::SparseTable<NodeId, rmq::MinOp> low_table(ctx, by_pre_min, n);
-  const rmq::SparseTable<NodeId, rmq::MaxOp> high_table(ctx, by_pre_max, n);
-  LowHigh result{std::vector<NodeId>(n), std::vector<NodeId>(n)};
   device::launch(ctx, n, [&](std::size_t v) {
     const std::size_t lo = static_cast<std::size_t>(pre[v]) - 1;
     const std::size_t hi = lo + static_cast<std::size_t>(size[v]) - 1;
-    result.low[v] = low_table.query(lo, hi);
-    result.high[v] = high_table.query(lo, hi);
+    const std::size_t bl = lo >> kBlockLog2;
+    const std::size_t bh = hi >> kBlockLog2;
+    Span r = own[lo];
+    if (bl == bh) {  // a small subtree inside one block: fold it directly
+      for (std::size_t p = lo + 1; p <= hi; ++p) r = fold(r, own[p]);
+    } else {
+      r = fold(suffix[lo], prefix[hi]);
+      if (bh > bl + 1) r = fold(r, table.query(bl + 1, bh - 1));
+    }
+    result.low[v] = r.lo;
+    result.high[v] = r.hi;
   });
   return result;
 }

@@ -20,10 +20,12 @@ struct LowHigh {
   std::vector<NodeId> high;
 };
 
-/// The paper's sort + segreduce step — (node, pre[other]) pairs for both
-/// directions of each non-tree edge, radix-sorted by node, reduced per run —
-/// then one min and one max sparse table over preorder positions, queried
-/// once per node on its subtree interval [pre(v), pre(v) + size(v)).
+/// Sort-free: one launch over the edges folds each non-tree neighbour's
+/// preorder into its endpoint's preorder slot by atomic min/max, then a
+/// blocked RMQ (64-wide blocks with in-block prefix and suffix folds, and a
+/// sparse table over the n/64 block folds) answers each node's subtree
+/// interval [pre(v), pre(v) + size(v)). O(n + m) work, log2(n/64) + 4
+/// launches.
 LowHigh subtree_low_high(const device::Context& ctx, graph::EdgeSpan graph,
                          const std::vector<std::uint8_t>& is_tree_edge,
                          const core::TreeStats& stats);

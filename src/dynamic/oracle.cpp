@@ -1,11 +1,10 @@
 #include "dynamic/oracle.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
-#include <tuple>
 #include <utility>
 
-#include "bridges/two_ecc.hpp"
 #include "device/primitives.hpp"
 #include "device/union_find.hpp"
 
@@ -79,16 +78,20 @@ class PreorderWeights {
   std::vector<std::pair<NodeId, NodeId>> points_;  // sparse, sorted
 };
 
-/// The index's forest-bound arrays from scratch: each node's parent edge
-/// (kNoEdge at a component root) and each block's bd — +1 over the subtree
-/// interval below every bridge, read at the block's member.
-std::pair<std::shared_ptr<const EdgeId[]>, std::shared_ptr<const NodeId[]>>
-forest_part(const device::Context& ctx, graph::EdgeSpan g,
-            const bridges::SpanningForest& forest, const lca::InlabelLca& lca,
-            const bridges::BridgeMask& mask, std::span<const NodeId> members) {
-  const std::vector<NodeId>& parent = lca.tree().parent;
-  const std::vector<NodeId>& pre = lca.tree().preorder;
-  const std::vector<NodeId>& size = lca.tree().subtree_size;
+}  // namespace
+
+/// The index from one host pass over the forest LCA's tree in preorder. A
+/// node heads its block when it is a component root or its parent edge is a
+/// bridge. bd(v) is bd(parent) plus one at a non-root head, and v's label is
+/// the last head at preorder <= pre(v) with the same bd: its own when it
+/// heads, else its parent's, since a block's tree part is a connected
+/// subtree under its head. Blocks are numbered in their heads' preorder.
+void ConnectivityOracle::index_forest(const device::Context& ctx,
+                                      graph::EdgeSpan g,
+                                      const bridges::SpanningForest& forest,
+                                      const bridges::BridgeMask& mask) {
+  const std::vector<NodeId>& parent = lca_->tree().parent;
+  const std::vector<NodeId>& pre = lca_->tree().preorder;
   const auto n = static_cast<std::size_t>(g.num_nodes);
   auto up = std::make_shared_for_overwrite<EdgeId[]>(n);
   device::fill(ctx, n, up.get(), kNoEdge);
@@ -98,20 +101,41 @@ forest_part(const device::Context& ctx, graph::EdgeSpan g,
     up[parent[edge.u] == edge.v ? edge.u : edge.v] = e;
   });
   device::Arena::Scope scope(ctx.arena());
-  const PreorderWeights bridges_above(
-      ctx, scope, lca, n, members.size(), [&](std::size_t v, auto&& add) {
-        if (up[v] == kNoEdge || mask[up[v]] == 0) return;
-        add(pre[v], 1);
-        add(pre[v] + size[v], -1);
-      });
-  auto depth = std::make_shared_for_overwrite<NodeId[]>(members.size());
-  device::transform(ctx, members.size(), depth.get(), [&](std::size_t b) {
-    return bridges_above.below(pre[members[b]] + 1);
+  NodeId* order = scope.get<NodeId>(n + 1);  // the node at each preorder
+  device::launch(ctx, n + 1, [&](std::size_t v) {
+    order[pre[v] - 1] = static_cast<NodeId>(v);
   });
-  return {std::move(up), std::move(depth)};
+  const auto root = static_cast<NodeId>(n);  // the virtual root, preorder 1
+  auto labels = std::make_shared<std::vector<NodeId>>(n);
+  auto sizes = std::make_shared<std::vector<NodeId>>();
+  std::vector<NodeId>& label = *labels;
+  std::vector<NodeId> members;
+  std::vector<NodeId> depth;
+  for (std::size_t p = 1; p <= n; ++p) {
+    const NodeId v = order[p];
+    const NodeId above = parent[v];
+    if (above == root || mask[up[v]] != 0) {
+      label[v] = static_cast<NodeId>(members.size());
+      members.push_back(v);
+      depth.push_back(above == root ? 0 : depth[label[above]] + 1);
+      sizes->push_back(1);
+    } else {
+      label[v] = label[above];
+      ++(*sizes)[label[v]];
+    }
+  }
+  num_blocks_ = members.size();
+  const auto shared = [](const std::vector<NodeId>& from) {
+    auto to = std::make_shared_for_overwrite<NodeId[]>(from.size());
+    std::copy(from.begin(), from.end(), to.get());
+    return std::shared_ptr<const NodeId[]>(std::move(to));
+  };
+  labels_ = std::move(labels);
+  sizes_ = std::move(sizes);
+  members_ = shared(members);
+  depth_ = shared(depth);
+  up_ = std::move(up);
 }
-
-}  // namespace
 
 ConnectivityOracle::ConnectivityOracle(
     const device::Context& ctx, graph::EdgeSpan g,
@@ -120,28 +144,7 @@ ConnectivityOracle::ConnectivityOracle(
     const bridges::BridgeMask& mask)
     : num_bridges_(bridges::count_bridges(mask)), lca_(std::move(lca)) {
   assert(mask.size() == g.num_edges());
-  const auto n = static_cast<std::size_t>(g.num_nodes);
-  // The representatives root a flattened forest over the nodes; each is its
-  // block's member.
-  const std::vector<NodeId> rep =
-      bridges::two_edge_components(ctx, g, forest, mask);
-  device::Arena::Scope scope(ctx.arena());
-  NodeId* id = scope.get<NodeId>(n);
-  num_blocks_ = number_roots(ctx, n, rep.data(), id);
-  auto labels = std::make_shared<std::vector<NodeId>>(n);
-  auto sizes = std::make_shared<std::vector<NodeId>>(num_blocks_);
-  auto members = std::make_shared_for_overwrite<NodeId[]>(num_blocks_);
-  device::launch(ctx, n, [&](std::size_t v) {
-    const NodeId b = id[rep[v]];
-    (*labels)[v] = b;
-    std::atomic_ref((*sizes)[b]).fetch_add(1, std::memory_order_relaxed);
-    if (rep[v] == static_cast<NodeId>(v)) members[b] = rep[v];
-  });
-  labels_ = std::move(labels);
-  sizes_ = std::move(sizes);
-  members_ = std::move(members);
-  std::tie(up_, depth_) = forest_part(ctx, g, forest, *lca_, mask,
-                                      {members_.get(), num_blocks_});
+  index_forest(ctx, g, forest, mask);
 }
 
 ConnectivityOracle ConnectivityOracle::insert(
@@ -182,12 +185,18 @@ ConnectivityOracle ConnectivityOracle::insert(
     num_demoted = found.load(std::memory_order_relaxed);
   }
 
-  const bool same_forest = lca == lca_;  // no appended edge linked trees
   ConnectivityOracle next = *this;
-  next.lca_ = std::move(lca);
   // Every appended edge that links trees is a new bridge.
   next.num_bridges_ = num_bridges_ - num_demoted + inserted.size() -
                       intra.size();
+  if (lca != lca_) {
+    // An appended edge linked trees: the linked forest has new parents and
+    // a new preorder, so the index is one pass over it under the new mask.
+    for (std::size_t i = 0; i < num_demoted; ++i) mask[up_[demoted[i]]] = 0;
+    next.lca_ = std::move(lca);
+    next.index_forest(ctx, g, forest, mask);
+    return next;
+  }
   if (num_demoted > 0) {
     // Each demoted bridge joins its two blocks; the bridges form a forest
     // over the blocks, so every one merges two distinct sets.
@@ -207,12 +216,11 @@ ConnectivityOracle ConnectivityOracle::insert(
     device::transform(ctx, n, labels->data(),
                       [&](std::size_t v) { return id[uf[label[v]]]; });
     // A merged block keeps its root's member and gathers its old blocks'
-    // sizes. Same forest when no edge links trees: its bd drops by the
-    // demoted intervals holding its member — the one count its old blocks
-    // agree on, since the bridges between them are the demoted ones.
+    // sizes. Its bd drops by the demoted intervals holding its member — the
+    // one count its old blocks agree on, since the bridges between them are
+    // the demoted ones.
     const PreorderWeights above(
-        ctx, scope, *lca_, same_forest ? num_demoted : 0,
-        same_forest ? count : 0, [&](std::size_t i, auto&& add) {
+        ctx, scope, *lca_, num_demoted, count, [&](std::size_t i, auto&& add) {
           add(pre[demoted[i]], 1);
           add(pre[demoted[i]] + size[demoted[i]], -1);
         });
@@ -224,9 +232,7 @@ ConnectivityOracle ConnectivityOracle::insert(
       const NodeId b = id[r];
       (*sizes)[b] = (*sizes_)[r];
       members[b] = members_[r];
-      if (same_forest) {
-        depth[b] = depth_[r] - above.below(pre[members_[r]] + 1);
-      }
+      depth[b] = depth_[r] - above.below(pre[members_[r]] + 1);
     });
     for (const NodeId b : touched) {  // a repeat finds b reset to a root
       if (uf[b] != b) (*sizes)[id[std::exchange(uf[b], b)]] += (*sizes_)[b];
@@ -236,12 +242,6 @@ ConnectivityOracle ConnectivityOracle::insert(
     next.sizes_ = std::move(sizes);
     next.members_ = std::move(members);
     next.depth_ = std::move(depth);
-  }
-  if (!same_forest) {
-    // The linked forest has new parents and a new preorder.
-    std::tie(next.up_, next.depth_) =
-        forest_part(ctx, g, forest, *next.lca_, mask,
-                    {next.members_.get(), next.num_blocks_});
   }
   return next;
 }

@@ -6,10 +6,13 @@
 // 2-edge-connected block meets the forest in a connected subtree. So the
 // index derives from the epoch's forest, its forest LCA (bridges::forest_lca,
 // shared with the epoch record) and bridge mask: per node, its compact block
-// label (the components of the non-bridge tree edges,
-// bridges::two_edge_components) and parent edge; per block, its size, one
-// member and its bridge depth bd — the bridges on any member's forest root
-// path, one count for all members since the block's tree part is connected.
+// label (the components of the non-bridge tree edges) and parent edge; per
+// block, its size, one member and its bridge depth bd — the bridges on any
+// member's forest root path, one count for all members since the block's
+// tree part is connected. One host pass over the forest LCA's tree in
+// preorder derives them all: a block's head is a component root or a node
+// whose parent edge is a bridge, and every other node joins its parent's
+// block.
 // A simple forest path crosses exactly the bridges separating its ends, once
 // each, so
 //
@@ -26,8 +29,8 @@
 // positive (Tarjan-Vishkin's test: the sum counts the edges with exactly one
 // end below c). Demoted bridges union their blocks, and a block's bd drops by
 // the demoted intervals holding it. A cross edge is a new bridge linking two
-// trees: no block changes; the caller links the forest and rebuilds its LCA,
-// and bd is recomputed over the new preorder.
+// trees: the caller links the forest and rebuilds its LCA, and the index is
+// the preorder pass over the linked forest under the demoted mask.
 //
 // The index has no epoch and counts nothing: when a suffix may be replayed is
 // engine::Session's one replay rule.
@@ -132,6 +135,12 @@ class ConnectivityOracle {
   }
 
  private:
+  /// Fills every array but num_bridges_ from one preorder pass over
+  /// lca_->tree() (`forest` is its forest, `mask` aligned with g.edges).
+  void index_forest(const device::Context& ctx, graph::EdgeSpan g,
+                    const bridges::SpanningForest& forest,
+                    const bridges::BridgeMask& mask);
+
   bool in_range(NodeId v) const {
     return v >= 0 && static_cast<std::size_t>(v) < labels_->size();
   }

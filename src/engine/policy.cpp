@@ -40,16 +40,19 @@ std::size_t backend_index(Backend backend) {
 // The constants come from a probe of those marginal pipelines on the
 // bench_e2e graphs (canonical kron_graph(20, 8): n = 2^20, m = 8.04M,
 // height 6, mean walk 2.6 per edge; road_graph(1024, 1024, 0.9, 0.02):
-// m = 1.90M, height 2922, mean walk 65 per edge), 4 device workers,
-// 2 multicore workers, 50 us launches, 4-vCPU VM, seconds over three runs
-// (kron / road):
+// m = 1.90M, height 2922, mean walk 65 per edge) and on bench_engine's
+// four scenarios, 4 device workers, 2 multicore workers, 50 us launches,
+// 4-vCPU VM, medians of five over four probe passes (kron / road, ms):
 //
-//   Csr build 0.67-0.72 / 0.031-0.034, DFS on it 0.40-0.47 / 0.073-0.084;
-//   CK (device, Csr excluded) 0.35-0.40 in 12 launches / 0.36-0.37 in 1765
-//   (one launch per BFS level, ecc 1758 < height); multicore CK 0.54-0.59 /
-//   0.34-0.38; TV detect 0.33-0.43 / 0.15-0.16 in 52 launches (30 at
-//   n = 1024, 42 at 2^16: two per doubling of n, its sparse tables' levels,
-//   on 10-12 fixed); hybrid marking 0.12-0.13 / 0.76-0.84 in 5 launches.
+//   Csr build 468-558 / 29-52, DFS on it 287-324 / 65-83; TV detect
+//   82-102 / 19-23 in 20 launches (10 at n = 1024: six fixed plus one per
+//   level of low/high's sparse table over n/64 block folds); hybrid
+//   marking 79-81 / 450-476 in 5 launches. bench_engine (ns per edge,
+//   three runs): TV 13-18 / 14-19 / 22-25 / 20-24 on kron, social,
+//   road-square and road-ribbon, the hybrid 6-10 / 12-24 / 30-35 / 16-18,
+//   DFS 51-67 / 58-69 / 39-52 / 44-50. CK (PR 23 probe): device 350-400
+//   / 360-370 with the Csr excluded, in 12 / 1765 launches (one per BFS
+//   level, ecc 1758 < height); multicore 540-590 / 340-380.
 //
 //   Sync — a launch that wakes the pool costs 70-77 us against the
 //          modeled 50 (empty launches over 4096 elements per worker, 2 and
@@ -59,35 +62,43 @@ std::size_t backend_index(Backend backend) {
 //   DFS  — the Csr build scales worse than linearly on kron (its hubs
 //          serialize the scatter's atomics): node ~5, edge ~28 ns per
 //          half-edge plus the Csr's launches match road (0.11 s) and
-//          keep kron (0.46 s predicted, 1.1-1.2 measured) above TV.
-//   TV   — the two shapes fit node ~310, edge ~140 ns (at one worker).
+//          keep kron (0.46 s predicted, 0.76-0.88 measured) above TV.
+//   TV   — node ~15, edge ~40 ns (per worker) fit all six instances to
+//          within 10%, social to 18%. Sort-free low/high made it 3-4x
+//          cheaper than the sort + full sparse tables it replaced (310 /
+//          140 ns), and on one worker it still beats DFS with its Csr on
+//          both 1M graphs (74 against 166 ms on road).
 //   CK   — launch term one per level up to the height (a bound: road's
 //          BFS runs 1765 levels below height 2922) plus the Csr's;
 //          work ~20 node / ~400 edge ns with the Csr folded in. The
 //          multicore variant pays a pool sync per BFS level instead of
 //          a launch.
-//   Hybrid — one constant per edge and per walk step: ~20 ns over
-//          m * (1 + walk) fits kron (17 ns), road (27 ns: long walks miss
-//          cache) and bench_engine's four scenarios (15-23 ns). The walk
-//          is sampled, not bounded by the height: road's 65 per edge is 2%
-//          of its height, bench_engine's road-ribbon walks 5 per edge at
-//          height 7485, and there the hybrid beats DFS with its Csr.
+//   Hybrid — one constant per edge and per walk step: ~10 ns over
+//          m * (1 + walk). The six instances fit 4 (kron, in cache) to
+//          15 (road 1M, where long walks miss cache); 11 on kron 1M. A
+//          walk loads its mark before storing it, so the walks that
+//          converge near a shallow tree's root share its cache lines
+//          instead of bouncing them (social read 21-37 ns per edge with
+//          a store per step). The walk is sampled, not bounded by the
+//          height: road's 65 per edge is 2% of its height, road-ribbon
+//          walks 5 per edge at height 7485, and there the hybrid beats
+//          TV.
 //
-// Predicted (kron / road): hybrid 0.15 / 0.61, TV 0.37 / 0.15, DFS 0.46 /
-// 0.11, CK 0.81 / 0.42, multicore CK 1.62 / 0.46 — the measured order of
-// the three that matter: hybrid < TV < DFS on kron, DFS < TV < hybrid on
-// road. The same table picks the measured winner (or one within its
-// 1.25x bar) on bench_engine's four scenarios: the hybrid on kron,
-// social and road-ribbon, DFS on road-square.
+// Predicted (kron / road, ms): hybrid 76 / 316, TV 86 / 24, DFS 458 /
+// 112 — the measured order: hybrid < TV < DFS on kron, TV < DFS < hybrid
+// on road. The same table picks the measured winner (or one within
+// bench_engine's 1.25x bar) on its four scenarios: the hybrid on kron,
+// social and road-ribbon, TV on road-square.
 
 namespace {
 
 // build_csr's launches on the device context, which DFS and CK pay for
 // (its work is folded into their per-element constants).
 constexpr double kCsrLaunches = 3.0;
-// TV's low and high sparse tables launch once per level: two per doubling
-// of n on top of CostModel::tv_launches.
-constexpr double kTvLaunchesPerLog2 = 2.0;
+// TV's low/high launches once per level of its sparse table over the n/64
+// block folds: one per doubling of n past 64, on top of
+// CostModel::tv_launches.
+constexpr double kTvLaunchesPerLog2 = 1.0;
 
 }  // namespace
 
@@ -117,7 +128,8 @@ double CostModel::seconds(Backend backend, const PlanInputs& inputs) const {
       return (kCsrLaunches + ck_launches) * launch +
              ck_work_ns / device_w * 1e-9;
     case Backend::kTv:
-      return (tv_launches + kTvLaunchesPerLog2 * std::log2(std::max(n, 2.0))) *
+      return (tv_launches +
+              kTvLaunchesPerLog2 * std::log2(std::max(n / 64.0, 1.0))) *
                  launch +
              (tv_node_ns * n + tv_edge_ns * m) / device_w * 1e-9;
     case Backend::kHybrid:

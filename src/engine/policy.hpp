@@ -86,11 +86,11 @@ struct CostModel {
   double dfs_node_ns = 5.0;
   double dfs_edge_ns = 28.0;  // per directed half-edge (the model doubles m)
   // Tarjan-Vishkin's detect phase on the rooted forest (low/high + the
-  // criterion). Its launches are these fixed ones (sort, scans) plus two
-  // per doubling of n, one per level of its low and high sparse tables.
-  double tv_node_ns = 310.0;
-  double tv_edge_ns = 140.0;
-  double tv_launches = 12.0;
+  // criterion). Its launches are these fixed ones plus one per level of the
+  // sparse table over low/high's n/64 block folds.
+  double tv_node_ns = 15.0;
+  double tv_edge_ns = 40.0;
+  double tv_launches = 6.0;
   // CK, the Csr build folded in: the depth cost is the BFS LAUNCH COUNT
   // (one launch per level, at most height levels), not the marking walks —
   // walks on a BFS tree stay local, so marking folds into the flat
@@ -108,7 +108,7 @@ struct CostModel {
   // local on a deep tree, so the per-edge constant is charged once per
   // edge and once per tree edge the mean walk climbs (m * (1 + walk)).
   double hybrid_node_ns = 10.0;
-  double hybrid_edge_ns = 20.0;
+  double hybrid_edge_ns = 10.0;
   double hybrid_launches = 5.0;
   // Point queries on the 2-ecc index / forest LCA (per query; identical
   // arithmetic either way, so the device only wins by dividing it).

@@ -1,8 +1,8 @@
 // Sparse table: O(n log n) preprocessing, O(1) idempotent range queries.
 //
-// Provided as the constant-query-time alternative to the segment tree; the
-// ablation benchmark compares the two as the aggregation structure inside
-// Tarjan-Vishkin, and tests use it as an RMQ cross-check.
+// The constant-query-time alternative to the segment tree. Tarjan-Vishkin's
+// low/high builds one over its n/64 block folds (bridges/tv_detail.cpp);
+// tests cross-check it against the segment tree.
 #pragma once
 
 #include <cstddef>

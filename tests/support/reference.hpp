@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bridges/dfs_bridges.hpp"
+#include "core/euler_tour.hpp"
 #include "device/context.hpp"
 #include "graph/graph.hpp"
 #include "util/types.hpp"
@@ -71,6 +72,54 @@ inline std::vector<NodeId> two_ecc_labels(graph::EdgeSpan g,
   for (NodeId v = 0; v < g.num_nodes; ++v) label[v] = uf.find(v);
   return label;
 }
+
+/// The labels renamed by first appearance: two label arrays induce the same
+/// partition iff their canonical forms are equal.
+inline std::vector<NodeId> canonical_partition(
+    const std::vector<NodeId>& labels) {
+  std::vector<NodeId> first(labels.size(), kNoNode);
+  std::vector<NodeId> out(labels.size());
+  NodeId next = 0;
+  for (std::size_t v = 0; v < labels.size(); ++v) {
+    NodeId& name = first[static_cast<std::size_t>(labels[v])];
+    if (name == kNoNode) name = next++;
+    out[v] = name;
+  }
+  return out;
+}
+
+/// Subtree low/high on a rooted spanning tree of `g` by the sequential fold:
+/// each node starts at its own preorder, takes its non-tree neighbours'
+/// (`is_tree_edge` aligned with g.edges), and one reverse-preorder pass
+/// folds every node into its parent. Indexed by node over tree's nodes.
+struct LowHighFold {
+  std::vector<NodeId> low;
+  std::vector<NodeId> high;
+
+  LowHighFold(graph::EdgeSpan g, const std::vector<std::uint8_t>& is_tree_edge,
+              const core::TreeStats& tree)
+      : low(tree.preorder), high(tree.preorder) {
+    const std::vector<NodeId>& pre = tree.preorder;
+    for (std::size_t e = 0; e < g.edges.size(); ++e) {
+      if (is_tree_edge[e]) continue;
+      const auto [u, v] = g.edges[e];
+      low[u] = std::min(low[u], pre[v]);
+      high[u] = std::max(high[u], pre[v]);
+      low[v] = std::min(low[v], pre[u]);
+      high[v] = std::max(high[v], pre[u]);
+    }
+    std::vector<NodeId> order(pre.size());
+    for (std::size_t v = 0; v < pre.size(); ++v) {
+      order[pre[v] - 1] = static_cast<NodeId>(v);
+    }
+    for (std::size_t p = pre.size(); p-- > 1;) {  // position 0 is the root
+      const NodeId v = order[p];
+      const NodeId up = tree.parent[v];
+      low[up] = std::min(low[up], low[v]);
+      high[up] = std::max(high[up], high[v]);
+    }
+  }
+};
 
 /// BFS levels from `source`; kNoNode for unreachable nodes — the
 /// reachability/level reference for the device BFS and block-tree walks.

@@ -12,10 +12,10 @@
 #include "bridges/dfs_bridges.hpp"
 #include "bridges/hybrid.hpp"
 #include "bridges/tarjan_vishkin.hpp"
-#include "bridges/two_ecc.hpp"
 #include "device/context.hpp"
 #include "gen/graphs.hpp"
 #include "graph/graph.hpp"
+#include "support/block_labels.hpp"
 #include "support/reference.hpp"
 #include "util/rng.hpp"
 
@@ -24,6 +24,17 @@ namespace {
 
 graph::EdgeList prepared(graph::EdgeList raw) {
   return graph::largest_component(graph::simplified(raw));
+}
+
+/// The 2-ecc index's block labels under `mask`, checked for partition
+/// equality with the sequential reference before the caller's own checks.
+std::vector<NodeId> two_ecc(const device::Context& ctx,
+                            const graph::EdgeList& g, const BridgeMask& mask) {
+  std::vector<NodeId> labels = test_support::oracle_block_labels(ctx, g, mask);
+  EXPECT_EQ(test_support::canonical_partition(labels),
+            test_support::canonical_partition(
+                test_support::two_ecc_labels(g, mask)));
+  return labels;
 }
 
 /// Asserts that all three parallel algorithms agree with the DFS baseline.
@@ -316,8 +327,7 @@ TEST_P(BridgesParam, TwoEccPartitionsByBridges) {
   g.num_nodes = 6;
   g.edges = {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {2, 3}};
   const BridgeMask mask = find_bridges_tarjan_vishkin(ctx_, g);
-  const auto labels =
-      two_edge_components(ctx_, g, cc_spanning_forest(ctx_, g), mask);
+  const auto labels = two_ecc(ctx_, g, mask);
   EXPECT_EQ(labels[0], labels[1]);
   EXPECT_EQ(labels[1], labels[2]);
   EXPECT_EQ(labels[3], labels[4]);
@@ -327,27 +337,21 @@ TEST_P(BridgesParam, TwoEccPartitionsByBridges) {
 
 TEST_P(BridgesParam, TwoEccOfCycleIsOneComponent) {
   const auto g = gen::cycle_graph(100);
-  const auto labels =
-      two_edge_components(ctx_, g, cc_spanning_forest(ctx_, g),
-                          find_bridges_tarjan_vishkin(ctx_, g));
+  const auto labels = two_ecc(ctx_, g, find_bridges_tarjan_vishkin(ctx_, g));
   const std::set<NodeId> distinct(labels.begin(), labels.end());
   EXPECT_EQ(distinct.size(), 1u);
 }
 
 TEST_P(BridgesParam, TwoEccOfTreeIsAllSingletons) {
   const auto g = gen::path_graph(50);
-  const auto labels =
-      two_edge_components(ctx_, g, cc_spanning_forest(ctx_, g),
-                          find_bridges_tarjan_vishkin(ctx_, g));
+  const auto labels = two_ecc(ctx_, g, find_bridges_tarjan_vishkin(ctx_, g));
   const std::set<NodeId> distinct(labels.begin(), labels.end());
   EXPECT_EQ(distinct.size(), 50u);
 }
 
 TEST_P(BridgesParam, TwoEccSizesSumToN) {
   const auto g = prepared(gen::er_graph(300, 450, 17));
-  const auto labels =
-      two_edge_components(ctx_, g, cc_spanning_forest(ctx_, g),
-                          find_bridges_tarjan_vishkin(ctx_, g));
+  const auto labels = two_ecc(ctx_, g, find_bridges_tarjan_vishkin(ctx_, g));
   EXPECT_EQ(labels.size(), static_cast<std::size_t>(g.num_nodes));
 }
 
@@ -410,8 +414,7 @@ TEST(TwoEccAdversarial, TwoEccOnEdgelessGraph) {
   const device::Context ctx(1);
   graph::EdgeList g;
   g.num_nodes = 4;
-  const auto labels =
-      two_edge_components(ctx, g, cc_spanning_forest(ctx, g), BridgeMask{});
+  const auto labels = two_ecc(ctx, g, BridgeMask{});
   ASSERT_EQ(labels.size(), 4u);
   const std::set<NodeId> distinct(labels.begin(), labels.end());
   EXPECT_EQ(distinct.size(), 4u);  // all singletons
@@ -425,9 +428,7 @@ TEST(TwoEccAdversarial, TwoEccAcrossConnectingInsert) {
   g.num_nodes = 6;
   g.edges = {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}};
   const graph::Csr before = build_csr(ctx, g);
-  const auto labels_before =
-      two_edge_components(ctx, g, cc_spanning_forest(ctx, g),
-                          find_bridges_dfs(before));
+  const auto labels_before = two_ecc(ctx, g, find_bridges_dfs(before));
   EXPECT_EQ(labels_before[0], labels_before[2]);
   EXPECT_NE(labels_before[0], labels_before[3]);
 
@@ -435,8 +436,7 @@ TEST(TwoEccAdversarial, TwoEccAcrossConnectingInsert) {
   const auto mask = find_bridges_dfs(build_csr(ctx, g));
   EXPECT_EQ(count_bridges(mask), 1u);
   EXPECT_EQ(mask[6], 1);
-  const auto labels_after =
-      two_edge_components(ctx, g, cc_spanning_forest(ctx, g), mask);
+  const auto labels_after = two_ecc(ctx, g, mask);
   EXPECT_NE(labels_after[2], labels_after[3]);
   EXPECT_EQ(labels_after[0], labels_after[2]);
   EXPECT_EQ(labels_after[3], labels_after[5]);

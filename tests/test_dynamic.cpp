@@ -8,7 +8,6 @@
 
 #include "bridges/cc_spanning.hpp"
 #include "bridges/dfs_bridges.hpp"
-#include "bridges/two_ecc.hpp"
 #include "device/context.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/oracle.hpp"
@@ -355,7 +354,7 @@ TEST_P(DynamicParam, ConstructorIgnoresOutOfRangeEndpoints) {
 }
 
 // Adversarial inputs the dynamic path produces, cross-checked against the
-// standalone two_edge_components entry point.
+// sequential reference.
 TEST_P(DynamicParam, TwoEccOnDynamicSnapshots) {
   DynamicGraph dg(6);
   engine::Engine engine({.device_workers = GetParam()});
@@ -367,8 +366,10 @@ TEST_P(DynamicParam, TwoEccOnDynamicSnapshots) {
   const graph::EdgeSpan snap = dg.snapshot(ctx_);
   const auto mask =
       bridges::find_bridges_dfs(graph::build_csr(ctx_, dg.snapshot(ctx_)));
-  const auto labels = bridges::two_edge_components(
-      ctx_, snap, bridges::cc_spanning_forest(ctx_, snap), mask);
+  const auto& labels = session.two_ecc_index().block_labels();
+  EXPECT_EQ(test_support::canonical_partition(labels),
+            test_support::canonical_partition(
+                test_support::two_ecc_labels(snap, mask)));
   for (NodeId u = 0; u < 6; ++u) {
     for (NodeId v = 0; v < 6; ++v) {
       EXPECT_EQ(labels[u] == labels[v],

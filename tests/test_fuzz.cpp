@@ -4,6 +4,7 @@
 // per CPU-second than large ones.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -12,16 +13,18 @@
 #include "bridges/dfs_bridges.hpp"
 #include "bridges/hybrid.hpp"
 #include "bridges/tarjan_vishkin.hpp"
-#include "bridges/two_ecc.hpp"
+#include "bridges/tv_detail.hpp"
 #include "core/euler_tour.hpp"
 #include "listrank/listrank.hpp"
 #include "core/tree.hpp"
 #include "device/context.hpp"
+#include "gen/graphs.hpp"
 #include "gen/trees.hpp"
 #include "graph/graph.hpp"
 #include "lca/inlabel.hpp"
 #include "lca/naive.hpp"
 #include "lca/rmq_lca.hpp"
+#include "support/block_labels.hpp"
 #include "support/fuzz_env.hpp"
 #include "support/reference.hpp"
 #include "util/rng.hpp"
@@ -200,8 +203,7 @@ TEST(FuzzTwoEcc, AgreesWithBridgeStructure) {
     const NodeId n = 2 + static_cast<NodeId>(rng.below(10));
     const graph::EdgeList g = random_connected_multigraph(n, rng.below(8), rng);
     const auto mask = bridges::find_bridges_tarjan_vishkin(ctx, g);
-    const auto labels = bridges::two_edge_components(
-        ctx, g, bridges::cc_spanning_forest(ctx, g), mask);
+    const auto labels = test_support::oracle_block_labels(ctx, g, mask);
     // Two endpoints of a non-bridge share a component; endpoints of a
     // bridge do not.
     for (std::size_t e = 0; e < g.edges.size(); ++e) {
@@ -221,6 +223,74 @@ TEST(FuzzTwoEcc, AgreesWithBridgeStructure) {
       }
     }
   }
+}
+
+/// subtree_low_high on g's rooted spanning forest against the sequential
+/// fold, array for array.
+void expect_low_high_matches_fold(const device::Context& ctx,
+                                  const graph::EdgeList& g,
+                                  const std::string& what) {
+  const bridges::SpanningForest forest = bridges::cc_spanning_forest(ctx, g);
+  const core::TreeStats tree = bridges::root_forest(ctx, g, forest);
+  std::vector<std::uint8_t> is_tree_edge(g.edges.size(), 0);
+  for (const EdgeId e : forest.tree_edges) is_tree_edge[e] = 1;
+  const bridges::tv_detail::LowHigh got =
+      bridges::tv_detail::subtree_low_high(ctx, g, is_tree_edge, tree);
+  const test_support::LowHighFold want(g, is_tree_edge, tree);
+  ASSERT_EQ(got.low, want.low) << what;
+  ASSERT_EQ(got.high, want.high) << what;
+}
+
+TEST(FuzzLowHigh, RandomMultigraphsMatchTheSequentialFold) {
+  // Uniform pairs, self-loops and parallel edges included; a sparse draw
+  // leaves several components. The rooted forest has n + 1 nodes (the
+  // virtual root), so the sizes straddle the 64-wide block edges both ways.
+  constexpr NodeId kSizes[] = {1, 2, 62, 63, 64, 65, 126, 127, 128, 4096, 4097};
+  const device::Context serial(1);
+  const device::Context wide(4);
+  const test_support::FuzzRun run = test_support::fuzz_run(53, 12);
+  SCOPED_TRACE(run.trace);
+  util::Rng rng(run.seed);
+  for (int round = 0; round < run.rounds; ++round) {
+    for (const NodeId n : kSizes) {
+      graph::EdgeList g;
+      g.num_nodes = n;
+      const std::size_t m = rng.below(3 * static_cast<std::uint64_t>(n) + 1);
+      for (std::size_t i = 0; i < m; ++i) {
+        g.edges.push_back({static_cast<NodeId>(rng.below(n)),
+                           static_cast<NodeId>(rng.below(n))});
+      }
+      expect_low_high_matches_fold(round % 2 == 0 ? serial : wide, g,
+                                   "round " + std::to_string(round) + " n " +
+                                       std::to_string(n));
+    }
+  }
+}
+
+TEST(FuzzLowHigh, LongPathAndStarMatchTheSequentialFold) {
+  const device::Context ctx(4);
+  constexpr NodeId n = 4097;
+  // A path is its own spanning tree, so every subtree interval is a suffix
+  // or a prefix spanning many blocks. Parallel copies and self-loops make
+  // the non-tree edges.
+  graph::EdgeList path = gen::path_graph(n);
+  for (NodeId v = 0; v + 1 < n; v += 3) path.edges.push_back({v + 1, v});
+  for (NodeId v = 0; v < n; v += 5) path.edges.push_back({v, v});
+  expect_low_high_matches_fold(ctx, path, "path");
+  // The same path with chords reaching far across it.
+  util::Rng rng(7);
+  for (int i = 0; i < 64; ++i) {
+    path.edges.push_back({static_cast<NodeId>(rng.below(n)),
+                          static_cast<NodeId>(rng.below(n))});
+  }
+  expect_low_high_matches_fold(ctx, path, "path with chords");
+  // A star whose every non-tree edge is a parallel hub edge: the hub's slot
+  // takes every atomic.
+  graph::EdgeList star;
+  star.num_nodes = n;
+  for (NodeId v = 1; v < n; ++v) star.edges.push_back({0, v});
+  for (NodeId v = 1; v < n; ++v) star.edges.push_back({v, 0});
+  expect_low_high_matches_fold(ctx, star, "star");
 }
 
 }  // namespace
