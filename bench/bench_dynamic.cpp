@@ -9,7 +9,7 @@
 // regime), or as a host loop when the batch is too small to pay a launch.
 // Reported per batch size:
 //
-//   update rows — seconds to apply the batch to the DCSR and answer the
+//   update rows — seconds to apply the batch to the graph and answer the
 //     first query (the index refresh dominates; launches shows the fixed
 //     kernel count);
 //   incremental rows — refresh cost alone for small INSERT-ONLY batches,
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
     rows.push_back({op, batch, context, seconds * 1e9 / batch});
   };
 
-  // ---- update batches: DCSR apply + index refresh (via a 1-pair query).
+  // ---- update batches: graph apply + index refresh (via a 1-pair query).
   // The erase batch samples EXISTING edges so it is always effective: the
   // round's final delta then contains erases and the refresh
   // deterministically takes the full-rebuild path (the incremental paths
@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
       session.run(engine::Same2Ecc{{{0, 1}}});  // refreshes the index
       total += timer.seconds();
     }
-    // Average launches per round (compaction and adaptive sort pass counts
+    // Average launches per round (key folds and adaptive sort pass counts
     // make individual rounds vary).
     record("update_refresh", batch_size, total / runs,
            (ctx.launch_count() - before) / runs);
@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
 
   // ---- incremental refresh vs full rebuild: small insert-only batches of
   // intra-component edges (the delta shape the replay paths serve). Timed
-  // per phase: the index refresh only — the DCSR apply is identical for
+  // per phase: the index refresh only — the graph apply is identical for
   // both. The "full" side is a FRESH session on the same graph, which has
   // no record to replay from. A replay not taken fails --check.
   std::size_t skipped_replays = 0;

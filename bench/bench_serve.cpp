@@ -404,7 +404,7 @@ int main(int argc, char** argv) {
 
   for (Scenario& scenario : scenarios) {
     dynamic::DynamicGraph dg(eng.device(), scenario.edges);
-    scenario.edges = graph::EdgeList{};  // seeded into the DCSR; free it
+    scenario.edges = graph::EdgeList{};  // seeded into the graph; free it
     engine::Session session = eng.session(dg);
     session.refresh(auto_policy);  // pay the initial artifact build once
 

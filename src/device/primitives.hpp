@@ -10,7 +10,7 @@
 //   reduce        — reduction                        (mgpu::reduce)
 //   *_scan        — array prefix sums                (mgpu::scan)
 //   gather/scatter
-//   copy_if_index — stream compaction
+//   copy_if_index / copy_if — stream compaction (indices / values)
 //
 // Tuning mirrors what the real library does for the GPU:
 //   * scratch (reduce partials, scan chunk states) comes from the context's
@@ -349,17 +349,18 @@ void scatter(const Context& ctx, const T* in, const I* index, std::size_t n,
   launch(ctx, n, [&](std::size_t i) { out[index[i]] = in[i]; });
 }
 
-/// Stream compaction: writes the indices i in [0, n) with pred(i) true, in
-/// increasing order, to `out_indices` (must have room for n entries).
-/// Returns the number written.
-///
-/// Single chained kernel (the flag/scan/scatter trio fused): each chunk
-/// learns how many indices earlier chunks selected, then appends its own.
-/// pred must be pure — a chunk that has to wait evaluates it twice.
-template <typename I, typename Pred>
-std::size_t copy_if_index(const Context& ctx, std::size_t n, Pred&& pred,
-                          I* out_indices) {
-  return detail::chunk_lookback<std::size_t>(
+namespace detail {
+
+/// Stream compaction's one kernel: for each i in [0, n) with pred(i) true,
+/// in increasing order, calls emit(slot, i) with slot its rank among the
+/// selected. Returns the count. Single chained kernel (the flag/scan/scatter
+/// trio fused): each chunk learns how many indices earlier chunks selected,
+/// then emits its own. pred must be pure — a chunk that has to wait
+/// evaluates it twice.
+template <typename Pred, typename Emit>
+std::size_t compact(const Context& ctx, std::size_t n, Pred&& pred,
+                    Emit&& emit) {
+  return chunk_lookback<std::size_t>(
       ctx, n,
       [&](std::size_t begin, std::size_t end) {
         std::size_t local = 0;
@@ -368,10 +369,34 @@ std::size_t copy_if_index(const Context& ctx, std::size_t n, Pred&& pred,
       },
       [&](std::size_t begin, std::size_t end, std::size_t base) {
         for (std::size_t i = begin; i < end; ++i) {
-          if (pred(i)) out_indices[base++] = static_cast<I>(i);
+          if (pred(i)) emit(base++, i);
         }
         return base;
       });
+}
+
+}  // namespace detail
+
+/// Stream compaction: writes the indices i in [0, n) with pred(i) true, in
+/// increasing order, to `out_indices` (must have room for n entries).
+/// Returns the number written.
+template <typename I, typename Pred>
+std::size_t copy_if_index(const Context& ctx, std::size_t n, Pred&& pred,
+                          I* out_indices) {
+  return detail::compact(ctx, n, pred, [&](std::size_t slot, std::size_t i) {
+    out_indices[slot] = static_cast<I>(i);
+  });
+}
+
+/// Stream compaction by value: writes in[i] for every i in [0, n) with
+/// pred(i) true, in increasing order, to `out` (room for the survivors).
+/// Returns the number written.
+template <typename T, typename Pred>
+std::size_t copy_if(const Context& ctx, const T* in, std::size_t n,
+                    Pred&& pred, T* out) {
+  return detail::compact(ctx, n, pred, [&](std::size_t slot, std::size_t i) {
+    out[slot] = in[i];
+  });
 }
 
 /// Device-style atomic min on a plain integer location.

@@ -163,11 +163,10 @@ EdgeList largest_component(const EdgeList& graph) {
   return out;
 }
 
-EdgeList canonicalize(const device::Context& ctx, const EdgeList& graph) {
+std::vector<std::uint64_t> canonical_keys(const device::Context& ctx,
+                                          EdgeSpan graph) {
   const std::size_t m = graph.edges.size();
-  EdgeList out;
-  out.num_nodes = graph.num_nodes;
-  if (m == 0) return out;
+  if (m == 0) return {};
   // Self-loops and out-of-range endpoints map to a sentinel that sorts past
   // every real key, so one sort groups rejects at the back and duplicates
   // (in either orientation) adjacently; compaction keeps each run's first.
@@ -179,19 +178,23 @@ EdgeList canonicalize(const device::Context& ctx, const EdgeList& graph) {
     return edge_key(edge.u, edge.v);
   });
   device::sort_keys(ctx, keys.data(), m);
-  std::vector<EdgeId> first(m);
-  const std::size_t kept = device::copy_if_index(
-      ctx, m,
+  std::vector<std::uint64_t> unique(m);
+  unique.resize(device::copy_if(
+      ctx, keys.data(), m,
       [&](std::size_t i) {
         return keys[i] != kDropped && (i == 0 || keys[i] != keys[i - 1]);
       },
-      first.data());
-  out.edges.resize(kept);
-  device::transform(ctx, kept, out.edges.data(), [&](std::size_t i) {
-    const std::uint64_t k = keys[first[i]];
-    return Edge{static_cast<NodeId>(k >> 32),
-                static_cast<NodeId>(k & 0xffffffffULL)};
-  });
+      unique.data()));
+  return unique;
+}
+
+EdgeList canonicalize(const device::Context& ctx, const EdgeList& graph) {
+  const std::vector<std::uint64_t> keys = canonical_keys(ctx, graph);
+  EdgeList out;
+  out.num_nodes = graph.num_nodes;
+  out.edges.resize(keys.size());
+  device::transform(ctx, keys.size(), out.edges.data(),
+                    [&](std::size_t i) { return edge_of_key(keys[i]); });
   return out;
 }
 

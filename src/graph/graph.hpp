@@ -39,6 +39,12 @@ inline std::uint64_t edge_key(NodeId u, NodeId v) {
   return (static_cast<std::uint64_t>(lo) << 32) | hi;
 }
 
+/// The edge a canonical key encodes, oriented (min, max).
+inline Edge edge_of_key(std::uint64_t key) {
+  return {static_cast<NodeId>(key >> 32),
+          static_cast<NodeId>(key & 0xffffffffULL)};
+}
+
 /// The validity rule edge_key's callers filter by: in-range endpoints, no
 /// self-loop. Shared so canonicalize() and the dynamic-graph batch paths
 /// cannot drift.
@@ -120,12 +126,17 @@ std::size_t count_components(const std::vector<NodeId>& labels);
 /// only its largest connected component" (§4.2).
 EdgeList largest_component(const EdgeList& graph);
 
-/// Canonical simple form via the device sort: drops self-loops,
-/// out-of-range endpoints, duplicate and reversed-duplicate edges, and
-/// returns the survivors oriented (min, max) in ascending order. This is
-/// the one shared normalization the dynamic-graph seeding and the dataset
-/// preparation both use; every EdgeList returned by it satisfies valid()
-/// and round-trips through canonicalize unchanged.
+/// The edge set of `graph` as sorted, unique canonical keys (edge_key),
+/// via the device sort: self-loops and out-of-range endpoints are dropped,
+/// and duplicate and reversed-duplicate edges collapse to one key. The one
+/// shared normalization: canonicalize() decodes these keys, and the
+/// dynamic graph seeds both its edge log and its key index from them.
+std::vector<std::uint64_t> canonical_keys(const device::Context& ctx,
+                                          EdgeSpan graph);
+
+/// Canonical simple form: canonical_keys() decoded, so the survivors come
+/// oriented (min, max) in ascending order. Every EdgeList returned by it
+/// satisfies valid() and round-trips through canonicalize unchanged.
 EdgeList canonicalize(const device::Context& ctx, const EdgeList& graph);
 
 /// Removes self-loops and duplicate (parallel) edges. Sequential

@@ -59,8 +59,7 @@ Router::boundary_snapshot() const {
     auto edges = std::make_shared<std::vector<graph::Edge>>();
     edges->reserve(keys.size());
     for (const std::uint64_t key : keys) {
-      edges->push_back({static_cast<NodeId>(key >> 32),
-                        static_cast<NodeId>(key & 0xffffffffu)});
+      edges->push_back(graph::edge_of_key(key));
     }
     snapshot_ = std::move(edges);
     snapshot_version_ = version_;

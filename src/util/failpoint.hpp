@@ -25,18 +25,17 @@
 //           fail — the knob for pinning permanent-degradation behavior).
 //
 // Scoping: ScopedSuspend suppresses every failpoint on the constructing
-// thread until it is destroyed. Harnesses wrap the operations whose
-// invariants injection would corrupt (e.g. DCSR update batches, reference
-// oracle builds) so faults land only on the recovery paths under test.
+// thread until it is destroyed. Harnesses wrap the operations that are
+// setup rather than the system under test (e.g. a writer's update batches,
+// which no ingest policy retries, or reference oracle builds) so faults
+// land only on the recovery paths under test.
 //
 // Site catalog (each named site throws where a real system would fail):
 //   arena.alloc      device scratch-arena backing allocation -> bad_alloc
 //                    (simulated device OOM)
 //   device.launch    kernel launch on any ThreadPool -> InjectedFault
 //                    (launch failure / device lost)
-//   engine.snapshot  edge-log export (a DynamicGraph's first snapshot after
-//                    construction or an erase) or lazy Csr build
-//                    -> InjectedFault
+//   engine.snapshot  an epoch's lazy Csr build -> InjectedFault
 //   engine.publish   Session artifact publish (refresh()/view()) -> InjectedFault
 #pragma once
 

@@ -1,13 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <utility>
 #include <vector>
 
 #include "device/context.hpp"
 #include "device/primitives.hpp"
-#include "device/segreduce.hpp"
 #include "device/union_find.hpp"
 #include "util/failpoint.hpp"
 #include "util/rng.hpp"
@@ -146,6 +146,21 @@ TEST_P(DeviceParam, CopyIfIndexSelectsInOrder) {
   std::size_t expected_count = (n_ + 2) / 3;
   EXPECT_EQ(k, expected_count);
   for (std::size_t j = 0; j < k; ++j) ASSERT_EQ(out[j], 3 * j);
+}
+
+TEST_P(DeviceParam, CopyIfKeepsSelectedValuesInOrder) {
+  std::vector<std::uint64_t> in(n_);
+  for (std::size_t i = 0; i < n_; ++i) in[i] = 7 * i + 1;
+  std::vector<std::uint64_t> out(n_);
+  const std::size_t k = device::copy_if(
+      ctx_, in.data(), n_, [&](std::size_t i) { return in[i] % 5 != 0; },
+      out.data());
+  std::vector<std::uint64_t> expected;
+  std::copy_if(in.begin(), in.end(), std::back_inserter(expected),
+               [](std::uint64_t v) { return v % 5 != 0; });
+  ASSERT_EQ(k, expected.size());
+  out.resize(k);
+  EXPECT_EQ(out, expected);
 }
 
 TEST_P(DeviceParam, UnionFindMatchesSequentialReference) {
@@ -405,70 +420,6 @@ TEST(ThreadPool, LaunchCounterCountsEveryKernel) {
   copy_if_index(
       ctx, in.size(), [](std::size_t i) { return i % 2 == 0; }, idx.data());
   EXPECT_EQ(ctx.launch_count() - compact, 1u);
-}
-
-// ---------------------------------------------------------------- segreduce
-
-TEST(Segreduce, MatchesReferenceOnRandomSegments) {
-  Context ctx(3);
-  util::Rng rng(99);
-  for (int round = 0; round < 20; ++round) {
-    const std::size_t segments = 1 + rng.below(50);
-    std::vector<EdgeId> offsets(segments + 1, 0);
-    for (std::size_t s = 1; s <= segments; ++s) {
-      offsets[s] = offsets[s - 1] + static_cast<EdgeId>(rng.below(10));
-    }
-    const std::size_t n = offsets[segments];
-    std::vector<NodeId> values(n);
-    for (auto& v : values) v = static_cast<NodeId>(rng.below(1000));
-
-    std::vector<NodeId> got(segments);
-    segreduce(ctx, values.data(), offsets.data(), segments, kNodeInf,
-              [](NodeId a, NodeId b) { return std::min(a, b); }, got.data());
-    for (std::size_t s = 0; s < segments; ++s) {
-      NodeId expected = kNodeInf;
-      for (EdgeId i = offsets[s]; i < offsets[s + 1]; ++i) {
-        expected = std::min(expected, values[i]);
-      }
-      ASSERT_EQ(got[s], expected) << "segment " << s;
-    }
-  }
-}
-
-TEST(Segreduce, EmptySegmentsGetIdentity) {
-  Context ctx(1);
-  std::vector<NodeId> values{5, 3};
-  std::vector<EdgeId> offsets{0, 0, 2, 2};  // segments: empty, {5,3}, empty
-  std::vector<NodeId> lo(3), hi(3);
-  segreduce_min_max(ctx, values.data(), offsets.data(), 3, kNodeInf,
-                    NodeId{-1}, lo.data(), hi.data());
-  EXPECT_EQ(lo[0], kNodeInf);
-  EXPECT_EQ(hi[0], -1);
-  EXPECT_EQ(lo[1], 3);
-  EXPECT_EQ(hi[1], 5);
-  EXPECT_EQ(lo[2], kNodeInf);
-  EXPECT_EQ(hi[2], -1);
-}
-
-TEST(Segreduce, MinMaxAgreeWithSeparateReductions) {
-  Context ctx(2);
-  util::Rng rng(7);
-  const std::size_t segments = 100;
-  std::vector<EdgeId> offsets(segments + 1, 0);
-  for (std::size_t s = 1; s <= segments; ++s) {
-    offsets[s] = offsets[s - 1] + static_cast<EdgeId>(rng.below(20));
-  }
-  std::vector<NodeId> values(offsets[segments]);
-  for (auto& v : values) v = static_cast<NodeId>(rng.below(10'000));
-  std::vector<NodeId> lo(segments), hi(segments), lo2(segments), hi2(segments);
-  segreduce_min_max(ctx, values.data(), offsets.data(), segments, kNodeInf,
-                    NodeId{-1}, lo.data(), hi.data());
-  segreduce(ctx, values.data(), offsets.data(), segments, kNodeInf,
-            [](NodeId a, NodeId b) { return std::min(a, b); }, lo2.data());
-  segreduce(ctx, values.data(), offsets.data(), segments, NodeId{-1},
-            [](NodeId a, NodeId b) { return std::max(a, b); }, hi2.data());
-  EXPECT_EQ(lo, lo2);
-  EXPECT_EQ(hi, hi2);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <iostream>
+#include <memory>
+#include <string>
 #include <set>
 #include <utility>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "graph/graph.hpp"
 #include "support/fuzz_env.hpp"
 #include "support/reference.hpp"
+#include "util/failpoint.hpp"
 #include "util/rng.hpp"
 
 namespace emc::dynamic {
@@ -58,7 +61,7 @@ class DynamicParam : public ::testing::TestWithParam<unsigned> {
 
 INSTANTIATE_TEST_SUITE_P(Workers, DynamicParam, ::testing::Values(1u, 4u));
 
-// ----------------------------------------------------------- DCSR storage
+// ------------------------------------------------------------- edge store
 
 TEST_P(DynamicParam, InsertEraseBasics) {
   DynamicGraph dg(5);
@@ -68,7 +71,8 @@ TEST_P(DynamicParam, InsertEraseBasics) {
   EXPECT_TRUE(dg.has_edge(0, 1));
   EXPECT_TRUE(dg.has_edge(2, 1));  // undirected
   EXPECT_FALSE(dg.has_edge(0, 3));
-  EXPECT_EQ(dg.degree(1), 2);
+  EXPECT_FALSE(dg.has_edge(1, 1));
+  EXPECT_FALSE(dg.has_edge(1, 9));  // out of range
   EXPECT_EQ(dg.erase_edges(ctx_, {{1, 2}}), 1u);
   EXPECT_FALSE(dg.has_edge(1, 2));
   EXPECT_EQ(dg.num_edges(), 2u);
@@ -95,7 +99,10 @@ TEST_P(DynamicParam, BatchDuplicatesCountOnce) {
   DynamicGraph dg(4);
   EXPECT_EQ(dg.insert_edges(ctx_, {{0, 1}, {1, 0}, {0, 1}, {2, 3}}), 2u);
   EXPECT_EQ(dg.num_edges(), 2u);
-  EXPECT_EQ(dg.degree(0), 1);
+  EXPECT_TRUE(dg.has_edge(1, 0));
+  EXPECT_TRUE(dg.has_edge(3, 2));
+  EXPECT_EQ(edge_set(dg.snapshot(ctx_)),
+            (std::set<std::pair<NodeId, NodeId>>{{0, 1}, {2, 3}}));
 }
 
 TEST_P(DynamicParam, ConstructorCanonicalizesInitialEdges) {
@@ -115,7 +122,7 @@ TEST_P(DynamicParam, ConstructorCanonicalizesInitialEdges) {
 
 TEST_P(DynamicParam, InsertOnlySnapshotsShareOneLog) {
   DynamicGraph dg(ctx_, gen::cycle_graph(64));
-  const EdgeSnapshot first = dg.snapshot(ctx_);  // exports the log
+  const EdgeSnapshot first = dg.snapshot(ctx_);
   ASSERT_EQ(first.num_edges(), 64u);
   const Edge* log = first.span().edges.data();
   EXPECT_EQ(dg.snapshot(ctx_).span().edges.data(), log);
@@ -208,8 +215,8 @@ TEST_P(DynamicParam, PinnedSnapshotsReadTheirOwnEdgesAcrossAppendsAndRegrow) {
     }
   }
 
-  // An erase drops the log; the next snapshot exports a fresh one, earlier
-  // snapshots keep theirs, and every Csr stays exact.
+  // An erase builds a new log; earlier snapshots keep theirs, and every Csr
+  // stays exact.
   dg.erase_edges(ctx_, {{0, 1}});
   ref.erase({0, 1});
   const EdgeSnapshot after = dg.snapshot(ctx_);
@@ -223,7 +230,7 @@ TEST_P(DynamicParam, PinnedSnapshotsReadTheirOwnEdgesAcrossAppendsAndRegrow) {
   EXPECT_TRUE(graph::csr_matches(appended, graph::build_csr(ctx_, appended)));
 }
 
-TEST_P(DynamicParam, CompactionPreservesEdgesAndAmortizes) {
+TEST_P(DynamicParam, ManySmallBatchesPreserveEdges) {
   DynamicGraph dg(50);
   std::set<std::pair<NodeId, NodeId>> ref;
   util::Rng rng(7);
@@ -237,19 +244,14 @@ TEST_P(DynamicParam, CompactionPreservesEdgesAndAmortizes) {
     }
     dg.insert_edges(ctx_, batch);
   }
-  EXPECT_GT(dg.num_compactions(), 0u);  // slack was exhausted along the way
   EXPECT_EQ(edge_set(dg.snapshot(ctx_)), ref);
   EXPECT_EQ(dg.num_edges(), ref.size());
-  // Capacity tracks occupancy (slack is a constant factor, not unbounded).
-  EXPECT_LE(dg.slot_capacity(), 2 * 2 * ref.size() + 4 * 50);
+  for (const auto& [u, v] : ref) EXPECT_TRUE(dg.has_edge(v, u));
 }
 
 TEST_P(DynamicParam, InsertedSinceConcatenatesAppliedBatches) {
   DynamicGraph dg(ctx_, gen::cycle_graph(5));
-  // No log before the first snapshot: the seeded edges are epoch 0 itself,
-  // and nothing records what later batches add until a log exists.
-  EXPECT_FALSE(dg.inserted_since(0).has_value());
-  (void)dg.snapshot(ctx_);
+  // The log exists from construction: the seeded edges are epoch 0 itself.
   ASSERT_TRUE(dg.inserted_since(0).has_value());
   EXPECT_TRUE(dg.inserted_since(0)->empty());
 
@@ -270,15 +272,188 @@ TEST_P(DynamicParam, InsertedSinceConcatenatesAppliedBatches) {
   EXPECT_TRUE(since(2).empty());
   EXPECT_FALSE(dg.inserted_since(3).has_value());  // a future epoch
 
-  // An effective erase drops the log: no suffix spans it.
+  // An effective erase starts a new log at its epoch: no suffix spans it.
   dg.erase_edges(ctx_, {{1, 3}});
   EXPECT_FALSE(dg.inserted_since(0).has_value());
   EXPECT_FALSE(dg.inserted_since(2).has_value());
-  EXPECT_FALSE(dg.inserted_since(3).has_value());
-  (void)dg.snapshot(ctx_);  // a fresh log, from epoch 3 on
+  ASSERT_TRUE(dg.inserted_since(3).has_value());
+  EXPECT_TRUE(dg.inserted_since(3)->empty());
   dg.insert_edges(ctx_, {{1, 4}});
   EXPECT_FALSE(dg.inserted_since(2).has_value());
   EXPECT_EQ(since(3), (std::vector<Edge>{{1, 4}}));
+}
+
+TEST_P(DynamicParam, MixedBatchesMatchSetReferenceAcrossFolds) {
+  // A 600-edge seed folds the recent key run into the index whenever it
+  // passes a small fraction of it, so the insert batches below cross the
+  // fold many times, with erases landing on both runs in between.
+  const auto fuzz = test_support::fuzz_run(/*seed=*/2741, /*rounds=*/160);
+  SCOPED_TRACE(fuzz.trace);
+  constexpr NodeId kNodes = 120;
+  util::Rng rng(fuzz.seed);
+  DynamicGraph dg(ctx_, gen::er_graph(kNodes, 600, fuzz.seed));
+  std::set<std::pair<NodeId, NodeId>> ref = edge_set(dg.snapshot(ctx_));
+  std::uint64_t base = dg.epoch();   // the last effective erase's epoch
+  std::vector<Edge> since_base;      // applied inserts since then
+  const auto random_edge = [&] {
+    return Edge{static_cast<NodeId>(rng.below(kNodes + 2)) - 1,
+                static_cast<NodeId>(rng.below(kNodes + 2)) - 1};
+  };
+
+  for (int round = 0; round < fuzz.rounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const bool erase = rng.below(3) == 0;
+    std::vector<Edge> batch;
+    const std::size_t size = rng.below(24);
+    const std::vector<std::pair<NodeId, NodeId>> pool(ref.begin(), ref.end());
+    for (std::size_t i = 0; i < size; ++i) {
+      if (erase && !pool.empty() && rng.below(3) != 0) {
+        const auto& [u, v] = pool[rng.below(pool.size())];
+        batch.push_back(rng.below(2) == 0 ? Edge{u, v} : Edge{v, u});
+      } else {
+        batch.push_back(random_edge());
+      }
+    }
+    // The reference's view of the batch: canonical, valid, deduplicated,
+    // and effective against the current set.
+    std::set<std::pair<NodeId, NodeId>> applied;
+    for (const Edge& e : batch) {
+      if (!graph::edge_valid(e.u, e.v, kNodes)) continue;
+      const std::pair<NodeId, NodeId> key{std::min(e.u, e.v),
+                                          std::max(e.u, e.v)};
+      if (ref.count(key) == (erase ? 1u : 0u)) applied.insert(key);
+    }
+
+    const std::uint64_t epoch = dg.epoch();
+    const std::size_t changed =
+        erase ? dg.erase_edges(ctx_, batch) : dg.insert_edges(ctx_, batch);
+    ASSERT_EQ(changed, applied.size());
+    ASSERT_EQ(dg.epoch(), epoch + (applied.empty() ? 0 : 1));
+    for (const auto& key : applied) {
+      if (erase) {
+        ref.erase(key);
+      } else {
+        ref.insert(key);
+        since_base.push_back({key.first, key.second});
+      }
+    }
+    if (erase && !applied.empty()) {
+      base = dg.epoch();
+      since_base.clear();
+    }
+
+    for (const Edge& e : batch) {
+      const bool present =
+          ref.count({std::min(e.u, e.v), std::max(e.u, e.v)}) != 0;
+      ASSERT_EQ(dg.has_edge(e.u, e.v), present) << e.u << "-" << e.v;
+    }
+    ASSERT_EQ(dg.num_edges(), ref.size());
+    const EdgeSnapshot snap = dg.snapshot(ctx_);
+    ASSERT_EQ(snap.num_edges(), ref.size());
+    ASSERT_EQ(edge_set(snap), ref);
+    const auto suffix = dg.inserted_since(base);
+    ASSERT_TRUE(suffix.has_value());
+    ASSERT_EQ(std::vector<Edge>(suffix->begin(), suffix->end()), since_base);
+    if (base > 0) {
+      ASSERT_FALSE(dg.inserted_since(base - 1).has_value());
+    }
+  }
+}
+
+TEST_P(DynamicParam, FaultedUpdatesChangeNothingAndTheRetryApplies) {
+  namespace failpoint = util::failpoint;
+  failpoint::disable_all();
+  // A store whose recent key run is non-empty, so the insert below folds it
+  // into the index and the erase below hits both runs. It is built on its
+  // own context, so each update below runs on a cold arena that must grow.
+  const auto seeded = [&] {
+    const device::Context setup(1);
+    auto dg = std::make_unique<DynamicGraph>(setup, gen::er_graph(80, 600, 5));
+    dg->insert_edges(setup, {{0, 79}, {1, 78}, {2, 77}, {3, 76}});
+    return dg;
+  };
+  const std::vector<Edge> inserts{{4, 75}, {5, 74}, {6, 73}, {7, 72},
+                                  {8, 71}, {9, 70}, {10, 69}, {0, 79}};
+  std::vector<Edge> erases{{0, 79}, {2, 77}, {11, 12}};
+  {
+    const auto dg = seeded();
+    const EdgeSnapshot snap = dg->snapshot(ctx_);
+    for (std::size_t e = 0; e < snap.num_edges(); e += 97) {
+      erases.push_back(snap.span().edges[e]);
+    }
+  }
+  struct Op {
+    const char* name;
+    std::size_t (DynamicGraph::*apply)(const device::Context&,
+                                       const std::vector<Edge>&);
+    const std::vector<Edge>* batch;
+  };
+  const Op ops[] = {{"insert", &DynamicGraph::insert_edges, &inserts},
+                    {"erase", &DynamicGraph::erase_edges, &erases}};
+
+  for (const char* site : {failpoint::kArenaAlloc, failpoint::kDeviceLaunch}) {
+    for (const Op& op : ops) {
+      SCOPED_TRACE(std::string(site) + " on " + op.name);
+      // A dry run counts the site's hits in one call (armed far past them).
+      std::uint64_t hits = 0;
+      std::size_t expected = 0;
+      std::set<std::pair<NodeId, NodeId>> after;
+      {
+        const device::Context ctx(GetParam());
+        const auto dg = seeded();
+        ASSERT_TRUE(failpoint::configure(site, "1000000"));
+        expected = (*dg.*op.apply)(ctx, *op.batch);
+        hits = failpoint::hits(site);
+        failpoint::disable_all();
+        after = edge_set(dg->snapshot(ctx));
+      }
+      ASSERT_GT(expected, 0u);
+      ASSERT_GT(hits, 0u);
+      std::size_t faulted = 0;
+      for (std::uint64_t k = 1; k <= hits; ++k) {
+        SCOPED_TRACE("hit " + std::to_string(k));
+        const device::Context ctx(GetParam());
+        const auto dg = seeded();
+        const EdgeSnapshot before = dg->snapshot(ctx);
+        const std::vector<Edge> before_edges(before.span().edges.begin(),
+                                             before.span().edges.end());
+        const std::uint64_t epoch = dg->epoch();
+        const auto suffix = dg->inserted_since(0);
+        ASSERT_TRUE(suffix.has_value());
+        const std::vector<Edge> before_suffix(suffix->begin(), suffix->end());
+
+        ASSERT_TRUE(failpoint::configure(site, std::to_string(k).c_str()));
+        bool threw = false;
+        try {
+          (*dg.*op.apply)(ctx, *op.batch);
+        } catch (const std::exception&) {
+          threw = true;
+        }
+        failpoint::disable_all();
+        if (threw) {
+          ++faulted;
+          ASSERT_EQ(dg->epoch(), epoch);
+          const EdgeSnapshot now = dg->snapshot(ctx);
+          ASSERT_EQ(now.span().edges.data(), before.span().edges.data());
+          ASSERT_EQ(std::vector<Edge>(now.span().edges.begin(),
+                                      now.span().edges.end()),
+                    before_edges);
+          const auto now_suffix = dg->inserted_since(0);
+          ASSERT_TRUE(now_suffix.has_value());
+          ASSERT_EQ(std::vector<Edge>(now_suffix->begin(), now_suffix->end()),
+                    before_suffix);
+          for (const Edge& e : before_edges) {
+            ASSERT_TRUE(dg->has_edge(e.u, e.v));
+          }
+          ASSERT_EQ((*dg.*op.apply)(ctx, *op.batch), expected);  // the retry
+        }
+        ASSERT_EQ(dg->epoch(), epoch + 1);
+        ASSERT_EQ(edge_set(dg->snapshot(ctx)), after);
+        ASSERT_EQ(dg->num_edges(), after.size());
+      }
+      EXPECT_GT(faulted, 0u);
+    }
+  }
 }
 
 // ------------------------------------------------------------- the oracle

@@ -39,6 +39,7 @@ using graph::EdgeList;
 using engine::Engine;
 using engine::Session;
 using engine::TwoEcc;
+using test_support::canonical_partition;
 
 /// Diffs `session`'s 2-ecc index against a scratch Session's (the full
 /// pipeline) AND the sequential reference on the same snapshot: structure
@@ -602,19 +603,6 @@ TEST(IncrementalFuzz, MixedBatchesMatchFullRebuild) {
     EXPECT_GT(session.publish_replays(), 0u);
     EXPECT_GT(session.publish_rebuilds(), 1u);
   }
-}
-
-/// Each node's smallest same-label node: equal iff two labelings induce
-/// the same partition.
-std::vector<NodeId> canonical_partition(const std::vector<NodeId>& labels) {
-  std::vector<NodeId> first(labels.size(), kNoNode);
-  std::vector<NodeId> out(labels.size());
-  for (std::size_t v = 0; v < labels.size(); ++v) {
-    NodeId& f = first[labels[v]];
-    if (f == kNoNode) f = static_cast<NodeId>(v);
-    out[v] = f;
-  }
-  return out;
 }
 
 TEST(IncrementalFuzz, EveryForcedBackendOnReplayedRecordsMatchesDfs) {

@@ -11,7 +11,7 @@
 //   pipeline pins — paced publishing leaves a measurable lag that flush()
 //     clears, an attached Dispatcher reflects that lag in staleness, and
 //     insert-only stretches reach the oracle's incremental-refresh path
-//     (rebuilds stay flat) and ride one edge log without a re-export;
+//     (rebuilds stay flat) and ride one edge log;
 //   differential fuzz — N producers race random insert/erase streams while
 //     readers query through a Dispatcher; the final edge set and every
 //     per-epoch answer must match a from-scratch reference replay of the
@@ -78,7 +78,7 @@ EdgeList to_edge_list(NodeId num_nodes, const CanonicalEdgeSet& set) {
 /// Applies one canonical batch to a reference edge set with the graph
 /// layer's simple-graph semantics (self-loops and absent/present no-ops
 /// vanish). This is the independent replay the differential suites diff
-/// the DCSR against.
+/// the DynamicGraph against.
 void replay(CanonicalEdgeSet& set, UpdateKind kind,
             const std::vector<Edge>& edges) {
   for (const Edge& e : edges) {
@@ -428,8 +428,8 @@ TEST(IngestorPipeline, InsertOnlyStretchTakesTheIncrementalPath) {
   EXPECT_EQ(s.erase_batches, 0u);
   EXPECT_GE(s.publishes, 1u);
 
-  // Every insert-only epoch's snapshot came from the one edge log exported
-  // at epoch 0 (it still covers that epoch, holding exactly the applied
+  // Every insert-only epoch's snapshot came from the one edge log built at
+  // construction (it still covers epoch 0, holding exactly the applied
   // chords after it), and no publish built an artifact — in particular no
   // Csr, which only a request that reads one builds.
   const auto appended = dg.inserted_since(epoch0);
@@ -791,10 +791,10 @@ TEST(IngestFailpoints, EveryUpdateLandsAndEveryFutureResolvesUnderPublishFaults)
 
   // Re-arm from the environment explicitly (CI pins engine.publish and the
   // engine.snapshot combo); self-arm engine.publish otherwise. Apply-path
-  // sites (arena.alloc, device.launch) are deliberately NOT armed here:
-  // the ingest writer's graph mutation is the ground truth, not the system
-  // under test — a faulted half-applied batch would corrupt the DCSR, the
-  // same reason the serve fuzz suspends faults around its writer.
+  // sites (arena.alloc, device.launch) are deliberately NOT armed here: a
+  // faulted update leaves the graph unchanged, but the Ingestor has no
+  // apply retry, so the batch would be lost; the serve fuzz suspends
+  // faults around its writer for the same reason.
   const char* env_spec = std::getenv("EMC_FAILPOINT");
   const bool env_armed =
       env_spec != nullptr && failpoint::configure_from_string(env_spec) > 0;

@@ -52,9 +52,9 @@ using test_support::ReferenceOracle;
 
 using CanonicalEdgeSet = std::set<std::pair<NodeId, NodeId>>;
 
-/// The view's bridges as canonical endpoint pairs. Replayed and rebuilt
-/// epochs order their edge lists differently (append vs full export), so
-/// masks are only comparable as SETS of edges, never positionally.
+/// The view's bridges as canonical endpoint pairs. An erase shifts edge
+/// positions, and a reference may order its edges differently, so masks
+/// are only comparable as SETS of edges, never positionally.
 CanonicalEdgeSet bridge_set(const View& view) {
   const bridges::BridgeMask& mask = view.run(Bridges{});
   const graph::EdgeSpan g = view.edge_span();
