@@ -4,15 +4,11 @@
 #include <utility>
 
 #include "device/primitives.hpp"
-#include "device/sort.hpp"
 #include "util/bits.hpp"
 
 namespace emc::dynamic {
 
 namespace {
-
-/// Sentinel for invalid batch entries; sorts past every real key.
-constexpr std::uint64_t kInvalidKey = ~std::uint64_t{0};
 
 /// `recent_` folds into `keys_` once it holds more than 1/kFoldRatio of
 /// it: an insert then merges at most |keys_| / kFoldRatio keys on the host,
@@ -146,23 +142,12 @@ bool DynamicGraph::has_edge(NodeId u, NodeId v) const {
 std::vector<std::uint64_t> DynamicGraph::normalized_batch(
     const device::Context& ctx, const std::vector<graph::Edge>& batch,
     bool keep_present) const {
-  const std::size_t b = batch.size();
-  std::vector<std::uint64_t> keys(b);
-  device::transform(ctx, b, keys.data(), [&](std::size_t i) {
-    const graph::Edge e = batch[i];
-    if (!graph::edge_valid(e.u, e.v, num_nodes_)) return kInvalidKey;
-    return graph::edge_key(e.u, e.v);
-  });
-  device::sort_keys(ctx, keys.data(), b);
-  std::vector<std::uint64_t> out(b);
+  const std::vector<std::uint64_t> keys =
+      graph::canonical_keys(ctx, {num_nodes_, batch});
+  std::vector<std::uint64_t> out(keys.size());
   out.resize(device::copy_if(
-      ctx, keys.data(), b,
-      [&](std::size_t i) {
-        const std::uint64_t k = keys[i];
-        if (k == kInvalidKey) return false;
-        if (i > 0 && k == keys[i - 1]) return false;  // within-batch duplicate
-        return has_key(k) == keep_present;
-      },
+      ctx, keys.data(), keys.size(),
+      [&](std::size_t i) { return has_key(keys[i]) == keep_present; },
       out.data()));
   return out;
 }

@@ -128,9 +128,9 @@ class DynamicGraph {
       std::uint64_t epoch) const;
 
  private:
-  /// Sorts and deduplicates a batch into canonical packed (lo << 32 | hi)
-  /// keys, dropping invalid entries and keeping only edges whose presence in
-  /// the store matches `keep_present` (false for inserts, true for erases).
+  /// The batch's graph::canonical_keys, keeping only edges whose presence
+  /// in the store matches `keep_present` (false for inserts, true for
+  /// erases).
   std::vector<std::uint64_t> normalized_batch(
       const device::Context& ctx, const std::vector<graph::Edge>& batch,
       bool keep_present) const;

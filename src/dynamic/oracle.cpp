@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <utility>
 
+#include "core/tree_ops.hpp"
 #include "device/primitives.hpp"
 #include "device/union_find.hpp"
 
@@ -25,58 +25,6 @@ std::size_t number_roots(const device::Context& ctx, std::size_t k,
                  [&](std::size_t b) { id[roots[b]] = static_cast<NodeId>(b); });
   return count;
 }
-
-/// Weights on the forest LCA's preorder positions: below(p) is the weight at
-/// positions < p, so a subtree interval [pre(c), pre(c) + size(c)) reads as
-/// a difference of two. scatter(i, add) adds item i's weights, i < count,
-/// through add(position, weight); `queries` counts the caller's reads. The
-/// sparse form sorts the points on the host and binary-searches them; the
-/// dense form fills a prefix array over all n + 3 positions in the caller's
-/// arena scope (three launches). The cheaper one runs, by costs measured on
-/// 4 workers, in ns: a sparse item 250 (its serial sort), a sparse query
-/// 12; a launch 25k plus its modelled latency, a dense position 0.25.
-class PreorderWeights {
- public:
-  template <typename Scatter>
-  PreorderWeights(const device::Context& ctx, device::Arena::Scope& scope,
-                  const lca::InlabelLca& lca, std::size_t count,
-                  std::size_t queries, Scatter&& scatter) {
-    // Preorder is 1-based over the n + 1 tree nodes; interval ends reach
-    // n + 2.
-    const std::size_t len = static_cast<std::size_t>(lca.num_nodes()) + 3;
-    const double dense = 3e9 * ctx.launch_overhead() + 75e3 + len / 4.0;
-    if (250.0 * count + 12.0 * queries < dense) {
-      for (std::size_t i = 0; i < count; ++i) {
-        scatter(i, [&](NodeId p, NodeId w) { points_.push_back({p, w}); });
-      }
-      std::sort(points_.begin(), points_.end());
-      NodeId run = 0;  // each point's weight becomes the weight before it
-      for (auto& point : points_) run += std::exchange(point.second, run);
-      points_.push_back({std::numeric_limits<NodeId>::max(), run});
-      return;
-    }
-    sum_ = scope.get<NodeId>(len);
-    device::fill(ctx, len, sum_, NodeId{0});
-    device::launch(ctx, count, [&](std::size_t i) {
-      scatter(i, [&](NodeId p, NodeId w) {
-        std::atomic_ref<NodeId>(sum_[p]).fetch_add(w,
-                                                   std::memory_order_relaxed);
-      });
-    });
-    device::exclusive_scan(ctx, sum_, len, sum_);
-  }
-
-  NodeId below(NodeId p) const {
-    if (sum_ != nullptr) return sum_[p];
-    return std::lower_bound(points_.begin(), points_.end(),
-                            std::pair{p, std::numeric_limits<NodeId>::min()})
-        ->second;
-  }
-
- private:
-  NodeId* sum_ = nullptr;                          // dense: prefix sums
-  std::vector<std::pair<NodeId, NodeId>> points_;  // sparse, sorted
-};
 
 }  // namespace
 
@@ -158,14 +106,17 @@ ConnectivityOracle ConnectivityOracle::insert(
   const std::vector<NodeId>& parent = lca_->tree().parent;
   const std::vector<NodeId>& pre = lca_->tree().preorder;
   const std::vector<NodeId>& size = lca_->tree().subtree_size;
+  // Preorder is 1-based over the n + 1 forest LCA nodes (the virtual root
+  // included); interval ends reach n + 2.
+  const std::size_t positions = n + 3;
   device::Arena::Scope scope(ctx.arena());
   // The children of the demoted bridges.
   NodeId* demoted = scope.get<NodeId>(num_bridges_);
   std::size_t num_demoted = 0;
   if (!intra.empty()) {
     // Every intra pair lies in one component: no meet is the virtual root.
-    const PreorderWeights weight(
-        ctx, scope, *lca_, intra.size(), num_bridges_,
+    const core::PreorderWeights weight(
+        ctx, scope, positions, intra.size(), num_bridges_,
         [&](std::size_t i, auto&& add) {
           const graph::Edge e = inserted[intra[i]];
           add(pre[e.u], 1);
@@ -219,8 +170,9 @@ ConnectivityOracle ConnectivityOracle::insert(
     // sizes. Its bd drops by the demoted intervals holding its member — the
     // one count its old blocks agree on, since the bridges between them are
     // the demoted ones.
-    const PreorderWeights above(
-        ctx, scope, *lca_, num_demoted, count, [&](std::size_t i, auto&& add) {
+    const core::PreorderWeights above(
+        ctx, scope, positions, num_demoted, count,
+        [&](std::size_t i, auto&& add) {
           add(pre[demoted[i]], 1);
           add(pre[demoted[i]] + size[demoted[i]], -1);
         });

@@ -28,9 +28,10 @@
 // demoted iff the weight inside c's interval [pre(c), pre(c) + size(c)) is
 // positive (Tarjan-Vishkin's test: the sum counts the edges with exactly one
 // end below c). Demoted bridges union their blocks, and a block's bd drops by
-// the demoted intervals holding it. A cross edge is a new bridge linking two
-// trees: the caller links the forest and rebuilds its LCA, and the index is
-// the preorder pass over the linked forest under the demoted mask.
+// the demoted intervals holding it. Both sums are core::PreorderWeights, the
+// one preorder interval-sum primitive. A cross edge is a new bridge linking
+// two trees: the caller links the forest and rebuilds its LCA, and the index
+// is the preorder pass over the linked forest under the demoted mask.
 //
 // The index has no epoch and counts nothing: when a suffix may be replayed is
 // engine::Session's one replay rule.
@@ -81,13 +82,15 @@ class ConnectivityOracle {
 
   /// The size half of the replay rule: an insert-only batch qualifies iff
   /// it is small relative to the INDEXED snapshot —
-  ///   inserted <= max(kIncrementalFloor, indexed_edges / kIncrementalRatio)
-  /// and erased == 0. (The floor keeps small graphs on the incremental path;
-  /// the ratio bounds the worst case where the replay's passes would not
-  /// beat the full pipeline.)
-  static bool incremental_applies(std::size_t inserted, std::size_t erased,
+  ///   0 < inserted <= max(kIncrementalFloor,
+  ///                       indexed_edges / kIncrementalRatio).
+  /// (The floor keeps small graphs on the incremental path; the ratio bounds
+  /// the worst case where the replay's passes would not beat the full
+  /// pipeline. An erase never gets here: the graph reports no insert-only
+  /// suffix across one.)
+  static bool incremental_applies(std::size_t inserted,
                                   std::size_t indexed_edges) {
-    return erased == 0 && inserted > 0 &&
+    return inserted > 0 &&
            inserted <= std::max<std::size_t>(kIncrementalFloor,
                                              indexed_edges / kIncrementalRatio);
   }

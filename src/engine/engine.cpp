@@ -439,8 +439,7 @@ std::optional<Session::Replay> Session::replay_partition() const {
   const auto inserted = g.inserted_since(record_->epoch);
   if (!inserted) return std::nullopt;
   const std::size_t d = inserted->size();
-  if (!dynamic::ConnectivityOracle::incremental_applies(d, 0,
-                                                        g.num_edges() - d)) {
+  if (!dynamic::ConnectivityOracle::incremental_applies(d, g.num_edges() - d)) {
     return std::nullopt;  // too large to beat a build
   }
   // Split the suffix by the record's forest labels, merging the labels the

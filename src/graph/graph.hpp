@@ -127,10 +127,12 @@ std::size_t count_components(const std::vector<NodeId>& labels);
 EdgeList largest_component(const EdgeList& graph);
 
 /// The edge set of `graph` as sorted, unique canonical keys (edge_key),
-/// via the device sort: self-loops and out-of-range endpoints are dropped,
-/// and duplicate and reversed-duplicate edges collapse to one key. The one
-/// shared normalization: canonicalize() decodes these keys, and the
-/// dynamic graph seeds both its edge log and its key index from them.
+/// via the device sort (on the calling thread for inputs small enough that
+/// its fixed launches dominate): self-loops and out-of-range endpoints are
+/// dropped, and duplicate and reversed-duplicate edges collapse to one key.
+/// The one shared normalization: canonicalize() decodes these keys, and the
+/// dynamic graph seeds its edge log and key index from them and normalizes
+/// every update batch through them.
 std::vector<std::uint64_t> canonical_keys(const device::Context& ctx,
                                           EdgeSpan graph);
 

@@ -1,8 +1,6 @@
 #include "lca/inlabel.hpp"
 
-#include <atomic>
-#include <cassert>
-
+#include "core/tree_ops.hpp"
 #include "device/primitives.hpp"
 #include "util/bits.hpp"
 
@@ -46,58 +44,24 @@ InlabelLca::InlabelLca(const device::Context& ctx, core::TreeStats tree,
     }
   });
 
-  // Ascendant bitmasks. asc(v) accumulates one bit per inlabel path segment
-  // on the root path; along any root path there are at most ceil(log2(n+1))
-  // segments (the inorder property maps them to a root path in B), so the
-  // level-by-level sweep below terminates in O(log n) bulk rounds — this is
-  // the PRAM-style O(log n)-time computation.
-  ascendant_.assign(n, 0);
-  std::vector<std::uint8_t> ready(n, 0);
-  device::launch(ctx, n, [&](std::size_t v) {
-    if (parent[static_cast<NodeId>(v)] == kNoNode) {
-      ascendant_[v] = 1u << util::lsb_index(inlabel_[v]);
-      ready[v] = 1;
-    }
-  });
-  // Only path heads need resolving through their parents; every other node
-  // copies its head afterwards.
-  std::vector<NodeId> heads_todo;
-  heads_todo.reserve(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    const NodeId p = parent[v];
-    if (p != kNoNode && inlabel_[v] != inlabel_[p]) {
-      heads_todo.push_back(static_cast<NodeId>(v));
-    }
-  }
-  bool progress = true;
-  while (!heads_todo.empty() && progress) {
-    std::atomic<std::size_t> resolved{0};
-    device::launch(ctx, heads_todo.size(), [&](std::size_t i) {
-      const NodeId v = heads_todo[i];
-      if (ready[v]) return;
-      const NodeId p = parent[v];
-      // The parent either lies on an already-resolved segment (its head is
-      // ready) or not; segments resolve top-down, one level per round. A
-      // sibling virtual thread may resolve ph within this same launch, so
-      // the ready handoff is acquire/release: observing ready[ph] == 1
-      // makes the paired ascendant_[ph] write visible (racing threads that
-      // miss it just resolve v next round).
-      const NodeId ph = head_[inlabel_[p]];
-      if (std::atomic_ref(ready[ph]).load(std::memory_order_acquire)) {
-        ascendant_[v] = ascendant_[ph] | (1u << util::lsb_index(inlabel_[v]));
-        std::atomic_ref(ready[v]).store(1, std::memory_order_release);
-        resolved.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-    progress = resolved.load() > 0;
-    std::erase_if(heads_todo, [&](NodeId v) { return ready[v] != 0; });
-  }
-  assert(heads_todo.empty() && "ascendant sweep failed to converge");
-  // Non-head nodes share their segment head's ascendant. Heads skip the
-  // self-copy so no thread writes a slot another may be reading.
-  device::launch(ctx, n, [&](std::size_t v) {
-    const NodeId h = head_[inlabel_[v]];
-    if (static_cast<NodeId>(v) != h) ascendant_[v] = ascendant_[h];
+  // Ascendant bitmasks: asc(v) has one bit per inlabel path segment on v's
+  // root path, the height (lowest set bit) of that segment's inlabel. Those
+  // inlabels lie on one root path of B (the inorder property), so their
+  // heights are distinct and the OR is a sum: each head h weighs
+  // 1 << height over its subtree interval, and asc(v) is the weight of the
+  // intervals holding pre(v) — one difference scan, whatever the tree.
+  device::Arena::Scope scope(ctx.arena());
+  const core::PreorderWeights asc(
+      ctx, scope, n + 2, n, n, [&](std::size_t v, auto&& add) {
+        const NodeId p = parent[v];
+        if (p != kNoNode && inlabel_[v] == inlabel_[p]) return;
+        const NodeId bit = NodeId{1} << util::lsb_index(inlabel_[v]);
+        add(preorder[v], bit);
+        add(preorder[v] + subtree_size[v], -bit);
+      });
+  ascendant_.resize(n);
+  device::transform(ctx, n, ascendant_.data(), [&](std::size_t v) {
+    return static_cast<std::uint32_t>(asc.below(preorder[v] + 1));
   });
 }
 

@@ -17,7 +17,11 @@
 // the Euler tour technique in the parallel variants, and from an iterative
 // DFS in the single-core reference variant; everything after that is O(1)
 // work per node ("the remaining part of the preprocessing runs in O(1) time
-// and O(n) total work"). The index keeps those inputs as its tree().
+// and O(n) total work"): bulk kernels for inlabels and heads, and for the
+// ascendants one core::PreorderWeights difference scan (each path head adds
+// its height bit over its subtree interval), so the constructor launches the
+// same kernels for every tree of a given size. The index keeps those inputs
+// as its tree().
 #pragma once
 
 #include <cstdint>

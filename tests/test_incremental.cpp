@@ -87,16 +87,15 @@ bool advance(Session& session) {
 
 TEST(IncrementalRule, SizeRuleIsExplicit) {
   using O = ConnectivityOracle;
-  // Any erase, or an empty delta, disqualifies.
-  EXPECT_FALSE(O::incremental_applies(0, 0, 1000));
-  EXPECT_FALSE(O::incremental_applies(10, 1, 1000));
+  // An empty delta disqualifies.
+  EXPECT_FALSE(O::incremental_applies(0, 1000));
   // The floor keeps small graphs incremental...
-  EXPECT_TRUE(O::incremental_applies(1, 0, 0));
-  EXPECT_TRUE(O::incremental_applies(O::kIncrementalFloor, 0, 0));
-  EXPECT_FALSE(O::incremental_applies(O::kIncrementalFloor + 1, 0, 0));
+  EXPECT_TRUE(O::incremental_applies(1, 0));
+  EXPECT_TRUE(O::incremental_applies(O::kIncrementalFloor, 0));
+  EXPECT_FALSE(O::incremental_applies(O::kIncrementalFloor + 1, 0));
   // ...and the ratio governs past it: inserted <= edges / kIncrementalRatio.
-  EXPECT_TRUE(O::incremental_applies(250, 0, 1000));
-  EXPECT_FALSE(O::incremental_applies(251, 0, 1000));
+  EXPECT_TRUE(O::incremental_applies(250, 1000));
+  EXPECT_FALSE(O::incremental_applies(251, 1000));
 }
 
 TEST(IncrementalRule, InsertOnlyIntraComponentDeltaGoesIncremental) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
+#include "core/euler_tour.hpp"
 #include "core/tree.hpp"
 #include "device/context.hpp"
 #include "gen/trees.hpp"
@@ -248,6 +250,56 @@ TEST(Lca, ParallelAndSequentialInlabelAgreeEverywhere) {
       for (NodeId y = x; y < 300; y += 7) {
         ASSERT_EQ(par.query(x, y), seq.query(x, y)) << x << "," << y;
       }
+    }
+  }
+}
+
+TEST(Lca, InlabelLaunchesDoNotDependOnShape) {
+  // The ascendants are one difference scan, so the constructor's kernels
+  // are fixed by n alone: a path, a star, a random tree and a virtual-root
+  // forest of singletons plus one deep path (a sparse graph's spanning
+  // forest) launch alike, whatever their inlabel segments' nesting.
+  const NodeId n = 20000;
+  std::vector<core::ParentTree> trees;
+  core::ParentTree path;
+  path.root = 0;
+  path.parent.assign(n, kNoNode);
+  for (NodeId v = 1; v < n; ++v) path.parent[v] = v - 1;
+  trees.push_back(path);
+  core::ParentTree star;
+  star.root = 0;
+  star.parent.assign(n, 0);
+  star.parent[0] = kNoNode;
+  trees.push_back(star);
+  core::ParentTree random = gen::random_tree(n, NodeId{16}, 51);
+  gen::scramble_ids(random, 52);
+  trees.push_back(random);
+  core::ParentTree forest = star;
+  for (NodeId v = 3 * n / 4 + 1; v < n; ++v) forest.parent[v] = v - 1;
+  trees.push_back(forest);
+
+  for (const unsigned workers : {1u, 4u}) {
+    const device::Context ctx(workers);
+    std::vector<std::uint64_t> launches;
+    for (const core::ParentTree& tree : trees) {
+      const core::TreeStats stats = core::compute_tree_stats(
+          ctx, core::build_euler_tour(ctx, core::tree_edges(tree), tree.root));
+      for (int repeat = 0; repeat < 5; ++repeat) {
+        const std::uint64_t before = ctx.launch_count();
+        const InlabelLca inlabel(ctx, stats, tree.root);
+        launches.push_back(ctx.launch_count() - before);
+        if (repeat > 0) continue;
+        const NaiveLca naive = NaiveLca::build(ctx, tree);
+        util::Rng rng(workers + launches.size());
+        for (int i = 0; i < 1000; ++i) {
+          const NodeId x = static_cast<NodeId>(rng.below(n));
+          const NodeId y = static_cast<NodeId>(rng.below(n));
+          ASSERT_EQ(inlabel.query(x, y), naive.query(x, y)) << x << "," << y;
+        }
+      }
+    }
+    for (const std::uint64_t count : launches) {
+      EXPECT_EQ(count, launches.front()) << workers << " workers";
     }
   }
 }

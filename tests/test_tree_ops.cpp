@@ -1,179 +1,204 @@
+// core::PreorderWeights against a sequential fold: root-path sums (difference
+// pairs over subtree intervals) and subtree sums (points read as interval
+// differences) on random trees, paths and stars, with inputs on both sides of
+// the cost model so both the sparse and the dense form run.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstdint>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/euler_tour.hpp"
 #include "core/tree.hpp"
 #include "core/tree_ops.hpp"
+#include "device/arena.hpp"
 #include "device/context.hpp"
 #include "gen/trees.hpp"
+#include "support/fuzz_env.hpp"
 #include "util/rng.hpp"
 
 namespace emc::core {
 namespace {
 
-struct Fixture {
-  ParentTree tree;
-  EulerTour tour;
-  TreeStats stats;
-  device::Context ctx;
+enum class Shape { kRandom, kPath, kStar };
 
-  Fixture(NodeId n, NodeId grasp, std::uint64_t seed, unsigned workers)
-      : ctx(workers) {
-    tree = gen::random_tree(n, grasp, seed);
-    gen::scramble_ids(tree, seed + 1);
-    tour = build_euler_tour(ctx, tree_edges(tree), tree.root);
-    stats = compute_tree_stats(ctx, tour);
+ParentTree make_tree(Shape shape, NodeId n, std::uint64_t seed) {
+  ParentTree tree;
+  if (shape == Shape::kStar) {
+    tree.root = 0;
+    tree.parent.assign(n, 0);
+    tree.parent[0] = kNoNode;
+  } else {
+    tree = gen::random_tree(n, shape == Shape::kPath ? 1 : 8, seed);
+  }
+  gen::scramble_ids(tree, seed + 1);
+  return tree;
+}
+
+/// A tree's stats and `items` weighted nodes (repeats allowed).
+struct Case {
+  TreeStats stats;
+  std::vector<NodeId> node;
+  std::vector<NodeId> weight;
+
+  Case(const device::Context& ctx, Shape shape, NodeId n, std::size_t items,
+       std::uint64_t seed) {
+    const ParentTree tree = make_tree(shape, n, seed);
+    stats = compute_tree_stats(
+        ctx, build_euler_tour(ctx, tree_edges(tree), tree.root));
+    util::Rng rng(seed + 2);
+    for (std::size_t i = 0; i < items; ++i) {
+      node.push_back(static_cast<NodeId>(rng.below(n)));
+      weight.push_back(static_cast<NodeId>(rng.below(1001)) - 500);
+    }
+  }
+
+  NodeId num_nodes() const { return static_cast<NodeId>(stats.parent.size()); }
+
+  /// The nodes in preorder: every parent before its children.
+  std::vector<NodeId> preorder_nodes() const {
+    std::vector<NodeId> order(num_nodes());
+    for (NodeId v = 0; v < num_nodes(); ++v) order[stats.preorder[v] - 1] = v;
+    return order;
+  }
+
+  std::vector<NodeId> node_weights() const {
+    std::vector<NodeId> w(num_nodes(), 0);
+    for (std::size_t i = 0; i < node.size(); ++i) w[node[i]] += weight[i];
+    return w;
+  }
+
+  /// The weights over positions [0, n + 2), one read per node; `launches`
+  /// gets the launches their construction took.
+  template <typename Scatter>
+  PreorderWeights build(const device::Context& ctx, device::Arena::Scope& scope,
+                        std::uint64_t& launches, Scatter&& scatter) const {
+    const std::uint64_t before = ctx.launch_count();
+    PreorderWeights sums(ctx, scope, static_cast<std::size_t>(num_nodes()) + 2,
+                         node.size(), static_cast<std::size_t>(num_nodes()),
+                         scatter);
+    launches = ctx.launch_count() - before;
+    return sums;
   }
 };
 
-class TreeOpsParam
-    : public ::testing::TestWithParam<std::tuple<unsigned, NodeId, NodeId>> {
+/// Each item's weight over its node's subtree interval: below(pre(v) + 1)
+/// is the weight on v's root path, folded top-down as a reference.
+void expect_root_path_sums(const device::Context& ctx, const Case& c,
+                           std::uint64_t& launches) {
+  const TreeStats& s = c.stats;
+  device::Arena::Scope scope(ctx.arena());
+  const PreorderWeights sums =
+      c.build(ctx, scope, launches, [&](std::size_t i, auto&& add) {
+        const NodeId v = c.node[i];
+        add(s.preorder[v], c.weight[i]);
+        add(s.preorder[v] + s.subtree_size[v], -c.weight[i]);
+      });
+  std::vector<NodeId> expected = c.node_weights();
+  for (const NodeId v : c.preorder_nodes()) {
+    if (s.parent[v] != kNoNode) expected[v] += expected[s.parent[v]];
+  }
+  for (NodeId v = 0; v < c.num_nodes(); ++v) {
+    ASSERT_EQ(sums.below(s.preorder[v] + 1), expected[v]) << "node " << v;
+  }
+}
+
+/// Each item's weight at its node's position: a subtree interval's
+/// difference is the subtree's weight, folded bottom-up as a reference.
+void expect_subtree_sums(const device::Context& ctx, const Case& c,
+                         std::uint64_t& launches) {
+  const TreeStats& s = c.stats;
+  device::Arena::Scope scope(ctx.arena());
+  const PreorderWeights sums =
+      c.build(ctx, scope, launches, [&](std::size_t i, auto&& add) {
+        add(s.preorder[c.node[i]], c.weight[i]);
+      });
+  std::vector<NodeId> expected = c.node_weights();
+  const std::vector<NodeId> order = c.preorder_nodes();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    if (s.parent[*it] != kNoNode) expected[s.parent[*it]] += expected[*it];
+  }
+  for (NodeId v = 0; v < c.num_nodes(); ++v) {
+    const NodeId pre = s.preorder[v];
+    ASSERT_EQ(sums.below(pre + s.subtree_size[v]) - sums.below(pre),
+              expected[v])
+        << "node " << v;
+  }
+}
+
+/// (workers, shape, nodes, weighted items). Items near n pick the dense
+/// form; a few items, or a small tree, pick the sparse one.
+class PreorderWeightsParam
+    : public ::testing::TestWithParam<
+          std::tuple<unsigned, Shape, std::pair<NodeId, std::size_t>>> {
  protected:
-  Fixture fx_{std::get<1>(GetParam()), std::get<2>(GetParam()),
-              std::get<1>(GetParam()) * 7ull, std::get<0>(GetParam())};
+  const device::Context ctx_{std::get<0>(GetParam())};
+  const Case case_{ctx_, std::get<1>(GetParam()),
+                   std::get<2>(GetParam()).first,
+                   std::get<2>(GetParam()).second, 11};
+  /// The dense form's three launches (fill, scatter, scan); none sparse.
+  std::uint64_t expected_launches() const {
+    return case_.node.size() > 1000 ? 3 : 0;
+  }
 };
 
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, TreeOpsParam,
-    ::testing::Combine(::testing::Values(1u, 3u),
-                       ::testing::Values(NodeId{2}, NodeId{50}, NodeId{1000},
-                                         NodeId{5000}),
-                       ::testing::Values(gen::kInfiniteGrasp, NodeId{1},
-                                         NodeId{8})));
+    Shapes, PreorderWeightsParam,
+    ::testing::Combine(
+        ::testing::Values(1u, 4u),
+        ::testing::Values(Shape::kRandom, Shape::kPath, Shape::kStar),
+        ::testing::Values(std::pair<NodeId, std::size_t>{50, 50},
+                          std::pair<NodeId, std::size_t>{5000, 8},
+                          std::pair<NodeId, std::size_t>{5000, 5000})));
 
-TEST_P(TreeOpsParam, PostorderIsValidAndConsistent) {
-  const auto post = postorder_numbers(fx_.ctx, fx_.tour);
-  const NodeId n = fx_.tree.num_nodes();
-  // Permutation of 1..n; root is last; every node after all its children;
-  // postorder(v) = preorder(v) + size(v) - depth-corrected... we check the
-  // defining property instead: post(v) >= post(c) + 1 for children c, and
-  // the interval [post(v) - size(v) + 1, post(v)] is exactly v's subtree.
-  std::vector<bool> seen(n + 1, false);
-  for (NodeId v = 0; v < n; ++v) {
-    ASSERT_GE(post[v], 1);
-    ASSERT_LE(post[v], n);
-    ASSERT_FALSE(seen[post[v]]);
-    seen[post[v]] = true;
-  }
-  EXPECT_EQ(post[fx_.tree.root], n);
-  for (NodeId v = 0; v < n; ++v) {
-    if (v == fx_.tree.root) continue;
-    const NodeId p = fx_.tree.parent[v];
-    EXPECT_LT(post[v], post[p]);
-    // Subtree of v occupies a contiguous postorder interval ending at v.
-    EXPECT_GE(post[v], fx_.stats.subtree_size[v]);
+TEST_P(PreorderWeightsParam, RootPathSumsMatchFold) {
+  std::uint64_t launches = 0;
+  expect_root_path_sums(ctx_, case_, launches);
+  EXPECT_EQ(launches, expected_launches());
+}
+
+TEST_P(PreorderWeightsParam, SubtreeSumsMatchFold) {
+  std::uint64_t launches = 0;
+  expect_subtree_sums(ctx_, case_, launches);
+  EXPECT_EQ(launches, expected_launches());
+}
+
+TEST(PreorderWeights, RandomTreesMatchFold) {
+  // Random shapes, sizes up to 3000 and up to 2n items: both forms run.
+  const auto run = test_support::fuzz_run(23, 40);
+  SCOPED_TRACE(run.trace);
+  const device::Context contexts[] = {device::Context::sequential(),
+                                      device::Context(4)};
+  util::Rng rng(run.seed);
+  for (int round = 0; round < run.rounds; ++round) {
+    const device::Context& ctx = contexts[round % 2];
+    const auto shape = static_cast<Shape>(rng.below(3));
+    const auto n = static_cast<NodeId>(1 + rng.below(3000));
+    const Case c(ctx, shape, n, rng.below(2 * n + 1), run.seed + round);
+    std::uint64_t launches = 0;
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    ASSERT_NO_FATAL_FAILURE(expect_root_path_sums(ctx, c, launches));
+    ASSERT_NO_FATAL_FAILURE(expect_subtree_sums(ctx, c, launches));
   }
 }
 
-TEST_P(TreeOpsParam, SubtreeSumsMatchReference) {
-  const NodeId n = fx_.tree.num_nodes();
-  util::Rng rng(99);
-  std::vector<std::int64_t> value(n);
-  for (auto& v : value) v = static_cast<std::int64_t>(rng.below(1000)) - 500;
-  const auto sums = subtree_sums(fx_.ctx, fx_.tour, fx_.stats, value);
-
-  // Reference: accumulate children into parents by decreasing depth.
-  std::vector<std::int64_t> expected(value.begin(), value.end());
-  std::vector<NodeId> order(n);
-  for (NodeId v = 0; v < n; ++v) order[v] = v;
-  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    return fx_.stats.level[a] > fx_.stats.level[b];
-  });
-  for (const NodeId v : order) {
-    if (v != fx_.tree.root) expected[fx_.tree.parent[v]] += expected[v];
-  }
-  for (NodeId v = 0; v < n; ++v) ASSERT_EQ(sums[v], expected[v]) << v;
-}
-
-TEST_P(TreeOpsParam, LeafCountsMatchReference) {
-  const NodeId n = fx_.tree.num_nodes();
-  const auto counts = subtree_leaf_counts(fx_.ctx, fx_.tour, fx_.stats);
-  std::vector<NodeId> expected(n, 0);
-  std::vector<bool> has_child(n, false);
-  for (NodeId v = 0; v < n; ++v) {
-    if (v != fx_.tree.root) has_child[fx_.tree.parent[v]] = true;
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    if (has_child[v]) continue;
-    for (NodeId u = v; ; u = fx_.tree.parent[u]) {
-      ++expected[u];
-      if (u == fx_.tree.root) break;
-    }
-  }
-  EXPECT_EQ(counts, expected);
-  // The root counts every leaf.
-  NodeId leaves = 0;
-  for (NodeId v = 0; v < n; ++v) leaves += has_child[v] ? 0 : 1;
-  EXPECT_EQ(counts[fx_.tree.root], leaves);
-}
-
-TEST_P(TreeOpsParam, AncestorOracleMatchesClimbing) {
-  const NodeId n = fx_.tree.num_nodes();
-  const AncestorOracle oracle(fx_.stats);
-  util::Rng rng(7);
-  for (int i = 0; i < 300; ++i) {
-    const NodeId a = static_cast<NodeId>(rng.below(n));
-    const NodeId b = static_cast<NodeId>(rng.below(n));
-    bool expected = false;
-    for (NodeId u = b; ; u = fx_.tree.parent[u]) {
-      if (u == a) {
-        expected = true;
-        break;
-      }
-      if (u == fx_.tree.root) break;
-    }
-    ASSERT_EQ(oracle.is_ancestor(a, b), expected) << a << " " << b;
-  }
-  // Everyone is their own ancestor; the root is everyone's.
-  const NodeId v = static_cast<NodeId>(rng.below(n));
-  EXPECT_TRUE(oracle.is_ancestor(v, v));
-  EXPECT_TRUE(oracle.is_ancestor(fx_.tree.root, v));
-}
-
-TEST_P(TreeOpsParam, HeavyChildrenAreHeaviest) {
-  const NodeId n = fx_.tree.num_nodes();
-  const auto heavy = heavy_children(fx_.ctx, fx_.tour, fx_.stats);
-  // Reference max per parent.
-  std::vector<NodeId> best_size(n, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    if (v == fx_.tree.root) continue;
-    const NodeId p = fx_.tree.parent[v];
-    best_size[p] = std::max(best_size[p], fx_.stats.subtree_size[v]);
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    if (best_size[v] == 0) {
-      ASSERT_EQ(heavy[v], kNoNode) << "leaf " << v;
-    } else {
-      ASSERT_NE(heavy[v], kNoNode);
-      ASSERT_EQ(fx_.tree.parent[heavy[v]], v);
-      ASSERT_EQ(fx_.stats.subtree_size[heavy[v]], best_size[v]);
-    }
-  }
-}
-
-TEST(TreeOps, SingleNode) {
-  const device::Context ctx(1);
-  graph::EdgeList edges;
-  edges.num_nodes = 1;
-  const EulerTour tour = build_euler_tour(ctx, edges, 0);
-  const TreeStats stats = compute_tree_stats(ctx, tour);
-  EXPECT_EQ(postorder_numbers(ctx, tour), std::vector<NodeId>{1});
-  EXPECT_EQ(subtree_sums(ctx, tour, stats, {42}), std::vector<std::int64_t>{42});
-  EXPECT_EQ(subtree_leaf_counts(ctx, tour, stats), std::vector<NodeId>{1});
-  EXPECT_EQ(heavy_children(ctx, tour, stats), std::vector<NodeId>{kNoNode});
-}
-
-TEST(TreeOps, PathPostorderReversesPreorder) {
-  const device::Context ctx(2);
-  const NodeId n = 500;
-  graph::EdgeList edges;
-  edges.num_nodes = n;
-  for (NodeId v = 0; v + 1 < n; ++v) edges.edges.push_back({v, v + 1});
-  const EulerTour tour = build_euler_tour(ctx, edges, 0);
-  const auto post = postorder_numbers(ctx, tour);
-  for (NodeId v = 0; v < n; ++v) ASSERT_EQ(post[v], n - v);
+TEST(PreorderWeights, SingleNodeAndNoItems) {
+  const device::Context ctx = device::Context::sequential();
+  const Case c(ctx, Shape::kRandom, 1, 1, 5);
+  device::Arena::Scope scope(ctx.arena());
+  std::uint64_t launches = 0;
+  const PreorderWeights one =
+      c.build(ctx, scope, launches, [&](std::size_t i, auto&& add) {
+        add(1, c.weight[i]);
+        add(2, -c.weight[i]);
+      });
+  EXPECT_EQ(one.below(1), 0);
+  EXPECT_EQ(one.below(2), c.weight[0]);
+  const PreorderWeights none(ctx, scope, 3, 0, 1,
+                             [](std::size_t, auto&&) {});
+  EXPECT_EQ(none.below(0), 0);
+  EXPECT_EQ(none.below(2), 0);
 }
 
 }  // namespace
