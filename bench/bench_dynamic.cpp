@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
     for (int r = 0; r < runs; ++r) {
       auto inserts = random_batch(rng, n, batch_size);
       std::vector<graph::Edge> erases(batch_size / 4);
-      const auto current = dg.snapshot(ctx).span().edges;
+      const auto current = dg.snapshot().span().edges;
       for (auto& e : erases) e = current[rng.below(current.size())];
       util::Timer timer;
       dg.insert_edges(ctx, inserts);
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
   // no record to replay from. A replay not taken fails --check.
   std::size_t skipped_replays = 0;
   {
-    const auto cc = graph::connected_component_labels(dg.snapshot(ctx));
+    const auto cc = graph::connected_component_labels(dg.snapshot());
     auto intra_batch = [&](std::size_t size) {
       std::vector<graph::Edge> batch;
       while (batch.size() < size) {
@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
   // cadence — the --check gate pins it.
   double worst_publish_ratio = 0;
   {
-    const auto cc = graph::connected_component_labels(dg.snapshot(ctx));
+    const auto cc = graph::connected_component_labels(dg.snapshot());
     auto intra_batch = [&](std::size_t size) {
       std::vector<graph::Edge> batch;
       while (batch.size() < size) {

@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
 
     util::Rng rng(1234);
     const std::vector<graph::Edge> pool =
-        fresh_edges(rng, n, updates, edge_keys(dg.snapshot(ctx)));
+        fresh_edges(rng, n, updates, edge_keys(dg.snapshot()));
 
     constexpr std::size_t kDirectChunk = 2048;
     double direct_rate = 0.0;
@@ -290,7 +290,7 @@ int main(int argc, char** argv) {
     // Calibrate the apply throughput (raw, unpublished), so the burst rate
     // is 4x what THIS machine sustains rather than a hardcoded guess.
     util::Rng rng(4321);
-    std::unordered_set<std::uint64_t> present = edge_keys(dg.snapshot(ctx));
+    std::unordered_set<std::uint64_t> present = edge_keys(dg.snapshot());
     const std::vector<graph::Edge> probe = fresh_edges(rng, n, 8192, present);
     util::Timer cal;
     apply_chunked(dg, ctx, probe, 256, /*insert=*/true);

@@ -218,9 +218,9 @@ QosResult run_qos(engine::Session& session, dynamic::DynamicGraph& dg,
   std::thread writer;
   if (adversarial) {
     // The adversarial cell also injects publish faults (persistent, so
-    // every publish exhausts its retries and gives up), putting the
-    // dispatcher into bounded-staleness degradation under real load — the
-    // stale/retries columns measure that path, not a lucky fault-free run.
+    // every publish fails), putting the dispatcher into bounded-staleness
+    // degradation under real load — the stale/pubfail columns measure
+    // that path, not a lucky fault-free run.
     util::failpoint::configure(util::failpoint::kPublish, "1+");
     writer = std::thread([&] {
       util::Rng rng(seed ^ 0xadee5u);
@@ -386,7 +386,7 @@ int main(int argc, char** argv) {
   util::Table table({"scenario", "route", "writer", "threads", "mode",
                      "req/s", "p50us", "p99us", "rounds", "published"});
   util::Table qos_table({"scenario", "mode", "ok/s", "p50us", "p99us", "shed",
-                         "expired", "stale", "retries", "maxdepth"});
+                         "expired", "stale", "pubfail", "maxdepth"});
   util::Table family_table({"scenario", "family", "req/s"});
   std::vector<bench::BenchRow> rows;
   bool coalescing_won = true;
@@ -496,7 +496,7 @@ int main(int argc, char** argv) {
            std::to_string(qos.stats.shed + qos.stats.rejected),
            std::to_string(qos.stats.expired),
            std::to_string(qos.stats.stale_served),
-           std::to_string(qos.stats.publish_retries),
+           std::to_string(qos.stats.publish_failures),
            std::to_string(qos.stats.max_queue_depth)});
       const std::string op = "serve/" + scenario.name + "/qos/" + cell.mode;
       rows.push_back({op, qos.ok, scenario.name,

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     // Mostly failures, some construction; duplicates model redundant
     // reports of the same closure and cost nothing (epoch unchanged).
     std::vector<graph::Edge> failures, constructions;
-    const graph::EdgeSpan current = roads.snapshot(ctx);
+    const graph::EdgeSpan current = roads.snapshot();
     for (std::size_t i = 0; i < batch_size && !current.edges.empty(); ++i) {
       failures.push_back(current.edges[rng.below(current.edges.size())]);
     }

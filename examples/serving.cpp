@@ -68,10 +68,11 @@ int main(int argc, char** argv) {
   options.admission = serve::Admission::kShedOldest;
   options.default_ttl = std::chrono::milliseconds(50);
   serve::Dispatcher dispatcher(session.view(), options);
-  // Publishes now flow through the dispatcher's fault-tolerant path
-  // (retry/backoff, bounded staleness on persistent failure), and reply
-  // staleness measures against the newest APPLIED epoch, not just the
-  // newest published one.
+  // Publishes now flow through the dispatcher's fault-tolerant path (a
+  // failed publish keeps the previous View serving in bounded staleness,
+  // and the ingestor retries it at its next trigger), and reply staleness
+  // measures against the newest APPLIED epoch, not just the newest
+  // published one.
   dispatcher.attach_ingestor(ingestor);
   ingestor.resume();
   std::printf("serving %d junctions, %zu segments (epoch %llu)\n",

@@ -5,15 +5,18 @@
 // Scenario: the serving example's road network has outgrown one writer
 // thread. A ShardedGraph hash-partitions the junctions across K shards
 // (shard_of(v) = v % K), each with its own engine, dynamic graph, ingest
-// ring and dispatcher — K writer threads apply in parallel, and a segment
+// ring and serving view — K writer threads apply in parallel, and a segment
 // whose endpoints live on different shards goes to the boundary set
 // instead of any one shard. Cross-shard questions ("are these two
 // junctions on a redundant route?" when they sit on different shards) are
 // answered by stitching the K per-shard block graphs with the boundary
 // edges into a small summary index, pinned at one epoch vector so no
-// answer mixes shard states.
+// answer mixes shard states. The example only inserts, from fixed seeds,
+// so it ends by rebuilding the same edge set unsharded and exits 1 when
+// the final sharded view disagrees with that engine::Session.
 //
 //   ./sharded_serving [--side=128] [--shards=4] [--requests=20000]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <future>
@@ -45,8 +48,8 @@ int main(int argc, char** argv) {
   options.shards = shards;
   options.ingest.max_batch = 64;
   options.ingest.linger = std::chrono::milliseconds(1);
-  shard::ShardedGraph roads(n, gen::road_graph(side, side, 0.9, 0.02, 21),
-                            options);
+  const graph::EdgeList seed = gen::road_graph(side, side, 0.9, 0.02, 21);
+  shard::ShardedGraph roads(n, seed, options);
   roads.flush();
   {
     const shard::ShardedStats s = roads.stats();
@@ -56,7 +59,8 @@ int main(int argc, char** argv) {
 
   // Writer: construction crews submit against GLOBAL junction ids; the
   // router classifies each segment and fans it out — no caller ever sees
-  // local ids or picks a shard.
+  // local ids or picks a shard. `inserted` is read only after the join.
+  std::vector<graph::Edge> inserted;
   std::thread writer([&] {
     util::Rng rng(5);
     for (int u = 0; u < 12; ++u) {
@@ -66,6 +70,7 @@ int main(int argc, char** argv) {
                          static_cast<NodeId>(rng.below(n))});
       }
       roads.insert(batch);
+      inserted.insert(inserted.end(), batch.begin(), batch.end());
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   });
@@ -124,6 +129,36 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.shard_staleness[s]));
   }
   dispatcher.stop();
+
+  // The same edge set unsharded: the seed plus every batch, simplified the
+  // way the shards and the boundary set drop self-loops and duplicates.
+  graph::EdgeList all = seed;
+  all.edges.insert(all.edges.end(), inserted.begin(), inserted.end());
+  const graph::EdgeList expected = graph::simplified(all);
+  engine::Engine check_engine;
+  engine::Session truth = check_engine.session(expected);
+  const engine::TwoEccView blocks = truth.run(engine::TwoEcc{});
+  bool agree = view.num_edges() == expected.num_edges() &&
+               view.num_components() == truth.num_components() &&
+               view.num_blocks() == blocks.num_blocks &&
+               view.num_bridges() == blocks.num_bridges;
+  engine::Same2Ecc sample;
+  util::Rng pick(13);
+  for (int q = 0; q < 4096; ++q) {
+    sample.pairs.push_back({static_cast<NodeId>(pick.below(n)),
+                            static_cast<NodeId>(pick.below(n))});
+  }
+  agree = agree && view.run(sample) == truth.run(sample);
   roads.stop();
+  if (!agree) {
+    std::printf("!! the sharded view disagrees with an unsharded session: "
+                "%zu segments, %zu components, %zu blocks, %zu bridges "
+                "expected\n",
+                expected.num_edges(), truth.num_components(),
+                blocks.num_blocks, blocks.num_bridges);
+    return 1;
+  }
+  std::printf("agreement with an unsharded session on %zu sampled pairs\n",
+              sample.pairs.size());
   return 0;
 }

@@ -237,7 +237,7 @@ std::size_t DynamicGraph::erase_edges(const device::Context& ctx,
   return c;
 }
 
-EdgeSnapshot DynamicGraph::snapshot(const device::Context& /*ctx*/) const {
+EdgeSnapshot DynamicGraph::snapshot() const {
   return EdgeSnapshot(log_, num_edges(), num_nodes_);
 }
 

@@ -117,8 +117,8 @@ class DynamicGraph {
   bool has_edge(NodeId u, NodeId v) const;
 
   /// The current version: this epoch's prefix of the edge log. A reference
-  /// count copy — it runs no kernel (`ctx` is not read) and cannot fail.
-  EdgeSnapshot snapshot(const device::Context& ctx) const;
+  /// count copy — it runs no kernel and cannot fail.
+  EdgeSnapshot snapshot() const;
 
   /// The edges added since `epoch`: the log suffix [len(epoch), len(now)),
   /// every insert batch in between concatenated in apply order (canonical

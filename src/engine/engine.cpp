@@ -84,27 +84,9 @@ Answer<BfsLevels> Family<BfsLevels>::host(const graph::Csr& csr,
                                           const BfsLevels& request) {
   std::vector<NodeId> answers(request.pairs.size(), kNoNode);
   if (request.pairs.empty()) return answers;
-  std::vector<NodeId> level(static_cast<std::size_t>(csr.num_nodes));
-  std::vector<NodeId> frontier, next;
+  std::vector<NodeId> level;
   for (const auto& [source, queries] : by_source(request)) {
-    std::fill(level.begin(), level.end(), kNoNode);
-    level[source] = 0;
-    frontier.assign(1, source);
-    NodeId depth = 0;
-    while (!frontier.empty()) {
-      ++depth;
-      next.clear();
-      for (const NodeId v : frontier) {
-        for (EdgeId i = csr.row_offsets[v]; i < csr.row_offsets[v + 1]; ++i) {
-          const NodeId w = csr.neighbors[i];
-          if (level[w] == kNoNode) {
-            level[w] = depth;
-            next.push_back(w);
-          }
-        }
-      }
-      frontier.swap(next);
-    }
+    graph::bfs_levels(csr, source, level);
     for (const std::size_t q : queries) {
       answers[q] = level[request.pairs[q].second];
     }
@@ -185,12 +167,11 @@ struct EpochArtifacts {
 namespace {
 
 /// A record for the graph's current epoch: its edge handle, no artifacts.
-std::shared_ptr<EpochArtifacts> fresh_record(GraphRef graph,
-                                             const device::Context& ctx) {
+std::shared_ptr<EpochArtifacts> fresh_record(GraphRef graph) {
   auto record = std::make_shared<EpochArtifacts>();
   record->epoch = graph.epoch();
   if (graph.is_dynamic()) {
-    record->snapshot = graph.dynamic_graph()->snapshot(ctx);
+    record->snapshot = graph.dynamic_graph()->snapshot();
   } else {
     record->static_edges = graph.static_graph();
   }
@@ -289,7 +270,7 @@ void Session::sync_epoch() {
     ++publish_replays_;
     engine_->counters_.publish_replays.fetch_add(1, kRelaxed);
   } else {
-    record_ = fresh_record(graph_, engine_->device_);
+    record_ = fresh_record(graph_);
     ++publish_rebuilds_;
     engine_->counters_.publish_rebuilds.fetch_add(1, kRelaxed);
   }
@@ -549,7 +530,7 @@ std::shared_ptr<EpochArtifacts> Session::replayed_record(
   // The snapshot: the previous epoch's edges followed by the log suffix,
   // so every edge id the previous record's artifacts hold still names its
   // edge.
-  std::shared_ptr<EpochArtifacts> next = fresh_record(graph_, ctx);
+  std::shared_ptr<EpochArtifacts> next = fresh_record(graph_);
   const graph::EdgeSpan snap = next->edges();
   assert(snap.num_edges() == old_m + d);
 

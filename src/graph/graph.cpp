@@ -210,39 +210,29 @@ EdgeList simplified(const EdgeList& graph) {
   return canonicalize(device::Context::sequential(), graph);
 }
 
-namespace {
-
-/// Sequential BFS returning (farthest node, its distance). Used only for
-/// diameter estimation during dataset preparation.
-std::pair<NodeId, NodeId> bfs_farthest(const Csr& graph, NodeId source,
-                                       std::vector<NodeId>& dist) {
-  std::fill(dist.begin(), dist.end(), kNoNode);
+NodeId bfs_levels(const Csr& graph, NodeId source,
+                  std::vector<NodeId>& level) {
+  level.assign(static_cast<std::size_t>(graph.num_nodes), kNoNode);
+  level[source] = 0;
   std::vector<NodeId> frontier{source};
-  dist[source] = 0;
-  NodeId far_node = source;
-  NodeId far_dist = 0;
   std::vector<NodeId> next;
-  while (!frontier.empty()) {
+  NodeId last = source;
+  for (NodeId depth = 1; !frontier.empty(); ++depth) {
+    last = frontier.front();
     next.clear();
     for (const NodeId u : frontier) {
       for (EdgeId i = graph.row_offsets[u]; i < graph.row_offsets[u + 1]; ++i) {
         const NodeId v = graph.neighbors[i];
-        if (dist[v] == kNoNode) {
-          dist[v] = dist[u] + 1;
-          if (dist[v] > far_dist) {
-            far_dist = dist[v];
-            far_node = v;
-          }
+        if (level[v] == kNoNode) {
+          level[v] = depth;
           next.push_back(v);
         }
       }
     }
     frontier.swap(next);
   }
-  return {far_node, far_dist};
+  return last;
 }
-
-}  // namespace
 
 NodeId estimate_diameter(const Csr& graph, int sweeps, std::uint64_t seed) {
   // The start is the r-th node with an edge, r uniform: a sweep from an
@@ -255,12 +245,12 @@ NodeId estimate_diameter(const Csr& graph, int sweeps, std::uint64_t seed) {
   std::uint64_t r = rng.below(touched);
   NodeId start = 0;
   while (graph.degree(start) == 0 || r-- != 0) ++start;
-  std::vector<NodeId> dist(static_cast<std::size_t>(graph.num_nodes));
+  std::vector<NodeId> dist;
   NodeId best = 0;
   for (int s = 0; s < sweeps; ++s) {
-    const auto [far_node, far_dist] = bfs_farthest(graph, start, dist);
-    best = std::max(best, far_dist);
-    start = far_node;  // double-sweep: restart from the farthest node found
+    // Double-sweep: restart from the farthest node found.
+    start = bfs_levels(graph, start, dist);
+    best = std::max(best, dist[start]);
   }
   return best;
 }

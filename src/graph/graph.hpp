@@ -153,6 +153,11 @@ struct GraphStats {
   NodeId diameter_lower_bound = 0;
 };
 
+/// Sequential frontier BFS from `source`: fills `level` (resized to
+/// num_nodes) with each node's hop distance, kNoNode where unreachable, and
+/// returns the first node of the last frontier — a farthest node.
+NodeId bfs_levels(const Csr& graph, NodeId source, std::vector<NodeId>& level);
+
 /// Diameter lower bound by iterated double-BFS sweeps (the standard
 /// technique experimental papers use to report "Diameter" for large graphs).
 NodeId estimate_diameter(const Csr& graph, int sweeps = 4,

@@ -44,9 +44,11 @@
 // `staleness` field, so paced publishing is visible to readers as bounded
 // staleness, not silently hidden. Publishing goes through a pluggable hook:
 // the default refreshes the Session; Dispatcher::attach_ingestor() rewires
-// it to the dispatcher's retry/backoff/bounded-staleness publish path, so
-// ingest inherits PR 6's degradation behavior (a failing publish leaves the
-// previous epoch serving and is retried at the next pacing trigger).
+// it to the dispatcher's one-attempt publish, which on failure keeps the
+// previous epoch serving in bounded-staleness mode. The Ingestor is the one
+// place a failed publish is retried: a hook that returns false or throws
+// is counted in publish_failures and re-armed, so the next pacing trigger
+// retries it (the next apply, or a timer floored at kPublishRetryFloor).
 //
 // Stats ledger (the invariants test_ingest pins):
 //   submitted == accepted + rejected + cancelled
@@ -246,8 +248,9 @@ class Ingestor {
                     std::uint32_t producer = 0);
 
   /// Replaces the publish hook (serve::Dispatcher::attach_ingestor uses
-  /// this to route publishes through its retry/degradation path). Set
-  /// before traffic flows; the hook runs on the writer thread.
+  /// this to route publishes through its degradation path; each shard of a
+  /// shard::ShardedGraph to hold its serving View). Set before traffic
+  /// flows; the hook runs on the writer thread.
   void set_publisher(PublishFn publish);
 
   /// Releases a start_paused writer thread.

@@ -52,7 +52,6 @@ Dispatcher::Dispatcher(engine::View view, const DispatcherOptions& options)
     : options_(options), paused_(options.start_paused) {
   options_.workers = std::max(1u, options_.workers);
   options_.max_coalesce = std::max<std::size_t>(1, options_.max_coalesce);
-  options_.publish_attempts = std::max(1u, options_.publish_attempts);
   latest_epoch_ = view.epoch();
   num_nodes_ = view.num_nodes();
   view_ = adapt(std::move(view));
@@ -80,48 +79,28 @@ void Dispatcher::publish(engine::View view) {
 }
 
 bool Dispatcher::publish(engine::Session& session) {
-  return publish_impl(session, nullptr);
-}
-
-bool Dispatcher::publish(engine::Session& session,
-                         const engine::Policy& policy) {
-  return publish_impl(session, &policy);
-}
-
-bool Dispatcher::publish_impl(engine::Session& session,
-                              const engine::Policy* policy) {
-  auto backoff = options_.publish_backoff;
-  for (unsigned attempt = 0; attempt < options_.publish_attempts; ++attempt) {
-    if (attempt > 0) {
-      {
-        const std::lock_guard<std::mutex> lk(mutex_);
-        ++stats_.publish_retries;
-      }
-      if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
-      backoff *= 2;
-    }
-    try {
-      // Diffing the session's replay/rebuild counters around the build
-      // attributes this publish to the incremental or full pipeline (both
-      // deltas are 0 when the epoch was already built — a cache hit).
-      const std::uint64_t replays_before = session.publish_replays();
-      const std::uint64_t rebuilds_before = session.publish_rebuilds();
-      engine::View fresh = policy ? session.view(*policy) : session.view();
-      const std::lock_guard<std::mutex> lk(mutex_);
-      stats_.publish_replays += session.publish_replays() - replays_before;
-      stats_.publish_rebuilds += session.publish_rebuilds() - rebuilds_before;
-      latest_epoch_ = std::max(latest_epoch_, fresh.epoch());
-      view_ = adapt(std::move(fresh));
-      degraded_ = false;
-      ++stats_.views_published;
-      return true;
-    } catch (...) {
-      // Epoch build failed (injected fault, allocation failure); the
-      // previous View is untouched and keeps serving. Retry after backoff.
-    }
+  try {
+    // Diffing the session's replay/rebuild counters around the build
+    // attributes this publish to the incremental or full pipeline (both
+    // deltas are 0 when the epoch was already built — a cache hit).
+    const std::uint64_t replays_before = session.publish_replays();
+    const std::uint64_t rebuilds_before = session.publish_rebuilds();
+    engine::View fresh = session.view();
+    const std::lock_guard<std::mutex> lk(mutex_);
+    stats_.publish_replays += session.publish_replays() - replays_before;
+    stats_.publish_rebuilds += session.publish_rebuilds() - rebuilds_before;
+    latest_epoch_ = std::max(latest_epoch_, fresh.epoch());
+    view_ = adapt(std::move(fresh));
+    degraded_ = false;
+    ++stats_.views_published;
+    return true;
+  } catch (...) {
+    // Epoch build failed (injected fault, allocation failure): the previous
+    // View is untouched and keeps serving. Enter (or renew) bounded-
+    // staleness mode; the graph's real epoch tells readers how far the
+    // serving snapshot lags. The caller retries (an Ingestor at its next
+    // trigger).
   }
-  // Every attempt failed: enter (or renew) bounded-staleness mode. The
-  // graph's real epoch tells readers how far the serving snapshot lags.
   const std::lock_guard<std::mutex> lk(mutex_);
   ++stats_.publish_failures;
   latest_epoch_ = std::max(latest_epoch_, session.epoch());
@@ -145,8 +124,8 @@ std::uint64_t Dispatcher::latest_known_epoch() const {
 }
 
 void Dispatcher::attach_ingestor(ingest::Ingestor& ingestor) {
-  // The hook runs on the ingestor's writer thread; publish_impl takes the
-  // dispatcher mutex internally, so no lock is held across the call.
+  // The hook runs on the ingestor's writer thread; publish(Session&) takes
+  // the dispatcher mutex internally, so no lock is held across the call.
   ingestor.set_publisher(
       [this](engine::Session& session) { return publish(session); });
   const std::lock_guard<std::mutex> lk(mutex_);

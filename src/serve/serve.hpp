@@ -49,14 +49,16 @@
 // when they are shallow, and never waits past the earliest queued
 // deadline minus the measured round-service time.
 //
-// GRACEFUL DEGRADATION: publish(Session&) builds the next epoch's View
-// with bounded retry-with-backoff; when every attempt fails the previous
-// healthy View simply keeps serving and the dispatcher enters bounded-
-// staleness mode — replies carry `staleness` (graph epochs the serving
-// snapshot lags) so clients can decide, and recovery is the next
-// successful publish. With `degrade_to_host`, device-routed answer
-// batches that find the driver lock busy fall back to the identical-
-// answer host loop instead of queueing behind a writer's kernel pipeline.
+// GRACEFUL DEGRADATION: publish(Session&) makes one attempt to build the
+// next epoch's View; when it fails the previous healthy View simply keeps
+// serving and the dispatcher enters bounded-staleness mode — replies carry
+// `staleness` (graph epochs the serving snapshot lags) so clients can
+// decide, and recovery is the next successful publish. Retrying is the
+// writer's job: an attached Ingestor re-arms its publish trigger after a
+// failure (ingest/ingest.hpp), so there is one retry loop, not two. With
+// `degrade_to_host`, device-routed answer batches that find the driver
+// lock busy fall back to the identical-answer host loop instead of
+// queueing behind a writer's kernel pipeline.
 // Fault injection for all of the above: util/failpoint.hpp.
 //
 // Ordering/consistency: answers are computed against the View current at
@@ -169,11 +171,6 @@ struct DispatcherOptions {
   Admission admission = Admission::kBlock;
   /// Deadline for requests whose Ticket carries none. 0 = no deadline.
   std::chrono::microseconds default_ttl{0};
-  /// publish(Session&): total build attempts before giving up into
-  /// bounded-staleness mode (>= 1), and the first retry's sleep (doubling
-  /// each retry).
-  unsigned publish_attempts = 3;
-  std::chrono::microseconds publish_backoff{100};
   /// Re-acquire each published View with host_fallback_when_busy set, so
   /// answer rounds degrade device-routed batches to the host loop instead
   /// of queueing on a busy driver lock.
@@ -216,9 +213,8 @@ struct DispatcherStats {
   std::size_t invalid = 0;
   /// Requests answered while the serving View lagged the graph.
   std::size_t stale_served = 0;
-  /// publish(Session&) attempts beyond each call's first, and calls that
-  /// exhausted every attempt (entering/renewing bounded-staleness mode).
-  std::size_t publish_retries = 0;
+  /// publish(Session&) calls whose build threw (each enters or renews
+  /// bounded-staleness mode; the caller retries).
   std::size_t publish_failures = 0;
   /// How the epochs this dispatcher published were produced: by replaying
   /// the applied delta onto the previous epoch's artifacts (the insert-only
@@ -254,19 +250,18 @@ class Dispatcher {
   /// publish step). In-flight rounds finish on the View they took.
   void publish(engine::View view);
 
-  /// Builds and installs the session's current epoch's View with bounded
-  /// retry-with-backoff (publish_attempts / publish_backoff). On success
-  /// returns true and clears bounded-staleness mode. When every attempt
-  /// fails (epoch build keeps throwing — injected fault, real OOM), the
-  /// PREVIOUS healthy View keeps serving, the dispatcher records how far
-  /// it lags (`stats().staleness`), stamps that into every subsequent
-  /// Reply, and returns false. The writer retries on its next publish.
+  /// Builds and installs the session's current epoch's View in one
+  /// attempt. On success returns true and clears bounded-staleness mode.
+  /// When the build throws (injected fault, real OOM), the PREVIOUS healthy
+  /// View keeps serving, the dispatcher records how far it lags
+  /// (`stats().staleness`), stamps that into every subsequent Reply, and
+  /// returns false. The writer retries on its next publish.
   bool publish(engine::Session& session);
-  bool publish(engine::Session& session, const engine::Policy& policy);
 
   /// Wires a streaming write pipeline into this dispatcher: the Ingestor's
-  /// publish hook is rewired to this->publish(Session&) — so its epoch
-  /// publishes inherit the retry/backoff/bounded-staleness path — and the
+  /// publish hook is rewired to this->publish(Session&) — so a failed epoch
+  /// publish degrades into bounded staleness and the Ingestor's re-armed
+  /// trigger retries it — and the
   /// dispatcher starts folding the ingestor's progress into its staleness
   /// accounting: replies' `staleness` measures against the newest APPLIED
   /// graph epoch (paced publishing shows up as bounded staleness, not as
@@ -374,8 +369,6 @@ class Dispatcher {
 
   /// Applies degrade_to_host to a freshly published view.
   engine::View adapt(engine::View view) const;
-
-  bool publish_impl(engine::Session& session, const engine::Policy* policy);
 
   void worker_loop();
   bool pending_unclaimed() const;

@@ -272,17 +272,8 @@ std::size_t ShardedView::num_bridges() const {
   return state_->summary.num_bridges();
 }
 
-const engine::View& ShardedView::shard_view(std::size_t shard) const {
-  return state_->views[shard];
-}
-const std::vector<graph::Edge>& ShardedView::boundary() const {
-  return *state_->boundary;
-}
 const graph::EdgeList& ShardedView::summary_graph() const {
   return state_->summary_graph;
-}
-const dynamic::ConnectivityOracle& ShardedView::summary() const {
-  return state_->summary;
 }
 
 NodeId ShardedView::summary_node(NodeId v) const {
@@ -334,14 +325,21 @@ void ShardedView::ensure_bcc() const { state_->ensure_bcc(); }
 // ---------------------------------------------------------- ShardedGraph
 
 struct ShardedGraph::Shard {
-  // Declaration order IS the teardown contract: the Dispatcher is
-  // destroyed first, the (stopped) Ingestor after it, then the Session,
-  // the graph it serves, and finally the Engine whose contexts ran it all.
+  // Declaration order IS the teardown contract: the (stopped) Ingestor is
+  // destroyed first — its publish hook writes `view` — then the held View,
+  // the Session, the graph it serves, and finally the Engine whose
+  // contexts ran it all.
   std::unique_ptr<engine::Engine> engine;
   std::unique_ptr<dynamic::DynamicGraph> graph;
   std::unique_ptr<engine::Session> session;
+  mutable std::mutex view_mu;
+  engine::View view;  // the serving View: the last successful publish
   std::unique_ptr<ingest::Ingestor> ingestor;
-  std::unique_ptr<serve::Dispatcher> dispatcher;
+
+  engine::View current_view() const {
+    const std::lock_guard<std::mutex> lock(view_mu);
+    return view;
+  }
 };
 
 ShardedGraph::ShardedGraph(NodeId num_nodes, const ShardedOptions& options)
@@ -397,16 +395,22 @@ ShardedGraph::ShardedGraph(NodeId num_nodes, const graph::EdgeList& initial,
         shard->engine->device(), parts[s]);
     shard->session = std::make_unique<engine::Session>(
         shard->engine->session(*shard->graph));
-    // Dispatcher first (it pins epoch 0's view, which drives the session —
-    // the writer thread must not exist yet), then the Ingestor, then the
-    // attach that reroutes publishes through the dispatcher's
-    // retry/backoff/bounded-staleness path. No traffic flows until this
-    // constructor returns, so the rewiring is race-free.
-    shard->dispatcher = std::make_unique<serve::Dispatcher>(
-        shard->session->view(), options_.dispatch);
+    // Epoch 0's View first (building it drives the session — the writer
+    // thread must not exist yet), then the Ingestor, then the hook that
+    // stores each published View. A throwing build reaches the Ingestor,
+    // which counts the failure and retries; the previous View keeps
+    // serving. No traffic flows until this constructor returns, so the
+    // rewiring is race-free.
+    shard->view = shard->session->view();
     shard->ingestor = std::make_unique<ingest::Ingestor>(
         *shard->engine, *shard->graph, *shard->session, options_.ingest);
-    shard->dispatcher->attach_ingestor(*shard->ingestor);
+    shard->ingestor->set_publisher(
+        [held = shard.get()](engine::Session& session) {
+          engine::View fresh = session.view();
+          const std::lock_guard<std::mutex> lock(held->view_mu);
+          held->view = std::move(fresh);
+          return true;
+        });
     shards_.push_back(std::move(shard));
   }
 }
@@ -487,17 +491,14 @@ void ShardedGraph::flush() {
 void ShardedGraph::stop() {
   if (stopped_) return;
   stopped_ = true;
-  // Ingestors first: their final publishes land through the attached
-  // Dispatchers, which must still be running.
   for (auto& shard : shards_) shard->ingestor->stop();
-  for (auto& shard : shards_) shard->dispatcher->stop();
 }
 
 EpochVector ShardedGraph::current_epochs() const {
   EpochVector vec;
   vec.shard_epochs.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    vec.shard_epochs.push_back(shard->dispatcher->current_view().epoch());
+    vec.shard_epochs.push_back(shard->current_view().epoch());
   }
   vec.boundary_version = router_.boundary_version();
   return vec;
@@ -514,7 +515,7 @@ std::shared_ptr<const ShardedView::State> ShardedGraph::stitch() {
   EpochVector vec;
   vec.shard_epochs.reserve(k);
   for (const auto& shard : shards_) {
-    views.push_back(shard->dispatcher->current_view());
+    views.push_back(shard->current_view());
     vec.shard_epochs.push_back(views.back().epoch());
   }
   auto [boundary, boundary_version] = router_.boundary_snapshot();
@@ -626,42 +627,9 @@ ShardedStats ShardedGraph::stats() const {
   ShardedStats out;
   const std::size_t k = router_.shards();
   out.shards = k;
-  out.per_shard_dispatch.reserve(k);
   out.per_shard_ingest.reserve(k);
   for (const auto& shard : shards_) {
-    const serve::DispatcherStats d = shard->dispatcher->stats();
     const ingest::IngestorStats i = shard->ingestor->stats();
-
-    // Dispatcher ledger: counters sum; high-water marks and epoch gauges
-    // take the worst shard; degraded is sticky across the fleet.
-    out.dispatch.submitted += d.submitted;
-    out.dispatch.answered += d.answered;
-    out.dispatch.rounds += d.rounds;
-    out.dispatch.coalesced_requests += d.coalesced_requests;
-    out.dispatch.max_round = std::max(out.dispatch.max_round, d.max_round);
-    out.dispatch.views_published += d.views_published;
-    out.dispatch.shed += d.shed;
-    out.dispatch.rejected += d.rejected;
-    out.dispatch.expired += d.expired;
-    out.dispatch.cancelled += d.cancelled;
-    out.dispatch.faulted += d.faulted;
-    out.dispatch.unsupported += d.unsupported;
-    out.dispatch.invalid += d.invalid;
-    out.dispatch.coalesce_cache_hits += d.coalesce_cache_hits;
-    out.dispatch.stale_served += d.stale_served;
-    out.dispatch.publish_retries += d.publish_retries;
-    out.dispatch.publish_failures += d.publish_failures;
-    out.dispatch.publish_replays += d.publish_replays;
-    out.dispatch.publish_rebuilds += d.publish_rebuilds;
-    // faults_injected mirrors the PROCESS-WIDE failpoint counter — max,
-    // not sum, or K shards would count each fault K times.
-    out.dispatch.faults_injected =
-        std::max(out.dispatch.faults_injected, d.faults_injected);
-    out.dispatch.max_queue_depth =
-        std::max(out.dispatch.max_queue_depth, d.max_queue_depth);
-    out.dispatch.degraded = out.dispatch.degraded || d.degraded;
-    out.dispatch.staleness = std::max(out.dispatch.staleness, d.staleness);
-    out.dispatch.ingest_lag += d.ingest_lag;
 
     out.ingest.submitted += i.submitted;
     out.ingest.accepted += i.accepted;
@@ -687,15 +655,13 @@ ShardedStats ShardedGraph::stats() const {
         std::max(out.ingest.latency_ewma_us, i.latency_ewma_us);
 
     const std::uint64_t applied_epoch = shard->ingestor->graph_epoch();
-    const std::uint64_t serving_epoch =
-        shard->dispatcher->current_view().epoch();
+    const std::uint64_t serving_epoch = shard->current_view().epoch();
     out.shard_epochs.push_back(serving_epoch);
     out.shard_staleness.push_back(
         saturating_sub(applied_epoch, serving_epoch));
     out.max_staleness =
         std::max(out.max_staleness, out.shard_staleness.back());
 
-    out.per_shard_dispatch.push_back(d);
     out.per_shard_ingest.push_back(i);
   }
   out.boundary_version = router_.boundary_version();
@@ -716,9 +682,6 @@ ShardedStats ShardedGraph::stats() const {
 
 engine::Engine& ShardedGraph::shard_engine(std::size_t shard) {
   return *shards_[shard]->engine;
-}
-serve::Dispatcher& ShardedGraph::shard_dispatcher(std::size_t shard) {
-  return *shards_[shard]->dispatcher;
 }
 ingest::Ingestor& ShardedGraph::shard_ingestor(std::size_t shard) {
   return *shards_[shard]->ingestor;
@@ -761,12 +724,12 @@ void ShardedDispatcher::stop() {
 ShardedStats ShardedDispatcher::stats() const {
   ShardedStats out = graph_.stats();
   std::lock_guard<std::mutex> lock(mu_);
-  out.dispatch.submitted += submitted_;
-  out.dispatch.answered += answered_;
-  out.dispatch.cancelled += cancelled_;
-  out.dispatch.faulted += faulted_;
-  out.dispatch.unsupported += unsupported_;
-  out.dispatch.invalid += invalid_;
+  out.dispatch.submitted = submitted_;
+  out.dispatch.answered = answered_;
+  out.dispatch.cancelled = cancelled_;
+  out.dispatch.faulted = faulted_;
+  out.dispatch.unsupported = unsupported_;
+  out.dispatch.invalid = invalid_;
   return out;
 }
 

@@ -10,9 +10,11 @@
 //     shards never serialize on one driver lock), DynamicGraph (LOCAL
 //     vertex ids — shard s holds v/K for every v with v % K == s),
 //     engine::Session, ingest::Ingestor (K writer threads applying in
-//     parallel) and serve::Dispatcher (per-shard fault-tolerant publish:
-//     retry/backoff/bounded staleness stay PER SHARD — one shard's failing
-//     publish leaves the others serving fresh epochs).
+//     parallel) and the shard's serving engine::View, which the Ingestor's
+//     publish hook replaces after each successful epoch build. A failed
+//     build keeps the previous View serving and the Ingestor retries it,
+//     so bounded staleness stays PER SHARD — one shard's failing publish
+//     leaves the others serving fresh epochs (shard_staleness in stats).
 //
 //   Router — classifies every edge by its endpoints' shards. An
 //     INTRA-shard edge is remapped to local ids and queued on the owning
@@ -90,8 +92,8 @@
 //   ShardedDispatcher — the serving façade: one worker thread that
 //     answers every composable family against the freshest ShardedView,
 //     each request mapped and answered atomically against ONE pinned view
-//     (no torn-epoch answers). stats() folds the façade ledger into the
-//     per-shard Dispatcher/Ingestor ledgers as one coherent snapshot.
+//     (no torn-epoch answers). stats() adds the façade's request ledger to
+//     the per-shard Ingestor ledgers as one coherent snapshot.
 //
 // Stitch caching: ShardedGraph::view() memoizes the summary per epoch
 // vector — while no shard publishes and the boundary set is unchanged,
@@ -105,9 +107,8 @@
 // Lifetimes/threading: submit()/insert()/erase() are safe from any producer
 // thread; view()/stats() from any thread. A ShardedView (and any reply
 // computed from it) must not outlive its ShardedGraph — summary bulk
-// kernels run on the façade engine's context. stop() quiesces in the
-// documented order (ingestors first, then dispatchers); the destructor
-// calls it.
+// kernels run on the façade engine's context. stop() stops every shard's
+// Ingestor (each lands its final publish); the destructor calls it.
 #pragma once
 
 #include <condition_variable>
@@ -211,8 +212,6 @@ struct ShardedOptions {
   /// Per-shard ingest pipeline knobs (queue bound, admission, batching,
   /// publish pacing). Applied identically to every shard.
   ingest::IngestorOptions ingest{};
-  /// Per-shard dispatcher knobs (publish retry/backoff, degradation).
-  serve::DispatcherOptions dispatch{};
 };
 
 // --------------------------------------------------------- epoch vector
@@ -229,30 +228,27 @@ struct EpochVector {
 
 // ---------------------------------------------------------------- stats
 
-/// One coherent cross-shard snapshot. The aggregate `dispatch` ledger obeys
-/// the same identity each per-shard Dispatcher pins once quiesced:
-///   submitted == answered + shed + rejected + expired + cancelled
-///                + faulted + unsupported + invalid
-/// (sums preserve it). Epoch gauges that are not meaningfully summable
-/// (graph_epoch, published_epoch, staleness, latency EWMA) aggregate as the
-/// MAXIMUM over shards — "how far behind is the worst shard" — and every
-/// subtraction routes through util::saturating_sub so a torn read can never
-/// wrap a gauge.
+/// One coherent cross-shard snapshot. Epoch gauges that are not
+/// meaningfully summable (graph_epoch, published_epoch, staleness, latency
+/// EWMA) aggregate as the MAXIMUM over shards — "how far behind is the
+/// worst shard" — and every subtraction routes through
+/// util::saturating_sub so a torn read can never wrap a gauge.
 struct ShardedStats {
   std::size_t shards = 0;
 
-  /// Per-shard Dispatcher ledgers summed (max for max_round /
-  /// max_queue_depth / staleness; OR for degraded; sum for ingest_lag).
-  /// Through ShardedDispatcher::stats() the façade's own
-  /// submitted/answered/cancelled/faulted are folded in too.
+  /// The ShardedDispatcher's request ledger (all zero from
+  /// ShardedGraph::stats()): submitted, answered, cancelled, faulted,
+  /// unsupported and invalid. It obeys the Dispatcher identity
+  ///   submitted == answered + shed + rejected + expired + cancelled
+  ///                + faulted + unsupported + invalid
+  /// once quiesced.
   serve::DispatcherStats dispatch;
   /// Per-shard Ingestor ledgers summed (max for max_batch /
   /// max_queue_depth / epoch gauges / latency EWMA).
   ingest::IngestorStats ingest;
 
-  /// The unaggregated per-shard snapshots (isolation tests read these: a
-  /// publish failpoint on one shard must not degrade the others).
-  std::vector<serve::DispatcherStats> per_shard_dispatch;
+  /// The unaggregated per-shard ledgers (isolation tests read these: a
+  /// publish failpoint on one shard must not fail the others' publishes).
   std::vector<ingest::IngestorStats> per_shard_ingest;
 
   /// Serving (published) epoch per shard, and how many epochs each shard's
@@ -345,11 +341,8 @@ class ShardedView {
     }
   }
 
-  /// Plumbing accessors (tests/benches).
-  const engine::View& shard_view(std::size_t shard) const;
-  const std::vector<graph::Edge>& boundary() const;
+  /// The stitched block graph (benches size their rows by it).
   const graph::EdgeList& summary_graph() const;
-  const dynamic::ConnectivityOracle& summary() const;
 
  private:
   friend class ShardedGraph;
@@ -398,9 +391,8 @@ class ShardedGraph {
   void drain();
   /// drain(), then forces every shard to publish its final epoch.
   void flush();
-  /// Quiesces the whole fleet: stops every Ingestor (final publishes land
-  /// through the attached Dispatchers), then every Dispatcher. Idempotent;
-  /// the destructor calls it.
+  /// Quiesces the whole fleet: stops every Ingestor, each landing its final
+  /// publish in the shard's held View. Idempotent; the destructor calls it.
   void stop();
 
   // --- reading -----------------------------------------------------
@@ -418,7 +410,6 @@ class ShardedGraph {
   NodeId num_nodes() const { return router_.num_nodes(); }
   const Router& router() const { return router_; }
   engine::Engine& shard_engine(std::size_t shard);
-  serve::Dispatcher& shard_dispatcher(std::size_t shard);
   ingest::Ingestor& shard_ingestor(std::size_t shard);
 
  private:
@@ -431,8 +422,8 @@ class ShardedGraph {
   ShardedOptions options_;
   Router router_;
   /// unique_ptrs: DynamicGraph and the pipeline stages are non-movable,
-  /// and per-Shard declaration order encodes the teardown contract
-  /// (Ingestor declared before Dispatcher, destroyed after it).
+  /// and per-Shard declaration order encodes the teardown contract (the
+  /// Ingestor, declared last, is destroyed first).
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<engine::Engine> facade_;  // summary build + bulk queries
 
@@ -491,9 +482,9 @@ class ShardedDispatcher {
 
   void stop();
 
-  /// ShardedGraph::stats() with the façade's own ledger folded into
-  /// `dispatch` (submitted/answered/cancelled/faulted), so the balance
-  /// identity covers every request that entered the system anywhere.
+  /// ShardedGraph::stats() with the façade's own ledger in `dispatch`
+  /// (submitted/answered/cancelled/faulted/unsupported/invalid), so the
+  /// balance identity covers every request that entered the façade.
   ShardedStats stats() const;
 
  private:

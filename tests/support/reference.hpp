@@ -14,6 +14,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <queue>
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -86,6 +88,31 @@ inline std::vector<NodeId> canonical_partition(
     out[v] = name;
   }
   return out;
+}
+
+/// Whether two label arrays induce the same partition, strictly: a
+/// bijection between their labels, with kNoNode matching only kNoNode.
+/// Returns "" when they do, else where they first diverge — a plain
+/// predicate (this header is built outside GoogleTest too), asserted at
+/// each call site.
+inline std::string partition_mismatch(const std::vector<NodeId>& got,
+                                      const std::vector<NodeId>& want) {
+  if (got.size() != want.size()) {
+    return "sizes " + std::to_string(got.size()) + " vs " +
+           std::to_string(want.size());
+  }
+  std::unordered_map<NodeId, NodeId> fwd, rev;
+  for (std::size_t v = 0; v < got.size(); ++v) {
+    if (got[v] == kNoNode || want[v] == kNoNode) {
+      if (got[v] != want[v]) return "kNoNode mismatch at " + std::to_string(v);
+      continue;
+    }
+    const auto f = fwd.try_emplace(got[v], want[v]).first;
+    const auto r = rev.try_emplace(want[v], got[v]).first;
+    if (f->second != want[v]) return "split at " + std::to_string(v);
+    if (r->second != got[v]) return "merge at " + std::to_string(v);
+  }
+  return {};
 }
 
 /// Subtree low/high on a rooted spanning tree of `g` by the sequential fold:

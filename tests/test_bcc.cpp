@@ -61,26 +61,6 @@ using test_support::ReferenceBcc;
 
 namespace failpoint = util::failpoint;
 
-/// Label arrays that must induce the same partition without agreeing on
-/// representatives (block ids, component labels). kNoNode must map to
-/// kNoNode exactly.
-void expect_same_partition(const std::vector<NodeId>& got,
-                           const std::vector<NodeId>& want,
-                           const char* what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  std::map<NodeId, NodeId> fwd, rev;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    if (got[i] == kNoNode || want[i] == kNoNode) {
-      EXPECT_EQ(got[i], want[i]) << what << " sentinel mismatch at " << i;
-      continue;
-    }
-    const auto [f, fnew] = fwd.insert({got[i], want[i]});
-    EXPECT_EQ(f->second, want[i]) << what << " split at " << i;
-    const auto [r, rnew] = rev.insert({want[i], got[i]});
-    EXPECT_EQ(r->second, got[i]) << what << " merge at " << i;
-  }
-}
-
 /// Direct artifact build (no engine): the unit-shape harness.
 BccIndex build_index(const device::Context& ctx, const EdgeList& g) {
   const bridges::SpanningForest forest = bridges::cc_spanning_forest(ctx, g);
@@ -90,7 +70,9 @@ BccIndex build_index(const device::Context& ctx, const EdgeList& g) {
 void expect_matches_reference(const BccIndex& index, const EdgeList& g,
                               const char* what) {
   const ReferenceBcc ref(g);
-  expect_same_partition(index.edge_block, ref.edge_block, what);
+  EXPECT_EQ(test_support::partition_mismatch(index.edge_block, ref.edge_block),
+            "")
+      << what;
   ASSERT_EQ(index.num_blocks, ref.num_blocks) << what;
   std::size_t want_arts = 0;
   for (NodeId v = 0; v < g.num_nodes; ++v) {
@@ -433,7 +415,10 @@ TEST(BccFuzz, DifferentialVsHopcroftTarjanAcrossGenSuite) {
     const auto cc_got = session.run(engine::CcMembership{nodes});
     const auto cc_dev =
         session.run(engine::CcMembership{nodes}, device_route);
-    expect_same_partition(cc_got, test_support::cc_labels(g), "cc_membership");
+    EXPECT_EQ(test_support::partition_mismatch(cc_got,
+                                               test_support::cc_labels(g)),
+              "")
+        << "cc_membership";
     ASSERT_EQ(cc_dev, cc_got);
   }
 }
@@ -802,7 +787,6 @@ shard::ShardedOptions fast_options(std::size_t shards) {
   opts.ingest.max_batch = 8;
   opts.ingest.linger = std::chrono::microseconds(0);
   opts.ingest.publish_every = 1;
-  opts.dispatch.workers = 1;
   return opts;
 }
 
@@ -840,8 +824,10 @@ void expect_sharded_matches(Engine& engine, const shard::ShardedView& view,
   std::vector<NodeId> nodes(static_cast<std::size_t>(n));
   for (NodeId v = 0; v < n; ++v) nodes[v] = v;
   const auto got_cc = view.run(engine::CcMembership{nodes});
-  expect_same_partition(got_cc, test_support::cc_labels(expected),
-                        "sharded cc_membership");
+  EXPECT_EQ(test_support::partition_mismatch(
+                got_cc, test_support::cc_labels(expected)),
+            "")
+      << "sharded cc_membership";
 }
 
 TEST(BccShard, CrossShardShapesStitchExactly) {

@@ -40,7 +40,7 @@ void expect_oracle_matches_reference(const device::Context& ctx,
                                      const ConnectivityOracle& oracle,
                                      util::Rng& rng, int num_queries,
                                      const char* label) {
-  const test_support::ReferenceOracle ref(ctx, dg.snapshot(ctx));
+  const test_support::ReferenceOracle ref(ctx, dg.snapshot());
   ASSERT_EQ(oracle.num_bridges(), ref.num_bridges) << label;
   for (int q = 0; q < num_queries; ++q) {
     const auto u = static_cast<NodeId>(rng.below(dg.num_nodes()));
@@ -101,7 +101,7 @@ TEST_P(DynamicParam, BatchDuplicatesCountOnce) {
   EXPECT_EQ(dg.num_edges(), 2u);
   EXPECT_TRUE(dg.has_edge(1, 0));
   EXPECT_TRUE(dg.has_edge(3, 2));
-  EXPECT_EQ(edge_set(dg.snapshot(ctx_)),
+  EXPECT_EQ(edge_set(dg.snapshot()),
             (std::set<std::pair<NodeId, NodeId>>{{0, 1}, {2, 3}}));
 }
 
@@ -113,7 +113,7 @@ TEST_P(DynamicParam, ConstructorCanonicalizesInitialEdges) {
   EXPECT_EQ(dg.num_edges(), 3u);
   EXPECT_TRUE(dg.has_edge(0, 1));
   EXPECT_FALSE(dg.has_edge(0, 0));
-  const graph::EdgeSpan snap = dg.snapshot(ctx_);
+  const graph::EdgeSpan snap = dg.snapshot();
   const EdgeList copy{snap.num_nodes, {snap.edges.begin(), snap.edges.end()}};
   EXPECT_TRUE(copy.valid());
   EXPECT_EQ(edge_set(snap),
@@ -122,24 +122,24 @@ TEST_P(DynamicParam, ConstructorCanonicalizesInitialEdges) {
 
 TEST_P(DynamicParam, InsertOnlySnapshotsShareOneLog) {
   DynamicGraph dg(ctx_, gen::cycle_graph(64));
-  const EdgeSnapshot first = dg.snapshot(ctx_);
+  const EdgeSnapshot first = dg.snapshot();
   ASSERT_EQ(first.num_edges(), 64u);
   const Edge* log = first.span().edges.data();
-  EXPECT_EQ(dg.snapshot(ctx_).span().edges.data(), log);
+  EXPECT_EQ(dg.snapshot().span().edges.data(), log);
 
   // No-op batches append nothing: same buffer, same length, same epoch.
   dg.insert_edges(ctx_, {{0, 1}, {5, 5}, {-1, 3}});
   dg.erase_edges(ctx_, {{0, 2}});
-  EXPECT_EQ(dg.snapshot(ctx_).num_edges(), 64u);
-  EXPECT_EQ(dg.snapshot(ctx_).span().edges.data(), log);
+  EXPECT_EQ(dg.snapshot().num_edges(), 64u);
+  EXPECT_EQ(dg.snapshot().span().edges.data(), log);
 
   // Each insert-only epoch's snapshot is a longer prefix of the SAME
   // buffer, exactly its epoch's edge count long; earlier handles keep
   // their own length.
   dg.insert_edges(ctx_, {{0, 2}, {4, 9}});
-  const EdgeSnapshot second = dg.snapshot(ctx_);
+  const EdgeSnapshot second = dg.snapshot();
   dg.insert_edges(ctx_, {{7, 3}});
-  const EdgeSnapshot third = dg.snapshot(ctx_);
+  const EdgeSnapshot third = dg.snapshot();
   EXPECT_EQ(second.span().edges.data(), log);
   EXPECT_EQ(third.span().edges.data(), log);
   EXPECT_EQ(first.num_edges(), 64u);
@@ -152,7 +152,7 @@ TEST_P(DynamicParam, InsertOnlySnapshotsShareOneLog) {
 TEST_P(DynamicParam, SnapshotCsrAlignsWithSnapshotEdgeOrder) {
   DynamicGraph dg(5);
   dg.insert_edges(ctx_, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {1, 3}});
-  const graph::EdgeSpan snap = dg.snapshot(ctx_);
+  const graph::EdgeSpan snap = dg.snapshot();
   const graph::Csr csr = graph::build_csr(ctx_, snap);
   ASSERT_EQ(csr.num_edges(), snap.edges.size());
   for (NodeId v = 0; v < dg.num_nodes(); ++v) {
@@ -175,10 +175,10 @@ TEST_P(DynamicParam, PinnedSnapshotsReadTheirOwnEdgesAcrossAppendsAndRegrow) {
     std::set<std::pair<NodeId, NodeId>> expected;
   };
   std::vector<Pinned> pinned;
-  std::set<std::pair<NodeId, NodeId>> ref = edge_set(dg.snapshot(ctx_));
+  std::set<std::pair<NodeId, NodeId>> ref = edge_set(dg.snapshot());
   std::set<const Edge*> buffers;
   const auto pin = [&] {
-    const EdgeSnapshot snap = dg.snapshot(ctx_);
+    const EdgeSnapshot snap = dg.snapshot();
     buffers.insert(snap.span().edges.data());
     pinned.push_back(
         {snap, {snap.span().edges.begin(), snap.span().edges.end()}, ref});
@@ -219,13 +219,13 @@ TEST_P(DynamicParam, PinnedSnapshotsReadTheirOwnEdgesAcrossAppendsAndRegrow) {
   // stays exact.
   dg.erase_edges(ctx_, {{0, 1}});
   ref.erase({0, 1});
-  const EdgeSnapshot after = dg.snapshot(ctx_);
+  const EdgeSnapshot after = dg.snapshot();
   EXPECT_EQ(buffers.count(after.span().edges.data()), 0u);
   EXPECT_EQ(edge_set(after), ref);
   EXPECT_TRUE(graph::csr_matches(after, graph::build_csr(ctx_, after)));
   EXPECT_EQ(edge_set(pinned.back().snap), pinned.back().expected);
   dg.insert_edges(ctx_, {{3, 13}});
-  const EdgeSnapshot appended = dg.snapshot(ctx_);
+  const EdgeSnapshot appended = dg.snapshot();
   EXPECT_EQ(appended.span().edges.data(), after.span().edges.data());
   EXPECT_TRUE(graph::csr_matches(appended, graph::build_csr(ctx_, appended)));
 }
@@ -244,7 +244,7 @@ TEST_P(DynamicParam, ManySmallBatchesPreserveEdges) {
     }
     dg.insert_edges(ctx_, batch);
   }
-  EXPECT_EQ(edge_set(dg.snapshot(ctx_)), ref);
+  EXPECT_EQ(edge_set(dg.snapshot()), ref);
   EXPECT_EQ(dg.num_edges(), ref.size());
   for (const auto& [u, v] : ref) EXPECT_TRUE(dg.has_edge(v, u));
 }
@@ -292,7 +292,7 @@ TEST_P(DynamicParam, MixedBatchesMatchSetReferenceAcrossFolds) {
   constexpr NodeId kNodes = 120;
   util::Rng rng(fuzz.seed);
   DynamicGraph dg(ctx_, gen::er_graph(kNodes, 600, fuzz.seed));
-  std::set<std::pair<NodeId, NodeId>> ref = edge_set(dg.snapshot(ctx_));
+  std::set<std::pair<NodeId, NodeId>> ref = edge_set(dg.snapshot());
   std::uint64_t base = dg.epoch();   // the last effective erase's epoch
   std::vector<Edge> since_base;      // applied inserts since then
   const auto random_edge = [&] {
@@ -348,7 +348,7 @@ TEST_P(DynamicParam, MixedBatchesMatchSetReferenceAcrossFolds) {
       ASSERT_EQ(dg.has_edge(e.u, e.v), present) << e.u << "-" << e.v;
     }
     ASSERT_EQ(dg.num_edges(), ref.size());
-    const EdgeSnapshot snap = dg.snapshot(ctx_);
+    const EdgeSnapshot snap = dg.snapshot();
     ASSERT_EQ(snap.num_edges(), ref.size());
     ASSERT_EQ(edge_set(snap), ref);
     const auto suffix = dg.inserted_since(base);
@@ -377,7 +377,7 @@ TEST_P(DynamicParam, FaultedUpdatesChangeNothingAndTheRetryApplies) {
   std::vector<Edge> erases{{0, 79}, {2, 77}, {11, 12}};
   {
     const auto dg = seeded();
-    const EdgeSnapshot snap = dg->snapshot(ctx_);
+    const EdgeSnapshot snap = dg->snapshot();
     for (std::size_t e = 0; e < snap.num_edges(); e += 97) {
       erases.push_back(snap.span().edges[e]);
     }
@@ -405,7 +405,7 @@ TEST_P(DynamicParam, FaultedUpdatesChangeNothingAndTheRetryApplies) {
         expected = (*dg.*op.apply)(ctx, *op.batch);
         hits = failpoint::hits(site);
         failpoint::disable_all();
-        after = edge_set(dg->snapshot(ctx));
+        after = edge_set(dg->snapshot());
       }
       ASSERT_GT(expected, 0u);
       ASSERT_GT(hits, 0u);
@@ -414,7 +414,7 @@ TEST_P(DynamicParam, FaultedUpdatesChangeNothingAndTheRetryApplies) {
         SCOPED_TRACE("hit " + std::to_string(k));
         const device::Context ctx(GetParam());
         const auto dg = seeded();
-        const EdgeSnapshot before = dg->snapshot(ctx);
+        const EdgeSnapshot before = dg->snapshot();
         const std::vector<Edge> before_edges(before.span().edges.begin(),
                                              before.span().edges.end());
         const std::uint64_t epoch = dg->epoch();
@@ -433,7 +433,7 @@ TEST_P(DynamicParam, FaultedUpdatesChangeNothingAndTheRetryApplies) {
         if (threw) {
           ++faulted;
           ASSERT_EQ(dg->epoch(), epoch);
-          const EdgeSnapshot now = dg->snapshot(ctx);
+          const EdgeSnapshot now = dg->snapshot();
           ASSERT_EQ(now.span().edges.data(), before.span().edges.data());
           ASSERT_EQ(std::vector<Edge>(now.span().edges.begin(),
                                       now.span().edges.end()),
@@ -448,7 +448,7 @@ TEST_P(DynamicParam, FaultedUpdatesChangeNothingAndTheRetryApplies) {
           ASSERT_EQ((*dg.*op.apply)(ctx, *op.batch), expected);  // the retry
         }
         ASSERT_EQ(dg->epoch(), epoch + 1);
-        ASSERT_EQ(edge_set(dg->snapshot(ctx)), after);
+        ASSERT_EQ(edge_set(dg->snapshot()), after);
         ASSERT_EQ(dg->num_edges(), after.size());
       }
       EXPECT_GT(faulted, 0u);
@@ -538,9 +538,9 @@ TEST_P(DynamicParam, TwoEccOnDynamicSnapshots) {
   // Disconnected snapshot (two paths): every node is its own 2ecc.
   dg.insert_edges(ctx_, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
   advance(session);
-  const graph::EdgeSpan snap = dg.snapshot(ctx_);
+  const graph::EdgeSpan snap = dg.snapshot();
   const auto mask =
-      bridges::find_bridges_dfs(graph::build_csr(ctx_, dg.snapshot(ctx_)));
+      bridges::find_bridges_dfs(graph::build_csr(ctx_, dg.snapshot()));
   const auto& labels = session.two_ecc_index().block_labels();
   EXPECT_EQ(test_support::canonical_partition(labels),
             test_support::canonical_partition(
@@ -668,7 +668,7 @@ TEST(DynamicFuzz, OracleMatchesFromScratchRecompute) {
     // below fire for every mismatch.
     [&] {
       ASSERT_EQ(dg.num_edges(), ref_edges.size()) << "round " << round;
-      ASSERT_EQ(edge_set(dg.snapshot(ctx)), ref_edges) << "round " << round;
+      ASSERT_EQ(edge_set(dg.snapshot()), ref_edges) << "round " << round;
       // The index advances exactly once per epoch it is asked at.
       advance(session);
       if (dg.epoch() != last_epoch) ++epochs;

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -38,19 +37,6 @@ namespace {
 
 using graph::Edge;
 using graph::EdgeList;
-
-/// Same partition <=> equal label arrays up to renaming.
-void expect_same_partition(const std::vector<NodeId>& got,
-                           const std::vector<NodeId>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  std::map<NodeId, NodeId> fwd, bwd;
-  for (std::size_t v = 0; v < got.size(); ++v) {
-    const auto [f, f_new] = fwd.try_emplace(got[v], want[v]);
-    ASSERT_EQ(f->second, want[v]) << "node " << v;
-    const auto [b, b_new] = bwd.try_emplace(want[v], got[v]);
-    ASSERT_EQ(b->second, got[v]) << "node " << v;
-  }
-}
 
 std::vector<std::pair<const char*, EdgeList>> differential_suite() {
   std::vector<std::pair<const char*, EdgeList>> suite;
@@ -91,8 +77,10 @@ TEST(EngineDifferential, EveryBackendAgreesAcrossTheGenSuite) {
 
     const TwoEccView view = session.run(TwoEcc{});
     ASSERT_EQ(view.num_bridges, bridges::count_bridges(reference)) << name;
-    expect_same_partition(*view.labels,
-                          test_support::two_ecc_labels(g, reference));
+    ASSERT_EQ(test_support::partition_mismatch(
+                  *view.labels, test_support::two_ecc_labels(g, reference)),
+              "")
+        << name;
   }
 }
 
@@ -229,7 +217,7 @@ TEST(EngineDynamic, EpochChangesInvalidateAndReplayIncrementally) {
   // Differential check against the reference after a mixed update.
   dg.erase_edges(engine.device(), {{5, 6}, {20, 21}});
   const test_support::ReferenceOracle ref(engine.device(),
-                                          dg.snapshot(engine.device()));
+                                          dg.snapshot());
   BridgesOnPath probes;
   util::Rng rng(3);
   for (int q = 0; q < 120; ++q) {
@@ -253,7 +241,7 @@ TEST(EngineDynamic, BridgesRequestSharesItsMaskWithTheTwoEccIndex) {
   // backend run happens at all.
   session.run(Bridges{}, Policy::fixed(Backend::kDfs));
   session.run(TwoEcc{});
-  const auto snapshot = dg.snapshot(engine.device()).span().edges;
+  const auto snapshot = dg.snapshot().span().edges;
   std::vector<Edge> erase(snapshot.begin(), snapshot.begin() + 60);
   dg.erase_edges(engine.device(), erase);
   const auto runs_before = engine.stats().backend_runs;
@@ -266,8 +254,8 @@ TEST(EngineDynamic, BridgesRequestSharesItsMaskWithTheTwoEccIndex) {
             runs_before[backend_index(Backend::kDfs)] + 1);
   // And the labels are right.
   const test_support::ReferenceOracle ref(engine.device(),
-                                          dg.snapshot(engine.device()));
-  expect_same_partition(*view.labels, ref.comp);
+                                          dg.snapshot());
+  ASSERT_EQ(test_support::partition_mismatch(*view.labels, ref.comp), "");
 }
 
 TEST(EngineLca, ForestLcaMatchesADirectIndexOnTrees) {

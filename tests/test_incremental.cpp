@@ -54,7 +54,7 @@ void expect_equivalent_to_full_rebuild(Engine& engine, const DynamicGraph& dg,
   const ConnectivityOracle& fresh = scratch.two_ecc_index();
   ASSERT_EQ(oracle.num_bridges(), fresh.num_bridges());
   ASSERT_EQ(oracle.num_blocks(), fresh.num_blocks());
-  const test_support::ReferenceOracle ref(ctx, dg.snapshot(ctx));
+  const test_support::ReferenceOracle ref(ctx, dg.snapshot());
   ASSERT_EQ(oracle.num_bridges(), ref.num_bridges);
   for (int q = 0; q < num_queries; ++q) {
     const auto u = static_cast<NodeId>(rng.below(dg.num_nodes()));
@@ -312,7 +312,7 @@ TEST(IncrementalLaunches, FixedKernelSequenceCheaperThanRebuild) {
   DynamicGraph dg(ctx, gen::road_graph(40, 40, 1.0, 0.05, 3));
   Session session = engine.session(dg);
   session.run(TwoEcc{});
-  const auto cc = test_support::cc_labels(dg.snapshot(ctx));
+  const auto cc = test_support::cc_labels(dg.snapshot());
 
   // Batches of intra-component edges, sizes 8 and 56: the incremental
   // refresh must take the same number of launches for both (the kernel

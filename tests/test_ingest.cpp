@@ -605,7 +605,7 @@ TEST(IngestFuzz, MultiProducerStreamMatchesCommitOrderReplay) {
   Session session = engine.session(dg);
   session.refresh();
   const std::uint64_t epoch0 = dg.epoch();
-  const CanonicalEdgeSet initial = edge_set(dg.snapshot(engine.device()));
+  const CanonicalEdgeSet initial = edge_set(dg.snapshot());
 
   // The commit log is written by the writer thread only and read after
   // stop() joins it.
@@ -688,7 +688,7 @@ TEST(IngestFuzz, MultiProducerStreamMatchesCommitOrderReplay) {
   // The final graph equals the independent replay of the commit order.
   CanonicalEdgeSet ref = initial;
   for (const Commit& c : log) replay(ref, c.kind, c.edges);
-  EXPECT_EQ(edge_set(dg.snapshot(engine.device())), ref);
+  EXPECT_EQ(edge_set(dg.snapshot()), ref);
 
   // Every answer matches the reference of its OWN epoch, rebuilt from the
   // commit-log prefix that produced that epoch.
@@ -729,7 +729,7 @@ TEST(IngestFuzz, ShedOldestLedgerBalancesUnderOverload) {
   dynamic::DynamicGraph dg(engine.device(), gen::cycle_graph(kNodes));
   Session session = engine.session(dg);
   session.refresh();
-  const CanonicalEdgeSet initial = edge_set(dg.snapshot(engine.device()));
+  const CanonicalEdgeSet initial = edge_set(dg.snapshot());
 
   std::vector<Commit> log;
   IngestorOptions opt;
@@ -777,7 +777,7 @@ TEST(IngestFuzz, ShedOldestLedgerBalancesUnderOverload) {
   // still replays to the final graph.
   CanonicalEdgeSet ref = initial;
   for (const Commit& c : log) replay(ref, c.kind, c.edges);
-  EXPECT_EQ(edge_set(dg.snapshot(engine.device())), ref);
+  EXPECT_EQ(edge_set(dg.snapshot()), ref);
 }
 
 // ---------------------------------------------------------------------------
@@ -816,7 +816,7 @@ TEST(IngestFailpoints, EveryUpdateLandsAndEveryFutureResolvesUnderPublishFaults)
   }
   const CanonicalEdgeSet initial = edge_set([&] {
     failpoint::ScopedSuspend suspend;
-    return dg.snapshot(engine.device());
+    return dg.snapshot();
   }());
 
   std::vector<Commit> log;
@@ -835,8 +835,6 @@ TEST(IngestFailpoints, EveryUpdateLandsAndEveryFutureResolvesUnderPublishFaults)
 
   serve::DispatcherOptions dopt;
   dopt.workers = 2;
-  dopt.publish_attempts = 2;
-  dopt.publish_backoff = std::chrono::microseconds(20);
   engine::View initial_view = [&] {
     failpoint::ScopedSuspend suspend;  // the seed view is setup, not SUT
     return session.view();
@@ -885,7 +883,7 @@ TEST(IngestFailpoints, EveryUpdateLandsAndEveryFutureResolvesUnderPublishFaults)
 
   CanonicalEdgeSet ref = initial;
   for (const Commit& c : log) replay(ref, c.kind, c.edges);
-  EXPECT_EQ(edge_set(dg.snapshot(engine.device())), ref);
+  EXPECT_EQ(edge_set(dg.snapshot()), ref);
 
   std::size_t ok = 0;
   for (auto& future : futures) {

@@ -27,7 +27,6 @@
 
 #include <algorithm>
 #include <iostream>
-#include <map>
 #include <new>
 #include <set>
 #include <utility>
@@ -68,20 +67,6 @@ CanonicalEdgeSet bridge_set(const View& view) {
   return out;
 }
 
-/// Label vectors describe the same partition iff the label-to-label map is
-/// a bijection; the labels themselves may differ between pipelines.
-void expect_same_partition(const std::vector<NodeId>& a,
-                           const std::vector<NodeId>& b, const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  std::map<NodeId, NodeId> fwd, rev;
-  for (std::size_t v = 0; v < a.size(); ++v) {
-    const auto [fit, fnew] = fwd.try_emplace(a[v], b[v]);
-    const auto [rit, rnew] = rev.try_emplace(b[v], a[v]);
-    ASSERT_TRUE(fit->second == b[v] && rit->second == a[v])
-        << what << " diverges at node " << v;
-  }
-}
-
 /// Full artifact-level diff of a (possibly replayed) view against a view
 /// built by an independent pipeline at the same epoch, plus a query sample.
 void expect_views_agree(const View& got, const View& want, util::Rng& rng,
@@ -96,10 +81,15 @@ void expect_views_agree(const View& got, const View& want, util::Rng& rng,
   const TwoEccView blocks_want = want.run(TwoEcc{});
   ASSERT_EQ(blocks_got.num_blocks, blocks_want.num_blocks);
   ASSERT_EQ(blocks_got.num_bridges, blocks_want.num_bridges);
-  expect_same_partition(*blocks_got.labels, *blocks_want.labels, "2ecc");
+  ASSERT_EQ(test_support::partition_mismatch(*blocks_got.labels,
+                                             *blocks_want.labels),
+            "")
+      << "2ecc";
   ASSERT_EQ(got.forest().num_components, want.forest().num_components);
-  expect_same_partition(got.forest().component, want.forest().component,
-                        "forest cc");
+  ASSERT_EQ(test_support::partition_mismatch(got.forest().component,
+                                             want.forest().component),
+            "")
+      << "forest cc";
   std::vector<std::pair<NodeId, NodeId>> pairs;
   ComponentSize sizes;
   for (int q = 0; q < num_queries; ++q) {
@@ -415,7 +405,7 @@ TEST(PublishLaunches, ReplayedPublishIsDeltaSizedNotGraphSized) {
                            gen::road_graph(40, 40, 1.0, 0.05, 3));
   Session session = engine.session(dg);
   session.refresh();
-  const auto cc = test_support::cc_labels(dg.snapshot(engine.device()));
+  const auto cc = test_support::cc_labels(dg.snapshot());
 
   util::Rng rng(11);
   auto intra_batch = [&](std::size_t size) {
@@ -512,7 +502,7 @@ TEST(PublishFuzz, EveryEpochMatchesAScratchSessionAndTheReference) {
       ASSERT_EQ(got.epoch(), dg.epoch());
       expect_views_agree(got, scratch_view(engine, dg), rng, 12);
       // Ground truth: the sequential reference of the SAME snapshot.
-      const ReferenceOracle ref(ref_ctx, dg.snapshot(engine.device()));
+      const ReferenceOracle ref(ref_ctx, dg.snapshot());
       EXPECT_EQ(bridge_set(got).size(), ref.num_bridges);
       std::vector<std::pair<NodeId, NodeId>> pairs;
       for (int q = 0; q < 8; ++q) {
@@ -569,7 +559,7 @@ void sweep_replay_faults(const char* site, bool hold_view) {
   final_graph.insert_edges(engine.device(), batch);
   const View want = scratch_view(engine, final_graph);
   const ReferenceOracle ref(engine.device(),
-                            final_graph.snapshot(engine.device()));
+                            final_graph.snapshot());
   std::vector<std::pair<NodeId, NodeId>> pairs;
   for (NodeId u = 0; u < base.num_nodes; ++u) {
     for (NodeId v = 0; v < base.num_nodes; ++v) pairs.push_back({u, v});
