@@ -71,6 +71,7 @@
 #include "engine/engine.hpp"
 #include "gen/graphs.hpp"
 #include "graph/graph.hpp"
+#include "ingest/ingest.hpp"
 #include "serve/serve.hpp"
 #include "util/failpoint.hpp"
 #include "util/rng.hpp"
@@ -231,7 +232,12 @@ QosResult run_qos(engine::Session& session, dynamic::DynamicGraph& dg,
                            static_cast<NodeId>(rng.below(dg.num_nodes()))});
         }
         dg.insert_edges(update_ctx, batch);
-        dispatcher.publish(session);  // full rebuild + install, no pacing
+        // Full rebuild + install. A failed publish is retried no sooner
+        // than the Ingestor would retry it, so the cell measures degraded
+        // serving rather than a writer spinning on a failing hook.
+        if (!dispatcher.publish(session)) {
+          std::this_thread::sleep_for(ingest::Ingestor::kPublishRetryFloor);
+        }
       }
     });
   }

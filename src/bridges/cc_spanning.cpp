@@ -4,9 +4,11 @@
 #include <atomic>
 #include <cassert>
 #include <limits>
+#include <utility>
 
 #include "device/arena.hpp"
 #include "device/primitives.hpp"
+#include "device/union_find.hpp"
 
 namespace emc::bridges {
 
@@ -22,68 +24,95 @@ SpanningForest cc_spanning_forest(const device::Context& ctx,
   SpanningForest forest;
   forest.component.resize(n);
   device::iota(ctx, n, forest.component.data());
-  std::vector<NodeId>& label = forest.component;
+  NodeId* label = forest.component.data();
 
   // Proposal slot per node; only roots receive proposals. Packed as
   // (target label << 32 | edge id) so atomic min prefers the smallest
-  // target and then the smallest edge — fully deterministic output. Both
-  // rounds-scoped arrays are arena scratch.
+  // target and then the smallest edge — fully deterministic output. All
+  // round-scoped arrays are arena scratch.
   constexpr std::uint64_t kNoProposal = std::numeric_limits<std::uint64_t>::max();
   device::Arena::Scope scope(ctx.arena());
   std::uint64_t* proposal = scope.get<std::uint64_t>(n);
   std::uint8_t* edge_used = scope.get<std::uint8_t>(m);
   device::fill(ctx, m, edge_used, std::uint8_t{0});
 
-  const auto flatten = [&] {
-    bool changed = true;
-    while (changed) {
-      std::atomic<int> any{0};
-      // Pointer jumping: label[l] may be rewritten by a sibling thread in
-      // the same launch. Relaxed atomics make the race defined; a stale
-      // read only delays that node to the next round (the loop runs until
-      // a full pass — barrier-separated from the previous one — changes
-      // nothing).
-      device::launch(ctx, n, [&](std::size_t v) {
-        const NodeId l = std::atomic_ref(label[v]).load(std::memory_order_relaxed);
-        const NodeId ll = std::atomic_ref(label[l]).load(std::memory_order_relaxed);
-        if (ll != l) {
-          std::atomic_ref(label[v]).store(ll, std::memory_order_relaxed);
-          any.store(1, std::memory_order_relaxed);
-        }
-      });
-      changed = any.load(std::memory_order_relaxed) != 0;
-    }
+  // Called only on edges whose endpoint labels (roots, after a flatten)
+  // differ: hook the larger root towards the smaller.
+  const auto propose = [&](EdgeId e, NodeId lu, NodeId lv) {
+    const NodeId target = lu < lv ? lu : lv;
+    const NodeId hooker = lu < lv ? lv : lu;
+    const std::uint64_t packed =
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(target)) << 32) |
+        static_cast<std::uint32_t>(e);
+    device::atomic_min(&proposal[hooker], packed);
   };
-
-  bool hooked = true;
-  while (hooked) {
-    flatten();
-    device::fill(ctx, n, proposal, kNoProposal);
-    std::atomic<int> any_proposal{0};
-    device::launch(ctx, m, [&](std::size_t e) {
-      if (!keep.empty() && keep[e] == 0) return;
-      const NodeId lu = label[graph.edges[e].u];
-      const NodeId lv = label[graph.edges[e].v];
-      if (lu == lv) return;
-      const NodeId target = lu < lv ? lu : lv;   // hook towards smaller label
-      const NodeId hooker = lu < lv ? lv : lu;
-      const std::uint64_t packed =
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(target))
-           << 32) |
-          static_cast<std::uint32_t>(e);
-      device::atomic_min(&proposal[hooker], packed);
-      any_proposal.store(1, std::memory_order_relaxed);
-    });
-    hooked = any_proposal.load(std::memory_order_relaxed) != 0;
-    if (!hooked) break;
+  // Winning proposals hook, then one find-with-halving launch flattens:
+  // hooks only point a root at a smaller label, so the chains are acyclic
+  // and every label ends at its root.
+  const auto hook_and_flatten = [&] {
     device::launch(ctx, n, [&](std::size_t r) {
       const std::uint64_t p = proposal[r];
       if (p == kNoProposal) return;
       label[r] = static_cast<NodeId>(p >> 32);
       edge_used[static_cast<std::uint32_t>(p)] = 1;
     });
+    device::uf_flatten(ctx, label, n);
+  };
+
+  // Round 1 scans every kept edge. Every node is still its own label, so
+  // the endpoints are the labels.
+  device::fill(ctx, n, proposal, kNoProposal);
+  std::atomic<int> any_proposal{0};
+  device::launch(ctx, m, [&](std::size_t e) {
+    if (!keep.empty() && keep[e] == 0) return;
+    const graph::Edge edge = graph.edges[e];
+    if (edge.u == edge.v) return;
+    propose(static_cast<EdgeId>(e), edge.u, edge.v);
+    // Load first: a store per edge would bounce the flag's cache line
+    // between workers on every proposal.
+    if (any_proposal.load(std::memory_order_relaxed) == 0) {
+      any_proposal.store(1, std::memory_order_relaxed);
+    }
+  });
+
+  // Later rounds run over the edges that still cross components: each
+  // round compacts the previous round's crossing list (all kept edges for
+  // round 2) to those whose labels still differ and proposes from it in
+  // the same kernel. Labels only merge, so an edge that stops crossing
+  // never crosses again and the proposals match a full rescan's.
+  if (any_proposal.load(std::memory_order_relaxed) != 0) {
+    hook_and_flatten();
+    EdgeId* crossing = scope.get<EdgeId>(m);
+    device::fill(ctx, n, proposal, kNoProposal);
+    std::size_t count = device::compact(
+        ctx, m,
+        [&](std::size_t e) {
+          return (keep.empty() || keep[e] != 0) &&
+                 label[graph.edges[e].u] != label[graph.edges[e].v];
+        },
+        [&](std::size_t slot, std::size_t e) {
+          crossing[slot] = static_cast<EdgeId>(e);
+          propose(static_cast<EdgeId>(e), label[graph.edges[e].u],
+                  label[graph.edges[e].v]);
+        });
+    EdgeId* next = scope.get<EdgeId>(count);
+    while (count != 0) {
+      hook_and_flatten();
+      device::fill(ctx, n, proposal, kNoProposal);
+      count = device::compact(
+          ctx, count,
+          [&](std::size_t j) {
+            const graph::Edge edge = graph.edges[crossing[j]];
+            return label[edge.u] != label[edge.v];
+          },
+          [&](std::size_t slot, std::size_t j) {
+            const EdgeId e = crossing[j];
+            next[slot] = e;
+            propose(e, label[graph.edges[e].u], label[graph.edges[e].v]);
+          });
+      std::swap(crossing, next);
+    }
   }
-  flatten();
 
   forest.tree_edges.resize(std::min(m, n));
   const std::size_t k = device::copy_if_index(

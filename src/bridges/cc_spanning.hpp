@@ -7,11 +7,16 @@
 // ECL-CC lineage) — as rounds of bulk kernels:
 //
 //   repeat until no hook fires:
-//     flatten labels (pointer jumping)
 //     every cross-component edge proposes hooking the larger root onto the
 //       smaller (atomic min keyed by (target label, edge id), so the result
 //       is deterministic regardless of thread interleaving)
 //     winning proposals hook, and the winning edge joins the forest
+//     flatten labels (device::uf_flatten, one launch)
+//
+// Only round 1 scans every edge. Each later round compacts the edges that
+// still cross components out of the previous round's list and proposes
+// from them in the same kernel, so its work shrinks with the crossing set
+// (after round 1, ~17% of a road grid's edges and ~1% of a kron graph's).
 //
 // Hooking strictly label-decreasing keeps the union acyclic, so the
 // recorded edges form a spanning forest: exactly n - #components edges.

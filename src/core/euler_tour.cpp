@@ -5,23 +5,8 @@
 #include "device/primitives.hpp"
 #include "device/sort.hpp"
 #include "listrank/listrank.hpp"
-#include "util/bits.hpp"
 
 namespace emc::core {
-
-namespace {
-
-/// Packs (src, dst) into a key whose numeric order is the lexicographic
-/// order of the pair, using only 2*ceil(log2(n)) bits so the adaptive radix
-/// sort runs the minimum number of passes (the sort is the most expensive
-/// step of the construction, §2.1).
-std::uint64_t lex_key(NodeId src, NodeId dst, int shift) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
-          << shift) |
-         static_cast<std::uint32_t>(dst);
-}
-
-}  // namespace
 
 EulerTour build_euler_tour(const device::Context& ctx,
                            const graph::EdgeList& edges, NodeId root,
@@ -46,29 +31,31 @@ EulerTour build_euler_tour(const device::Context& ctx,
 
   // --- DCEL construction (§2.1). Array A: both directions of edge k stored
   // at 2k and 2k+1, so twin is the implicit e ^ 1. One fused kernel also
-  // emits the lexicographic sort keys and seeds the id payload, so each
-  // input edge is read exactly once before the sort.
-  std::uint64_t* keys = scope.get<std::uint64_t>(h);
+  // emits the source sort keys and seeds the id payload, so each input edge
+  // is read exactly once before the sort.
+  std::uint32_t* keys = scope.get<std::uint32_t>(h);
   EdgeId* order = scope.get<EdgeId>(h);
   {
     util::ScopedPhase phase(phases, "dcel_expand");
-    const int shift = util::ceil_log2(static_cast<std::uint64_t>(n));
     device::launch(ctx, edges.edges.size(), [&](std::size_t k) {
       const graph::Edge e = edges.edges[k];
       tour.edge_src[2 * k] = e.u;
       tour.edge_dst[2 * k] = e.v;
       tour.edge_src[2 * k + 1] = e.v;
       tour.edge_dst[2 * k + 1] = e.u;
-      keys[2 * k] = lex_key(e.u, e.v, shift);
-      keys[2 * k + 1] = lex_key(e.v, e.u, shift);
+      keys[2 * k] = static_cast<std::uint32_t>(e.u);
+      keys[2 * k + 1] = static_cast<std::uint32_t>(e.v);
       order[2 * k] = static_cast<EdgeId>(2 * k);
       order[2 * k + 1] = static_cast<EdgeId>(2 * k + 1);
     });
   }
 
-  // Array B: half-edge ids sorted lexicographically by (src, dst). `order`
-  // plays the role of B; the sort is "the costly sorting" the paper notes
-  // cannot generally be avoided.
+  // Array B: half-edge ids grouped by source. `order` plays the role of B;
+  // the sort is "the costly sorting" the paper notes cannot generally be
+  // avoided. Any order of the half-edges leaving a node gives a valid tour,
+  // so the key is the source alone (ceil(log2 n) bits, half the radix
+  // passes of a (src, dst) key); the radix sort is stable, so each node's
+  // half-edges stay in id order and the tour is deterministic.
   {
     util::ScopedPhase phase(phases, "dcel_sort");
     device::sort_pairs(ctx, keys, order, h);
@@ -150,27 +137,23 @@ TreeStats compute_tree_stats(const device::Context& ctx, const EulerTour& tour,
 
   util::ScopedPhase phase(phases, "tree_stats");
 
-  // Weight +1 for down edges. Preorder = prefix count of down edges;
-  // level = prefix sum with up edges weighted -1. Both in one pass each,
-  // over the *array* form — this is exactly the §2.2 optimization. The two
-  // weight arrays come out of one fused kernel (one read of the tour).
+  // Weight +1 for down edges; preorder is their prefix count, one scan over
+  // the *array* form — this is exactly the §2.2 optimization. The level
+  // (down steps +1, up steps -1) needs no scan of its own: after position r
+  // it is down_prefix[r] - (r + 1 - down_prefix[r]).
   device::Arena::Scope scope(ctx.arena());
   NodeId* down_prefix = scope.get<NodeId>(h);
-  NodeId* level_prefix = scope.get<NodeId>(h);
   device::launch(ctx, h, [&](std::size_t r) {
-    const bool down = tour.goes_down(tour.tour[r]);
-    down_prefix[r] = down ? 1 : 0;
-    level_prefix[r] = down ? 1 : -1;
+    down_prefix[r] = tour.goes_down(tour.tour[r]) ? 1 : 0;
   });
   device::inclusive_scan(ctx, down_prefix, h, down_prefix);
-  device::inclusive_scan(ctx, level_prefix, h, level_prefix);
 
   device::launch(ctx, h, [&](std::size_t r) {
     const EdgeId e = tour.tour[r];
     if (!tour.goes_down(e)) return;
     const NodeId child = tour.edge_dst[e];
     stats.preorder[child] = down_prefix[r] + 1;  // 1-based; root is 1
-    stats.level[child] = level_prefix[r];
+    stats.level[child] = 2 * down_prefix[r] - static_cast<NodeId>(r + 1);
     stats.parent[child] = tour.edge_src[e];
     // Subtree spans [rank(e), rank(twin(e))]: that interval holds both
     // directions of every edge internal to the subtree plus this enter/exit

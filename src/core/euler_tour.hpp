@@ -4,9 +4,12 @@
 //
 //   1. DCEL construction (§2.1): duplicate each undirected tree edge into a
 //      pair of directed half-edges stored adjacently (twin(e) = e ^ 1), sort
-//      a copy lexicographically by (src, dst), and derive the `next` pointer
-//      of every half-edge (its successor among edges leaving the same node,
-//      wrapping to `first[src]`).
+//      a copy by source (stable, so the half-edges leaving a node keep their
+//      id order; any order there gives a valid tour), and derive the `next`
+//      pointer of every half-edge (its successor among edges leaving the
+//      same node, wrapping to `first[src]`). So the root's children are
+//      visited in input edge order, and every other node's in the cyclic
+//      input edge order that starts after its edge to its parent.
 //   2. Tour as a linked list: succ(e) = next(twin(e)); the cyclic list is
 //      split at an arbitrary edge leaving the root.
 //   3. The §2.2 optimization: a *single* list ranking converts the list into

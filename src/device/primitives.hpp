@@ -10,7 +10,8 @@
 //   reduce        — reduction                        (mgpu::reduce)
 //   *_scan        — array prefix sums                (mgpu::scan)
 //   gather/scatter
-//   copy_if_index / copy_if — stream compaction (indices / values)
+//   compact / copy_if_index / copy_if — stream compaction (callback /
+//                   indices / values)
 //
 // Tuning mirrors what the real library does for the GPU:
 //   * scratch (reduce partials, scan chunk states) comes from the context's
@@ -349,18 +350,18 @@ void scatter(const Context& ctx, const T* in, const I* index, std::size_t n,
   launch(ctx, n, [&](std::size_t i) { out[index[i]] = in[i]; });
 }
 
-namespace detail {
-
 /// Stream compaction's one kernel: for each i in [0, n) with pred(i) true,
 /// in increasing order, calls emit(slot, i) with slot its rank among the
 /// selected. Returns the count. Single chained kernel (the flag/scan/scatter
 /// trio fused): each chunk learns how many indices earlier chunks selected,
 /// then emits its own. pred must be pure — a chunk that has to wait
-/// evaluates it twice.
+/// evaluates it twice; emit runs exactly once per selected index, so it may
+/// also do the selected element's work (the CC's crossing-edge rounds
+/// propose hooks from it).
 template <typename Pred, typename Emit>
 std::size_t compact(const Context& ctx, std::size_t n, Pred&& pred,
                     Emit&& emit) {
-  return chunk_lookback<std::size_t>(
+  return detail::chunk_lookback<std::size_t>(
       ctx, n,
       [&](std::size_t begin, std::size_t end) {
         std::size_t local = 0;
@@ -375,15 +376,13 @@ std::size_t compact(const Context& ctx, std::size_t n, Pred&& pred,
       });
 }
 
-}  // namespace detail
-
 /// Stream compaction: writes the indices i in [0, n) with pred(i) true, in
 /// increasing order, to `out_indices` (must have room for n entries).
 /// Returns the number written.
 template <typename I, typename Pred>
 std::size_t copy_if_index(const Context& ctx, std::size_t n, Pred&& pred,
                           I* out_indices) {
-  return detail::compact(ctx, n, pred, [&](std::size_t slot, std::size_t i) {
+  return compact(ctx, n, pred, [&](std::size_t slot, std::size_t i) {
     out_indices[slot] = static_cast<I>(i);
   });
 }
@@ -394,7 +393,7 @@ std::size_t copy_if_index(const Context& ctx, std::size_t n, Pred&& pred,
 template <typename T, typename Pred>
 std::size_t copy_if(const Context& ctx, const T* in, std::size_t n,
                     Pred&& pred, T* out) {
-  return detail::compact(ctx, n, pred, [&](std::size_t slot, std::size_t i) {
+  return compact(ctx, n, pred, [&](std::size_t slot, std::size_t i) {
     out[slot] = in[i];
   });
 }

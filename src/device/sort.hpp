@@ -1,8 +1,8 @@
 // Least-significant-digit radix sort — the mgpu::mergesort stand-in.
 //
-// The Euler tour construction sorts the directed half-edge array
-// lexicographically (§2.1, "the costly sorting"); we sort 64-bit packed
-// (src, dst) keys carrying a 32-bit payload. Classic parallel LSD radix
+// The Euler tour construction sorts the directed half-edge array by source
+// (§2.1, "the costly sorting"): 32-bit node-id keys carrying a 32-bit
+// half-edge id payload. Classic parallel LSD radix
 // sort with the per-pass kernels fused, the way tuned GPU sorts (onesweep
 // and friends) fuse them:
 //
@@ -18,9 +18,9 @@
 //     chunk-base scan it already does.
 //
 // Double buffers and histograms live in the context arena: steady-state
-// sorting performs no allocations. 8-bit digits; keys are (node id << 32 |
-// node id) and node ids rarely use all 32 bits, so most sorts run 3-5
-// passes instead of 8.
+// sorting performs no allocations. 8-bit digits; the pass count follows the
+// largest key, so a tour sort at n nodes runs ceil(log2(n) / 8) passes (3
+// at 1M nodes) instead of 4 for a full 32-bit key.
 #pragma once
 
 #include <cstdint>

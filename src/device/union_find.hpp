@@ -1,9 +1,10 @@
 // Concurrent union-find — the reusable hook/compress primitive.
 //
 // The CC algorithm in src/bridges hard-wires its hooking into the edge
-// relaxation loop; the 2-ecc index's replay (merging the blocks of demoted
-// bridges) and future consumers need the same structure as a standalone
-// primitive: a flat parent array usable from inside bulk kernels, with
+// relaxation loop and flattens with uf_flatten; the 2-ecc index's replay
+// (merging the blocks of demoted bridges) and future consumers need the
+// whole structure as a standalone primitive: a flat parent array usable
+// from inside bulk kernels, with
 //
 //   find   — pointer jumping with path halving (each probe CASes its
 //            grandparent in, so concurrent finds shorten the chains they

@@ -227,6 +227,9 @@ class Ingestor {
   /// the graph's current epoch; return false on a failed-but-handled
   /// publish (the Ingestor counts it and retries at the next trigger).
   using PublishFn = std::function<bool(engine::Session&)>;
+  /// Shortest wait before retrying a failed publish. Other writers that
+  /// call Dispatcher::publish in a loop pace their retries by it too.
+  static constexpr std::chrono::milliseconds kPublishRetryFloor{1};
 
   /// Starts the writer thread. `graph` must be the dynamic graph `session`
   /// was opened on; both are owned by the writer thread until stop().
@@ -324,7 +327,6 @@ class Ingestor {
   /// retry at kPublishRetryFloor so zero-min-interval pacing stays
   /// immediate for healthy publishes without hot-spinning a failing hook.
   bool last_publish_failed_ = false;
-  static constexpr std::chrono::milliseconds kPublishRetryFloor{1};
   Clock::time_point last_publish_ = Clock::now();
   Clock::time_point last_apply_ = Clock::now();
   /// Earliest enqueue tick among applied-but-unpublished batches.

@@ -82,7 +82,8 @@ void wei_jaja_generic(const device::Context& ctx,
   // --- Splitter selection. The head must be a splitter; the rest are random
   // (duplicates collapse, which only reduces the sublist count). The single
   // host pass that compacts the marked elements also records each splitter's
-  // sublist index, replacing the scatter kernel the old code launched.
+  // sublist index in `owner`, replacing the scatter kernel the old code
+  // launched.
   std::uint8_t* is_splitter = scope.get<std::uint8_t>(n);
   std::fill(is_splitter, is_splitter + n, 0);
   is_splitter[head] = 1;
@@ -91,18 +92,19 @@ void wei_jaja_generic(const device::Context& ctx,
     is_splitter[rng.below(n)] = 1;
   }
   EdgeId* splitters = scope.get<EdgeId>(num_sublists);
-  EdgeId* sublist_index = scope.get<EdgeId>(n);
+  EdgeId* owner = scope.get<EdgeId>(n);
   std::size_t s = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (is_splitter[i]) {
-      sublist_index[i] = static_cast<EdgeId>(s);
+      owner[i] = static_cast<EdgeId>(s);
       splitters[s++] = static_cast<EdgeId>(i);
     }
   }
 
   // --- Phase 1: walk each sublist sequentially, in parallel over sublists.
-  // Records each element's inclusive within-sublist prefix, the sublist's
-  // total, and which sublist follows it on the global list.
+  // Records each element's inclusive within-sublist prefix and, past the
+  // splitter, its sublist in `owner`; then the sublist's total and which
+  // sublist follows it on the global list.
   Value* local = scope.get<Value>(n);
   Value* sublist_total = scope.get<Value>(s);
   EdgeId* next_sublist = scope.get<EdgeId>(s);
@@ -118,9 +120,10 @@ void wei_jaja_generic(const device::Context& ctx,
         break;
       }
       if (is_splitter[succ]) {
-        next_sublist[k] = sublist_index[succ];
+        next_sublist[k] = owner[succ];
         break;
       }
+      owner[succ] = static_cast<EdgeId>(k);
       i = succ;
     }
     sublist_total[k] = acc;
@@ -131,7 +134,7 @@ void wei_jaja_generic(const device::Context& ctx,
   Value* sublist_offset = scope.get<Value>(s);
   {
     Value acc{0};
-    EdgeId k = sublist_index[head];
+    EdgeId k = owner[head];
     std::size_t visited = 0;
     while (k != kNoEdge) {
       sublist_offset[k] = acc;
@@ -142,20 +145,12 @@ void wei_jaja_generic(const device::Context& ctx,
     }
   }
 
-  // --- Phase 3: every sublist re-walks adding its offset. (Walking again is
-  // cheaper than storing per-element sublist ids in phase 1 on a real GPU;
-  // we mirror the original algorithm's structure.) The inclusive-to-0-based
-  // conversion folds into the same walk instead of a final n-sized kernel.
+  // --- Phase 3: one flat kernel adds each element's sublist offset; the
+  // owner ids from phase 1 spare a second pointer-chasing walk. The
+  // inclusive-to-0-based conversion folds into the same kernel.
   const Value bias = inclusive ? Value{0} : Value{1};
-  device::launch(ctx, s, [&](std::size_t k) {
-    const Value offset = sublist_offset[k] - bias;
-    EdgeId i = splitters[k];
-    while (true) {
-      out[i] = local[i] + offset;
-      const EdgeId succ = next[i];
-      if (succ == kNoEdge || is_splitter[succ]) break;
-      i = succ;
-    }
+  device::launch(ctx, n, [&](std::size_t i) {
+    out[i] = local[i] + sublist_offset[owner[i]] - bias;
   });
 }
 

@@ -14,8 +14,9 @@
 //   rank_wei_jaja   — the GPU-optimized algorithm of Wei & JáJá [64]:
 //                     random splitters cut the list into ~s sublists, each
 //                     walked sequentially in parallel; a short sequential
-//                     pass orders the sublists; a final bulk kernel adds
-//                     sublist offsets. O(n) work, two bulk phases.
+//                     pass orders the sublists; a final flat kernel adds
+//                     each element's sublist offset. O(n) work, two bulk
+//                     phases.
 //
 // list_prefix_* computes inclusive prefix sums of arbitrary per-element
 // values in list order — the "prefix sum on the tour" operation that the
@@ -40,7 +41,8 @@ void rank_wyllie(const device::Context& ctx, const std::vector<EdgeId>& next,
                  EdgeId head, std::vector<EdgeId>& rank);
 
 /// Wei-JáJá two-phase ranking. `num_sublists` 0 picks ~n/64 (clamped), the
-/// empirically good regime from the original paper.
+/// empirically good regime from the original paper. Unlike the two above,
+/// the list must visit every element of [0, n) (an Euler tour's does).
 void rank_wei_jaja(const device::Context& ctx, const std::vector<EdgeId>& next,
                    EdgeId head, std::vector<EdgeId>& rank,
                    std::size_t num_sublists = 0, std::uint64_t seed = 0x5eed);
@@ -51,7 +53,8 @@ void prefix_sequential(const std::vector<EdgeId>& next, EdgeId head,
                        const std::vector<std::int64_t>& values,
                        std::vector<std::int64_t>& out);
 
-/// Same, parallel (Wei-JáJá structure with value accumulation).
+/// Same, parallel (Wei-JáJá structure with value accumulation); the list
+/// must visit every element, as for rank_wei_jaja.
 void prefix_wei_jaja(const device::Context& ctx,
                      const std::vector<EdgeId>& next, EdgeId head,
                      const std::vector<std::int64_t>& values,

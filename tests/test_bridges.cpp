@@ -264,11 +264,26 @@ TEST_P(BridgesParam, SpanningForestBufferIsSizedByNodes) {
 }
 
 TEST_P(BridgesParam, SpanningForestDeterministic) {
-  const auto g = gen::er_graph(500, 1200, 99);
-  const SpanningForest a = cc_spanning_forest(ctx_, g);
-  const SpanningForest b = cc_spanning_forest(ctx_, g);
-  EXPECT_EQ(a.component, b.component);
-  EXPECT_EQ(a.tree_edges, b.tree_edges);
+  // Same forest and the same number of launches on every build, with and
+  // without a keep mask. The road grid spans many chunks, so with 4 workers
+  // the hook and flatten kernels really race.
+  util::Rng rng(23);
+  for (const auto& g : {gen::er_graph(500, 1200, 99),
+                        gen::road_graph(500, 500, 0.8, 0.05, 7)}) {
+    std::vector<std::uint8_t> half(g.edges.size());
+    for (auto& k : half) k = rng.below(2) != 0 ? 1 : 0;
+    for (const auto& keep : {std::vector<std::uint8_t>{}, half}) {
+      const std::uint64_t start = ctx_.launch_count();
+      const SpanningForest a = cc_spanning_forest(ctx_, g, keep);
+      const std::uint64_t mid = ctx_.launch_count();
+      const SpanningForest b = cc_spanning_forest(ctx_, g, keep);
+      const std::uint64_t end = ctx_.launch_count();
+      EXPECT_EQ(a.component, b.component);
+      EXPECT_EQ(a.tree_edges, b.tree_edges);
+      EXPECT_EQ(a.num_components, b.num_components);
+      EXPECT_EQ(mid - start, end - mid);
+    }
+  }
 }
 
 // ---------------------------------------------------------------- bfs
