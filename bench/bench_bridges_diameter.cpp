@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     engine::Session session = eng.session(g);
     session.num_components();  // input prep outside the timers
     // The reported diameter is the 4-sweep estimate, comparable across
-    // committed BENCH rows; the cost model reads the forest's height.
+    // committed BENCH rows; the cost model reads the sampled marking walks.
     const NodeId diameter = graph::estimate_diameter(session.csr());
 
     const engine::Policy ck_policy = engine::Policy::fixed(engine::Backend::kCk);

@@ -1,7 +1,7 @@
 // The engine's backend competition: per-backend bridge cost and the auto
 // policy's pick, per scenario — the Optiplan-style "backends compete per
-// instance" table (ISSUE 4), and the data the CostModel defaults are
-// calibrated against.
+// instance" table, and the data the CostModel defaults are calibrated
+// against.
 //
 // Per scenario (kron / social / square road / ribbon road — spanning the
 // diameter and density regimes that decide the paper's Figures 9-11), every
@@ -9,14 +9,16 @@
 // one Session, interleaved: each round times every row once, and each row
 // keeps its best round. Each run starts from an epoch that
 // holds its spanning forest and forest LCA and nothing else (every publish
-// builds both for the 2-ecc index), so each row is the MARGINAL mask the
-// cost model prices: DFS and CK build the Csr they read, TV and the hybrid
-// run on the forest LCA's tree, and auto decides from that tree's height
-// and its sampled mean marking walk.
-// The auto rows must come within 1.25x of the best fixed backend timed in
-// the same rounds: auto runs whichever backend the cost model picks, so its
-// time is the pick's time plus a model evaluation — if it loses, the model
-// is miscalibrated for this machine (rerun and refit CostModel).
+// builds both for the 2-ecc index), so each row is the MARGINAL mask: the
+// forced baselines DFS and CK build the Csr they read, TV and the hybrid
+// run on the forest LCA's tree, and auto picks one of those two from the
+// tree's sampled mean marking walk.
+// The auto rows must come within 1.25x of the best of all five fixed
+// backends timed in the same rounds: auto runs whichever tour backend the
+// cost model picks, so its time is the pick's time plus a model evaluation
+// — if it loses, the model is miscalibrated for this machine (rerun and
+// refit CostModel), or a baseline that auto never picks has become the
+// fastest.
 //
 // Rows land in BENCH_engine.json (committed at repo root):
 //   op   = engine_bridges/<scenario>/<backend>   (n = instance edge count)
@@ -66,8 +68,8 @@ int main(int argc, char** argv) {
       "road-ribbon", graph::largest_component(graph::simplified(
                          gen::road_graph(side(4096), 24, 0.72, 0.04, 4))));
 
-  util::Table table({"scenario", "nodes", "edges", "diameter", "height",
-                     "walk", "backend", "seconds", "ns/edge"});
+  util::Table table({"scenario", "nodes", "edges", "diameter", "walk",
+                     "backend", "seconds", "ns/edge"});
   std::vector<bench::BenchRow> rows;
   bool auto_won_everywhere = true;
 
@@ -75,9 +77,8 @@ int main(int argc, char** argv) {
     engine::Session session = eng.session(g);
     const std::string diameter =
         std::to_string(graph::estimate_diameter(session.csr(), /*sweeps=*/2));
-    const engine::PlanInputs inputs = session.plan(engine::Bridges{}).inputs;
-    const std::string height = std::to_string(inputs.height);
-    const std::string walk = util::Table::num(inputs.walk, 1);
+    const std::string walk =
+        util::Table::num(session.plan(engine::Bridges{}).inputs.walk, 1);
 
     // Every fixed backend and both auto rows take one turn per round, so
     // a burst of load hits them alike; each row keeps its best round, the
@@ -114,7 +115,7 @@ int main(int argc, char** argv) {
       const Row& row = row_set[i];
       const bool is_auto = i >= engine::kNumBackends;
       table.add_row({name, bench::human(static_cast<std::size_t>(g.num_nodes)),
-                     bench::human(g.num_edges()), diameter, height, walk,
+                     bench::human(g.num_edges()), diameter, walk,
                      is_auto ? row.label + "->" + row.picked : row.label,
                      util::Table::num(row.seconds),
                      util::Table::num(row.seconds * 1e9 / g.num_edges(), 1)});

@@ -46,8 +46,7 @@ int inspect(engine::Engine& eng, const graph::EdgeList& raw) {
   const bridges::BridgeMask auto_mask = session.run(engine::Bridges{});
   const double auto_time = timer.seconds();
   const engine::Backend picked = session.mask_backend();
-  // The reference runs outside the session: a forced DFS request would
-  // re-serve the cached mask whenever auto already picked DFS.
+  // The reference runs outside the session, on a Csr of its own.
   timer.reset();
   const bridges::BridgeMask dfs =
       bridges::find_bridges_dfs(graph::build_csr(eng.device(), g));

@@ -23,31 +23,28 @@ int main() {
               eng.device().workers(), eng.multicore().workers());
 
   // --- 1. A static graph session: bridges with the auto policy.
-  //        The Policy's cost model (n, m, and the height and sampled mean
-  //        marking walk of the spanning forest the session roots for every
-  //        epoch) picks among DFS / CK / TV / hybrid per request; plan()
-  //        shows the decision.
+  //        The Policy's cost model (n, m, and the sampled mean marking walk
+  //        of the spanning forest the session roots for every epoch) picks
+  //        TV or the hybrid per request; plan() shows the decision. DFS and
+  //        CK run only when forced.
   const graph::EdgeList road = graph::largest_component(
       graph::simplified(gen::road_graph(60, 60, 0.7, 0.05, 7)));
   engine::Session session = eng.session(road);
   const engine::Plan plan = session.plan(engine::Bridges{});
-  std::printf("\nroad graph: %d nodes, %zu edges, rooted forest height %d, "
-              "mean walk %.1f\n",
-              road.num_nodes, road.num_edges(), plan.inputs.height,
-              plan.inputs.walk);
+  std::printf("\nroad graph: %d nodes, %zu edges, mean marking walk %.1f\n",
+              road.num_nodes, road.num_edges(), plan.inputs.walk);
   std::printf("policy predictions:");
-  for (std::size_t b = 0; b < engine::kNumBackends; ++b) {
+  for (std::size_t b = 0; b < engine::kAutoBackends.size(); ++b) {
     std::printf(" %s=%.1fms",
-                std::string(engine::to_string(engine::kFixedBackends[b])).c_str(),
+                std::string(engine::to_string(engine::kAutoBackends[b])).c_str(),
                 plan.predicted_seconds[b] * 1e3);
   }
   std::printf("  -> %s\n",
               std::string(engine::to_string(plan.chosen)).c_str());
 
   const bridges::BridgeMask& auto_mask = session.run(engine::Bridges{});
-  // Every backend must agree. The sequential DFS cross-check runs outside
-  // the session: a forced-DFS request would re-serve the cached mask
-  // whenever auto already picked DFS, comparing the mask with itself.
+  // Every backend must agree: cross-check against a sequential DFS on a
+  // Csr built outside the session.
   const bridges::BridgeMask dfs_mask =
       bridges::find_bridges_dfs(graph::build_csr(eng.device(), road));
   const bool agreed = auto_mask == dfs_mask;

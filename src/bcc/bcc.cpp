@@ -29,7 +29,6 @@ BccIndex BccIndex::build(const device::Context& ctx,
   const auto n = static_cast<std::size_t>(graph.num_nodes);
   const std::size_t m = graph.edges.size();
   BccIndex result;
-  result.edge_block.assign(m, kNoNode);
   result.vertex_block.assign(n, kNoNode);
   result.is_articulation.assign(n, 0);
   if (m == 0) return result;
@@ -101,16 +100,7 @@ BccIndex BccIndex::build(const device::Context& ctx,
     });
   }
 
-  // --- Edge labels: an edge takes the block of its larger-preorder
-  // endpoint's parent edge: a tree edge's child, a non-tree edge's
-  // descendant endpoint (unrelated endpoints share a block). That endpoint
-  // is never a representative, the smallest preorder of its component.
-  device::transform(ctx, m, result.edge_block.data(),
-                    [&](std::size_t e) -> NodeId {
-                      const auto [u, v] = graph.edges[e];
-                      if (u == v) return kNoNode;
-                      return compact[blocks.component[pre[u] > pre[v] ? u : v]];
-                    });
+  // --- Vertex labels: the block of each node's real parent edge.
   device::launch(ctx, n, [&](std::size_t w) {
     if (real_parent(w)) {
       result.vertex_block[w] = compact[blocks.component[w]];

@@ -48,7 +48,9 @@
 //   * head[b] — that top vertex (the minimum-preorder vertex of block b).
 // Then v's blocks are {vertex_block[v]} ∪ {b : head[b] == v} with no double
 // count, giving both same_bcc() and the articulation mask ("belongs to >= 2
-// blocks") without a counting-sorted edge-incidence pass.
+// blocks") without a counting-sorted edge-incidence pass. An edge's block
+// is the one block its two endpoints share (two blocks share at most one
+// vertex), so the index holds no m-sized table.
 #pragma once
 
 #include <cstdint>
@@ -68,10 +70,6 @@ namespace emc::bcc {
 /// same published-artifact discipline as the bridge mask (a new epoch gets
 /// a NEW index; the old one stays frozen under its pinned Views).
 struct BccIndex {
-  /// Per undirected edge: its block id in [0, num_blocks), or kNoNode for
-  /// a self-loop (self-loops belong to no block; the engine's snapshots
-  /// never contain one, but skeleton callers may).
-  std::vector<NodeId> edge_block;
   /// Per node: the block of v's parent edge in the spanning forest, or
   /// kNoNode when v has none (component representatives, isolated nodes).
   std::vector<NodeId> vertex_block;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <initializer_list>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -28,7 +27,6 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 PlanInputs machine_inputs(const Engine& engine) {
   PlanInputs inputs;
   inputs.device_workers = engine.device().workers();
-  inputs.multicore_workers = engine.multicore().workers();
   inputs.launch_overhead = engine.device().launch_overhead();
   return inputs;
 }
@@ -205,14 +203,6 @@ std::shared_ptr<const graph::Csr> epoch_csr(const Engine& engine,
   });
 }
 
-/// The largest level of a rooted forest's tree (the cost model's height),
-/// by one host pass: no kernel launch.
-NodeId tree_height(const core::TreeStats& tree) {
-  return tree.level.empty()
-             ? 0
-             : *std::max_element(tree.level.begin(), tree.level.end());
-}
-
 /// The cost model's mean marking walk: the tree edges CK's marking climbs
 /// from both endpoints of an edge to their LCA, averaged over a strided
 /// sample of the edges (tree edges climb none). The step budget caps a
@@ -332,9 +322,7 @@ PlanInputs Session::plan_inputs() {
   PlanInputs inputs = machine_inputs(*engine_);
   inputs.n = graph_.num_nodes();
   inputs.m = graph_.num_edges();
-  const core::TreeStats& tree = forest_lca_artifact().tree();
-  inputs.height = tree_height(tree);
-  inputs.walk = mean_walk(record_->edges(), tree);
+  inputs.walk = mean_walk(record_->edges(), forest_lca_artifact().tree());
   return inputs;
 }
 
@@ -355,10 +343,12 @@ const bridges::BridgeMask& Session::mask_artifact(const Policy& policy,
   const std::size_t m = g.num_edges();
   bridges::BridgeMask mask(m, 0);
   Backend backend = policy.backend;
-  if (m == 0) {
-    if (backend == Backend::kAuto) backend = Backend::kDfs;
-  } else {
-    if (backend == Backend::kAuto) backend = policy.choose(plan_inputs());
+  if (backend == Backend::kAuto) {
+    // An edgeless snapshot has nothing to price: its empty mask is the
+    // first auto candidate's.
+    backend = m == 0 ? kAutoBackends.front() : policy.choose(plan_inputs());
+  }
+  if (m > 0) {
     // Every backend takes the snapshot as it is, connected or not; TV and
     // the hybrid run on the epoch's one tour, the forest LCA's tree.
     switch (backend) {
@@ -503,9 +493,9 @@ Plan Session::plan(const Bridges&, const Policy& policy) {
   const auto lock = engine_->device_.exclusive();
   Plan result;
   result.inputs = plan_inputs();
-  for (std::size_t i = 0; i < kNumBackends; ++i) {
+  for (std::size_t i = 0; i < kAutoBackends.size(); ++i) {
     result.predicted_seconds[i] =
-        policy.model.seconds(kFixedBackends[i], result.inputs);
+        policy.model.seconds(kAutoBackends[i], result.inputs);
   }
   result.chosen = policy.choose(result.inputs);
   return result;
@@ -720,14 +710,12 @@ double charge_seconds(const CostModel& model, Backend backend,
 }  // namespace
 
 void Policy::calibrate(Engine& engine) {
-  // Two instances spanning the shapes that separate the backends: a tall
-  // road ribbon (long walks; 25k nodes, 45k edges) and a dense shallow
-  // kron (6k nodes, 80k edges). At this size each backend's work outweighs
-  // its launch charge and costs per element what it does at bench_engine's
-  // scale (smaller instances sit in cache and under-price DFS), so
-  // best-of-three runs fit to within ~15% run to run, and the whole fit
-  // takes ~120ms (4-vCPU VM, 4 workers). Each is rooted outside the
-  // timers, as an epoch is before its mask.
+  // Two instances spanning the shapes that separate TV from the hybrid: a
+  // tall road ribbon (long walks; 25k nodes, 45k edges) and a dense
+  // shallow kron (6k nodes, 80k edges). At this size each backend's work
+  // outweighs its launch charge and costs per element what it does at
+  // bench_engine's scale, so best-of-three runs fit to within ~15% run to
+  // run. Each is rooted outside the timers, as an epoch is before its mask.
   struct Instance {
     graph::EdgeList g;
     bridges::SpanningForest forest;
@@ -753,36 +741,20 @@ void Policy::calibrate(Engine& engine) {
     inst.inputs = machine_inputs(engine);
     inst.inputs.n = inst.g.num_nodes;
     inst.inputs.m = inst.g.num_edges();
-    inst.inputs.height = tree_height(inst.lca->tree());
     inst.inputs.walk = mean_walk(inst.g, inst.lca->tree());
   }
 
-  // Times what the model prices: DFS and CK build the Csr they read, TV and
-  // the hybrid run on the rooted forest.
+  // Times what the model prices: the mask on the rooted forest.
   const auto measure = [&](Backend backend, const Instance& inst) {
     double best = 1e300;
     for (int run = 0; run < 3; ++run) {
       util::Timer timer;
-      switch (backend) {
-        case Backend::kDfs:
-          bridges::find_bridges_dfs(graph::build_csr(device, inst.g));
-          break;
-        case Backend::kCkMulticore:
-        case Backend::kCk:
-          bridges::find_bridges_ck(
-              backend == Backend::kCk ? device : engine.multicore(), inst.g,
-              graph::build_csr(device, inst.g), {0});
-          break;
-        case Backend::kTv:
-          bridges::find_bridges_tarjan_vishkin(device, inst.g, inst.forest,
-                                               inst.lca->tree());
-          break;
-        case Backend::kHybrid:
-          bridges::find_bridges_hybrid(device, inst.g, inst.forest,
-                                       inst.lca->tree());
-          break;
-        case Backend::kAuto:
-          break;
+      if (backend == Backend::kTv) {
+        bridges::find_bridges_tarjan_vishkin(device, inst.g, inst.forest,
+                                             inst.lca->tree());
+      } else {
+        bridges::find_bridges_hybrid(device, inst.g, inst.forest,
+                                     inst.lca->tree());
       }
       best = std::min(best, timer.seconds());
     }
@@ -813,21 +785,17 @@ void Policy::calibrate(Engine& engine) {
   // the instances); implausible ratios — noise, or a work term fully
   // hidden under the launch charge — leave the hand constants in place.
   const CostModel hand = model;
-  const Instance& ribbon = instances[0];
-  const Instance& kron = instances[1];
-  const auto fit_ratio = [&](Backend backend,
-                             std::initializer_list<const Instance*> fit_on) {
+  const auto fit_ratio = [&](Backend backend) {
     double log_sum = 0.0;
     int count = 0;
-    for (const Instance* inst_ptr : fit_on) {
-      const Instance& inst = *inst_ptr;
+    for (const Instance& inst : instances) {
       const double work = work_seconds(hand, backend, inst.inputs);
       const double net =
           measure(backend, inst) - charge_seconds(hand, backend, inst.inputs);
       if (!(work > 0.0) || !(net > 0.0)) continue;
       const double ratio = net / work;
-      // A sanitizer slows DFS's sequential pass ~30x and the parallel
-      // backends ~10x (TSan): real ratios, inside the band.
+      // A sanitizer slows the parallel backends ~10x (TSan): a real
+      // ratio, inside the band.
       if (!std::isfinite(ratio) || ratio < 1.0 / 50.0 || ratio > 50.0) continue;
       log_sum += std::log(ratio);
       ++count;
@@ -835,26 +803,16 @@ void Policy::calibrate(Engine& engine) {
     return count > 0 ? std::exp(log_sum / count) : 1.0;
   };
 
-  // DFS's hand constants fit the road shape, where it competes; on a dense
-  // graph the Csr's scatter contends on hubs and costs ~2x more per edge
-  // than they say, so fitting DFS to the kron too would overprice it on
-  // roads. CK's launch term is structural, and the tall ribbon would cost
-  // it one launch per BFS level; both fit on one instance.
-  const double r_dfs = fit_ratio(Backend::kDfs, {&ribbon});
-  model.dfs_node_ns *= r_dfs;
-  model.dfs_edge_ns *= r_dfs;
-  const double r_ck = fit_ratio(Backend::kCk, {&kron});
-  model.ck_node_ns *= r_ck;
-  model.ck_edge_ns *= r_ck;
-  const double r_tv = fit_ratio(Backend::kTv, {&ribbon, &kron});
+  const double r_tv = fit_ratio(Backend::kTv);
   model.tv_node_ns *= r_tv;
   model.tv_edge_ns *= r_tv;
-  const double r_hybrid = fit_ratio(Backend::kHybrid, {&ribbon, &kron});
+  const double r_hybrid = fit_ratio(Backend::kHybrid);
   model.hybrid_node_ns *= r_hybrid;
   model.hybrid_edge_ns *= r_hybrid;
-  // Host/device point-query work scales with scalar host throughput.
-  model.query_host_ns *= r_dfs;
-  model.query_device_ns *= r_dfs;
+  // Point-query work scales with the machine's per-element throughput,
+  // which TV's fit measures.
+  model.query_host_ns *= r_tv;
+  model.query_device_ns *= r_tv;
 }
 
 }  // namespace emc::engine

@@ -6,9 +6,10 @@
 // re-wire that pipeline by hand, and nothing above the oracle reused
 // derived artifacts. The engine replaces that with four nouns:
 //
-//   Engine  — owns the execution contexts (device and multicore; the
-//             paper's third machine model, one sequential core, is the
-//             calling thread itself — DFS runs on it directly), the default
+//   Engine  — owns the execution contexts (device, and multicore for a
+//             forced CK-multicore mask; the paper's third machine model,
+//             one sequential core, is the calling thread itself — a forced
+//             DFS runs on it directly), the default
 //             Policy, and aggregate stats. One per process is the intended
 //             shape. Stats are atomic: concurrent Views account their work
 //             without locks.
@@ -22,8 +23,9 @@
 //             Requests are typed batches, one family each, declared once in
 //             the registry (families.hpp); run() is one template over it.
 //             Each request is answered with the existing bulk kernels, a
-//             Policy picks the backend per request (explicit override or
-//             the calibrated cost model — policy.hpp), and every derived
+//             Policy picks the backend per request (explicit override, or
+//             the calibrated cost model's pick between TV and the hybrid —
+//             policy.hpp), and every derived
 //             artifact (Csr, spanning forest, bridge mask, 2-ecc index,
 //             forest LCA, BCC index) is kept in the epoch's record so
 //             repeated and mixed request batches pay only the marginal work.
@@ -62,9 +64,9 @@
 // the epoch's one Euler tour, and TV's detection, the hybrid's marking, the
 // 2-ecc index and the BCC index all read its tree(). The artifact order is
 // forest -> forest LCA -> bridge mask -> 2-ecc index: the auto policy
-// decides from the tree's height, so a mask by TV or the hybrid builds no
-// Csr at all. DFS and CK read the epoch's Csr; CK roots its BFS at the
-// cached forest's representatives.
+// decides from the tree's sampled marking walks and picks TV or the hybrid,
+// so an auto mask builds no Csr at all. Only a forced DFS or CK mask reads
+// the epoch's Csr; CK roots its BFS at the cached forest's representatives.
 //
 // Lifetimes: the Engine (whose contexts execute the bulk kernels) must
 // outlive its Sessions and their Views. A Session must not outlive its
@@ -215,14 +217,15 @@ struct EngineStats {
 struct EngineOptions {
   /// Workers for the device context (0 = EMC_WORKERS / hardware width).
   unsigned device_workers = 0;
-  /// Workers for the multicore context (0 = half the device width, >= 2 —
-  /// the paper's mid-tier baseline).
+  /// Workers for the multicore context, which only a forced kCkMulticore
+  /// mask runs on (0 = half the device width, >= 2 — the paper's mid-tier
+  /// baseline).
   unsigned multicore_workers = 0;
   /// Default policy for sessions; per-request overrides win.
   Policy policy{};
   /// Run policy.calibrate(*this) at construction: replaces the committed
-  /// hand-fitted CostModel constants (1-core container numbers) with ones
-  /// fitted to this machine by a ~120ms startup microbenchmark.
+  /// hand-fitted CostModel constants of the two auto backends with ones
+  /// fitted to this machine by a startup microbenchmark (Policy::calibrate).
   bool calibrate = false;
 };
 
@@ -454,9 +457,9 @@ class Session {
   std::size_t pinned_epochs() const;
 
   /// The decision a Bridges request would take, without running it: chosen
-  /// backend plus the model's per-backend predictions. Builds its input,
-  /// the forest LCA (whose tree's height the model reads), if missing —
-  /// never the Csr.
+  /// backend plus the model's prediction for each auto candidate. Builds its
+  /// input, the forest LCA (whose tree's marking walks the model samples),
+  /// if missing — never the Csr.
   Plan plan(const Bridges& request);
   Plan plan(const Bridges& request, const Policy& policy);
 
@@ -566,7 +569,7 @@ class Session {
   /// ensure_all_artifacts + share the record with a new View's state.
   std::shared_ptr<const View::State> make_state(const Policy& policy);
   /// The model's inputs: machine parameters, n, m and the forest LCA
-  /// tree's height (fills the forest LCA).
+  /// tree's sampled mean marking walk (fills the forest LCA).
   PlanInputs plan_inputs();
   bool track(bool built);  // stats helper: count a build or a hit
 

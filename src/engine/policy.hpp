@@ -1,22 +1,24 @@
-// Backend selection policy for the engine (paper §4 + ISSUE 4).
+// Backend selection policy for the engine (paper §4).
 //
-// The paper's headline finding is that the SAME bridge/2-ecc problem is
-// best served by different backends depending on the instance: sequential
-// DFS on one core, CK on multicore, CK/TV/hybrid on the device — with the
-// winner decided by graph shape (depth, density) and, for query serving,
-// by the batch size (Figure 6's launch-overhead regime). In the
-// spirit of Optiplan (PAPERS.md), which let IP-based and graph-based
-// planners compete per instance behind one interface, a Policy either
-// forces one backend or resolves kAuto through an explicit cost model.
+// The paper's headline finding is that the Euler-tour algorithms match
+// the simpler heuristics on easy instances and beat them on hard ones:
+// sequential DFS and CK are its baselines, TV and the hybrid its winners,
+// and which of the two tour backends wins depends on graph shape (the
+// depth of the marking walks) and, for query serving, the batch size
+// (Figure 6's launch-overhead regime). In the spirit of Optiplan
+// (PAPERS.md), which let IP-based and graph-based planners compete per
+// instance behind one interface, a Policy either forces one backend or
+// resolves kAuto through an explicit cost model over the two tour
+// backends (kAutoBackends). DFS and CK are never the fastest on any
+// benched instance, so they run only when forced, as paper baselines.
 //
 // The cost model is deliberately simple — per-element work constants plus
 // a per-kernel launch charge — and is CALIBRATED, not derived: the
 // constants in CostModel's defaults are fitted to measurements (see the
-// notes in policy.cpp). Its depth inputs come from the epoch's rooted
+// notes in policy.cpp). Its one shape input comes from the epoch's rooted
 // spanning forest, which the epoch's one Euler tour already holds: the
-// forest's height, and the mean marking walk on a sampled few hundred
-// edges. Deciding costs no Csr and no BFS sweeps. It only has to rank
-// backends, not predict wall time.
+// mean marking walk on a sampled few hundred edges. Deciding costs no Csr
+// and no BFS sweeps. It only has to rank the two, not predict wall time.
 #pragma once
 
 #include <array>
@@ -43,11 +45,16 @@ enum class Backend {
 
 inline constexpr std::size_t kNumBackends = 5;
 
-/// The fixed (non-auto) backends, in the order Plan::predicted_seconds and
-/// EngineStats::backend_runs are indexed.
+/// The fixed (non-auto) backends, in the order EngineStats::backend_runs is
+/// indexed. Each can be forced.
 inline constexpr std::array<Backend, kNumBackends> kFixedBackends = {
     Backend::kDfs, Backend::kCkMulticore, Backend::kCk, Backend::kTv,
     Backend::kHybrid};
+
+/// The backends kAuto chooses between, in Plan::predicted_seconds order:
+/// the two that run on the epoch's rooted forest.
+inline constexpr std::array<Backend, 2> kAutoBackends = {Backend::kTv,
+                                                         Backend::kHybrid};
 
 std::string_view to_string(Backend backend);
 
@@ -55,54 +62,35 @@ std::string_view to_string(Backend backend);
 std::size_t backend_index(Backend backend);
 
 /// What the cost model sees: instance statistics (from the epoch's
-/// record) and machine parameters (from the engine's contexts).
+/// record) and machine parameters (from the engine's device context).
 struct PlanInputs {
   NodeId n = 0;
   std::size_t m = 0;
-  /// Height of the epoch's rooted spanning forest: the largest level of the
-  /// forest LCA's tree() (virtual root 0, component roots 1). It bounds both
-  /// depth-dependent costs: CK's BFS from a component root runs ecc(root) <=
-  /// height levels, and a marking walk climbs at most height tree edges per
-  /// endpoint. Free once the epoch's Euler tour exists.
-  NodeId height = 0;
   /// Mean tree edges a marking walk climbs per edge (tree edges count 0),
   /// measured on a strided sample of the snapshot's edges up the forest
-  /// LCA's tree. The height only bounds it, and loosely: on a road grid the
-  /// walks average ~2% of the height, on a narrow ribbon well under 1%.
+  /// LCA's tree. The forest's height bounds it only loosely: on a road grid
+  /// the walks average ~2% of the height, on a narrow ribbon well under 1%.
   double walk = 0.0;
   unsigned device_workers = 1;
-  unsigned multicore_workers = 1;
   double launch_overhead = 0.0;  // seconds per device kernel launch
 };
 
-/// Per-element work constants (nanoseconds) and launch counts, each backend
-/// priced at its MARGINAL cost on an epoch whose rooted spanning forest
-/// already exists (every publish builds it for the 2-ecc index): DFS and CK
-/// pay for the Csr they read, TV only for its detect phase, the hybrid only
-/// for its marking. Defaults are fitted to measurements (policy.cpp);
-/// override to recalibrate for other hardware without rebuilding.
+/// Per-element work constants (nanoseconds) and launch counts for the two
+/// auto backends, each priced at its MARGINAL cost on an epoch whose rooted
+/// spanning forest already exists (every publish builds it for the 2-ecc
+/// index): TV only for its detect phase, the hybrid only for its marking.
+/// Defaults are fitted to measurements (policy.cpp); override to
+/// recalibrate for other hardware without rebuilding.
 struct CostModel {
-  // Sequential DFS over n + 2m adjacency slots, the Csr build folded in.
-  double dfs_node_ns = 5.0;
-  double dfs_edge_ns = 28.0;  // per directed half-edge (the model doubles m)
   // Tarjan-Vishkin's detect phase on the rooted forest (low/high + the
   // criterion). Its launches are these fixed ones plus one per level of the
   // sparse table over low/high's n/64 block folds.
   double tv_node_ns = 15.0;
   double tv_edge_ns = 40.0;
   double tv_launches = 6.0;
-  // CK, the Csr build folded in: the depth cost is the BFS LAUNCH COUNT
-  // (one launch per level, at most height levels), not the marking walks —
-  // walks on a BFS tree stay local, so marking folds into the flat
-  // per-edge constant.
-  double ck_node_ns = 20.0;
-  double ck_edge_ns = 400.0;
-  double ck_launches_per_level = 1.0;
-  double ck_fixed_launches = 10.0;
   // The barrier of a launch on a pool of several workers: waking them and
-  // waiting for the last. Every such launch pays it, on the device on top
-  // of the modeled launch latency; on the multicore context (no modeled
-  // latency) it is what each of CK's BFS levels costs.
+  // waiting for the last. Every such launch pays it on top of the modeled
+  // launch latency.
   double pool_sync_ns = 25000.0;
   // Hybrid: CK's marking alone on the rooted forest. Its walks are not
   // local on a deep tree, so the per-edge constant is charged once per
@@ -115,8 +103,8 @@ struct CostModel {
   double query_host_ns = 30.0;
   double query_device_ns = 30.0;
 
-  /// Predicted seconds for one bridge-mask computation with `backend`
-  /// (kAuto not allowed) on the given instance.
+  /// Predicted seconds for one bridge-mask computation with `backend` (one
+  /// of kAutoBackends) on the given instance.
   double seconds(Backend backend, const PlanInputs& inputs) const;
 };
 
@@ -144,26 +132,24 @@ struct Policy {
     return policy;
   }
 
-  /// Auto-fits the CostModel to THIS machine with a ~120ms startup
-  /// microbenchmark. It first measures pool_sync_ns (empty launches wide
-  /// enough to wake every worker, less the modeled launch latency), then
-  /// runs the fixed backends on two calibration instances of a few tens of
-  /// thousands of edges (a tall road ribbon and a dense shallow kron),
-  /// timed as the model prices them — DFS and CK including the Csr build,
-  /// TV and the hybrid on a forest rooted outside the timer. The launch
-  /// and sync charges are subtracted from the measured times, and each
-  /// backend's work constants are scaled by the measured / predicted work
-  /// ratio: TV and the hybrid over both instances, DFS over the ribbon
-  /// and CK over the kron (see engine.cpp). The committed constants stay
-  /// as both the structural prior — launch counts, height and walk
-  /// dependence and the node/edge split are NOT refitted, only scaled —
-  /// and the fallback: a non-finite or wildly implausible ratio (outside
+  /// Auto-fits the CostModel to THIS machine with a startup microbenchmark.
+  /// It first measures pool_sync_ns (empty launches wide enough to wake
+  /// every worker, less the modeled launch latency), then runs TV and the
+  /// hybrid on two calibration instances of a few tens of thousands of
+  /// edges (a tall road ribbon and a dense shallow kron), each on a forest
+  /// rooted outside the timer. The launch and sync charges are subtracted
+  /// from the measured times, and each backend's work constants are scaled
+  /// by its measured / predicted work ratio over both instances; the
+  /// point-query constants follow TV's ratio (see engine.cpp). The
+  /// committed constants stay as both the structural prior — launch counts,
+  /// walk dependence and the node/edge split are NOT refitted, only scaled
+  /// — and the fallback: a non-finite or wildly implausible ratio (outside
   /// [1/50, 50], i.e. noise) leaves that backend's constants untouched.
-  /// Implemented in engine.cpp (it drives the engine's execution contexts).
+  /// Implemented in engine.cpp (it drives the engine's device context).
   void calibrate(Engine& engine);
 
   /// Resolves this policy for one bridge request: the forced backend, or
-  /// the cost-model argmin over kFixedBackends.
+  /// the cost-model argmin over kAutoBackends.
   Backend choose(const PlanInputs& inputs) const;
 
   /// True iff a query batch of `size` should run as a device kernel.
@@ -174,7 +160,8 @@ struct Policy {
 /// tests can audit the policy (and print WHY a backend was picked).
 struct Plan {
   Backend chosen = Backend::kAuto;
-  std::array<double, kNumBackends> predicted_seconds{};  // kFixedBackends order
+  /// The model's prediction per auto candidate, in kAutoBackends order.
+  std::array<double, kAutoBackends.size()> predicted_seconds{};
   PlanInputs inputs;
 };
 

@@ -176,7 +176,7 @@ inline std::vector<NodeId> bfs_levels(const graph::Csr& csr, NodeId source) {
 /// inputs (fresh DFS per component), multigraphs (the parent skip is by
 /// edge id, so a parallel edge counts as a back edge and glues its
 /// endpoints into one block), and self-loops (excluded: they belong to no
-/// block, mirroring edge_block == kNoNode in the device pipeline).
+/// block, mirroring bcc_edge_blocks' kNoNode for them).
 struct ReferenceBcc {
   std::vector<NodeId> edge_block;            // kNoNode for self-loops
   std::vector<std::uint8_t> is_articulation; // member of >= 2 blocks

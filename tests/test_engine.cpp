@@ -9,9 +9,10 @@
 //   cache-reuse pins — a second identical request batch on an unchanged
 //     epoch performs ZERO rebuild kernel launches (and exactly one launch
 //     when a device query batch is forced — the bulk answer kernel itself);
-//   policy — the cost model ranks backends the way the paper's figures say
-//     (DFS on one core, device TV once workers swallow the work term, CK
-//     punished by diameter), and batch-size routing follows Figure 6.
+//   policy — auto picks one of the two tour backends, TV or the hybrid, the
+//     way they rank when measured (the hybrid where marking walks are
+//     short, TV where they are long), and batch-size routing follows
+//     Figure 6. DFS and CK run only when forced, as the paper's baselines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -172,21 +173,45 @@ TEST(EngineCache, AutoReusesAnyMaskButForcingRecomputes) {
 }
 
 TEST(EngineCache, ATourPickBuildsNoCsr) {
-  // A dense shallow graph on which the committed model picks a tour
-  // backend: the publish decides from the forest LCA's height and runs the
-  // mask on its tree, so nothing in view() reads a Csr.
+  // Auto picks TV or the hybrid on every input: a dense shallow kron, the
+  // calibration pin's small road and an edgeless graph. The publish decides
+  // from the forest LCA's tree and runs the mask on it, so nothing in
+  // view() reads a Csr, and no DFS or CK run is counted.
   Engine engine({.device_workers = 4, .multicore_workers = 2});
-  const EdgeList g = graph::largest_component(
-      graph::simplified(gen::kron_graph(14, 16.0, 5)));
-  Session session = engine.session(g);
-  const View view = session.view();
-  ASSERT_TRUE(view.mask_backend() == Backend::kTv ||
-              view.mask_backend() == Backend::kHybrid)
-      << "auto picked " << to_string(view.mask_backend());
-  const std::size_t builds = engine.stats().artifact_builds;
-  const graph::Csr& csr = session.csr();  // the epoch's first Csr
-  EXPECT_EQ(engine.stats().artifact_builds, builds + 1);
-  EXPECT_EQ(view.run(Bridges{}), bridges::find_bridges_dfs(csr));
+  EdgeList edgeless;
+  edgeless.num_nodes = 5;
+  const std::vector<std::pair<const char*, EdgeList>> inputs = {
+      {"kron", graph::largest_component(
+                   graph::simplified(gen::kron_graph(14, 16.0, 5)))},
+      {"road-48", graph::largest_component(graph::simplified(
+                      gen::road_graph(48, 48, 0.72, 0.04, 7)))},
+      {"edgeless", edgeless}};
+  const auto is_tour = [](Backend backend) {
+    return backend == Backend::kTv || backend == Backend::kHybrid;
+  };
+  for (const auto& [name, g] : inputs) {
+    SCOPED_TRACE(name);
+    const auto runs_before = engine.stats().backend_runs;
+    Session session = engine.session(g);
+    const Plan plan = session.plan(Bridges{});
+    EXPECT_TRUE(is_tour(plan.chosen))
+        << "plan picked " << to_string(plan.chosen);
+    const View view = session.view();
+    ASSERT_TRUE(is_tour(view.mask_backend()))
+        << "auto picked " << to_string(view.mask_backend());
+    EXPECT_EQ(session.mask_backend(), view.mask_backend());
+    const std::size_t builds = engine.stats().artifact_builds;
+    const graph::Csr& csr = session.csr();  // the epoch's first Csr
+    EXPECT_EQ(engine.stats().artifact_builds, builds + 1);
+    EXPECT_EQ(view.run(Bridges{}), bridges::find_bridges_dfs(csr));
+    const auto runs_after = engine.stats().backend_runs;
+    for (const Backend baseline :
+         {Backend::kDfs, Backend::kCkMulticore, Backend::kCk}) {
+      EXPECT_EQ(runs_after[backend_index(baseline)],
+                runs_before[backend_index(baseline)])
+          << to_string(baseline);
+    }
+  }
 }
 
 TEST(EngineDynamic, EpochChangesInvalidateAndReplayIncrementally) {
@@ -293,89 +318,39 @@ TEST(EngineLca, ForestLcaMatchesADirectIndexOnTrees) {
   EXPECT_NE(answers[2], kNoNode);
 }
 
-TEST(EnginePolicy, CostModelRanksBackendsLikeThePaper) {
-  const CostModel model;
-  // One worker, real launch overhead, tiny scale: sequential DFS wins (the
-  // paper's cpu1 baseline winning at tiny scale). The parallel backends'
-  // launches outweigh their work there; a 2k-node road measures DFS with
-  // its Csr at ~0.38 ms against the hybrid's ~0.47.
-  PlanInputs cpu1;
-  cpu1.n = 1 << 11;
-  cpu1.m = 1 << 12;
-  cpu1.height = 30;
-  cpu1.walk = 4.0;  // a shallow forest's marking walks climb a few edges
-  cpu1.device_workers = 1;
-  cpu1.multicore_workers = 1;
-  cpu1.launch_overhead = 50e-6;
-  EXPECT_EQ(Policy{}.choose(cpu1), Backend::kDfs);
-
-  // A wide device on a small-diameter graph: TV (or CK) swallows the work
-  // term and DFS loses by orders of magnitude.
-  PlanInputs gpu = cpu1;
-  gpu.n = 1 << 20;
-  gpu.m = 1 << 22;
-  gpu.device_workers = 2048;
-  gpu.multicore_workers = 12;
-  const Backend wide = Policy{}.choose(gpu);
-  EXPECT_NE(wide, Backend::kDfs);
-  EXPECT_LT(model.seconds(wide, gpu), model.seconds(Backend::kDfs, gpu));
-
-  // Depth punishes CK but not TV (the Figure 9-11 mechanism): on a road
-  // shape CK's BFS launches alone dwarf TV's fixed budget.
-  PlanInputs road = gpu;
-  road.m = road.n * 5 / 4;
-  road.height = 6000;
-  EXPECT_GT(model.seconds(Backend::kCk, road),
-            model.seconds(Backend::kTv, road));
-  // And TV's prediction is depth-invariant.
-  PlanInputs road_flat = road;
-  road_flat.height = 10;
-  EXPECT_EQ(model.seconds(Backend::kTv, road),
-            model.seconds(Backend::kTv, road_flat));
-}
-
 TEST(EnginePolicy, CommittedModelPicksFromTheRootedForest) {
   // The bench_e2e shapes and engine: kron_graph(20, 8) (m ~ 7.7n after
-  // canonicalization, forest height 6, mean marking walk 2.6 per edge) and
-  // a 1024 x 1024 road grid (m ~ 1.8n, height ~ 3000, walk ~ 65), 4 device
-  // workers, 2 multicore workers, 50us launches. The measured marginal
-  // ranking is hybrid < TV < DFS on kron and TV < DFS < hybrid on road
-  // (road: TV 20-25 ms against DFS with its Csr 95-135 ms); the committed
+  // canonicalization, mean marking walk 2.6 per edge) and a 1024 x 1024
+  // road grid (m ~ 1.8n, walk ~ 65), 4 device workers, 50us launches. The
+  // measured marginal ranking is hybrid < TV on kron (79-81 against 82-102
+  // ms) and TV < hybrid on road (19-23 against 450-476 ms); the committed
   // model must keep it.
   const CostModel model;
   PlanInputs kron;
   kron.n = 1 << 20;
   kron.m = static_cast<std::size_t>(kron.n) * 77 / 10;
-  kron.height = 6;
   kron.walk = 2.6;
   kron.device_workers = 4;
-  kron.multicore_workers = 2;
   kron.launch_overhead = 50e-6;
   const Backend kron_pick = Policy{}.choose(kron);
   EXPECT_TRUE(kron_pick == Backend::kTv || kron_pick == Backend::kHybrid)
       << to_string(kron_pick);
   EXPECT_LT(model.seconds(Backend::kHybrid, kron),
             model.seconds(Backend::kTv, kron));
-  EXPECT_LT(model.seconds(Backend::kTv, kron),
-            model.seconds(Backend::kDfs, kron));
 
   PlanInputs road = kron;
   road.m = static_cast<std::size_t>(road.n) * 18 / 10;
-  road.height = 3000;
   road.walk = 65.0;
   EXPECT_EQ(Policy{}.choose(road), Backend::kTv);
   EXPECT_LT(model.seconds(Backend::kTv, road),
-            model.seconds(Backend::kDfs, road));
-  EXPECT_LT(model.seconds(Backend::kDfs, road),
             model.seconds(Backend::kHybrid, road));
 
-  // bench_engine's road-ribbon: taller than the grid, but its walks stay
-  // short (5 per edge at height 7485), and there the hybrid beats DFS with
-  // its Csr (measured 3.7 against 9.0 ms). The height alone would hide it.
+  // bench_engine's road-ribbon: taller than the grid (height 7485), but its
+  // walks stay short (5 per edge), and there the hybrid beats TV (16-18
+  // against 20-24 ns per edge). The height alone would hide it.
   PlanInputs ribbon = kron;
   ribbon.n = 97276;
   ribbon.m = 141509;
-  ribbon.height = 7485;
   ribbon.walk = 5.1;
   EXPECT_EQ(Policy{}.choose(ribbon), Backend::kHybrid);
 }
@@ -406,41 +381,36 @@ TEST(EnginePolicy, CalibrationFitsThisMachineAndAutoStaysCompetitive) {
   const CostModel& fit = calibrated.model;
 
   // Work constants stay positive and finite; structural terms (launch
-  // counts, height dependence) are priors, not fit targets.
-  for (const double c : {fit.dfs_node_ns, fit.dfs_edge_ns, fit.ck_node_ns,
-                         fit.ck_edge_ns, fit.tv_node_ns, fit.tv_edge_ns,
-                         fit.hybrid_node_ns, fit.hybrid_edge_ns,
-                         fit.pool_sync_ns, fit.query_host_ns,
-                         fit.query_device_ns}) {
+  // counts, walk dependence) are priors, not fit targets.
+  for (const double c : {fit.tv_node_ns, fit.tv_edge_ns, fit.hybrid_node_ns,
+                         fit.hybrid_edge_ns, fit.pool_sync_ns,
+                         fit.query_host_ns, fit.query_device_ns}) {
     ASSERT_TRUE(std::isfinite(c));
     ASSERT_GT(c, 0.0);
   }
   const CostModel hand;
   EXPECT_EQ(fit.tv_launches, hand.tv_launches);
   EXPECT_EQ(fit.hybrid_launches, hand.hybrid_launches);
-  EXPECT_EQ(fit.ck_launches_per_level, hand.ck_launches_per_level);
 
-  // The mini bench_engine: on a small road instance under the simulated
-  // 50us launch latency CK and TV pay milliseconds of fixed charge (BFS
-  // levels; TV's ~35 detect launches), so calibrated auto must route
-  // around them...
+  // The mini bench_engine on a small road instance under the simulated
+  // 50us launch latency: calibrated auto picks one of the two tour
+  // backends, and the one it picks is, up to timing noise (15%), the
+  // faster of the two measured here. On a 4-vCPU VM that was the hybrid in
+  // an optimized build (0.37 against TV's 0.67 ms: 5 launches plus walks of
+  // 6 tree edges per edge, against TV's 11 launches) and TV in a Debug
+  // TSan build (3.3-4.0 against 4.1-6.0 ms), in 5 of 5 runs each. DFS
+  // with its Csr measured 0.33-0.35 ms there, a gap no end-to-end metric
+  // sees, and auto does not price it. Each run starts from an epoch
+  // holding its forest LCA and no Csr, as every publish's does: the model
+  // prices the mask on top of it. The backends take turns, best of five,
+  // so a burst of load hits them alike.
   const EdgeList g = graph::largest_component(
       graph::simplified(gen::road_graph(48, 48, 0.72, 0.04, 7)));
   Session session = engine.session(g);
   const Plan plan = session.plan(Bridges{}, calibrated);
-  EXPECT_NE(plan.chosen, Backend::kCk);
-  EXPECT_NE(plan.chosen, Backend::kTv);
+  ASSERT_TRUE(plan.chosen == Backend::kTv || plan.chosen == Backend::kHybrid)
+      << "calibrated auto picked " << to_string(plan.chosen);
 
-  // ...and must rank DFS and the hybrid as measured: the backend it picks
-  // is, up to timing noise (15%), the one measured fastest here. That is
-  // DFS with its Csr in an optimized build on an idle machine (~0.38 ms
-  // against the hybrid's ~0.47: 5 launches plus walks of 6 tree edges per
-  // edge), a tie when other processes keep the cores awake (the pool's
-  // barrier gets cheaper), and the hybrid under sanitizers, which slow
-  // DFS's sequential pass more. Each run starts from an epoch holding its
-  // forest LCA and no Csr, as every publish's does: the model prices the
-  // mask on top of it. The backends take turns, best of five, so a burst
-  // of load hits them alike.
   const auto run_once = [&](const Policy& policy) {
     session.drop_artifacts();
     session.run(LcaBatch{});
@@ -456,15 +426,18 @@ TEST(EnginePolicy, CalibrationFitsThisMachineAndAutoStaysCompetitive) {
       best = std::min(best, run_once(Policy::fixed(backend)));
     }
   }
+  const double tv_seconds = fixed_seconds[backend_index(Backend::kTv)];
+  const double hybrid_seconds = fixed_seconds[backend_index(Backend::kHybrid)];
+  EXPECT_LE(fixed_seconds[backend_index(plan.chosen)],
+            std::min(tv_seconds, hybrid_seconds) * 1.15)
+      << "calibrated auto picked " << to_string(plan.chosen) << ": tv "
+      << tv_seconds << " s, hybrid " << hybrid_seconds << " s";
+
+  // Running the pick costs the pick plus a model evaluation, and no forced
+  // baseline may beat it by much (generous tolerance: losing by 2x means
+  // the tour backends lost their lead on this machine).
   const double best_fixed =
       *std::min_element(fixed_seconds.begin(), fixed_seconds.end());
-  EXPECT_LE(fixed_seconds[backend_index(plan.chosen)], best_fixed * 1.15)
-      << "calibrated auto picked " << to_string(plan.chosen) << ": dfs "
-      << fixed_seconds[backend_index(Backend::kDfs)] << " s, hybrid "
-      << fixed_seconds[backend_index(Backend::kHybrid)] << " s";
-
-  // Running the pick costs the pick plus a model evaluation (generous
-  // tolerance: losing by 2x means the fit pointed at a loser).
   double auto_seconds = 1e300;
   for (int run = 0; run < 3; ++run) {
     auto_seconds = std::min(auto_seconds, run_once(calibrated));
@@ -476,7 +449,7 @@ TEST(EnginePolicy, CalibrationFitsThisMachineAndAutoStaysCompetitive) {
   Engine calibrated_engine(
       {.device_workers = 2, .multicore_workers = 2, .calibrate = true});
   ASSERT_TRUE(
-      std::isfinite(calibrated_engine.default_policy().model.dfs_edge_ns));
+      std::isfinite(calibrated_engine.default_policy().model.tv_edge_ns));
 }
 
 TEST(EnginePolicy, ForcedBackendIsRespected) {
@@ -492,6 +465,14 @@ TEST(EnginePolicy, ForcedBackendIsRespected) {
   EXPECT_NE(plan.chosen, Backend::kAuto);
   EXPECT_EQ(plan.inputs.n, g.num_nodes);
   EXPECT_EQ(plan.inputs.m, g.num_edges());
+  // One prediction per auto candidate, and the pick is their argmin.
+  const CostModel& model = engine.default_policy().model;
+  for (std::size_t i = 0; i < kAutoBackends.size(); ++i) {
+    EXPECT_EQ(plan.predicted_seconds[i],
+              model.seconds(kAutoBackends[i], plan.inputs));
+    EXPECT_LE(model.seconds(plan.chosen, plan.inputs),
+              plan.predicted_seconds[i]);
+  }
   // plan() itself must not disturb the cached mask.
   EXPECT_EQ(session.mask_backend(), kFixedBackends.back());
 }
