@@ -5,8 +5,10 @@
 // so a weight carried by a whole subtree is a difference pair (+w at the
 // interval's start, -w past its end), and the weight on a root path or inside
 // a subtree is read from one prefix sum over the positions. The inlabel LCA's
-// ascendant masks, the 2-ecc replay's demotion test and its bridge-depth
-// update all read this one implementation.
+// ascendant masks and the 2-ecc replay's bridge-depth update read this one
+// implementation, and so does the replay's block renumbering: blocks are
+// numbered in their heads' preorder, and a block's new number is its old
+// one less the merged-away blocks below it.
 #pragma once
 
 #include <algorithm>

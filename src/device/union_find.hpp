@@ -1,8 +1,7 @@
 // Concurrent union-find — the reusable hook/compress primitive.
 //
 // The CC algorithm in src/bridges hard-wires its hooking into the edge
-// relaxation loop and flattens with uf_flatten; the 2-ecc index's replay
-// (merging the blocks of demoted bridges) and future consumers need the
+// relaxation loop and flattens with uf_flatten; other consumers need the
 // whole structure as a standalone primitive: a flat parent array usable
 // from inside bulk kernels, with
 //

@@ -6,8 +6,8 @@
 // 2-edge-connected block meets the forest in a connected subtree. So the
 // index derives from the epoch's forest, its forest LCA (bridges::forest_lca,
 // shared with the epoch record) and bridge mask: per node, its compact block
-// label (the components of the non-bridge tree edges) and parent edge; per
-// block, its size, one member and its bridge depth bd — the bridges on any
+// label (the components of the non-bridge tree edges); per block, its size,
+// one member (its head) and its bridge depth bd — the bridges on any
 // member's forest root path, one count for all members since the block's
 // tree part is connected. One host pass over the forest LCA's tree in
 // preorder derives them all: a block's head is a component root or a node
@@ -22,16 +22,20 @@
 // bulk with ONE kernel per batch (engine::answer_each), the paper's Figure 6
 // regime.
 //
-// insert() derives the next epoch's index for an insert-only suffix and
-// walks no path. An intra edge {u, v} weighs +1 at
-// pre(u) and pre(v) and -2 at pre(lca_F(u, v)); an old bridge (p, c) is
-// demoted iff the weight inside c's interval [pre(c), pre(c) + size(c)) is
-// positive (Tarjan-Vishkin's test: the sum counts the edges with exactly one
-// end below c). Demoted bridges union their blocks, and a block's bd drops by
-// the demoted intervals holding it. Both sums are core::PreorderWeights, the
-// one preorder interval-sum primitive. A cross edge is a new bridge linking
-// two trees: the caller links the forest and rebuilds its LCA, and the index
-// is the preorder pass over the linked forest under the demoted mask.
+// insert() derives the next epoch's index for an insert-only suffix by
+// walking the bridge tree (the blocks, each hanging below the block of its
+// head's parent). An intra edge {u, v} demotes exactly the bridges on its
+// forest path: core::BlockUnion walks its ends' blocks up, stepping the side
+// whose head is deeper, and each step demotes that head's parent edge and
+// merges its block into the one above, until both sides meet. The walk is
+// O(batch + demoted) host steps over a sparse union-find and needs no LCA.
+// The merged blocks keep their heads' preorder numbering, so one n-sized
+// relabel and one pass over the blocks give the next arrays; a block's bd
+// drops by the demoted intervals holding it (core::PreorderWeights). A batch
+// that demotes nothing shares every array and runs no kernel. A cross edge
+// is a new bridge linking two trees: the caller links the forest and
+// rebuilds its LCA, and the index is the preorder pass over the linked
+// forest, where an edge is a bridge iff its ends' merged blocks differ.
 //
 // The index has no epoch and counts nothing: when a suffix may be replayed is
 // engine::Session's one replay rule.
@@ -70,15 +74,12 @@ class ConnectivityOracle {
   /// `intra` edges join nodes the indexed forest already connects and the
   /// rest link its trees. `forest` and `lca` are g's forest and forest LCA;
   /// the arrays bound to the forest are kept iff `lca` is the indexed one.
-  /// On entry `mask` is the indexed mask extended to g.edges, the appended
-  /// verdicts included; insert() clears the bridges the suffix demotes and
-  /// mutates nothing else. Arrays the suffix leaves unchanged are shared.
+  /// Arrays the suffix leaves unchanged are shared.
   ConnectivityOracle insert(const device::Context& ctx, graph::EdgeSpan g,
                             const bridges::SpanningForest& forest,
                             std::span<const graph::Edge> inserted,
                             std::span<const std::size_t> intra,
-                            std::shared_ptr<const lca::InlabelLca> lca,
-                            bridges::BridgeMask& mask) const;
+                            std::shared_ptr<const lca::InlabelLca> lca) const;
 
   /// The size half of the replay rule: an insert-only batch qualifies iff
   /// it is small relative to the INDEXED snapshot —
@@ -139,10 +140,11 @@ class ConnectivityOracle {
 
  private:
   /// Fills every array but num_bridges_ from one preorder pass over
-  /// lca_->tree() (`forest` is its forest, `mask` aligned with g.edges).
+  /// lca_->tree() (`forest` is its forest; is_bridge(e) tests g's edge e).
+  template <typename IsBridge>
   void index_forest(const device::Context& ctx, graph::EdgeSpan g,
                     const bridges::SpanningForest& forest,
-                    const bridges::BridgeMask& mask);
+                    const IsBridge& is_bridge);
 
   bool in_range(NodeId v) const {
     return v >= 0 && static_cast<std::size_t>(v) < labels_->size();
@@ -153,9 +155,8 @@ class ConnectivityOracle {
   std::shared_ptr<const std::vector<NodeId>> labels_ =
       std::make_shared<const std::vector<NodeId>>();
   std::shared_ptr<const std::vector<NodeId>> sizes_ = labels_;
-  std::shared_ptr<const NodeId[]> members_;  // per block: one member
+  std::shared_ptr<const NodeId[]> members_;  // per block: its head
   std::shared_ptr<const NodeId[]> depth_;    // bd, per block
-  std::shared_ptr<const EdgeId[]> up_;       // per node: its parent edge
   std::shared_ptr<const lca::InlabelLca> lca_;
 };
 

@@ -142,10 +142,17 @@ struct EpochArtifacts {
   dynamic::EdgeSnapshot snapshot;  // dynamic graphs: co-owns the log prefix
   const graph::EdgeList* static_edges = nullptr;  // static graphs
   std::shared_ptr<const bridges::SpanningForest> forest;
-  std::shared_ptr<const bridges::BridgeMask> mask;
+  /// The bridge mask. A rebuild seeds the cell with the mask its backend
+  /// computed; a replay leaves it empty, and the first whole-mask reader
+  /// derives it from the 2-ecc labels (epoch_mask).
+  std::shared_ptr<EpochCell<bridges::BridgeMask>> mask =
+      std::make_shared<EpochCell<bridges::BridgeMask>>();
+  /// The backend behind the mask, which a replay inherits; kAuto until the
+  /// epoch has a mask, seeded or derivable.
   Backend mask_backend = Backend::kAuto;
   std::shared_ptr<const lca::InlabelLca> forest_lca;
-  /// The 2-ecc index, derived from forest, forest_lca and mask.
+  /// The 2-ecc index, derived from forest, forest_lca and the mask, or
+  /// replayed from the previous record's.
   std::shared_ptr<const dynamic::ConnectivityOracle> oracle;
   /// The lazy cells, built by the first reader and never by a publish.
   std::shared_ptr<EpochCell<graph::Csr>> csr =
@@ -200,6 +207,24 @@ std::shared_ptr<const graph::Csr> epoch_csr(const Engine& engine,
   return lazy_artifact(engine, *record.csr, [&] {
     util::failpoint::maybe_throw(util::failpoint::kSnapshot);
     return graph::build_csr(engine.device(), record.edges());
+  });
+}
+
+/// The epoch's bridge mask (mask_backend must be set). A replayed record's
+/// first reader derives it in one pass: an edge is a bridge iff its ends'
+/// 2-ecc labels differ. The cell keeps it alive.
+std::shared_ptr<const bridges::BridgeMask> epoch_mask(
+    const Engine& engine, const EpochArtifacts& record) {
+  return lazy_artifact(engine, *record.mask, [&] {
+    const graph::EdgeSpan g = record.edges();
+    const std::vector<NodeId>& label = record.oracle->block_labels();
+    bridges::BridgeMask mask(g.num_edges());
+    device::transform(engine.device(), g.num_edges(), mask.data(),
+                      [&](std::size_t e) {
+                        return static_cast<std::uint8_t>(
+                            label[g.edges[e].u] != label[g.edges[e].v]);
+                      });
+    return mask;
   });
 }
 
@@ -280,7 +305,7 @@ void Session::drop_artifacts() { record_.reset(); }
 void Session::drop_results() {
   if (!record_) return;
   copy_record();
-  record_->mask.reset();
+  record_->mask = std::make_shared<EpochCell<bridges::BridgeMask>>();
   record_->mask_backend = Backend::kAuto;
   record_->oracle.reset();
   record_->forest_lca.reset();
@@ -331,12 +356,12 @@ PlanInputs Session::plan_inputs() {
 const bridges::BridgeMask& Session::mask_artifact(const Policy& policy,
                                                   util::PhaseTimer* phases) {
   sync_epoch();
-  // A cached mask is reusable unless the request FORCES a backend other
+  // The epoch's mask is reusable unless the request FORCES a backend other
   // than the one that computed it (forcing is the point in benches/tests).
-  if (record_->mask && (policy.backend == Backend::kAuto ||
-                        policy.backend == record_->mask_backend)) {
-    track(false);
-    return *record_->mask;
+  if (record_->mask_backend != Backend::kAuto &&
+      (policy.backend == Backend::kAuto ||
+       policy.backend == record_->mask_backend)) {
+    return *epoch_mask(*engine_, *record_);  // the record keeps it alive
   }
   const device::Context& device = engine_->device_;
   const graph::EdgeSpan g = record_->edges();
@@ -380,10 +405,12 @@ const bridges::BridgeMask& Session::mask_artifact(const Policy& policy,
                                                                       kRelaxed);
   }
   track(true);
-  if (record_->mask) copy_record();  // a forced backend replaces the mask
-  record_->mask = std::make_shared<const bridges::BridgeMask>(std::move(mask));
+  // A forced backend replaces the mask.
+  if (record_->mask_backend != Backend::kAuto) copy_record();
+  record_->mask =
+      std::make_shared<EpochCell<bridges::BridgeMask>>(std::move(mask));
   record_->mask_backend = backend;
-  return *record_->mask;
+  return *record_->mask->peek();
 }
 
 const dynamic::ConnectivityOracle& Session::oracle_artifact(
@@ -514,15 +541,14 @@ std::shared_ptr<EpochArtifacts> Session::replayed_record(
   const EpochArtifacts& prev = *record_;
   const device::Context& ctx = engine_->device_;
   const std::vector<std::size_t>& cross = replay.cross;
-  const std::size_t old_m = prev.mask->size();
-  const std::size_t d = replay.inserted.size();
+  const std::size_t old_m = prev.edges().num_edges();
 
   // The snapshot: the previous epoch's edges followed by the log suffix,
   // so every edge id the previous record's artifacts hold still names its
   // edge.
   std::shared_ptr<EpochArtifacts> next = fresh_record(graph_);
   const graph::EdgeSpan snap = next->edges();
-  assert(snap.num_edges() == old_m + d);
+  assert(snap.num_edges() == old_m + replay.inserted.size());
 
   // Spanning forest and its LCA: intra inserts leave both untouched (the
   // endpoints were already connected, so the tree edges still span), and
@@ -549,22 +575,14 @@ std::shared_ptr<EpochArtifacts> Session::replayed_record(
     next->forest = std::move(forest);
   }
 
-  // Bridge mask: a copy made at its final length — one allocation, one
-  // pass. Appended edges are bridges iff they link trees (an intra insert
-  // closes a cycle); the index step then clears the bridges they demote.
-  auto mask = std::make_shared<bridges::BridgeMask>();
-  mask->reserve(old_m + d);
-  mask->assign(prev.mask->begin(), prev.mask->end());
-  mask->resize(old_m + d, 0);
-  for (const std::size_t i : cross) (*mask)[old_m + i] = 1;
   next->oracle = std::make_shared<const dynamic::ConnectivityOracle>(
       prev.oracle->insert(ctx, snap, *next->forest, replay.inserted,
-                          replay.intra, next->forest_lca, *mask));
-  next->mask = std::move(mask);
+                          replay.intra, next->forest_lca));
+  // The mask, Csr and BCC cells start empty (no publish builds them): the
+  // mask's first reader derives it from the index's labels under the
+  // inherited backend, and even an intra-component insert can merge blocks
+  // or demote an articulation, so the BCC index never survives a replay.
   next->mask_backend = prev.mask_backend;
-  // The Csr and BCC cells start empty (no publish builds them): even an
-  // intra-component insert can merge blocks or demote an articulation, so
-  // the BCC index never survives a replay.
   return next;
 }
 
@@ -574,10 +592,15 @@ void Session::ensure_all_artifacts(const Policy& policy) {
   // that catches the fault keeps a coherent (stale) record.
   util::failpoint::maybe_throw(util::failpoint::kPublish);
   // Forest and forest LCA first (the auto pick and the TV and hybrid masks
-  // read its tree), then the mask, so a forced backend also replaces a
-  // replayed record's mask, then the index.
+  // read its tree), then the index, which a rebuild derives from the mask
+  // `policy` picks. A replayed record's mask stays unbuilt for its first
+  // reader, unless the policy forces another backend than the record's:
+  // that replaces it, as a forced Bridges request does.
   forest_lca_artifact();
-  mask_artifact(policy, nullptr);
+  if (policy.backend != Backend::kAuto &&
+      policy.backend != record_->mask_backend) {
+    mask_artifact(policy, nullptr);
+  }
   oracle_artifact(policy);
 }
 
@@ -655,7 +678,7 @@ std::shared_ptr<const bcc::BccIndex> View::bcc_index() const {
 template <typename A>
 const A& View::artifact() const {
   if constexpr (std::is_same_v<A, bridges::BridgeMask>) {
-    return *record().mask;
+    return *epoch_mask(engine(), record());  // the record keeps it alive
   } else if constexpr (std::is_same_v<A, dynamic::ConnectivityOracle>) {
     return *record().oracle;
   } else if constexpr (std::is_same_v<A, lca::InlabelLca>) {

@@ -48,8 +48,10 @@
 //
 // The record's 2-ecc artifact IS a dynamic::ConnectivityOracle — not a
 // parallel universe: block labels and bridge depths derived from the
-// record's own spanning forest, forest LCA and bridge mask. The Session
-// owns the one replay rule (replay_partition): when everything the graph
+// record's own spanning forest, forest LCA and bridge mask — or replayed
+// from the previous record's, with the mask then derived from its labels
+// on first read (an edge is a bridge iff its ends' labels differ). The
+// Session owns the one replay rule (replay_partition): when everything the graph
 // added since the current record's epoch is one small insert-only suffix
 // of the edge log (any number of batches, no erase in between) and the
 // current record holds the index, the epoch fence (sync_epoch) derives the
@@ -119,11 +121,11 @@ struct EpochArtifacts;  // one epoch's artifacts (engine.cpp)
 // ------------------------------------------------------------ EpochCell
 
 /// Once-per-epoch build cell for the artifacts no publish needs (the BCC
-/// index, the Csr): the first request that reads one builds it. Each
-/// epoch's record holds one cell per such artifact — a new record starts
-/// with fresh cells, never a mutation of the old ones — and the Session and
-/// every View of the epoch share the record, so whichever side builds
-/// first, everyone reads the same immutable value.
+/// index, the Csr, a replayed epoch's bridge mask): the first request that
+/// reads one builds it. Each epoch's record holds one cell per such
+/// artifact — a new record starts with fresh cells, never a mutation of the
+/// old ones — and the Session and every View of the epoch share the record,
+/// so whichever side builds first, everyone reads the same immutable value.
 ///
 /// Lock order: device exclusive lock FIRST, then the cell mutex —
 /// get_or_build assumes the caller already holds the driver lock (builds
@@ -131,6 +133,11 @@ struct EpochArtifacts;  // one epoch's artifacts (engine.cpp)
 template <typename T>
 class EpochCell {
  public:
+  EpochCell() = default;
+  /// A cell already holding `value`.
+  explicit EpochCell(T value)
+      : value_(std::make_shared<const T>(std::move(value))) {}
+
   /// Returns the value, running build() (returning a T) on first call.
   /// Exception-safe: a fault mid-build (failpoints, allocation) leaves the
   /// cell empty and the next caller retries.
@@ -371,7 +378,9 @@ class View {
 
   /// Any registered family, mirroring Session::run. The Bridges answer
   /// references the view's frozen mask (valid while any copy of the View
-  /// lives); request.phases is ignored — nothing runs at answer time.
+  /// lives); request.phases is ignored — no backend runs at answer time,
+  /// though the first Bridges reader of a replayed epoch derives its mask
+  /// from the 2-ecc labels.
   template <Request Req>
   Answer<Req> run(const Req& request) const {
     engine().counters().requests.fetch_add(1, std::memory_order_relaxed);
@@ -389,9 +398,9 @@ class View {
 
   /// The pinned artifact of type A — one of the artifacts a family reads
   /// (bridges::BridgeMask, dynamic::ConnectivityOracle, lca::InlabelLca,
-  /// bcc::BccIndex, graph::Csr, bridges::SpanningForest; the BCC index and
-  /// the Csr build on first call). Composite indexes read shard tables
-  /// through it.
+  /// bcc::BccIndex, graph::Csr, bridges::SpanningForest; the BCC index, the
+  /// Csr and a replayed epoch's mask build on first call). Composite
+  /// indexes read shard tables through it.
   template <typename A>
   const A& artifact() const;
 
@@ -550,10 +559,10 @@ class Session {
   std::optional<Replay> replay_partition() const;
   /// The one function that builds a replayed record: the current epoch's
   /// record derived from the current record (which it only reads) and
-  /// `replay` — forest and forest LCA (shared when no edge links trees),
-  /// bridge mask and 2-ecc index (ConnectivityOracle::insert). The snapshot
-  /// is the edge log's prefix, so nothing is copied from it; the Csr and
-  /// BCC cells start empty.
+  /// `replay` — forest and forest LCA (shared when no edge links trees) and
+  /// 2-ecc index (ConnectivityOracle::insert). The snapshot is the edge
+  /// log's prefix, so nothing is copied from it; the mask, Csr and BCC
+  /// cells start empty, and the mask keeps the current record's backend.
   std::shared_ptr<EpochArtifacts> replayed_record(const Replay& replay);
   const lca::InlabelLca& forest_lca_artifact();
   /// The BCC index artifact (expects the device driver lock held).

@@ -549,25 +549,23 @@ std::shared_ptr<const ShardedView::State> ShardedGraph::stitch() {
         state->offsets[s] + static_cast<NodeId>(blocks[s]->num_blocks());
   }
 
-  // Summary graph: each shard's bridge edges block-to-block, plus every
-  // boundary edge mapped through its endpoints' shard labels. Parallel
-  // summary edges are deliberately KEPT (EdgeList is a multigraph): two
-  // boundary edges landing on the same block pair demote each other to
-  // non-bridges, which is exactly the global answer.
+  // Summary graph: each shard's bridge edges block-to-block (an edge is a
+  // bridge iff its ends' block labels differ, so no shard materializes its
+  // mask), plus every boundary edge mapped through its endpoints' shard
+  // labels. Parallel summary edges are deliberately KEPT (EdgeList is a
+  // multigraph): two boundary edges landing on the same block pair demote
+  // each other to non-bridges, which is exactly the global answer.
   graph::EdgeList summary;
   summary.num_nodes = state->offsets[k];
   std::size_t intra_edges = 0;
   for (std::size_t s = 0; s < k; ++s) {
-    const bridges::BridgeMask& mask =
-        state->views[s].artifact<bridges::BridgeMask>();
     const auto edges = state->views[s].edge_span().edges;
     const std::vector<NodeId>& labels = *state->labels[s];
     const NodeId off = state->offsets[s];
     intra_edges += edges.size();
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      if (mask[e] != 0) {
-        summary.edges.push_back(
-            {off + labels[edges[e].u], off + labels[edges[e].v]});
+    for (const graph::Edge& e : edges) {
+      if (labels[e.u] != labels[e.v]) {
+        summary.edges.push_back({off + labels[e.u], off + labels[e.v]});
       }
     }
   }

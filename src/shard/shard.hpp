@@ -28,10 +28,10 @@
 //     engine::View per shard plus one boundary-set snapshot, identified by
 //     the EPOCH VECTOR (K per-shard epochs, boundary version). Cross-shard
 //     connectivity is answered by STITCHING: contract each shard to its
-//     2-ecc block graph (the pinned Views' 2-ecc labels and bridge
-//     masks), then build a small top-level SUMMARY graph whose nodes are
-//     shard blocks and whose edges are (a) each shard's bridge edges and
-//     (b) the boundary edges mapped through the owning shards' block
+//     2-ecc block graph (the pinned Views' 2-ecc labels; a bridge is an
+//     edge whose ends' labels differ), then build a small top-level
+//     SUMMARY graph whose nodes are shard blocks and whose edges are (a)
+//     each shard's bridge edges and (b) the boundary edges mapped through the owning shards' block
 //     labels — kept as a MULTIGRAPH: two boundary edges landing on the
 //     same block pair demote each other to non-bridges, exactly like
 //     parallel edges anywhere else in the library. A
@@ -100,8 +100,7 @@
 // repeated view() calls are one comparison (stitch_hits vs stitch_builds in
 // ShardedStats). Any single shard advancing invalidates only the cache, not
 // the per-shard artifacts: the rebuild re-reads per-shard 2-ecc labels and
-// bridge masks from ALREADY-FROZEN views plus the summary
-// build, whose size is the number of shard blocks + bridges + boundary
+// edges from ALREADY-FROZEN views plus the summary build, whose size is the number of shard blocks + bridges + boundary
 // edges, not n.
 //
 // Lifetimes/threading: submit()/insert()/erase() are safe from any producer

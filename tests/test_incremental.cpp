@@ -348,6 +348,68 @@ TEST(IncrementalLaunches, FixedKernelSequenceCheaperThanRebuild) {
   EXPECT_LT(large, rebuild);
 }
 
+// ------------------------------------------------ the bridge-tree walk
+
+TEST(IncrementalWalk, NonDemotingBatchRunsNoKernelAndSharesTheLabels) {
+  Engine engine({.device_workers = 2});
+  const device::Context& ctx = engine.device();
+  // One cycle is one block: its chords demote nothing.
+  DynamicGraph dg(ctx, gen::cycle_graph(64));
+  Session session = engine.session(dg);
+  session.refresh();
+  const std::vector<NodeId>* labels = &session.two_ecc_index().block_labels();
+  dg.insert_edges(ctx, {{0, 32}, {5, 40}});
+  const std::uint64_t before = engine.device_launches();
+  session.refresh();
+  EXPECT_EQ(engine.device_launches(), before);
+  EXPECT_EQ(session.publish_replays(), 1u);
+  EXPECT_EQ(&session.two_ecc_index().block_labels(), labels);
+  EXPECT_EQ(session.two_ecc_index().num_blocks(), 1u);
+  EXPECT_EQ(session.two_ecc_index().num_bridges(), 0u);
+}
+
+TEST(IncrementalWalk, ReplayedMaskIsDerivedOnFirstReadAndMatchesDfs) {
+  Engine engine({.device_workers = 2});
+  const device::Context& ctx = engine.device();
+  // Kron: hub-heavy, many pendant bridges and tiny components.
+  DynamicGraph dg(ctx, gen::kron_graph(10, 8.0, 5));
+  Session session = engine.session(dg);
+  session.refresh();
+  const auto cc = test_support::cc_labels(dg.snapshot());
+  util::Rng rng(13);
+  const std::size_t builds = engine.stats().artifact_builds;
+  const std::size_t bridges_before = session.two_ecc_index().num_bridges();
+  for (int round = 0; round < 6; ++round) {
+    std::vector<Edge> batch;
+    while (batch.size() < 24) {
+      const auto u = static_cast<NodeId>(rng.below(dg.num_nodes()));
+      const auto v = static_cast<NodeId>(rng.below(dg.num_nodes()));
+      if (u != v && cc[u] == cc[v] && !dg.has_edge(u, v)) {
+        batch.push_back({u, v});
+      }
+    }
+    dg.insert_edges(ctx, batch);
+    session.refresh();
+  }
+  ASSERT_EQ(session.publish_replays(), 6u);
+  ASSERT_LT(session.two_ecc_index().num_bridges(), bridges_before);
+  // No publish built an artifact: the mask cell stayed empty.
+  EXPECT_EQ(engine.stats().artifact_builds, builds);
+
+  // The first Bridges request derives the mask, in one pass.
+  const std::uint64_t before = engine.device_launches();
+  const bridges::BridgeMask& mask = session.run(engine::Bridges{});
+  EXPECT_EQ(engine.device_launches(), before + 1);
+  EXPECT_EQ(engine.stats().artifact_builds, builds + 1);
+  EXPECT_EQ(mask, bridges::find_bridges_dfs(graph::build_csr(
+                      ctx, session.view().edge_span())));
+  EXPECT_EQ(bridges::count_bridges(mask),
+            session.two_ecc_index().num_bridges());
+  // Later readers, a View's included, share the derived mask.
+  EXPECT_EQ(&session.view().artifact<bridges::BridgeMask>(), &mask);
+  EXPECT_EQ(engine.stats().artifact_builds, builds + 1);
+}
+
 // ------------------------------------------------------------------- fuzz
 
 TEST(IncrementalFuzz, InsertOnlyBatchesMatchFullRebuild) {
