@@ -17,6 +17,10 @@
 //     (an interval test over the forest's bridges, no path walk) instead
 //     of the full pipeline, next to a fresh session's full rebuild of the
 //     same snapshot;
+//   erase rows  — a uniform erase burst's publish, where the session
+//     splices the previous epoch's forest and forest LCA (no forest CC, no
+//     tour sort, no list ranking), next to a fresh session's full publish
+//     of the same snapshot;
 //   query rows  — queries/s for same_2ecc and bridges_on_path batches on
 //     the forced device route, plus the auto route (host below the
 //     launch-overhead threshold) for comparison;
@@ -72,8 +76,10 @@ int main(int argc, char** argv) {
       1, static_cast<int>(flags.get_int("runs", 3, "timing runs")));
   const bool check = flags.get_int("check", 0,
                                    "exit 1 unless every incremental row "
-                                   "replays and incremental publish costs "
-                                   "<= 10% of a full publish") != 0;
+                                   "replays, incremental publish costs "
+                                   "<= 10% of a full publish, every erase "
+                                   "publish splices and costs <= 75% of a "
+                                   "full one") != 0;
   flags.finish();
 
   engine::Engine eng;
@@ -231,6 +237,46 @@ int main(int argc, char** argv) {
     }
   }
 
+  // ---- erase publish: a uniform burst of present edges cuts ~half as
+  // many tree edges on a road grid. The session splices the previous
+  // epoch's forest and forest LCA and rebuilds only what follows them
+  // (bridge mask, 2-ecc index); the full side is a fresh session at the
+  // SAME epoch. --check pins the splice below 75% of the full publish.
+  double erase_ratio = 0;
+  std::size_t skipped_splices = 0;
+  {
+    constexpr std::size_t kBurst = 1u << 10;
+    double splice_total = 0, full_total = 0;
+    std::uint64_t splice_launches = 0, full_launches = 0;
+    for (int r = 0; r < runs; ++r) {
+      session.refresh();  // make the previous epoch's artifacts current
+      const auto current = dg.snapshot().span().edges;
+      std::vector<graph::Edge> erases(kBurst);
+      for (auto& e : erases) e = current[rng.below(current.size())];
+      dg.erase_edges(ctx, erases);
+      std::uint64_t before = ctx.launch_count();
+      util::Timer timer;
+      session.refresh();
+      splice_total += timer.seconds();
+      splice_launches += ctx.launch_count() - before;
+      if (session.last_publish().path != engine::PublishPath::kEraseSplice) {
+        std::fprintf(stderr, "erase splice not taken in run %d\n", r);
+        ++skipped_splices;
+      }
+      engine::Session fresh = eng.session(dg);  // full pipeline baseline
+      before = ctx.launch_count();
+      timer.reset();
+      fresh.refresh();
+      full_total += timer.seconds();
+      full_launches += ctx.launch_count() - before;
+    }
+    record("publish_erase", kBurst, splice_total / runs,
+           splice_launches / runs);
+    record("publish_erase_full", kBurst, full_total / runs,
+           full_launches / runs);
+    erase_ratio = splice_total / full_total;
+  }
+
   // ---- query batches: one kernel per batch on the device route; the auto
   // route shows what the policy's batch-size threshold does instead.
   for (const std::size_t batch_size : {1u << 10, 1u << 15, 1u << 20}) {
@@ -297,9 +343,21 @@ int main(int argc, char** argv) {
                  "publish (gate: <= 10%%)\n", 100 * worst_publish_ratio);
     return 1;
   }
+  if (check && skipped_splices > 0) {
+    std::fprintf(stderr, "check FAILED: %zu erase publishes did not splice\n",
+                 skipped_splices);
+    return 1;
+  }
+  if (check && erase_ratio > 0.75) {
+    std::fprintf(stderr,
+                 "check FAILED: erase publish cost %.1f%% of a full publish "
+                 "(gate: <= 75%%)\n", 100 * erase_ratio);
+    return 1;
+  }
   if (check) {
-    std::printf("\ncheck ok: worst incremental/full publish ratio %.2f%%\n",
-                100 * worst_publish_ratio);
+    std::printf("\ncheck ok: worst incremental/full publish ratio %.2f%%, "
+                "erase/full publish ratio %.1f%%\n",
+                100 * worst_publish_ratio, 100 * erase_ratio);
   }
   return 0;
 }

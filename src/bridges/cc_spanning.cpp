@@ -6,11 +6,52 @@
 #include <limits>
 #include <utility>
 
+#include "core/tour_splice.hpp"
 #include "device/arena.hpp"
 #include "device/primitives.hpp"
 #include "device/union_find.hpp"
 
 namespace emc::bridges {
+
+namespace {
+
+/// Rank queries over ascending positions in [0, limit): rank(e) counts the
+/// positions below e. A bucket table holds each bucket's first rank, so a
+/// lookup walks only the positions in e's own bucket (about a quarter of
+/// one on average).
+class PositionRank {
+ public:
+  PositionRank(std::span<const EdgeId> sorted, std::size_t limit)
+      : sorted_(sorted) {
+    while ((limit >> shift_) > 4 * sorted.size() + 1) ++shift_;
+    first_.resize((limit >> shift_) + 2);
+    std::size_t i = 0;
+    for (std::size_t b = 0; b < first_.size(); ++b) {
+      while (i < sorted.size() &&
+             static_cast<std::size_t>(sorted[i]) < (b << shift_)) {
+        ++i;
+      }
+      first_[b] = i;
+    }
+  }
+
+  std::size_t rank(EdgeId e) const {
+    std::size_t i = first_[static_cast<std::size_t>(e) >> shift_];
+    while (i < sorted_.size() && sorted_[i] < e) ++i;
+    return i;
+  }
+  bool contains(EdgeId e) const {
+    const std::size_t i = rank(e);
+    return i < sorted_.size() && sorted_[i] == e;
+  }
+
+ private:
+  std::span<const EdgeId> sorted_;
+  std::size_t shift_ = 0;
+  std::vector<std::size_t> first_;
+};
+
+}  // namespace
 
 SpanningForest cc_spanning_forest(const device::Context& ctx,
                                   graph::EdgeSpan graph,
@@ -175,6 +216,148 @@ std::shared_ptr<const lca::InlabelLca> forest_lca(
     const SpanningForest& forest) {
   return std::make_shared<const lca::InlabelLca>(
       ctx, root_forest(ctx, graph, forest), graph.num_nodes);
+}
+
+ForestWithLca splice_erased(const device::Context& ctx, graph::EdgeSpan before,
+                            graph::EdgeSpan graph,
+                            const SpanningForest& forest,
+                            const lca::InlabelLca& lca,
+                            std::span<const EdgeId> erased) {
+  const NodeId n = graph.num_nodes;
+  const core::TreeStats& tree = lca.tree();
+  assert(before.num_edges() == graph.num_edges() + erased.size());
+
+  // The cuts: the erased tree edges, named by their child end. The graph
+  // is simple, so an erased edge is a tree edge iff one end is the other's
+  // parent.
+  std::vector<NodeId> cuts;
+  for (const EdgeId e : erased) {
+    const graph::Edge edge = before.edges[e];
+    if (tree.parent[edge.u] == edge.v) {
+      cuts.push_back(edge.u);
+    } else if (tree.parent[edge.v] == edge.u) {
+      cuts.push_back(edge.v);
+    }
+  }
+
+  auto next = std::make_shared<SpanningForest>();
+  next->component.resize(static_cast<std::size_t>(n));
+  std::vector<EdgeId> replacements;
+  std::size_t new_components = 0;
+  core::TreeStats spliced_tree = core::splice_tree(
+      ctx, tree, n, cuts, [&](const core::TourPieces& pieces) {
+        const std::size_t num_pieces = pieces.heads.size() + 1;
+        const NodeId* piece = pieces.piece.data();
+        // The surviving edges between pieces (a surviving tree edge never
+        // is one), contracted to piece ids.
+        device::Arena::Scope scope(ctx.arena());
+        const std::size_t m = graph.num_edges();
+        EdgeId* crossing = scope.get<EdgeId>(m);
+        const std::size_t c = device::copy_if_index(
+            ctx, m,
+            [&](std::size_t e) {
+              return piece[graph.edges[e].u] != piece[graph.edges[e].v];
+            },
+            crossing);
+        graph::EdgeList contracted;
+        contracted.num_nodes = static_cast<NodeId>(num_pieces);
+        contracted.edges.resize(c);
+        device::transform(ctx, c, contracted.edges.data(), [&](std::size_t i) {
+          const graph::Edge edge = graph.edges[crossing[i]];
+          return graph::Edge{piece[edge.u], piece[edge.v]};
+        });
+        const SpanningForest joined = cc_spanning_forest(ctx, contracted);
+
+        // Orient the piece forest: the group holding piece 0 (every old
+        // root) hangs each piece below the piece it was reached from; any
+        // other group is a new component, rooted at its smallest node,
+        // which hangs below the virtual root n.
+        std::vector<std::size_t> offset(num_pieces + 1, 0);
+        for (const EdgeId k : joined.tree_edges) {
+          ++offset[static_cast<std::size_t>(contracted.edges[k].u) + 1];
+          ++offset[static_cast<std::size_t>(contracted.edges[k].v) + 1];
+        }
+        for (std::size_t p = 0; p < num_pieces; ++p) offset[p + 1] += offset[p];
+        std::vector<EdgeId> adjacent(offset[num_pieces]);
+        {
+          std::vector<std::size_t> fill(offset.begin(), offset.end() - 1);
+          for (const EdgeId k : joined.tree_edges) {
+            adjacent[fill[contracted.edges[k].u]++] = k;
+            adjacent[fill[contracted.edges[k].v]++] = k;
+          }
+        }
+        std::vector<std::size_t> root_of(num_pieces, 0);  // per group label
+        for (std::size_t p = 0; p < num_pieces; ++p) {
+          const auto g = static_cast<std::size_t>(joined.component[p]);
+          if (g == p || pieces.smallest[p] < pieces.smallest[root_of[g]]) {
+            root_of[g] = p;
+          }
+        }
+        root_of[0] = 0;
+        std::vector<core::TourLink> links(num_pieces - 1);
+        std::vector<NodeId> relabel(num_pieces, kNoNode);
+        std::vector<std::uint8_t> seen(num_pieces, 0);
+        std::vector<std::size_t> queue;
+        for (std::size_t g = 0; g < num_pieces; ++g) {
+          if (static_cast<std::size_t>(joined.component[g]) != g) continue;
+          const std::size_t root = root_of[g];
+          const NodeId label = g == 0 ? kNoNode : pieces.smallest[root];
+          if (g != 0) {
+            links[root - 1] = {label, n};
+            ++new_components;
+          }
+          queue.assign(1, root);
+          seen[root] = 1;
+          for (std::size_t head = 0; head < queue.size(); ++head) {
+            const std::size_t q = queue[head];
+            relabel[q] = label;
+            for (std::size_t i = offset[q]; i < offset[q + 1]; ++i) {
+              const graph::Edge edge = graph.edges[crossing[adjacent[i]]];
+              const bool u_here =
+                  static_cast<std::size_t>(piece[edge.u]) == q;
+              const NodeId far = u_here ? edge.v : edge.u;
+              const auto p = static_cast<std::size_t>(piece[far]);
+              if (seen[p] != 0) continue;
+              seen[p] = 1;
+              links[p - 1] = {far, u_here ? edge.u : edge.v};
+              replacements.push_back(crossing[adjacent[i]]);
+              queue.push_back(p);
+            }
+          }
+        }
+
+        // A new component's nodes take its label; every other node keeps
+        // its old one.
+        device::transform(ctx, static_cast<std::size_t>(n),
+                          next->component.data(), [&](std::size_t v) {
+                            const NodeId label = relabel[piece[v]];
+                            return label == kNoNode ? forest.component[v]
+                                                    : label;
+                          });
+        return links;
+      });
+
+  // The tree edges: the surviving old ones renumbered past the erased
+  // positions below them, then the replacements.
+  const PositionRank rank(erased, before.num_edges());
+  const std::size_t kept = forest.tree_edges.size() - cuts.size();
+  next->tree_edges.resize(kept + replacements.size());
+  const std::size_t survivors = device::compact(
+      ctx, forest.tree_edges.size(),
+      [&](std::size_t k) { return !rank.contains(forest.tree_edges[k]); },
+      [&](std::size_t slot, std::size_t k) {
+        const EdgeId e = forest.tree_edges[k];
+        next->tree_edges[slot] = static_cast<EdgeId>(e - rank.rank(e));
+      });
+  assert(survivors == kept);
+  (void)survivors;
+  std::copy(replacements.begin(), replacements.end(),
+            next->tree_edges.begin() + static_cast<std::ptrdiff_t>(kept));
+  next->num_components = forest.num_components + new_components;
+
+  auto spliced = std::make_shared<const lca::InlabelLca>(
+      ctx, std::move(spliced_tree), n);
+  return {std::move(next), std::move(spliced)};
 }
 
 }  // namespace emc::bridges

@@ -28,6 +28,18 @@
 // representative. root_forest tours it for forest_lca, whose tree() the
 // BCC index, TV detection and the hybrid's marking read; the standalone
 // hybrid tours it in its own phases.
+//
+// After an erase batch, splice_erased derives the next forest and forest
+// LCA from the previous ones instead (Henzinger & King's cut, replacement
+// search and link, in bulk). The erased tree edges (the cuts) split their
+// trees into pieces, and the innermost cut interval over the old preorder
+// names each node's piece. One pass keeps the surviving edges whose ends
+// lie in different pieces, and cc_spanning_forest over that contracted
+// piece graph picks the replacement edges. A group of pieces left without
+// a path to its old root is a new component, labeled and rooted at its
+// minimum node, so the forest's component labels equal a fresh CC's. The
+// tour is then spliced (core::splice_tree): no forest CC over the
+// whole graph, no sort and no list ranking.
 #pragma once
 
 #include <memory>
@@ -80,5 +92,24 @@ core::TreeStats root_forest(const device::Context& ctx, graph::EdgeSpan graph,
 std::shared_ptr<const lca::InlabelLca> forest_lca(const device::Context& ctx,
                                                   graph::EdgeSpan graph,
                                                   const SpanningForest& forest);
+
+/// A spanning forest and its forest LCA.
+struct ForestWithLca {
+  std::shared_ptr<const SpanningForest> forest;
+  std::shared_ptr<const lca::InlabelLca> lca;
+};
+
+/// The forest and forest LCA of `graph`, which is `before` without the
+/// edges at the ascending positions `erased` (every survivor keeps its
+/// order), spliced from `before`'s `forest` and forest LCA `lca`. The
+/// component labels equal cc_spanning_forest(graph)'s; the tree edges are
+/// the surviving old ones, renumbered, followed by the replacements, and
+/// each component hangs below its representative (virtual_root_tree's
+/// rooting).
+ForestWithLca splice_erased(const device::Context& ctx, graph::EdgeSpan before,
+                            graph::EdgeSpan graph,
+                            const SpanningForest& forest,
+                            const lca::InlabelLca& lca,
+                            std::span<const EdgeId> erased);
 
 }  // namespace emc::bridges

@@ -121,10 +121,11 @@ EulerTour build_euler_tour(const device::Context& ctx,
   return tour;
 }
 
-TreeStats compute_tree_stats(const device::Context& ctx, const EulerTour& tour,
+TreeStats compute_tree_stats(const device::Context& ctx,
+                             const TourArrays& tour,
                              util::PhaseTimer* phases) {
   const NodeId n = tour.num_nodes;
-  const std::size_t h = tour.num_half_edges();
+  const std::size_t h = tour.num_half_edges;
   TreeStats stats;
   stats.preorder.assign(static_cast<std::size_t>(n), 0);
   stats.subtree_size.assign(static_cast<std::size_t>(n), 0);
@@ -158,7 +159,7 @@ TreeStats compute_tree_stats(const device::Context& ctx, const EulerTour& tour,
     // Subtree spans [rank(e), rank(twin(e))]: that interval holds both
     // directions of every edge internal to the subtree plus this enter/exit
     // pair, so its length is 2*size - 1 + 1, hence size = (len + 1) / 2.
-    const EdgeId up_rank = tour.rank[tour.twin(e)];
+    const EdgeId up_rank = tour.rank[e ^ 1];
     stats.subtree_size[child] =
         (up_rank - static_cast<EdgeId>(r) + 1) / 2;
   });

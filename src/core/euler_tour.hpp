@@ -40,6 +40,23 @@ enum class RankAlgo {
   kSequential,   // single pointer walk (CPU baseline)
 };
 
+/// A tour's array form as compute_tree_stats reads it, borrowed: half-edge
+/// e runs edge_src[e] -> edge_dst[e], its twin is e ^ 1, rank[e] is its
+/// tour position and tour[r] the half-edge at position r.
+struct TourArrays {
+  NodeId num_nodes = 0;
+  NodeId root = kNoNode;
+  std::size_t num_half_edges = 0;
+  const NodeId* edge_src = nullptr;
+  const NodeId* edge_dst = nullptr;
+  const EdgeId* rank = nullptr;
+  const EdgeId* tour = nullptr;
+
+  /// A half-edge goes *down* (parent to child) iff it appears before its
+  /// twin on the tour (§2, footnote 4).
+  bool goes_down(EdgeId e) const { return rank[e] < rank[e ^ 1]; }
+};
+
 /// An Euler tour of a tree, in both linked-list and array form, plus the
 /// node statistics the applications need.
 struct EulerTour {
@@ -66,6 +83,10 @@ struct EulerTour {
   /// A half-edge goes *down* (parent to child) iff it appears before its
   /// twin on the tour (§2, footnote 4).
   bool goes_down(EdgeId e) const { return rank[e] < rank[twin(e)]; }
+  TourArrays arrays() const {
+    return {num_nodes,        root,          num_half_edges(), edge_src.data(),
+            edge_dst.data(), rank.data(),   tour.data()};
+  }
 };
 
 /// Per-node statistics computed from the tour (§2.2, §3.1, §4.1).
@@ -86,8 +107,14 @@ EulerTour build_euler_tour(const device::Context& ctx,
 
 /// Computes preorder, subtree size, level and parent arrays by scans over
 /// the tour array.
-TreeStats compute_tree_stats(const device::Context& ctx, const EulerTour& tour,
+TreeStats compute_tree_stats(const device::Context& ctx,
+                             const TourArrays& tour,
                              util::PhaseTimer* phases = nullptr);
+inline TreeStats compute_tree_stats(const device::Context& ctx,
+                                    const EulerTour& tour,
+                                    util::PhaseTimer* phases = nullptr) {
+  return compute_tree_stats(ctx, tour.arrays(), phases);
+}
 
 /// Rooting an unrooted spanning tree (§4.3, the hybrid algorithm): given
 /// tree edges and a chosen root, returns each node's parent and level using

@@ -6,12 +6,13 @@
 // over the thread-pool device simulation:
 //
 //   launch        — bulk kernel over [0, n)          (cta/thread grid)
+//   launch_blocks — the same in fixed-size chunks    (one cta per block)
 //   transform     — map                              (mgpu::transform)
 //   reduce        — reduction                        (mgpu::reduce)
 //   *_scan        — array prefix sums                (mgpu::scan)
 //   gather/scatter
-//   compact / copy_if_index / copy_if — stream compaction (callback /
-//                   indices / values)
+//   compact / compact_split / copy_if_index / copy_if — stream compaction
+//                   (callback / both sides / indices / values)
 //
 // Tuning mirrors what the real library does for the GPU:
 //   * scratch (reduce partials, scan chunk states) comes from the context's
@@ -49,6 +50,18 @@ void launch(const Context& ctx, std::size_t n, F&& f) {
                           [&f](std::size_t begin, std::size_t end) {
                             for (std::size_t i = begin; i < end; ++i) f(i);
                           });
+}
+
+/// Bulk kernel over [0, n) in chunks of `block` elements: f(begin, end)
+/// runs once per chunk, so a kernel that walks a sorted structure alongside
+/// its range pays one search per chunk. launch's grain would run a few
+/// hundred such chunks as one.
+template <typename F>
+void launch_blocks(const Context& ctx, std::size_t n, std::size_t block,
+                   F&& f) {
+  ctx.pool().parallel_for(n, block, [&f](std::size_t begin, std::size_t end) {
+    f(begin, end);
+  });
 }
 
 /// out[i] = f(i). `out` may alias inputs of f only elementwise.
@@ -371,6 +384,32 @@ std::size_t compact(const Context& ctx, std::size_t n, Pred&& pred,
       [&](std::size_t begin, std::size_t end, std::size_t base) {
         for (std::size_t i = begin; i < end; ++i) {
           if (pred(i)) emit(base++, i);
+        }
+        return base;
+      });
+}
+
+/// Two-sided stream compaction, one chained kernel like compact(): for each
+/// i in [0, n) in increasing order, calls emit(slot, i) when pred(i) holds
+/// and reject(slot, i) when it does not, each slot the index's rank among
+/// its own side. Returns the selected count.
+template <typename Pred, typename Emit, typename Reject>
+std::size_t compact_split(const Context& ctx, std::size_t n, Pred&& pred,
+                          Emit&& emit, Reject&& reject) {
+  return detail::chunk_lookback<std::size_t>(
+      ctx, n,
+      [&](std::size_t begin, std::size_t end) {
+        std::size_t local = 0;
+        for (std::size_t i = begin; i < end; ++i) local += pred(i) ? 1 : 0;
+        return local;
+      },
+      [&](std::size_t begin, std::size_t end, std::size_t base) {
+        for (std::size_t i = begin; i < end; ++i) {
+          if (pred(i)) {
+            emit(base++, i);
+          } else {
+            reject(i - base, i);
+          }
         }
         return base;
       });

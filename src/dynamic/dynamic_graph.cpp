@@ -96,9 +96,8 @@ void merge_disjoint(const device::Context& ctx,
     out[i + static_cast<std::size_t>(rank - big.begin())] = small[i];
   });
   constexpr std::size_t kBlock = 4096;
-  device::launch(ctx, (big.size() + kBlock - 1) / kBlock, [&](std::size_t b) {
-    const std::size_t begin = b * kBlock;
-    const std::size_t end = std::min(big.size(), begin + kBlock);
+  device::launch_blocks(ctx, big.size(), kBlock, [&](std::size_t begin,
+                                                     std::size_t end) {
     auto rank = static_cast<std::size_t>(
         std::lower_bound(small.begin(), small.end(), big[begin]) -
         small.begin());
@@ -212,25 +211,32 @@ std::size_t DynamicGraph::erase_edges(const device::Context& ctx,
   if (c == 0) return 0;
 
   // Everything that can fail runs first: the new log, by one
-  // order-preserving filter of the old one. Positions shift, so it starts a
-  // new base epoch; snapshots pinned on the old log keep it.
+  // order-preserving filter of the old one that also records the old
+  // positions it drops. Positions shift, so it starts a new base epoch;
+  // snapshots pinned on the old log keep it.
   const DoomedSet gone(doomed);
   const std::size_t kept = num_edges() - c;
   const std::size_t log_capacity = capacity_for(kept);
   std::shared_ptr<graph::Edge[]> log = new_log(log_capacity);
+  std::vector<EdgeId> erased(c);
   const graph::Edge* old = log_.get();
-  device::copy_if(
-      ctx, old, num_edges(),
+  graph::Edge* out = log.get();
+  device::compact_split(
+      ctx, num_edges(),
       [&](std::size_t e) {
         return !gone.contains(graph::edge_key(old[e].u, old[e].v));
       },
-      log.get());
+      [&](std::size_t slot, std::size_t e) { out[slot] = old[e]; },
+      [&](std::size_t slot, std::size_t e) {
+        erased[slot] = static_cast<EdgeId>(e);
+      });
   std::vector<std::size_t> log_len{kept};
 
   // Commit: swaps and the in-place key removal, none of which can fail.
   log_.swap(log);
   log_capacity_ = log_capacity;
   log_len_.swap(log_len);
+  erased_.swap(erased);
   remove_sorted(keys_, doomed);
   remove_sorted(recent_, doomed);
   log_base_ = ++epoch_;
@@ -239,6 +245,16 @@ std::size_t DynamicGraph::erase_edges(const device::Context& ctx,
 
 EdgeSnapshot DynamicGraph::snapshot() const {
   return EdgeSnapshot(log_, num_edges(), num_nodes_);
+}
+
+std::optional<std::span<const EdgeId>> DynamicGraph::erased_since(
+    std::uint64_t epoch) const {
+  // log_base_ is the epoch the last erase produced, and nothing came after
+  // it iff the epoch is still there.
+  if (erased_.empty() || epoch + 1 != log_base_ || epoch_ != log_base_) {
+    return std::nullopt;
+  }
+  return std::span<const EdgeId>(erased_);
 }
 
 std::optional<std::span<const graph::Edge>> DynamicGraph::inserted_since(

@@ -27,8 +27,12 @@
 // writes past every pinned length and a reader never reads past its own, so
 // a snapshot handed to another thread stays race-free while the writer
 // appends. An erase builds a new log by one order-preserving filter of the
-// old one. (A Csr is the consumer's to build: the engine builds one lazily
-// per epoch, only when a request reads it.)
+// old one, which also records the old log positions it dropped: the
+// survivor at old position p moves to p minus the erased positions below
+// it, so a consumer holding artifacts keyed by the old positions (the
+// engine's spanning forest) renumbers them without reading either log
+// (erased_since). (A Csr is the consumer's to build: the engine builds one
+// lazily per epoch, only when a request reads it.)
 //
 // Both update calls give the strong exception guarantee: every kernel and
 // allocation runs first, into new buffers, and the store then commits by
@@ -127,6 +131,16 @@ class DynamicGraph {
   std::optional<std::span<const graph::Edge>> inserted_since(
       std::uint64_t epoch) const;
 
+  /// The erased positions: when the only update since `epoch` is one
+  /// effective erase batch, the positions its edges held in the snapshot
+  /// at `epoch`, ascending. The survivor at old position p is now at p
+  /// minus the number of erased positions below p. nullopt when no erase,
+  /// a second erase or any insert separates `epoch` from now
+  /// (inserted_since covers the insert-only gaps). Valid until the next
+  /// update.
+  std::optional<std::span<const EdgeId>> erased_since(
+      std::uint64_t epoch) const;
+
  private:
   /// The batch's graph::canonical_keys, keeping only edges whose presence
   /// in the store matches `keep_present` (false for inserts, true for
@@ -151,6 +165,9 @@ class DynamicGraph {
   std::size_t log_capacity_ = 0;
   std::uint64_t log_base_ = 0;
   std::vector<std::size_t> log_len_;
+  // The last erase batch's positions in the log before it, ascending,
+  // relative to epoch log_base_ - 1 (see erased_since).
+  std::vector<EdgeId> erased_;
 };
 
 }  // namespace emc::dynamic

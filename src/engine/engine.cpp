@@ -6,6 +6,7 @@
 #include <optional>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 
 #include "bridges/bfs.hpp"
 #include "bridges/chaitanya_kothapalli.hpp"
@@ -141,6 +142,9 @@ struct EpochArtifacts {
   std::uint64_t epoch = 0;
   dynamic::EdgeSnapshot snapshot;  // dynamic graphs: co-owns the log prefix
   const graph::EdgeList* static_edges = nullptr;  // static graphs
+  /// The spanning forest and its forest LCA: built from the snapshot,
+  /// shared or linked by a replay, or spliced from the previous record's
+  /// by an erase splice, which installs the record with these two only.
   std::shared_ptr<const bridges::SpanningForest> forest;
   /// The bridge mask. A rebuild seeds the cell with the mask its backend
   /// computed; a replay leaves it empty, and the first whole-mask reader
@@ -280,15 +284,26 @@ void Session::sync_epoch() {
   if (record_ && record_->epoch == graph_.epoch()) return;
   // Views pinning the outgoing epoch keep its record; the session moves on
   // to the next one.
-  if (const std::optional<Replay> replay = replay_partition()) {
+  const auto plan = next_record();
+  PublishRecord done{graph_.epoch(), PublishPath::kRebuild,
+                     RebuildReason::kNone};
+  if (const auto* replay = std::get_if<Replay>(&plan)) {
     record_ = replayed_record(*replay);
+    done.path = PublishPath::kReplay;
     ++publish_replays_;
     engine_->counters_.publish_replays.fetch_add(1, kRelaxed);
   } else {
-    record_ = fresh_record(graph_);
+    if (const auto* splice = std::get_if<Splice>(&plan)) {
+      record_ = spliced_record(*splice);
+      done.path = PublishPath::kEraseSplice;
+    } else {
+      record_ = fresh_record(graph_);
+      done.reason = std::get<RebuildReason>(plan);
+    }
     ++publish_rebuilds_;
     engine_->counters_.publish_rebuilds.fetch_add(1, kRelaxed);
   }
+  last_publish_ = done;
 }
 
 const dynamic::ConnectivityOracle& Session::two_ecc_index() const {
@@ -427,26 +442,43 @@ const dynamic::ConnectivityOracle& Session::oracle_artifact(
   return *record_->oracle;
 }
 
-std::optional<Session::Replay> Session::replay_partition() const {
-  if (!graph_.is_dynamic() || !record_ || !record_->oracle) {
-    return std::nullopt;
-  }
+std::variant<Session::Replay, Session::Splice, RebuildReason>
+Session::next_record() const {
+  if (!graph_.is_dynamic() || !record_) return RebuildReason::kNoRecord;
   const dynamic::DynamicGraph& g = *graph_.dynamic_graph();
+  const std::size_t indexed = record_->edges().num_edges();
   // Everything the graph added since the record's epoch, however many
   // batches that was; nullopt when an erase came in between.
-  const auto inserted = g.inserted_since(record_->epoch);
-  if (!inserted) return std::nullopt;
-  const std::size_t d = inserted->size();
-  if (!dynamic::ConnectivityOracle::incremental_applies(d, g.num_edges() - d)) {
-    return std::nullopt;  // too large to beat a build
+  if (const auto inserted = g.inserted_since(record_->epoch)) {
+    if (!record_->oracle) return RebuildReason::kNoRecord;
+    if (!dynamic::ConnectivityOracle::incremental_applies(inserted->size(),
+                                                          indexed)) {
+      return RebuildReason::kOversized;  // too large to beat a build
+    }
+    auto replay = replay_partition(*inserted);
+    if (auto* why = std::get_if<RebuildReason>(&replay)) return *why;
+    return std::get<Replay>(std::move(replay));
   }
+  if (const auto erased = g.erased_since(record_->epoch)) {
+    if (!record_->forest_lca) return RebuildReason::kNoRecord;
+    if (!dynamic::ConnectivityOracle::incremental_applies(erased->size(),
+                                                          indexed)) {
+      return RebuildReason::kOversized;
+    }
+    return Splice{*erased};
+  }
+  return RebuildReason::kGap;
+}
+
+std::variant<Session::Replay, RebuildReason> Session::replay_partition(
+    std::span<const graph::Edge> inserted) const {
   // Split the suffix by the record's forest labels, merging the labels the
   // cross edges join with a host union-find as it goes (the min label wins,
   // as in a fresh CC labeling). A cross edge closing a cycle through
   // components merged earlier in the suffix is neither a bridge nor
   // intra-component on the old snapshot: no replay expresses it.
   const std::vector<NodeId>& labels = record_->forest->component;
-  Replay replay{*inserted, {}, {}, {}};
+  Replay replay{inserted, {}, {}, {}};
   std::unordered_map<NodeId, NodeId> parent;  // label -> parent label
   const auto find = [&](NodeId c) {
     for (auto it = parent.find(c); it != parent.end(); it = parent.find(c)) {
@@ -454,16 +486,16 @@ std::optional<Session::Replay> Session::replay_partition() const {
     }
     return c;
   };
-  for (std::size_t i = 0; i < d; ++i) {
-    const NodeId cu = labels[(*inserted)[i].u];
-    const NodeId cv = labels[(*inserted)[i].v];
+  for (std::size_t i = 0; i < inserted.size(); ++i) {
+    const NodeId cu = labels[inserted[i].u];
+    const NodeId cv = labels[inserted[i].v];
     if (cu == cv) {
       replay.intra.push_back(i);
       continue;
     }
     const NodeId a = find(cu);
     const NodeId b = find(cv);
-    if (a == b) return std::nullopt;
+    if (a == b) return RebuildReason::kCycle;
     parent[std::max(a, b)] = std::min(a, b);
     replay.cross.push_back(i);
   }
@@ -583,6 +615,20 @@ std::shared_ptr<EpochArtifacts> Session::replayed_record(
   // inherited backend, and even an intra-component insert can merge blocks
   // or demote an articulation, so the BCC index never survives a replay.
   next->mask_backend = prev.mask_backend;
+  return next;
+}
+
+std::shared_ptr<EpochArtifacts> Session::spliced_record(const Splice& splice) {
+  const EpochArtifacts& prev = *record_;
+  std::shared_ptr<EpochArtifacts> next = fresh_record(graph_);
+  bridges::ForestWithLca spliced =
+      bridges::splice_erased(engine_->device_, prev.edges(), next->edges(),
+                             *prev.forest, *prev.forest_lca, splice.erased);
+  // Counted like a rebuild's forest and forest LCA builds.
+  track(true);
+  track(true);
+  next->forest = std::move(spliced.forest);
+  next->forest_lca = std::move(spliced.lca);
   return next;
 }
 

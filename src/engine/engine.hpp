@@ -51,13 +51,18 @@
 // record's own spanning forest, forest LCA and bridge mask — or replayed
 // from the previous record's, with the mask then derived from its labels
 // on first read (an edge is a bridge iff its ends' labels differ). The
-// Session owns the one replay rule (replay_partition): when everything the graph
+// Session owns the one fence rule (next_record): when everything the graph
 // added since the current record's epoch is one small insert-only suffix
 // of the edge log (any number of batches, no erase in between) and the
 // current record holds the index, the epoch fence (sync_epoch) derives the
-// next record from the current one (replayed_record); otherwise it installs
-// an empty record the requests then fill. Lazy requests and publishes both
-// pass the fence, so whichever comes first at a new epoch takes the replay.
+// next record from the current one (replayed_record). When the only change
+// is one small erase batch and the current record holds the forest LCA, it
+// splices the next record's forest and forest LCA from the current ones
+// (spliced_record, bridges::splice_erased) and leaves the rest to the
+// requests, as a rebuild does. Otherwise it installs an empty record the
+// requests then fill. Lazy requests and publishes both pass the fence, so
+// whichever comes first at a new epoch takes the replay or the splice;
+// Session::last_publish() records which path it took and why.
 //
 // Disconnected inputs need no special path: every backend accepts any
 // graph and runs on the epoch's snapshot as it is. The spanning forest is
@@ -95,6 +100,7 @@
 #include <span>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "bcc/bcc.hpp"
@@ -219,6 +225,37 @@ struct EngineStats {
   /// Session::publish_replays()).
   std::size_t publish_replays = 0;
   std::size_t publish_rebuilds = 0;
+};
+
+/// How a session's epoch fence reached its current record.
+enum class PublishPath : std::uint8_t {
+  kNone,         // no record yet
+  kReplay,       // derived from the previous record by the insert replay
+  kEraseSplice,  // forest and forest LCA spliced from the previous record's
+  kRebuild,      // installed empty for the full per-artifact pipeline
+};
+
+/// Why the fence rebuilt (kNone unless the path is kRebuild).
+enum class RebuildReason : std::uint8_t {
+  kNone,
+  /// No previous record, or it lacks what the path needs: the 2-ecc index
+  /// for a replay, the forest LCA for an erase splice.
+  kNoRecord,
+  /// The change since the record is neither insert-only nor one erase
+  /// batch: inserts mixed with an erase, or two erase batches.
+  kGap,
+  /// ConnectivityOracle::incremental_applies refused the change's size.
+  kOversized,
+  /// An inserted cross edge closes a cycle through components that earlier
+  /// edges of the same suffix merged.
+  kCycle,
+};
+
+/// The fence's most recent epoch change (Session::last_publish()).
+struct PublishRecord {
+  std::uint64_t epoch = 0;  // the record it installed
+  PublishPath path = PublishPath::kNone;
+  RebuildReason reason = RebuildReason::kNone;
 };
 
 struct EngineOptions {
@@ -491,11 +528,15 @@ class Session {
   /// How the epoch fence reached each of this session's records: derived
   /// from the previous record by replaying the edges added since (it held
   /// the 2-ecc index and the one replay rule, replay_partition, held), vs
-  /// installed empty for the full per-artifact pipeline. A request or
-  /// publish that found its epoch's record already current counts as
-  /// neither.
+  /// not. An erase splice counts as a rebuild: it derives the forest and
+  /// forest LCA, and everything after them builds as the full per-artifact
+  /// pipeline does. A request or publish that found its epoch's record
+  /// already current counts as neither.
   std::uint64_t publish_replays() const { return publish_replays_; }
   std::uint64_t publish_rebuilds() const { return publish_rebuilds_; }
+  /// The path of the fence's most recent epoch change, and for a rebuild
+  /// its reason.
+  const PublishRecord& last_publish() const { return last_publish_; }
 
   /// Drops every cached artifact (benchmark / memory-pressure hook). The
   /// next request rebuilds from scratch. Live Views are unaffected: they
@@ -517,10 +558,11 @@ class Session {
   Session(Engine& engine, GraphRef graph);
 
   /// Epoch fence: every request and publish passes through here first. A
-  /// changed epoch installs the replayed record when replay_partition()
-  /// holds, else an empty one, and counts which (publish_replays /
-  /// publish_rebuilds). A replay that throws installs nothing, so the
-  /// retry replays again.
+  /// changed epoch installs the record next_record() plans: the replayed
+  /// one, the erase-spliced one (its forest and forest LCA derived,
+  /// nothing else), or an empty one; it counts which (publish_replays /
+  /// publish_rebuilds) and records the path (last_publish). A replay or
+  /// splice that throws installs nothing, so the retry takes it again.
   void sync_epoch();
   /// Swaps in a copy of the current record before one of its filled fields
   /// is replaced or cleared: a View may hold the current one.
@@ -549,14 +591,26 @@ class Session {
     /// CC labeling of the new snapshot assigns (component[rep] == rep).
     std::unordered_map<NodeId, NodeId> merged;
   };
-  /// The one replay rule: the current record holds the 2-ecc index, the
-  /// edge log covers its epoch (no erase since), and the whole suffix since
-  /// then passes ConnectivityOracle::incremental_applies — however many
-  /// batches it spans. Returns the suffix split by the record's forest
-  /// labels (the one delta classifier), or nullopt when the rule fails or
-  /// the suffix closes a cycle across components. Host work only; mutates
-  /// nothing.
-  std::optional<Replay> replay_partition() const;
+  /// The input of an erase splice: the old positions of the edges the one
+  /// erase batch since the current record removed.
+  struct Splice {
+    std::span<const EdgeId> erased;
+  };
+  /// The fence's one decision, host work only, mutating nothing:
+  ///   * the replay rule: the current record holds the 2-ecc index, the
+  ///     edge log covers its epoch (no erase since), and the whole suffix
+  ///     since then passes ConnectivityOracle::incremental_applies, however
+  ///     many batches it spans — the suffix split by the record's forest
+  ///     labels (replay_partition, the one delta classifier);
+  ///   * the splice rule: the current record holds the forest LCA, the only
+  ///     change since is one erase batch, and its size passes the same
+  ///     incremental_applies;
+  ///   * otherwise the reason for a rebuild.
+  std::variant<Replay, Splice, RebuildReason> next_record() const;
+  /// The suffix split for the replay rule, or kCycle when it closes a
+  /// cycle across components.
+  std::variant<Replay, RebuildReason> replay_partition(
+      std::span<const graph::Edge> inserted) const;
   /// The one function that builds a replayed record: the current epoch's
   /// record derived from the current record (which it only reads) and
   /// `replay` — forest and forest LCA (shared when no edge links trees) and
@@ -564,6 +618,10 @@ class Session {
   /// log's prefix, so nothing is copied from it; the mask, Csr and BCC
   /// cells start empty, and the mask keeps the current record's backend.
   std::shared_ptr<EpochArtifacts> replayed_record(const Replay& replay);
+  /// The current epoch's record with its forest and forest LCA spliced
+  /// from the current record's (bridges::splice_erased); every other
+  /// artifact starts unbuilt, as in a rebuild.
+  std::shared_ptr<EpochArtifacts> spliced_record(const Splice& splice);
   const lca::InlabelLca& forest_lca_artifact();
   /// The BCC index artifact (expects the device driver lock held).
   std::shared_ptr<const bcc::BccIndex> bcc_artifact();
@@ -589,6 +647,7 @@ class Session {
   std::shared_ptr<EpochArtifacts> record_;
   std::uint64_t publish_replays_ = 0;
   std::uint64_t publish_rebuilds_ = 0;
+  PublishRecord last_publish_;
   /// Weak registry of every State this session published, for
   /// pinned_epochs(); expired entries are pruned opportunistically.
   std::vector<std::weak_ptr<const View::State>> published_;

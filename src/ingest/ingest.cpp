@@ -278,6 +278,7 @@ IngestorStats Ingestor::stats() const {
   s.max_batch = max_batch_seen_;
   s.publishes = publishes_;
   s.publish_failures = publish_failures_;
+  s.apply_failures = apply_failures_;
   s.graph_epoch = applied_epoch_.load(std::memory_order_acquire);
   s.published_epoch = published_epoch_.load(std::memory_order_acquire);
   s.lag = saturating_sub(saturating_sub(q.accepted, q.shed),
@@ -286,12 +287,20 @@ IngestorStats Ingestor::stats() const {
   return s;
 }
 
-void Ingestor::apply(const Batch& batch) {
+bool Ingestor::apply(const Batch& batch) {
   std::size_t effective = 0;
-  if (batch.kind == UpdateKind::kInsert) {
-    effective = graph_.insert_edges(engine_.device(), batch.edges);
-  } else {
-    effective = graph_.erase_edges(engine_.device(), batch.edges);
+  try {
+    if (batch.kind == UpdateKind::kInsert) {
+      effective = graph_.insert_edges(engine_.device(), batch.edges);
+    } else {
+      effective = graph_.erase_edges(engine_.device(), batch.edges);
+    }
+  } catch (...) {
+    // Both update calls give the strong guarantee: a fault left the graph
+    // as it was, so the writer keeps the batch and retries it.
+    const std::lock_guard<std::mutex> lk(state_);
+    ++apply_failures_;
+    return false;
   }
   if (options_.on_apply) options_.on_apply(batch, graph_.epoch(), effective);
   {
@@ -307,6 +316,7 @@ void Ingestor::apply(const Batch& batch) {
     oldest_unpublished_ = std::min(oldest_unpublished_, batch.oldest);
   }
   state_cv_.notify_all();
+  return true;
 }
 
 Ingestor::Clock::time_point Ingestor::next_deadline() const {
@@ -408,7 +418,16 @@ void Ingestor::run() {
     state_cv_.wait(lk, [&] { return !paused_; });
   }
   Batch batch;
+  bool held = false;  // `batch` faulted in apply and is not applied yet
   for (;;) {
+    if (held) {
+      // A faulted batch retries on the publish re-arm cadence, before any
+      // later one (commit order); the backlog ahead of it still publishes.
+      std::this_thread::sleep_for(kPublishRetryFloor);
+      held = !apply(batch);
+      maybe_publish(/*force=*/false);
+      continue;
+    }
     // Read the kick count BEFORE the flags a drain()/flush() kick signals:
     // a kick landing after the flag read then still wakes the wait below.
     const std::uint64_t kicks = queue_.kicks();
@@ -420,7 +439,7 @@ void Ingestor::run() {
     const Batcher::Poll poll =
         batcher_.next(batch, next_deadline(), force_cut, kicks);
     if (poll == Batcher::Poll::kBatch) {
-      apply(batch);
+      held = !apply(batch);
       maybe_publish(/*force=*/false);
       continue;
     }

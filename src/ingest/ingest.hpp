@@ -49,6 +49,10 @@
 // place a failed publish is retried: a hook that returns false or throws
 // is counted in publish_failures and re-armed, so the next pacing trigger
 // retries it (the next apply, or a timer floored at kPublishRetryFloor).
+// A faulted apply (an allocation or kernel launch failing inside
+// insert_edges or erase_edges, which leave the graph as it was) is counted
+// in apply_failures, and the writer keeps the batch and retries it every
+// kPublishRetryFloor before it cuts the next one: lag, never loss.
 //
 // Stats ledger (the invariants test_ingest pins):
 //   submitted == accepted + rejected + cancelled
@@ -211,6 +215,7 @@ struct IngestorStats {
   // Publish side.
   std::size_t publishes = 0;
   std::size_t publish_failures = 0;  // hook returned false or threw
+  std::size_t apply_failures = 0;    // update calls that faulted (retried)
   std::uint64_t graph_epoch = 0;     // epoch after the last applied batch
   std::uint64_t published_epoch = 0;
   /// Accepted-but-unpublished updates (accepted - shed - published).
@@ -289,7 +294,9 @@ class Ingestor {
 
  private:
   void run();  // the writer thread
-  void apply(const Batch& batch);
+  /// Applies one batch; false when the update call faulted, which left
+  /// the graph as it was (the caller retries the same batch).
+  bool apply(const Batch& batch);
   /// Publishes if a trigger fires (`force` = flush/stop/end-of-stream).
   void maybe_publish(bool force);
   /// When the next time-based trigger (pacing interval or idle flush) is
@@ -321,6 +328,7 @@ class Ingestor {
   std::size_t max_batch_seen_ = 0;
   std::size_t publishes_ = 0;
   std::size_t publish_failures_ = 0;
+  std::size_t apply_failures_ = 0;
   std::size_t published_applied_ = 0;  // applied_ at the last good publish
   std::size_t batches_since_publish_ = 0;
   /// The most recent publish attempt failed: next_deadline floors the

@@ -784,6 +784,52 @@ TEST(IngestFuzz, ShedOldestLedgerBalancesUnderOverload) {
 // Failpoints: publish faults must cost latency, never updates.
 // ---------------------------------------------------------------------------
 
+TEST(IngestApplyRetry, AFaultedApplyKeepsItsBatchAndRetriesIt) {
+  // The first hit of the site after resume() lands in the writer's first
+  // apply: the insert batch faults, stays queued ahead of the erase, and
+  // its retry applies both in commit order.
+  for (const char* site : {failpoint::kDeviceLaunch, failpoint::kArenaAlloc}) {
+    SCOPED_TRACE(site);
+    failpoint::disable_all();
+    Engine engine({.device_workers = 2});
+    dynamic::DynamicGraph dg(engine.device(), gen::er_graph(64, 120, 3));
+    Session session = engine.session(dg);
+    session.refresh();
+    CanonicalEdgeSet want = edge_set(dg.snapshot());
+    IngestorOptions opt;
+    opt.start_paused = true;
+    std::vector<Commit> log;
+    opt.on_apply = [&log](const Batch& b, std::uint64_t epoch_after,
+                          std::size_t /*effective*/) {
+      log.push_back({b.kind, b.edges, b.raw_updates, epoch_after});
+    };
+    Ingestor ingestor(engine, dg, session, opt);
+    const std::vector<Edge> inserts{{0, 63}, {1, 62}, {2, 61}};
+    const std::vector<Edge> erases{{0, 63}, dg.snapshot().span().edges[0]};
+    ASSERT_EQ(ingestor.insert(inserts), inserts.size());
+    ASSERT_EQ(ingestor.erase(erases), erases.size());
+    replay(want, UpdateKind::kInsert, inserts);
+    replay(want, UpdateKind::kErase, erases);
+    // A cold arena, so the apply's first scratch slot is an arena.alloc hit.
+    engine.device().arena().release();
+    ASSERT_TRUE(failpoint::configure(site, "1"));
+    ingestor.resume();
+    ingestor.flush();
+    ingestor.stop();
+    failpoint::disable_all();
+
+    const IngestorStats s = ingestor.stats();
+    EXPECT_EQ(s.apply_failures, 1u);
+    EXPECT_EQ(s.applied, inserts.size() + erases.size());
+    EXPECT_EQ(s.lag, 0u);
+    EXPECT_EQ(s.published_epoch, s.graph_epoch);
+    ASSERT_EQ(log.size(), 2u);
+    EXPECT_EQ(log[0].kind, UpdateKind::kInsert);
+    EXPECT_EQ(log[1].kind, UpdateKind::kErase);
+    EXPECT_EQ(edge_set(dg.snapshot()), want);
+  }
+}
+
 TEST(IngestFailpoints, EveryUpdateLandsAndEveryFutureResolvesUnderPublishFaults) {
   const auto fuzz = test_support::fuzz_run(/*seed=*/3309, /*rounds=*/24);
   SCOPED_TRACE(fuzz.trace);
