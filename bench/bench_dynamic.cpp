@@ -21,6 +21,9 @@
 //     splices the previous epoch's forest and forest LCA (no forest CC, no
 //     tour sort, no list ranking), next to a fresh session's full publish
 //     of the same snapshot;
+//   link rows   — a replayed insert batch whose every edge links two trees,
+//     spliced into the previous epoch's forest and forest LCA the same way,
+//     next to a fresh session's full publish of the same snapshot;
 //   query rows  — queries/s for same_2ecc and bridges_on_path batches on
 //     the forced device route, plus the auto route (host below the
 //     launch-overhead threshold) for comparison;
@@ -78,7 +81,8 @@ int main(int argc, char** argv) {
                                    "exit 1 unless every incremental row "
                                    "replays, incremental publish costs "
                                    "<= 10% of a full publish, every erase "
-                                   "publish splices and costs <= 75% of a "
+                                   "publish splices, every link publish "
+                                   "replays, and both cost <= 75% of a "
                                    "full one") != 0;
   flags.finish();
 
@@ -277,6 +281,68 @@ int main(int argc, char** argv) {
     erase_ratio = splice_total / full_total;
   }
 
+  // ---- link publish: the base grid is one component by now, so these
+  // rows run on a sparser grid of many components (each grid edge kept
+  // with probability 1/2). Each run inserts a batch whose every edge joins
+  // two components no other insert touches, so every one links two trees.
+  // The session replays it and splices the links into the previous epoch's
+  // forest and forest LCA (no forest CC, no tour sort, no list ranking);
+  // the full side is a fresh session at the SAME epoch. --check pins the
+  // link publish below 75% of the full publish.
+  double link_ratio = 0;
+  std::size_t skipped_links = 0;
+  {
+    constexpr std::size_t kLinks = 1u << 8;
+    dynamic::DynamicGraph sparse(ctx,
+                                 gen::road_graph(side, side, 0.5, 0.03, 11));
+    engine::Session sparse_session = eng.session(sparse);
+    const auto cc = graph::connected_component_labels(sparse.snapshot());
+    std::printf("link publish: %zu edges, %zu components\n\n",
+                sparse.num_edges(), graph::count_components(cc));
+    std::vector<std::uint8_t> used(n, 0);  // per component label
+    double link_total = 0, full_total = 0;
+    std::uint64_t link_launches = 0, full_launches = 0;
+    for (int r = 0; r < runs; ++r) {
+      sparse_session.refresh();  // make the previous epoch's index current
+      std::vector<graph::Edge> links;
+      NodeId end = kNoNode;
+      for (std::size_t tries = 0; links.size() < kLinks && tries < 64 * kLinks;
+           ++tries) {
+        const auto v = static_cast<NodeId>(rng.below(n));
+        if (used[cc[v]] != 0) continue;
+        used[cc[v]] = 1;
+        if (end == kNoNode) {
+          end = v;
+        } else {
+          links.push_back({end, v});
+          end = kNoNode;
+        }
+      }
+      sparse.insert_edges(ctx, links);
+      std::uint64_t before = ctx.launch_count();
+      util::Timer timer;
+      sparse_session.refresh();
+      link_total += timer.seconds();
+      link_launches += ctx.launch_count() - before;
+      if (links.size() < kLinks ||
+          sparse_session.last_publish().path != engine::PublishPath::kReplay) {
+        std::fprintf(stderr, "link replay of %zu links not taken in run %d\n",
+                     links.size(), r);
+        ++skipped_links;
+      }
+      engine::Session fresh = eng.session(sparse);  // full pipeline baseline
+      before = ctx.launch_count();
+      timer.reset();
+      fresh.refresh();
+      full_total += timer.seconds();
+      full_launches += ctx.launch_count() - before;
+    }
+    record("publish_link", kLinks, link_total / runs, link_launches / runs);
+    record("publish_link_full", kLinks, full_total / runs,
+           full_launches / runs);
+    link_ratio = link_total / full_total;
+  }
+
   // ---- query batches: one kernel per batch on the device route; the auto
   // route shows what the policy's batch-size threshold does instead.
   for (const std::size_t batch_size : {1u << 10, 1u << 15, 1u << 20}) {
@@ -354,10 +420,24 @@ int main(int argc, char** argv) {
                  "(gate: <= 75%%)\n", 100 * erase_ratio);
     return 1;
   }
+  if (check && skipped_links > 0) {
+    std::fprintf(stderr,
+                 "check FAILED: %zu link publishes did not replay %zu links\n",
+                 skipped_links, std::size_t{1} << 8);
+    return 1;
+  }
+  if (check && link_ratio > 0.75) {
+    std::fprintf(stderr,
+                 "check FAILED: link publish cost %.1f%% of a full publish "
+                 "(gate: <= 75%%)\n", 100 * link_ratio);
+    return 1;
+  }
   if (check) {
     std::printf("\ncheck ok: worst incremental/full publish ratio %.2f%%, "
-                "erase/full publish ratio %.1f%%\n",
-                100 * worst_publish_ratio, 100 * erase_ratio);
+                "erase/full publish ratio %.1f%%, link/full publish ratio "
+                "%.1f%%\n",
+                100 * worst_publish_ratio, 100 * erase_ratio,
+                100 * link_ratio);
   }
   return 0;
 }

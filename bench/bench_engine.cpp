@@ -44,9 +44,8 @@ int main(int argc, char** argv) {
   flags.finish();
 
   engine::Engine eng;
-  std::printf("# engine backend competition (device=%u multicore=%u "
-              "workers)\n\n",
-              eng.device().workers(), eng.multicore().workers());
+  std::printf("# engine backend competition (device=%u workers)\n\n",
+              eng.device().workers());
 
   // The startup-fitted model competes alongside the committed hand table:
   // both auto rows must match or beat every fixed backend.

@@ -18,9 +18,8 @@
 
 int main() {
   using namespace emc;
-  engine::Engine eng;  // owns the device and multicore contexts
-  std::printf("engine: device=%u multicore=%u workers\n",
-              eng.device().workers(), eng.multicore().workers());
+  engine::Engine eng;  // owns the device context
+  std::printf("engine: device=%u workers\n", eng.device().workers());
 
   // --- 1. A static graph session: bridges with the auto policy.
   //        The Policy's cost model (n, m, and the sampled mean marking walk

@@ -7,51 +7,12 @@
 #include <utility>
 
 #include "core/tour_splice.hpp"
+#include "core/tree_ops.hpp"
 #include "device/arena.hpp"
 #include "device/primitives.hpp"
 #include "device/union_find.hpp"
 
 namespace emc::bridges {
-
-namespace {
-
-/// Rank queries over ascending positions in [0, limit): rank(e) counts the
-/// positions below e. A bucket table holds each bucket's first rank, so a
-/// lookup walks only the positions in e's own bucket (about a quarter of
-/// one on average).
-class PositionRank {
- public:
-  PositionRank(std::span<const EdgeId> sorted, std::size_t limit)
-      : sorted_(sorted) {
-    while ((limit >> shift_) > 4 * sorted.size() + 1) ++shift_;
-    first_.resize((limit >> shift_) + 2);
-    std::size_t i = 0;
-    for (std::size_t b = 0; b < first_.size(); ++b) {
-      while (i < sorted.size() &&
-             static_cast<std::size_t>(sorted[i]) < (b << shift_)) {
-        ++i;
-      }
-      first_[b] = i;
-    }
-  }
-
-  std::size_t rank(EdgeId e) const {
-    std::size_t i = first_[static_cast<std::size_t>(e) >> shift_];
-    while (i < sorted_.size() && sorted_[i] < e) ++i;
-    return i;
-  }
-  bool contains(EdgeId e) const {
-    const std::size_t i = rank(e);
-    return i < sorted_.size() && sorted_[i] == e;
-  }
-
- private:
-  std::span<const EdgeId> sorted_;
-  std::size_t shift_ = 0;
-  std::vector<std::size_t> first_;
-};
-
-}  // namespace
 
 SpanningForest cc_spanning_forest(const device::Context& ctx,
                                   graph::EdgeSpan graph,
@@ -218,18 +179,21 @@ std::shared_ptr<const lca::InlabelLca> forest_lca(
       ctx, root_forest(ctx, graph, forest), graph.num_nodes);
 }
 
-ForestWithLca splice_erased(const device::Context& ctx, graph::EdgeSpan before,
+ForestWithLca splice_forest(const device::Context& ctx, graph::EdgeSpan before,
                             graph::EdgeSpan graph,
                             const SpanningForest& forest,
                             const lca::InlabelLca& lca,
-                            std::span<const EdgeId> erased) {
+                            std::span<const EdgeId> erased,
+                            std::span<const EdgeId> linked) {
   const NodeId n = graph.num_nodes;
   const core::TreeStats& tree = lca.tree();
-  assert(before.num_edges() == graph.num_edges() + erased.size());
+  assert(graph.num_edges() + erased.size() >= before.num_edges());
 
-  // The cuts: the erased tree edges, named by their child end. The graph
-  // is simple, so an erased edge is a tree edge iff one end is the other's
-  // parent.
+  // The cuts: the erased tree edges, named by their child end (the graph is
+  // simple, so an erased edge is a tree edge iff one end is the other's
+  // parent), then the representative of every component a link touches,
+  // cut at its virtual parent edge. Only the links join a linked
+  // component's pieces to other pieces, so none of them reaches piece 0.
   std::vector<NodeId> cuts;
   for (const EdgeId e : erased) {
     const graph::Edge edge = before.edges[e];
@@ -239,11 +203,20 @@ ForestWithLca splice_erased(const device::Context& ctx, graph::EdgeSpan before,
       cuts.push_back(edge.v);
     }
   }
+  const std::size_t tree_cuts = cuts.size();
+  std::vector<NodeId> reps;
+  for (const EdgeId e : linked) {
+    reps.push_back(forest.component[graph.edges[e].u]);
+    reps.push_back(forest.component[graph.edges[e].v]);
+  }
+  std::sort(reps.begin(), reps.end());
+  reps.erase(std::unique(reps.begin(), reps.end()), reps.end());
+  cuts.insert(cuts.end(), reps.begin(), reps.end());
 
   auto next = std::make_shared<SpanningForest>();
   next->component.resize(static_cast<std::size_t>(n));
-  std::vector<EdgeId> replacements;
-  std::size_t new_components = 0;
+  std::vector<EdgeId> joins;  // the replacements and the links, in BFS order
+  std::size_t groups = 0;
   core::TreeStats spliced_tree = core::splice_tree(
       ctx, tree, n, cuts, [&](const core::TourPieces& pieces) {
         const std::size_t num_pieces = pieces.heads.size() + 1;
@@ -270,8 +243,9 @@ ForestWithLca splice_erased(const device::Context& ctx, graph::EdgeSpan before,
 
         // Orient the piece forest: the group holding piece 0 (every old
         // root) hangs each piece below the piece it was reached from; any
-        // other group is a new component, rooted at its smallest node,
-        // which hangs below the virtual root n.
+        // other group is a component of the new forest (split off by the
+        // cuts, or joined by the links), rooted at its smallest node, which
+        // hangs below the virtual root n.
         std::vector<std::size_t> offset(num_pieces + 1, 0);
         for (const EdgeId k : joined.tree_edges) {
           ++offset[static_cast<std::size_t>(contracted.edges[k].u) + 1];
@@ -304,7 +278,7 @@ ForestWithLca splice_erased(const device::Context& ctx, graph::EdgeSpan before,
           const NodeId label = g == 0 ? kNoNode : pieces.smallest[root];
           if (g != 0) {
             links[root - 1] = {label, n};
-            ++new_components;
+            ++groups;
           }
           queue.assign(1, root);
           seen[root] = 1;
@@ -320,7 +294,7 @@ ForestWithLca splice_erased(const device::Context& ctx, graph::EdgeSpan before,
               if (seen[p] != 0) continue;
               seen[p] = 1;
               links[p - 1] = {far, u_here ? edge.u : edge.v};
-              replacements.push_back(crossing[adjacent[i]]);
+              joins.push_back(crossing[adjacent[i]]);
               queue.push_back(p);
             }
           }
@@ -338,22 +312,32 @@ ForestWithLca splice_erased(const device::Context& ctx, graph::EdgeSpan before,
       });
 
   // The tree edges: the surviving old ones renumbered past the erased
-  // positions below them, then the replacements.
-  const PositionRank rank(erased, before.num_edges());
-  const std::size_t kept = forest.tree_edges.size() - cuts.size();
-  next->tree_edges.resize(kept + replacements.size());
-  const std::size_t survivors = device::compact(
-      ctx, forest.tree_edges.size(),
-      [&](std::size_t k) { return !rank.contains(forest.tree_edges[k]); },
-      [&](std::size_t slot, std::size_t k) {
-        const EdgeId e = forest.tree_edges[k];
-        next->tree_edges[slot] = static_cast<EdgeId>(e - rank.rank(e));
-      });
-  assert(survivors == kept);
-  (void)survivors;
-  std::copy(replacements.begin(), replacements.end(),
+  // positions below them, then the joins. The count's scratch is released
+  // before the inlabel build below takes its own.
+  const std::size_t kept = forest.tree_edges.size() - tree_cuts;
+  next->tree_edges.resize(kept + joins.size());
+  {
+    device::Arena::Scope scope(ctx.arena());
+    const core::PreorderWeights gone(
+        ctx, scope, before.num_edges() + 1, erased.size(),
+        2 * forest.tree_edges.size(),
+        [&](std::size_t i, auto&& add) { add(erased[i], 1); });
+    const std::size_t survivors = device::compact(
+        ctx, forest.tree_edges.size(),
+        [&](std::size_t k) {
+          const EdgeId e = forest.tree_edges[k];
+          return gone.below(e + 1) == gone.below(e);
+        },
+        [&](std::size_t slot, std::size_t k) {
+          const EdgeId e = forest.tree_edges[k];
+          next->tree_edges[slot] = e - gone.below(e);
+        });
+    assert(survivors == kept);
+    (void)survivors;
+  }
+  std::copy(joins.begin(), joins.end(),
             next->tree_edges.begin() + static_cast<std::ptrdiff_t>(kept));
-  next->num_components = forest.num_components + new_components;
+  next->num_components = forest.num_components - reps.size() + groups;
 
   auto spliced = std::make_shared<const lca::InlabelLca>(
       ctx, std::move(spliced_tree), n);

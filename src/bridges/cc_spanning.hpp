@@ -29,17 +29,21 @@
 // BCC index, TV detection and the hybrid's marking read; the standalone
 // hybrid tours it in its own phases.
 //
-// After an erase batch, splice_erased derives the next forest and forest
-// LCA from the previous ones instead (Henzinger & King's cut, replacement
-// search and link, in bulk). The erased tree edges (the cuts) split their
-// trees into pieces, and the innermost cut interval over the old preorder
-// names each node's piece. One pass keeps the surviving edges whose ends
-// lie in different pieces, and cc_spanning_forest over that contracted
-// piece graph picks the replacement edges. A group of pieces left without
-// a path to its old root is a new component, labeled and rooted at its
-// minimum node, so the forest's component labels equal a fresh CC's. The
-// tour is then spliced (core::splice_tree): no forest CC over the
-// whole graph, no sort and no list ranking.
+// After an erase batch or a replayed insert batch that links trees,
+// splice_forest derives the next forest and forest LCA from the previous
+// ones instead: Henzinger & King's cut, replacement search and link, in
+// bulk. The cuts are the erased tree edges and the virtual parent edge of
+// every component a link touches; they split the trees into pieces, and
+// the innermost cut interval over the old preorder names each node's
+// piece. One pass keeps the surviving edges whose ends lie in different
+// pieces (the replacements and the links), and cc_spanning_forest over that
+// contracted piece graph picks the new tree edges. A group of pieces left
+// without a path to its old root, or joined by links, is one component,
+// labeled and rooted at its minimum node below the virtual root, so the
+// forest's component labels equal a fresh CC's. The tour is
+// then spliced (core::splice_tree): no forest CC over the whole graph, no
+// sort and no list ranking. Only a rebuild tours a forest from scratch
+// (forest_lca).
 #pragma once
 
 #include <memory>
@@ -99,17 +103,19 @@ struct ForestWithLca {
   std::shared_ptr<const lca::InlabelLca> lca;
 };
 
-/// The forest and forest LCA of `graph`, which is `before` without the
-/// edges at the ascending positions `erased` (every survivor keeps its
-/// order), spliced from `before`'s `forest` and forest LCA `lca`. The
-/// component labels equal cc_spanning_forest(graph)'s; the tree edges are
-/// the surviving old ones, renumbered, followed by the replacements, and
-/// each component hangs below its representative (virtual_root_tree's
-/// rooting).
-ForestWithLca splice_erased(const device::Context& ctx, graph::EdgeSpan before,
+/// The forest and forest LCA of `graph`, spliced from `before`'s `forest`
+/// and forest LCA `lca`. `graph` is `before` without the edges at the
+/// ascending positions `erased` (every survivor keeps its order), followed
+/// by any appended edges; `linked` names (by id in `graph`) every appended
+/// edge whose ends lie in different components of `forest`. The component
+/// labels equal cc_spanning_forest(graph)'s; the tree edges are the
+/// surviving old ones, renumbered, followed by the new ones, and each
+/// component hangs below its representative (virtual_root_tree's rooting).
+ForestWithLca splice_forest(const device::Context& ctx, graph::EdgeSpan before,
                             graph::EdgeSpan graph,
                             const SpanningForest& forest,
                             const lca::InlabelLca& lca,
-                            std::span<const EdgeId> erased);
+                            std::span<const EdgeId> erased,
+                            std::span<const EdgeId> linked);
 
 }  // namespace emc::bridges

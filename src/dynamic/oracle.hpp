@@ -33,9 +33,10 @@
 // relabel and one pass over the blocks give the next arrays; a block's bd
 // drops by the demoted intervals holding it (core::PreorderWeights). A batch
 // that demotes nothing shares every array and runs no kernel. A cross edge
-// is a new bridge linking two trees: the caller links the forest and
-// rebuilds its LCA, and the index is the preorder pass over the linked
-// forest, where an edge is a bridge iff its ends' merged blocks differ.
+// is a new bridge linking two trees: the caller splices it into the forest
+// and its tour (bridges::splice_forest), and the index is the preorder pass
+// over the linked forest, where an edge is a bridge iff its ends' merged
+// blocks differ.
 //
 // The index has no epoch and counts nothing: when a suffix may be replayed is
 // engine::Session's one replay rule.

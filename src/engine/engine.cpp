@@ -13,6 +13,7 @@
 #include "bridges/dfs_bridges.hpp"
 #include "bridges/hybrid.hpp"
 #include "bridges/tarjan_vishkin.hpp"
+#include "core/block_union.hpp"
 #include "device/primitives.hpp"
 #include "gen/graphs.hpp"
 #include "util/failpoint.hpp"
@@ -100,10 +101,7 @@ Engine::Engine(const EngineOptions& options)
       device_(options.device_workers == 0
                   ? device::Context::device()
                   : device::Context(options.device_workers,
-                                    device::Context::device_launch_overhead())),
-      multicore_(options.multicore_workers == 0
-                     ? device::Context(std::max(2u, device_.workers() / 2))
-                     : device::Context(options.multicore_workers)) {
+                                    device::Context::device_launch_overhead())) {
   if (options_.calibrate) options_.policy.calibrate(*this);
 }
 
@@ -396,12 +394,19 @@ const bridges::BridgeMask& Session::mask_artifact(const Policy& policy,
         mask = bridges::find_bridges_dfs(csr_artifact());
         break;
       case Backend::kCkMulticore:
-      case Backend::kCk:
+      case Backend::kCk: {
+        // A forced CK-multicore mask runs on a pool started for the call.
+        const unsigned workers = engine_->options_.multicore_workers;
+        std::optional<device::Context> multicore;
+        if (backend == Backend::kCkMulticore) {
+          multicore.emplace(workers == 0 ? std::max(2u, device.workers() / 2)
+                                         : workers);
+        }
         mask = bridges::find_bridges_ck(
-            backend == Backend::kCk ? device : engine_->multicore_, g,
-            csr_artifact(),
+            multicore ? *multicore : device, g, csr_artifact(),
             bridges::component_representatives(device, forest()), phases);
         break;
+      }
       case Backend::kTv:
         mask = bridges::find_bridges_tarjan_vishkin(
             device, g, forest(), forest_lca_artifact().tree(), phases);
@@ -473,19 +478,12 @@ Session::next_record() const {
 std::variant<Session::Replay, RebuildReason> Session::replay_partition(
     std::span<const graph::Edge> inserted) const {
   // Split the suffix by the record's forest labels, merging the labels the
-  // cross edges join with a host union-find as it goes (the min label wins,
-  // as in a fresh CC labeling). A cross edge closing a cycle through
+  // cross edges join as it goes. A cross edge closing a cycle through
   // components merged earlier in the suffix is neither a bridge nor
   // intra-component on the old snapshot: no replay expresses it.
   const std::vector<NodeId>& labels = record_->forest->component;
-  Replay replay{inserted, {}, {}, {}};
-  std::unordered_map<NodeId, NodeId> parent;  // label -> parent label
-  const auto find = [&](NodeId c) {
-    for (auto it = parent.find(c); it != parent.end(); it = parent.find(c)) {
-      c = it->second;
-    }
-    return c;
-  };
+  Replay replay{inserted, {}, {}};
+  core::BlockUnion merged;  // over component labels
   for (std::size_t i = 0; i < inserted.size(); ++i) {
     const NodeId cu = labels[inserted[i].u];
     const NodeId cv = labels[inserted[i].v];
@@ -493,14 +491,11 @@ std::variant<Session::Replay, RebuildReason> Session::replay_partition(
       replay.intra.push_back(i);
       continue;
     }
-    const NodeId a = find(cu);
-    const NodeId b = find(cv);
+    const NodeId a = merged.find(cu);
+    const NodeId b = merged.find(cv);
     if (a == b) return RebuildReason::kCycle;
-    parent[std::max(a, b)] = std::min(a, b);
+    merged.hook(std::max(a, b), std::min(a, b));
     replay.cross.push_back(i);
-  }
-  for (const auto& entry : parent) {
-    replay.merged[entry.first] = find(entry.first);
   }
   return replay;
 }
@@ -584,27 +579,21 @@ std::shared_ptr<EpochArtifacts> Session::replayed_record(
 
   // Spanning forest and its LCA: intra inserts leave both untouched (the
   // endpoints were already connected, so the tree edges still span), and
-  // the new record shares the objects. Each cross insert links two trees —
-  // append it to a copy and fold the loser labels in with the partition's
-  // merge map — and the LCA is rebuilt over the linked forest.
+  // the new record shares the objects. Cross inserts link trees: the forest
+  // edit splices them into the previous forest and its tour.
   if (cross.empty()) {
     next->forest = prev.forest;
     next->forest_lca = prev.forest_lca;
   } else {
-    auto forest = std::make_shared<bridges::SpanningForest>(*prev.forest);
-    std::vector<NodeId>& labels = forest->component;
-    device::launch(ctx, labels.size(), [&](std::size_t v) {
-      const auto it = replay.merged.find(labels[v]);
-      if (it != replay.merged.end()) labels[v] = it->second;
-    });
-    forest->tree_edges.reserve(forest->tree_edges.size() + cross.size());
-    for (const std::size_t i : cross) {
-      forest->tree_edges.push_back(static_cast<EdgeId>(old_m + i));
+    std::vector<EdgeId> linked(cross.size());
+    for (std::size_t k = 0; k < cross.size(); ++k) {
+      linked[k] = static_cast<EdgeId>(old_m + cross[k]);
     }
-    forest->num_components -= cross.size();
+    bridges::ForestWithLca spliced = bridges::splice_forest(
+        ctx, prev.edges(), snap, *prev.forest, *prev.forest_lca, {}, linked);
     track(true);  // counted like forest_lca_artifact's build
-    next->forest_lca = bridges::forest_lca(ctx, snap, *forest);
-    next->forest = std::move(forest);
+    next->forest = std::move(spliced.forest);
+    next->forest_lca = std::move(spliced.lca);
   }
 
   next->oracle = std::make_shared<const dynamic::ConnectivityOracle>(
@@ -622,8 +611,9 @@ std::shared_ptr<EpochArtifacts> Session::spliced_record(const Splice& splice) {
   const EpochArtifacts& prev = *record_;
   std::shared_ptr<EpochArtifacts> next = fresh_record(graph_);
   bridges::ForestWithLca spliced =
-      bridges::splice_erased(engine_->device_, prev.edges(), next->edges(),
-                             *prev.forest, *prev.forest_lca, splice.erased);
+      bridges::splice_forest(engine_->device_, prev.edges(), next->edges(),
+                             *prev.forest, *prev.forest_lca, splice.erased,
+                             {});
   // Counted like a rebuild's forest and forest LCA builds.
   track(true);
   track(true);

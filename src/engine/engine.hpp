@@ -6,10 +6,10 @@
 // re-wire that pipeline by hand, and nothing above the oracle reused
 // derived artifacts. The engine replaces that with four nouns:
 //
-//   Engine  — owns the execution contexts (device, and multicore for a
-//             forced CK-multicore mask; the paper's third machine model,
-//             one sequential core, is the calling thread itself — a forced
-//             DFS runs on it directly), the default
+//   Engine  — owns the one device context (a forced CK-multicore mask
+//             starts a multicore pool for its call; the paper's third
+//             machine model, one sequential core, is the calling thread
+//             itself — a forced DFS runs on it directly), the default
 //             Policy, and aggregate stats. One per process is the intended
 //             shape. Stats are atomic: concurrent Views account their work
 //             without locks.
@@ -55,11 +55,12 @@
 // added since the current record's epoch is one small insert-only suffix
 // of the edge log (any number of batches, no erase in between) and the
 // current record holds the index, the epoch fence (sync_epoch) derives the
-// next record from the current one (replayed_record). When the only change
-// is one small erase batch and the current record holds the forest LCA, it
+// next record from the current one (replayed_record): a suffix that links
+// trees splices its cross edges into the forest and its tour
+// (bridges::splice_forest). When the only change is one small erase batch
+// and the current record holds the forest LCA, the same forest edit
 // splices the next record's forest and forest LCA from the current ones
-// (spliced_record, bridges::splice_erased) and leaves the rest to the
-// requests, as a rebuild does. Otherwise it installs an empty record the
+// (spliced_record) and leaves the rest to the requests, as a rebuild does. Otherwise it installs an empty record the
 // requests then fill. Lazy requests and publishes both pass the fence, so
 // whichever comes first at a new epoch takes the replay or the splice;
 // Session::last_publish() records which path it took and why.
@@ -98,7 +99,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -261,8 +261,8 @@ struct PublishRecord {
 struct EngineOptions {
   /// Workers for the device context (0 = EMC_WORKERS / hardware width).
   unsigned device_workers = 0;
-  /// Workers for the multicore context, which only a forced kCkMulticore
-  /// mask runs on (0 = half the device width, >= 2 — the paper's mid-tier
+  /// Workers for the multicore pool a forced kCkMulticore mask starts for
+  /// its call (0 = half the device width, >= 2 — the paper's mid-tier
   /// baseline).
   unsigned multicore_workers = 0;
   /// Default policy for sessions; per-request overrides win.
@@ -284,7 +284,6 @@ class Engine {
   Session session(GraphRef graph);
 
   const device::Context& device() const { return device_; }
-  const device::Context& multicore() const { return multicore_; }
 
   const Policy& default_policy() const { return options_.policy; }
 
@@ -318,7 +317,6 @@ class Engine {
   friend class Session;
   EngineOptions options_;
   device::Context device_;
-  device::Context multicore_;
   mutable Counters counters_;
 };
 
@@ -581,15 +579,13 @@ class Session {
   /// The input of every replay: the edges the graph added since the current
   /// record's epoch (a suffix of its edge log), split by the record's
   /// forest component labels. Intra-component edges can only merge 2-ecc
-  /// blocks; cross-component edges each become a bridge linking two trees.
+  /// blocks; cross-component edges each become a bridge linking two trees,
+  /// which the forest edit (bridges::splice_forest) splices into the
+  /// forest and its tour.
   struct Replay {
     std::span<const graph::Edge> inserted;
     std::vector<std::size_t> intra;  // indexes into inserted
     std::vector<std::size_t> cross;  // indexes into inserted
-    /// Loser label -> final winner label of the components the cross edges
-    /// join. The min label wins, so relabeling yields exactly what a fresh
-    /// CC labeling of the new snapshot assigns (component[rep] == rep).
-    std::unordered_map<NodeId, NodeId> merged;
   };
   /// The input of an erase splice: the old positions of the edges the one
   /// erase batch since the current record removed.
@@ -613,13 +609,13 @@ class Session {
       std::span<const graph::Edge> inserted) const;
   /// The one function that builds a replayed record: the current epoch's
   /// record derived from the current record (which it only reads) and
-  /// `replay` — forest and forest LCA (shared when no edge links trees) and
-  /// 2-ecc index (ConnectivityOracle::insert). The snapshot is the edge
+  /// `replay` — forest and forest LCA (shared when no edge links trees,
+  /// else spliced by bridges::splice_forest) and 2-ecc index (ConnectivityOracle::insert). The snapshot is the edge
   /// log's prefix, so nothing is copied from it; the mask, Csr and BCC
   /// cells start empty, and the mask keeps the current record's backend.
   std::shared_ptr<EpochArtifacts> replayed_record(const Replay& replay);
   /// The current epoch's record with its forest and forest LCA spliced
-  /// from the current record's (bridges::splice_erased); every other
+  /// from the current record's (bridges::splice_forest); every other
   /// artifact starts unbuilt, as in a rebuild.
   std::shared_ptr<EpochArtifacts> spliced_record(const Splice& splice);
   const lca::InlabelLca& forest_lca_artifact();

@@ -355,14 +355,8 @@ ShardedGraph::ShardedGraph(NodeId num_nodes, const graph::EdgeList& initial,
   // batches and must route them exactly like an unsharded Engine would,
   // so it takes the machine defaults (worker count drives the cost
   // model's host-loop-vs-bulk-kernel decision).
-  const engine::EngineOptions eopt{
-      .device_workers = options_.shard_workers,
-      .multicore_workers = options_.shard_workers,
-      .policy = {},
-      .calibrate = false};
-  facade_ = std::make_unique<engine::Engine>(engine::EngineOptions{
-      .device_workers = 0, .multicore_workers = 0, .policy = {},
-      .calibrate = false});
+  const engine::EngineOptions eopt{.device_workers = options_.shard_workers};
+  facade_ = std::make_unique<engine::Engine>(engine::EngineOptions{});
 
   // Partition the seed: intra-shard slices in LOCAL ids, boundary edges
   // into the router's set.

@@ -142,7 +142,8 @@ TEST(IncrementalRule, CrossComponentInsertTreeLinks) {
   Session session = engine.session(dg);
   session.run(TwoEcc{});
   // {2, 3} joins two components: it is a new bridge linking two forest
-  // trees, replayed by a forest link and LCA rebuild — no full pipeline.
+  // trees, replayed by splicing the link into the forest and its tour — no
+  // full pipeline.
   dg.insert_edges(ctx, {{2, 3}});
   EXPECT_TRUE(advance(session));
   EXPECT_EQ(session.publish_rebuilds(), 1u);

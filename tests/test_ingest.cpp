@@ -28,6 +28,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -835,12 +836,12 @@ TEST(IngestFailpoints, EveryUpdateLandsAndEveryFutureResolvesUnderPublishFaults)
   SCOPED_TRACE(fuzz.trace);
   constexpr NodeId kNodes = 128;
 
-  // Re-arm from the environment explicitly (CI pins engine.publish and the
-  // engine.snapshot combo); self-arm engine.publish otherwise. Apply-path
-  // sites (arena.alloc, device.launch) are deliberately NOT armed here: a
-  // faulted update leaves the graph unchanged, but the Ingestor has no
-  // apply retry, so the batch would be lost; the serve fuzz suspends
-  // faults around its writer for the same reason.
+  // Re-arm from the environment explicitly (CI pins engine.publish, the
+  // engine.snapshot combo and the apply-path sites arena.alloc and
+  // device.launch); self-arm engine.publish otherwise. A faulted apply
+  // leaves the graph unchanged and the Ingestor keeps its batch and retries
+  // it, so every update still lands. The setup (engine, seed graph, first
+  // publish, seed view) runs fault-free.
   const char* env_spec = std::getenv("EMC_FAILPOINT");
   const bool env_armed =
       env_spec != nullptr && failpoint::configure_from_string(env_spec) > 0;
@@ -850,20 +851,15 @@ TEST(IngestFailpoints, EveryUpdateLandsAndEveryFutureResolvesUnderPublishFaults)
   }
   const std::size_t fired_before = failpoint::total_fired();
 
+  // Fault-free setup: the engine, the seed graph and the first publish.
+  std::optional<failpoint::ScopedSuspend> setup(std::in_place);
   Engine engine({.device_workers = 2});
-  dynamic::DynamicGraph dg(engine.device(), [&] {
-    failpoint::ScopedSuspend suspend;  // fault-free setup
-    return gen::er_graph(kNodes, 220, fuzz.seed);
-  }());
+  dynamic::DynamicGraph dg(engine.device(),
+                           gen::er_graph(kNodes, 220, fuzz.seed));
   Session session = engine.session(dg);
-  {
-    failpoint::ScopedSuspend suspend;
-    session.refresh();
-  }
-  const CanonicalEdgeSet initial = edge_set([&] {
-    failpoint::ScopedSuspend suspend;
-    return dg.snapshot();
-  }());
+  session.refresh();
+  const CanonicalEdgeSet initial = edge_set(dg.snapshot());
+  setup.reset();
 
   std::vector<Commit> log;
   IngestorOptions opt;

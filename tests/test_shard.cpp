@@ -531,10 +531,11 @@ TEST(ShardFailpoints, EveryFutureResolvesAndNoUpdateIsLostUnderFaults) {
   const auto fuzz = test_support::fuzz_run(/*seed=*/5115, /*rounds=*/12);
   SCOPED_TRACE(fuzz.trace);
 
-  // Re-arm from the environment explicitly (CI pins engine.publish and the
-  // snapshot+publish combo); self-arm engine.publish otherwise. Apply-path
-  // sites stay unarmed for the same reason as IngestFailpoints: the writer
-  // mutation is ground truth, not the system under test.
+  // Re-arm from the environment explicitly (CI pins engine.publish, the
+  // snapshot+publish combo and the apply-path sites); self-arm
+  // engine.publish otherwise. A faulted apply leaves the shard's graph
+  // unchanged and its Ingestor keeps the batch and retries it, as in
+  // IngestFailpoints.
   const char* env_spec = std::getenv("EMC_FAILPOINT");
   const bool env_armed =
       env_spec != nullptr && failpoint::configure_from_string(env_spec) > 0;

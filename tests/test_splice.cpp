@@ -1,6 +1,7 @@
-// The erase splice: after one erase batch, Session's fence derives the next
-// record's spanning forest and forest LCA from the previous record's
-// (bridges::splice_erased over core::splice_tree) instead of running
+// The forest edit: after one erase batch, or a replayed insert batch whose
+// cross edges link trees, Session's fence derives the next record's
+// spanning forest and forest LCA from the previous record's
+// (bridges::splice_forest over core::splice_tree) instead of running
 // the forest CC, the tour sort and the list ranking again.
 //
 // Four pillars:
@@ -13,10 +14,12 @@
 //     batches biased towards tree edges, a representative's own edges,
 //     whole components and bridges. Every round diffs the published View
 //     against a scratch Session and the sequential references, and checks
-//     the spliced forest and tree against a fresh CC and a BFS;
-//   fault sweep — one splice publish faulted at every kernel launch and
-//     scratch allocation in turn leaves held Views frozen, and its retry
-//     lands where a scratch Session does.
+//     the spliced forest and tree against a fresh CC and a BFS; the link
+//     fuzz (LinkSpliceFuzz.*) does the same for insert rounds whose cross
+//     edges link trees, every one of them replayed;
+//   fault sweep — one erase splice or link publish faulted at every kernel
+//     launch and scratch allocation in turn leaves held Views frozen, and
+//     its retry lands where a scratch Session does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -524,11 +527,10 @@ TEST(EraseSpliceFuzz, KronGraphMatchesScratchSessions) {
          fuzz.rounds);
 }
 
-TEST(EraseSpliceFuzz, ManyComponentForestMatchesScratchSessions) {
-  const auto fuzz = test_support::fuzz_run(/*seed=*/7171, /*rounds=*/40);
-  SCOPED_TRACE(fuzz.trace);
-  // Random recursive trees, 2-12 nodes each, plus a few in-tree chords.
-  util::Rng rng(fuzz.seed);
+/// 120 nodes in random recursive trees, 2-12 nodes each, plus a few
+/// in-tree chords.
+EdgeList many_tree_forest(std::uint64_t seed) {
+  util::Rng rng(seed);
   EdgeList base;
   base.num_nodes = 120;
   for (NodeId first = 0; first < base.num_nodes;) {
@@ -541,23 +543,150 @@ TEST(EraseSpliceFuzz, ManyComponentForestMatchesScratchSessions) {
     if (size > 3) base.edges.push_back({first, first + size - 1});
     first += size;
   }
-  report("forest", fuzz_erase_splice(base, fuzz.seed, fuzz.rounds),
+  return base;
+}
+
+TEST(EraseSpliceFuzz, ManyComponentForestMatchesScratchSessions) {
+  const auto fuzz = test_support::fuzz_run(/*seed=*/7171, /*rounds=*/40);
+  SCOPED_TRACE(fuzz.trace);
+  report("forest",
+         fuzz_erase_splice(many_tree_forest(fuzz.seed), fuzz.seed,
+                           fuzz.rounds),
          fuzz.rounds);
+}
+
+/// One insert batch that links trees: cross edges between random
+/// components, each joining two groups the batch has not joined yet (so the
+/// suffix replays), and a few intra-component edges. No cross edge when
+/// every node shares one component.
+std::vector<Edge> link_batch(const View& view, util::Rng& rng) {
+  const std::vector<NodeId>& component = view.forest().component;
+  const auto n = static_cast<NodeId>(component.size());
+  const auto some_node = [&] { return static_cast<NodeId>(rng.below(n)); };
+  std::vector<Edge> batch;
+  test_support::UnionFind joined(n);  // over component labels
+  for (std::size_t want = 1 + rng.below(6), tries = 0;
+       batch.size() < want && tries < 256; ++tries) {
+    const NodeId u = some_node();
+    const NodeId v = some_node();
+    if (component[u] != component[v] &&
+        joined.unite(component[u], component[v])) {
+      batch.push_back({u, v});
+    }
+  }
+  for (std::size_t i = rng.below(3), tries = 0; i > 0 && tries < 256;
+       ++tries) {
+    const NodeId u = some_node();
+    const NodeId v = some_node();
+    if (u != v && component[u] == component[v]) {
+      batch.push_back({u, v});
+      --i;
+    }
+  }
+  return batch;
+}
+
+/// Insert rounds that link trees on `base`, published every round, with an
+/// erase round whenever fewer than two components are left (or now and
+/// then) to split them again. Every round is checked against a scratch
+/// Session and the references; every link round must replay. Returns the
+/// number of link replays.
+std::size_t fuzz_link_splice(const EdgeList& base, std::uint64_t seed,
+                             int rounds) {
+  Engine engine({.device_workers = 2});
+  const device::Context& ctx = engine.device();
+  util::Rng rng(seed);
+  test_support::BatchScript script;
+  dynamic::DynamicGraph dg(ctx, base);
+  Session session = engine.session(dg);
+  View view = session.view();
+  std::size_t link_replays = 0;
+  for (int round = 0; round < rounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<Edge> batch =
+        view.num_components() < 2 || rng.below(4) == 0
+            ? std::vector<Edge>{}
+            : link_batch(view, rng);
+    const bool link = !batch.empty();
+    if (link) {
+      script.add(round, "insert", batch);
+      dg.insert_edges(ctx, batch);
+    } else {
+      batch = erase_batch(view, rng, 1 + static_cast<int>(rng.below(3)));
+      script.add(round, "erase", batch);
+      dg.erase_edges(ctx, batch);
+    }
+    [&] {
+      session.refresh();
+      if (link) {
+        EXPECT_EQ(session.last_publish().path, PublishPath::kReplay);
+        ++link_replays;
+      }
+      view = session.view();
+      ASSERT_EQ(view.epoch(), dg.epoch());
+      expect_forest_is_a_fresh_cc_tree(view, rng);
+      expect_views_agree(view, scratch_view(engine, dg), rng);
+    }();
+    if (::testing::Test::HasFailure()) {
+      std::cerr << script.replay(seed, rounds);
+      return link_replays;
+    }
+  }
+  return link_replays;
+}
+
+void report_links(const char* graph, std::size_t link_replays, int rounds) {
+  std::cout << graph << ": " << link_replays << " link replays\n";
+  if (rounds >= 20) {
+    EXPECT_GT(link_replays, 0u);
+  }
+}
+
+TEST(LinkSpliceFuzz, RoadGraphMatchesScratchSessions) {
+  const auto fuzz = test_support::fuzz_run(/*seed=*/3232, /*rounds=*/40);
+  SCOPED_TRACE(fuzz.trace);
+  report_links("road",
+               fuzz_link_splice(gen::road_graph(12, 12, 0.85, 0.05, fuzz.seed),
+                                fuzz.seed, fuzz.rounds),
+               fuzz.rounds);
+}
+
+TEST(LinkSpliceFuzz, KronGraphMatchesScratchSessions) {
+  const auto fuzz = test_support::fuzz_run(/*seed=*/5252, /*rounds=*/40);
+  SCOPED_TRACE(fuzz.trace);
+  report_links("kron",
+               fuzz_link_splice(gen::kron_graph(7, 3, fuzz.seed), fuzz.seed,
+                                fuzz.rounds),
+               fuzz.rounds);
+}
+
+TEST(LinkSpliceFuzz, ManyComponentForestMatchesScratchSessions) {
+  const auto fuzz = test_support::fuzz_run(/*seed=*/7272, /*rounds=*/40);
+  SCOPED_TRACE(fuzz.trace);
+  report_links("forest",
+               fuzz_link_splice(many_tree_forest(fuzz.seed), fuzz.seed,
+                                fuzz.rounds),
+               fuzz.rounds);
 }
 
 // ------------------------------------------------------------ fault sweep
 
-/// Faults one splice publish at every hit of `site` in turn, with a View
-/// held on the previous epoch. A fault inside the splice installs nothing:
-/// the session's record, path and counters stay as they were. A fault past
-/// it (the mask or the 2-ecc index) leaves the spliced record, which the
-/// retry completes. Either way the retry's View agrees with a scratch
-/// Session, the splice ran exactly once, and the held View is frozen.
-void sweep_splice_faults(const char* site) {
+/// Faults one publish at every hit of `site` in turn, with a View held on
+/// the previous epoch: an erase splice, or (`link`) a replay whose cross
+/// edges link trees. A fault inside the forest edit installs nothing: the
+/// session's record, path and counters stay as they were. A fault past it
+/// (an erase splice's mask or 2-ecc index; a replay builds nothing after
+/// it) leaves the spliced record, which the retry completes. Either way
+/// the retry's View agrees with a scratch Session, the edit ran exactly
+/// once, and the held View is frozen.
+void sweep_publish_faults(const char* site, bool link) {
   namespace failpoint = util::failpoint;
   failpoint::disable_all();
   Engine engine({.device_workers = 2});
-  const EdgeList base = gen::road_graph(10, 10, 0.85, 0.05, 11);
+  const EdgeList base = link ? many_tree_forest(11)
+                             : gen::road_graph(10, 10, 0.85, 0.05, 11);
+  const PublishPath path =
+      link ? PublishPath::kReplay : PublishPath::kEraseSplice;
   std::vector<Edge> batch;
   std::uint64_t launches = 0;  // device launches of the unfaulted publish,
                                // more than its arena growths
@@ -569,14 +698,23 @@ void sweep_splice_faults(const char* site) {
     View held;
     CanonicalEdgeSet held_bridges;
     std::size_t held_blocks = 0;
+    std::size_t held_components = 0;
     {
       failpoint::ScopedSuspend quiet;
       held = session.view();
       held_bridges = bridge_set(held);
       held_blocks = session.two_ecc_index().num_blocks();
-      if (batch.empty()) {
+      held_components = held.num_components();
+      const graph::EdgeSpan g = held.edge_span();
+      if (batch.empty() && link) {
+        // A chain over the first components: each representative to the
+        // node before it, in an earlier component.
+        const std::vector<NodeId>& component = held.forest().component;
+        for (NodeId v = 1; v < g.num_nodes && batch.size() < 8; ++v) {
+          if (component[v] == v) batch.push_back({v - 1, v});
+        }
+      } else if (batch.empty()) {
         // Tree edges, a bridge and a non-tree edge.
-        const graph::EdgeSpan g = held.edge_span();
         for (std::size_t i = 0; i < held.forest().tree_edges.size(); i += 9) {
           batch.push_back(g.edges[held.forest().tree_edges[i]]);
         }
@@ -585,7 +723,9 @@ void sweep_splice_faults(const char* site) {
                                 mask.begin()]);
         batch.push_back(g.edges[g.num_edges() / 2]);
       }
-      ASSERT_GT(dg.erase_edges(engine.device(), batch), 0u);
+      ASSERT_GT(link ? dg.insert_edges(engine.device(), batch)
+                     : dg.erase_edges(engine.device(), batch),
+                0u);
       // A cold arena: every scratch slot of the publish grows it, so each
       // is an arena.alloc hit.
       engine.device().arena().release();
@@ -609,20 +749,20 @@ void sweep_splice_faults(const char* site) {
       failpoint::disable_all();
       if (threw) {
         ++faulted;
-        if (session.publish_rebuilds() == 1) {
-          // The fault struck inside the splice: nothing was installed.
+        if (session.publish_rebuilds() + session.publish_replays() == 1) {
+          // The fault struck inside the forest edit: nothing was installed.
           EXPECT_EQ(session.last_publish().epoch, before.epoch);
           EXPECT_EQ(session.last_publish().path, before.path);
           EXPECT_EQ(session.two_ecc_index().num_blocks(), held_blocks);
         } else {
-          EXPECT_EQ(session.last_publish().path, PublishPath::kEraseSplice);
+          EXPECT_EQ(session.last_publish().path, path);
         }
       }
       session.refresh();
     }
-    EXPECT_EQ(session.publish_rebuilds(), 2u);
-    EXPECT_EQ(session.publish_replays(), 0u);
-    EXPECT_EQ(session.last_publish().path, PublishPath::kEraseSplice);
+    EXPECT_EQ(session.publish_rebuilds(), link ? 1u : 2u);
+    EXPECT_EQ(session.publish_replays(), link ? 1u : 0u);
+    EXPECT_EQ(session.last_publish().path, path);
     const View got = session.view();
     ASSERT_EQ(got.epoch(), dg.epoch());
     util::Rng rng(k);
@@ -630,17 +770,26 @@ void sweep_splice_faults(const char* site) {
     expect_views_agree(got, scratch_view(engine, dg), rng);
     EXPECT_EQ(held.epoch(), 0u);
     EXPECT_EQ(bridge_set(held), held_bridges);
+    EXPECT_EQ(held.num_components(), held_components);
     if (::testing::Test::HasFailure()) return;
   }
   EXPECT_GT(faulted, 0u);
 }
 
 TEST(EraseSpliceFaults, SpliceRetriesCleanlyAfterAFaultAtEveryLaunch) {
-  sweep_splice_faults(util::failpoint::kDeviceLaunch);
+  sweep_publish_faults(util::failpoint::kDeviceLaunch, /*link=*/false);
 }
 
 TEST(EraseSpliceFaults, SpliceRetriesCleanlyAfterAFaultAtEveryAllocation) {
-  sweep_splice_faults(util::failpoint::kArenaAlloc);
+  sweep_publish_faults(util::failpoint::kArenaAlloc, /*link=*/false);
+}
+
+TEST(LinkSpliceFaults, LinkRetriesCleanlyAfterAFaultAtEveryLaunch) {
+  sweep_publish_faults(util::failpoint::kDeviceLaunch, /*link=*/true);
+}
+
+TEST(LinkSpliceFaults, LinkRetriesCleanlyAfterAFaultAtEveryAllocation) {
+  sweep_publish_faults(util::failpoint::kArenaAlloc, /*link=*/true);
 }
 
 }  // namespace
