@@ -19,8 +19,9 @@
 //     same snapshot;
 //   erase rows  — a uniform erase burst's publish, where the session
 //     splices the previous epoch's forest and forest LCA (no forest CC, no
-//     tour sort, no list ranking), next to a fresh session's full publish
-//     of the same snapshot;
+//     tour sort, no list ranking) and indexes the spliced tree from its
+//     low/high (no bridge backend, no mask), next to a fresh session's
+//     full publish of the same snapshot;
 //   link rows   — a replayed insert batch whose every edge links two trees,
 //     spliced into the previous epoch's forest and forest LCA the same way,
 //     next to a fresh session's full publish of the same snapshot;
@@ -81,9 +82,10 @@ int main(int argc, char** argv) {
                                    "exit 1 unless every incremental row "
                                    "replays, incremental publish costs "
                                    "<= 10% of a full publish, every erase "
-                                   "publish splices, every link publish "
-                                   "replays, and both cost <= 75% of a "
-                                   "full one") != 0;
+                                   "publish splices and runs no bridge "
+                                   "backend, every link publish replays, "
+                                   "and both cost <= 75% of a full "
+                                   "one") != 0;
   flags.finish();
 
   engine::Engine eng;
@@ -243,11 +245,18 @@ int main(int argc, char** argv) {
 
   // ---- erase publish: a uniform burst of present edges cuts ~half as
   // many tree edges on a road grid. The session splices the previous
-  // epoch's forest and forest LCA and rebuilds only what follows them
-  // (bridge mask, 2-ecc index); the full side is a fresh session at the
-  // SAME epoch. --check pins the splice below 75% of the full publish.
+  // epoch's forest and forest LCA and indexes the spliced tree from its
+  // low/high; the full side is a fresh session at the SAME epoch. --check
+  // pins the splice below 75% of the full publish, and that it runs no
+  // bridge backend.
   double erase_ratio = 0;
   std::size_t skipped_splices = 0;
+  std::size_t erase_backend_runs = 0;
+  const auto backend_runs = [&] {
+    std::size_t total = 0;
+    for (const std::size_t count : eng.stats().backend_runs) total += count;
+    return total;
+  };
   {
     constexpr std::size_t kBurst = 1u << 10;
     double splice_total = 0, full_total = 0;
@@ -258,11 +267,13 @@ int main(int argc, char** argv) {
       std::vector<graph::Edge> erases(kBurst);
       for (auto& e : erases) e = current[rng.below(current.size())];
       dg.erase_edges(ctx, erases);
+      const std::size_t runs_before = backend_runs();
       std::uint64_t before = ctx.launch_count();
       util::Timer timer;
       session.refresh();
       splice_total += timer.seconds();
       splice_launches += ctx.launch_count() - before;
+      erase_backend_runs += backend_runs() - runs_before;
       if (session.last_publish().path != engine::PublishPath::kEraseSplice) {
         std::fprintf(stderr, "erase splice not taken in run %d\n", r);
         ++skipped_splices;
@@ -412,6 +423,12 @@ int main(int argc, char** argv) {
   if (check && skipped_splices > 0) {
     std::fprintf(stderr, "check FAILED: %zu erase publishes did not splice\n",
                  skipped_splices);
+    return 1;
+  }
+  if (check && erase_backend_runs > 0) {
+    std::fprintf(stderr,
+                 "check FAILED: erase publishes ran %zu bridge backends "
+                 "(gate: 0)\n", erase_backend_runs);
     return 1;
   }
   if (check && erase_ratio > 0.75) {

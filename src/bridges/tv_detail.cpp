@@ -28,19 +28,18 @@ constexpr std::size_t kBlock = std::size_t{1} << kBlockLog2;
 
 }  // namespace
 
-LowHigh subtree_low_high(const device::Context& ctx, graph::EdgeSpan graph,
-                         const std::vector<std::uint8_t>& is_tree_edge,
-                         const core::TreeStats& stats) {
-  const std::vector<NodeId>& pre = stats.preorder;
-  const std::vector<NodeId>& size = stats.subtree_size;
+void subtree_low_high(
+    const device::Context& ctx, graph::EdgeSpan graph,
+    std::span<const std::uint8_t> is_tree_edge, const std::vector<NodeId>& pre,
+    const NodeId* size_at,
+    device::FunctionRef<void(std::size_t, NodeId, NodeId)> visit) {
   const std::size_t n = pre.size();
   const std::size_t m = graph.edges.size();
-  LowHigh result{std::vector<NodeId>(n), std::vector<NodeId>(n)};
   device::Arena::Scope scope(ctx.arena());
 
-  // Per preorder position p (the node with preorder p + 1): the min and max
-  // preorder among the node itself and its non-tree neighbours. Each
-  // non-tree edge folds each endpoint's preorder into the other's slot.
+  // Per position p: the min and max preorder among the node itself and its
+  // non-tree neighbours. Each non-tree edge folds each endpoint's preorder
+  // into the other's position.
   Span* own = scope.get<Span>(n);
   device::launch(ctx, n, [&](std::size_t p) {
     own[p] = {static_cast<NodeId>(p + 1), static_cast<NodeId>(p + 1)};
@@ -58,10 +57,10 @@ LowHigh subtree_low_high(const device::Context& ctx, graph::EdgeSpan graph,
     device::atomic_max(&sv.hi, pu);
   });
 
-  // A subtree is the preorder interval [pre(v), pre(v) + size(v)), so
-  // low/high are range folds over `own`. Blocked RMQ: 64-wide blocks with
-  // in-block prefix and suffix folds, and a sparse table over the block
-  // folds alone (n/64 entries per level, not n).
+  // A subtree is a position interval, so low/high are range folds over
+  // `own`. Blocked RMQ: 64-wide blocks with in-block prefix and suffix
+  // folds, and a sparse table over the block folds alone (n/64 entries per
+  // level, not n).
   const std::size_t blocks = (n + kBlock - 1) >> kBlockLog2;
   Span* prefix = scope.get<Span>(n);
   Span* suffix = scope.get<Span>(n);
@@ -81,9 +80,8 @@ LowHigh subtree_low_high(const device::Context& ctx, graph::EdgeSpan graph,
   });
   const rmq::SparseTable<Span, Fold> table(ctx, block_fold, blocks);
 
-  device::launch(ctx, n, [&](std::size_t v) {
-    const std::size_t lo = static_cast<std::size_t>(pre[v]) - 1;
-    const std::size_t hi = lo + static_cast<std::size_t>(size[v]) - 1;
+  device::launch(ctx, n, [&](std::size_t lo) {
+    const std::size_t hi = lo + static_cast<std::size_t>(size_at[lo]) - 1;
     const std::size_t bl = lo >> kBlockLog2;
     const std::size_t bh = hi >> kBlockLog2;
     Span r = own[lo];
@@ -93,9 +91,28 @@ LowHigh subtree_low_high(const device::Context& ctx, graph::EdgeSpan graph,
       r = fold(suffix[lo], prefix[hi]);
       if (bh > bl + 1) r = fold(r, table.query(bl + 1, bh - 1));
     }
-    result.low[v] = r.lo;
-    result.high[v] = r.hi;
+    visit(lo, r.lo, r.hi);
   });
+}
+
+LowHigh subtree_low_high(const device::Context& ctx, graph::EdgeSpan graph,
+                         const std::vector<std::uint8_t>& is_tree_edge,
+                         const core::TreeStats& stats) {
+  const std::size_t n = stats.preorder.size();
+  LowHigh result{std::vector<NodeId>(n), std::vector<NodeId>(n)};
+  device::Arena::Scope scope(ctx.arena());
+  NodeId* order = scope.get<NodeId>(n);  // the node at each position
+  NodeId* size_at = scope.get<NodeId>(n);
+  device::launch(ctx, n, [&](std::size_t v) {
+    const NodeId p = stats.preorder[v] - 1;
+    order[p] = static_cast<NodeId>(v);
+    size_at[p] = stats.subtree_size[v];
+  });
+  subtree_low_high(ctx, graph, is_tree_edge, stats.preorder, size_at,
+                   [&](std::size_t p, NodeId low, NodeId high) {
+                     result.low[order[p]] = low;
+                     result.high[order[p]] = high;
+                   });
   return result;
 }
 

@@ -1,60 +1,79 @@
 #include "dynamic/oracle.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
+#include "bridges/tv_detail.hpp"
 #include "core/block_union.hpp"
 #include "core/tree_ops.hpp"
 #include "device/primitives.hpp"
 
 namespace emc::dynamic {
 
-/// The index from one host pass over the forest LCA's tree in preorder. A
-/// node heads its block when it is a component root or its parent edge is a
-/// bridge (is_bridge(edge)). bd(v) is bd(parent) plus one at a non-root head,
-/// and v's label is the last head at preorder <= pre(v) with the same bd: its
-/// own when it heads, else its parent's, since a block's tree part is a
-/// connected subtree under its head. Blocks are numbered in their heads'
-/// preorder.
-template <typename IsBridge>
+namespace {
+
+/// The forest LCA's tree in preorder space: per position p, the node with
+/// preorder p + 1, its parent's position (0, the virtual root's, above a
+/// component root) and its subtree size.
+struct Preorder {
+  const NodeId* node;
+  const NodeId* above;
+  const NodeId* size;
+};
+
+}  // namespace
+
+/// One launch lays the tree out by position, heads() flags the positions
+/// whose parent edge is a bridge, and one host pass over the positions
+/// numbers the blocks: a component root or a flagged position heads its
+/// block, and every other position joins its parent's, which precedes it.
+/// bd is the parent block's plus one at a non-root head. Blocks are numbered
+/// in their heads' preorder, and each bridge is the parent edge of exactly
+/// one non-root head.
+template <typename Heads>
 void ConnectivityOracle::index_forest(const device::Context& ctx,
-                                      graph::EdgeSpan g,
-                                      const bridges::SpanningForest& forest,
-                                      const IsBridge& is_bridge) {
-  const std::vector<NodeId>& parent = lca_->tree().parent;
-  const std::vector<NodeId>& pre = lca_->tree().preorder;
-  const auto n = static_cast<std::size_t>(g.num_nodes);
+                                      const Heads& heads) {
+  const core::TreeStats& tree = lca_->tree();
+  const std::vector<NodeId>& pre = tree.preorder;
+  const std::size_t n = pre.size() - 1;  // the virtual root is position 0
   device::Arena::Scope scope(ctx.arena());
-  EdgeId* up = scope.get<EdgeId>(n);  // per node: its parent edge
-  device::launch(ctx, forest.tree_edges.size(), [&](std::size_t i) {
-    const EdgeId e = forest.tree_edges[i];
-    const graph::Edge edge = g.edges[e];
-    up[parent[edge.u] == edge.v ? edge.u : edge.v] = e;
-  });
-  NodeId* order = scope.get<NodeId>(n + 1);  // the node at each preorder
+  NodeId* node = scope.get<NodeId>(n + 1);
+  NodeId* above = scope.get<NodeId>(n + 1);
+  NodeId* size = scope.get<NodeId>(n + 1);
   device::launch(ctx, n + 1, [&](std::size_t v) {
-    order[pre[v] - 1] = static_cast<NodeId>(v);
+    const NodeId p = pre[v] - 1;
+    const NodeId parent = tree.parent[v];
+    node[p] = static_cast<NodeId>(v);
+    above[p] = parent == kNoNode ? 0 : pre[parent] - 1;
+    size[p] = tree.subtree_size[v];
   });
-  const auto root = static_cast<NodeId>(n);  // the virtual root, preorder 1
-  auto labels = std::make_shared<std::vector<NodeId>>(n);
+  std::uint8_t* head = scope.get<std::uint8_t>(n + 1);
+  heads(Preorder{node, above, size}, head);
+
+  NodeId* block = scope.get<NodeId>(n + 1);  // per position
   auto sizes = std::make_shared<std::vector<NodeId>>();
-  std::vector<NodeId>& label = *labels;
   std::vector<NodeId> members;
   std::vector<NodeId> depth;
+  std::size_t roots = 0;
   for (std::size_t p = 1; p <= n; ++p) {
-    const NodeId v = order[p];
-    const NodeId above = parent[v];
-    if (above == root || is_bridge(up[v])) {
-      label[v] = static_cast<NodeId>(members.size());
-      members.push_back(v);
-      depth.push_back(above == root ? 0 : depth[label[above]] + 1);
+    const NodeId a = above[p];
+    if (a == 0 || head[p] != 0) {
+      block[p] = static_cast<NodeId>(members.size());
+      members.push_back(node[p]);
+      depth.push_back(a == 0 ? 0 : depth[block[a]] + 1);
       sizes->push_back(1);
+      roots += a == 0 ? 1 : 0;
     } else {
-      label[v] = label[above];
-      ++(*sizes)[label[v]];
+      block[p] = block[a];
+      ++(*sizes)[block[p]];
     }
   }
+  auto labels = std::make_shared<std::vector<NodeId>>(n);
+  device::transform(ctx, n, labels->data(),
+                    [&](std::size_t v) { return block[pre[v] - 1]; });
   num_blocks_ = members.size();
+  num_bridges_ = num_blocks_ - roots;
   const auto shared = [](const std::vector<NodeId>& from) {
     auto to = std::make_shared_for_overwrite<NodeId[]>(from.size());
     std::copy(from.begin(), from.end(), to.get());
@@ -71,15 +90,49 @@ ConnectivityOracle::ConnectivityOracle(
     const bridges::SpanningForest& forest,
     std::shared_ptr<const lca::InlabelLca> lca,
     const bridges::BridgeMask& mask)
-    : num_bridges_(bridges::count_bridges(mask)), lca_(std::move(lca)) {
+    : lca_(std::move(lca)) {
   assert(mask.size() == g.num_edges());
-  index_forest(ctx, g, forest, [&](EdgeId e) { return mask[e] != 0; });
+  const core::TreeStats& tree = lca_->tree();
+  index_forest(ctx, [&](const Preorder&, std::uint8_t* head) {
+    // Every position below a component root is a tree edge's child end.
+    device::launch(ctx, forest.tree_edges.size(), [&](std::size_t i) {
+      const EdgeId e = forest.tree_edges[i];
+      const graph::Edge edge = g.edges[e];
+      const NodeId child = tree.parent[edge.u] == edge.v ? edge.u : edge.v;
+      head[tree.preorder[child] - 1] = mask[e];
+    });
+  });
+}
+
+ConnectivityOracle::ConnectivityOracle(
+    const device::Context& ctx, graph::EdgeSpan g,
+    const bridges::SpanningForest& forest,
+    std::shared_ptr<const lca::InlabelLca> lca)
+    : lca_(std::move(lca)) {
+  const std::vector<NodeId>& pre = lca_->tree().preorder;
+  const std::size_t m = g.num_edges();
+  index_forest(ctx, [&](const Preorder& at, std::uint8_t* head) {
+    device::Arena::Scope scope(ctx.arena());
+    std::uint8_t* is_tree_edge = scope.get<std::uint8_t>(m);
+    device::fill(ctx, m, is_tree_edge, std::uint8_t{0});
+    device::launch(ctx, forest.tree_edges.size(), [&](std::size_t i) {
+      is_tree_edge[forest.tree_edges[i]] = 1;
+    });
+    // Tarjan's criterion at preorder p + 1: the parent edge is a bridge iff
+    // no non-tree edge leaves the subtree. It holds at every component root
+    // too, whose flag the pass ignores.
+    bridges::tv_detail::subtree_low_high(
+        ctx, g, {is_tree_edge, m}, pre, at.size,
+        [&](std::size_t p, NodeId low, NodeId high) {
+          const auto first = static_cast<NodeId>(p + 1);
+          head[p] = low >= first && high < first + at.size[p];
+        });
+  });
 }
 
 ConnectivityOracle ConnectivityOracle::insert(
-    const device::Context& ctx, graph::EdgeSpan g,
-    const bridges::SpanningForest& forest,
-    std::span<const graph::Edge> inserted, std::span<const std::size_t> intra,
+    const device::Context& ctx, std::span<const graph::Edge> inserted,
+    std::span<const std::size_t> intra,
     std::shared_ptr<const lca::InlabelLca> lca) const {
   const std::vector<NodeId>& label = *labels_;
   const std::vector<NodeId>& parent = lca_->tree().parent;
@@ -104,33 +157,35 @@ ConnectivityOracle ConnectivityOracle::insert(
                       intra.size();
   if (num_demoted == 0 && lca == lca_) return next;
 
+  device::Arena::Scope scope(ctx.arena());
+  if (lca != lca_) {
+    // An appended edge linked trees: the linked forest has new parents and
+    // a new preorder, so the index is one pass over it. A parent edge is a
+    // bridge iff its ends lie in different groups (a cross edge's ends lie
+    // in different trees).
+    NodeId* group = scope.get<NodeId>(num_blocks_);
+    device::iota(ctx, num_blocks_, group);
+    for (const NodeId b : hooked) group[b] = blocks.find(b);
+    next.lca_ = std::move(lca);
+    next.index_forest(ctx, [&](const Preorder& at, std::uint8_t* head) {
+      const auto group_at = [&](NodeId p) { return group[label[at.node[p]]]; };
+      device::launch(ctx, label.size() + 1, [&](std::size_t p) {
+        if (at.above[p] == 0) return;  // the virtual root or a component root
+        head[p] = group_at(static_cast<NodeId>(p)) != group_at(at.above[p]);
+      });
+    });
+    return next;
+  }
   // Each group's compact id. A fresh build numbers blocks in their heads'
   // preorder, and a group keeps its topmost block's head, so the roots keep
   // their order and the hooked blocks drop out of it: root r's id is r less
   // the hooked blocks below it, and a hooked block takes its root's id.
-  device::Arena::Scope scope(ctx.arena());
   const core::PreorderWeights dropped(
       ctx, scope, num_blocks_ + 1, num_demoted, 2 * num_blocks_,
       [&](std::size_t i, auto&& add) { add(hooked[i], 1); });
   const auto is_root = [&](NodeId b) {
     return dropped.below(b + 1) == dropped.below(b);
   };
-
-  if (lca != lca_) {
-    // An appended edge linked trees: the linked forest has new parents and
-    // a new preorder, so the index is one pass over it. An edge is a bridge
-    // iff its ends lie in different groups (a cross edge's ends lie in
-    // different trees).
-    const auto group = [&](NodeId v) {
-      const NodeId b = label[v];
-      return is_root(b) ? b : blocks.find(b);
-    };
-    next.lca_ = std::move(lca);
-    next.index_forest(ctx, g, forest, [&](EdgeId e) {
-      return group(g.edges[e].u) != group(g.edges[e].v);
-    });
-    return next;
-  }
   const std::vector<NodeId>& pre = lca_->tree().preorder;
   const std::vector<NodeId>& size = lca_->tree().subtree_size;
   const std::size_t n = label.size();

@@ -4,15 +4,21 @@
 // One rooted spanning tree answers every tree query (the paper's Euler-tour
 // technique). Every bridge is a tree edge of every spanning forest, and each
 // 2-edge-connected block meets the forest in a connected subtree. So the
-// index derives from the epoch's forest, its forest LCA (bridges::forest_lca,
-// shared with the epoch record) and bridge mask: per node, its compact block
-// label (the components of the non-bridge tree edges); per block, its size,
-// one member (its head) and its bridge depth bd — the bridges on any
+// index derives from the epoch's forest and its forest LCA
+// (bridges::forest_lca, shared with the epoch record): per node, its compact
+// block label (the components of the non-bridge tree edges); per block, its
+// size, one member (its head) and its bridge depth bd — the bridges on any
 // member's forest root path, one count for all members since the block's
-// tree part is connected. One host pass over the forest LCA's tree in
-// preorder derives them all: a block's head is a component root or a node
+// tree part is connected. One builder derives them all in preorder space,
+// over the forest LCA's tree laid out by position (position p holds the
+// node with preorder p + 1): a block's head is a component root or a node
 // whose parent edge is a bridge, and every other node joins its parent's
-// block.
+// block, so one streaming host pass over the positions numbers the blocks
+// and one gather hands each node its label. What says which parent edges
+// are bridges is the constructor's: a rebuild reads its bridge mask, while
+// an erase splice and the sharded façade's summary read Tarjan's low/high
+// criterion straight off the tree (bridges::tv_detail::subtree_low_high,
+// queried in position order) and build no mask at all.
 // A simple forest path crosses exactly the bridges separating its ends, once
 // each, so
 //
@@ -70,14 +76,20 @@ class ConnectivityOracle {
                      std::shared_ptr<const lca::InlabelLca> lca,
                      const bridges::BridgeMask& mask);
 
+  /// Indexes `g` from its spanning forest and that forest's LCA alone: the
+  /// bridges are the tree edges Tarjan's low/high criterion separates,
+  /// read per position of the forest LCA's tree. No mask is built.
+  ConnectivityOracle(const device::Context& ctx, graph::EdgeSpan g,
+                     const bridges::SpanningForest& forest,
+                     std::shared_ptr<const lca::InlabelLca> lca);
+
   /// The index of `g`: the indexed snapshot followed by `inserted` (its
   /// edge log suffix, any number of insert-only batches), of which the
   /// `intra` edges join nodes the indexed forest already connects and the
-  /// rest link its trees. `forest` and `lca` are g's forest and forest LCA;
-  /// the arrays bound to the forest are kept iff `lca` is the indexed one.
-  /// Arrays the suffix leaves unchanged are shared.
-  ConnectivityOracle insert(const device::Context& ctx, graph::EdgeSpan g,
-                            const bridges::SpanningForest& forest,
+  /// rest link its trees. `lca` is g's forest LCA; the arrays bound to the
+  /// forest are kept iff it is the indexed one. Arrays the suffix leaves
+  /// unchanged are shared.
+  ConnectivityOracle insert(const device::Context& ctx,
                             std::span<const graph::Edge> inserted,
                             std::span<const std::size_t> intra,
                             std::shared_ptr<const lca::InlabelLca> lca) const;
@@ -140,12 +152,11 @@ class ConnectivityOracle {
   }
 
  private:
-  /// Fills every array but num_bridges_ from one preorder pass over
-  /// lca_->tree() (`forest` is its forest; is_bridge(e) tests g's edge e).
-  template <typename IsBridge>
-  void index_forest(const device::Context& ctx, graph::EdgeSpan g,
-                    const bridges::SpanningForest& forest,
-                    const IsBridge& is_bridge);
+  /// Fills every array from lca_->tree() in preorder space (oracle.cpp).
+  /// heads(at, head) sets head[p] for every position p below a component
+  /// root: 1 iff the parent edge of the node at p is a bridge.
+  template <typename Heads>
+  void index_forest(const device::Context& ctx, const Heads& heads);
 
   bool in_range(NodeId v) const {
     return v >= 0 && static_cast<std::size_t>(v) < labels_->size();

@@ -142,19 +142,20 @@ struct EpochArtifacts {
   const graph::EdgeList* static_edges = nullptr;  // static graphs
   /// The spanning forest and its forest LCA: built from the snapshot,
   /// shared or linked by a replay, or spliced from the previous record's
-  /// by an erase splice, which installs the record with these two only.
+  /// by an erase splice.
   std::shared_ptr<const bridges::SpanningForest> forest;
   /// The bridge mask. A rebuild seeds the cell with the mask its backend
-  /// computed; a replay leaves it empty, and the first whole-mask reader
-  /// derives it from the 2-ecc labels (epoch_mask).
+  /// computed; a replay or an erase splice leaves it empty, and the first
+  /// whole-mask reader derives it from the 2-ecc labels (epoch_mask).
   std::shared_ptr<EpochCell<bridges::BridgeMask>> mask =
       std::make_shared<EpochCell<bridges::BridgeMask>>();
-  /// The backend behind the mask, which a replay inherits; kAuto until the
-  /// epoch has a mask, seeded or derivable.
+  /// The backend behind the mask, which a replay or an erase splice
+  /// inherits; kAuto until the epoch has a mask, seeded or derivable.
   Backend mask_backend = Backend::kAuto;
   std::shared_ptr<const lca::InlabelLca> forest_lca;
-  /// The 2-ecc index, derived from forest, forest_lca and the mask, or
-  /// replayed from the previous record's.
+  /// The 2-ecc index, derived from forest, forest_lca and the mask, read
+  /// off the spliced tree's low/high by an erase splice, or replayed from
+  /// the previous record's.
   std::shared_ptr<const dynamic::ConnectivityOracle> oracle;
   /// The lazy cells, built by the first reader and never by a publish.
   std::shared_ptr<EpochCell<graph::Csr>> csr =
@@ -212,9 +213,9 @@ std::shared_ptr<const graph::Csr> epoch_csr(const Engine& engine,
   });
 }
 
-/// The epoch's bridge mask (mask_backend must be set). A replayed record's
-/// first reader derives it in one pass: an edge is a bridge iff its ends'
-/// 2-ecc labels differ. The cell keeps it alive.
+/// The epoch's bridge mask (mask_backend must be set). A replayed or
+/// spliced record's first reader derives it in one pass: an edge is a
+/// bridge iff its ends' 2-ecc labels differ. The cell keeps it alive.
 std::shared_ptr<const bridges::BridgeMask> epoch_mask(
     const Engine& engine, const EpochArtifacts& record) {
   return lazy_artifact(engine, *record.mask, [&] {
@@ -597,8 +598,8 @@ std::shared_ptr<EpochArtifacts> Session::replayed_record(
   }
 
   next->oracle = std::make_shared<const dynamic::ConnectivityOracle>(
-      prev.oracle->insert(ctx, snap, *next->forest, replay.inserted,
-                          replay.intra, next->forest_lca));
+      prev.oracle->insert(ctx, replay.inserted, replay.intra,
+                          next->forest_lca));
   // The mask, Csr and BCC cells start empty (no publish builds them): the
   // mask's first reader derives it from the index's labels under the
   // inherited backend, and even an intra-component insert can merge blocks
@@ -609,12 +610,20 @@ std::shared_ptr<EpochArtifacts> Session::replayed_record(
 
 std::shared_ptr<EpochArtifacts> Session::spliced_record(const Splice& splice) {
   const EpochArtifacts& prev = *record_;
+  const device::Context& ctx = engine_->device_;
   std::shared_ptr<EpochArtifacts> next = fresh_record(graph_);
-  bridges::ForestWithLca spliced =
-      bridges::splice_forest(engine_->device_, prev.edges(), next->edges(),
-                             *prev.forest, *prev.forest_lca, splice.erased,
-                             {});
-  // Counted like a rebuild's forest and forest LCA builds.
+  const graph::EdgeSpan snap = next->edges();
+  bridges::ForestWithLca spliced = bridges::splice_forest(
+      ctx, prev.edges(), snap, *prev.forest, *prev.forest_lca, splice.erased,
+      {});
+  // The 2-ecc index straight from the spliced tree's low/high: no backend
+  // runs and no mask is built. The mask cell starts empty, as a replay's
+  // does, for its first reader to derive under the inherited backend.
+  next->oracle = std::make_shared<const dynamic::ConnectivityOracle>(
+      ctx, snap, *spliced.forest, spliced.lca);
+  next->mask_backend = prev.mask_backend;
+  // Counted like a rebuild's forest, forest LCA and index builds.
+  track(true);
   track(true);
   track(true);
   next->forest = std::move(spliced.forest);
@@ -629,9 +638,9 @@ void Session::ensure_all_artifacts(const Policy& policy) {
   util::failpoint::maybe_throw(util::failpoint::kPublish);
   // Forest and forest LCA first (the auto pick and the TV and hybrid masks
   // read its tree), then the index, which a rebuild derives from the mask
-  // `policy` picks. A replayed record's mask stays unbuilt for its first
-  // reader, unless the policy forces another backend than the record's:
-  // that replaces it, as a forced Bridges request does.
+  // `policy` picks. A replayed or spliced record's mask stays unbuilt for
+  // its first reader, unless the policy forces another backend than the
+  // record's: that replaces it, as a forced Bridges request does.
   forest_lca_artifact();
   if (policy.backend != Backend::kAuto &&
       policy.backend != record_->mask_backend) {

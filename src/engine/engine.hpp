@@ -48,9 +48,10 @@
 //
 // The record's 2-ecc artifact IS a dynamic::ConnectivityOracle — not a
 // parallel universe: block labels and bridge depths derived from the
-// record's own spanning forest, forest LCA and bridge mask — or replayed
-// from the previous record's, with the mask then derived from its labels
-// on first read (an edge is a bridge iff its ends' labels differ). The
+// record's own spanning forest, forest LCA and bridge mask — or read off
+// the spliced forest's low/high, or replayed from the previous record's,
+// with the mask then derived from its labels on first read (an edge is a
+// bridge iff its ends' labels differ). The
 // Session owns the one fence rule (next_record): when everything the graph
 // added since the current record's epoch is one small insert-only suffix
 // of the edge log (any number of batches, no erase in between) and the
@@ -60,7 +61,8 @@
 // (bridges::splice_forest). When the only change is one small erase batch
 // and the current record holds the forest LCA, the same forest edit
 // splices the next record's forest and forest LCA from the current ones
-// (spliced_record) and leaves the rest to the requests, as a rebuild does. Otherwise it installs an empty record the
+// (spliced_record) and indexes the spliced tree from its low/high, with no
+// bridge mask and no backend run. Otherwise it installs an empty record the
 // requests then fill. Lazy requests and publishes both pass the fence, so
 // whichever comes first at a new epoch takes the replay or the splice;
 // Session::last_publish() records which path it took and why.
@@ -231,7 +233,8 @@ struct EngineStats {
 enum class PublishPath : std::uint8_t {
   kNone,         // no record yet
   kReplay,       // derived from the previous record by the insert replay
-  kEraseSplice,  // forest and forest LCA spliced from the previous record's
+  kEraseSplice,  // forest, forest LCA and 2-ecc index from the previous
+                 // record's forest edit
   kRebuild,      // installed empty for the full per-artifact pipeline
 };
 
@@ -526,10 +529,11 @@ class Session {
   /// How the epoch fence reached each of this session's records: derived
   /// from the previous record by replaying the edges added since (it held
   /// the 2-ecc index and the one replay rule, replay_partition, held), vs
-  /// not. An erase splice counts as a rebuild: it derives the forest and
-  /// forest LCA, and everything after them builds as the full per-artifact
-  /// pipeline does. A request or publish that found its epoch's record
-  /// already current counts as neither.
+  /// not. An erase splice counts as a rebuild: it splices the forest and
+  /// forest LCA and indexes the spliced tree from its low/high, building no
+  /// mask and running no backend; the mask, Csr and BCC index wait for
+  /// their first readers. A request or publish that found its epoch's
+  /// record already current counts as neither.
   std::uint64_t publish_replays() const { return publish_replays_; }
   std::uint64_t publish_rebuilds() const { return publish_rebuilds_; }
   /// The path of the fence's most recent epoch change, and for a rebuild
@@ -557,9 +561,10 @@ class Session {
 
   /// Epoch fence: every request and publish passes through here first. A
   /// changed epoch installs the record next_record() plans: the replayed
-  /// one, the erase-spliced one (its forest and forest LCA derived,
-  /// nothing else), or an empty one; it counts which (publish_replays /
-  /// publish_rebuilds) and records the path (last_publish). A replay or
+  /// one, the erase-spliced one (its forest, forest LCA and 2-ecc index
+  /// derived, nothing else), or an empty one; it counts which
+  /// (publish_replays / publish_rebuilds) and records the path
+  /// (last_publish). A replay or
   /// splice that throws installs nothing, so the retry takes it again.
   void sync_epoch();
   /// Swaps in a copy of the current record before one of its filled fields
@@ -610,13 +615,16 @@ class Session {
   /// The one function that builds a replayed record: the current epoch's
   /// record derived from the current record (which it only reads) and
   /// `replay` — forest and forest LCA (shared when no edge links trees,
-  /// else spliced by bridges::splice_forest) and 2-ecc index (ConnectivityOracle::insert). The snapshot is the edge
-  /// log's prefix, so nothing is copied from it; the mask, Csr and BCC
+  /// else spliced by bridges::splice_forest) and 2-ecc index
+  /// (ConnectivityOracle::insert). The snapshot is the edge log's prefix,
+  /// so nothing is copied from it; the mask, Csr and BCC
   /// cells start empty, and the mask keeps the current record's backend.
   std::shared_ptr<EpochArtifacts> replayed_record(const Replay& replay);
   /// The current epoch's record with its forest and forest LCA spliced
-  /// from the current record's (bridges::splice_forest); every other
-  /// artifact starts unbuilt, as in a rebuild.
+  /// from the current record's (bridges::splice_forest) and its 2-ecc
+  /// index read off the spliced tree's low/high (the tree-only
+  /// ConnectivityOracle). The mask, Csr and BCC cells start empty, and the
+  /// mask keeps the current record's backend, as in a replay.
   std::shared_ptr<EpochArtifacts> spliced_record(const Splice& splice);
   const lca::InlabelLca& forest_lca_artifact();
   /// The BCC index artifact (expects the device driver lock held).

@@ -7,7 +7,6 @@
 
 #include "bcc/bcc.hpp"
 #include "bridges/cc_spanning.hpp"
-#include "bridges/tarjan_vishkin.hpp"
 
 namespace emc::shard {
 
@@ -578,11 +577,8 @@ std::shared_ptr<const ShardedView::State> ShardedGraph::stitch() {
     const auto device_lock = ctx.exclusive();
     const graph::EdgeList& g = state->summary_graph;
     bridges::SpanningForest forest = bridges::cc_spanning_forest(ctx, g);
-    auto lca = bridges::forest_lca(ctx, g, forest);
-    const bridges::BridgeMask mask =
-        bridges::find_bridges_tarjan_vishkin(ctx, g, forest, lca->tree());
-    state->summary =
-        dynamic::ConnectivityOracle(ctx, g, forest, std::move(lca), mask);
+    state->summary = dynamic::ConnectivityOracle(
+        ctx, g, forest, bridges::forest_lca(ctx, g, forest));
     state->summary_cc = std::move(forest.component);
     state->num_components = forest.num_components;
   }

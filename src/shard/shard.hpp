@@ -35,12 +35,12 @@
 //     labels — kept as a MULTIGRAPH: two boundary edges landing on the
 //     same block pair demote each other to non-bridges, exactly like
 //     parallel edges anywhere else in the library. A
-//     dynamic::ConnectivityOracle built over the summary's spanning forest,
-//     its forest LCA and the TV bridge mask detected on that LCA's tree
-//     (one forest, one tour per stitch; the summary is naturally
-//     disconnected; its forest is rooted below one virtual node like every
-//     other disconnected input's) then composes shard-local answers into
-//     global ones:
+//     dynamic::ConnectivityOracle built over the summary's spanning forest
+//     and its forest LCA, its bridges read off that LCA's tree by Tarjan's
+//     low/high criterion with no mask (one forest, one tour per stitch;
+//     the summary is naturally disconnected; its forest is rooted below
+//     one virtual node like every other disconnected input's) then
+//     composes shard-local answers into global ones:
 //
 //       same_2ecc_G(u, v)       = summary.same_2ecc(h(u), h(v))
 //       bridges_on_path_G(u, v) = summary.bridges_on_path(h(u), h(v))

@@ -261,16 +261,19 @@ TEST(EngineDynamic, BridgesRequestSharesItsMaskWithTheTwoEccIndex) {
   dynamic::DynamicGraph dg(engine.device(),
                            gen::road_graph(16, 16, 0.8, 0.05, 17));
   Session session = engine.session(dg);
-  // Force a large erase so the oracle MUST take the full-rebuild path; the
-  // session's cached mask (computed by DFS here) is handed down, so no TV
-  // backend run happens at all.
+  // Force a large erase so the oracle MUST take the full-rebuild path (past
+  // incremental_applies, so no erase splice); the session's cached mask
+  // (computed by DFS here) is handed down, so no TV backend run happens at
+  // all.
   session.run(Bridges{}, Policy::fixed(Backend::kDfs));
   session.run(TwoEcc{});
   const auto snapshot = dg.snapshot().span().edges;
-  std::vector<Edge> erase(snapshot.begin(), snapshot.begin() + 60);
+  std::vector<Edge> erase(snapshot.begin(),
+                          snapshot.begin() + snapshot.size() / 2);
   dg.erase_edges(engine.device(), erase);
   const auto runs_before = engine.stats().backend_runs;
   session.run(Bridges{}, Policy::fixed(Backend::kDfs));
+  EXPECT_EQ(session.last_publish().path, PublishPath::kRebuild);
   const TwoEccView view = session.run(TwoEcc{});
   auto runs_after = engine.stats().backend_runs;
   EXPECT_EQ(runs_after[backend_index(Backend::kTv)],

@@ -14,7 +14,10 @@
 //     batches biased towards tree edges, a representative's own edges,
 //     whole components and bridges. Every round diffs the published View
 //     against a scratch Session and the sequential references, and checks
-//     the spliced forest and tree against a fresh CC and a BFS; the link
+//     the spliced forest and tree against a fresh CC and a BFS; an erase
+//     splice must also run no bridge backend, keep the previous epoch's
+//     mask backend, and index exactly as a DFS mask over the same forest
+//     and forest LCA would; the link
 //     fuzz (LinkSpliceFuzz.*) does the same for insert rounds whose cross
 //     edges link trees, every one of them replayed;
 //   fault sweep — one erase splice or link publish faulted at every kernel
@@ -24,6 +27,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <memory>
 #include <new>
 #include <set>
 #include <string>
@@ -31,14 +35,17 @@
 #include <vector>
 
 #include "bridges/cc_spanning.hpp"
+#include "bridges/dfs_bridges.hpp"
 #include "core/euler_tour.hpp"
 #include "core/tour_splice.hpp"
 #include "core/tree.hpp"
 #include "device/context.hpp"
 #include "dynamic/dynamic_graph.hpp"
+#include "dynamic/oracle.hpp"
 #include "engine/engine.hpp"
 #include "gen/graphs.hpp"
 #include "graph/graph.hpp"
+#include "lca/inlabel.hpp"
 #include "support/fuzz_env.hpp"
 #include "support/reference.hpp"
 #include "util/failpoint.hpp"
@@ -288,6 +295,33 @@ void expect_views_agree(const View& got, const View& want, util::Rng& rng) {
   EXPECT_EQ(bridge_set(got).size(), ref.num_bridges);
 }
 
+/// An erase splice's 2-ecc index against the one a rebuild builds from a
+/// sequential DFS mask over the same forest and forest LCA: the labels, the
+/// sizes and the bridge count are identical, and bridges_on_path agrees.
+void expect_index_is_the_mask_built_one(const dynamic::ConnectivityOracle& got,
+                                        const View& view, util::Rng& rng) {
+  const device::Context ctx = device::Context::sequential();
+  const graph::EdgeSpan g = view.edge_span();
+  const bridges::BridgeMask mask =
+      bridges::find_bridges_dfs(graph::build_csr(ctx, g));
+  // Non-owning: the View keeps its forest LCA alive.
+  const std::shared_ptr<const lca::InlabelLca> lca(
+      std::shared_ptr<void>{}, &view.artifact<lca::InlabelLca>());
+  const dynamic::ConnectivityOracle want(ctx, g, view.forest(), lca, mask);
+  ASSERT_EQ(got.block_labels(), want.block_labels());
+  ASSERT_EQ(got.block_sizes(), want.block_sizes());
+  ASSERT_EQ(got.num_blocks(), want.num_blocks());
+  ASSERT_EQ(got.num_bridges(), want.num_bridges());
+  ASSERT_EQ(got.num_bridges(), bridges::count_bridges(mask));
+  const auto n = static_cast<std::size_t>(g.num_nodes);
+  for (int q = 0; q < 24 && n > 0; ++q) {
+    const auto u = static_cast<NodeId>(rng.below(n));
+    const auto v = static_cast<NodeId>(rng.below(n));
+    EXPECT_EQ(got.bridges_on_path(u, v), want.bridges_on_path(u, v))
+        << "bridges_on_path " << u << "," << v;
+  }
+}
+
 // --------------------------------------------------------- publish pins
 
 TEST(EraseSplicePublish, ErasingABridgeSplitsTheComponentWithoutARebuild) {
@@ -471,6 +505,8 @@ SpliceCoverage fuzz_erase_splice(const EdgeList& base, std::uint64_t seed,
       }
     }
     [&] {
+      const Backend held_backend = view.mask_backend();
+      const auto runs_before = engine.stats().backend_runs;
       session.refresh();
       const PublishRecord& record = session.last_publish();
       if (erase_batches == 1 && !inserted) {
@@ -489,6 +525,15 @@ SpliceCoverage fuzz_erase_splice(const EdgeList& base, std::uint64_t seed,
       }
       view = session.view();
       ASSERT_EQ(view.epoch(), dg.epoch());
+      if (record.path == PublishPath::kEraseSplice) {
+        // The splice indexes the spliced tree from its low/high: no
+        // backend runs, the mask keeps the previous epoch's backend, and
+        // the index is the one a mask would have built.
+        EXPECT_EQ(engine.stats().backend_runs, runs_before);
+        EXPECT_EQ(view.mask_backend(), held_backend);
+        expect_index_is_the_mask_built_one(session.two_ecc_index(), view,
+                                           rng);
+      }
       expect_forest_is_a_fresh_cc_tree(view, rng);
       expect_views_agree(view, scratch_view(engine, dg), rng);
     }();
